@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .graphs import DenseGraph, bits, mask_of, z_rule_edge
-from .regularity import is_eps_regular, is_superregular, slice_robustness_expected
+from .graphs import DenseGraph, mask_of, z_rule_edge
+from .regularity import is_eps_regular, is_superregular
 
 
 Cell = tuple[int, int]

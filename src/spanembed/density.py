@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import DenseGraph, bits, mask_of
+from .graphs import DenseGraph, bits
 
 
 class SizeLimitExceeded(ValueError):

@@ -11,7 +11,7 @@ with the constructions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graphs import DenseGraph, bits, mask_of
 

@@ -8,8 +8,7 @@ straight into graph rows.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,13 +16,10 @@ from .graphs import (
     DenseGraph,
     InvalidParameters,
     VertexLabelling,
-    blown_cycle,
     cycle_power,
     folded_labelling,
-    grid_vertex,
     identity_labelling,
     make_named,
-    mask_of,
     path_power,
     z_rule_edge,
 )

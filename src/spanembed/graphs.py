@@ -8,7 +8,7 @@ Everything here is immutable after construction and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .connect import ConnectError, HypothesisViolation, connect_cliques
 from .density import DensityParams, enumerate_extendable_cliques, find_clique, is_locally_dense_sampled
 from .generators import BandwidthedH
-from .graphs import DenseGraph, WitnessSequence, bits, mask_of, validate_witness
+from .graphs import DenseGraph, WitnessSequence, mask_of, validate_witness
 
 
 class AssignmentError(ValueError):

@@ -13,18 +13,16 @@ Successes are revalidated edge-by-edge before being reported.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 
 from .balance import (
     BalanceError,
     CycleStructure,
-    check_cycle_structure,
     lemma_g,
     phi_bijection,
     phi_inverse,
 )
-from .connect import ConnectError, HypothesisViolation
+from .connect import HypothesisViolation
 from .constants import ConstantsHierarchy
 from .density import DensityParams, is_locally_dense_sampled
 from .embed import EmbedError, blowup_embed, embed_with_targets, brute_force_embed, verify_embedding
@@ -33,15 +31,13 @@ from .graphs import (
     DenseGraph,
     WitnessSequence,
     bandwidth_of,
-    bits,
     cycle_power,
     mask_of,
     validate_witness,
 )
-from .hampower import HamAudit, HamConfig, StageFailure, find_hamilton_power
+from .hampower import HamConfig, StageFailure, find_hamilton_power
 from .hpartition import (
     AssignmentError,
-    FrameworkTrail,
     basic_assignment,
     build_framework,
     interval_width,

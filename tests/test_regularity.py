@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -6,18 +7,22 @@ import pytest
 
 from spanembed.density import SizeLimitExceeded
 from spanembed.generators import (
+    clique_factor_extremal,
     complete_bipartite,
     gnp,
     planted_blown_cycle,
     random_bipartite,
+    two_cliques,
 )
-from spanembed.graphs import DenseGraph, mask_of
+from spanembed.graphs import DenseGraph, bits, mask_of
 from spanembed.regularity import (
     BudgetExhausted,
     ClusterPartition,
     EmptySide,
     InsufficientVertices,
     ReducedGraph,
+    RegularityVerdict,
+    _fair_coins,
     heuristic_degree_form_partition,
     inheritance_check,
     is_eps_regular,
@@ -343,6 +348,17 @@ def test_partitioner_bipartite_keeps_crossing_pairs():
             assert verdict != "sparse"
 
 
+def test_partitioner_pure_graph_symmetric_with_dropped_pairs():
+    # pairs of density about 1/2 are dropped; two vertices are exceptional
+    G = complete_bipartite(61, 60)
+    part, pure, R, report = heuristic_degree_form_partition(
+        G, eps=0.3, delta=0.5, L_min=7, seed=2
+    )
+    assert part.exceptional and "sparse" in report.pair_verdicts.values()
+    DenseGraph(pure.n, pure.rows)  # checks symmetry and loops
+    assert all(p & ~g == 0 for p, g in zip(pure.rows, G.rows))
+
+
 def test_partitioner_pure_graph_is_subgraph():
     G = gnp(120, 0.6, 8)
     part, pure, R, report = heuristic_degree_form_partition(
@@ -350,3 +366,225 @@ def test_partitioner_pure_graph_is_subgraph():
     )
     for v in range(G.n):
         assert pure.rows[v] & ~G.rows[v] == 0
+
+
+# -- heuristic search: reference copy and pinned outputs ---------------------
+
+
+def reference_heuristic(G, A, B, eps, trials, seed):
+    """The heuristic search as first written: one mask_of/edges_between
+    recheck per candidate, coins drawn one ``random()`` at a time."""
+    d_ab = pair_density(G, A, B)
+    min_x = max(1, math.ceil(eps * len(A)))
+    min_y = max(1, math.ceil(eps * len(B)))
+
+    def recheck(X, Y):
+        if len(X) < min_x or len(Y) < min_y:
+            return None
+        dxy = G.edges_between(mask_of(X), mask_of(Y)) / (len(X) * len(Y))
+        dev = abs(d_ab - dxy)
+        if dev > eps:
+            return RegularityVerdict(False, d_ab, (tuple(X), tuple(Y)), dev)
+        return None
+
+    rng = random.Random(seed)
+    bmask = mask_of(B)
+    amask = mask_of(A)
+
+    def outlier_sets(side, other_mask, min_k):
+        degs = sorted(((G.rows[v] & other_mask).bit_count(), v) for v in side)
+        order = [v for _, v in degs]
+        for k in range(min_k, len(side) + 1):
+            yield tuple(order[:k])
+            yield tuple(order[-k:])
+
+    for X in outlier_sets(A, bmask, min_x):
+        hit = recheck(X, tuple(B))
+        if hit:
+            return hit
+    for Y in outlier_sets(B, amask, min_y):
+        hit = recheck(tuple(A), Y)
+        if hit:
+            return hit
+    sample_a = A if len(A) <= 24 else rng.sample(A, 24)
+    for a in sample_a:
+        for ym in (G.rows[a] & bmask, ~G.rows[a] & bmask):
+            Y = tuple(bits(ym))
+            if len(Y) < min_y:
+                continue
+            for X in outlier_sets(A, ym, min_x):
+                hit = recheck(X, Y)
+                if hit:
+                    return hit
+    for _ in range(trials):
+        X = tuple(v for v in A if rng.random() < 0.5)
+        Y = tuple(v for v in B if rng.random() < 0.5)
+        if len(X) >= min_x and len(Y) >= min_y:
+            hit = recheck(X, Y)
+            if hit:
+                return hit
+    return RegularityVerdict(True, d_ab)
+
+
+def reference_exact(G, A, B, eps):
+    """Exact mode as first written: one sorted prefix scan per Y."""
+    d_ab = pair_density(G, A, B)
+
+    def extremal_x_for_y(side, ymask, min_x):
+        ysize = ymask.bit_count()
+        degs = sorted(((G.rows[v] & ymask).bit_count(), v) for v in side)
+        prefix, chosen = 0, []
+        for k, (c, v) in enumerate(degs, start=1):
+            prefix += c
+            chosen.append(v)
+            if k >= min_x and d_ab - prefix / (k * ysize) > eps:
+                return tuple(sorted(chosen)), d_ab - prefix / (k * ysize)
+        prefix, chosen = 0, []
+        for k, (c, v) in enumerate(reversed(degs), start=1):
+            prefix += c
+            chosen.append(v)
+            if k >= min_x and prefix / (k * ysize) - d_ab > eps:
+                return tuple(sorted(chosen)), prefix / (k * ysize) - d_ab
+        return None
+
+    for side_a, side_b in ((A, B), (B, A)):
+        min_xa = max(1, math.ceil(eps * len(side_a)))
+        min_yb = max(1, math.ceil(eps * len(side_b)))
+        for ym in range(1, 1 << len(side_b)):
+            if ym.bit_count() < min_yb:
+                continue
+            ymask = mask_of(side_b[i] for i in bits(ym))
+            hit = extremal_x_for_y(side_a, ymask, min_xa)
+            if hit is not None:
+                X, dev = hit
+                Y = tuple(sorted(bits(ymask)))
+                pair = (X, Y) if side_a is A else (Y, X)
+                return RegularityVerdict(False, d_ab, pair, dev)
+    return RegularityVerdict(True, d_ab)
+
+
+def seeded_pairs(count, max_side, seed):
+    """(G, A, B) with disjoint shuffled sides drawn from gnp, two_cliques and
+    clique_factor_extremal hosts."""
+    rng = random.Random(seed)
+    for i in range(count):
+        a, b = rng.randint(4, max_side), rng.randint(4, max_side)
+        n = a + b + rng.randint(0, 6)
+        family = i % 3
+        if family == 0:
+            G = gnp(n, rng.choice([0.3, 0.6, 0.9]), rng.randrange(1000))
+        elif family == 1:
+            G = two_cliques(n)
+        else:
+            n += -n % 3
+            G = clique_factor_extremal(3, n)
+        vs = rng.sample(range(n), a + b)
+        yield G, vs[:a], vs[a:]
+
+
+def test_heuristic_matches_reference_search(monkeypatch):
+    # Truthy verdicts make both searches stop at their first violating
+    # candidate, so equal verdicts mean equal candidate order and scores.
+    monkeypatch.setattr(RegularityVerdict, "__bool__", lambda v: True)
+    rng = random.Random(17)
+    irregular = 0
+    pairs = list(seeded_pairs(240, 30, seed=5))
+    G12 = two_cliques(12)
+    pairs.append((G12, [0, 1, 2, 6, 7, 8], [3, 4, 5, 9, 10, 11]))
+    for G, A, B in pairs:
+        eps = rng.choice([0.1, 0.25, 0.4])
+        trials = rng.choice([0, 5, 60])
+        seed = rng.randrange(1 << 30)
+        want = reference_heuristic(G, A, B, eps, trials, seed)
+        got = is_eps_regular(G, A, B, eps, mode="heuristic", trials=trials, seed=seed)
+        assert got == want, (A, B, eps, trials, seed)
+        irregular += not want.regular
+    assert irregular > len(pairs) // 2
+
+
+def test_heuristic_visits_same_violations(monkeypatch):
+    # With the verdict's truth as it is, neither search stops early and every
+    # violating candidate passes through one `if hit:`; recording those tests
+    # compares the two searches candidate by candidate.
+    seen = []
+
+    def record(verdict):
+        if not verdict.regular:
+            seen.append((verdict.witness, verdict.deviation))
+        return verdict.regular
+
+    monkeypatch.setattr(RegularityVerdict, "__bool__", record)
+    rng = random.Random(29)
+    visited = 0
+    for G, A, B in seeded_pairs(60, 30, seed=6):
+        eps = rng.choice([0.1, 0.25, 0.4])
+        trials = rng.choice([0, 5, 60])
+        seed = rng.randrange(1 << 30)
+        seen.clear()
+        want = reference_heuristic(G, A, B, eps, trials, seed)
+        expected = list(seen)
+        seen.clear()
+        got = is_eps_regular(G, A, B, eps, mode="heuristic", trials=trials, seed=seed)
+        assert seen == expected, (A, B, eps, trials, seed)
+        assert got == want
+        visited += len(expected)
+    assert visited > 1000
+
+
+def test_heuristic_two_cliques_example():
+    G = two_cliques(12)
+    A, B = [0, 1, 2, 6, 7, 8], [3, 4, 5, 9, 10, 11]
+    assert is_eps_regular(G, A, B, 0.25, mode="exact").deviation == 0.5
+    # known defect: every heuristic hit is falsy, so the search runs out
+    h = is_eps_regular(G, A, B, 0.25, mode="heuristic", seed=3)
+    assert h == reference_heuristic(G, A, B, 0.25, 200, 3)
+    assert h.regular
+
+
+def test_exact_matches_reference_scan():
+    rng = random.Random(23)
+    irregular = 0
+    for G, A, B in seeded_pairs(60, 9, seed=8):
+        eps = rng.choice([0.1, 0.25, 0.4])
+        want = reference_exact(G, A, B, eps)
+        assert is_eps_regular(G, A, B, eps, mode="exact") == want, (A, B, eps)
+        irregular += not want.regular
+    assert 0 < irregular < 60
+
+
+def test_fair_coins_replay_random_stream():
+    for seed in (0, 1, 99, 4217, 2**40 + 3):
+        batched, single = random.Random(seed), random.Random(seed)
+        coins = _fair_coins(batched, 10_000)
+        assert coins.tolist() == [single.random() < 0.5 for _ in range(10_000)]
+        assert batched.getstate() == single.getstate()
+    assert _fair_coins(random.Random(0), 0).size == 0
+
+
+def _digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "seed, clusters, verdicts, pure_rows",
+    [
+        (3, "e4de348ac9c6d77a", "2d99d2f711795da0", "19e83e0aa8463057"),
+        (11, "806a626087cefacf", "2d99d2f711795da0", "64105bbd788b6bf9"),
+    ],
+)
+def test_partitioner_outputs_pinned(seed, clusters, verdicts, pure_rows):
+    # digests recorded with the one-recheck-per-candidate search
+    G = gnp(160, 0.97, 7)
+    part, pure, R, report = heuristic_degree_form_partition(
+        G, eps=0.25, delta=0.25, L_min=16, seed=seed
+    )
+    assert _digest((part.exceptional, part.clusters)) == clusters
+    assert _digest(sorted(report.pair_verdicts.items())) == verdicts
+    assert _digest(pure.rows) == pure_rows
+
+
+def test_refine_verified_output_pinned():
+    G, clusters = planted_cluster_system(3, 20, 0.7, seed=5)
+    R = ReducedGraph(DenseGraph.complete(3))
+    refined = refine_to_superregular(G, clusters, R, 0.05, 0.3, verify=True, seed=5)
+    assert _digest(refined) == "fa8d9586e729b270"

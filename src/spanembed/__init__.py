@@ -4,6 +4,7 @@ spanning subgraphs into locally dense hosts."""
 from .graphs import (
     DenseGraph,
     InvalidParameters,
+    StageFailure,
     ValidationResult,
     VertexLabelling,
     WitnessSequence,
@@ -33,6 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DenseGraph",
     "InvalidParameters",
+    "StageFailure",
     "ValidationResult",
     "VertexLabelling",
     "WitnessSequence",

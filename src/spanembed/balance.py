@@ -79,15 +79,6 @@ class CycleStructure:
             return True
         return frozenset((c1, c2)) in self.extra_edges
 
-    def block_pairs(self) -> list[tuple[Cell, Cell]]:
-        """Within-block pairs, the superregular ones."""
-        out = []
-        for i in range(1, self.ell + 1):
-            for j in range(1, self.r + 1):
-                for j2 in range(j + 1, self.r + 1):
-                    out.append(((i, j), (i, j2)))
-        return out
-
     def template_pairs(self) -> list[tuple[Cell, Cell]]:
         """All template edges between distinct cells (block + consecutive)."""
         cells = self.cells()

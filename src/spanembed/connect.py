@@ -17,20 +17,11 @@ import random
 from dataclasses import dataclass
 
 from .density import enumerate_extendable_cliques, find_clique
-from .graphs import DenseGraph, WitnessSequence, bits, mask_of
+from .graphs import DenseGraph, StageFailure, WitnessSequence, bits, mask_of, validate_witness
 
 
-class ConnectError(RuntimeError):
-    """Stage-labelled connection failure."""
-
-    def __init__(self, stage: str, detail: str = ""):
-        self.stage = stage
-        self.detail = detail
-        super().__init__(f"{stage}: {detail}" if detail else stage)
-
-
-class HypothesisViolation(ConnectError):
-    pass
+class HypothesisViolation(StageFailure):
+    """A checked hypothesis does not hold for the input (not a failed search)."""
 
 
 @dataclass(frozen=True)
@@ -93,7 +84,7 @@ def find_bridging_clique(
         if ax.bit_count() + ay.bit_count() >= attach_need:
             buckets.setdefault((ax, ay), []).append(v)
     if not buckets:
-        raise ConnectError(
+        raise StageFailure(
             "no-high-attachment",
             f"no vertex of U has >= {attach_need} neighbours in X ∪ Y",
         )
@@ -137,7 +128,7 @@ def find_bridging_clique(
             bridge = Bridge(cand.vertices, tuple(x_att[:r]), tuple(y_att[:r]))
             _revalidate_bridge(G, bridge, xmask, ymask, wmask, r)
             return bridge
-    raise ConnectError(
+    raise StageFailure(
         "no-clique-in-bucket",
         f"no attachment bucket of size >= {floor} spans a K_{r} "
         f"(and no loosely-attached clique either)",
@@ -147,13 +138,15 @@ def find_bridging_clique(
 def _revalidate_bridge(
     G: DenseGraph, b: Bridge, xmask: int, ymask: int, wmask: int, r: int
 ) -> None:
-    assert len(b.Z) == r and G.is_clique(b.Z)
-    zmask = mask_of(b.Z)
-    assert zmask & (xmask | ymask | wmask) == 0
     common = G.common_neighborhood(b.Z)
-    assert mask_of(b.X_prime) & ~common == 0
-    assert mask_of(b.Y_prime) & ~common == 0
-    assert len(b.X_prime) == len(b.Y_prime) == r
+    for broken, what in (
+        (len(b.Z) != r or not G.is_clique(b.Z), "Z is not an r-clique"),
+        (mask_of(b.Z) & (xmask | ymask | wmask), "Z meets X, Y or W"),
+        ((mask_of(b.X_prime) | mask_of(b.Y_prime)) & ~common, "X' or Y' leaves N(Z)"),
+        (not len(b.X_prime) == len(b.Y_prime) == r, "X' or Y' does not have r vertices"),
+    ):
+        if broken:
+            raise StageFailure("revalidation", f"bridge: {what}")
 
 
 @dataclass(frozen=True)
@@ -221,7 +214,7 @@ def connect_cliques(
         scope = G.common_neighborhood(ends) & ~avoid & ~wmask
         got = find_clique(G, c, within=scope, node_budget=clique_budget, rng=rng)
         if got is None:
-            raise ConnectError(
+            raise StageFailure(
                 "envelope-not-found",
                 f"no K_{c} in the joint neighbourhood of {sorted(ends)} "
                 f"(branch {branch})",
@@ -253,18 +246,16 @@ def connect_cliques(
 def _revalidate_connection(
     G: DenseGraph, conn: Connection, X: list[int], Y: list[int], W: list[int], r: int
 ) -> None:
-    from .graphs import validate_witness
-
     seq = conn.path.vertices
-    assert len(seq) == 3 * r
-    assert len(set(seq)) == 3 * r
-    assert not set(seq) & set(W)
-    assert not set(seq) & (set(X) | set(Y))
-    res = validate_witness(G, conn.path)
-    assert res, f"bridge path invalid: {res.reason}"
-    left = WitnessSequence(tuple(sorted(X)) + seq, "path", r)
-    right = WitnessSequence(seq + tuple(sorted(Y)), "path", r)
-    lres = validate_witness(G, left)
-    rres = validate_witness(G, right)
-    assert lres, f"X-concatenation invalid: {lres.reason}"
-    assert rres, f"Y-concatenation invalid: {rres.reason}"
+    if len(seq) != 3 * r or len(set(seq)) != 3 * r:
+        raise StageFailure("revalidation", f"connection is not {3 * r} distinct vertices")
+    if set(seq) & (set(W) | set(X) | set(Y)):
+        raise StageFailure("revalidation", "connection meets W, X or Y")
+    for what, w in (
+        ("bridge path", conn.path),
+        ("X-concatenation", WitnessSequence(tuple(sorted(X)) + seq, "path", r)),
+        ("Y-concatenation", WitnessSequence(seq + tuple(sorted(Y)), "path", r)),
+    ):
+        res = validate_witness(G, w)
+        if not res:
+            raise StageFailure("revalidation", f"{what} invalid: {res.reason}")

@@ -104,19 +104,6 @@ class ConstantsHierarchy:
         return h
 
 
-def paper_chain_names() -> list[str]:
-    """The canonical constant chain, smallest first."""
-    return [
-        "beta", "inv_Lprime", "rho", "eps", "c", "delta", "rho_prime",
-        "eta", "d", "inv_Delta", "inv_r",
-    ]
-
-
-def hampower_chain_names() -> list[str]:
-    """Constant chain used by the Hamilton-power pipeline, smallest first."""
-    return ["eps", "delta", "rho", "eta3", "eta2", "eta1", "eta0", "d1", "d", "eta"]
-
-
 def default_hampower_constants(
     *,
     eta: float = 0.2,

@@ -370,11 +370,6 @@ def find_clique(
     return rec([], scope)
 
 
-def count_expected_cliques(n: int, d: float, r: int) -> float:
-    """Reported-only lower bound (d/2)^C(r+1,2) * n^r / r! from the count claim."""
-    return (d / 2) ** (r * (r + 1) // 2) * n**r / math.factorial(r)
-
-
 def independence_number_exact(G: DenseGraph, threshold: int = 24) -> int:
     """Exact independence number for small hosts (test utility)."""
     if G.n > threshold:

@@ -13,14 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graphs import DenseGraph, bits, mask_of
-
-
-class EmbedError(RuntimeError):
-    def __init__(self, stage: str, detail: str = ""):
-        self.stage = stage
-        self.detail = detail
-        super().__init__(f"{stage}: {detail}" if detail else stage)
+from .graphs import DenseGraph, StageFailure, bits, mask_of
 
 
 def verify_embedding(H: DenseGraph, G: DenseGraph, mapping: dict[int, int]) -> str:
@@ -77,12 +70,12 @@ def embed_with_targets(
             loads[phi[x]] = loads.get(phi[x], 0) + 1
         for a, load in loads.items():
             if load > 2 * eps * m:
-                raise EmbedError(
+                raise StageFailure(
                     "load", f"cluster {a} receives {load} > 2*eps*m vertices"
                 )
     for w, s in S_w.items():
         if len(s) < c * m:
-            raise EmbedError("target-set", f"S_w of {w} has {len(s)} < c*m vertices")
+            raise StageFailure("target-set", f"S_w of {w} has {len(s)} < c*m vertices")
 
     floor = c * m
     rng = random.Random(f"targets:{seed}")
@@ -105,7 +98,7 @@ def embed_with_targets(
             return True
         nodes += 1
         if nodes > node_budget:
-            raise EmbedError(
+            raise StageFailure(
                 "backtrack-budget-exhausted",
                 f"budget {node_budget} hit at vertex {order[idx]}; trace: "
                 f"{[(y, mk.bit_count()) for y, mk in masks.items()][:6]}",
@@ -122,21 +115,18 @@ def embed_with_targets(
             rng.shuffle(cand_list)
         for gv in cand_list:
             # tentative floor check for boundary neighbours of x
-            new_masks = masks
-            touched = [y for y in bits(h_adj[x]) if y in masks]
-            if touched or True:
-                new_masks = dict(masks)
-                ok = True
-                for y in masks:
-                    mk = masks[y] & ~(1 << gv)
-                    if y in touched or (h_adj[x] >> y) & 1:
-                        mk &= G.rows[gv]
-                    if mk.bit_count() < floor:
-                        ok = False
-                        break
-                    new_masks[y] = mk
-                if not ok:
-                    continue
+            new_masks = dict(masks)
+            ok = True
+            for y in masks:
+                mk = masks[y] & ~(1 << gv)
+                if (h_adj[x] >> y) & 1:
+                    mk &= G.rows[gv]
+                if mk.bit_count() < floor:
+                    ok = False
+                    break
+                new_masks[y] = mk
+            if not ok:
+                continue
             mapping[x] = gv
             if place(idx + 1, used_mask | (1 << gv), new_masks):
                 return True
@@ -146,11 +136,11 @@ def embed_with_targets(
     # restrict boundary masks by nothing initially; verify floors up front
     if not y_floor_ok(y_mask):
         bad = min(y_mask, key=lambda y: y_mask[y].bit_count())
-        raise EmbedError(
+        raise StageFailure(
             "target-set", f"boundary vertex {bad} starts below the floor"
         )
     if not place(0, used, dict(y_mask)):
-        raise EmbedError(
+        raise StageFailure(
             "backtrack-budget-exhausted",
             f"no embedding within the search tree (nodes={nodes})",
         )
@@ -164,12 +154,12 @@ def embed_with_targets(
                 mk &= G.rows[mapping[u]]
         final_masks[y] = tuple(bits(mk))
         if len(final_masks[y]) < floor:
-            raise EmbedError(
+            raise StageFailure(
                 "target-set", f"boundary vertex {y} finished below the floor"
             )
     problem = verify_embedding(H, G, mapping)
     if problem:
-        raise EmbedError("revalidation", problem)
+        raise StageFailure("revalidation", problem)
     return PartialEmbedding(mapping, final_masks, nodes)
 
 
@@ -200,7 +190,7 @@ def blowup_embed(
         demand[phi[x]] = demand.get(phi[x], 0) + 1
     for a, need in demand.items():
         if need > len(clusters.get(a, ())):
-            raise EmbedError(
+            raise StageFailure(
                 "load", f"cluster {a} demanded {need} > {len(clusters.get(a, ()))}"
             )
     if special:
@@ -209,7 +199,7 @@ def blowup_embed(
             per_cluster[phi[y]] = per_cluster.get(phi[y], 0) + 1
         for a, cnt in per_cluster.items():
             if cnt > alpha * len(clusters[a]):
-                raise EmbedError(
+                raise StageFailure(
                     "load", f"cluster {a} has {cnt} special vertices > alpha*n_a"
                 )
 
@@ -275,10 +265,10 @@ def blowup_embed(
         if search():
             problem = verify_embedding(H, G, mapping)
             if problem:
-                raise EmbedError("revalidation", problem)
+                raise StageFailure("revalidation", problem)
             return mapping
         last_trace = f"attempt {attempt}: {nodes} nodes"
-    raise EmbedError("backtrack-budget-exhausted", last_trace)
+    raise StageFailure("backtrack-budget-exhausted", last_trace)
 
 
 # -- exact oracle -----------------------------------------------------------
@@ -308,7 +298,6 @@ def brute_force_embed(H: DenseGraph, G: DenseGraph, budget: int = 5_000_000) -> 
     # order H-vertices: max degree first, then most-placed-neighbours first
     order: list[int] = []
     placed = set()
-    degs = [(H.degree(v), v) for v in range(H.n)]
     first = max(range(H.n), key=lambda v: (H.degree(v), -v))
     order.append(first)
     placed.add(first)
@@ -359,6 +348,7 @@ def brute_force_embed(H: DenseGraph, G: DenseGraph, budget: int = 5_000_000) -> 
         return OracleResult("budget-exceeded", nodes=nodes)
     if found:
         problem = verify_embedding(H, G, mapping)
-        assert not problem, problem
+        if problem:
+            raise StageFailure("revalidation", problem)
         return OracleResult("embedded", dict(mapping), nodes)
     return OracleResult("no-embedding", nodes=nodes)

@@ -19,7 +19,6 @@ from .graphs import (
     cycle_power,
     folded_labelling,
     identity_labelling,
-    make_named,
     path_power,
     z_rule_edge,
 )
@@ -146,14 +145,6 @@ def planted_blown_cycle(
         p_inside=p_inside,
         p_between=p_between,
     )
-
-
-def planted_superregular_pair(
-    a: int, b: int, p: float, seed: int = 0
-) -> DenseGraph:
-    """Bipartite pair of density ~p; random bipartite graphs of constant
-    density are the canonical regular pairs."""
-    return random_bipartite(a, b, p, seed)
 
 
 def planted_multipartite(
@@ -291,58 +282,3 @@ def random_window_H(
     H = DenseGraph.from_edges(n, set(edges))
     return BandwidthedH(H, identity_labelling(n), tuple(colouring), window / n)
 
-
-# -- instance-spec dispatch ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InstanceSpec:
-    """Named generator + parameters + seed; regeneration is bit-exact."""
-
-    generator: str
-    params: tuple = ()
-    seed: int = 0
-
-
-def gen_instance(spec: InstanceSpec):
-    """Dispatch an InstanceSpec to its generator."""
-    g = spec.generator
-    if g == "gnp":
-        n, p = spec.params
-        return gnp(int(n), float(p), spec.seed)
-    if g == "two-clique":
-        (n,) = spec.params
-        return two_cliques(int(n))
-    if g == "factor-extremal":
-        r, n = spec.params
-        return clique_factor_extremal(int(r), int(n))
-    if g == "complete":
-        (n,) = spec.params
-        return DenseGraph.complete(int(n))
-    if g == "complete-bipartite":
-        a, b = spec.params
-        return complete_bipartite(int(a), int(b))
-    if g == "named":
-        kind = spec.params[0]
-        return make_named(kind, [int(x) for x in spec.params[1:]])
-    if g == "planted-z":
-        ell, r, m, p_in, p_btw, n_exc = spec.params
-        return planted_blown_cycle(
-            int(ell), int(r), int(m), float(p_in), float(p_btw), int(n_exc),
-            seed=spec.seed,
-        )
-    if g == "h-cycle-power":
-        r_pow, n = spec.params
-        return cycle_power_H(int(r_pow), int(n))
-    if g == "h-path-power":
-        r_pow, n = spec.params
-        return path_power_H(int(r_pow), int(n))
-    if g == "h-tiling":
-        r, copies = spec.params
-        return tiling_H(int(r), int(copies))
-    if g == "h-random-window":
-        n, window, max_degree, num_colours = spec.params
-        return random_window_H(
-            int(n), int(window), int(max_degree), int(num_colours), seed=spec.seed
-        )
-    raise InvalidParameters(f"unknown generator {g!r}")

@@ -16,6 +16,20 @@ class InvalidParameters(ValueError):
     """Raised when a named-graph or IO parameter combination is rejected."""
 
 
+class StageFailure(RuntimeError):
+    """A failure labelled with the proof stage or named condition that broke.
+
+    ``detail`` says what was found; ``violated`` optionally names the
+    displayed inequality or inner label a caller attributes the failure to.
+    """
+
+    def __init__(self, stage: str, detail: str = "", violated: str | None = None):
+        self.stage = stage
+        self.detail = detail
+        self.violated = violated
+        super().__init__(f"{stage}: {detail}" if detail else stage)
+
+
 def bits(mask: int) -> Iterator[int]:
     """Iterate the set bit positions of ``mask`` in ascending order."""
     while mask:

@@ -14,19 +14,10 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .connect import ConnectError, HypothesisViolation, connect_cliques, find_bridging_clique
+from .connect import connect_cliques, find_bridging_clique
 from .constants import ConstantsHierarchy, default_hampower_constants
 from .density import DensityParams, find_clique, is_locally_dense_sampled
-from .graphs import DenseGraph, WitnessSequence, bits, mask_of, validate_witness
-
-
-class StageFailure(RuntimeError):
-    """A labelled failure of one pipeline stage."""
-
-    def __init__(self, stage: str, detail: str = ""):
-        self.stage = stage
-        self.detail = detail
-        super().__init__(f"{stage}: {detail}" if detail else stage)
+from .graphs import DenseGraph, StageFailure, WitnessSequence, bits, mask_of, validate_witness
 
 
 @dataclass(frozen=True)
@@ -41,9 +32,8 @@ class AbsorberSystem:
     def revalidate(self, G: DenseGraph) -> None:
         used: set[int] = set()
         for block in self.blocks:
-            assert len(block) == 2 * self.r
-            assert G.is_clique(block)
-            assert not used & set(block)
+            if len(block) != 2 * self.r or not G.is_clique(block) or used & set(block):
+                raise StageFailure("revalidation", f"absorber block {block} is not a fresh K_2r")
             used |= set(block)
         for v in range(G.n):
             expect = tuple(
@@ -52,7 +42,8 @@ class AbsorberSystem:
                 if all(G.has_edge(v, w) for w in block if w != v)
                 and v not in block
             )
-            assert self.coverage.get(v, ()) == expect, f"coverage wrong at {v}"
+            if self.coverage.get(v, ()) != expect:
+                raise StageFailure("revalidation", f"absorber coverage wrong at {v}")
 
 
 @dataclass(frozen=True)
@@ -142,7 +133,6 @@ def build_absorbing_path(
     absorber: AbsorberSystem,
     constants: ConstantsHierarchy | None = None,
     seed: int = 0,
-    connector_c: int | None = None,
 ) -> AbsorbingPath:
     """Thread the absorber blocks into one power-2r path.
 
@@ -156,8 +146,6 @@ def build_absorbing_path(
     blocks = absorber.blocks
     if not blocks:
         raise StageFailure("absorber", "no blocks to thread")
-    if connector_c is None:
-        connector_c = 2 * r
     protected = set()
     for b in blocks:
         protected |= set(b)
@@ -169,11 +157,11 @@ def build_absorbing_path(
         W = sorted(avoid - set(X) - set(Y))
         try:
             conn = connect_cliques(
-                G, X, Y, W, r=2 * r, eta=d1, c=connector_c,
+                G, X, Y, W, r=2 * r, eta=d1, c=2 * r,
                 w_limit=G.n,  # the growing path itself dwarfs eta*n/4 here
                 seed=f"{seed}:pabs:{i}" if seed is not None else None,
             )
-        except (ConnectError, HypothesisViolation) as exc:
+        except StageFailure as exc:
             raise StageFailure(
                 "connector", f"absorbing path, block pair ({i},{i + 1}): {exc}"
             ) from exc
@@ -186,7 +174,10 @@ def build_absorbing_path(
     if not res:
         raise StageFailure("connector", f"absorbing path invalid: {res.reason}")
     expected = (len(blocks) - 1) * 8 * r + 2 * r
-    assert len(sequence) == expected, (len(sequence), expected)
+    if len(sequence) != expected:
+        raise StageFailure(
+            "revalidation", f"absorbing path has {len(sequence)} != {expected} vertices"
+        )
     return AbsorbingPath(r, path, blocks, tuple(starts))
 
 
@@ -267,8 +258,8 @@ def absorb(
     res = validate_witness(G, witness)
     if not res:
         raise StageFailure("absorb", f"absorbed path invalid: {res.reason}")
-    assert witness.vertices[: 2 * r] == pabs.S
-    assert witness.vertices[-2 * r :] == pabs.E_end
+    if witness.vertices[: 2 * r] != pabs.S or witness.vertices[-2 * r :] != pabs.E_end:
+        raise StageFailure("revalidation", "absorption moved the path's end blocks")
     return witness
 
 
@@ -428,7 +419,8 @@ def cover_with_paths(
             continue
         w = WitnessSequence(tuple(seq), "path", r_cover)
         check = validate_witness(G2, w)
-        assert check, f"greedy cover emitted a bad path: {check.reason}"
+        if not check:
+            raise StageFailure("revalidation", f"greedy cover emitted a bad path: {check.reason}")
         paths.append(w)
         remaining &= ~mask_of(seq)
 
@@ -454,7 +446,11 @@ def cover_with_paths(
                     changed = True
             if len(seq) != len(w.vertices):
                 w2 = WitnessSequence(tuple(seq), "path", r_cover)
-                assert validate_witness(G2, w2)
+                check = validate_witness(G2, w2)
+                if not check:
+                    raise StageFailure(
+                        "revalidation", f"stray tack-on broke a path: {check.reason}"
+                    )
                 paths[i] = w2
     leftover.extend(bits(strays))
     return paths, sorted(leftover)
@@ -465,13 +461,8 @@ def cover_with_paths(
 
 @dataclass
 class HamConfig:
-    coverage_target: int | None = None
-    max_blocks: int | None = None
-    connector_c: int | None = None
     attempts: int = 30
     reservoir_retries: int = 50
-    reservoir_size: int | None = None
-    strict_prechecks: bool = False
     flank_budget: int = 200_000
 
 
@@ -487,7 +478,7 @@ class HamPlan:
     target_paths: int
 
     @staticmethod
-    def derive(n: int, r: int, constants: ConstantsHierarchy, config: HamConfig) -> "HamPlan":
+    def derive(n: int, r: int, constants: ConstantsHierarchy) -> "HamPlan":
         eta0 = constants.get("eta0", 0.8)
         flank = 2 * r + 1
         C = r
@@ -527,8 +518,6 @@ class HamPlan:
                 f"no feasible sizing at n={n}, r={r}, t={t} (budget {B})",
             )
         p, R = plan
-        if config.reservoir_size is not None:
-            R = config.reservoir_size
         return HamPlan(
             t_blocks=t,
             C=C,
@@ -606,8 +595,7 @@ def find_hamilton_power(
         )
         mapped = tuple(ids[v] for v in witness.vertices)
         out = WitnessSequence(mapped, "cycle", r)
-        res = validate_witness(G, out)
-        assert res, f"mapped cycle invalid: {res.reason}"
+        _check_cycle(G, out, n_target)
         return out
 
     # advisory prechecks (recorded; the construction is its own certificate)
@@ -617,17 +605,15 @@ def find_hamilton_power(
         is_locally_dense_sampled(G, p, trials=200, seed=seed)
     )
     audit.prechecks["min-degree"] = G.min_degree() >= (0.5 + eta) * n
-    if config.strict_prechecks and not all(audit.prechecks.values()):
-        raise StageFailure("precheck", f"prechecks failed: {audit.prechecks}")
 
-    plan = HamPlan.derive(n, r, constants, config)
+    plan = HamPlan.derive(n, r, constants)
     audit.plan = plan
     eta2 = constants.get("eta2", 0.1)
 
     # Everything is rebuilt per attempt under a derived seed: the clique
     # searches are seed-shuffled so that which vertices the absorber, path
     # and flanks consume varies, keeping the residual pool unbiased.
-    last_failure: StageFailure | None = None
+    last_failure = StageFailure("precheck", f"attempt budget {config.attempts} < 1")
     for attempt in range(config.attempts):
         audit.attempts = attempt + 1
         sub_seed = f"{seed}:attempt:{attempt}"
@@ -635,15 +621,24 @@ def find_hamilton_power(
             witness = _one_attempt(
                 G, r, plan, constants, eta, eta2, sub_seed, config, audit
             )
-            res = validate_witness(G, witness)
-            assert res, f"final cycle invalid: {res.reason}"
-            assert len(witness.vertices) == n
-            return witness
         except StageFailure as exc:
             audit.failures.append((exc.stage, exc.detail))
             last_failure = exc
-    assert last_failure is not None
+            continue
+        _check_cycle(G, witness, n)
+        return witness
     raise last_failure
+
+
+def _check_cycle(G: DenseGraph, witness: WitnessSequence, n_target: int) -> None:
+    """The returned certificate: a valid power cycle on exactly n_target vertices."""
+    res = validate_witness(G, witness)
+    if not res:
+        raise StageFailure("revalidation", f"final cycle invalid: {res.reason}")
+    if len(witness.vertices) != n_target:
+        raise StageFailure(
+            "revalidation", f"final cycle has {len(witness.vertices)} != {n_target} vertices"
+        )
 
 
 def _one_attempt(
@@ -658,16 +653,9 @@ def _one_attempt(
     audit: HamAudit,
 ) -> WitnessSequence:
     n = G.n
-    absorber = build_absorber(
-        G,
-        r,
-        constants,
-        sub_seed,
-        coverage_target=config.coverage_target,
-        max_blocks=config.max_blocks or plan.t_blocks,
-    )
+    absorber = build_absorber(G, r, constants, sub_seed, max_blocks=plan.t_blocks)
     _note(audit, "absorber")
-    pabs = build_absorbing_path(G, absorber, constants, sub_seed, config.connector_c)
+    pabs = build_absorbing_path(G, absorber, constants, sub_seed)
     _note(audit, "absorbing-path")
 
     # flanking cliques adjacent to everything in S / E
@@ -764,11 +752,12 @@ def _thread_and_close(
                 r=r,
                 eta=eta / 2,
             )
-        except (ConnectError, HypothesisViolation) as exc:
+        except StageFailure as exc:
             raise StageFailure(
                 "connector", f"threading pair ({i},{i + 1}): {exc}"
             ) from exc
-        assert set(bridge.Z) <= set(reservoir) and len(bridge.Z) == r
+        if not set(bridge.Z) <= set(reservoir) or len(bridge.Z) != r:
+            raise StageFailure("revalidation", f"threading bridge {bridge.Z} leaves the reservoir")
         used_res |= set(bridge.Z)
         connectors.append(tuple(sorted(bridge.Z)))
         tail_orders[i] = bridge.X_prime

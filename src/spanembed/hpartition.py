@@ -15,14 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .connect import ConnectError, HypothesisViolation, connect_cliques
+from .connect import HypothesisViolation, connect_cliques
 from .density import DensityParams, enumerate_extendable_cliques, find_clique, is_locally_dense_sampled
 from .generators import BandwidthedH
-from .graphs import DenseGraph, WitnessSequence, mask_of, validate_witness
-
-
-class AssignmentError(ValueError):
-    """A precondition or verified postcondition failed, with the name."""
+from .graphs import DenseGraph, StageFailure, WitnessSequence, mask_of, validate_witness
 
 
 V0Target = tuple[str, int]  # ("V0", vertex-id in the host)
@@ -88,7 +84,9 @@ def balanced_2r_colouring(
     if r is None:
         r = max(chi)
     if max(chi) > r:
-        raise AssignmentError(f"colouring uses {max(chi)} colours, template has r={r}")
+        raise StageFailure(
+            "balanced-colouring", f"colouring uses {max(chi)} colours, template has r={r}"
+        )
     W = interval_width(beta, n)
     A = _intervals(order, W)
     T = len(A)
@@ -173,7 +171,7 @@ def balanced_2r_colouring(
     result = tuple(colouring)
     report = check_balanced_colouring(Hb, result, beta, r)
     if report:
-        raise AssignmentError("balanced colouring failed verification: " + report)
+        raise StageFailure("balanced-colouring", "failed verification: " + report)
     return result
 
 
@@ -242,34 +240,34 @@ def basic_assignment(
     if r is None:
         r = max(j for _, j in cells) // 2
     if set(cells) != {(i, j) for i in range(1, ell + 1) for j in range(1, 2 * r + 1)}:
-        raise AssignmentError("targets must cover [ell] x [2r] exactly")
+        raise StageFailure("basic-assignment", "targets must cover [ell] x [2r] exactly")
     total = sum(targets.values())
     if total != n:
-        raise AssignmentError(f"targets sum to {total}, vertex count is {n}")
+        raise StageFailure("basic-assignment", f"targets sum to {total}, vertex count is {n}")
     W = interval_width(beta, n)
     if relax_floor:
         # the asymptotic per-cell floor is 10*beta*n; the construction only
         # needs nonempty cells and block widths that dominate the buffers
         for cell, m in targets.items():
             if m < 1:
-                raise AssignmentError(f"target m{cell} = {m} below the floor 1")
+                raise StageFailure("floor", f"target m{cell} = {m} below the floor 1")
         for i in range(1, ell + 1):
             block_total = sum(targets[(i, j)] for j in range(1, 2 * r + 1))
             if block_total < 4 * W:
-                raise AssignmentError(
-                    f"block {i} width {block_total} below the floor 4*beta*n = {4 * W}"
+                raise StageFailure(
+                    "floor", f"block {i} width {block_total} below the floor 4*beta*n = {4 * W}"
                 )
     else:
         floor = 10 * beta * n
         for cell, m in targets.items():
             if m < floor:
-                raise AssignmentError(
-                    f"target m{cell} = {m} below the floor {floor:.1f} (= 10*beta*n)"
+                raise StageFailure(
+                    "floor", f"target m{cell} = {m} below the floor {floor:.1f} (= 10*beta*n)"
                 )
     for i in range(1, ell + 1):
         row = [targets[(i, j)] for j in range(1, 2 * r + 1)]
         if max(row) - min(row) > 1:
-            raise AssignmentError(f"block {i} targets differ by more than 1")
+            raise StageFailure("basic-assignment", f"block {i} targets differ by more than 1")
 
     chi2 = colouring if colouring is not None else balanced_2r_colouring(Hb, beta, r)
     order = Hb.order.order
@@ -296,7 +294,7 @@ def basic_assignment(
     asg = Assignment(tuple(f), frozenset(B), tallies)
     report = check_basic_assignment(Hb, asg, targets, beta, ell, r)
     if report:
-        raise AssignmentError("basic assignment failed verification: " + report)
+        raise StageFailure("basic-assignment", "failed verification: " + report)
     return asg
 
 
@@ -448,9 +446,10 @@ def build_framework(
                 R, 2 * r, s=extend_s, cap=1, within=nv_mask & ~mask_of(b)
             )
             if not got:
-                raise AssignmentError(
-                    f"no-covering-clique: no K_{2 * r} inside the candidate set "
-                    f"of exceptional vertex {v} (avoiding the anchor)"
+                raise StageFailure(
+                    "no-covering-clique",
+                    f"no K_{2 * r} inside the candidate set "
+                    f"of exceptional vertex {v} (avoiding the anchor)",
                 )
             blocks.append(got[0].vertices)
             used_blocks |= mask_of(got[0].vertices)
@@ -494,8 +493,8 @@ def build_framework(
                 w_limit=R.n,
                 seed=f"framework:{seed}:{k}",
             )
-        except (ConnectError, HypothesisViolation) as exc:
-            raise AssignmentError(f"framework connector {k}: {exc}") from exc
+        except StageFailure as exc:
+            raise StageFailure("framework", f"connector {k}: {exc}") from exc
         sequence.extend(conn.path.vertices)
         bump(conn.path.vertices)
     sequence.extend(b)
@@ -510,7 +509,7 @@ def build_framework(
     )
     report = check_framework(R, trail, V0_requirements, b, appearance_cap)
     if report:
-        raise AssignmentError("framework failed verification: " + report)
+        raise StageFailure("framework", "failed verification: " + report)
     return trail
 
 
@@ -581,7 +580,8 @@ def find_2_independent(
             ball |= set(H.neighbors(y))
         excluded |= ball
     if len(chosen) < k:
-        raise AssignmentError(
+        raise StageFailure(
+            "2-independent",
             f"infeasible: window of {max(0, hi - lo)} positions holds only "
             f"{len(chosen)} of {k} requested 2-independent vertices"
         )
@@ -589,7 +589,7 @@ def find_2_independent(
         dist = H.bfs_distances(x)
         for y in chosen[i + 1 :]:
             if dist[y] != -1 and dist[y] < 3:
-                raise AssignmentError(f"2-independence recheck failed at ({x},{y})")
+                raise StageFailure("2-independent", f"recheck failed at ({x},{y})")
     return chosen
 
 
@@ -627,22 +627,23 @@ def special_assignment(
     r = F.r
     K = F.K
     if K == 0:
-        raise AssignmentError("framework has no blocks; nothing to cover")
+        raise StageFailure("special-assignment", "framework has no blocks; nothing to cover")
     if (n_pref - W_amb) % (8 * K) != 0:
-        raise AssignmentError(
-            f"prefix size {n_pref} minus tail {W_amb} must divide into 8K={8 * K} intervals"
+        raise StageFailure(
+            "special-assignment",
+            f"prefix size {n_pref} minus tail {W_amb} must divide into 8K={8 * K} intervals",
         )
     b_width = (n_pref - W_amb) // (8 * K)
     max_group = max(len(F.block_map[k]) for k in F.block_map)
     delta_h = max((H.degree(v) for v in range(n_pref)), default=0)
     need = 4 * W_amb + 2 * delta_h * delta_h * max_group + 1
     if b_width < need:
-        raise AssignmentError(
-            f"interval-too-small: width {b_width} < {need} "
-            f"(= 4*beta_n + 2*Delta^2*max|V0_group| + 1)"
+        raise StageFailure(
+            "interval-too-small",
+            f"width {b_width} < {need} (= 4*beta_n + 2*Delta^2*max|V0_group| + 1)",
         )
     if b_width < W_amb:
-        raise AssignmentError("interval-too-small: width below the bandwidth window")
+        raise StageFailure("interval-too-small", "width below the bandwidth window")
 
     # trail position (1-based) per vertex via the interval layout
     phi_pos: list[int] = [0] * n_pref
@@ -691,14 +692,14 @@ def special_assignment(
     if load_cap is not None:
         out.report["load_cap"] = load_cap
         if out.report["max_load"] > load_cap:
-            raise AssignmentError(
-                f"per-vertex load {out.report['max_load']} exceeds cap {load_cap}"
+            raise StageFailure(
+                "load", f"per-vertex load {out.report['max_load']} exceeds cap {load_cap}"
             )
     problem = check_special_assignment(
         Hprefix, F, R, V0_requirements, W_amb, out
     )
     if problem:
-        raise AssignmentError("special assignment failed verification: " + problem)
+        raise StageFailure("special-assignment", "failed verification: " + problem)
     return out
 
 

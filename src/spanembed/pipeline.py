@@ -22,22 +22,22 @@ from .balance import (
     phi_bijection,
     phi_inverse,
 )
-from .connect import HypothesisViolation
 from .constants import ConstantsHierarchy
 from .density import DensityParams, is_locally_dense_sampled
-from .embed import EmbedError, blowup_embed, embed_with_targets, brute_force_embed, verify_embedding
+from .embed import blowup_embed, embed_with_targets, brute_force_embed, verify_embedding
 from .generators import BandwidthedH
 from .graphs import (
     DenseGraph,
+    StageFailure,
     WitnessSequence,
     bandwidth_of,
     cycle_power,
+    identity_labelling,
     mask_of,
     validate_witness,
 )
-from .hampower import HamConfig, StageFailure, find_hamilton_power
+from .hampower import HamConfig, find_hamilton_power
 from .hpartition import (
-    AssignmentError,
     basic_assignment,
     build_framework,
     interval_width,
@@ -50,14 +50,6 @@ from .regularity import (
     inheritance_check,
     refine_to_superregular,
 )
-
-
-class PipelineFailure(RuntimeError):
-    def __init__(self, stage: str, detail: str, violated: str | None = None):
-        self.stage = stage
-        self.detail = detail
-        self.violated = violated
-        super().__init__(f"{stage}: {detail}")
 
 
 @dataclass
@@ -102,7 +94,6 @@ class PipelineConfig:
     eps: float = 0.02
     delta: float = 0.25
     c: float = 0.2
-    attempts: int = 3
     partition_rounds: int = 1
     relax_target_floor: bool = True
     ham_config: HamConfig | None = None
@@ -128,7 +119,7 @@ def run_main_pipeline(
     try:
         mapping = _pipeline(G, Hb, constants, seed, config, audit)
         return EmbeddingResult(mapping, audit)
-    except PipelineFailure as exc:
+    except StageFailure as exc:
         violated = exc.violated or audit.first_violated() or exc.stage
         return EmbeddingResult(
             None,
@@ -149,7 +140,7 @@ def _pipeline(
 ) -> dict[int, int]:
     n = G.n
     if Hb.n != n:
-        raise PipelineFailure("precheck", f"|H| = {Hb.n} != |G| = {n}")
+        raise StageFailure("precheck", f"|H| = {Hb.n} != |G| = {n}")
     r = _chi_colours(Hb)
     eta = constants.get("eta", 0.2) if constants else 0.2
     d = constants.get("d", 0.3) if constants else 0.3
@@ -195,7 +186,7 @@ def _pipeline(
                 max_L=L_target,
             )
         except BudgetExhausted as exc:
-            raise PipelineFailure("partition", str(exc))
+            raise StageFailure("partition", str(exc))
         clusters_list = [tuple(c) for c in partition.clusters]
         exceptional = tuple(partition.exceptional)
         reduced = Rred.base
@@ -232,7 +223,7 @@ def _pipeline(
     if degenerate:
         n_cycle = L  # singleton clusters: span the whole host directly
     elif ell_eff < 2:
-        raise PipelineFailure(
+        raise StageFailure(
             "hamilton-power", f"reduced graph has {L} < {8 * r} vertices"
         )
     else:
@@ -269,7 +260,7 @@ def _pipeline(
             for c, vs in zip(block_cells, refined):
                 refined_per_block[c] = list(vs)
     except InsufficientVertices as exc:
-        raise PipelineFailure("refine", str(exc))
+        raise StageFailure("refine", str(exc))
     audit.stage("refine")
 
     m = len(next(iter(refined_per_block.values())))
@@ -334,52 +325,53 @@ def _pipeline(
         )
         try:
             F = build_framework(Rstar, reqs, anchor, eta=eta / 3, seed=seed)
-            delta_h = max(Hb.H.degree(v) for v in range(n))
-            max_group = max(len(vs) for vs in F.block_map.values()) if F.block_map else 0
-            b_width = 4 * W + 2 * delta_h * delta_h * max_group + 1
-            s_len = 8 * F.K * b_width
-            audit.record(
-                "(seq)", s_len <= eps ** (1 / 9) * n, f"s={s_len} vs {eps ** (1 / 9) * n:.1f}"
+        except StageFailure as exc:
+            raise StageFailure("special-assignment", str(exc), violated=exc.stage) from exc
+        delta_h = max(Hb.H.degree(v) for v in range(n))
+        max_group = max(len(vs) for vs in F.block_map.values()) if F.block_map else 0
+        b_width = 4 * W + 2 * delta_h * delta_h * max_group + 1
+        s_len = 8 * F.K * b_width
+        audit.record(
+            "(seq)", s_len <= eps ** (1 / 9) * n, f"s={s_len} vs {eps ** (1 / 9) * n:.1f}"
+        )
+        audit.record(
+            "(15sizes)", b_width > 99 * beta * n, f"b={b_width} vs {99 * beta * n:.1f}"
+        )
+        prefix_ids = list(Hb.order.order[: s_len + W])
+        if s_len + W > n:
+            raise StageFailure(
+                "special-assignment",
+                f"prefix {s_len + W} exceeds |H| = {n}",
+                violated="(seq)",
             )
-            audit.record(
-                "(15sizes)", b_width > 99 * beta * n, f"b={b_width} vs {99 * beta * n:.1f}"
-            )
-            prefix_ids = list(Hb.order.order[: s_len + W])
-            if s_len + W > n:
-                raise PipelineFailure(
-                    "special-assignment",
-                    f"prefix {s_len + W} exceeds |H| = {n}",
-                    violated="(seq)",
-                )
-            Hpref_graph, _ = Hb.H.induced(prefix_ids)
-            Hpref = BandwidthedH(
-                Hpref_graph,
-                _identity_labelling(len(prefix_ids)),
-                tuple(Hb.colouring[v] for v in prefix_ids),
-                W / len(prefix_ids),
-            )
+        Hpref_graph, _ = Hb.H.induced(prefix_ids)
+        Hpref = BandwidthedH(
+            Hpref_graph,
+            identity_labelling(len(prefix_ids)),
+            tuple(Hb.colouring[v] for v in prefix_ids),
+            W / len(prefix_ids),
+        )
+        try:
             sp = special_assignment(Hpref, F, Rstar, reqs, W)
-            for local, val in enumerate(sp.f):
-                orig = prefix_ids[local]
-                psi_special[orig] = val
-            I_vertices = tuple(prefix_ids[x] for x in sp.I)
-            for v0_vertex, wv in sp.W_v.items():
-                for w_local in wv:
-                    W_glue[prefix_ids[w_local]] = v0_vertex
-            audit.record(
-                "(D3)",
-                sp.report["max_load"] <= eps ** (1 / 9) * m,
-                f"{sp.report['max_load']} vs {eps ** (1 / 9) * m:.2f}",
-            )
-            for orig in prefix_ids[: s_len]:
-                val = psi_special[orig]
-                if isinstance(val, tuple):
-                    continue
-                tau[phi_bijection(*index_cell[val], 2 * r, ell)] += 1
-        except (AssignmentError, HypothesisViolation) as exc:
-            raise PipelineFailure(
-                "special-assignment", str(exc), violated=_name_from_error(exc)
-            )
+        except StageFailure as exc:
+            raise StageFailure("special-assignment", str(exc), violated=exc.stage) from exc
+        for local, val in enumerate(sp.f):
+            orig = prefix_ids[local]
+            psi_special[orig] = val
+        I_vertices = tuple(prefix_ids[x] for x in sp.I)
+        for v0_vertex, wv in sp.W_v.items():
+            for w_local in wv:
+                W_glue[prefix_ids[w_local]] = v0_vertex
+        audit.record(
+            "(D3)",
+            sp.report["max_load"] <= eps ** (1 / 9) * m,
+            f"{sp.report['max_load']} vs {eps ** (1 / 9) * m:.2f}",
+        )
+        for orig in prefix_ids[: s_len]:
+            val = psi_special[orig]
+            if isinstance(val, tuple):
+                continue
+            tau[phi_bijection(*index_cell[val], 2 * r, ell)] += 1
         audit.stage("special-assignment")
     else:
         audit.notes["special"] = "skipped: empty exceptional set"
@@ -407,7 +399,7 @@ def _pipeline(
     try:
         phase1 = lemma_g(G_sub, struct_sub, tau)
     except BalanceError as exc:
-        raise PipelineFailure("lemma-g", str(exc))
+        raise StageFailure("lemma-g", str(exc))
     m_ab = phase1.m_ab
     audit.stage("lemma-g-sizes")
 
@@ -421,7 +413,7 @@ def _pipeline(
     Hsuf_graph, _ = Hb.H.induced(suffix_ids)
     Hsuf = BandwidthedH(
         Hsuf_graph,
-        _identity_labelling(len(suffix_ids)),
+        identity_labelling(len(suffix_ids)),
         tuple(Hb.colouring[v] for v in suffix_ids),
         W / len(suffix_ids),
     )
@@ -433,8 +425,8 @@ def _pipeline(
             r=r,
             relax_floor=config.relax_target_floor,
         )
-    except AssignmentError as exc:
-        raise PipelineFailure("basic-assignment", str(exc), violated=_name_from_error(exc))
+    except StageFailure as exc:
+        raise StageFailure("basic-assignment", str(exc), violated=exc.stage) from exc
     audit.stage("basic-assignment")
     n_ab = {cell: asg.tallies.get(cell, 0) for cell in m_ab}
     dev = max(abs(n_ab[cellx] - m_ab[cellx]) for cellx in m_ab)
@@ -452,7 +444,7 @@ def _pipeline(
             seed=seed,
         )
     except BalanceError as exc:
-        raise PipelineFailure("lemma-g", str(exc))
+        raise StageFailure("lemma-g", str(exc))
     X_cells = {
         cell: tuple(sub_list[v] for v in vs) for cell, vs in phase2.X.items()
     }
@@ -526,8 +518,8 @@ def _pipeline(
             node_budget=config.blowup_budget,
             seed=seed,
         )
-    except EmbedError as exc:
-        raise PipelineFailure("target-embedding", str(exc), violated=_name_from_error(exc))
+    except StageFailure as exc:
+        raise StageFailure("target-embedding", str(exc), violated=exc.stage) from exc
     g2 = part.mapping
     audit.stage("target-embedding")
 
@@ -558,7 +550,7 @@ def _pipeline(
             cell = (a, b)
             need = demand.get(cell, 0)
             if need != len(U_cells[cell]):
-                raise PipelineFailure(
+                raise StageFailure(
                     "blow-up",
                     f"cell {cell} demand {need} != supply {len(U_cells[cell])}",
                     violated="(Xprops)",
@@ -571,7 +563,7 @@ def _pipeline(
                 cand = set(part.candidate_sets.get(orig, ()))
                 cand &= set(U_cells[psi[orig]])
                 if not cand:
-                    raise PipelineFailure(
+                    raise StageFailure(
                         "blow-up", f"candidate set of boundary vertex {orig} died"
                     )
                 special[k] = cand
@@ -586,8 +578,8 @@ def _pipeline(
                 node_budget=config.blowup_budget,
                 seed=f"{seed}:block:{a}",
             )
-        except EmbedError as exc:
-            raise PipelineFailure("blow-up", f"block {a}: {exc}")
+        except StageFailure as exc:
+            raise StageFailure("blow-up", f"block {a}: {exc}") from exc
         for k, gv in local_map.items():
             g3[block_list[k]] = gv
             placed_images.add(gv)
@@ -598,33 +590,18 @@ def _pipeline(
     mapping.update(g2)
     mapping.update(g3)
     if len(mapping) != n or len(set(mapping.values())) != n:
-        raise PipelineFailure(
+        raise StageFailure(
             "assembly", f"assembled map covers {len(mapping)} of {n} vertices"
         )
     problem = verify_embedding(Hb.H, G, mapping)
     if problem:
-        raise PipelineFailure("assembly", f"revalidation failed: {problem}")
+        raise StageFailure("assembly", f"revalidation failed: {problem}")
     audit.stage("assembly")
     return mapping
 
 
-def _identity_labelling(n: int):
-    from .graphs import identity_labelling
-
-    return identity_labelling(n)
-
-
 def _post_cells(ell: int, r: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(1, 2 * ell + 1) for b in range(1, 2 * r + 1)]
-
-
-def _name_from_error(exc: Exception) -> str | None:
-    text = str(exc)
-    for name in ("interval-too-small", "no-covering-clique", "floor",
-                 "backtrack-budget-exhausted", "target-set", "load"):
-        if name in text:
-            return name
-    return None
 
 
 def _reduced_power_cycle(
@@ -654,9 +631,12 @@ def _reduced_power_cycle(
         check = validate_witness(
             reduced, WitnessSequence(tuple(order), "cycle", q_eff)
         )
-        assert check, check.reason
+        if not check:
+            raise StageFailure(
+                "hamilton-power", f"oracle cycle revalidation failed: {check.reason}"
+            )
         return order
-    raise PipelineFailure(
+    raise StageFailure(
         "hamilton-power",
         f"pipeline ({first_failure.stage}: {first_failure.detail}) and oracle "
         f"({res.status}) both failed",
@@ -703,19 +683,19 @@ def _degenerate_embed(
     """Singleton-cluster fallback: embed H along the power cycle directly."""
     n = G.n
     if len(cycle) < n:
-        raise PipelineFailure(
+        raise StageFailure(
             "hamilton-power", f"cycle covers {len(cycle)} < {n} vertices"
         )
     order = Hb.order.order
     pos = {v: k for k, v in enumerate(order)}
     bw = bandwidth_of(Hb.H, Hb.order)
     if bw > q:
-        raise PipelineFailure(
+        raise StageFailure(
             "blow-up", f"bandwidth {bw} exceeds the cycle power {q}"
         )
     mapping = {order[k]: cycle[k] for k in range(n)}
     problem = verify_embedding(Hb.H, G, mapping)
     if problem:
-        raise PipelineFailure("assembly", f"revalidation failed: {problem}")
+        raise StageFailure("assembly", f"revalidation failed: {problem}")
     audit.stage("assembly")
     return mapping

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
+from spanembed import connect
 from spanembed.connect import (
     Bridge,
-    ConnectError,
     Connection,
     HypothesisViolation,
     connect_cliques,
@@ -13,7 +13,14 @@ from spanembed.connect import (
 )
 from spanembed.density import enumerate_extendable_cliques
 from spanembed.generators import complete_bipartite, gnp
-from spanembed.graphs import DenseGraph, WitnessSequence, mask_of, validate_witness
+from spanembed.graphs import (
+    DenseGraph,
+    StageFailure,
+    ValidationResult,
+    WitnessSequence,
+    mask_of,
+    validate_witness,
+)
 
 
 def make_two_lobes(lobe=40, shared=20):
@@ -51,7 +58,7 @@ def test_bridge_bucket_independent_set_fails():
     G = complete_bipartite(30, 30)
     side1 = list(range(30))
     X, Y = list(range(30, 34)), list(range(34, 38))
-    with pytest.raises(ConnectError) as exc:
+    with pytest.raises(StageFailure) as exc:
         find_bridging_clique(G, side1, X, Y, [], r=2, eta=0.4)
     assert exc.value.stage == "no-clique-in-bucket"
 
@@ -90,7 +97,7 @@ def test_bridge_no_high_attachment():
     # keep degree of X,Y into U high by connecting them to a fresh clique? not
     # needed: degree check is on X ∪ Y into U, which is now 0 -> violation
     G2 = DenseGraph.from_edges(n, edges2)
-    with pytest.raises((ConnectError, HypothesisViolation)):
+    with pytest.raises(StageFailure):
         find_bridging_clique(G2, U, X, Y, [], 2, 0.2)
 
 
@@ -202,9 +209,19 @@ def test_connect_envelope_failure_on_sparse_host():
     edges = [(0, v) for v in range(2, n)] + [(1, v) for v in range(2, n)] + [(0, 1)]
     edges += [(2, 3)]
     G = DenseGraph.from_edges(n, edges)
-    with pytest.raises(ConnectError) as exc:
+    with pytest.raises(StageFailure) as exc:
         connect_cliques(G, [0, 1], [2, 3], [], 2, 0.2, c=3)
     assert exc.value.stage in ("envelope-not-found", "no-clique-in-bucket")
+
+
+def test_connect_raises_when_its_path_fails_revalidation(monkeypatch):
+    # the emitted path is rechecked by an explicit test that survives -O
+    monkeypatch.setattr(
+        connect, "validate_witness", lambda G, w: ValidationResult(False, "rejected")
+    )
+    with pytest.raises(StageFailure) as exc:
+        connect_cliques(DenseGraph.complete(40), [0, 1], [2, 3], [], 2, 0.2, c=3)
+    assert exc.value.stage == "revalidation"
 
 
 def test_connect_records_branch():

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
+from spanembed import embed
 from spanembed.embed import (
-    EmbedError,
     blowup_embed,
     brute_force_embed,
     embed_with_targets,
@@ -16,7 +16,7 @@ from spanembed.generators import (
     two_cliques,
     clique_factor_extremal,
 )
-from spanembed.graphs import DenseGraph, make_named
+from spanembed.graphs import DenseGraph, StageFailure, make_named
 
 
 # -- brute force oracle ------------------------------------------------------
@@ -56,6 +56,13 @@ def test_oracle_budget_exceeded_distinct():
     assert res.status in ("budget-exceeded", "embedded", "no-embedding")
     res2 = brute_force_embed(H, G, budget=1)
     assert res2.status == "budget-exceeded"
+
+
+def test_oracle_raises_when_its_embedding_fails_revalidation(monkeypatch):
+    monkeypatch.setattr(embed, "verify_embedding", lambda H, G, mapping: "forged")
+    with pytest.raises(StageFailure) as exc:
+        brute_force_embed(make_named("C", [1, 5]), DenseGraph.complete(6))
+    assert exc.value.stage == "revalidation"
 
 
 def test_oracle_bigger_h_trivial_no():
@@ -143,7 +150,7 @@ def test_targets_boundary_candidate_sets():
 def test_targets_rejects_small_target_set():
     G, clusters = make_clustered_host()
     H = DenseGraph.empty(1)
-    with pytest.raises(EmbedError) as exc:
+    with pytest.raises(StageFailure) as exc:
         embed_with_targets(G, H, [0], {0: 0}, clusters, Y=[], S_w={0: {1}}, c=0.5)
     assert exc.value.stage == "target-set"
 
@@ -152,7 +159,7 @@ def test_targets_rejects_overload():
     G, clusters = make_clustered_host(L=2, m=10)
     H = DenseGraph.empty(12)
     phi = {x: 0 for x in range(12)}
-    with pytest.raises(EmbedError) as exc:
+    with pytest.raises(StageFailure) as exc:
         embed_with_targets(
             G, H, list(range(12)), phi, clusters, Y=[], S_w={}, c=0.1, eps=0.2
         )
@@ -226,7 +233,7 @@ def test_blowup_pigeonhole_rejection():
     clusters = {a: tuple(range(a * m, (a + 1) * m)) for a in range(L)}
     H = DenseGraph.empty(6)
     phi = {x: 0 for x in range(6)}
-    with pytest.raises(EmbedError) as exc:
+    with pytest.raises(StageFailure) as exc:
         blowup_embed(G, H, phi, clusters)
     assert exc.value.stage == "load"
 
@@ -237,7 +244,7 @@ def test_blowup_budget_failure_is_labelled():
     clusters = {0: (0, 1, 2, 3), 1: (4, 5, 6, 7)}
     H = DenseGraph.from_edges(8, [(i, i + 4) for i in range(4)])
     phi = {x: 0 if x < 4 else 1 for x in range(8)}
-    with pytest.raises(EmbedError) as exc:
+    with pytest.raises(StageFailure) as exc:
         blowup_embed(G, H, phi, clusters, node_budget=10_000)
     assert exc.value.stage == "backtrack-budget-exhausted"
 
@@ -255,7 +262,7 @@ def test_blowup_matches_oracle_on_small_instances():
             mapping = blowup_embed(G, H, phi, clusters, seed=seed)
             assert verify_embedding(H, G, mapping) == ""
             assert oracle.status == "embedded"
-        except EmbedError:
+        except StageFailure:
             # the embedder may give up, but it must never succeed where the
             # oracle certifies non-containment (checked by the branch above)
             pass

@@ -1,8 +1,10 @@
 import pytest
 
+from spanembed import graphs, hampower
+from spanembed.connect import HypothesisViolation
 from spanembed.constants import default_hampower_constants
 from spanembed.generators import complete_bipartite, gnp, two_cliques
-from spanembed.graphs import DenseGraph, WitnessSequence, validate_witness
+from spanembed.graphs import DenseGraph, ValidationResult, WitnessSequence, validate_witness
 from spanembed.hampower import (
     AbsorberSystem,
     HamAudit,
@@ -252,3 +254,51 @@ def test_hamilton_power_reservoir_accounting():
     G = gnp(100, 0.95, 12)
     w = find_hamilton_power(G, 3, seed=12)
     assert sorted(w.vertices) == list(range(100))
+
+
+# -- one failure type, -O-safe certificates --------------------------------
+
+
+def test_every_layer_raises_the_graphs_stage_failure():
+    assert hampower.StageFailure is graphs.StageFailure
+    assert issubclass(HypothesisViolation, graphs.StageFailure)
+
+
+def test_hamilton_power_refuses_a_mapped_cycle_the_validator_rejects(monkeypatch):
+    # the inner search on the induced host succeeds; the mapped cycle's own
+    # check on G must raise (an assert would vanish under python -O)
+    G = DenseGraph.complete(64)
+    real = hampower.validate_witness
+    monkeypatch.setattr(
+        hampower,
+        "validate_witness",
+        lambda H, w: ValidationResult(False, "rejected") if H is G else real(H, w),
+    )
+    with pytest.raises(StageFailure) as exc:
+        find_hamilton_power(G, 2, n_target=60, seed=2)
+    assert exc.value.stage == "revalidation"
+
+
+def test_hamilton_power_refuses_an_invalid_final_cycle(monkeypatch):
+    n = 40
+    G = DenseGraph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) != (0, 1)]
+    )
+    bogus = WitnessSequence(tuple(range(n)), "cycle", 2)  # uses the missing edge 01
+    monkeypatch.setattr(hampower, "_one_attempt", lambda *args: bogus)
+    with pytest.raises(StageFailure) as exc:
+        find_hamilton_power(G, 2, seed=0)
+    assert exc.value.stage == "revalidation"
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        AbsorberSystem(2, ((0, 1, 2, 3), (3, 4, 5, 6)), {}),  # blocks overlap
+        AbsorberSystem(2, ((0, 1, 2, 3),), {}),  # coverage of vertex 4 missing
+    ],
+)
+def test_absorber_revalidation_raises(system):
+    with pytest.raises(StageFailure) as exc:
+        system.revalidate(DenseGraph.complete(8))
+    assert exc.value.stage == "revalidation"

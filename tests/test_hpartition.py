@@ -10,10 +10,9 @@ from spanembed.generators import (
     path_power_H,
     random_window_H,
 )
-from spanembed.graphs import DenseGraph, identity_labelling, make_named
+from spanembed.graphs import DenseGraph, StageFailure, identity_labelling, make_named
 from spanembed.hpartition import (
     Assignment,
-    AssignmentError,
     balanced_2r_colouring,
     basic_assignment,
     build_framework,
@@ -121,9 +120,9 @@ def test_basic_assignment_rejects_small_targets():
     delta = targets[victim] - small
     targets[victim] = small
     targets[(4, 1)] += delta
-    with pytest.raises(AssignmentError) as exc:
+    with pytest.raises(StageFailure) as exc:
         basic_assignment(Hb, targets)
-    assert "floor" in str(exc.value) or "differ" in str(exc.value)
+    assert exc.value.stage == "floor"
 
 
 def test_basic_assignment_independent_checker_catches_corruption():
@@ -181,7 +180,7 @@ def test_find_2_independent_path():
 
 def test_find_2_independent_infeasible_on_clique():
     H = DenseGraph.complete(10)
-    with pytest.raises(AssignmentError):
+    with pytest.raises(StageFailure):
         find_2_independent(H, tuple(range(10)), (0, 10), 2)
 
 
@@ -227,9 +226,9 @@ def test_framework_no_covering_clique():
     R2 = DenseGraph(30, rows, check=False)
     b = find_clique(R2, 2, within=sum(1 << v for v in range(6, 30)))
     reqs = {50: set(range(6))}
-    with pytest.raises(AssignmentError) as exc:
+    with pytest.raises(StageFailure) as exc:
         build_framework(R2, reqs, b, eta=0.1)
-    assert "no-covering-clique" in str(exc.value)
+    assert exc.value.stage == "no-covering-clique"
 
 
 def test_framework_multi_group_random_reduced():
@@ -276,15 +275,15 @@ def test_special_assignment_empty_v0_needs_block():
 
     F = FrameworkTrail(r=2, sequence=(0, 1), K=0, block_map={}, multiplicity={0: 1, 1: 1})
     Hb = path_power_H(1, 40, beta=0.1)
-    with pytest.raises(AssignmentError):
+    with pytest.raises(StageFailure):
         special_assignment(Hb, F, R, {}, 4)
 
 
 def test_special_assignment_interval_too_small():
     R, b, reqs, F, Hb, W_amb = make_special_instance(b_width=8)
-    with pytest.raises(AssignmentError) as exc:
+    with pytest.raises(StageFailure) as exc:
         special_assignment(Hb, F, R, reqs, W_amb)
-    assert "interval-too-small" in str(exc.value)
+    assert exc.value.stage == "interval-too-small"
 
 
 def test_special_assignment_disjoint_neighbourhoods():

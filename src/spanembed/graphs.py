@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 
 class InvalidParameters(ValueError):
     """Raised when a named-graph or IO parameter combination is rejected."""
@@ -158,15 +160,22 @@ class DenseGraph:
             return 0
         return min(r.bit_count() for r in self.rows)
 
+    def bit_matrix(self, vertices: Sequence[int]) -> np.ndarray:
+        """The rows of ``vertices`` unpacked into a len(vertices)×n 0/1 uint8
+        matrix: entry (i, w) is 1 iff vertices[i]w is an edge."""
+        nbytes = (self.n + 7) // 8
+        packed = np.frombuffer(
+            b"".join(self.rows[v].to_bytes(nbytes, "little") for v in vertices),
+            dtype=np.uint8,
+        ).reshape(len(vertices), nbytes)
+        return np.unpackbits(packed, axis=1, count=self.n, bitorder="little")
+
     def induced(self, vertices: Sequence[int]) -> tuple["DenseGraph", list[int]]:
-        """Induced subgraph plus the list mapping new ids to original ids."""
+        """Induced subgraph on distinct ``vertices``, plus the list mapping new
+        ids to original ids."""
         vs = list(vertices)
-        pos = {v: i for i, v in enumerate(vs)}
-        rows = [0] * len(vs)
-        vmask = mask_of(vs)
-        for i, v in enumerate(vs):
-            for w in bits(self.rows[v] & vmask):
-                rows[i] |= 1 << pos[w]
+        packed = np.packbits(self.bit_matrix(vs)[:, vs], axis=1, bitorder="little")
+        rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
         return DenseGraph(len(vs), rows, check=False), vs
 
     def bfs_distances(self, source: int) -> list[int]:

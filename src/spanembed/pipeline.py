@@ -399,7 +399,7 @@ def _pipeline(
     try:
         phase1 = lemma_g(G_sub, struct_sub, tau)
     except BalanceError as exc:
-        raise StageFailure("lemma-g", str(exc))
+        raise StageFailure("lemma-g", str(exc), violated="lemma-g") from exc
     m_ab = phase1.m_ab
     audit.stage("lemma-g-sizes")
 
@@ -444,7 +444,7 @@ def _pipeline(
             seed=seed,
         )
     except BalanceError as exc:
-        raise StageFailure("lemma-g", str(exc))
+        raise StageFailure("lemma-g", str(exc), violated="lemma-g") from exc
     X_cells = {
         cell: tuple(sub_list[v] for v in vs) for cell, vs in phase2.X.items()
     }

@@ -5,20 +5,25 @@ Exact regularity is decided exhaustively (sides capped at 12): for a fixed
 witness side Y, the extremal X of every size is a prefix of the vertices
 sorted by degree into Y, so one subset scan per side settles all pairs.
 Heuristic mode searches degree/codegree outliers and random subsets; it may
-miss violations.  Both modes unpack the pair once into its 0/1 matrix and
-score candidates in bulk: the outlier families of every Y at once by sorted
-degrees and running sums (``_sorted_prefix_densities``, the one
-implementation of the prefix argument here), the random subsets by one
-matrix product.  Scores are exact integer edge counts, divided as a
-per-candidate recheck would, so verdicts and witnesses do not depend on the
-batching.  Heuristic mode never reports "irregular" today: known defect 1
-in ``perfbench/NOTES.md``.
+miss violations.  Pairs are read as 0/1 matrices unpacked from the bit rows
+(``DenseGraph.bit_matrix``) and candidates are scored in bulk: the outlier
+families of every Y at once by sorted degrees and running sums
+(``_sorted_prefix_densities``, the one implementation of the prefix
+argument here), the random subsets by one matrix product.  The heuristic
+search is one kernel, ``_heuristic_verdicts``, that scores a list of pairs
+with equal side sizes ``PAIR_CHUNK`` at a time, each pair with its own
+seed; ``is_eps_regular`` runs it on one pair, the partitioner on all
+cluster pairs of a pass.  Scores are exact integer edge counts, divided as
+a per-candidate recheck would, so verdicts and witnesses do not depend on
+the batching.  Heuristic mode never reports "irregular" today: known
+defect 1 in ``perfbench/NOTES.md``.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +33,8 @@ from .graphs import DenseGraph, bits, mask_of
 
 
 EXACT_SIDE_THRESHOLD = 12
+# pairs the heuristic kernel scores per batch: bounds its scratch arrays
+PAIR_CHUNK = 64
 
 
 class EmptySide(ValueError):
@@ -69,15 +76,6 @@ class RegularityVerdict:
         return self.regular
 
 
-def _pair_matrix(G: DenseGraph, A: list[int], B: list[int]) -> np.ndarray:
-    """The |A|×|B| 0/1 matrix of the pair: entry (i, j) is 1 iff A[i]B[j] ∈ E(G)."""
-    nbytes = (G.n + 7) // 8
-    packed = np.frombuffer(
-        b"".join(G.rows[a].to_bytes(nbytes, "little") for a in A), dtype=np.uint8
-    ).reshape(len(A), nbytes)
-    return np.unpackbits(packed, axis=1, bitorder="little")[:, B].astype(np.int64)
-
-
 def _fair_coins(rng: random.Random, k: int) -> np.ndarray:
     """``[rng.random() < 0.5 for _ in range(k)]`` as a bool array, in one draw.
 
@@ -96,24 +94,27 @@ def _fair_coins(rng: random.Random, k: int) -> np.ndarray:
 
 
 def _sorted_prefix_densities(
-    side: list[int], counts: np.ndarray, other_sizes: np.ndarray
+    side: np.ndarray | list[int], counts: np.ndarray, other_sizes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The extremal-prefix argument, for every column of ``counts`` at once.
 
-    ``counts[i, c]`` is the number of edges from ``side[i]`` into a fixed set
-    Y_c of ``other_sizes[c]`` vertices.  Among the X ⊆ side with |X| = k,
-    d(X, Y_c) is least for the k vertices of lowest degree into Y_c and
-    greatest for the k of highest degree, so one sort and one running sum
-    per column give both extremes for every k.  Returns ``ids`` (each
-    column's vertices sorted ascending by (count, vertex)) and ``dens``:
-    ``dens[0, k-1, c]`` is e(X, Y_c) / (k |Y_c|) for X = ids[:k, c], and
-    ``dens[1, k-1, c]`` the same for X = ids[-k:, c].
+    ``counts[..., i, c]`` is the number of edges from ``side[..., i]`` into a
+    fixed set Y_c of ``other_sizes[..., c]`` vertices; leading axes index
+    independent pairs.  Among the X ⊆ side with |X| = k, d(X, Y_c) is least
+    for the k vertices of lowest degree into Y_c and greatest for the k of
+    highest degree, so one sort and one running sum per column give both
+    extremes for every k.  Returns ``ids`` (each column's vertices sorted
+    ascending by (count, vertex)) and ``dens``: ``dens[0, ..., k-1, c]`` is
+    e(X, Y_c) / (k |Y_c|) for X = ids[..., :k, c], and ``dens[1, ..., k-1, c]``
+    the same for X = ids[..., -k:, c].
     """
-    span = max(side) + 1
-    keys = np.sort(counts * span + np.asarray(side)[:, None], axis=0)
+    side = np.asarray(side)
+    span = int(side.max()) + 1
+    keys = np.sort(counts * span + side[..., None], axis=-2)
     degs = keys // span
-    sums = np.cumsum(np.stack([degs, degs[::-1]]), axis=1)
-    return keys % span, sums / (np.arange(1, len(side) + 1)[:, None] * other_sizes)
+    sums = np.cumsum(np.stack([degs, np.flip(degs, axis=-2)]), axis=-2)
+    ks = np.arange(1, side.shape[-1] + 1)[:, None]
+    return keys % span, sums / (ks * other_sizes[..., None, :])
 
 
 def _extremal_x_for_y(
@@ -151,33 +152,134 @@ def _extremal_x_for_y(
     return X, Y, float(devs[c, highest, i])
 
 
-def _outlier_hits(
-    side: list[int],
+def _outlier_devs(
+    side: np.ndarray,
     counts: np.ndarray,
     other_sizes: np.ndarray,
     min_k: int,
-    d_ab: float,
-    eps: float,
-) -> list[tuple[int, tuple[int, ...], float]]:
-    """Degree-outlier subsets X of ``side`` with |d_ab - d(X, Y_c)| > eps.
+    d_ab: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """|d_ab - d(X, Y_c)| for the degree-outlier subsets X of every pair's side.
 
-    Returns (c, X, deviation) in the heuristic's visiting order: column by
-    column, and for k = min_k, min_k+1, ... the k lowest rows, then the k
-    highest, each X in ascending (degree, vertex) order.
+    Returns ``ids`` as in ``_sorted_prefix_densities`` and ``devs`` indexed
+    (pair, c, k - min_k, highest), so that C order is the heuristic's
+    visiting order: column by column, and for k = min_k, min_k+1, ... the k
+    lowest rows, then the k highest.
     """
-    if min_k > len(side) or not counts.shape[1]:
-        return []
     ids, dens = _sorted_prefix_densities(side, counts, other_sizes)
-    devs = np.abs(d_ab - dens[:, min_k - 1 :]).transpose(2, 1, 0)
-    over = devs > eps
-    if not over.any():
-        return []
-    hits = []
-    for c, i, highest in np.argwhere(over):
-        k = min_k + i
-        X = tuple((ids[-k:, c] if highest else ids[:k, c]).tolist())
-        hits.append((c, X, float(devs[c, i, highest])))
-    return hits
+    devs = np.abs(d_ab[:, None, None] - dens[:, :, min_k - 1 :])
+    return ids, devs.transpose(1, 3, 2, 0)
+
+
+def _outlier_set(ids: np.ndarray, c: int, i: int, highest: int, min_k: int):
+    k = min_k + i
+    return tuple((ids[-k:, c] if highest else ids[:k, c]).tolist())
+
+
+def _score_chunk(
+    M: np.ndarray,
+    A: np.ndarray,
+    B: np.ndarray,
+    eps: float,
+    trials: int,
+    seeds: list[int],
+) -> Iterator[RegularityVerdict]:
+    """The heuristic search on the pairs (A[p], B[p]) with 0/1 matrices M[p]."""
+    P, a, b = M.shape
+    min_x = max(1, math.ceil(eps * a))
+    min_y = max(1, math.ceil(eps * b))
+    rngs = [random.Random(seed) for seed in seeds]
+    d_ab = M.sum((1, 2)) / (a * b)
+
+    # column c of W[p] is the indicator of a set Y_c ⊆ B[p]: Y_0 = B[p], then
+    # N(a) ∩ B[p] and B[p] \ N(a) for each sampled a (sampling positions
+    # draws what rng.sample(A[p], 24) would); columns of fewer than min_y
+    # vertices are masked out
+    if a <= 24:
+        sampled = M
+    else:
+        sample = np.array([rng.sample(range(a), 24) for rng in rngs])
+        sampled = np.take_along_axis(M, sample[:, :, None], axis=1)
+    W = np.ones((P, b, 1 + 2 * sampled.shape[1]), dtype=np.int64)
+    W[:, :, 1::2] = sampled.transpose(0, 2, 1)
+    W[:, :, 2::2] -= W[:, :, 1::2]
+    sizes = W.sum(1)
+    big = sizes >= min_y
+    a_ids, a_devs = _outlier_devs(A, M @ W, np.maximum(sizes, 1), min_x, d_ab)
+    a_over = (a_devs > eps) & big[:, :, None, None]
+    b_ids, b_devs = _outlier_devs(
+        B, M.sum(1)[:, :, None], np.full((P, 1), a), min_y, d_ab
+    )
+    b_over = b_devs > eps
+
+    # random subsets: trial t keeps A[p][i] on coin (t, i), B[p][j] on (t, a+j)
+    coins = np.stack([_fair_coins(rng, trials * (a + b)) for rng in rngs])
+    coins = coins.reshape(P, trials, a + b)
+    xs, ys = coins[:, :, :a], coins[:, :, a:]
+    nx, ny = xs.sum(2), ys.sum(2)
+    edges = ((xs.astype(np.int64) @ M) * ys).sum(2)
+    t_devs = np.abs(d_ab[:, None] - edges / np.maximum(nx * ny, 1))
+    t_over = (nx >= min_x) & (ny >= min_y) & (t_devs > eps)
+
+    violated = a_over.any((1, 2, 3)) | b_over.any((1, 2, 3)) | t_over.any(1)
+    for p in range(P):
+        d = float(d_ab[p])
+        verdict = RegularityVerdict(True, d)
+        if not violated[p]:
+            yield verdict
+            continue
+        Ap, Bp = A[p].tolist(), B[p].tolist()
+
+        def candidates():
+            # the order of the search: degree outliers of A, of B, the
+            # codegree slices, the random subsets
+            a_hits = np.argwhere(a_over[p]).tolist()
+            for c, i, h in a_hits:
+                if c == 0:
+                    X = _outlier_set(a_ids[p], c, i, h, min_x)
+                    yield X, tuple(Bp), a_devs[p, c, i, h]
+            for _, i, h in np.argwhere(b_over[p]).tolist():
+                Y = _outlier_set(b_ids[p], 0, i, h, min_y)
+                yield tuple(Ap), Y, b_devs[p, 0, i, h]
+            for c, i, h in a_hits:
+                if c > 0:
+                    X = _outlier_set(a_ids[p], c, i, h, min_x)
+                    Y = tuple(sorted(Bp[j] for j in np.flatnonzero(W[p, :, c])))
+                    yield X, Y, a_devs[p, c, i, h]
+            for t in np.flatnonzero(t_over[p]):
+                X = tuple(v for v, keep in zip(Ap, xs[p, t]) if keep)
+                Y = tuple(v for v, keep in zip(Bp, ys[p, t]) if keep)
+                yield X, Y, t_devs[p, t]
+
+        for X, Y, dev in candidates():
+            hit = RegularityVerdict(False, d, (X, Y), float(dev))
+            if hit:  # known defect 1: an irregular verdict is falsy
+                verdict = hit
+                break
+        yield verdict
+
+
+def _heuristic_verdicts(
+    M: np.ndarray,
+    A: np.ndarray,
+    B: np.ndarray,
+    eps: float,
+    trials: int,
+    seeds: list[int],
+) -> Iterator[RegularityVerdict]:
+    """Heuristic verdicts of the pairs (A[p], B[p]), in order.
+
+    ``M[p]`` is the 0/1 matrix of pair p (entry (i, j) is 1 iff
+    A[p][i]B[p][j] is an edge); all pairs share the side sizes and pair p is
+    searched with ``random.Random(seeds[p])``.  Pairs are scored
+    ``PAIR_CHUNK`` at a time, so a caller that stops early stops the work,
+    and the scratch arrays stay bounded however many pairs there are.
+    """
+    for s in range(0, len(seeds), PAIR_CHUNK):
+        chunk = slice(s, s + PAIR_CHUNK)
+        yield from _score_chunk(
+            M[chunk].astype(np.int64), A[chunk], B[chunk], eps, trials, seeds[chunk]
+        )
 
 
 def is_eps_regular(
@@ -195,20 +297,20 @@ def is_eps_regular(
     X closed by the sorted prefix sums.  Heuristic mode tries, in this
     order, degree outliers of A against B and of B against A, outliers of A
     against Y = N(a) ∩ B and B \\ N(a) for up to 24 vertices a of A, and
-    ``trials`` random subset pairs.  Every candidate is scored from the
-    pair's 0/1 matrix: the outlier families by running sums over sorted
-    degrees, the random pairs by one matrix product, with the coins drawn
-    from ``random.Random(seed)`` in the order one ``random()`` per vertex
-    would draw them.  A "regular" answer may be wrong; an "irregular" one
-    would carry a violating witness, but today heuristic mode never returns
-    one (known defect 1 in ``perfbench/NOTES.md``: ``if hit:`` tests the
-    verdict's truth, which is False for an irregular verdict).
+    ``trials`` random subset pairs, with the coins drawn from
+    ``random.Random(seed)`` in the order one ``random()`` per vertex would
+    draw them.  It is the batch kernel ``_heuristic_verdicts`` run on one
+    pair, the kernel the partitioner runs on every cluster pair of a pass.
+    A "regular" answer may be wrong; an "irregular" one would carry a
+    violating witness, but today heuristic mode never returns one (known
+    defect 1 in ``perfbench/NOTES.md``: ``if hit:`` tests the verdict's
+    truth, which is False for an irregular verdict).
     """
     if not A or not B:
         raise EmptySide("regularity needs nonempty sides")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     d_ab = pair_density(G, A, B)
-    min_x = max(1, math.ceil(eps * len(A)))
-    min_y = max(1, math.ceil(eps * len(B)))
 
     if mode == "exact":
         if len(A) > EXACT_SIDE_THRESHOLD or len(B) > EXACT_SIDE_THRESHOLD:
@@ -216,7 +318,7 @@ def is_eps_regular(
                 f"sides ({len(A)},{len(B)}) exceed exact cap {EXACT_SIDE_THRESHOLD}"
             )
         # scan Y ⊆ B and close the X side analytically; then the mirror image
-        M = _pair_matrix(G, A, B)
+        M = G.bit_matrix(A)[:, B].astype(np.int64)
         for side_a, side_b, counts in ((A, B, M), (B, A, M.T)):
             min_xa = max(1, math.ceil(eps * len(side_a)))
             min_yb = max(1, math.ceil(eps * len(side_b)))
@@ -229,57 +331,9 @@ def is_eps_regular(
         return RegularityVerdict(True, d_ab)
 
     if mode == "heuristic":
-        rng = random.Random(seed)
-        M = _pair_matrix(G, A, B)
-        # column c of W is the indicator of a set Y_c ⊆ B: Y_0 = B, then
-        # N(a) ∩ B and B \ N(a) for each sampled a (sampling positions
-        # draws what rng.sample(A, 24) would)
-        sample = range(len(A)) if len(A) <= 24 else rng.sample(range(len(A)), 24)
-        W = np.ones((len(B), 1 + 2 * len(sample)), dtype=np.int64)
-        W[:, 1::2] = M[sample].T
-        W[:, 2::2] -= W[:, 1::2]
-        columns = np.flatnonzero(W.sum(0) >= min_y)
-        W = W[:, columns]
-        a_hits = _outlier_hits(A, M @ W, W.sum(0), min_x, d_ab, eps)
-
-        # random subsets: trial t keeps A[i] on coin (t, i), B[j] on (t, |A|+j)
-        coins = _fair_coins(rng, trials * (len(A) + len(B)))
-        coins = coins.reshape(trials, len(A) + len(B))
-        xs, ys = coins[:, : len(A)], coins[:, len(A) :]
-        nx, ny = xs.sum(1), ys.sum(1)
-        edges = ((xs.astype(np.int64) @ M) * ys).sum(1)
-        devs = np.abs(d_ab - edges / np.maximum(nx * ny, 1))
-        trial_hits = np.flatnonzero((nx >= min_x) & (ny >= min_y) & (devs > eps))
-
-        def recheck(X: tuple[int, ...], Y: tuple[int, ...], dev: float):
-            return RegularityVerdict(False, d_ab, (X, Y), dev)
-
-        # visit the violating candidates in the order of the search: degree
-        # outliers of A, of B, the codegree slices, the random subsets
-        for c, X, dev in a_hits:
-            if columns[c] == 0:
-                hit = recheck(X, tuple(B), dev)
-                if hit:
-                    return hit
-        for _, Y, dev in _outlier_hits(
-            B, M.sum(0)[:, None], np.array([len(A)]), min_y, d_ab, eps
-        ):
-            hit = recheck(tuple(A), Y, dev)
-            if hit:
-                return hit
-        for c, X, dev in a_hits:
-            if columns[c] > 0:
-                Y = tuple(sorted(B[j] for j in np.flatnonzero(W[:, c])))
-                hit = recheck(X, Y, dev)
-                if hit:
-                    return hit
-        for t in trial_hits:
-            X = tuple(v for v, keep in zip(A, xs[t]) if keep)
-            Y = tuple(v for v, keep in zip(B, ys[t]) if keep)
-            hit = recheck(X, Y, float(devs[t]))
-            if hit:
-                return hit
-        return RegularityVerdict(True, d_ab)
+        M = G.bit_matrix(A)[:, B][None]
+        batch = _heuristic_verdicts(M, np.array([A]), np.array([B]), eps, trials, [seed])
+        return next(batch)
 
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -490,6 +544,81 @@ class BudgetExhausted(RuntimeError):
     pass
 
 
+def _cluster_blocks(
+    G: DenseGraph, clusters: list[list[int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """One unpack of the cluster rows: ``blocks[i, :, j, :]`` is the 0/1
+    matrix of the pair (clusters[i], clusters[j]); ``sides`` is the L×m
+    array of the clusters."""
+    sides = np.array(clusters)
+    flat = sides.ravel().tolist()
+    blocks = G.bit_matrix(flat)[:, flat].reshape(sides.shape * 2)
+    return blocks, sides
+
+
+def _pair_verdicts(
+    blocks: np.ndarray,
+    sides: np.ndarray,
+    pairs: list[tuple[int, int]],
+    eps: float,
+    trials: int,
+    seeds: list[int],
+) -> Iterator[RegularityVerdict]:
+    """Heuristic verdicts of the cluster pairs, in order (see ``_cluster_blocks``)."""
+    I = np.array([i for i, _ in pairs], dtype=np.intp)
+    J = np.array([j for _, j in pairs], dtype=np.intp)
+    return _heuristic_verdicts(blocks[I, :, J, :], sides[I], sides[J], eps, trials, seeds)
+
+
+def _find_splits(
+    G: DenseGraph,
+    clusters: list[list[int]],
+    eps: float,
+    trials: int,
+    rng: random.Random,
+) -> dict[int, list[int]]:
+    """One refinement pass: visit the pairs i < j in order, skip a pair once
+    one of its clusters is marked, and mark the sides of each irregularity
+    witness that are proper subsets of their clusters.
+
+    The pairs left to visit are scored optimistically in one batch, each
+    with the next seed of ``rng``.  A verdict that marks a cluster changes
+    which later pairs are skipped, so the batch is dropped there, ``rng`` is
+    rewound to just after that pair's seed, and the rest is scored again:
+    the seeds and verdicts are those of visiting the pairs one at a time.
+    """
+    blocks, sides = _cluster_blocks(G, clusters)
+    pairs = [(i, j) for i in range(len(clusters)) for j in range(i + 1, len(clusters))]
+    splits: dict[int, list[int]] = {}
+    start = 0
+    while start < len(pairs):
+        todo = [
+            k for k in range(start, len(pairs))
+            if pairs[k][0] not in splits and pairs[k][1] not in splits
+        ]
+        state = rng.getstate()
+        seeds = [rng.randrange(1 << 30) for _ in todo]
+        verdicts = _pair_verdicts(blocks, sides, [pairs[k] for k in todo], eps, trials, seeds)
+        start = len(pairs)
+        for drawn, (k, verdict) in enumerate(zip(todo, verdicts), start=1):
+            if verdict.regular:
+                continue
+            i, j = pairs[k]
+            X, Y = verdict.witness
+            marked = len(splits)
+            if 0 < len(X) < len(clusters[i]):
+                splits[i] = list(X)
+            if 0 < len(Y) < len(clusters[j]):
+                splits[j] = list(Y)
+            if len(splits) > marked:
+                rng.setstate(state)
+                for _ in range(drawn):
+                    rng.randrange(1 << 30)
+                start = k + 1
+                break
+    return splits
+
+
 @dataclass
 class PartitionReport:
     """Measured (not guaranteed) properties of an emitted partition."""
@@ -524,6 +653,8 @@ def heuristic_degree_form_partition(
     """
     if L_min < 1:
         raise ValueError("L_min must be >= 1")
+    if heuristic_trials < 0:
+        raise ValueError(f"heuristic_trials must be >= 0, got {heuristic_trials}")
     n = G.n
     rng = random.Random(seed)
     cap = max_L if max_L is not None else 8 * L_min
@@ -544,28 +675,7 @@ def heuristic_degree_form_partition(
     for rounds in range(max_rounds + 1):
         if rounds == max_rounds:
             break
-        # find irregularity witnesses
-        splits: dict[int, list[int]] = {}
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                if i in splits or j in splits:
-                    continue
-                verdict = is_eps_regular(
-                    G,
-                    clusters[i],
-                    clusters[j],
-                    eps,
-                    mode="heuristic",
-                    trials=heuristic_trials,
-                    seed=rng.randrange(1 << 30),
-                )
-                if verdict.regular:
-                    continue
-                X, Y = verdict.witness
-                if 0 < len(X) < len(clusters[i]):
-                    splits[i] = list(X)
-                if 0 < len(Y) < len(clusters[j]):
-                    splits[j] = list(Y)
+        splits = _find_splits(G, clusters, eps, heuristic_trials, rng)
         if not splits:
             break
         if 2 * len(clusters) > cap:
@@ -590,29 +700,25 @@ def heuristic_degree_form_partition(
     m = len(clusters[0])
     masks = [mask_of(c) for c in clusters]
     # pure-graph assembly: keep regular+dense pairs, drop the rest
+    blocks, sides = _cluster_blocks(G, clusters)
+    counts = blocks.sum(axis=(1, 3)).tolist()
+    pairs = [(i, j) for i in range(L) for j in range(i + 1, L)]
+    dense = [(i, j) for i, j in pairs if counts[i][j] / (m * m) >= delta]
+    seeds = [rng.randrange(1 << 30) for _ in dense]
+    verdicts = _pair_verdicts(blocks, sides, dense, eps, heuristic_trials, seeds)
     pair_verdicts: dict[tuple[int, int], str] = {}
     r_edges: list[tuple[int, int]] = []
-    keep_mask_pairs: list[tuple[int, int]] = []
-    for i in range(L):
-        for j in range(i + 1, L):
-            dens = G.edges_between(masks[i], masks[j]) / (m * m)
-            if dens < delta:
-                pair_verdicts[(i, j)] = "sparse"
-                continue
-            verdict = is_eps_regular(
-                G, clusters[i], clusters[j], eps,
-                mode="heuristic", trials=heuristic_trials,
-                seed=rng.randrange(1 << 30),
-            )
-            if verdict.regular:
-                pair_verdicts[(i, j)] = "regular-heuristic"
-                r_edges.append((i, j))
-                keep_mask_pairs.append((i, j))
-            else:
-                pair_verdicts[(i, j)] = "irregular"
+    for i, j in pairs:
+        if counts[i][j] / (m * m) < delta:
+            pair_verdicts[(i, j)] = "sparse"
+        elif next(verdicts).regular:
+            pair_verdicts[(i, j)] = "regular-heuristic"
+            r_edges.append((i, j))
+        else:
+            pair_verdicts[(i, j)] = "irregular"
 
     keep = [[False] * L for _ in range(L)]
-    for i, j in keep_mask_pairs:
+    for i, j in r_edges:
         keep[i][j] = keep[j][i] = True
     cluster_of = {}
     for i, c in enumerate(clusters):

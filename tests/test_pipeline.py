@@ -7,6 +7,7 @@ pipeline stage that called it as ``failure_stage``.
 import pytest
 
 from spanembed import pipeline
+from spanembed.balance import BalanceError
 from spanembed.generators import cycle_power_H, gnp
 from spanembed.graphs import StageFailure
 
@@ -44,3 +45,22 @@ def test_own_refusal_keeps_its_displayed_inequality():
     assert res.failure_stage == "special-assignment"
     assert res.violated_display == "(seq)"
     assert res.failure_detail == "prefix 1098 exceeds |H| = 400"
+
+
+@pytest.mark.parametrize("phase", [1, 2])
+def test_lemma_g_refusal_is_labelled_lemma_g(monkeypatch, phase):
+    # a rebalancing refusal must not be attributed to an asymptotic display
+    # such as (beta), which fails on every desk-scale run
+    real = pipeline.lemma_g
+
+    def lemma_g(*args, **kwargs):
+        if (kwargs.get("targets") is not None) == (phase == 2):
+            raise BalanceError(f"phase {phase}: iteration budget exceeded")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "lemma_g", lemma_g)
+    res = pipeline.run_main_pipeline(gnp(480, 0.97, 0), cycle_power_H(1, 480), seed=0)
+    assert not res
+    assert res.failure_stage == "lemma-g"
+    assert res.violated_display == "lemma-g"
+    assert res.failure_detail == f"phase {phase}: iteration budget exceeded"

@@ -3,8 +3,10 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
+from spanembed import regularity
 from spanembed.density import SizeLimitExceeded
 from spanembed.generators import (
     clique_factor_extremal,
@@ -16,13 +18,16 @@ from spanembed.generators import (
 )
 from spanembed.graphs import DenseGraph, bits, mask_of
 from spanembed.regularity import (
+    PAIR_CHUNK,
     BudgetExhausted,
     ClusterPartition,
     EmptySide,
     InsufficientVertices,
+    PartitionReport,
     ReducedGraph,
     RegularityVerdict,
     _fair_coins,
+    _heuristic_verdicts,
     heuristic_degree_form_partition,
     inheritance_check,
     is_eps_regular,
@@ -588,3 +593,275 @@ def test_refine_verified_output_pinned():
     R = ReducedGraph(DenseGraph.complete(3))
     refined = refine_to_superregular(G, clusters, R, 0.05, 0.3, verify=True, seed=5)
     assert _digest(refined) == "fa8d9586e729b270"
+
+
+# -- batch kernel, batched partitioner, induced subgraphs ----------------------
+
+
+def test_negative_trials_rejected():
+    G = gnp(12, 0.5, 0)
+    for mode in ("exact", "heuristic"):
+        with pytest.raises(ValueError, match="trials"):
+            is_eps_regular(G, [0, 1, 2], [3, 4, 5], 0.25, mode=mode, trials=-1)
+
+
+def same_size_pairs(G, a, b, count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        vs = rng.sample(range(G.n), a + b)
+        yield vs[:a], vs[a:]
+
+
+@pytest.mark.parametrize("truthy", [False, True], ids=["as-is", "truthy"])
+@pytest.mark.parametrize(
+    "host, a, b",
+    [
+        (gnp(40, 0.6, 1), 6, 6),
+        (two_cliques(36), 5, 9),
+        (clique_factor_extremal(3, 45), 27, 6),
+        (gnp(60, 0.9, 2), 25, 30),
+    ],
+    ids=["gnp-6x6", "two-cliques-5x9", "extremal-27x6", "gnp-25x30"],
+)
+def test_kernel_equals_single_calls(monkeypatch, truthy, host, a, b):
+    # pair counts that are not a multiple of the chunk; sides above 24 take
+    # the rng.sample path
+    if truthy:
+        monkeypatch.setattr(RegularityVerdict, "__bool__", lambda v: True)
+    rng = random.Random(a * b)
+    pairs = list(same_size_pairs(host, a, b, PAIR_CHUNK + 37, seed=a + b))
+    eps = 0.25
+    trials = rng.choice([0, 5, 60])
+    seeds = [rng.randrange(1 << 30) for _ in pairs]
+    A = np.array([p[0] for p in pairs])
+    B = np.array([p[1] for p in pairs])
+    M = np.stack([host.bit_matrix(X)[:, Y] for X, Y in pairs])
+    got = list(_heuristic_verdicts(M, A, B, eps, trials, seeds))
+    want = [
+        is_eps_regular(host, X, Y, eps, mode="heuristic", trials=trials, seed=s)
+        for (X, Y), s in zip(pairs, seeds)
+    ]
+    assert got == want
+    if truthy:
+        assert any(not v.regular for v in want)
+
+
+def reference_partition(
+    G, eps, delta, L_min, seed=0, max_rounds=3, max_L=None, heuristic_trials=60
+):
+    """The partitioner as first written: one is_eps_regular call and one
+    edges_between per pair, visited one at a time."""
+    if L_min < 1:
+        raise ValueError("L_min must be >= 1")
+    n = G.n
+    rng = random.Random(seed)
+    cap = max_L if max_L is not None else 8 * L_min
+    L = L_min
+    order = list(range(n))
+    rng.shuffle(order)
+
+    def equitable(order_: list[int], L_: int) -> tuple[list[list[int]], list[int]]:
+        m_ = n // L_
+        if m_ == 0:
+            raise BudgetExhausted(f"cannot split {n} vertices into {L_} clusters")
+        clusters_ = [sorted(order_[i * m_ : (i + 1) * m_]) for i in range(L_)]
+        exceptional_ = sorted(order_[L_ * m_ :])
+        return clusters_, exceptional_
+
+    clusters, exceptional = equitable(order, L)
+    rounds = 0
+    for rounds in range(max_rounds + 1):
+        if rounds == max_rounds:
+            break
+        # find irregularity witnesses
+        splits: dict[int, list[int]] = {}
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                if i in splits or j in splits:
+                    continue
+                verdict = is_eps_regular(
+                    G,
+                    clusters[i],
+                    clusters[j],
+                    eps,
+                    mode="heuristic",
+                    trials=heuristic_trials,
+                    seed=rng.randrange(1 << 30),
+                )
+                if verdict.regular:
+                    continue
+                X, Y = verdict.witness
+                if 0 < len(X) < len(clusters[i]):
+                    splits[i] = list(X)
+                if 0 < len(Y) < len(clusters[j]):
+                    splits[j] = list(Y)
+        if not splits:
+            break
+        if 2 * len(clusters) > cap:
+            break
+        # split marked clusters along their witnesses, re-chop equitably
+        pieces: list[int] = []
+        for i, cluster in enumerate(clusters):
+            if i in splits:
+                w = set(splits[i])
+                pieces.extend(v for v in cluster if v in w)
+                pieces.extend(v for v in cluster if v not in w)
+            else:
+                pieces.extend(cluster)
+        pieces.extend(exceptional)
+        L = min(cap, 2 * L)
+        clusters, exceptional = equitable(pieces, L)
+        if len(exceptional) > eps * n:
+            raise BudgetExhausted(
+                f"exceptional set grew to {len(exceptional)} > eps*n"
+            )
+
+    m = len(clusters[0])
+    masks = [mask_of(c) for c in clusters]
+    # pure-graph assembly: keep regular+dense pairs, drop the rest
+    pair_verdicts: dict[tuple[int, int], str] = {}
+    r_edges: list[tuple[int, int]] = []
+    keep_mask_pairs: list[tuple[int, int]] = []
+    for i in range(L):
+        for j in range(i + 1, L):
+            dens = G.edges_between(masks[i], masks[j]) / (m * m)
+            if dens < delta:
+                pair_verdicts[(i, j)] = "sparse"
+                continue
+            verdict = is_eps_regular(
+                G, clusters[i], clusters[j], eps,
+                mode="heuristic", trials=heuristic_trials,
+                seed=rng.randrange(1 << 30),
+            )
+            if verdict.regular:
+                pair_verdicts[(i, j)] = "regular-heuristic"
+                r_edges.append((i, j))
+                keep_mask_pairs.append((i, j))
+            else:
+                pair_verdicts[(i, j)] = "irregular"
+
+    keep = [[False] * L for _ in range(L)]
+    for i, j in keep_mask_pairs:
+        keep[i][j] = keep[j][i] = True
+    cluster_of = {}
+    for i, c in enumerate(clusters):
+        for v in c:
+            cluster_of[v] = i
+    exc_mask = mask_of(exceptional)
+    pure_rows = [0] * n
+    for v in range(n):
+        ci = cluster_of.get(v)
+        if ci is None:
+            pure_rows[v] = G.rows[v]  # exceptional vertices keep their edges
+            continue
+        row = G.rows[v] & exc_mask
+        for j in range(L):
+            if keep[ci][j]:
+                row |= G.rows[v] & masks[j]
+        pure_rows[v] = row
+    # symmetric by construction: keep is symmetric, exceptional rows are G's,
+    # and every cluster row keeps its edges to the exceptional set
+    pure = DenseGraph(n, pure_rows, check=False)
+
+    partition = ClusterPartition(
+        tuple(exceptional), tuple(tuple(c) for c in clusters)
+    )
+    R = ReducedGraph(
+        DenseGraph.from_edges(L, r_edges),
+        pair_params={e: (eps, delta) for e in r_edges},
+    )
+    hist: dict[int, int] = {}
+    for v in range(n):
+        loss = G.degree(v) - pure.degree(v)
+        bucket = int(10 * loss / max(1, n))
+        hist[bucket] = hist.get(bucket, 0) + 1
+    report = PartitionReport(
+        L=L,
+        m=m,
+        exceptional_size=len(exceptional),
+        pair_verdicts=pair_verdicts,
+        degree_loss_histogram=hist,
+        rounds=rounds,
+    )
+    return partition, pure, R, report
+
+
+@pytest.mark.parametrize("max_rounds", [1, 2, 3])
+@pytest.mark.parametrize(
+    "host, eps, L_min, seed",
+    [
+        (gnp(96, 0.6, 3), 0.2, 4, 0),
+        (gnp(100, 0.5, 4), 0.2, 3, 1),
+        (two_cliques(96), 0.3, 4, 1),
+        (clique_factor_extremal(3, 96), 0.2, 4, 1),
+    ],
+    ids=["gnp96", "gnp100", "two-cliques", "extremal"],
+)
+def test_partitioner_matches_sequential_reference(
+    monkeypatch, max_rounds, host, eps, L_min, seed
+):
+    # Truthy verdicts make every first violating candidate a witness, so
+    # clusters split and the batched passes must skip and reseed the pairs
+    # exactly as the one-pair-at-a-time loop does.
+    # Recording the pair and seed of every verdict the partitioner consumes
+    # checks the seed stream too: with truthy verdicts the first violating
+    # candidate is mostly a seed-free degree outlier.
+    monkeypatch.setattr(RegularityVerdict, "__bool__", lambda v: True)
+    visits = []
+    kernel = regularity._heuristic_verdicts
+
+    def recording(M, A, B, eps, trials, seeds):
+        for p, verdict in enumerate(kernel(M, A, B, eps, trials, seeds)):
+            visits.append((A[p].tolist(), B[p].tolist(), seeds[p]))
+            yield verdict
+
+    monkeypatch.setattr(regularity, "_heuristic_verdicts", recording)
+    args = (host, eps, 0.25, L_min)
+    part, pure, R, report = heuristic_degree_form_partition(
+        *args, seed=seed, max_rounds=max_rounds
+    )
+    batched_visits = list(visits)
+    visits.clear()
+    ref_part, ref_pure, ref_R, ref_report = reference_partition(
+        *args, seed=seed, max_rounds=max_rounds
+    )
+    assert batched_visits == visits
+    assert report.rounds == ref_report.rounds == max_rounds
+    assert report.L > L_min
+    assert part == ref_part
+    assert list(report.pair_verdicts.items()) == list(ref_report.pair_verdicts.items())
+    assert "irregular" in report.pair_verdicts.values()
+    assert pure.rows == ref_pure.rows
+    assert R == ref_R
+    assert report == ref_report
+
+
+def test_partitioner_exceptional_growth_matches_reference(monkeypatch):
+    monkeypatch.setattr(RegularityVerdict, "__bool__", lambda v: True)
+    G = gnp(100, 0.5, 4)
+    with pytest.raises(BudgetExhausted) as ref:
+        reference_partition(G, 0.15, 0.25, 5, seed=1)
+    with pytest.raises(BudgetExhausted) as got:
+        heuristic_degree_form_partition(G, 0.15, 0.25, 5, seed=1)
+    assert str(got.value) == str(ref.value)
+
+
+def test_induced_matches_loop_reference():
+    def reference_induced(G, vs):
+        pos = {v: i for i, v in enumerate(vs)}
+        rows = [0] * len(vs)
+        for i, v in enumerate(vs):
+            for w in bits(G.rows[v] & mask_of(vs)):
+                rows[i] |= 1 << pos[w]
+        return rows
+
+    rng = random.Random(31)
+    for n in (1, 7, 8, 9, 64, 130):
+        G = gnp(n, rng.choice([0.2, 0.5, 0.9]), rng.randrange(1000))
+        for size in (0, 1, n // 2, n):
+            vs = rng.sample(range(n), size)
+            H, ids = G.induced(vs)
+            assert ids == vs
+            assert H.n == size and list(H.rows) == reference_induced(G, vs)
+        H, _ = G.induced(range(n))
+        assert H == G

@@ -39,7 +39,6 @@ def find_bridging_clique(
     W: list[int],
     r: int,
     eta: float,
-    d: float = 0.0,
     min_bucket: int | None = None,
 ) -> Bridge:
     """Find Z ⊆ U spanning K_r, fresh of X ∪ Y ∪ W, with r-subsets of both X
@@ -173,8 +172,6 @@ def connect_cliques(
     W: list[int],
     r: int,
     eta: float,
-    d: float = 0.0,
-    rho: float = 0.0,
     c: int | None = None,
     clique_budget: int = 200_000,
     w_limit: float | None = None,
@@ -232,7 +229,6 @@ def connect_cliques(
         W=sorted(set(W) | set(X) | set(Y)),
         r=r,
         eta=eta,
-        d=d,
     )
     seq = tuple(sorted(bridge.X_prime)) + tuple(sorted(bridge.Z)) + tuple(
         sorted(bridge.Y_prime)

@@ -44,7 +44,6 @@ from .hpartition import (
     special_assignment,
 )
 from .regularity import (
-    BudgetExhausted,
     InsufficientVertices,
     heuristic_degree_form_partition,
     inheritance_check,
@@ -94,15 +93,10 @@ class PipelineConfig:
     eps: float = 0.02
     delta: float = 0.25
     c: float = 0.2
-    partition_rounds: int = 1
     relax_target_floor: bool = True
     ham_config: HamConfig | None = None
     oracle_budget: int = 3_000_000
     blowup_budget: int = 6_000_000
-
-
-def _chi_colours(Hb: BandwidthedH) -> int:
-    return max(Hb.colouring)
 
 
 def run_main_pipeline(
@@ -141,7 +135,7 @@ def _pipeline(
     n = G.n
     if Hb.n != n:
         raise StageFailure("precheck", f"|H| = {Hb.n} != |G| = {n}")
-    r = _chi_colours(Hb)
+    r = Hb.num_colours()
     eta = constants.get("eta", 0.2) if constants else 0.2
     d = constants.get("d", 0.3) if constants else 0.3
     rho = constants.get("rho", 0.05) if constants else 0.05
@@ -175,21 +169,11 @@ def _pipeline(
         pure = G
         audit.stage("partition")
     else:
-        try:
-            partition, pure, Rred, report = heuristic_degree_form_partition(
-                G,
-                eps=max(eps, 0.25),
-                delta=delta,
-                L_min=L_target,
-                seed=seed,
-                max_rounds=config.partition_rounds,
-                max_L=L_target,
-            )
-        except BudgetExhausted as exc:
-            raise StageFailure("partition", str(exc))
+        partition, pure, reduced, _ = heuristic_degree_form_partition(
+            G, eps=max(eps, 0.25), delta=delta, L_min=L_target, seed=seed
+        )
         clusters_list = [tuple(c) for c in partition.clusters]
         exceptional = tuple(partition.exceptional)
-        reduced = Rred.base
         audit.stage("partition")
         audit.record(
             "exceptional-bound",
@@ -197,7 +181,7 @@ def _pipeline(
             f"{len(exceptional)} vs {2 * math.sqrt(eps) * n:.1f}",
         )
         inh = inheritance_check(
-            G, partition, Rred, rho=rho, d=d, delta=delta, eta=eta
+            reduced, rho=rho, d=d, delta=delta, eta=eta
         ) if reduced.n <= 22 else None
         if inh is not None:
             audit.record("inheritance-density", inh.density_pass)
@@ -248,12 +232,10 @@ def _pipeline(
     refine_eps = min(0.01, eps)
     try:
         refined_per_block: dict[tuple[int, int], list[int]] = {}
-        from .regularity import ReducedGraph
-
+        Rblock = DenseGraph.complete(4 * r)
         for i in range(1, ell + 1):
             block_cells = [(i, j) for j in range(1, 4 * r + 1)]
             block_clusters = [list(cell_cluster[c]) for c in block_cells]
-            Rblock = ReducedGraph(DenseGraph.complete(4 * r))
             refined = refine_to_superregular(
                 pure, block_clusters, Rblock, refine_eps, delta, verify=False
             )

@@ -1,5 +1,5 @@
 """Regular/superregular pair checkers, slicing arithmetic, subcluster
-refinement, reduced graphs, density inheritance, and a best-effort partitioner.
+refinement, density inheritance of reduced graphs, and a one-pass partitioner.
 
 Exact regularity is decided exhaustively (sides capped at 12): for a fixed
 witness side Y, the extremal X of every size is a prefix of the vertices
@@ -12,11 +12,16 @@ families of every Y at once by sorted degrees and running sums
 argument here), the random subsets by one matrix product.  The heuristic
 search is one kernel, ``_heuristic_verdicts``, that scores a list of pairs
 with equal side sizes ``PAIR_CHUNK`` at a time, each pair with its own
-seed; ``is_eps_regular`` runs it on one pair, the partitioner on all
-cluster pairs of a pass.  Scores are exact integer edge counts, divided as
+seed; ``is_eps_regular`` runs it on one pair, the partitioner on all its
+dense cluster pairs.  Scores are exact integer edge counts, divided as
 a per-candidate recheck would, so verdicts and witnesses do not depend on
 the batching.  Heuristic mode never reports "irregular" today: known
 defect 1 in ``perfbench/NOTES.md``.
+
+The partitioner stands in for the degree form of the regularity lemma: a
+seeded equitable chop into exactly ``L_min`` clusters, one classification
+of every cluster pair, and no refinement.  A reduced graph is a plain
+``DenseGraph`` on the cluster indices.
 """
 
 from __future__ import annotations
@@ -422,20 +427,6 @@ class ClusterPartition:
         )
 
 
-@dataclass(frozen=True)
-class ReducedGraph:
-    """Cluster-level graph; edges annotate (eps,delta)-regular pairs."""
-
-    base: DenseGraph
-    pair_params: dict[tuple[int, int], tuple[float, float]] = field(default_factory=dict)
-    superregular_edges: frozenset[tuple[int, int]] = frozenset()
-
-    def __post_init__(self):
-        for (u, v) in self.superregular_edges:
-            if not self.base.has_edge(u, v):
-                raise ValueError(f"superregular pair ({u},{v}) not an edge of R")
-
-
 @dataclass
 class InheritanceReport:
     density_pass: bool
@@ -449,19 +440,17 @@ class InheritanceReport:
 
 
 def inheritance_check(
-    G: DenseGraph,
-    partition: ClusterPartition,
-    R: ReducedGraph,
+    R: DenseGraph,
     rho: float,
     d: float,
     delta: float,
     eta: float,
 ) -> InheritanceReport:
     """Check that R is (max{3rho,3delta}, d)-dense with delta(R) >= (1/2+eta/2)L."""
-    L = R.base.n
+    L = R.n
     rho_star = max(3 * rho, 3 * delta)
-    verdict = is_locally_dense_exact(R.base, DensityParams(rho_star, d))
-    min_deg = R.base.min_degree()
+    verdict = is_locally_dense_exact(R, DensityParams(rho_star, d))
+    min_deg = R.min_degree()
     required = (0.5 + eta / 2) * L
     return InheritanceReport(
         density_pass=bool(verdict),
@@ -475,7 +464,7 @@ def inheritance_check(
 def refine_to_superregular(
     G: DenseGraph,
     clusters: list[list[int]],
-    R: ReducedGraph,
+    R: DenseGraph,
     eps: float,
     delta: float,
     verify: bool = True,
@@ -499,7 +488,7 @@ def refine_to_superregular(
     for i, cluster in enumerate(clusters):
         bad: set[int] = set()
         for j in range(len(clusters)):
-            if not R.base.has_edge(i, j):
+            if not R.has_edge(i, j):
                 continue
             thresh = (delta - eps) * m
             failing = [v for v in cluster if (G.rows[v] & masks[j]).bit_count() < thresh]
@@ -509,7 +498,7 @@ def refine_to_superregular(
         if len(bad) > m - target:
             # hypothesis violated jointly even though each pair was fine
             worst = max(
-                (j for j in range(len(clusters)) if R.base.has_edge(i, j)),
+                (j for j in range(len(clusters)) if R.has_edge(i, j)),
                 key=lambda j: sum(
                     1 for v in cluster if (G.rows[v] & masks[j]).bit_count() < (delta - eps) * m
                 ),
@@ -521,7 +510,7 @@ def refine_to_superregular(
     if verify:
         for i in range(len(refined)):
             for j in range(i + 1, len(refined)):
-                if not R.base.has_edge(i, j):
+                if not R.has_edge(i, j):
                     continue
                 verdict = is_superregular(
                     G,
@@ -537,11 +526,7 @@ def refine_to_superregular(
     return refined
 
 
-# -- best-effort degree-form partitioner ------------------------------------
-
-
-class BudgetExhausted(RuntimeError):
-    pass
+# -- one-pass degree-form partitioner ---------------------------------------
 
 
 def _cluster_blocks(
@@ -556,69 +541,6 @@ def _cluster_blocks(
     return blocks, sides
 
 
-def _pair_verdicts(
-    blocks: np.ndarray,
-    sides: np.ndarray,
-    pairs: list[tuple[int, int]],
-    eps: float,
-    trials: int,
-    seeds: list[int],
-) -> Iterator[RegularityVerdict]:
-    """Heuristic verdicts of the cluster pairs, in order (see ``_cluster_blocks``)."""
-    I = np.array([i for i, _ in pairs], dtype=np.intp)
-    J = np.array([j for _, j in pairs], dtype=np.intp)
-    return _heuristic_verdicts(blocks[I, :, J, :], sides[I], sides[J], eps, trials, seeds)
-
-
-def _find_splits(
-    G: DenseGraph,
-    clusters: list[list[int]],
-    eps: float,
-    trials: int,
-    rng: random.Random,
-) -> dict[int, list[int]]:
-    """One refinement pass: visit the pairs i < j in order, skip a pair once
-    one of its clusters is marked, and mark the sides of each irregularity
-    witness that are proper subsets of their clusters.
-
-    The pairs left to visit are scored optimistically in one batch, each
-    with the next seed of ``rng``.  A verdict that marks a cluster changes
-    which later pairs are skipped, so the batch is dropped there, ``rng`` is
-    rewound to just after that pair's seed, and the rest is scored again:
-    the seeds and verdicts are those of visiting the pairs one at a time.
-    """
-    blocks, sides = _cluster_blocks(G, clusters)
-    pairs = [(i, j) for i in range(len(clusters)) for j in range(i + 1, len(clusters))]
-    splits: dict[int, list[int]] = {}
-    start = 0
-    while start < len(pairs):
-        todo = [
-            k for k in range(start, len(pairs))
-            if pairs[k][0] not in splits and pairs[k][1] not in splits
-        ]
-        state = rng.getstate()
-        seeds = [rng.randrange(1 << 30) for _ in todo]
-        verdicts = _pair_verdicts(blocks, sides, [pairs[k] for k in todo], eps, trials, seeds)
-        start = len(pairs)
-        for drawn, (k, verdict) in enumerate(zip(todo, verdicts), start=1):
-            if verdict.regular:
-                continue
-            i, j = pairs[k]
-            X, Y = verdict.witness
-            marked = len(splits)
-            if 0 < len(X) < len(clusters[i]):
-                splits[i] = list(X)
-            if 0 < len(Y) < len(clusters[j]):
-                splits[j] = list(Y)
-            if len(splits) > marked:
-                rng.setstate(state)
-                for _ in range(drawn):
-                    rng.randrange(1 << 30)
-                start = k + 1
-                break
-    return splits
-
-
 @dataclass
 class PartitionReport:
     """Measured (not guaranteed) properties of an emitted partition."""
@@ -628,7 +550,6 @@ class PartitionReport:
     exceptional_size: int
     pair_verdicts: dict[tuple[int, int], str] = field(default_factory=dict)
     degree_loss_histogram: dict[int, int] = field(default_factory=dict)
-    rounds: int = 0
 
 
 def heuristic_degree_form_partition(
@@ -637,67 +558,36 @@ def heuristic_degree_form_partition(
     delta: float,
     L_min: int,
     seed: int = 0,
-    max_rounds: int = 3,
-    max_L: int | None = None,
     heuristic_trials: int = 60,
-) -> tuple[ClusterPartition, DenseGraph, ReducedGraph, PartitionReport]:
-    """Iterative-refinement stand-in for the degree-form partition.
+) -> tuple[ClusterPartition, DenseGraph, DenseGraph, PartitionReport]:
+    """One-pass stand-in for the degree-form partition.
 
-    Starts from a seeded random equitable partition with L in
-    [L_min, 8*L_min], splits clusters along heuristic irregularity witnesses
-    for a bounded number of rounds, then emits the pure subgraph (edges of
-    regular pairs with density >= delta, intra-cluster edges dropped,
-    exceptional-vertex edges kept) and the reduced graph.  Equal cluster
-    sizes, the exceptional bound and missing intra-cluster pure edges are
-    enforced structurally; the degree condition is measured into the report.
+    A seeded shuffle of V(G) is chopped into L = L_min clusters of
+    m = n // L_min vertices; the n mod L_min vertices left over are the
+    exceptional set.  Every cluster pair i < j is then classified as
+    "sparse" (density below delta) or, by the heuristic regularity search
+    with the next seed of the shuffle's RNG, as "regular-heuristic" or
+    "irregular".  Returns the partition, the pure subgraph (edges of the
+    regular dense pairs, intra-cluster edges dropped, exceptional-vertex
+    edges kept), the reduced graph on the L clusters with those pairs as
+    edges, and a report.  Clusters are never refined: an irregular pair is
+    dropped, not split.  Equal cluster sizes and missing intra-cluster pure
+    edges hold by construction; the degree loss is measured into the report.
     """
     if L_min < 1:
         raise ValueError("L_min must be >= 1")
     if heuristic_trials < 0:
         raise ValueError(f"heuristic_trials must be >= 0, got {heuristic_trials}")
-    n = G.n
+    n, L = G.n, L_min
+    m = n // L
+    if m == 0:
+        raise ValueError(f"cannot split {n} vertices into {L} clusters")
     rng = random.Random(seed)
-    cap = max_L if max_L is not None else 8 * L_min
-    L = L_min
     order = list(range(n))
     rng.shuffle(order)
+    clusters = [sorted(order[i * m : (i + 1) * m]) for i in range(L)]
+    exceptional = sorted(order[L * m :])
 
-    def equitable(order_: list[int], L_: int) -> tuple[list[list[int]], list[int]]:
-        m_ = n // L_
-        if m_ == 0:
-            raise BudgetExhausted(f"cannot split {n} vertices into {L_} clusters")
-        clusters_ = [sorted(order_[i * m_ : (i + 1) * m_]) for i in range(L_)]
-        exceptional_ = sorted(order_[L_ * m_ :])
-        return clusters_, exceptional_
-
-    clusters, exceptional = equitable(order, L)
-    rounds = 0
-    for rounds in range(max_rounds + 1):
-        if rounds == max_rounds:
-            break
-        splits = _find_splits(G, clusters, eps, heuristic_trials, rng)
-        if not splits:
-            break
-        if 2 * len(clusters) > cap:
-            break
-        # split marked clusters along their witnesses, re-chop equitably
-        pieces: list[int] = []
-        for i, cluster in enumerate(clusters):
-            if i in splits:
-                w = set(splits[i])
-                pieces.extend(v for v in cluster if v in w)
-                pieces.extend(v for v in cluster if v not in w)
-            else:
-                pieces.extend(cluster)
-        pieces.extend(exceptional)
-        L = min(cap, 2 * L)
-        clusters, exceptional = equitable(pieces, L)
-        if len(exceptional) > eps * n:
-            raise BudgetExhausted(
-                f"exceptional set grew to {len(exceptional)} > eps*n"
-            )
-
-    m = len(clusters[0])
     masks = [mask_of(c) for c in clusters]
     # pure-graph assembly: keep regular+dense pairs, drop the rest
     blocks, sides = _cluster_blocks(G, clusters)
@@ -705,7 +595,11 @@ def heuristic_degree_form_partition(
     pairs = [(i, j) for i in range(L) for j in range(i + 1, L)]
     dense = [(i, j) for i, j in pairs if counts[i][j] / (m * m) >= delta]
     seeds = [rng.randrange(1 << 30) for _ in dense]
-    verdicts = _pair_verdicts(blocks, sides, dense, eps, heuristic_trials, seeds)
+    I = np.array([i for i, _ in dense], dtype=np.intp)
+    J = np.array([j for _, j in dense], dtype=np.intp)
+    verdicts = _heuristic_verdicts(
+        blocks[I, :, J, :], sides[I], sides[J], eps, heuristic_trials, seeds
+    )
     pair_verdicts: dict[tuple[int, int], str] = {}
     r_edges: list[tuple[int, int]] = []
     for i, j in pairs:
@@ -743,10 +637,7 @@ def heuristic_degree_form_partition(
     partition = ClusterPartition(
         tuple(exceptional), tuple(tuple(c) for c in clusters)
     )
-    R = ReducedGraph(
-        DenseGraph.from_edges(L, r_edges),
-        pair_params={e: (eps, delta) for e in r_edges},
-    )
+    R = DenseGraph.from_edges(L, r_edges)
     hist: dict[int, int] = {}
     for v in range(n):
         loss = G.degree(v) - pure.degree(v)
@@ -758,6 +649,5 @@ def heuristic_degree_form_partition(
         exceptional_size=len(exceptional),
         pair_verdicts=pair_verdicts,
         degree_loss_histogram=hist,
-        rounds=rounds,
     )
     return partition, pure, R, report

@@ -1,14 +1,22 @@
-"""Stage labels of run_main_pipeline refusals.
+"""Stage labels of run_main_pipeline refusals, and pinned end-to-end runs.
 
 A library failure keeps its own label as ``violated_display`` and the
 pipeline stage that called it as ``failure_stage``.
 """
 
+import hashlib
+
 import pytest
 
 from spanembed import pipeline
 from spanembed.balance import BalanceError
-from spanembed.generators import cycle_power_H, gnp
+from spanembed.generators import (
+    clique_factor_extremal,
+    cycle_power_H,
+    gnp,
+    path_power_H,
+    tiling_H,
+)
 from spanembed.graphs import StageFailure
 
 
@@ -64,3 +72,41 @@ def test_lemma_g_refusal_is_labelled_lemma_g(monkeypatch, phase):
     assert res.failure_stage == "lemma-g"
     assert res.violated_display == "lemma-g"
     assert res.failure_detail == f"phase {phase}: iteration budget exceeded"
+
+
+@pytest.mark.parametrize(
+    "host, guest, expected",
+    [
+        (lambda: gnp(480, 0.97, 4), lambda: cycle_power_H(1, 480), "86abe1d47e9e175a"),
+        (lambda: gnp(480, 0.97, 4), lambda: path_power_H(1, 480), "bbb2f613ba934c23"),
+        (
+            lambda: gnp(400, 0.97, 4),
+            lambda: cycle_power_H(1, 400),
+            ("special-assignment", "(seq)", "prefix 1098 exceeds |H| = 400"),
+        ),
+        (
+            lambda: gnp(480, 0.97, 4),
+            lambda: tiling_H(3, 160),
+            ("special-assignment", "(seq)", "prefix 3146 exceeds |H| = 480"),
+        ),
+        (
+            lambda: clique_factor_extremal(3, 480),
+            lambda: tiling_H(3, 160),
+            (
+                "refine",
+                "min-degree",
+                "cluster 0: 3 vertices fail the degree test toward cluster 7 (allowed 0.60)",
+            ),
+        ),
+    ],
+    ids=["gnp480-C1", "gnp480-P1", "gnp400-C1", "gnp480-K3tiling", "extremal3x480-K3tiling"],
+)
+def test_pipeline_outputs_pinned(host, guest, expected):
+    # the benchmark's pipeline templates at seed 4: a digest of the mapping
+    # for an embedding, the (stage, display, detail) triple for a refusal
+    res = pipeline.run_main_pipeline(host(), guest(), seed=4)
+    if res:
+        got = hashlib.sha256(repr(sorted(res.mapping.items())).encode()).hexdigest()[:16]
+    else:
+        got = (res.failure_stage, res.violated_display, res.failure_detail)
+    assert got == expected

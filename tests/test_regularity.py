@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,12 +20,10 @@ from spanembed.generators import (
 from spanembed.graphs import DenseGraph, bits, mask_of
 from spanembed.regularity import (
     PAIR_CHUNK,
-    BudgetExhausted,
     ClusterPartition,
     EmptySide,
     InsufficientVertices,
     PartitionReport,
-    ReducedGraph,
     RegularityVerdict,
     _fair_coins,
     _heuristic_verdicts,
@@ -235,7 +234,7 @@ def test_refine_complete_multipartite_trims_only():
                     edges.append((u, v))
     G = DenseGraph.from_edges(L * m, edges)
     clusters = [list(range(i * m, (i + 1) * m)) for i in range(L)]
-    R = ReducedGraph(DenseGraph.complete(L))
+    R = DenseGraph.complete(L)
     eps = 0.09
     refined = refine_to_superregular(G, clusters, R, eps, 0.5)
     target = math.ceil((1 - math.sqrt(eps)) * m)
@@ -253,7 +252,7 @@ def test_refine_discards_planted_isolated_vertex():
         rows[u] &= ~(1 << victim)
     rows[victim] = 0
     G = DenseGraph(G.n, rows, check=False)
-    R = ReducedGraph(DenseGraph.complete(L))
+    R = DenseGraph.complete(L)
     refined = refine_to_superregular(G, clusters, R, 0.09, 0.4, verify=False)
     assert victim not in refined[0]
 
@@ -263,7 +262,7 @@ def test_refine_reports_hypothesis_violation():
     L, m = 2, 10
     G = DenseGraph.empty(L * m)
     clusters = [list(range(10)), list(range(10, 20))]
-    R = ReducedGraph(DenseGraph.complete(L))
+    R = DenseGraph.complete(L)
     with pytest.raises(InsufficientVertices):
         refine_to_superregular(G, clusters, R, 0.04, 0.5, verify=False)
 
@@ -271,7 +270,7 @@ def test_refine_reports_hypothesis_violation():
 def test_refine_output_sizes_and_degrees():
     L, m = 3, 20
     G, clusters = planted_cluster_system(L, m, 0.7, seed=5)
-    R = ReducedGraph(DenseGraph.complete(L))
+    R = DenseGraph.complete(L)
     eps, delta = 0.05, 0.3
     refined = refine_to_superregular(G, clusters, R, eps, delta, verify=True, seed=5)
     target = math.ceil((1 - math.sqrt(eps)) * m)
@@ -290,22 +289,12 @@ def test_refine_output_sizes_and_degrees():
 
 
 def test_inheritance_on_complete_host():
-    G = DenseGraph.complete(40)
-    clusters = tuple(tuple(range(i * 10, (i + 1) * 10)) for i in range(4))
-    part = ClusterPartition((), clusters)
-    R = ReducedGraph(DenseGraph.complete(4))
-    rep = inheritance_check(G, part, R, rho=0.01, d=0.9, delta=0.02, eta=0.2)
+    rep = inheritance_check(DenseGraph.complete(4), rho=0.01, d=0.9, delta=0.02, eta=0.2)
     assert rep.all_pass()
 
 
 def test_inheritance_detects_two_clique_reduced():
-    from spanembed.generators import two_cliques
-
-    R = ReducedGraph(two_cliques(10))
-    G = two_cliques(100)
-    clusters = tuple(tuple(range(i * 10, (i + 1) * 10)) for i in range(10))
-    part = ClusterPartition((), clusters)
-    rep = inheritance_check(G, part, R, rho=0.01, d=0.9, delta=0.02, eta=0.2)
+    rep = inheritance_check(two_cliques(10), rho=0.01, d=0.9, delta=0.02, eta=0.2)
     assert not rep.density_pass
     assert rep.density_witness is not None
 
@@ -318,7 +307,7 @@ def test_partitioner_accepts_complete_host():
     part, pure, R, report = heuristic_degree_form_partition(
         G, eps=0.3, delta=0.2, L_min=4, seed=0
     )
-    assert R.base.edge_count() == math.comb(part.L, 2)
+    assert R.edge_count() == math.comb(part.L, 2)
     assert all(v == "regular-heuristic" for v in report.pair_verdicts.values())
 
 
@@ -590,7 +579,7 @@ def test_partitioner_outputs_pinned(seed, clusters, verdicts, pure_rows):
 
 def test_refine_verified_output_pinned():
     G, clusters = planted_cluster_system(3, 20, 0.7, seed=5)
-    R = ReducedGraph(DenseGraph.complete(3))
+    R = DenseGraph.complete(3)
     refined = refine_to_superregular(G, clusters, R, 0.05, 0.3, verify=True, seed=5)
     assert _digest(refined) == "fa8d9586e729b270"
 
@@ -646,77 +635,23 @@ def test_kernel_equals_single_calls(monkeypatch, truthy, host, a, b):
         assert any(not v.regular for v in want)
 
 
-def reference_partition(
-    G, eps, delta, L_min, seed=0, max_rounds=3, max_L=None, heuristic_trials=60
-):
-    """The partitioner as first written: one is_eps_regular call and one
-    edges_between per pair, visited one at a time."""
+def reference_partition(G, eps, delta, L_min, seed=0, heuristic_trials=60):
+    """The partitioner as first written, without its refinement rounds: one
+    is_eps_regular call and one edges_between per pair, visited one at a
+    time."""
     if L_min < 1:
         raise ValueError("L_min must be >= 1")
     n = G.n
     rng = random.Random(seed)
-    cap = max_L if max_L is not None else 8 * L_min
     L = L_min
     order = list(range(n))
     rng.shuffle(order)
+    m = n // L
+    if m == 0:
+        raise ValueError(f"cannot split {n} vertices into {L} clusters")
+    clusters = [sorted(order[i * m : (i + 1) * m]) for i in range(L)]
+    exceptional = sorted(order[L * m :])
 
-    def equitable(order_: list[int], L_: int) -> tuple[list[list[int]], list[int]]:
-        m_ = n // L_
-        if m_ == 0:
-            raise BudgetExhausted(f"cannot split {n} vertices into {L_} clusters")
-        clusters_ = [sorted(order_[i * m_ : (i + 1) * m_]) for i in range(L_)]
-        exceptional_ = sorted(order_[L_ * m_ :])
-        return clusters_, exceptional_
-
-    clusters, exceptional = equitable(order, L)
-    rounds = 0
-    for rounds in range(max_rounds + 1):
-        if rounds == max_rounds:
-            break
-        # find irregularity witnesses
-        splits: dict[int, list[int]] = {}
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                if i in splits or j in splits:
-                    continue
-                verdict = is_eps_regular(
-                    G,
-                    clusters[i],
-                    clusters[j],
-                    eps,
-                    mode="heuristic",
-                    trials=heuristic_trials,
-                    seed=rng.randrange(1 << 30),
-                )
-                if verdict.regular:
-                    continue
-                X, Y = verdict.witness
-                if 0 < len(X) < len(clusters[i]):
-                    splits[i] = list(X)
-                if 0 < len(Y) < len(clusters[j]):
-                    splits[j] = list(Y)
-        if not splits:
-            break
-        if 2 * len(clusters) > cap:
-            break
-        # split marked clusters along their witnesses, re-chop equitably
-        pieces: list[int] = []
-        for i, cluster in enumerate(clusters):
-            if i in splits:
-                w = set(splits[i])
-                pieces.extend(v for v in cluster if v in w)
-                pieces.extend(v for v in cluster if v not in w)
-            else:
-                pieces.extend(cluster)
-        pieces.extend(exceptional)
-        L = min(cap, 2 * L)
-        clusters, exceptional = equitable(pieces, L)
-        if len(exceptional) > eps * n:
-            raise BudgetExhausted(
-                f"exceptional set grew to {len(exceptional)} > eps*n"
-            )
-
-    m = len(clusters[0])
     masks = [mask_of(c) for c in clusters]
     # pure-graph assembly: keep regular+dense pairs, drop the rest
     pair_verdicts: dict[tuple[int, int], str] = {}
@@ -759,17 +694,12 @@ def reference_partition(
             if keep[ci][j]:
                 row |= G.rows[v] & masks[j]
         pure_rows[v] = row
-    # symmetric by construction: keep is symmetric, exceptional rows are G's,
-    # and every cluster row keeps its edges to the exceptional set
     pure = DenseGraph(n, pure_rows, check=False)
 
     partition = ClusterPartition(
         tuple(exceptional), tuple(tuple(c) for c in clusters)
     )
-    R = ReducedGraph(
-        DenseGraph.from_edges(L, r_edges),
-        pair_params={e: (eps, delta) for e in r_edges},
-    )
+    R = DenseGraph.from_edges(L, r_edges)
     hist: dict[int, int] = {}
     for v in range(n):
         loss = G.degree(v) - pure.degree(v)
@@ -781,31 +711,26 @@ def reference_partition(
         exceptional_size=len(exceptional),
         pair_verdicts=pair_verdicts,
         degree_loss_histogram=hist,
-        rounds=rounds,
     )
     return partition, pure, R, report
 
 
-@pytest.mark.parametrize("max_rounds", [1, 2, 3])
 @pytest.mark.parametrize(
-    "host, eps, L_min, seed",
+    "host, eps, delta, L_min, seed, labels, exceptional",
     [
-        (gnp(96, 0.6, 3), 0.2, 4, 0),
-        (gnp(100, 0.5, 4), 0.2, 3, 1),
-        (two_cliques(96), 0.3, 4, 1),
-        (clique_factor_extremal(3, 96), 0.2, 4, 1),
+        (gnp(100, 0.5, 4), 0.35, 0.5, 9, 1, {"sparse": 21, "regular-heuristic": 3, "irregular": 12}, 1),
+        (gnp(160, 0.97, 7), 0.2, 0.25, 16, 1, {"regular-heuristic": 91, "irregular": 29}, 0),
+        (two_cliques(96), 0.3, 0.25, 4, 1, None, 0),
+        (clique_factor_extremal(3, 96), 0.2, 0.25, 4, 1, None, 0),
     ],
-    ids=["gnp96", "gnp100", "two-cliques", "extremal"],
+    ids=["gnp100", "gnp160", "two-cliques", "extremal"],
 )
-def test_partitioner_matches_sequential_reference(
-    monkeypatch, max_rounds, host, eps, L_min, seed
+def test_partitioner_matches_one_pass_reference(
+    monkeypatch, host, eps, delta, L_min, seed, labels, exceptional
 ):
-    # Truthy verdicts make every first violating candidate a witness, so
-    # clusters split and the batched passes must skip and reseed the pairs
-    # exactly as the one-pair-at-a-time loop does.
-    # Recording the pair and seed of every verdict the partitioner consumes
-    # checks the seed stream too: with truthy verdicts the first violating
-    # candidate is mostly a seed-free degree outlier.
+    # Truthy verdicts make every first violating candidate an "irregular"
+    # verdict, so all three labels occur; recording the pair and seed of
+    # every verdict the partitioner consumes checks the seed stream too.
     monkeypatch.setattr(RegularityVerdict, "__bool__", lambda v: True)
     visits = []
     kernel = regularity._heuristic_verdicts
@@ -816,34 +741,30 @@ def test_partitioner_matches_sequential_reference(
             yield verdict
 
     monkeypatch.setattr(regularity, "_heuristic_verdicts", recording)
-    args = (host, eps, 0.25, L_min)
-    part, pure, R, report = heuristic_degree_form_partition(
-        *args, seed=seed, max_rounds=max_rounds
-    )
+    args = (host, eps, delta, L_min)
+    part, pure, R, report = heuristic_degree_form_partition(*args, seed=seed)
     batched_visits = list(visits)
     visits.clear()
-    ref_part, ref_pure, ref_R, ref_report = reference_partition(
-        *args, seed=seed, max_rounds=max_rounds
-    )
+    ref_part, ref_pure, ref_R, ref_report = reference_partition(*args, seed=seed)
     assert batched_visits == visits
-    assert report.rounds == ref_report.rounds == max_rounds
-    assert report.L > L_min
     assert part == ref_part
     assert list(report.pair_verdicts.items()) == list(ref_report.pair_verdicts.items())
-    assert "irregular" in report.pair_verdicts.values()
     assert pure.rows == ref_pure.rows
     assert R == ref_R
     assert report == ref_report
+    assert report.L == L_min and len(part.exceptional) == exceptional
+    if labels is not None:
+        assert Counter(report.pair_verdicts.values()) == labels
+    else:
+        assert "irregular" in report.pair_verdicts.values()
 
 
-def test_partitioner_exceptional_growth_matches_reference(monkeypatch):
-    monkeypatch.setattr(RegularityVerdict, "__bool__", lambda v: True)
-    G = gnp(100, 0.5, 4)
-    with pytest.raises(BudgetExhausted) as ref:
-        reference_partition(G, 0.15, 0.25, 5, seed=1)
-    with pytest.raises(BudgetExhausted) as got:
-        heuristic_degree_form_partition(G, 0.15, 0.25, 5, seed=1)
-    assert str(got.value) == str(ref.value)
+def test_partitioner_rejects_more_clusters_than_vertices():
+    G = gnp(20, 0.5, 0)
+    with pytest.raises(ValueError, match="cannot split 20 vertices into 21 clusters"):
+        heuristic_degree_form_partition(G, 0.25, 0.25, L_min=21)
+    part, _, _, report = heuristic_degree_form_partition(G, 0.25, 0.25, L_min=20)
+    assert report.m == 1 and not part.exceptional
 
 
 def test_induced_matches_loop_reference():

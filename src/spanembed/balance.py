@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .graphs import DenseGraph, mask_of, z_rule_edge
-from .regularity import is_eps_regular, is_superregular
+from .regularity import is_superregular, regularity_up_to_cap
 
 
 Cell = tuple[int, int]
@@ -103,15 +103,11 @@ class StructureReport:
         )
 
 
-def check_cycle_structure(
-    G: DenseGraph,
-    C: CycleStructure,
-    mode: str = "heuristic",
-    seed: int = 0,
-    pair_trials: int = 40,
-) -> StructureReport:
-    """Verify the partition exactly and the pair annotations in the given
-    regularity mode; itemized pass/fail per pair."""
+def check_cycle_structure(G: DenseGraph, C: CycleStructure) -> StructureReport:
+    """Verify the partition exactly and the pair annotations as far as
+    ``regularity_up_to_cap`` checks them: block pairs by ``is_superregular``,
+    the other template pairs by regularity and density at least delta;
+    itemized pass/fail per pair."""
     seen: set[int] = set(C.exceptional)
     partition_ok = len(seen) == len(C.exceptional)
     total = len(C.exceptional)
@@ -133,13 +129,9 @@ def check_cycle_structure(
             continue
         try:
             if c1[0] == c2[0]:
-                verdict = is_superregular(
-                    G, A, B, C.eps, C.delta, mode=mode, seed=seed
-                )
+                verdict = is_superregular(G, A, B, C.eps, C.delta)
             else:
-                verdict = is_eps_regular(
-                    G, A, B, C.eps, mode=mode, seed=seed, trials=pair_trials
-                )
+                verdict = regularity_up_to_cap(G, A, B, C.eps)
                 if verdict and verdict.density < C.delta:
                     verdict = None
         except ValueError:
@@ -214,7 +206,6 @@ def is_valid_move(
 
 
 def balance_within_blocks(
-    G: DenseGraph,
     clusters: dict[Cell, tuple[int, ...]],
     tau: dict[Cell, int],
     ell: int,
@@ -448,7 +439,6 @@ def lemma_g(
     targets: dict[Cell, int] | None = None,
     xi: float | None = None,
     check_structure: bool = True,
-    seed: int = 0,
 ) -> LemmaGResult:
     """Two-phase rebalancing of a spanning 2r-cycle structure.
 
@@ -468,7 +458,7 @@ def lemma_g(
     m = C.m()
     if any(len(c) != m for c in C.clusters.values()):
         raise BalanceError("cells must have equal size m")
-    U, A, Y = balance_within_blocks(G, C.clusters, tau, ell, r, C.eps)
+    U, A, Y = balance_within_blocks(C.clusters, tau, ell, r, C.eps)
     m_ab: dict[Cell, int] = {}
     for a in range(1, 2 * ell + 1):
         for b in range(1, r + 1):
@@ -538,7 +528,5 @@ def lemma_g(
     result.ledger = ledger
     result.structure = out_structure
     if check_structure:
-        result.structure_report = check_cycle_structure(
-            G, out_structure, mode="heuristic", seed=seed, pair_trials=10
-        )
+        result.structure_report = check_cycle_structure(G, out_structure)
     return result

@@ -206,7 +206,7 @@ def connect_cliques(
     c = max(c, r)
     rng = random.Random(f"connect:{seed}") if seed is not None else None
 
-    def envelope(end_mask: int, ends: list[int], avoid: int) -> tuple[tuple[int, ...], str]:
+    def envelope(ends: list[int], avoid: int) -> tuple[tuple[int, ...], str]:
         branch = "extendable" if G.common_neighborhood(ends).bit_count() >= eta * G.n else "clique"
         scope = G.common_neighborhood(ends) & ~avoid & ~wmask
         got = find_clique(G, c, within=scope, node_budget=clique_budget, rng=rng)
@@ -218,8 +218,8 @@ def connect_cliques(
             )
         return got, branch
 
-    env_x, branch_x = envelope(xmask, X, xmask | ymask)
-    env_y, branch_y = envelope(ymask, Y, xmask | ymask | mask_of(env_x))
+    env_x, branch_x = envelope(X, xmask | ymask)
+    env_y, branch_y = envelope(Y, xmask | ymask | mask_of(env_x))
 
     bridge = find_bridging_clique(
         G,

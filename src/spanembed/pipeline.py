@@ -170,7 +170,7 @@ def _pipeline(
         audit.stage("partition")
     else:
         partition, pure, reduced, _ = heuristic_degree_form_partition(
-            G, eps=max(eps, 0.25), delta=delta, L_min=L_target, seed=seed
+            G, delta=delta, L_min=L_target, seed=seed
         )
         clusters_list = [tuple(c) for c in partition.clusters]
         exceptional = tuple(partition.exceptional)
@@ -218,7 +218,7 @@ def _pipeline(
     if degenerate:
         # at singleton scale the cycle itself is the final object only when
         # H is a subgraph of the power cycle; continue with a direct embed
-        return _degenerate_embed(G, Hb, cycle, q, config, audit)
+        return _degenerate_embed(G, Hb, cycle, q, audit)
 
     # -- stage: refine to superregular blocks --------------------------------
     ell = ell_eff
@@ -242,7 +242,7 @@ def _pipeline(
             for c, vs in zip(block_cells, refined):
                 refined_per_block[c] = list(vs)
     except InsufficientVertices as exc:
-        raise StageFailure("refine", str(exc))
+        raise StageFailure("refine", str(exc), violated="refine") from exc
     audit.stage("refine")
 
     m = len(next(iter(refined_per_block.values())))
@@ -423,7 +423,6 @@ def _pipeline(
             targets=n_ab,
             xi=(dev + 1) / max(1, G_sub.n),
             check_structure=False,
-            seed=seed,
         )
     except BalanceError as exc:
         raise StageFailure("lemma-g", str(exc), violated="lemma-g") from exc
@@ -659,7 +658,6 @@ def _degenerate_embed(
     Hb: BandwidthedH,
     cycle: list[int],
     q: int,
-    config: PipelineConfig,
     audit: PipelineAudit,
 ) -> dict[int, int]:
     """Singleton-cluster fallback: embed H along the power cycle directly."""

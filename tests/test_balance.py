@@ -89,13 +89,13 @@ def test_phi_out_of_range():
 def test_structure_complete_multipartite_passes():
     G, C = complete_host_structure(3, 4, 6)
     # complete host: every pair is complete bipartite, trivially superregular
-    report = check_cycle_structure(G, C, mode="heuristic")
+    report = check_cycle_structure(G, C)
     assert report.all_pass()
 
 
 def test_structure_planted_passes_heuristically():
     G, C = planted_structure(2, 4, 25, p_in=0.8, delta=0.35, seed=3)
-    report = check_cycle_structure(G, C, mode="heuristic")
+    report = check_cycle_structure(G, C)
     assert report.partition_ok and report.exceptional_ok
     assert all(report.pair_results.values())
 
@@ -108,7 +108,7 @@ def test_structure_detects_starved_vertex():
         rows[u] &= ~(1 << victim)
     rows[victim] = 0
     G2 = DenseGraph(G.n, rows, check=False)
-    report = check_cycle_structure(G2, C, mode="heuristic")
+    report = check_cycle_structure(G2, C)
     assert not all(
         ok for (c1, c2), ok in report.pair_results.items() if c1[0] == c2[0] == 1
     )
@@ -119,7 +119,7 @@ def test_structure_detects_partition_corruption():
     bad = dict(C.clusters)
     bad[(1, 1)] = bad[(1, 2)]  # duplicate cluster
     C2 = CycleStructure(C.ell, C.r, bad, (), C.eps, C.delta)
-    report = check_cycle_structure(G, C2, mode="heuristic")
+    report = check_cycle_structure(G, C2)
     assert not report.partition_ok
 
 
@@ -128,7 +128,7 @@ def test_structure_detects_partition_corruption():
 
 def test_valid_move_complete_host():
     G, C = complete_host_structure(2, 4, 8)
-    _, A, Y = balance_within_blocks(G, C.clusters, {c: 0 for c in phi_cells(4, 2)}, 2, 2, C.eps)
+    _, A, Y = balance_within_blocks(C.clusters, {c: 0 for c in phi_cells(4, 2)}, 2, 2, C.eps)
     for cell in C.clusters:
         for v in C.clusters[cell][:3]:
             assert is_valid_move(G, v, cell, Y, 2, C.delta, C.eps, 8)
@@ -147,13 +147,13 @@ def test_valid_move_isolated_vertex():
         rows[u] &= ~(1 << victim)
     rows[victim] = 0
     G2 = DenseGraph(G.n, rows, check=False)
-    _, A, Y = balance_within_blocks(G2, C.clusters, {c: 0 for c in phi_cells(4, 2)}, 2, 2, C.eps)
+    _, A, Y = balance_within_blocks(C.clusters, {c: 0 for c in phi_cells(4, 2)}, 2, 2, C.eps)
     assert not is_valid_move(G2, victim, (1, 1), Y, 2, C.delta, C.eps, 8)
 
 
 def test_valid_move_own_cell_in_planted_system():
     G, C = planted_structure(2, 4, 30, p_in=0.75, delta=0.5, seed=6)
-    _, A, Y = balance_within_blocks(G, C.clusters, {c: 0 for c in phi_cells(4, 2)}, 2, 2, C.eps)
+    _, A, Y = balance_within_blocks(C.clusters, {c: 0 for c in phi_cells(4, 2)}, 2, 2, C.eps)
     for cell in C.clusters:
         for v in Y[cell][:5]:
             assert is_valid_move(G, v, cell, Y, 2, C.delta, C.eps, 30)
@@ -165,7 +165,7 @@ def test_valid_move_own_cell_in_planted_system():
 def test_balance_already_balanced_no_moves():
     G, C = complete_host_structure(2, 4, 10)
     tau = {c: 0 for c in phi_cells(4, 2)}
-    U, A, Y = balance_within_blocks(G, C.clusters, tau, 2, 2, C.eps)
+    U, A, Y = balance_within_blocks(C.clusters, tau, 2, 2, C.eps)
     for cell in C.clusters:
         assert U[cell] == set(Y[cell]) == set(C.clusters[cell])
 
@@ -182,7 +182,7 @@ def test_balance_hand_simulated_example():
         v += size
     G = DenseGraph.complete(v)
     tau = {c: 0 for c in phi_cells(2, 2)}
-    U, A, Y = balance_within_blocks(G, clusters, tau, 1, 2, eps=0.4)
+    U, A, Y = balance_within_blocks(clusters, tau, 1, 2, eps=0.4)
     out_sizes = {cell: len(U[cell]) for cell in clusters}
     # within-1 balance on each half after exactly S = 2 moves
     assert abs(out_sizes[(1, 1)] - out_sizes[(1, 2)]) <= 1
@@ -199,7 +199,7 @@ def test_balance_with_reservations():
     G, C = planted_structure(2, 4, 40, seed=7)
     rng = random.Random(7)
     tau = {c: rng.randint(0, 3) for c in phi_cells(4, 2)}
-    U, A, Y = balance_within_blocks(G, C.clusters, tau, 2, 2, C.eps)
+    U, A, Y = balance_within_blocks(C.clusters, tau, 2, 2, C.eps)
     for cell in C.clusters:
         t = tau[phi_bijection(cell[0], cell[1], 2, 2)]
         assert len(A[cell]) == t
@@ -213,7 +213,7 @@ def test_balance_with_reservations():
 def test_chains_zero_deviation_no_moves():
     G, C = complete_host_structure(2, 4, 10)
     tau = {c: 0 for c in phi_cells(4, 2)}
-    U, A, Y = balance_within_blocks(G, C.clusters, tau, 2, 2, C.eps)
+    U, A, Y = balance_within_blocks(C.clusters, tau, 2, 2, C.eps)
     targets = {cell: len(U[cell]) for cell in U}
     W, ledger = reallocate_by_chains(G, U, Y, targets, 2, 2, C.eps, C.delta, 10)
     assert ledger.moves == []
@@ -223,7 +223,7 @@ def test_chains_zero_deviation_no_moves():
 def test_chains_shift_three_vertices_complete_host():
     G, C = complete_host_structure(2, 4, 40, eps=0.4)
     tau = {c: 0 for c in phi_cells(4, 2)}
-    U, A, Y = balance_within_blocks(G, C.clusters, tau, 2, 2, C.eps)
+    U, A, Y = balance_within_blocks(C.clusters, tau, 2, 2, C.eps)
     targets = {cell: len(U[cell]) for cell in U}
     targets[(1, 1)] -= 3
     targets[(2, 3)] += 3
@@ -237,7 +237,7 @@ def test_chains_shift_three_vertices_complete_host():
 def test_chains_every_move_was_valid():
     G, C = planted_structure(2, 4, 40, p_in=0.8, p_btw=0.7, delta=0.5, seed=8)
     tau = {c: 0 for c in phi_cells(4, 2)}
-    U, A, Y = balance_within_blocks(G, C.clusters, tau, 2, 2, C.eps)
+    U, A, Y = balance_within_blocks(C.clusters, tau, 2, 2, C.eps)
     targets = {cell: len(U[cell]) for cell in U}
     targets[(1, 2)] -= 1
     targets[(2, 4)] += 1

@@ -94,7 +94,7 @@ def test_lemma_g_refusal_is_labelled_lemma_g(monkeypatch, phase):
             lambda: tiling_H(3, 160),
             (
                 "refine",
-                "min-degree",
+                "refine",
                 "cluster 0: 3 vertices fail the degree test toward cluster 7 (allowed 0.60)",
             ),
         ),

@@ -3,6 +3,10 @@
 The exact checkers are exhaustive (and therefore capped in size); the
 sampled checkers never certify density, they only report the absence of
 found violations, and every witness they return is rechecked exactly.
+A subset X can only violate local density when its size k makes
+``local_threshold`` positive, so both local checkers count edges only for
+subsets of such sizes.  The sampled one still visits every candidate in
+order and counts each non-empty one in ``checked``.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterator
 
 from .graphs import DenseGraph, bits
 
@@ -48,10 +52,15 @@ class DensityVerdict:
         return self.holds
 
 
+def local_threshold(n: int, k: int, p: DensityParams) -> float:
+    """d*C(k,2) - rho n^2: the fewest edges a k-subset of an n-vertex host may
+    span.  A k-subset can violate local density only when this is positive."""
+    return p.d * k * (k - 1) / 2 - p.rho * n * n
+
+
 def local_deficit(G: DenseGraph, xmask: int, p: DensityParams) -> float:
     """e(G[X]) - (d*C(|X|,2) - rho n^2); negative iff X violates."""
-    k = xmask.bit_count()
-    return G.edges_within(xmask) - (p.d * k * (k - 1) / 2 - p.rho * G.n * G.n)
+    return G.edges_within(xmask) - local_threshold(G.n, xmask.bit_count(), p)
 
 
 def is_locally_dense_exact(
@@ -66,60 +75,56 @@ def is_locally_dense_exact(
     n = G.n
     if n > threshold:
         raise SizeLimitExceeded(f"n={n} exceeds exact threshold {threshold}")
-    rn2 = p.rho * n * n
     checked = 0
 
     # Smallest k at which the inequality can bite at all.
-    k0 = None
-    for k in range(n + 1):
-        if p.d * k * (k - 1) / 2 - rn2 > 0:
-            k0 = k
-            break
+    k0 = next((k for k in range(n + 1) if local_threshold(n, k, p) > 0), None)
     if k0 is None:
         return DensityVerdict(True, checked=0)
 
     rows = G.rows
     for k in range(k0, n + 1):
-        need = p.d * k * (k - 1) / 2 - rn2
-        # DFS over k-subsets in lexicographic order, tracking internal edges.
-        found: list[int] | None = None
+        need = local_threshold(n, k, p)
 
-        def rec(start: int, chosen: list[int], cmask: int, edges: int) -> bool:
-            nonlocal checked, found
+        # DFS over k-subsets in lexicographic order, tracking internal edges.
+        def rec(
+            start: int, chosen: list[int], cmask: int, edges: int
+        ) -> tuple[int, ...] | None:
+            nonlocal checked
             if len(chosen) == k:
                 checked += 1
-                if edges < need:
-                    found = list(chosen)
-                    return True
-                return False
+                return tuple(chosen) if edges < need else None
             slots = k - len(chosen)
             for v in range(start, n - slots + 1):
                 gained = (rows[v] & cmask).bit_count()
                 chosen.append(v)
-                if rec(v + 1, chosen, cmask | (1 << v), edges + gained):
-                    return True
+                found = rec(v + 1, chosen, cmask | (1 << v), edges + gained)
+                if found is not None:
+                    return found
                 chosen.pop()
-            return False
+            return None
 
-        if rec(0, [], 0, 0):
-            assert found is not None
-            return DensityVerdict(False, witness=tuple(found), checked=checked)
+        found = rec(0, [], 0, 0)
+        if found is not None:
+            return DensityVerdict(False, witness=found, checked=checked)
     return DensityVerdict(True, checked=checked)
 
 
-def _greedy_sparse_subsets(G: DenseGraph, limit: int) -> Iterable[int]:
-    """Greedy sparsest-growth prefixes: promising local-density violators."""
+def _greedy_sparse_prefixes(G: DenseGraph, limit: int) -> Iterator[tuple[int, int]]:
+    """Greedy sparsest-growth prefixes, promising local-density violators,
+    each with its edge count: a grown vertex adds its degree into the prefix."""
     n = G.n
     if n == 0:
         return
-    order = sorted(range(n), key=lambda v: (G.degree(v), v))
+    cur = min(range(n), key=lambda v: (G.degree(v), v))
     cmask = 0
+    edges = 0
     remaining = set(range(n))
-    cur = order[0]
     for _ in range(min(n, limit)):
+        edges += G.degree_into(cur, cmask)
         cmask |= 1 << cur
         remaining.discard(cur)
-        yield cmask
+        yield cmask, edges
         if not remaining:
             break
         cur = min(remaining, key=lambda v: (G.degree_into(v, cmask), G.degree(v), v))
@@ -134,8 +139,13 @@ def is_locally_dense_sampled(
     """Search for local-density violations; never certifies their absence.
 
     Candidates: the full set first (by design), anti-neighbourhoods,
-    greedy-sparsest growth prefixes, then uniform random subsets.  Any
-    violation reported has been evaluated exactly.
+    greedy-sparsest growth prefixes, then uniform random subsets.  Edges are
+    counted only for a candidate whose size k can violate, that is when
+    ``local_threshold(n, k, p) > 0``; ``checked`` counts every non-empty
+    candidate all the same.  The full set takes ``G.edge_count()``, and the
+    prefixes are not even built when the longest cannot violate (the
+    threshold grows with k).  Any violation reported has been evaluated
+    exactly.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -144,16 +154,21 @@ def is_locally_dense_sampled(
     full = G.full_mask()
     checked = 0
 
-    def test(mask: int) -> DensityVerdict | None:
+    def test(mask: int, edges: int | None = None) -> DensityVerdict | None:
         nonlocal checked
         if mask == 0:
             return None
         checked += 1
-        if local_deficit(G, mask, p) < 0:
+        need = local_threshold(n, mask.bit_count(), p)
+        if need <= 0:
+            return None
+        if edges is None:
+            edges = G.edges_within(mask)
+        if edges - need < 0:
             return DensityVerdict(False, witness=tuple(bits(mask)), checked=checked)
         return None
 
-    bad = test(full)
+    bad = test(full, G.edge_count())
     if bad is not None:
         return bad
     sample_vs = list(range(n)) if n <= 64 else rng.sample(range(n), 64)
@@ -161,10 +176,14 @@ def is_locally_dense_sampled(
         bad = test(full & ~G.rows[v] & ~(1 << v))
         if bad is not None:
             return bad
-    for mask in _greedy_sparse_subsets(G, limit=min(n, 4 * int(math.isqrt(n)) + 8)):
-        bad = test(mask)
-        if bad is not None:
-            return bad
+    limit = min(n, 4 * int(math.isqrt(n)) + 8)
+    if local_threshold(n, limit, p) > 0:
+        for mask, edges in _greedy_sparse_prefixes(G, limit):
+            bad = test(mask, edges)
+            if bad is not None:
+                return bad
+    else:
+        checked += limit
     for _ in range(trials):
         mask = rng.getrandbits(n) & full
         bad = test(mask)

@@ -296,59 +296,68 @@ def brute_force_embed(H: DenseGraph, G: DenseGraph, budget: int = 5_000_000) -> 
         return OracleResult("embedded", {}, 0)
 
     # order H-vertices: max degree first, then most-placed-neighbours first
+    h_degree = [H.degree(v) for v in range(H.n)]
+    placed_nbrs = [0] * H.n
+    unplaced = set(range(H.n))
     order: list[int] = []
-    placed = set()
-    first = max(range(H.n), key=lambda v: (H.degree(v), -v))
-    order.append(first)
-    placed.add(first)
-    while len(order) < H.n:
-        best = max(
-            (v for v in range(H.n) if v not in placed),
-            key=lambda v: (
-                sum(1 for u in bits(H.rows[v]) if u in placed),
-                H.degree(v),
-                -v,
-            ),
-        )
+    best = max(range(H.n), key=lambda v: (h_degree[v], -v))
+    while True:
         order.append(best)
-        placed.add(best)
+        unplaced.discard(best)
+        if not unplaced:
+            break
+        for w in bits(H.rows[best]):
+            placed_nbrs[w] += 1
+        best = max(unplaced, key=lambda v: (placed_nbrs[v], h_degree[v], -v))
 
-    g_degree = [G.degree(v) for v in range(G.n)]
+    # per order position: the positions of its earlier-placed H-neighbours,
+    # and the G-vertices whose degree can host it
+    position = {u: i for i, u in enumerate(order)}
+    back = [
+        [position[w] for w in bits(H.rows[u]) if position[w] < i]
+        for i, u in enumerate(order)
+    ]
+    g_rows = G.rows
+    g_degree = [row.bit_count() for row in g_rows]
+    fit_of = {
+        du: mask_of(gv for gv in range(G.n) if g_degree[gv] >= du) for du in set(h_degree)
+    }
+    fits = [fit_of[h_degree[u]] for u in order]
+    image = [0] * H.n
+    image_rows = [0] * H.n
     nodes = 0
-    mapping: dict[int, int] = {}
 
     class _Budget(Exception):
         pass
 
-    def rec(idx: int, used_mask: int) -> bool:
+    def rec(idx: int, free: int) -> bool:
         nonlocal nodes
         if idx == H.n:
             return True
         nodes += 1
         if nodes > budget:
             raise _Budget()
-        u = order[idx]
-        cands = ~used_mask & G.full_mask()
-        for w in bits(H.rows[u]):
-            if w in mapping:
-                cands &= G.rows[mapping[w]]
-        du = H.degree(u)
-        for gv in bits(cands):
-            if g_degree[gv] < du:
-                continue
-            mapping[u] = gv
-            if rec(idx + 1, used_mask | (1 << gv)):
+        cands = free & fits[idx]
+        for j in back[idx]:
+            cands &= image_rows[j]
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            gv = low.bit_length() - 1
+            image[idx] = gv
+            image_rows[idx] = g_rows[gv]
+            if rec(idx + 1, free ^ low):
                 return True
-            del mapping[u]
         return False
 
     try:
-        found = rec(0, 0)
+        found = rec(0, G.full_mask())
     except _Budget:
         return OracleResult("budget-exceeded", nodes=nodes)
     if found:
+        mapping = dict(zip(order, image))
         problem = verify_embedding(H, G, mapping)
         if problem:
             raise StageFailure("revalidation", problem)
-        return OracleResult("embedded", dict(mapping), nodes)
+        return OracleResult("embedded", mapping, nodes)
     return OracleResult("no-embedding", nodes=nodes)

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spanembed import density
 from spanembed.density import (
     DensityParams,
+    DensityVerdict,
     SizeLimitExceeded,
     enumerate_extendable_cliques,
     find_clique,
@@ -18,8 +20,8 @@ from spanembed.density import (
     is_uniformly_dense,
     local_deficit,
 )
-from spanembed.generators import complete_bipartite, gnp, two_cliques
-from spanembed.graphs import DenseGraph, make_named, mask_of
+from spanembed.generators import clique_factor_extremal, complete_bipartite, gnp, two_cliques
+from spanembed.graphs import DenseGraph, bits, make_named, mask_of
 
 
 def brute_locally_dense(G, p):
@@ -143,6 +145,157 @@ def test_sampled_no_false_violation_on_random_dense():
     G = gnp(100, 0.5, 7)
     res = is_locally_dense_sampled(G, DensityParams(0.05, 0.3), trials=1000, seed=7)
     assert res
+
+
+def _reference_greedy_sparse_subsets(G, limit):
+    """The greedy prefixes as the sampled check built them when it counted
+    every candidate's edges (reference for the equivalence test below)."""
+    n = G.n
+    if n == 0:
+        return
+    order = sorted(range(n), key=lambda v: (G.degree(v), v))
+    cmask = 0
+    remaining = set(range(n))
+    cur = order[0]
+    for _ in range(min(n, limit)):
+        cmask |= 1 << cur
+        remaining.discard(cur)
+        yield cmask
+        if not remaining:
+            break
+        cur = min(remaining, key=lambda v: (G.degree_into(v, cmask), G.degree(v), v))
+
+
+def _reference_sampled(G, p, trials, seed):
+    """The sampled check scoring every candidate with ``local_deficit``."""
+    rng = random.Random(seed)
+    n = G.n
+    full = G.full_mask()
+    checked = 0
+
+    def test(mask):
+        nonlocal checked
+        if mask == 0:
+            return None
+        checked += 1
+        if local_deficit(G, mask, p) < 0:
+            return DensityVerdict(False, witness=tuple(bits(mask)), checked=checked)
+        return None
+
+    bad = test(full)
+    if bad is not None:
+        return bad
+    sample_vs = list(range(n)) if n <= 64 else rng.sample(range(n), 64)
+    for v in sample_vs:
+        bad = test(full & ~G.rows[v] & ~(1 << v))
+        if bad is not None:
+            return bad
+    for mask in _reference_greedy_sparse_subsets(
+        G, limit=min(n, 4 * int(math.isqrt(n)) + 8)
+    ):
+        bad = test(mask)
+        if bad is not None:
+            return bad
+    for _ in range(trials):
+        mask = rng.getrandbits(n) & full
+        bad = test(mask)
+        if bad is not None:
+            return bad
+    return DensityVerdict(True, checked=checked)
+
+
+def _anti_neighbourhoods(G, seed):
+    """The anti-neighbourhood candidates, drawn as the sampled check draws them."""
+    rng = random.Random(seed)
+    n = G.n
+    vs = list(range(n)) if n <= 64 else rng.sample(range(n), 64)
+    return rng, [G.full_mask() & ~G.rows[v] & ~(1 << v) for v in vs]
+
+
+def _first_violating_family(G, seed, checked):
+    anti = sum(1 for m in _anti_neighbourhoods(G, seed)[1] if m)
+    prefixes = min(G.n, 4 * math.isqrt(G.n) + 8)
+    if checked == 1:
+        return "full"
+    if checked <= 1 + anti:
+        return "anti-neighbourhood"
+    if checked <= 1 + anti + prefixes:
+        return "greedy"
+    return "random"
+
+
+SAMPLED_HOSTS = [
+    *(gnp(n, pr, n) for n in (0, 1, 2, 7, 40, 63, 64, 65, 129, 300) for pr in (0.5, 0.9)),
+    gnp(7, 0.5, 8),  # a sparse triple that only a random subset finds
+    DenseGraph.complete(70),  # every anti-neighbourhood is empty and not counted
+    DenseGraph.empty(40),
+    complete_bipartite(20, 20),
+    two_cliques(96),
+    clique_factor_extremal(3, 96),
+]
+SAMPLED_PARAMS = [
+    (0.0, 0.3),  # every k >= 2 can violate
+    (0.0, 0.9),
+    (0.001, 0.5),
+    (0.01, 0.3),
+    (0.02, 0.8),
+    (0.05, 0.3),  # the pipeline's constants
+    (5.0, 0.5),  # no size can violate
+]
+
+
+def test_sampled_matches_the_score_everything_reference(monkeypatch):
+    built = 0
+    real_prefixes = density._greedy_sparse_prefixes
+
+    def counting_prefixes(G, limit):
+        nonlocal built
+        built += 1
+        return real_prefixes(G, limit)
+
+    monkeypatch.setattr(density, "_greedy_sparse_prefixes", counting_prefixes)
+    families = set()
+    for G in SAMPLED_HOSTS:
+        for rho, d in SAMPLED_PARAMS:
+            p = DensityParams(rho, d)
+            for seed in (0, 1):
+                for trials in (1, 50):
+                    got = is_locally_dense_sampled(G, p, trials=trials, seed=seed)
+                    want = _reference_sampled(G, p, trials, seed)
+                    assert (got.holds, got.witness, got.witness_y, got.checked) == (
+                        want.holds, want.witness, want.witness_y, want.checked
+                    ), (G.n, rho, d, seed, trials)
+                    if not want.holds:
+                        families.add(_first_violating_family(G, seed, want.checked))
+    assert families == {"full", "anti-neighbourhood", "greedy", "random"}
+    assert built > 0
+
+
+@pytest.mark.parametrize("rho", [0.05, 0.01])
+def test_sampled_counts_edges_only_where_the_size_can_violate(monkeypatch, rho):
+    """Only candidates whose size k has d*C(k,2) > rho n^2 are counted; the
+    full set takes the stored edge count and the prefixes a running sum."""
+    G = gnp(480, 0.97, 1)
+    n, d, trials, seed = G.n, 0.3, 300, 1
+    rng, anti = _anti_neighbourhoods(G, seed)
+    randoms = [rng.getrandbits(n) & G.full_mask() for _ in range(trials)]
+
+    def can_violate(mask):
+        return d * math.comb(mask.bit_count(), 2) > rho * n * n
+
+    calls = 0
+    real_edges_within = DenseGraph.edges_within
+
+    def counting_edges_within(self, mask):
+        nonlocal calls
+        calls += 1
+        return real_edges_within(self, mask)
+
+    monkeypatch.setattr(DenseGraph, "edges_within", counting_edges_within)
+    res = is_locally_dense_sampled(G, DensityParams(rho, d), trials=trials, seed=seed)
+    assert res.holds
+    assert res.checked == 1 + len(anti) + (4 * math.isqrt(n) + 8) + sum(1 for m in randoms if m)
+    assert calls == sum(1 for m in anti + randoms if m and can_violate(m))
 
 
 # -- uniform density -------------------------------------------------------

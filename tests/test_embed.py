@@ -4,6 +4,7 @@ import pytest
 
 from spanembed import embed
 from spanembed.embed import (
+    OracleResult,
     blowup_embed,
     brute_force_embed,
     embed_with_targets,
@@ -16,7 +17,7 @@ from spanembed.generators import (
     two_cliques,
     clique_factor_extremal,
 )
-from spanembed.graphs import DenseGraph, StageFailure, make_named
+from spanembed.graphs import DenseGraph, StageFailure, bits, cycle_power, make_named
 
 
 # -- brute force oracle ------------------------------------------------------
@@ -67,6 +68,95 @@ def test_oracle_raises_when_its_embedding_fails_revalidation(monkeypatch):
 
 def test_oracle_bigger_h_trivial_no():
     assert brute_force_embed(DenseGraph.complete(5), DenseGraph.complete(4)).status == "no-embedding"
+
+
+def _reference_brute_force_embed(H, G, budget=5_000_000):
+    """The oracle as it searched before its nodes were precomputed: the same
+    order and candidate order, re-summed and re-filtered at every node."""
+    if H.n > G.n:
+        return OracleResult("no-embedding", nodes=0)
+    if H.n == 0:
+        return OracleResult("embedded", {}, 0)
+
+    order = []
+    placed = set()
+    first = max(range(H.n), key=lambda v: (H.degree(v), -v))
+    order.append(first)
+    placed.add(first)
+    while len(order) < H.n:
+        best = max(
+            (v for v in range(H.n) if v not in placed),
+            key=lambda v: (
+                sum(1 for u in bits(H.rows[v]) if u in placed),
+                H.degree(v),
+                -v,
+            ),
+        )
+        order.append(best)
+        placed.add(best)
+
+    g_degree = [G.degree(v) for v in range(G.n)]
+    nodes = 0
+    mapping = {}
+
+    class _Budget(Exception):
+        pass
+
+    def rec(idx, used_mask):
+        nonlocal nodes
+        if idx == H.n:
+            return True
+        nodes += 1
+        if nodes > budget:
+            raise _Budget()
+        u = order[idx]
+        cands = ~used_mask & G.full_mask()
+        for w in bits(H.rows[u]):
+            if w in mapping:
+                cands &= G.rows[mapping[w]]
+        du = H.degree(u)
+        for gv in bits(cands):
+            if g_degree[gv] < du:
+                continue
+            mapping[u] = gv
+            if rec(idx + 1, used_mask | (1 << gv)):
+                return True
+            del mapping[u]
+        return False
+
+    try:
+        found = rec(0, 0)
+    except _Budget:
+        return OracleResult("budget-exceeded", nodes=nodes)
+    if found:
+        return OracleResult("embedded", dict(mapping), nodes)
+    return OracleResult("no-embedding", nodes=nodes)
+
+
+def _oracle_cases():
+    rng = random.Random(2)
+    for seed in range(40):
+        nh = rng.randint(1, 7)
+        H = gnp(nh, rng.random(), seed)
+        G = gnp(rng.randint(nh, 9), rng.random(), seed + 1000)
+        yield H, G
+    for n, p, q in ((40, 0.9, 3), (48, 0.8, 2), (60, 0.95, 5), (64, 0.9, 4), (80, 0.97, 7)):
+        for seed in range(2):
+            yield cycle_power(q, n), gnp(n, p, seed)
+    yield cycle_power(2, 12), two_cliques(12)
+    yield tiling_H(3, 3).H, clique_factor_extremal(3, 9)
+
+
+@pytest.mark.parametrize("budget", [1, 10, 100, 20_000])
+def test_oracle_matches_the_unprecomputed_search(budget):
+    statuses = set()
+    for H, G in _oracle_cases():
+        got = brute_force_embed(H, G, budget=budget)
+        want = _reference_brute_force_embed(H, G, budget=budget)
+        assert (got.status, got.mapping, got.nodes) == (want.status, want.mapping, want.nodes)
+        assert list((got.mapping or {}).items()) == list((want.mapping or {}).items())
+        statuses.add(got.status)
+    assert statuses == {"embedded", "no-embedding", "budget-exceeded"}
 
 
 def test_oracle_agrees_with_random_truth():

@@ -90,7 +90,7 @@ def find_bridging_clique(
     floor = r if min_bucket is None else max(r, min_bucket)
     ordered = sorted(
         buckets.items(),
-        key=lambda kv: (-len(kv[1]), tuple(sorted(bits(kv[0][0]))), tuple(sorted(bits(kv[0][1])))),
+        key=lambda kv: (-len(kv[1]), tuple(bits(kv[0][0])), tuple(bits(kv[0][1]))),
     )
     for (ax, ay), members in ordered:
         if len(members) < floor:
@@ -101,8 +101,8 @@ def find_bridging_clique(
         Z = got[0].vertices
         # every member attaches to >= c + r of the 2c attachment vertices,
         # so at least r land on each side; take the r smallest of each
-        x_att = sorted(bits(ax))
-        y_att = sorted(bits(ay))
+        x_att = list(bits(ax))
+        y_att = list(bits(ay))
         if len(x_att) < r or len(y_att) < r:
             continue
         bridge = Bridge(Z, tuple(x_att[:r]), tuple(y_att[:r]))
@@ -121,8 +121,8 @@ def find_bridging_clique(
         G, r, s=0, cap=64, within=mask_of(loose)
     ):
         common = G.common_neighborhood(cand.vertices)
-        x_att = sorted(bits(common & xmask))
-        y_att = sorted(bits(common & ymask))
+        x_att = list(bits(common & xmask))
+        y_att = list(bits(common & ymask))
         if len(x_att) >= r and len(y_att) >= r:
             bridge = Bridge(cand.vertices, tuple(x_att[:r]), tuple(y_att[:r]))
             _revalidate_bridge(G, bridge, xmask, ymask, wmask, r)

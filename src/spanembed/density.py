@@ -143,9 +143,11 @@ def is_locally_dense_sampled(
     counted only for a candidate whose size k can violate, that is when
     ``local_threshold(n, k, p) > 0``; ``checked`` counts every non-empty
     candidate all the same.  The full set takes ``G.edge_count()``, and the
-    prefixes are not even built when the longest cannot violate (the
-    threshold grows with k).  Any violation reported has been evaluated
-    exactly.
+    prefixes a running sum; they are not even built when the longest cannot
+    violate (the threshold grows with k).  The anti-neighbourhoods, then the
+    random subsets, are each scored in one ``edges_within_many`` batch of
+    the candidates that can violate, and the first violation in candidate
+    order is reported.  Any violation reported has been evaluated exactly.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -154,41 +156,43 @@ def is_locally_dense_sampled(
     full = G.full_mask()
     checked = 0
 
-    def test(mask: int, edges: int | None = None) -> DensityVerdict | None:
+    def first_violation(
+        masks: list[int], edges: list[int] | None = None
+    ) -> DensityVerdict | None:
+        """Count the candidates in order, up to the first violating one;
+        without ``edges`` those that can violate are scored in one batch."""
         nonlocal checked
-        if mask == 0:
-            return None
-        checked += 1
-        need = local_threshold(n, mask.bit_count(), p)
-        if need <= 0:
-            return None
+        needs = [local_threshold(n, m.bit_count(), p) for m in masks]
         if edges is None:
-            edges = G.edges_within(mask)
-        if edges - need < 0:
-            return DensityVerdict(False, witness=tuple(bits(mask)), checked=checked)
+            scored = [m for m, need in zip(masks, needs) if need > 0]
+            counts = iter(G.edges_within_many(scored))
+            edges = [next(counts) if need > 0 else 0 for need in needs]
+        for mask, need, e in zip(masks, needs, edges):
+            if mask == 0:
+                continue
+            checked += 1
+            if need > 0 and e - need < 0:
+                return DensityVerdict(False, witness=tuple(bits(mask)), checked=checked)
         return None
 
-    bad = test(full, G.edge_count())
+    bad = first_violation([full], [G.edge_count()])
     if bad is not None:
         return bad
     sample_vs = list(range(n)) if n <= 64 else rng.sample(range(n), 64)
-    for v in sample_vs:
-        bad = test(full & ~G.rows[v] & ~(1 << v))
-        if bad is not None:
-            return bad
+    bad = first_violation([full & ~G.rows[v] & ~(1 << v) for v in sample_vs])
+    if bad is not None:
+        return bad
     limit = min(n, 4 * int(math.isqrt(n)) + 8)
     if local_threshold(n, limit, p) > 0:
         for mask, edges in _greedy_sparse_prefixes(G, limit):
-            bad = test(mask, edges)
+            bad = first_violation([mask], [edges])
             if bad is not None:
                 return bad
     else:
         checked += limit
-    for _ in range(trials):
-        mask = rng.getrandbits(n) & full
-        bad = test(mask)
-        if bad is not None:
-            return bad
+    bad = first_violation([rng.getrandbits(n) & full for _ in range(trials)])
+    if bad is not None:
+        return bad
     return DensityVerdict(True, checked=checked)
 
 

@@ -35,13 +35,12 @@ class AbsorberSystem:
             if len(block) != 2 * self.r or not G.is_clique(block) or used & set(block):
                 raise StageFailure("revalidation", f"absorber block {block} is not a fresh K_2r")
             used |= set(block)
+        # a block never covers its own vertices: they passed is_clique, so
+        # their rows hold no loop
+        block_masks = [sum(1 << w for w in block) for block in self.blocks]
         for v in range(G.n):
-            expect = tuple(
-                i
-                for i, block in enumerate(self.blocks)
-                if all(G.has_edge(v, w) for w in block if w != v)
-                and v not in block
-            )
+            row = G.rows[v]
+            expect = tuple(i for i, bm in enumerate(block_masks) if row & bm == bm)
             if self.coverage.get(v, ()) != expect:
                 raise StageFailure("revalidation", f"absorber coverage wrong at {v}")
 
@@ -93,10 +92,11 @@ def build_absorber(
         max_blocks = max(1, int(eta0 * G.n / (8 * r)))
     rng = random.Random(f"absorber:{seed}") if seed is not None else None
     blocks: list[tuple[int, ...]] = []
+    covers: list[int] = []  # N(B) per block B
     used = 0
     coverage = [0] * G.n
     while len(blocks) < max_blocks:
-        worst = min(range(G.n), key=lambda v: (coverage[v], v))
+        worst = min(range(G.n), key=coverage.__getitem__)
         if coverage[worst] >= coverage_target:
             break
         scope = G.rows[worst] & ~used
@@ -111,18 +111,15 @@ def build_absorber(
             )
         blocks.append(got)
         used |= mask_of(got)
-        bm = mask_of(got)
-        for v in range(G.n):
-            if not bm >> v & 1 and (G.rows[v] & bm) == bm:
-                coverage[v] += 1
-    cov_map = {}
-    for v in range(G.n):
-        vmask = 1 << v
-        cov_map[v] = tuple(
-            i
-            for i, block in enumerate(blocks)
-            if not mask_of(block) & vmask and (G.rows[v] & mask_of(block)) == mask_of(block)
-        )
+        # v is covered by a block B iff v lies in N(B), which excludes B itself
+        covers.append(G.common_neighborhood(got))
+        for v in bits(covers[-1]):
+            coverage[v] += 1
+    covering: list[list[int]] = [[] for _ in range(G.n)]
+    for i, cover in enumerate(covers):
+        for v in bits(cover):
+            covering[v].append(i)
+    cov_map = {v: tuple(covering[v]) for v in range(G.n)}
     system = AbsorberSystem(r, tuple(blocks), cov_map)
     system.revalidate(G)
     return system
@@ -280,7 +277,8 @@ def select_reservoir(
     n = G.n
     if size is None:
         size = max(1, round(eta3 * n))
-    pool = [v for v in range(n) if v not in set(exclude)]
+    excluded = set(exclude)
+    pool = [v for v in range(n) if v not in excluded]
     if len(pool) < size:
         raise StageFailure("reservoir", f"pool {len(pool)} smaller than size {size}")
     pool_mask = mask_of(pool)
@@ -710,16 +708,17 @@ def _thread_and_close(
     config: HamConfig,
 ) -> WitnessSequence:
     n = G.n
+    in_pool = set(pool)
     reservoir = select_reservoir(
         G,
         0.0,
         eta,
         seed=sub_seed,
-        exclude=tuple(v for v in range(n) if v not in pool),
+        exclude=tuple(v for v in range(n) if v not in in_pool),
         retries=config.reservoir_retries,
         size=plan.reservoir,
     )
-    g2_vertices = sorted(set(pool) - set(reservoir))
+    g2_vertices = sorted(in_pool - set(reservoir))
     G2, ids = G.induced(g2_vertices)
     paths2, leftover2 = cover_with_paths(
         G2,

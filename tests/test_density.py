@@ -273,8 +273,9 @@ def test_sampled_matches_the_score_everything_reference(monkeypatch):
 
 @pytest.mark.parametrize("rho", [0.05, 0.01])
 def test_sampled_counts_edges_only_where_the_size_can_violate(monkeypatch, rho):
-    """Only candidates whose size k has d*C(k,2) > rho n^2 are counted; the
-    full set takes the stored edge count and the prefixes a running sum."""
+    """Only candidates whose size k has d*C(k,2) > rho n^2 are passed to
+    ``edges_within_many``; the full set takes the stored edge count and the
+    prefixes a running sum."""
     G = gnp(480, 0.97, 1)
     n, d, trials, seed = G.n, 0.3, 300, 1
     rng, anti = _anti_neighbourhoods(G, seed)
@@ -283,19 +284,19 @@ def test_sampled_counts_edges_only_where_the_size_can_violate(monkeypatch, rho):
     def can_violate(mask):
         return d * math.comb(mask.bit_count(), 2) > rho * n * n
 
-    calls = 0
-    real_edges_within = DenseGraph.edges_within
+    scored = 0
+    real_edges_within_many = DenseGraph.edges_within_many
 
-    def counting_edges_within(self, mask):
-        nonlocal calls
-        calls += 1
-        return real_edges_within(self, mask)
+    def counting_edges_within_many(self, masks):
+        nonlocal scored
+        scored += len(masks)
+        return real_edges_within_many(self, masks)
 
-    monkeypatch.setattr(DenseGraph, "edges_within", counting_edges_within)
+    monkeypatch.setattr(DenseGraph, "edges_within_many", counting_edges_within_many)
     res = is_locally_dense_sampled(G, DensityParams(rho, d), trials=trials, seed=seed)
     assert res.holds
     assert res.checked == 1 + len(anti) + (4 * math.isqrt(n) + 8) + sum(1 for m in randoms if m)
-    assert calls == sum(1 for m in anti + randoms if m and can_violate(m))
+    assert scored == sum(1 for m in anti + randoms if m and can_violate(m))
 
 
 # -- uniform density -------------------------------------------------------

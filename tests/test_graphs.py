@@ -1,9 +1,12 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spanembed import graphs
+from spanembed.generators import gnp
 from spanembed.graphs import (
     DenseGraph,
     InvalidParameters,
@@ -21,6 +24,7 @@ from spanembed.graphs import (
     to_edgelist_text,
     validate_witness,
 )
+from spanembed.graphs import ValidationResult
 
 
 def brute_edge_count(G):
@@ -287,3 +291,207 @@ def test_adjacency_symmetric_and_loopless():
 
 def test_bits_helper():
     assert list(bits(0b101001)) == [0, 3, 5]
+
+
+def _reference_bits(mask):
+    """The per-bit loop ``bits`` ran before it unpacked dense masks with numpy."""
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
+
+
+_CUT = graphs.BITS_NUMPY_FROM
+
+
+@given(
+    st.integers(1, 5000),
+    st.sampled_from([0, 1, 2, _CUT - 2, _CUT - 1, _CUT, _CUT + 1, _CUT + 2, 100, 5000]),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=150, deadline=None)
+def test_bits_matches_the_per_bit_loop(width, count, seed):
+    positions = random.Random(seed).sample(range(width), min(count, width))
+    mask = sum(1 << v for v in positions)
+    got = bits(mask)
+    assert iter(got) is got  # an iterator, as the generator was
+    assert list(got) == list(_reference_bits(mask)) == sorted(positions)
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 63, 64, 65, 480, 5000])
+def test_bits_full_and_top_bit_masks(width):
+    for mask in ((1 << width) - 1, 1 << (width - 1), (1 << width) - 2, 0):
+        assert list(bits(mask)) == list(_reference_bits(mask))
+
+
+@pytest.mark.parametrize(
+    "n,batch_bytes",
+    [(n, graphs.BATCH_BYTES) for n in (0, 1, 63, 64, 65, 480)]
+    + [(n, 2048) for n in (63, 64, 65, 480)]
+    + [(65, 8)],
+)
+def test_edges_within_many_matches_single_counts(monkeypatch, n, batch_bytes):
+    """Masks of every density, the empty and the full one; the small tiles
+    split the batch into single masks (n = 65) and the rows into runs of
+    32 (n = 480) or of one row (8 bytes)."""
+    monkeypatch.setattr(graphs, "BATCH_BYTES", batch_bytes)
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    for G in (gnp(n, 0.5, 1), gnp(n, 0.97, 2), DenseGraph.complete(n), DenseGraph.empty(n)):
+        masks = [0, full] + [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(40)]
+        masks += [rng.getrandbits(n) for _ in range(60)] + [1 << v for v in range(min(n, 3))]
+        assert G.edges_within_many(masks) == [G.edges_within(m) for m in masks]
+    assert G.edges_within_many([]) == []
+
+
+def test_edges_within_many_spans_several_mask_tiles():
+    G = gnp(480, 0.9, 3)
+    per = graphs.BATCH_BYTES // (8 * 8 * G.n)  # masks per tile at n = 480
+    rng = random.Random(0)
+    masks = [rng.getrandbits(G.n) for _ in range(3 * per + 1)]
+    assert G.edges_within_many(masks) == [G.edges_within(m) for m in masks]
+
+
+def _reference_asymmetry_message(rows):
+    """The first asymmetric pair as the constructor's symmetry loop named it
+    before it masked each row below the diagonal."""
+    for u in range(len(rows)):
+        for v in _reference_bits(rows[u]):
+            if v > u:
+                break
+            if not rows[v] >> u & 1:
+                return f"asymmetric pair ({u},{v})"
+    return None
+
+
+@given(st.integers(2, 70), st.integers(0, 2**32), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_constructor_names_the_same_first_asymmetric_pair(n, seed, drops):
+    G = gnp(n, 0.7, seed)
+    rows = list(G.rows)
+    rng = random.Random(seed)
+    for _ in range(drops):  # remove one direction of a few edges
+        u = rng.randrange(n)
+        if rows[u]:
+            rows[u] &= ~(1 << rng.choice(list(bits(rows[u]))))
+    want = _reference_asymmetry_message(rows)
+    if want is None:
+        assert DenseGraph(n, rows).rows == tuple(rows)
+        return
+    with pytest.raises(InvalidParameters) as exc:
+        DenseGraph(n, rows)
+    assert str(exc.value) == want
+
+
+def _reference_validate(G, w):
+    """The pairwise witness checker as it was before its per-position fast path."""
+    vs = w.vertices
+    k = len(vs)
+    for v in vs:
+        if not 0 <= v < G.n:
+            return ValidationResult(False, f"vertex {v} outside host", ("range", v))
+    if w.kind in ("path", "cycle"):
+        seen = set()
+        for v in vs:
+            if v in seen:
+                return ValidationResult(False, f"duplicate vertex {v}", ("dup", v))
+            seen.add(v)
+    if w.kind == "cycle":
+        for i in range(k):
+            for j in range(1, w.r + 1):
+                u, v = vs[i], vs[(i + j) % k]
+                if u == v:
+                    return ValidationResult(
+                        False, f"cyclic pair ({i},{i + j}) collapses", ("loop", i, j)
+                    )
+                if not G.has_edge(u, v):
+                    return ValidationResult(
+                        False,
+                        f"missing edge ({u},{v}) at offsets ({i},{(i + j) % k})",
+                        ("edge", u, v),
+                    )
+    else:
+        for i in range(k):
+            for j in range(1, w.r + 1):
+                if i + j >= k:
+                    break
+                u, v = vs[i], vs[i + j]
+                if u == v:
+                    return ValidationResult(
+                        False, f"pair ({i},{i + j}) collapses to vertex {u}", ("loop", i, j)
+                    )
+                if not G.has_edge(u, v):
+                    return ValidationResult(
+                        False,
+                        f"missing edge ({u},{v}) at offsets ({i},{i + j})",
+                        ("edge", u, v),
+                    )
+    return ValidationResult(True)
+
+
+def _witness_variants(seq, n, rng):
+    """``seq`` and corruptions of it: out-of-range vertices, a duplicate, a
+    vertex repeated inside a window, a swapped pair, prefixes down to empty."""
+    out = [seq, seq[: len(seq) // 2], seq[:1], seq[:2], seq[:3], ()]
+    if seq:
+        i = rng.randrange(len(seq))
+        out.append(seq[:i] + (n,) + seq[i + 1 :])
+        out.append(seq[:i] + (-1,) + seq[i + 1 :])
+        out.append(seq + (seq[i],))
+        out.append(seq[:i] + (seq[i],) + seq[i:])
+        if i + 2 < len(seq):
+            out.append(seq[: i + 2] + (seq[i],) + seq[i + 3 :])
+        j = rng.randrange(len(seq))
+        swapped = list(seq)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        out.append(tuple(swapped))
+    return out
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_validate_witness_matches_the_pairwise_checker(r):
+    rng = random.Random(r)
+    hosts = [
+        make_named("C", [r, 11]),
+        make_named("P", [r, 9]),
+        DenseGraph.complete(7),
+        gnp(14, 0.85, r),
+        gnp(70, 0.97, r),
+    ]
+    outcomes = set()
+    for G in hosts:
+        bases = [tuple(range(G.n))]
+        for _ in range(6):
+            bases.append(tuple(rng.sample(range(G.n), rng.randint(1, G.n))))
+        for base in bases:
+            for seq in _witness_variants(base, G.n, rng):
+                for kind in ("path", "trail", "cycle"):
+                    w = WitnessSequence(seq, kind, r)
+                    want = _reference_validate(G, w)
+                    assert validate_witness(G, w) == want, (G, seq, kind)
+                    outcomes.add(want.violation[0] if want.violation else "ok")
+    assert outcomes == {"ok", "range", "dup", "loop", "edge"}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_validate_witness_short_cycles_collapse(r):
+    """A cycle of k <= r vertices wraps onto itself; the fast path must not
+    judge it, and the pairwise scan reports the collapse."""
+    K = DenseGraph.complete(6)
+    for k in range(0, r + 1):
+        w = WitnessSequence(tuple(range(k)), "cycle", r)
+        assert validate_witness(K, w) == _reference_validate(K, w)
+        assert bool(validate_witness(K, w)) == (k == 0)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_validate_witness_on_a_host_with_loops(r):
+    """Rows built unchecked may hold loops; a window that wraps onto its own
+    vertex must still be reported as the pairwise checker reports it."""
+    n = 6
+    looped = DenseGraph(n, [(1 << n) - 1] * n, check=False)
+    seqs = [tuple(range(k)) for k in range(n + 1)] + [(0, 0), (0, 1, 0), (2, 1, 3, 1)]
+    for seq in seqs:
+        for kind in ("path", "trail", "cycle"):
+            w = WitnessSequence(seq, kind, r)
+            assert validate_witness(looped, w) == _reference_validate(looped, w)

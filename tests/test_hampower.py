@@ -1,10 +1,14 @@
+import dataclasses
+import random
+
 import pytest
 
 from spanembed import graphs, hampower
 from spanembed.connect import HypothesisViolation
 from spanembed.constants import default_hampower_constants
 from spanembed.generators import complete_bipartite, gnp, two_cliques
-from spanembed.graphs import DenseGraph, ValidationResult, WitnessSequence, validate_witness
+from spanembed.density import find_clique
+from spanembed.graphs import DenseGraph, ValidationResult, WitnessSequence, mask_of, validate_witness
 from spanembed.hampower import (
     AbsorberSystem,
     HamAudit,
@@ -302,3 +306,73 @@ def test_absorber_revalidation_raises(system):
     with pytest.raises(StageFailure) as exc:
         system.revalidate(DenseGraph.complete(8))
     assert exc.value.stage == "revalidation"
+
+
+def test_absorber_revalidation_rejects_a_wrong_coverage_or_block():
+    G = gnp(120, 0.9, 5)
+    system = build_absorber(G, 2, seed=1)
+    system.revalidate(G)
+    v = next(v for v in range(G.n) if system.coverage[v])
+    u = next(u for u in range(G.n) if len(system.coverage[u]) < len(system.blocks))
+    extra = next(i for i in range(len(system.blocks)) if i not in system.coverage[u])
+    dropped = {**system.coverage, v: system.coverage[v][1:]}
+    added = {**system.coverage, u: tuple(sorted(system.coverage[u] + (extra,)))}
+    a, b, c, d = system.blocks[0]
+    w = next(w for w in range(G.n) if not G.has_edge(a, w) and w != a)
+    not_clique = ((a, b, c, w),) + system.blocks[1:]
+    for bad in (
+        dataclasses.replace(system, coverage=dropped),
+        dataclasses.replace(system, coverage=added),
+        dataclasses.replace(system, blocks=not_clique),
+    ):
+        with pytest.raises(StageFailure) as exc:
+            bad.revalidate(G)
+        assert exc.value.stage == "revalidation"
+
+
+def _reference_build_absorber(G, r, seed, max_blocks=None):
+    """build_absorber as it was before it counted coverage from common
+    neighbourhoods: one mask test per vertex and block."""
+    constants = default_hampower_constants()
+    coverage_target = 2 * r + 2
+    if max_blocks is None:
+        eta0 = constants.get("eta0", 0.6)
+        max_blocks = max(1, int(eta0 * G.n / (8 * r)))
+    rng = random.Random(f"absorber:{seed}") if seed is not None else None
+    blocks = []
+    used = 0
+    coverage = [0] * G.n
+    while len(blocks) < max_blocks:
+        worst = min(range(G.n), key=lambda v: (coverage[v], v))
+        if coverage[worst] >= coverage_target:
+            break
+        scope = G.rows[worst] & ~used
+        got = find_clique(G, 2 * r, within=scope, rng=rng)
+        if got is None:
+            if blocks and min(coverage) > 0:
+                break
+            raise StageFailure("absorber", f"starved vertex {worst}")
+        blocks.append(got)
+        used |= mask_of(got)
+        bm = mask_of(got)
+        for v in range(G.n):
+            if not bm >> v & 1 and (G.rows[v] & bm) == bm:
+                coverage[v] += 1
+    cov_map = {}
+    for v in range(G.n):
+        vmask = 1 << v
+        cov_map[v] = tuple(
+            i
+            for i, block in enumerate(blocks)
+            if not mask_of(block) & vmask and (G.rows[v] & mask_of(block)) == mask_of(block)
+        )
+    return AbsorberSystem(r, tuple(blocks), cov_map)
+
+
+@pytest.mark.parametrize("n,p,r", [(300, 0.9, 2), (400, 0.95, 3)])
+@pytest.mark.parametrize("seed", ["0", "7:attempt:0", "7:attempt:3"])
+@pytest.mark.parametrize("max_blocks", [None, 3])
+def test_build_absorber_matches_the_per_vertex_reference(n, p, r, seed, max_blocks):
+    G = gnp(n, p, len(seed))
+    got = build_absorber(G, r, seed=seed, max_blocks=max_blocks)
+    assert got == _reference_build_absorber(G, r, seed, max_blocks)

@@ -6,8 +6,10 @@ exact attachment pattern, and find a clique inside a bucket.  Every failure
 names the proof step that broke.  ``connect_cliques`` wraps it into the
 full connection: envelope cliques around the endpoints supply fresh
 attachment sets, and the emitted path is revalidated by the caller's
-witness checker.  Everything here is deterministic: ties break
-lexicographically.
+witness checker.  Everything here is a pure function of its inputs: the
+bridging search breaks ties lexicographically, and ``connect_cliques``
+draws its envelope cliques at random only from ``seed`` (greedy and
+deterministic without one).
 """
 
 from __future__ import annotations
@@ -186,8 +188,8 @@ def connect_cliques(
     checked first and recorded), then bridge the two envelopes through a
     common-neighbourhood clique.  ``c`` defaults to the proof's ceil(4r/eta)
     and may be lowered at desk scale (c >= r always).  With ``seed`` the
-    envelope searches are seed-shuffled (still a pure function of inputs and
-    seed); by default they are greedy-deterministic.
+    envelope searches draw their candidates at random (still a pure function
+    of inputs and seed); by default they are greedy-deterministic.
     """
     if len(X) != r or len(Y) != r:
         raise HypothesisViolation("endpoint", f"|X|={len(X)}, |Y|={len(Y)}, want {r}")
@@ -207,8 +209,9 @@ def connect_cliques(
     rng = random.Random(f"connect:{seed}") if seed is not None else None
 
     def envelope(ends: list[int], avoid: int) -> tuple[tuple[int, ...], str]:
-        branch = "extendable" if G.common_neighborhood(ends).bit_count() >= eta * G.n else "clique"
-        scope = G.common_neighborhood(ends) & ~avoid & ~wmask
+        joint = G.common_neighborhood(ends)
+        branch = "extendable" if joint.bit_count() >= eta * G.n else "clique"
+        scope = joint & ~avoid & ~wmask
         got = find_clique(G, c, within=scope, node_budget=clique_budget, rng=rng)
         if got is None:
             raise StageFailure(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .graphs import DenseGraph, bits
 
@@ -337,6 +337,21 @@ def enumerate_extendable_cliques(
     return out
 
 
+def _lazy_shuffle(pool: list[int], rng: random.Random) -> Iterator[int]:
+    """Yield ``pool`` in uniform random order, one draw per element taken.
+
+    Fisher–Yates run lazily: each step picks one of the elements not yet
+    yielded and swap-removes it, so a consumer that stops early pays only for
+    the prefix it used.  Consumes ``pool``.
+    """
+    while pool:
+        i = rng.randrange(len(pool))
+        v = pool[i]
+        pool[i] = pool[-1]
+        pool.pop()
+        yield v
+
+
 def find_clique(
     G: DenseGraph,
     size: int,
@@ -348,9 +363,11 @@ def find_clique(
 
     By default candidates are tried in descending order of degree restricted
     to the current candidate set (ties by id), which finds cliques quickly in
-    dense hosts and is fully deterministic.  With ``rng`` the order is
-    shuffled instead, spreading which vertices get consumed.  Gives up after
-    ``node_budget`` DFS nodes.
+    dense hosts and is fully deterministic.  With ``rng`` each child is drawn
+    uniformly from the candidates not yet tried at that node (a lazy
+    Fisher–Yates draw), spreading which vertices get consumed: the vertices
+    tried are a prefix of a uniform random permutation, and only that prefix
+    costs random draws.  Gives up after ``node_budget`` DFS nodes.
     """
     if size < 0:
         raise ValueError("size must be >= 0")
@@ -360,15 +377,13 @@ def find_clique(
     rows = G.rows
     budget = node_budget
 
-    def order(candidates: int) -> list[int]:
+    def order(candidates: int) -> Iterable[int]:
         if rng is None:
             return sorted(
                 bits(candidates),
                 key=lambda v: (-(rows[v] & candidates).bit_count(), v),
             )
-        out = list(bits(candidates))
-        rng.shuffle(out)
-        return out
+        return _lazy_shuffle(list(bits(candidates)), rng)
 
     def rec(chosen: list[int], candidates: int) -> tuple[int, ...] | None:
         nonlocal budget

@@ -571,6 +571,16 @@ def to_edgelist_text(G: DenseGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _record_ints(parts: list[str], lineno: int, record: str) -> tuple[int, int]:
+    """The two integer fields of a `p` or `e` record."""
+    try:
+        return int(parts[1]), int(parts[2])
+    except ValueError:
+        raise InvalidParameters(
+            f"line {lineno}: non-integer field in {record}: {' '.join(parts)!r}"
+        ) from None
+
+
 def from_edgelist_text(text: str) -> DenseGraph:
     n = None
     m = None
@@ -585,13 +595,13 @@ def from_edgelist_text(text: str) -> DenseGraph:
                 raise InvalidParameters(f"line {lineno}: duplicate header")
             if len(parts) != 3:
                 raise InvalidParameters(f"line {lineno}: malformed header")
-            n, m = int(parts[1]), int(parts[2])
+            n, m = _record_ints(parts, lineno, "header")
         elif parts[0] == "e":
             if n is None:
                 raise InvalidParameters(f"line {lineno}: edge before header")
             if len(parts) != 3:
                 raise InvalidParameters(f"line {lineno}: malformed edge")
-            edges.append((int(parts[1]), int(parts[2])))
+            edges.append(_record_ints(parts, lineno, "edge"))
         else:
             raise InvalidParameters(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:

@@ -609,8 +609,9 @@ def find_hamilton_power(
     eta2 = constants.get("eta2", 0.1)
 
     # Everything is rebuilt per attempt under a derived seed: the clique
-    # searches are seed-shuffled so that which vertices the absorber, path
-    # and flanks consume varies, keeping the residual pool unbiased.
+    # searches draw each candidate uniformly from the untried ones, so that
+    # which vertices the absorber, path and flanks consume varies, keeping
+    # the residual pool unbiased.
     last_failure = StageFailure("precheck", f"attempt budget {config.attempts} < 1")
     for attempt in range(config.attempts):
         audit.attempts = attempt + 1

@@ -430,6 +430,168 @@ def test_find_clique_in_dense_graph():
     assert find_clique(make_named("C", [1, 8]), 3) is None
 
 
+def _find_clique_shuffled(
+    G: DenseGraph,
+    size: int,
+    within: int | None = None,
+    node_budget: int = 200_000,
+    rng: random.Random | None = None,
+) -> tuple[int, ...] | None:
+    """``find_clique`` as it was when the seeded order was a full per-node
+    shuffle; the reference for the unchanged ``rng=None`` order."""
+    if size < 0:
+        raise ValueError("size must be >= 0")
+    if size == 0:
+        return ()
+    scope = G.full_mask() if within is None else within
+    rows = G.rows
+    budget = node_budget
+
+    def order(candidates: int) -> list[int]:
+        if rng is None:
+            return sorted(
+                bits(candidates),
+                key=lambda v: (-(rows[v] & candidates).bit_count(), v),
+            )
+        out = list(bits(candidates))
+        rng.shuffle(out)
+        return out
+
+    def rec(chosen: list[int], candidates: int) -> tuple[int, ...] | None:
+        nonlocal budget
+        if len(chosen) == size:
+            return tuple(sorted(chosen))
+        if candidates.bit_count() < size - len(chosen):
+            return None
+        if budget <= 0:
+            return None
+        budget -= 1
+        for v in order(candidates):
+            chosen.append(v)
+            got = rec(chosen, candidates & rows[v])
+            chosen.pop()
+            if got is not None:
+                return got
+            candidates &= ~(1 << v)
+            if candidates.bit_count() < size - len(chosen):
+                return None
+        return None
+
+    return rec([], scope)
+
+
+class CountingRandom(random.Random):
+    """A ``random.Random`` that counts the raw draws behind every method."""
+
+    def __init__(self, seed):
+        self.draws = 0
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.draws += 1
+        return super().getrandbits(k)
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+# More DFS nodes than a host with n <= 12 has subsets: the search is complete.
+EXHAUSTIVE = 1 << 13
+
+
+@st.composite
+def clique_queries(draw):
+    n = draw(st.integers(0, 12))
+    G = gnp(n, draw(st.sampled_from([0.3, 0.6, 0.85, 1.0])), draw(st.integers(0, 10**6)))
+    within = draw(st.integers(0, (1 << n) - 1))
+    return G, within, draw(st.integers(1, 6)), draw(st.integers(0, 10**6))
+
+
+def assert_clique_in(G, got, size, within):
+    assert isinstance(got, tuple) and len(got) == size
+    assert list(got) == sorted(set(got))
+    assert mask_of(got) & ~within == 0
+    assert G.is_clique(got)
+
+
+@given(clique_queries())
+@settings(max_examples=150, deadline=None)
+def test_find_clique_seeded_finds_a_clique_iff_one_exists(query):
+    G, within, size, seed = query
+    exists = any(
+        G.is_clique(c) for c in itertools.combinations(bits(within), size)
+    )
+    plain = find_clique(G, size, within=within, node_budget=EXHAUSTIVE)
+    seeded = find_clique(
+        G, size, within=within, node_budget=EXHAUSTIVE, rng=random.Random(seed)
+    )
+    assert (plain is not None) == (seeded is not None) == exists
+    for got in (plain, seeded):
+        if got is not None:
+            assert_clique_in(G, got, size, within)
+    assert plain == _find_clique_shuffled(G, size, within=within, node_budget=EXHAUSTIVE)
+
+
+@given(clique_queries(), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_find_clique_tiny_budget_returns_none_or_a_clique(query, budget):
+    G, within, size, seed = query
+    plain = find_clique(G, size, within=within, node_budget=budget)
+    seeded = find_clique(G, size, within=within, node_budget=budget, rng=random.Random(seed))
+    for got in (plain, seeded):
+        if got is not None:
+            assert_clique_in(G, got, size, within)
+    assert plain == _find_clique_shuffled(G, size, within=within, node_budget=budget)
+
+
+def test_find_clique_seeded_first_pick_is_uniform():
+    # With size 1 on K_8 the clique returned is the first vertex drawn.  The
+    # bound 24.32 is the 0.999 quantile of chi-square with 7 degrees of
+    # freedom, fixed before the test was first run.
+    n, runs = 8, 4000
+    G = DenseGraph.complete(n)
+    counts = [0] * n
+    for seed in range(runs):
+        (v,) = find_clique(G, 1, rng=random.Random(seed))
+        counts[v] += 1
+    expected = runs / n
+    assert sum((c - expected) ** 2 / expected for c in counts) < 24.32
+
+
+def test_find_clique_seeded_draws_only_the_prefix_it_uses():
+    # K_5 in K_200: each node's first child succeeds, so five draws suffice;
+    # a shuffle of every node's candidate list takes at least one raw draw
+    # per swap, 199 + 198 + 197 + 196 + 195 = 985.
+    G = DenseGraph.complete(200)
+    for seed in range(10):
+        rng = CountingRandom(seed)
+        assert_clique_in(G, find_clique(G, 5, rng=rng), 5, G.full_mask())
+        assert rng.draws <= 20
+        shuffled = CountingRandom(seed)
+        _find_clique_shuffled(G, 5, rng=shuffled)
+        assert shuffled.draws >= 985
+
+
+def test_find_clique_seeded_tries_each_candidate_once():
+    # No K_2 in an edgeless host: the root tries n - 1 distinct vertices
+    # before one is left (each draw takes under two raw draws on average).
+    # Redrawing a tried vertex would need ~n ln n draws to see n - 1 of them.
+    n = 40
+    G = DenseGraph.empty(n)
+    for seed in range(10):
+        rng = CountingRandom(seed)
+        assert find_clique(G, 2, rng=rng) is None
+        assert n - 1 <= rng.draws <= 2 * (n - 1)
+
+
+@given(st.lists(st.integers(), unique=True, max_size=30), st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_lazy_shuffle_yields_a_permutation(pool, seed):
+    out = list(itertools.islice(density._lazy_shuffle(list(pool), random.Random(seed)), len(pool) + 1))
+    assert sorted(out) == sorted(pool)
+
+
 def test_independence_number_exact_small():
     assert independence_number_exact(DenseGraph.complete(6)) == 1
     assert independence_number_exact(DenseGraph.empty(6)) == 6

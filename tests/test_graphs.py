@@ -262,6 +262,38 @@ def test_edgelist_rejects_bad_header_count():
         from_edgelist_text("p 3 5\ne 0 1\n")
 
 
+@pytest.mark.parametrize("text", ["p x 3\n", "p 3 1\ne 0 x\n", "p 3 1.0\n"])
+def test_edgelist_rejects_non_integer_fields(text):
+    with pytest.raises(InvalidParameters, match="line"):
+        from_edgelist_text(text)
+
+
+# Header vertex counts stay small: a header n of 10**9 is a valid record
+# whose n-entry row list is a resource bound, not a parse error.
+_edgelist_token = st.one_of(
+    st.integers(-3, 64).map(str),
+    st.text(alphabet="xe.-+_#é", min_size=1, max_size=4),
+    st.sampled_from(["1.5", "0x3", "1e3", "3.0", "½", "٣", "1_0"]),
+)
+_edgelist_line = st.one_of(
+    st.lists(_edgelist_token, max_size=4).map(lambda ts: " ".join(["p", *ts])),
+    st.lists(_edgelist_token, max_size=4).map(lambda ts: " ".join(["e", *ts])),
+    st.text(max_size=10).map(lambda t: "#" + t),
+    st.lists(_edgelist_token, min_size=1, max_size=4).map(" ".join),
+    st.just(""),
+)
+
+
+@given(st.lists(_edgelist_line, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_edgelist_fuzz_only_raises_invalid_parameters(lines):
+    try:
+        G = from_edgelist_text("\n".join(lines))
+    except InvalidParameters:
+        return
+    assert from_edgelist_text(to_edgelist_text(G)) == G
+
+
 # -- invariants --------------------------------------------------------------
 
 

@@ -2,16 +2,21 @@
 
 A cycle structure packages a cluster partition indexed by [ell] x [r] with a
 reduced graph containing the blown-cycle template, regular-pair annotations
-on its edges, and superregular pairs inside blocks.  The rebalancing first
-evens out cell sizes inside each block (moving vertices from the heavy half
-to the light half), then shifts single vertices along good chains of cells
-until every cell hits its exact target size.  Every move is logged in a
-replayable ledger and revalidated against the degree conditions it claimed.
+on its edges, and superregular pairs inside blocks.  The rebalancing of
+``lemma_g`` has two phases.  Phase one is arithmetic and moves no vertex:
+it carves off the reservations and splits each half-block's remaining
+vertices evenly into sizes that differ by at most one.  Phase two meets
+exact target sizes by augmenting paths: while some cell is over-full, one
+vertex is shifted along each edge of a shortest path of valid moves to an
+under-full cell.  The final partition is rechecked from scratch: exact
+sizes, every moved vertex valid in its new cell, and bounded drift from the
+original clusters.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 from .graphs import DenseGraph, mask_of, z_rule_edge
@@ -143,43 +148,7 @@ def check_cycle_structure(G: DenseGraph, C: CycleStructure) -> StructureReport:
     return report
 
 
-# -- move machinery -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Move:
-    vertex: int
-    source: Cell
-    target: Cell
-    chain_index: int
-
-
-@dataclass
-class MoveLedger:
-    moves: list[Move] = field(default_factory=list)
-    chains: list[tuple[Cell, ...]] = field(default_factory=list)
-
-    def replay(self, initial: dict[Cell, set[int]]) -> dict[Cell, set[int]]:
-        state = {cell: set(vs) for cell, vs in initial.items()}
-        for mv in self.moves:
-            if mv.vertex not in state[mv.source]:
-                raise BalanceError(
-                    f"replay: vertex {mv.vertex} not in {mv.source} at its move"
-                )
-            state[mv.source].discard(mv.vertex)
-            state[mv.target].add(mv.vertex)
-        return state
-
-    def to_json_list(self) -> list[dict]:
-        return [
-            {
-                "v": mv.vertex,
-                "from": list(mv.source),
-                "to": list(mv.target),
-                "chain_index": mv.chain_index,
-            }
-            for mv in self.moves
-        ]
+# -- rebalancing ------------------------------------------------------------
 
 
 def is_valid_move(
@@ -205,231 +174,75 @@ def is_valid_move(
     return True
 
 
-def balance_within_blocks(
-    clusters: dict[Cell, tuple[int, ...]],
-    tau: dict[Cell, int],
-    ell: int,
-    r: int,
-    eps: float,
-) -> tuple[dict[Cell, set[int]], dict[Cell, tuple[int, ...]], dict[Cell, tuple[int, ...]]]:
-    """Phase one: carve off the reservations, then even out each block.
-
-    Reservations A_{i,j} are the tau_{phi(i,j)} smallest-id vertices of each
-    cluster.  Inside each block the first-half cells only ever gain vertices
-    and the second-half cells only ever lose them, one vertex at a time from
-    the currently largest second-half cell to the currently smallest
-    first-half cell.  Returns (U, A, Y); the three balance properties are
-    verified by recount before returning.
-    """
-    m = max(len(c) for c in clusters.values())
-    A: dict[Cell, tuple[int, ...]] = {}
-    Y: dict[Cell, tuple[int, ...]] = {}
-    for cell, cluster in clusters.items():
-        t = tau[phi_bijection(cell[0], cell[1], r, ell)]
-        if not 0 <= t <= eps * m + 1e-9:
-            raise BalanceError(f"reservation tau at {cell} = {t} outside [0, eps*m]")
-        ordered = sorted(cluster)
-        A[cell] = tuple(ordered[:t])
-        Y[cell] = tuple(ordered[t:])
-
-    U: dict[Cell, set[int]] = {}
-    for i in range(1, ell + 1):
-        a_cells = [(i, j) for j in range(1, r + 1)]
-        b_cells = [(i, j) for j in range(r + 1, 2 * r + 1)]
-        a_sets = {c: set(Y[c]) for c in a_cells}
-        b_sets = {c: set(Y[c]) for c in b_cells}
-        a0 = sorted((len(Y[c]) for c in a_cells), reverse=True)
-        b0 = sorted((len(Y[c]) for c in b_cells), reverse=True)
-        S = max(
-            sum(a0[0] - x for x in a0),
-            sum(x - b0[-1] for x in b0),
-        )
-        moved = 0
-        while moved < S:
-            t_minus = min(a_cells, key=lambda c: (len(a_sets[c]), c))
-            t_plus = max(b_cells, key=lambda c: (len(b_sets[c]), [-x for x in c]))
-            # movable vertices: still-original members of the heavy cell
-            movable = b_sets[t_plus] & set(Y[t_plus])
-            if not movable:
-                raise BalanceError(f"block {i}: no movable vertex left in {t_plus}")
-            x = min(movable)
-            b_sets[t_plus].discard(x)
-            a_sets[t_minus].add(x)
-            moved += 1
-        for c in a_cells:
-            U[c] = a_sets[c]
-        for c in b_cells:
-            U[c] = b_sets[c]
-
-    _verify_balance(U, Y, ell, r, eps, m)
-    return U, A, Y
-
-
-def _verify_balance(
-    U: dict[Cell, set[int]],
-    Y: dict[Cell, tuple[int, ...]],
-    ell: int,
-    r: int,
-    eps: float,
-    m: int,
-) -> None:
-    for i in range(1, ell + 1):
-        sizes_a = [len(U[(i, j)]) for j in range(1, r + 1)]
-        sizes_b = [len(U[(i, j)]) for j in range(r + 1, 2 * r + 1)]
-        if max(sizes_a) - min(sizes_a) > 1 or max(sizes_b) - min(sizes_b) > 1:
-            raise BalanceError(f"block {i} not balanced within 1 per half")
-        for j in range(1, 2 * r + 1):
-            cell = (i, j)
-            sym_diff = U[cell] ^ set(Y[cell])
-            if len(sym_diff) > r * eps * m + 1e-9:
-                raise BalanceError(f"cell {cell} moved more than r*eps*m vertices")
-            if j <= r:
-                gained = U[cell] - set(Y[cell])
-                second_half = set()
-                for k in range(r + 1, 2 * r + 1):
-                    second_half |= set(Y[(i, k)])
-                if gained - second_half:
-                    raise BalanceError(f"cell {cell} gained from outside the block")
-            else:
-                if U[cell] - set(Y[cell]):
-                    raise BalanceError(f"second-half cell {cell} gained vertices")
-
-
-def _good_chain(
-    source: Cell, sink: Cell, r: int, ell: int
-) -> tuple[Cell, ...]:
-    """The proof's chain: cross to the sink's column inside the source block
-    (via the opposite half when the columns share a half), then walk blocks
-    forward cyclically; truncated at the first visit to the sink."""
-    (ip, jp), (im, jm) = source, sink
-
-    def nxt_block(i: int) -> int:
-        return i % ell + 1
-
-    chain: list[Cell] = [source]
-    if source != sink:
-        if jp == jm:
-            middle: Cell | None = None  # same column: walk straight forward
-        elif jp <= r and jm <= r:
-            middle = (ip, jm + r)
-        elif jp > r and jm > r:
-            middle = (ip, jm - r)
-        else:
-            middle = (ip, jm)
-        if middle == sink:
-            chain.append(middle)
-        else:
-            if middle is not None:
-                chain.append(middle)
-            cur = (nxt_block(ip), jm)
-            chain.append(cur)
-            guard = 0
-            while chain[-1] != sink:
-                cur = (nxt_block(cur[0]), jm)
-                chain.append(cur)
-                guard += 1
-                if guard > ell + 2:
-                    raise BalanceError("chain construction failed to reach the sink")
-    if len(set(chain)) != len(chain):
-        raise BalanceError(f"chain revisits a cell: {chain}")
-    return tuple(chain)
-
-
-def reallocate_by_chains(
+def _reallocate(
     G: DenseGraph,
-    U: dict[Cell, set[int]],
     Y: dict[Cell, tuple[int, ...]],
-    targets: dict[Cell, int],
+    want: dict[Cell, int],
     ell: int,
     r: int,
-    eps: float,
     delta: float,
+    eps: float,
     m: int,
-    xi_budget: int | None = None,
-) -> tuple[dict[Cell, set[int]], MoveLedger]:
-    """Phase two: shift single vertices along good chains until every cell
-    holds exactly its target count.
+) -> dict[Cell, set[int]]:
+    """Phase two: starting from W = Y, shift vertices along augmenting paths
+    until every cell c holds exactly want[c] vertices.
 
-    Over- and under-full cells are picked lexicographically smallest among
-    the maximal-deviation ones; the mover at every chain position is the
-    smallest-id vertex of U ∩ Y whose move to the next cell is valid.  The
-    ledger replays to the final partition bit-exactly.
+    The smallest over-full cell is the source of a breadth-first search over
+    cells, with an edge c -> d when a vertex still in its own cell Y_c may
+    validly move into d (the smallest such vertex is the edge's mover).  One
+    vertex is shifted along each edge of the path to the nearest under-full
+    cell, so a vertex moves at most once.
     """
-    cells = [(i, j) for i in range(1, ell + 1) for j in range(1, 2 * r + 1)]
-    if sum(targets[c] for c in cells) != sum(len(U[c]) for c in cells):
-        raise BalanceError("targets do not preserve the vertex count")
-    deviations = [abs(len(U[c]) - targets[c]) for c in cells]
-    if xi_budget is None:
-        xi_budget = sum(deviations)
-    if xi_budget > eps * m / 2 + 1e-9 and max(deviations, default=0) > 0:
-        raise BalanceError(
-            f"iteration budget K = {xi_budget} exceeds eps*m/2 = {eps * m / 2:.1f}"
-        )
+    cells = sorted(Y)
+    W = {c: set(Y[c]) for c in cells}
 
-    state = {c: set(U[c]) for c in cells}
-    ledger = MoveLedger()
-    iterations = 0
+    def mover(c: Cell, d: Cell) -> int | None:
+        for v in Y[c]:
+            if v in W[c] and is_valid_move(G, v, d, Y, r, delta, eps, m):
+                return v
+        return None
+
     while True:
-        over = [c for c in cells if len(state[c]) > targets[c]]
-        under = [c for c in cells if len(state[c]) < targets[c]]
-        if not over and not under:
-            break
-        iterations += 1
-        if iterations > max(1, xi_budget):
-            raise BalanceError(f"budget-exceeded after {iterations - 1} chains")
-        plus = min(over, key=lambda c: (-(len(state[c]) - targets[c]), c))
-        minus = min(under, key=lambda c: (-(targets[c] - len(state[c])), c))
-        chain = _good_chain(plus, minus, r, ell)
-        ledger.chains.append(chain)
-        chain_idx = len(ledger.chains) - 1
-        movers: list[int] = []
-        for s in range(len(chain) - 1):
-            src, dst = chain[s], chain[s + 1]
-            eligible = sorted(state[src] & set(Y[src]))
-            pick = None
-            for v in eligible:
-                if v in movers:
+        over = [c for c in cells if len(W[c]) > want[c]]
+        if not over:
+            return W
+        source = over[0]
+        edge_into: dict[Cell, tuple[Cell, int]] = {}
+        queue, sink = deque([source]), None
+        while queue and sink is None:
+            c = queue.popleft()
+            for d in cells:
+                if d == source or d in edge_into:
                     continue
-                if is_valid_move(G, v, dst, Y, r, delta, eps, m):
-                    pick = v
+                v = mover(c, d)
+                if v is None:
+                    continue
+                edge_into[d] = (c, v)
+                queue.append(d)
+                if len(W[d]) < want[d]:
+                    sink = d
                     break
-            if pick is None:
-                raise BalanceError(
-                    f"no-valid-mover at chain position {s} ({src} -> {dst}); "
-                    "superregularity hypothesis too weak"
-                )
-            movers.append(pick)
-        for s in range(len(chain) - 1):
-            src, dst = chain[s], chain[s + 1]
-            state[src].discard(movers[s])
-            state[dst].add(movers[s])
-            ledger.moves.append(Move(movers[s], src, dst, chain_idx))
-
-    # final verification
-    for c in cells:
-        if len(state[c]) != targets[c]:
-            raise BalanceError(f"cell {c} missed its target after reallocation")
-        if len(state[c] ^ U[c]) > eps * m + 1e-9:
-            raise BalanceError(f"cell {c} drifted more than eps*m from U")
-        for v in state[c] - set(Y[c]):
-            if not is_valid_move(G, v, c, Y, r, delta, eps, m):
-                raise BalanceError(f"vertex {v} sits invalidly in {c}")
-    replayed = ledger.replay({c: set(U[c]) for c in cells})
-    if replayed != state:
-        raise BalanceError("ledger replay does not reproduce the final partition")
-    return state, ledger
+        if sink is None:
+            a, b = phi_bijection(*source, r, ell)
+            raise BalanceError(
+                f"cell ({a},{b}) left over-full by {len(W[source]) - want[source]}: "
+                "no augmenting path to an under-full cell"
+            )
+        d = sink
+        while d != source:
+            c, v = edge_into[d]
+            W[c].remove(v)
+            W[d].add(v)
+            d = c
 
 
 @dataclass
 class LemmaGResult:
     m_ab: dict[Cell, int]
-    U: dict[Cell, set[int]]
     A: dict[Cell, tuple[int, ...]]
     Y: dict[Cell, tuple[int, ...]]
     X: dict[Cell, tuple[int, ...]] | None = None
-    ledger: MoveLedger | None = None
     structure: CycleStructure | None = None
-    structure_report: StructureReport | None = None
 
 
 def lemma_g(
@@ -437,16 +250,18 @@ def lemma_g(
     C: CycleStructure,
     tau: dict[Cell, int],
     targets: dict[Cell, int] | None = None,
-    xi: float | None = None,
-    check_structure: bool = True,
 ) -> LemmaGResult:
     """Two-phase rebalancing of a spanning 2r-cycle structure.
 
-    Phase one returns the balanced sizes m_{a,b} (relabelled through the
-    bijection).  Given targets n_{a,b}, phase two reallocates along good
-    chains and returns the partition X with |X_{a,b}| = n_{a,b} + tau_{a,b}
-    exactly, each cell within sqrt(eps)*m of its original cluster, packaged
-    as a cycle structure at (eps^(1/3), delta/2).
+    Phase one moves no vertex: it carves off the reservations A (the tau
+    smallest-id vertices of each cluster, Y the rest) and splits each
+    half-block's total |Y| as evenly as possible into the sizes m_{a,b}
+    (relabelled through the bijection).  Given targets n_{a,b}, phase two
+    reallocates Y along augmenting paths (``_reallocate``) and returns the
+    partition X with |X_{a,b}| = n_{a,b} + tau_{a,b} exactly, every moved
+    vertex valid in its new cell and every cell within min(eps, sqrt(eps))*m
+    of its original cluster, packaged as a cycle structure at
+    (eps^(1/3), delta/2).
     """
     if C.exceptional:
         raise BalanceError("lemma_g needs a spanning structure (empty V0)")
@@ -458,51 +273,50 @@ def lemma_g(
     m = C.m()
     if any(len(c) != m for c in C.clusters.values()):
         raise BalanceError("cells must have equal size m")
-    U, A, Y = balance_within_blocks(C.clusters, tau, ell, r, C.eps)
+    if C.n() != G.n:
+        raise BalanceError(f"clusters hold {C.n()} != n = {G.n} vertices")
+    A: dict[Cell, tuple[int, ...]] = {}
+    Y: dict[Cell, tuple[int, ...]] = {}
+    for cell, cluster in C.clusters.items():
+        t = tau[phi_bijection(*cell, r, ell)]
+        if not 0 <= t <= C.eps * m + 1e-9:
+            raise BalanceError(f"reservation tau at {cell} = {t} outside [0, eps*m]")
+        ordered = sorted(cluster)
+        A[cell], Y[cell] = tuple(ordered[:t]), tuple(ordered[t:])
     m_ab: dict[Cell, int] = {}
     for a in range(1, 2 * ell + 1):
-        for b in range(1, r + 1):
-            m_ab[(a, b)] = len(U[phi_inverse(a, b, r, ell)])
-    # phase-one conclusions
-    n = G.n
-    total = sum(m_ab.values()) + sum(tau[c] for c in m_ab)
-    if total != n:
-        raise BalanceError(f"sizes plus reservations sum to {total} != n")
-    for (a, b), size in m_ab.items():
-        if size < (1 - math.sqrt(C.eps)) * m - 1e-9:
-            raise BalanceError(f"cell ({a},{b}) fell below (1-sqrt(eps))m")
-    for a in range(1, 2 * ell + 1):
-        row = [m_ab[(a, b)] for b in range(1, r + 1)]
-        if max(row) - min(row) > 1:
-            raise BalanceError(f"block {a} sizes differ by more than 1")
-    result = LemmaGResult(m_ab, U, A, Y)
+        free = {(a, b): len(Y[phi_inverse(a, b, r, ell)]) for b in range(1, r + 1)}
+        base, extra = divmod(sum(free.values()), r)
+        # the cells holding the most keep the extra vertices
+        fullest = sorted(free, key=lambda c: -free[c])[:extra]
+        for cell in free:
+            m_ab[cell] = base + (cell in fullest)
+    result = LemmaGResult(m_ab, A, Y)
     if targets is None:
         return result
 
-    if sum(targets[c] + tau[c] for c in targets) != n:
+    if sum(targets[c] + tau[c] for c in m_ab) != G.n:
         raise BalanceError("phase-two targets plus reservations must sum to n")
-    for cell, t in targets.items():
-        dev = abs(m_ab[cell] - t)
-        if xi is not None and dev > xi * n + 1e-9:
-            raise BalanceError(
-                f"target at {cell} deviates by {dev} > xi*n = {xi * n:.1f}"
-            )
-    pre_targets = {
-        phi_inverse(a, b, r, ell): targets[(a, b)] for (a, b) in targets
-    }
-    W, ledger = reallocate_by_chains(
-        G, U, Y, pre_targets, ell, r, C.eps, C.delta, m
-    )
+    want = {phi_inverse(*c, r, ell): targets[c] for c in m_ab}
+    W = _reallocate(G, Y, want, ell, r, C.delta, C.eps, m)
+    # binding checks, recomputed from the final state; phase one moved no
+    # vertex, so the drift from the phase-one cell (at most eps*m) and from
+    # the original cluster (at most sqrt(eps)*m) are the same set
+    max_drift = min(C.eps, math.sqrt(C.eps)) * m
     X: dict[Cell, tuple[int, ...]] = {}
-    for a in range(1, 2 * ell + 1):
-        for b in range(1, r + 1):
-            pre = phi_inverse(a, b, r, ell)
-            X[(a, b)] = tuple(sorted(W[pre] | set(A[pre])))
-            if len(X[(a, b)]) != targets[(a, b)] + tau[(a, b)]:
-                raise BalanceError(f"cell ({a},{b}) missed its exact size")
-            drift = set(X[(a, b)]) ^ set(C.clusters[pre])
-            if len(drift) > math.sqrt(C.eps) * m + 1e-9:
-                raise BalanceError(f"cell ({a},{b}) drifted beyond sqrt(eps)*m")
+    for (a, b), pre in ((c, phi_inverse(*c, r, ell)) for c in m_ab):
+        X[(a, b)] = tuple(sorted(W[pre] | set(A[pre])))
+        if len(X[(a, b)]) != targets[(a, b)] + tau[(a, b)]:
+            raise BalanceError(f"cell ({a},{b}) missed its exact size")
+        drift = set(X[(a, b)]) ^ set(C.clusters[pre])
+        if len(drift) > max_drift + 1e-9:
+            raise BalanceError(
+                f"cell ({a},{b}) drifted by {len(drift)} > "
+                f"min(eps, sqrt(eps))*m = {max_drift:.1f}"
+            )
+        for v in drift - set(C.clusters[pre]):
+            if not is_valid_move(G, v, pre, Y, r, C.delta, C.eps, m):
+                raise BalanceError(f"vertex {v} sits invalidly in ({a},{b})")
     # the promised parameters follow the slicing arithmetic: eps^(1/3)
     # dominates eps + 6*sqrt(3*r*eps) for small eps, delta drops to delta/2
     in_edges = {frozenset(p) for p in C.template_pairs()} | set(C.extra_edges)
@@ -525,8 +339,5 @@ def lemma_g(
         if not out_structure.reduced_has_edge(*tuple(pair))
     )
     result.X = X
-    result.ledger = ledger
     result.structure = out_structure
-    if check_structure:
-        result.structure_report = check_cycle_structure(G, out_structure)
     return result

@@ -375,7 +375,6 @@ class PartitionReport:
     m: int
     exceptional_size: int
     pair_verdicts: dict[tuple[int, int], str] = field(default_factory=dict)
-    degree_loss_histogram: dict[int, int] = field(default_factory=dict)
 
 
 def heuristic_degree_form_partition(
@@ -395,8 +394,7 @@ def heuristic_degree_form_partition(
     intra-cluster edges dropped, exceptional-vertex edges kept), the
     reduced graph on the L clusters with the dense pairs as edges, and a
     report.  Clusters are never refined.  Equal cluster sizes and missing
-    intra-cluster pure edges hold by construction; the degree loss is
-    measured into the report.
+    intra-cluster pure edges hold by construction.
     """
     if L_min < 1:
         raise ValueError("L_min must be >= 1")
@@ -452,16 +450,7 @@ def heuristic_degree_form_partition(
         tuple(exceptional), tuple(tuple(c) for c in clusters)
     )
     R = DenseGraph.from_edges(L, r_edges)
-    hist: dict[int, int] = {}
-    for v in range(n):
-        loss = G.degree(v) - pure.degree(v)
-        bucket = int(10 * loss / max(1, n))
-        hist[bucket] = hist.get(bucket, 0) + 1
     report = PartitionReport(
-        L=L,
-        m=m,
-        exceptional_size=len(exceptional),
-        pair_verdicts=pair_verdicts,
-        degree_loss_histogram=hist,
+        L=L, m=m, exceptional_size=len(exceptional), pair_verdicts=pair_verdicts
     )
     return partition, pure, R, report

@@ -5,14 +5,11 @@ import pytest
 from spanembed.balance import (
     BalanceError,
     CycleStructure,
-    MoveLedger,
-    balance_within_blocks,
     check_cycle_structure,
     is_valid_move,
     lemma_g,
     phi_bijection,
     phi_inverse,
-    reallocate_by_chains,
 )
 from spanembed.generators import planted_blown_cycle
 from spanembed.graphs import DenseGraph, mask_of
@@ -126,124 +123,195 @@ def test_structure_detects_partition_corruption():
 # -- valid moves ---------------------------------------------------------
 
 
+def phi_cells(two_ell, r):
+    return [(a, b) for a in range(1, two_ell + 1) for b in range(1, r + 1)]
+
+
+def no_reservations(C):
+    return {c: 0 for c in phi_cells(2 * C.ell, C.r // 2)}
+
+
+def without_edges(G, pairs):
+    rows = list(G.rows)
+    for u, v in pairs:
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+    return DenseGraph(G.n, rows, check=False)
+
+
 def test_valid_move_complete_host():
     G, C = complete_host_structure(2, 4, 8)
-    _, A, Y = balance_within_blocks(C.clusters, {c: 0 for c in phi_cells(4, 2)}, 2, 2, C.eps)
+    Y = lemma_g(G, C, no_reservations(C)).Y
     for cell in C.clusters:
         for v in C.clusters[cell][:3]:
             assert is_valid_move(G, v, cell, Y, 2, C.delta, C.eps, 8)
 
 
-def phi_cells(two_ell, r):
-    return [(a, b) for a in range(1, two_ell + 1) for b in range(1, r + 1)]
-
-
 def test_valid_move_isolated_vertex():
     # needs delta > 2*eps so the degree threshold is positive
     G, C = complete_host_structure(2, 4, 8, eps=0.1, delta=0.4)
-    rows = list(G.rows)
     victim = 0
-    for u in G.neighbors(victim):
-        rows[u] &= ~(1 << victim)
-    rows[victim] = 0
-    G2 = DenseGraph(G.n, rows, check=False)
-    _, A, Y = balance_within_blocks(C.clusters, {c: 0 for c in phi_cells(4, 2)}, 2, 2, C.eps)
+    G2 = without_edges(G, [(victim, u) for u in G.neighbors(victim)])
+    Y = lemma_g(G2, C, no_reservations(C)).Y
     assert not is_valid_move(G2, victim, (1, 1), Y, 2, C.delta, C.eps, 8)
 
 
 def test_valid_move_own_cell_in_planted_system():
     G, C = planted_structure(2, 4, 30, p_in=0.75, delta=0.5, seed=6)
-    _, A, Y = balance_within_blocks(C.clusters, {c: 0 for c in phi_cells(4, 2)}, 2, 2, C.eps)
+    Y = lemma_g(G, C, no_reservations(C)).Y
     for cell in C.clusters:
         for v in Y[cell][:5]:
             assert is_valid_move(G, v, cell, Y, 2, C.delta, C.eps, 30)
 
 
-# -- within-block balancing ----------------------------------------------
+# -- phase one: reservations and sizes ----------------------------------
 
 
 def test_balance_already_balanced_no_moves():
     G, C = complete_host_structure(2, 4, 10)
-    tau = {c: 0 for c in phi_cells(4, 2)}
-    U, A, Y = balance_within_blocks(C.clusters, tau, 2, 2, C.eps)
+    res = lemma_g(G, C, no_reservations(C))
+    assert res.X is None
+    assert all(size == 10 for size in res.m_ab.values())
     for cell in C.clusters:
-        assert U[cell] == set(Y[cell]) == set(C.clusters[cell])
+        assert res.A[cell] == ()
+        assert res.Y[cell] == C.clusters[cell]
 
 
 def test_balance_hand_simulated_example():
-    # one block, r=2: first-half sizes (10, 8), second-half (11, 9):
-    # S = max(2, 2) = 2 moves, everything within 1 afterwards
-    m = 11
-    sizes = {(1, 1): 10, (1, 2): 8, (1, 3): 11, (1, 4): 9}
-    clusters = {}
-    v = 0
-    for cell, size in sizes.items():
-        clusters[cell] = tuple(range(v, v + size))
-        v += size
-    G = DenseGraph.complete(v)
-    tau = {c: 0 for c in phi_cells(2, 2)}
-    U, A, Y = balance_within_blocks(clusters, tau, 1, 2, eps=0.4)
-    out_sizes = {cell: len(U[cell]) for cell in clusters}
-    # within-1 balance on each half after exactly S = 2 moves
-    assert abs(out_sizes[(1, 1)] - out_sizes[(1, 2)]) <= 1
-    assert abs(out_sizes[(1, 3)] - out_sizes[(1, 4)]) <= 1
-    assert out_sizes[(1, 1)] + out_sizes[(1, 2)] == 20
-    assert out_sizes[(1, 3)] + out_sizes[(1, 4)] == 18
-    # first half only gained, second half only lost
-    assert set(clusters[(1, 1)]) <= U[(1, 1)]
-    assert U[(1, 4)] <= set(clusters[(1, 4)])
-    assert sum(out_sizes.values()) == v
+    # one block, r=2, m=10; reservations 3 and 0 in the first half leave
+    # 7 + 10 = 17 vertices, split 9/8 with the extra one on the fuller cell;
+    # reservations 1 and 2 in the second half leave 9 + 8 = 17, split 9/8
+    G, C = complete_host_structure(1, 4, 10, eps=0.3)
+    tau = {(1, 1): 3, (1, 2): 0, (2, 1): 1, (2, 2): 2}
+    res = lemma_g(G, C, tau)
+    assert res.m_ab == {(1, 1): 8, (1, 2): 9, (2, 1): 9, (2, 2): 8}
+    assert sum(res.m_ab.values()) + sum(tau.values()) == G.n
 
 
 def test_balance_with_reservations():
     G, C = planted_structure(2, 4, 40, seed=7)
     rng = random.Random(7)
     tau = {c: rng.randint(0, 3) for c in phi_cells(4, 2)}
-    U, A, Y = balance_within_blocks(C.clusters, tau, 2, 2, C.eps)
+    res = lemma_g(G, C, tau)
     for cell in C.clusters:
         t = tau[phi_bijection(cell[0], cell[1], 2, 2)]
-        assert len(A[cell]) == t
-        assert A[cell] == tuple(sorted(C.clusters[cell])[:t])
-        assert not set(A[cell]) & U[cell]
+        assert len(res.A[cell]) == t
+        assert res.A[cell] == tuple(sorted(C.clusters[cell])[:t])
+        assert not set(res.A[cell]) & set(res.Y[cell])
+        assert set(res.A[cell]) | set(res.Y[cell]) == set(C.clusters[cell])
+    for a in range(1, 5):
+        assert abs(res.m_ab[(a, 1)] - res.m_ab[(a, 2)]) <= 1
 
 
-# -- chain reallocation ------------------------------------------------------
-
-
-def test_chains_zero_deviation_no_moves():
+def test_reservation_beyond_eps_m_rejected():
     G, C = complete_host_structure(2, 4, 10)
-    tau = {c: 0 for c in phi_cells(4, 2)}
-    U, A, Y = balance_within_blocks(C.clusters, tau, 2, 2, C.eps)
-    targets = {cell: len(U[cell]) for cell in U}
-    W, ledger = reallocate_by_chains(G, U, Y, targets, 2, 2, C.eps, C.delta, 10)
-    assert ledger.moves == []
-    assert W == U
+    tau = no_reservations(C)
+    tau[(1, 1)] = 3  # eps*m = 2
+    with pytest.raises(BalanceError, match="outside"):
+        lemma_g(G, C, tau)
 
 
-def test_chains_shift_three_vertices_complete_host():
+# -- phase two: augmenting-path reallocation -----------------------------
+
+
+def moved_into(C, res, r):
+    return {
+        cell: set(X) - set(C.clusters[phi_inverse(*cell, r, C.ell)])
+        for cell, X in res.X.items()
+    }
+
+
+def test_reallocation_zero_deviation_no_moves():
+    G, C = complete_host_structure(2, 4, 10)
+    tau = no_reservations(C)
+    res = lemma_g(G, C, tau, targets=dict(lemma_g(G, C, tau).m_ab))
+    assert all(not vs for vs in moved_into(C, res, 2).values())
+
+
+def test_reallocation_shift_three_vertices_exact_targets():
     G, C = complete_host_structure(2, 4, 40, eps=0.4)
-    tau = {c: 0 for c in phi_cells(4, 2)}
-    U, A, Y = balance_within_blocks(C.clusters, tau, 2, 2, C.eps)
-    targets = {cell: len(U[cell]) for cell in U}
+    tau = no_reservations(C)
+    targets = dict(lemma_g(G, C, tau).m_ab)
     targets[(1, 1)] -= 3
-    targets[(2, 3)] += 3
-    W, ledger = reallocate_by_chains(G, U, Y, targets, 2, 2, 0.4, C.delta, 40)
-    assert len(ledger.chains) == 3
-    assert {c: len(W[c]) for c in W} == targets
-    replay = ledger.replay({c: set(U[c]) for c in U})
-    assert replay == W
+    targets[(4, 1)] += 3
+    res = lemma_g(G, C, tau, targets=targets)
+    assert {c: len(X) for c, X in res.X.items()} == targets
+    assert sum(len(vs) for vs in moved_into(C, res, 2).values()) == 3
 
 
-def test_chains_every_move_was_valid():
+def test_reallocation_every_move_was_valid():
     G, C = planted_structure(2, 4, 40, p_in=0.8, p_btw=0.7, delta=0.5, seed=8)
-    tau = {c: 0 for c in phi_cells(4, 2)}
-    U, A, Y = balance_within_blocks(C.clusters, tau, 2, 2, C.eps)
-    targets = {cell: len(U[cell]) for cell in U}
+    tau = no_reservations(C)
+    targets = dict(lemma_g(G, C, tau).m_ab)
     targets[(1, 2)] -= 1
-    targets[(2, 4)] += 1
-    W, ledger = reallocate_by_chains(G, U, Y, targets, 2, 2, C.eps, C.delta, 40)
-    for mv in ledger.moves:
-        assert is_valid_move(G, mv.vertex, mv.target, Y, 2, C.delta, C.eps, 40)
+    targets[(4, 2)] += 1
+    res = lemma_g(G, C, tau, targets=targets)
+    moved = moved_into(C, res, 2)
+    assert sum(len(vs) for vs in moved.values()) >= 1
+    for cell, vs in moved.items():
+        for v in vs:
+            assert is_valid_move(
+                G, v, phi_inverse(*cell, 2, 2), res.Y, 2, C.delta, C.eps, 40
+            )
+
+
+def blocked_host():
+    # m = 10, eps = 0.2, delta = 0.5: a move needs a degree of at least
+    # (delta - 2*eps)*m = 1 into each other cell of the target's half, and
+    # a cell may drift by eps*m = 2.  Clusters (1,2) and (1,3) see nothing
+    # of each other, so no vertex of (1,3) may move into (1,1).
+    G, C = complete_host_structure(2, 4, 10, eps=0.2, delta=0.5)
+    G = without_edges(G, [(u, v) for u in C.clusters[(1, 2)] for v in C.clusters[(1, 3)]])
+    return G, C
+
+
+def test_reallocation_takes_a_path_when_the_direct_move_is_invalid():
+    G, C = blocked_host()
+    tau = no_reservations(C)
+    targets = dict(lemma_g(G, C, tau).m_ab)
+    targets[(2, 1)] -= 1  # pre-bijection cell (1,3): over-full
+    targets[(1, 1)] += 1  # pre-bijection cell (1,1): under-full
+    res = lemma_g(G, C, tau, targets=targets)
+    Y = res.Y
+    assert not any(is_valid_move(G, v, (1, 1), Y, 2, C.delta, C.eps, 10) for v in Y[(1, 3)])
+    # the shortest path is (1,3) -> (1,2) -> (1,1), each edge moving its
+    # smallest valid vertex
+    moved = moved_into(C, res, 2)
+    assert moved[(1, 1)] == {C.clusters[(1, 2)][0]}
+    assert moved[(1, 2)] == {C.clusters[(1, 3)][0]}
+    assert sum(len(vs) for vs in moved.values()) == 2
+    assert {c: len(X) for c, X in res.X.items()} == targets
+
+
+def test_reallocation_refusal_names_the_cell_left_over_full():
+    G, C = complete_host_structure(2, 4, 10, eps=0.2, delta=0.5)
+    # isolated vertices may move nowhere
+    G = without_edges(G, [(u, v) for u in C.clusters[(1, 3)] for v in range(G.n)])
+    tau = no_reservations(C)
+    targets = dict(lemma_g(G, C, tau).m_ab)
+    targets[(2, 1)] -= 1
+    targets[(1, 1)] += 1
+    with pytest.raises(BalanceError, match=r"cell \(2,1\) left over-full by 1"):
+        lemma_g(G, C, tau, targets=targets)
+
+
+def test_reallocation_keeps_reservations_in_place():
+    G, C = blocked_host()
+    tau = no_reservations(C)
+    tau[(2, 1)] = tau[(2, 2)] = 2  # pre-bijection cells (1,3) and (1,4)
+    tau[(1, 2)] = 1  # pre-bijection cell (1,2), a path cell
+    phase1 = lemma_g(G, C, tau)
+    targets = dict(phase1.m_ab)
+    targets[(2, 1)] -= 1
+    targets[(1, 1)] += 1
+    res = lemma_g(G, C, tau, targets=targets)
+    for cell, X in res.X.items():
+        assert set(phase1.A[phi_inverse(*cell, 2, 2)]) <= set(X)
+        assert len(X) == targets[cell] + tau[cell]
+    moved = moved_into(C, res, 2)
+    # the movers are the smallest unreserved vertices of their cells
+    assert moved[(1, 2)] == {C.clusters[(1, 3)][2]}
+    assert moved[(1, 1)] == {C.clusters[(1, 2)][1]}
 
 
 # -- lemma_g end to end ----------------------------------------------------
@@ -251,12 +319,12 @@ def test_chains_every_move_was_valid():
 
 def test_lemma_g_identity_targets():
     G, C = complete_host_structure(2, 4, 10)
-    tau = {c: 0 for c in phi_cells(4, 2)}
+    tau = no_reservations(C)
     res = lemma_g(G, C, tau)
     # no reservations, complete host: phase-1 sizes are exactly m
     assert all(size == 10 for size in res.m_ab.values())
-    res2 = lemma_g(G, C, tau, targets=dict(res.m_ab), check_structure=False)
-    assert res2.X is not None and res2.ledger.moves == []
+    res2 = lemma_g(G, C, tau, targets=dict(res.m_ab))
+    assert res2.X is not None
     for (a, b), cluster in res2.X.items():
         assert set(cluster) == set(C.clusters[phi_inverse(a, b, 2, 2)])
 
@@ -270,31 +338,41 @@ def test_lemma_g_planted_with_reservations_and_perturbation():
     # shift one unit between two cells, preserving the total
     targets[(1, 1)] -= 1
     targets[(3, 2)] += 1
-    res2 = lemma_g(G, C, tau, targets=targets, xi=2 / G.n)
+    res2 = lemma_g(G, C, tau, targets=targets)
     assert res2.X is not None
     for cell, cluster in res2.X.items():
         assert len(cluster) == targets[cell] + tau[cell]
-    # ledger replays and the structure report exists
-    assert res2.structure_report is not None
+    report = check_cycle_structure(G, res2.structure)
+    assert report.partition_ok
     assert res2.structure.ell == 4 and res2.structure.r == 2
 
 
 def test_lemma_g_rejects_drifted_targets():
+    # moving 5 vertices out of one cell drifts it beyond eps*m = 2
     G, C = complete_host_structure(2, 4, 10)
-    tau = {c: 0 for c in phi_cells(4, 2)}
+    tau = no_reservations(C)
     res = lemma_g(G, C, tau)
     targets = dict(res.m_ab)
     targets[(1, 1)] -= 5
     targets[(1, 2)] += 5
-    with pytest.raises(BalanceError):
-        lemma_g(G, C, tau, targets=targets, xi=2 / G.n)
+    with pytest.raises(BalanceError, match="drifted by 5"):
+        lemma_g(G, C, tau, targets=targets)
+
+
+def test_lemma_g_rejects_targets_that_lose_vertices():
+    G, C = complete_host_structure(2, 4, 10)
+    tau = no_reservations(C)
+    targets = dict(lemma_g(G, C, tau).m_ab)
+    targets[(1, 1)] -= 1
+    with pytest.raises(BalanceError, match="sum to n"):
+        lemma_g(G, C, tau, targets=targets)
 
 
 def test_lemma_g_requires_spanning():
     G, C = complete_host_structure(2, 4, 10)
     C2 = CycleStructure(C.ell, C.r, dict(C.clusters), (999,), C.eps, C.delta)
     with pytest.raises(BalanceError):
-        lemma_g(DenseGraph.complete(G.n + 1000)._replace if False else G, C2, {c: 0 for c in phi_cells(4, 2)})
+        lemma_g(G, C2, no_reservations(C))
 
 
 def test_lemma_g_conservation():

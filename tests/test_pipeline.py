@@ -10,6 +10,7 @@ import pytest
 
 from spanembed import pipeline
 from spanembed.balance import BalanceError
+from spanembed.embed import verify_embedding
 from spanembed.generators import (
     clique_factor_extremal,
     cycle_power_H,
@@ -17,7 +18,7 @@ from spanembed.generators import (
     path_power_H,
     tiling_H,
 )
-from spanembed.graphs import StageFailure
+from spanembed.graphs import DenseGraph, StageFailure
 
 
 def _raise(stage: str, detail: str):
@@ -110,3 +111,44 @@ def test_pipeline_outputs_pinned(host, guest, expected):
     else:
         got = (res.failure_stage, res.violated_display, res.failure_detail)
     assert got == expected
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("n", [288, 576])
+@pytest.mark.parametrize(
+    "guest", [lambda n: cycle_power_H(2, n), lambda n: tiling_H(3, n // 3)], ids=["C2", "K3tiling"]
+)
+@pytest.mark.parametrize(
+    "host",
+    [lambda n, seed: DenseGraph.complete(n), lambda n, seed: gnp(n, 0.97, seed)],
+    ids=["complete", "gnp97"],
+)
+def test_pipeline_embeds_three_colour_guests(host, guest, n, seed):
+    # 4r*m divides n, so V0 is empty and the cells reach lemma_g at size m;
+    # the assignment's demands differ from m, so phase two must move vertices
+    G = host(n, seed)
+    Hb = guest(n)
+    res = pipeline.run_main_pipeline(G, Hb, seed=seed)
+    assert res, (res.failure_stage, res.failure_detail)
+    assert verify_embedding(Hb.H, G, res.mapping) == ""
+    assert res.audit.notes["lemma-g-moves"] > 0
+    # the proof's iteration budget fails at m = 6 and is only recorded
+    assert res.audit.checks["(K)"][0] is False
+
+
+@pytest.mark.parametrize(
+    "G, Hb",
+    [
+        (gnp(60, 0.95, 1), cycle_power_H(1, 60)),
+        (gnp(96, 0.9, 1), tiling_H(3, 32)),
+        (gnp(12, 0.95, 1), tiling_H(1, 12)),  # edgeless: bandwidth 0
+    ],
+    ids=["gnp60-C1", "gnp96-K3tiling", "gnp12-edgeless"],
+)
+def test_singleton_path_embeds_with_the_guest_bandwidth(G, Hb):
+    # too few vertices for clusters: the host itself is the reduced graph
+    # and the power cycle needs only H's bandwidth, not 4r - 1
+    res = pipeline.run_main_pipeline(G, Hb, seed=1)
+    assert res.audit.notes["partition"] == "degenerate-singleton"
+    assert res, (res.failure_stage, res.failure_detail)
+    assert verify_embedding(Hb.H, G, res.mapping) == ""

@@ -65,7 +65,6 @@ class CycleStructure:
     exceptional: tuple[int, ...]
     eps: float
     delta: float
-    extra_edges: frozenset[frozenset] = frozenset()  # R-edges beyond the template
 
     def cells(self) -> list[Cell]:
         return [(i, j) for i in range(1, self.ell + 1) for j in range(1, self.r + 1)]
@@ -76,13 +75,6 @@ class CycleStructure:
     def m(self) -> int:
         sizes = {len(c) for c in self.clusters.values()}
         return max(sizes) if sizes else 0
-
-    def reduced_has_edge(self, c1: Cell, c2: Cell) -> bool:
-        if c1 == c2:
-            return False
-        if z_rule_edge(c1[0], c1[1], c2[0], c2[1], self.ell):
-            return True
-        return frozenset((c1, c2)) in self.extra_edges
 
     def template_pairs(self) -> list[tuple[Cell, Cell]]:
         """All template edges between distinct cells (block + consecutive)."""
@@ -239,8 +231,6 @@ def _reallocate(
 @dataclass
 class LemmaGResult:
     m_ab: dict[Cell, int]
-    A: dict[Cell, tuple[int, ...]]
-    Y: dict[Cell, tuple[int, ...]]
     X: dict[Cell, tuple[int, ...]] | None = None
     structure: CycleStructure | None = None
 
@@ -248,20 +238,17 @@ class LemmaGResult:
 def lemma_g(
     G: DenseGraph,
     C: CycleStructure,
-    tau: dict[Cell, int],
     targets: dict[Cell, int] | None = None,
 ) -> LemmaGResult:
     """Two-phase rebalancing of a spanning 2r-cycle structure.
 
-    Phase one moves no vertex: it carves off the reservations A (the tau
-    smallest-id vertices of each cluster, Y the rest) and splits each
-    half-block's total |Y| as evenly as possible into the sizes m_{a,b}
-    (relabelled through the bijection).  Given targets n_{a,b}, phase two
-    reallocates Y along augmenting paths (``_reallocate``) and returns the
-    partition X with |X_{a,b}| = n_{a,b} + tau_{a,b} exactly, every moved
-    vertex valid in its new cell and every cell within min(eps, sqrt(eps))*m
-    of its original cluster, packaged as a cycle structure at
-    (eps^(1/3), delta/2).
+    Phase one moves no vertex: it checks that the structure spans G with
+    clusters of one size m and sizes every cell m_{a,b} = m (relabelled
+    through the bijection).  Given targets n_{a,b}, phase two reallocates
+    the clusters along augmenting paths (``_reallocate``) and returns the
+    partition X with |X_{a,b}| = n_{a,b} exactly, every moved vertex valid
+    in its new cell and every cell within min(eps, sqrt(eps))*m of its
+    original cluster, packaged as a cycle structure at (eps^(1/3), delta/2).
     """
     if C.exceptional:
         raise BalanceError("lemma_g needs a spanning structure (empty V0)")
@@ -275,29 +262,15 @@ def lemma_g(
         raise BalanceError("cells must have equal size m")
     if C.n() != G.n:
         raise BalanceError(f"clusters hold {C.n()} != n = {G.n} vertices")
-    A: dict[Cell, tuple[int, ...]] = {}
-    Y: dict[Cell, tuple[int, ...]] = {}
-    for cell, cluster in C.clusters.items():
-        t = tau[phi_bijection(*cell, r, ell)]
-        if not 0 <= t <= C.eps * m + 1e-9:
-            raise BalanceError(f"reservation tau at {cell} = {t} outside [0, eps*m]")
-        ordered = sorted(cluster)
-        A[cell], Y[cell] = tuple(ordered[:t]), tuple(ordered[t:])
-    m_ab: dict[Cell, int] = {}
-    for a in range(1, 2 * ell + 1):
-        free = {(a, b): len(Y[phi_inverse(a, b, r, ell)]) for b in range(1, r + 1)}
-        base, extra = divmod(sum(free.values()), r)
-        # the cells holding the most keep the extra vertices
-        fullest = sorted(free, key=lambda c: -free[c])[:extra]
-        for cell in free:
-            m_ab[cell] = base + (cell in fullest)
-    result = LemmaGResult(m_ab, A, Y)
+    m_ab = {phi_bijection(*cell, r, ell): m for cell in C.cells()}
+    result = LemmaGResult(m_ab)
     if targets is None:
         return result
 
-    if sum(targets[c] + tau[c] for c in m_ab) != G.n:
-        raise BalanceError("phase-two targets plus reservations must sum to n")
+    if sum(targets[c] for c in m_ab) != G.n:
+        raise BalanceError("phase-two targets must sum to n")
     want = {phi_inverse(*c, r, ell): targets[c] for c in m_ab}
+    Y = {cell: tuple(sorted(cluster)) for cell, cluster in C.clusters.items()}
     W = _reallocate(G, Y, want, ell, r, C.delta, C.eps, m)
     # binding checks, recomputed from the final state; phase one moved no
     # vertex, so the drift from the phase-one cell (at most eps*m) and from
@@ -305,27 +278,22 @@ def lemma_g(
     max_drift = min(C.eps, math.sqrt(C.eps)) * m
     X: dict[Cell, tuple[int, ...]] = {}
     for (a, b), pre in ((c, phi_inverse(*c, r, ell)) for c in m_ab):
-        X[(a, b)] = tuple(sorted(W[pre] | set(A[pre])))
-        if len(X[(a, b)]) != targets[(a, b)] + tau[(a, b)]:
+        X[(a, b)] = tuple(sorted(W[pre]))
+        if len(X[(a, b)]) != targets[(a, b)]:
             raise BalanceError(f"cell ({a},{b}) missed its exact size")
-        drift = set(X[(a, b)]) ^ set(C.clusters[pre])
+        drift = set(X[(a, b)]) ^ set(Y[pre])
         if len(drift) > max_drift + 1e-9:
             raise BalanceError(
                 f"cell ({a},{b}) drifted by {len(drift)} > "
                 f"min(eps, sqrt(eps))*m = {max_drift:.1f}"
             )
-        for v in drift - set(C.clusters[pre]):
+        for v in drift - set(Y[pre]):
             if not is_valid_move(G, v, pre, Y, r, C.delta, C.eps, m):
                 raise BalanceError(f"vertex {v} sits invalidly in ({a},{b})")
     # the promised parameters follow the slicing arithmetic: eps^(1/3)
     # dominates eps + 6*sqrt(3*r*eps) for small eps, delta drops to delta/2
-    in_edges = {frozenset(p) for p in C.template_pairs()} | set(C.extra_edges)
-    mapped = {
-        frozenset((phi_bijection(*c1, r, ell), phi_bijection(*c2, r, ell)))
-        for pair in in_edges
-        for c1, c2 in [tuple(pair)]
-    }
-    out_structure = CycleStructure(
+    result.X = X
+    result.structure = CycleStructure(
         ell=2 * ell,
         r=r,
         clusters=X,
@@ -333,11 +301,4 @@ def lemma_g(
         eps=C.eps ** (1 / 3),
         delta=C.delta / 2,
     )
-    out_structure.extra_edges = frozenset(
-        pair
-        for pair in mapped
-        if not out_structure.reduced_has_edge(*tuple(pair))
-    )
-    result.X = X
-    result.structure = out_structure
     return result

@@ -49,19 +49,19 @@ def embed_with_targets(
     phi: dict[int, int],
     clusters: dict[int, tuple[int, ...]],
     Y: list[int],
-    S_w: dict[int, set[int]],
     c: float,
     eps: float | None = None,
     node_budget: int = 1_000_000,
     seed: int = 0,
 ) -> PartialEmbedding:
-    """Embed the ordered vertices into their phi-clusters with target sets.
+    """Embed the ordered vertices into their phi-clusters, keeping target
+    sets for the boundary.
 
-    Guarantees on success: f(x) lands in cluster phi(x) (inside S_x for the
-    targeted vertices), and every boundary vertex y of Y keeps a candidate
-    set C_y of at least c*|cluster| fresh common neighbours of its embedded
-    neighbours.  Candidate floors for Y are enforced during the search, so a
-    placement that starves a boundary vertex is backtracked.
+    Guarantees on success: f(x) lands in cluster phi(x), and every boundary
+    vertex y of Y keeps a candidate set C_y of at least c*|cluster| fresh
+    common neighbours of its embedded neighbours.  Candidate floors for Y
+    are enforced during the search, so a placement that starves a boundary
+    vertex is backtracked.
     """
     m = max((len(vs) for vs in clusters.values()), default=0)
     if eps is not None:
@@ -73,9 +73,6 @@ def embed_with_targets(
                 raise StageFailure(
                     "load", f"cluster {a} receives {load} > 2*eps*m vertices"
                 )
-    for w, s in S_w.items():
-        if len(s) < c * m:
-            raise StageFailure("target-set", f"S_w of {w} has {len(s)} < c*m vertices")
 
     floor = c * m
     rng = random.Random(f"targets:{seed}")
@@ -108,8 +105,6 @@ def embed_with_targets(
         for u in bits(h_adj[x]):
             if u in mapping:
                 cands &= G.rows[mapping[u]]
-        if x in S_w:
-            cands &= mask_of(S_w[x])
         cand_list = list(bits(cands))
         if len(cand_list) > 4:
             rng.shuffle(cand_list)

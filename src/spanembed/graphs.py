@@ -41,6 +41,12 @@ BITS_NUMPY_FROM = 24
 # at n = 300 and n = 5,000 neither 64 KB nor 1 MB tiles were faster.
 BATCH_BYTES = 1 << 18
 
+# Largest vertex count an edge-list `p` header may declare.  Desk-scale runs
+# top out at n = 4,800; at n = 10,000 the bit rows take 12.5 MB and one
+# unpacked 0/1 matrix (``bit_matrix``) 100 MB, so a larger header is refused
+# before anything is allocated.
+MAX_EDGELIST_N = 10_000
+
 
 def _bits_loop(mask: int) -> Iterator[int]:
     while mask:
@@ -596,6 +602,10 @@ def from_edgelist_text(text: str) -> DenseGraph:
             if len(parts) != 3:
                 raise InvalidParameters(f"line {lineno}: malformed header")
             n, m = _record_ints(parts, lineno, "header")
+            if n > MAX_EDGELIST_N:
+                raise InvalidParameters(
+                    f"line {lineno}: header declares {n} > {MAX_EDGELIST_N} vertices"
+                )
         elif parts[0] == "e":
             if n is None:
                 raise InvalidParameters(f"line {lineno}: edge before header")

@@ -4,7 +4,10 @@ Two jobs: (1) produce a balanced homomorphism of a low-bandwidth H into the
 blown-cycle template (a proper 2r-colouring whose colour classes stay within
 2*beta*n of each other on every prefix, then block-slicing into cells), and
 (2) assign a short prefix of H onto a framework trail in the reduced graph so
-that a 2-independent set lands exactly on the exceptional vertices.
+that a 2-independent set lands exactly on the exceptional vertices.  Job
+(2) has no caller in the pipeline, which refuses a non-empty exceptional
+set; the benchmark's tracer still names ``build_framework`` and
+``special_assignment``, so they go with its next refresh (ROADMAP item 7).
 
 All outputs are checked by independent recounts that share no code with the
 constructions.

@@ -1,6 +1,7 @@
 """End-to-end spanning embedding: partition the host, find a power cycle in
-the reduced graph, refine to superregular blocks, assign H onto the cells,
-rebalance cluster sizes to the exact demands, and embed in three stages.
+the reduced graph, refine to superregular blocks, refuse a non-empty
+exceptional set, assign H onto the cells, rebalance cluster sizes to the
+exact demands, and embed in two stages (target sets, then blow-up).
 
 Every hypothesis check and displayed inequality is evaluated into an audit
 (pass/fail with the computed quantities); the asymptotic displays are
@@ -19,7 +20,6 @@ from .balance import (
     BalanceError,
     CycleStructure,
     lemma_g,
-    phi_bijection,
     phi_inverse,
 )
 from .constants import ConstantsHierarchy
@@ -33,16 +33,10 @@ from .graphs import (
     bandwidth_of,
     cycle_power,
     identity_labelling,
-    mask_of,
     validate_witness,
 )
 from .hampower import HamConfig, find_hamilton_power
-from .hpartition import (
-    basic_assignment,
-    build_framework,
-    interval_width,
-    special_assignment,
-)
+from .hpartition import basic_assignment, interval_width
 from .regularity import (
     InsufficientVertices,
     heuristic_degree_form_partition,
@@ -163,7 +157,6 @@ def _pipeline(
         # singleton clusters: the reduced graph is the host itself
         audit.notes["partition"] = "degenerate-singleton"
         reduced = G
-        cluster_of = {v: (v,) for v in range(n)}
         clusters_list = [(v,) for v in range(n)]
         exceptional: tuple[int, ...] = ()
         pure = G
@@ -228,48 +221,55 @@ def _pipeline(
     for idx, rv in enumerate(cycle):
         i, j = idx // (4 * r) + 1, idx % (4 * r) + 1
         cell_cluster[(i, j)] = clusters_list[rv]
-    uncovered = [clusters_list[rv] for rv in range(L) if rv not in set(cycle)]
-    extra_exceptional = [v for cl in uncovered for v in cl]
+    off_cycle = set(range(L)) - set(cycle)
 
+    # one refinement over all cells with R = ell disjoint K_{4r}, so that a
+    # failing vertex may be swapped into another block
     refine_eps = min(0.01, eps)
+    cells = list(cell_cluster)
+    R_blocks = DenseGraph.from_edges(
+        len(cells),
+        [
+            (x, y)
+            for x in range(len(cells))
+            for y in range(x + 1, len(cells))
+            if x // (4 * r) == y // (4 * r)
+        ],
+    )
     try:
-        refined_per_block: dict[tuple[int, int], list[int]] = {}
-        Rblock = DenseGraph.complete(4 * r)
-        for i in range(1, ell + 1):
-            block_cells = [(i, j) for j in range(1, 4 * r + 1)]
-            block_clusters = [list(cell_cluster[c]) for c in block_cells]
-            refined = refine_to_superregular(
-                pure, block_clusters, Rblock, refine_eps, delta, verify=False
-            )
-            for c, vs in zip(block_cells, refined):
-                refined_per_block[c] = list(vs)
+        refined_list = refine_to_superregular(
+            pure,
+            [list(cell_cluster[c]) for c in cells],
+            R_blocks,
+            refine_eps,
+            delta,
+            verify=False,
+        )
     except InsufficientVertices as exc:
         raise StageFailure("refine", str(exc), violated="refine") from exc
+    refined = dict(zip(cells, map(tuple, refined_list)))
     audit.stage("refine")
 
-    m = len(next(iter(refined_per_block.values())))
-    covered = set()
-    for vs in refined_per_block.values():
-        covered.update(vs)
-    V0 = tuple(sorted(set(range(n)) - covered))
-    audit.record(
-        "V0-bound",
-        len(V0) <= 2 * math.sqrt(max(eps, refine_eps)) * n + len(extra_exceptional),
-        f"|V0|={len(V0)}",
-    )
-    audit.notes["V0"] = len(V0)
+    m = len(next(iter(refined.values())))
+    V0 = n - sum(len(vs) for vs in refined.values())
+    audit.notes["V0"] = V0
     audit.notes["m"] = m
     audit.notes["ell"] = ell
 
-    struct = CycleStructure(
-        ell=ell,
-        r=4 * r,
-        clusters={c: tuple(vs) for c, vs in refined_per_block.items()},
-        exceptional=V0,
-        eps=7 * max(eps, refine_eps) ** 0.25,
-        delta=delta / 2,
-        extra_edges=_extra_edges_from_cycle(reduced, cycle, ell, r),
-    )
+    # -- stage: exceptional vertices -----------------------------------------
+    # the paper covers a non-empty V0 by a framework and a special assignment
+    # of an H-prefix; at desk scale that prefix is longer than H itself, and
+    # no measured run has embedded through it (ROADMAP item 3), so V0 must
+    # be empty here
+    if V0:
+        off = len(off_cycle) * len(clusters_list[0])
+        raise StageFailure(
+            "exceptional",
+            f"|V0| = {V0}: {len(exceptional)} from the n mod L remainder, "
+            f"{off} from {len(off_cycle)} clusters off the power cycle, "
+            f"{V0 - len(exceptional) - off} dropped by refine",
+            violated="exceptional",
+        )
 
     # displayed inequality (beta): beta*n <= eps^2 * m / L
     audit.record(
@@ -278,134 +278,39 @@ def _pipeline(
         f"{W} vs {eps * eps * m / max(L, 1):.4f}",
     )
 
-    # -- stage: framework + special assignment (exceptional coverage) ---------
-    cell_index = {c: k for k, c in enumerate(sorted(struct.clusters))}
-    index_cell = {k: c for c, k in cell_index.items()}
-    Rstar = _reduced_star(struct, cell_index)
-    c_floor = config.c
-    psi_special: dict[int, object] = {}
-    I_vertices: tuple[int, ...] = ()
-    W_glue: dict[int, int] = {}  # H-vertex w -> host vertex psi(u) of its I-neighbour
-    tau = {cell: 0 for cell in _post_cells(ell, r)}
-    s_len = 0
-    if V0:
-        reqs: dict[int, set[int]] = {}
-        for v in V0:
-            nv = {
-                cell_index[c]
-                for c in struct.clusters
-                if G.degree_into(v, mask_of(struct.clusters[c])) >= c_floor * m
-            }
-            reqs[v] = nv
-        if reqs:
-            min_req = min(len(x) for x in reqs.values())
-            audit.record(
-                "(dalpha)",
-                min_req >= len(cell_index) / 2,
-                f"min |N^c| = {min_req} vs {len(cell_index) / 2:.1f}",
-            )
-        anchor = tuple(
-            cell_index[phi_inverse(1, b, 2 * r, ell)] for b in range(1, 2 * r + 1)
-        )
-        try:
-            F = build_framework(Rstar, reqs, anchor, eta=eta / 3, seed=seed)
-        except StageFailure as exc:
-            raise StageFailure("special-assignment", str(exc), violated=exc.stage) from exc
-        delta_h = max(Hb.H.degree(v) for v in range(n))
-        max_group = max(len(vs) for vs in F.block_map.values()) if F.block_map else 0
-        b_width = 4 * W + 2 * delta_h * delta_h * max_group + 1
-        s_len = 8 * F.K * b_width
-        audit.record(
-            "(seq)", s_len <= eps ** (1 / 9) * n, f"s={s_len} vs {eps ** (1 / 9) * n:.1f}"
-        )
-        audit.record(
-            "(15sizes)", b_width > 99 * beta * n, f"b={b_width} vs {99 * beta * n:.1f}"
-        )
-        prefix_ids = list(Hb.order.order[: s_len + W])
-        if s_len + W > n:
-            raise StageFailure(
-                "special-assignment",
-                f"prefix {s_len + W} exceeds |H| = {n}",
-                violated="(seq)",
-            )
-        Hpref_graph, _ = Hb.H.induced(prefix_ids)
-        Hpref = BandwidthedH(
-            Hpref_graph,
-            identity_labelling(len(prefix_ids)),
-            tuple(Hb.colouring[v] for v in prefix_ids),
-            W / len(prefix_ids),
-        )
-        try:
-            sp = special_assignment(Hpref, F, Rstar, reqs, W)
-        except StageFailure as exc:
-            raise StageFailure("special-assignment", str(exc), violated=exc.stage) from exc
-        for local, val in enumerate(sp.f):
-            orig = prefix_ids[local]
-            psi_special[orig] = val
-        I_vertices = tuple(prefix_ids[x] for x in sp.I)
-        for v0_vertex, wv in sp.W_v.items():
-            for w_local in wv:
-                W_glue[prefix_ids[w_local]] = v0_vertex
-        audit.record(
-            "(D3)",
-            sp.report["max_load"] <= eps ** (1 / 9) * m,
-            f"{sp.report['max_load']} vs {eps ** (1 / 9) * m:.2f}",
-        )
-        for orig in prefix_ids[: s_len]:
-            val = psi_special[orig]
-            if isinstance(val, tuple):
-                continue
-            tau[phi_bijection(*index_cell[val], 2 * r, ell)] += 1
-        audit.stage("special-assignment")
-    else:
-        audit.notes["special"] = "skipped: empty exceptional set"
-        audit.stage("special-assignment")
-
     # -- stage: lemma for G, phase 1 ----------------------------------------
-    sub_ids = sorted(covered)
-    G_sub, sub_list = G.induced(sub_ids)
-    to_sub = {v: k for k, v in enumerate(sub_list)}
     # lemma_g's drift bound eps*m must leave room for moves at desk-scale m:
     # a cell on an augmenting path drifts by 2, and m = 6 gives eps = 0.9,
     # a drift of at most 5 per cell
     eps_balance = min(0.9, max(refine_eps, 8 / m))
-    struct_sub = CycleStructure(
+    struct = CycleStructure(
         ell=ell,
         r=4 * r,
-        clusters={
-            c: tuple(sorted(to_sub[v] for v in vs))
-            for c, vs in struct.clusters.items()
-        },
+        clusters=refined,
         exceptional=(),
         eps=eps_balance,
         delta=delta / 2,
-        extra_edges=struct.extra_edges,
     )
     try:
-        phase1 = lemma_g(G_sub, struct_sub, tau)
+        phase1 = lemma_g(G, struct)
     except BalanceError as exc:
         raise StageFailure("lemma-g", str(exc), violated="lemma-g") from exc
     m_ab = phase1.m_ab
     audit.stage("lemma-g-sizes")
 
-    # -- stage: basic assignment on the suffix -------------------------------
-    suffix_ids = list(Hb.order.order[s_len:])
-    audit.record(
-        "(mab)",
-        sum(m_ab.values()) == len(suffix_ids),
-        f"{sum(m_ab.values())} vs |Z| = {len(suffix_ids)}",
-    )
-    Hsuf_graph, _ = Hb.H.induced(suffix_ids)
-    Hsuf = BandwidthedH(
-        Hsuf_graph,
-        identity_labelling(len(suffix_ids)),
-        tuple(Hb.colouring[v] for v in suffix_ids),
-        W / len(suffix_ids),
+    # -- stage: basic assignment of H in its bandwidth order ------------------
+    order = list(Hb.order.order)
+    H_in_order_graph, _ = Hb.H.induced(order)
+    H_in_order = BandwidthedH(
+        H_in_order_graph,
+        identity_labelling(n),
+        tuple(Hb.colouring[v] for v in order),
+        W / n,
     )
     try:
         asg = basic_assignment(
-            Hsuf,
-            {cell: m_ab[cell] for cell in m_ab},
+            H_in_order,
+            dict(m_ab),
             ell=2 * ell,
             r=r,
             relax_floor=config.relax_target_floor,
@@ -423,14 +328,12 @@ def _pipeline(
     K = sum(abs(n_ab[cell] - m_ab[cell]) for cell in m_ab)
     audit.record("(K)", K <= eps_balance * m / 2, f"{K} vs {eps_balance * m / 2:.1f}")
     try:
-        phase2 = lemma_g(G_sub, struct_sub, tau, targets=n_ab)
+        phase2 = lemma_g(G, struct, targets=n_ab)
     except BalanceError as exc:
         raise StageFailure("lemma-g", str(exc), violated="lemma-g") from exc
-    X_cells = {
-        cell: tuple(sub_list[v] for v in vs) for cell, vs in phase2.X.items()
-    }
+    X_cells = phase2.X
     original = {
-        cell: set(struct.clusters[phi_inverse(*cell, 2 * r, ell)]) for cell in X_cells
+        cell: set(refined[phi_inverse(*cell, 2 * r, ell)]) for cell in X_cells
     }
     audit.notes["lemma-g-moves"] = sum(
         len(set(X_cells[cell]) - original[cell]) for cell in X_cells
@@ -443,30 +346,12 @@ def _pipeline(
     )
     audit.stage("lemma-g-partition")
 
-    # -- stage 1: exceptional vertices ---------------------------------------
-    g1 = {u: psi_special[u][1] for u in I_vertices}
-
-    # -- combined guide psi ----------------------------------------------------
-    psi: dict[int, tuple[int, int]] = {}
-    for local, orig in enumerate(suffix_ids):
-        psi[orig] = asg.f[local]
-    B_set = {suffix_ids[x] for x in asg.B}
-    for orig, val in psi_special.items():
-        if isinstance(val, tuple):
-            continue  # I-vertex
-        psi[orig] = phi_bijection(*index_cell[val], 2 * r, ell)
-
-    X_prime = sorted(
-        (set(psi_special) - set(I_vertices)) | B_set,
-        key={v: k for k, v in enumerate(Hb.order.order)}.get,
-    )
+    # -- guide psi: the assignment's cell for every vertex of H ---------------
+    psi = {orig: asg.f[local] for local, orig in enumerate(order)}
+    X_prime = [order[x] for x in sorted(asg.B)]
+    X_set = set(X_prime)
     N_boundary = sorted(
-        {
-            y
-            for x in X_prime
-            for y in Hb.H.neighbors(x)
-            if y not in set(X_prime) and y not in set(I_vertices)
-        }
+        {y for x in X_prime for y in Hb.H.neighbors(x) if y not in X_set}
     )
     audit.record(
         "(N)",
@@ -478,17 +363,11 @@ def _pipeline(
         max(
             [sum(1 for x in X_prime if psi[x] == cell) for cell in m_ab] or [0]
         )
-        <= max(eps, refine_eps) ** (1 / 12) * m + len(B_set),
+        <= max(eps, refine_eps) ** (1 / 12) * m + len(X_prime),
         "",
     )
 
-    # -- stage 2: embed X' with target sets ---------------------------------
-    S_w: dict[int, set[int]] = {}
-    for w, host_u in W_glue.items():
-        cellw = psi[w]
-        S_w[w] = {
-            gv for gv in X_cells[cellw] if G.has_edge(gv, host_u)
-        }
+    # -- stage: embed X' with target sets ------------------------------------
     try:
         part = embed_with_targets(
             G,
@@ -497,7 +376,6 @@ def _pipeline(
             psi,
             X_cells,
             Y=N_boundary,
-            S_w=S_w,
             c=config.c / 2,
             node_budget=config.blowup_budget,
             seed=seed,
@@ -507,19 +385,12 @@ def _pipeline(
     g2 = part.mapping
     audit.stage("target-embedding")
 
-    # -- stage 3: blow-up per block ------------------------------------------
+    # -- stage: blow-up per block ---------------------------------------------
     g3: dict[int, int] = {}
-    placed_images = set(g1.values()) | set(g2.values())
-    rest = [
-        v
-        for v in range(n)
-        if v not in g1 and v not in g2 and v not in set(I_vertices)
-    ]
-    rest_set = set(rest)
+    placed_images = set(g2.values())
+    rest = [v for v in range(n) if v not in g2]
     for a in range(1, 2 * ell + 1):
-        block_vertices = [
-            x for x in rest if x in psi and psi[x][0] == a
-        ]
+        block_vertices = [x for x in rest if psi[x][0] == a]
         if not block_vertices:
             continue
         U_cells = {}
@@ -569,10 +440,7 @@ def _pipeline(
             placed_images.add(gv)
     audit.stage("blow-up")
 
-    mapping: dict[int, int] = {}
-    mapping.update(g1)
-    mapping.update(g2)
-    mapping.update(g3)
+    mapping = {**g2, **g3}
     if len(mapping) != n or len(set(mapping.values())) != n:
         raise StageFailure(
             "assembly", f"assembled map covers {len(mapping)} of {n} vertices"
@@ -582,10 +450,6 @@ def _pipeline(
         raise StageFailure("assembly", f"revalidation failed: {problem}")
     audit.stage("assembly")
     return mapping
-
-
-def _post_cells(ell: int, r: int) -> list[tuple[int, int]]:
-    return [(a, b) for a in range(1, 2 * ell + 1) for b in range(1, 2 * r + 1)]
 
 
 def _reduced_power_cycle(
@@ -625,35 +489,6 @@ def _reduced_power_cycle(
         f"pipeline ({first_failure.stage}: {first_failure.detail}) and oracle "
         f"({res.status}) both failed",
     )
-
-
-def _extra_edges_from_cycle(
-    reduced: DenseGraph, cycle: list[int], ell: int, r: int
-) -> frozenset:
-    """Reduced-graph edges among cycle cells beyond the template."""
-    pos_cell = {}
-    for idx, rv in enumerate(cycle):
-        pos_cell[rv] = (idx // (4 * r) + 1, idx % (4 * r) + 1)
-    extra = set()
-    probe = CycleStructure(ell, 4 * r, {}, (), 0.5, 0.1)
-    for k, u in enumerate(cycle):
-        for v in cycle[k + 1 :]:
-            if reduced.has_edge(u, v):
-                c1, c2 = pos_cell[u], pos_cell[v]
-                if not probe.reduced_has_edge(c1, c2):
-                    extra.add(frozenset((c1, c2)))
-    return frozenset(extra)
-
-
-def _reduced_star(struct: CycleStructure, cell_index: dict) -> DenseGraph:
-    """The relabelled reduced graph as a plain DenseGraph over cell indices."""
-    cells = sorted(cell_index, key=cell_index.get)
-    edges = []
-    for a, c1 in enumerate(cells):
-        for c2 in cells[a + 1 :]:
-            if struct.reduced_has_edge(c1, c2):
-                edges.append((cell_index[c1], cell_index[c2]))
-    return DenseGraph.from_edges(len(cells), edges)
 
 
 def _degenerate_embed(

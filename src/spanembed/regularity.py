@@ -311,42 +311,44 @@ def refine_to_superregular(
     """Shrink each cluster to ceil((1-sqrt(eps))*m) so R-neighbour pairs become
     superregular at (4*sqrt(eps), delta/2).
 
-    A vertex is discarded when its degree into some R-neighbour cluster falls
-    below (delta-eps)*m; more than sqrt(eps)*m failures in one cluster means
-    the regularity hypothesis was violated and is reported.  Survivors are
-    trimmed deterministically (highest ids first) to the exact target size.
-    With ``verify``, every refined R-pair is rechecked by ``is_superregular``
-    and a failing pair raises ``NotSuperregular``.
+    A vertex fails when its degree into some R-neighbour cluster falls below
+    (delta-eps)*m, and failing vertices are discarded.  More than sqrt(eps)*m
+    failures toward one cluster, or more than m minus the target size in one
+    cluster, means the regularity hypothesis was violated.  When no pair has
+    more than ceil(sqrt(eps)*m) failures, the clusters are first repaired by
+    swaps (``_swap_failing``) and the violation is reported only if that
+    fails.  Survivors are trimmed deterministically (highest ids first) to the
+    exact target size.  With ``verify``, every refined R-pair is rechecked by
+    ``is_superregular`` and a failing pair raises ``NotSuperregular``.
     """
     m = len(clusters[0])
     if any(len(c) != m for c in clusters):
         raise ValueError("clusters must be equal-sized")
+    L = len(clusters)
     target = math.ceil((1 - math.sqrt(eps)) * m)
     allowed = math.sqrt(eps) * m
-    masks = [mask_of(c) for c in clusters]
-    refined: list[list[int]] = []
-    for i, cluster in enumerate(clusters):
-        bad: set[int] = set()
-        for j in range(len(clusters)):
-            if not R.has_edge(i, j):
-                continue
-            thresh = (delta - eps) * m
-            failing = [v for v in cluster if (G.rows[v] & masks[j]).bit_count() < thresh]
-            if len(failing) > allowed:
-                raise InsufficientVertices(i, j, len(failing), allowed)
-            bad.update(failing)
-        if len(bad) > m - target:
-            # hypothesis violated jointly even though each pair was fine
-            worst = max(
-                (j for j in range(len(clusters)) if R.has_edge(i, j)),
-                key=lambda j: sum(
-                    1 for v in cluster if (G.rows[v] & masks[j]).bit_count() < (delta - eps) * m
-                ),
-                default=i,
-            )
-            raise InsufficientVertices(i, worst, len(bad), m - target)
-        survivors = [v for v in cluster if v not in bad]
-        refined.append(sorted(survivors)[:target])
+    thresh = (delta - eps) * m
+    nbrs = R.bit_matrix(range(L))[:, :L].astype(bool)
+    flat = [v for c in clusters for v in c]
+    # adj[x, y] for positions x, y of flat; deg[x, j] = degree of flat[x]
+    # into cluster j; where[x] = the cluster holding flat[x]
+    adj = G.bit_matrix(flat)[:, flat]
+    deg = adj.reshape(L * m, L, m).sum(axis=2, dtype=np.int64)
+    where = np.repeat(np.arange(L), m)
+    fails = (deg < thresh) & nbrs[where]
+    counts = fails.reshape(L, m, L).sum(axis=1)
+    refusal = _first_refusal(fails, counts, allowed, m - target)
+    if refusal is not None:
+        if counts.max() > math.ceil(allowed) or not _swap_failing(
+            adj.astype(np.int64), deg, where, nbrs, thresh, fails, flat
+        ):
+            raise refusal
+        fails = (deg < thresh) & nbrs[where]
+    survivors: list[list[int]] = [[] for _ in range(L)]
+    for v, i, bad in zip(flat, where.tolist(), fails.any(axis=1).tolist()):
+        if not bad:
+            survivors[i].append(v)
+    refined = [sorted(vs)[:target] for vs in survivors]
     if verify:
         for i in range(len(refined)):
             for j in range(i + 1, len(refined)):
@@ -358,6 +360,76 @@ def refine_to_superregular(
                 if not verdict:
                     raise NotSuperregular(i, j, verdict)
     return refined
+
+
+def _first_refusal(
+    fails: np.ndarray, counts: np.ndarray, allowed: float, drop: int
+) -> InsufficientVertices | None:
+    """The first violated refinement hypothesis in cluster order: a pair
+    with more than ``allowed`` failures, or a cluster with more than
+    ``drop`` failing vertices (named by its worst pair)."""
+    failing = fails.any(axis=1).reshape(len(counts), -1).sum(axis=1)
+    over = counts > allowed
+    violated = np.flatnonzero(over.any(axis=1) | (failing > drop))
+    if not violated.size:
+        return None
+    i = int(violated[0])
+    if over[i].any():
+        j = int(np.argmax(over[i]))
+        return InsufficientVertices(i, j, int(counts[i, j]), allowed)
+    return InsufficientVertices(i, int(np.argmax(counts[i])), int(failing[i]), drop)
+
+
+def _swap_failing(
+    adj: np.ndarray,
+    deg: np.ndarray,
+    where: np.ndarray,
+    nbrs: np.ndarray,
+    thresh: float,
+    fails: np.ndarray,
+    flat: list[int],
+) -> bool:
+    """Swap every failing vertex with a vertex of another cluster, updating
+    ``deg`` and ``where`` in place; False (and nothing changed) when some
+    failing vertex has no valid swap.
+
+    For a failing v, the swap taken is the first partner w in (cluster, id)
+    order after which v and w both pass the degree test in their new
+    clusters and no vertex that passed starts failing.  A swap changes only
+    the degrees into the two clusters involved.
+    """
+    new_deg, new_where = deg.copy(), where.copy()
+    failing = fails.any(axis=1)
+    for v in sorted(np.flatnonzero(failing), key=lambda x: (where[x], flat[x])):
+        if not failing[v]:
+            continue  # repaired by an earlier swap
+        i = new_where[v]
+        for w in sorted(range(len(flat)), key=lambda x: (new_where[x], flat[x])):
+            k = new_where[w]
+            if k == i:
+                continue
+            v_row, w_row = new_deg[v].copy(), new_deg[w].copy()
+            v_row[i] += adj[v, w]
+            w_row[k] += adj[w, v]
+            if (v_row[nbrs[k]] < thresh).any() or (w_row[nbrs[i]] < thresh).any():
+                continue
+            col_i = new_deg[:, i] - adj[:, v] + adj[:, w]
+            col_k = new_deg[:, k] - adj[:, w] + adj[:, v]
+            starts = ~failing & (
+                (nbrs[new_where, i] & (col_i < thresh))
+                | (nbrs[new_where, k] & (col_k < thresh))
+            )
+            starts[[v, w]] = False
+            if starts.any():
+                continue
+            new_deg[:, i], new_deg[:, k] = col_i, col_k
+            new_where[v], new_where[w] = k, i
+            failing = ((new_deg < thresh) & nbrs[new_where]).any(axis=1)
+            break
+        else:
+            return False
+    deg[:], where[:] = new_deg, new_where
+    return True
 
 
 # -- one-pass degree-form partitioner ---------------------------------------

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from spanembed.balance import (
@@ -127,10 +125,6 @@ def phi_cells(two_ell, r):
     return [(a, b) for a in range(1, two_ell + 1) for b in range(1, r + 1)]
 
 
-def no_reservations(C):
-    return {c: 0 for c in phi_cells(2 * C.ell, C.r // 2)}
-
-
 def without_edges(G, pairs):
     rows = list(G.rows)
     for u, v in pairs:
@@ -141,10 +135,9 @@ def without_edges(G, pairs):
 
 def test_valid_move_complete_host():
     G, C = complete_host_structure(2, 4, 8)
-    Y = lemma_g(G, C, no_reservations(C)).Y
     for cell in C.clusters:
         for v in C.clusters[cell][:3]:
-            assert is_valid_move(G, v, cell, Y, 2, C.delta, C.eps, 8)
+            assert is_valid_move(G, v, cell, C.clusters, 2, C.delta, C.eps, 8)
 
 
 def test_valid_move_isolated_vertex():
@@ -152,63 +145,24 @@ def test_valid_move_isolated_vertex():
     G, C = complete_host_structure(2, 4, 8, eps=0.1, delta=0.4)
     victim = 0
     G2 = without_edges(G, [(victim, u) for u in G.neighbors(victim)])
-    Y = lemma_g(G2, C, no_reservations(C)).Y
-    assert not is_valid_move(G2, victim, (1, 1), Y, 2, C.delta, C.eps, 8)
+    assert not is_valid_move(G2, victim, (1, 1), C.clusters, 2, C.delta, C.eps, 8)
 
 
 def test_valid_move_own_cell_in_planted_system():
     G, C = planted_structure(2, 4, 30, p_in=0.75, delta=0.5, seed=6)
-    Y = lemma_g(G, C, no_reservations(C)).Y
     for cell in C.clusters:
-        for v in Y[cell][:5]:
-            assert is_valid_move(G, v, cell, Y, 2, C.delta, C.eps, 30)
+        for v in C.clusters[cell][:5]:
+            assert is_valid_move(G, v, cell, C.clusters, 2, C.delta, C.eps, 30)
 
 
-# -- phase one: reservations and sizes ----------------------------------
+# -- phase one: sizes ----------------------------------------------------
 
 
 def test_balance_already_balanced_no_moves():
     G, C = complete_host_structure(2, 4, 10)
-    res = lemma_g(G, C, no_reservations(C))
+    res = lemma_g(G, C)
     assert res.X is None
-    assert all(size == 10 for size in res.m_ab.values())
-    for cell in C.clusters:
-        assert res.A[cell] == ()
-        assert res.Y[cell] == C.clusters[cell]
-
-
-def test_balance_hand_simulated_example():
-    # one block, r=2, m=10; reservations 3 and 0 in the first half leave
-    # 7 + 10 = 17 vertices, split 9/8 with the extra one on the fuller cell;
-    # reservations 1 and 2 in the second half leave 9 + 8 = 17, split 9/8
-    G, C = complete_host_structure(1, 4, 10, eps=0.3)
-    tau = {(1, 1): 3, (1, 2): 0, (2, 1): 1, (2, 2): 2}
-    res = lemma_g(G, C, tau)
-    assert res.m_ab == {(1, 1): 8, (1, 2): 9, (2, 1): 9, (2, 2): 8}
-    assert sum(res.m_ab.values()) + sum(tau.values()) == G.n
-
-
-def test_balance_with_reservations():
-    G, C = planted_structure(2, 4, 40, seed=7)
-    rng = random.Random(7)
-    tau = {c: rng.randint(0, 3) for c in phi_cells(4, 2)}
-    res = lemma_g(G, C, tau)
-    for cell in C.clusters:
-        t = tau[phi_bijection(cell[0], cell[1], 2, 2)]
-        assert len(res.A[cell]) == t
-        assert res.A[cell] == tuple(sorted(C.clusters[cell])[:t])
-        assert not set(res.A[cell]) & set(res.Y[cell])
-        assert set(res.A[cell]) | set(res.Y[cell]) == set(C.clusters[cell])
-    for a in range(1, 5):
-        assert abs(res.m_ab[(a, 1)] - res.m_ab[(a, 2)]) <= 1
-
-
-def test_reservation_beyond_eps_m_rejected():
-    G, C = complete_host_structure(2, 4, 10)
-    tau = no_reservations(C)
-    tau[(1, 1)] = 3  # eps*m = 2
-    with pytest.raises(BalanceError, match="outside"):
-        lemma_g(G, C, tau)
+    assert res.m_ab == {cell: 10 for cell in phi_cells(4, 2)}
 
 
 # -- phase two: augmenting-path reallocation -----------------------------
@@ -221,37 +175,49 @@ def moved_into(C, res, r):
     }
 
 
+def test_balance_hand_simulated_example():
+    # one block, r = 2, m = 10 on a complete host: every move is valid, so
+    # the over-full cell (1,1) hands its smallest vertex to the under-full
+    # cell (1,2) along a one-edge path; nothing else moves
+    G, C = complete_host_structure(1, 4, 10, eps=0.3)
+    targets = {(1, 1): 9, (1, 2): 11, (2, 1): 10, (2, 2): 10}
+    res = lemma_g(G, C, targets=targets)
+    assert res.X == {
+        (1, 1): tuple(range(1, 10)),
+        (1, 2): (0, *range(10, 20)),
+        (2, 1): tuple(range(20, 30)),
+        (2, 2): tuple(range(30, 40)),
+    }
+
+
 def test_reallocation_zero_deviation_no_moves():
     G, C = complete_host_structure(2, 4, 10)
-    tau = no_reservations(C)
-    res = lemma_g(G, C, tau, targets=dict(lemma_g(G, C, tau).m_ab))
+    res = lemma_g(G, C, targets=dict(lemma_g(G, C).m_ab))
     assert all(not vs for vs in moved_into(C, res, 2).values())
 
 
 def test_reallocation_shift_three_vertices_exact_targets():
     G, C = complete_host_structure(2, 4, 40, eps=0.4)
-    tau = no_reservations(C)
-    targets = dict(lemma_g(G, C, tau).m_ab)
+    targets = dict(lemma_g(G, C).m_ab)
     targets[(1, 1)] -= 3
     targets[(4, 1)] += 3
-    res = lemma_g(G, C, tau, targets=targets)
+    res = lemma_g(G, C, targets=targets)
     assert {c: len(X) for c, X in res.X.items()} == targets
     assert sum(len(vs) for vs in moved_into(C, res, 2).values()) == 3
 
 
 def test_reallocation_every_move_was_valid():
     G, C = planted_structure(2, 4, 40, p_in=0.8, p_btw=0.7, delta=0.5, seed=8)
-    tau = no_reservations(C)
-    targets = dict(lemma_g(G, C, tau).m_ab)
+    targets = dict(lemma_g(G, C).m_ab)
     targets[(1, 2)] -= 1
     targets[(4, 2)] += 1
-    res = lemma_g(G, C, tau, targets=targets)
+    res = lemma_g(G, C, targets=targets)
     moved = moved_into(C, res, 2)
     assert sum(len(vs) for vs in moved.values()) >= 1
     for cell, vs in moved.items():
         for v in vs:
             assert is_valid_move(
-                G, v, phi_inverse(*cell, 2, 2), res.Y, 2, C.delta, C.eps, 40
+                G, v, phi_inverse(*cell, 2, 2), C.clusters, 2, C.delta, C.eps, 40
             )
 
 
@@ -267,12 +233,11 @@ def blocked_host():
 
 def test_reallocation_takes_a_path_when_the_direct_move_is_invalid():
     G, C = blocked_host()
-    tau = no_reservations(C)
-    targets = dict(lemma_g(G, C, tau).m_ab)
+    targets = dict(lemma_g(G, C).m_ab)
     targets[(2, 1)] -= 1  # pre-bijection cell (1,3): over-full
     targets[(1, 1)] += 1  # pre-bijection cell (1,1): under-full
-    res = lemma_g(G, C, tau, targets=targets)
-    Y = res.Y
+    res = lemma_g(G, C, targets=targets)
+    Y = C.clusters
     assert not any(is_valid_move(G, v, (1, 1), Y, 2, C.delta, C.eps, 10) for v in Y[(1, 3)])
     # the shortest path is (1,3) -> (1,2) -> (1,1), each edge moving its
     # smallest valid vertex
@@ -287,31 +252,11 @@ def test_reallocation_refusal_names_the_cell_left_over_full():
     G, C = complete_host_structure(2, 4, 10, eps=0.2, delta=0.5)
     # isolated vertices may move nowhere
     G = without_edges(G, [(u, v) for u in C.clusters[(1, 3)] for v in range(G.n)])
-    tau = no_reservations(C)
-    targets = dict(lemma_g(G, C, tau).m_ab)
+    targets = dict(lemma_g(G, C).m_ab)
     targets[(2, 1)] -= 1
     targets[(1, 1)] += 1
     with pytest.raises(BalanceError, match=r"cell \(2,1\) left over-full by 1"):
-        lemma_g(G, C, tau, targets=targets)
-
-
-def test_reallocation_keeps_reservations_in_place():
-    G, C = blocked_host()
-    tau = no_reservations(C)
-    tau[(2, 1)] = tau[(2, 2)] = 2  # pre-bijection cells (1,3) and (1,4)
-    tau[(1, 2)] = 1  # pre-bijection cell (1,2), a path cell
-    phase1 = lemma_g(G, C, tau)
-    targets = dict(phase1.m_ab)
-    targets[(2, 1)] -= 1
-    targets[(1, 1)] += 1
-    res = lemma_g(G, C, tau, targets=targets)
-    for cell, X in res.X.items():
-        assert set(phase1.A[phi_inverse(*cell, 2, 2)]) <= set(X)
-        assert len(X) == targets[cell] + tau[cell]
-    moved = moved_into(C, res, 2)
-    # the movers are the smallest unreserved vertices of their cells
-    assert moved[(1, 2)] == {C.clusters[(1, 3)][2]}
-    assert moved[(1, 1)] == {C.clusters[(1, 2)][1]}
+        lemma_g(G, C, targets=targets)
 
 
 # -- lemma_g end to end ----------------------------------------------------
@@ -319,29 +264,26 @@ def test_reallocation_keeps_reservations_in_place():
 
 def test_lemma_g_identity_targets():
     G, C = complete_host_structure(2, 4, 10)
-    tau = no_reservations(C)
-    res = lemma_g(G, C, tau)
-    # no reservations, complete host: phase-1 sizes are exactly m
+    res = lemma_g(G, C)
+    # phase-1 sizes are exactly m
     assert all(size == 10 for size in res.m_ab.values())
-    res2 = lemma_g(G, C, tau, targets=dict(res.m_ab))
+    res2 = lemma_g(G, C, targets=dict(res.m_ab))
     assert res2.X is not None
     for (a, b), cluster in res2.X.items():
         assert set(cluster) == set(C.clusters[phi_inverse(a, b, 2, 2)])
 
 
-def test_lemma_g_planted_with_reservations_and_perturbation():
+def test_lemma_g_planted_with_perturbation():
     G, C = planted_structure(2, 4, 40, p_in=0.8, p_btw=0.7, eps=0.25, delta=0.5, seed=9)
-    rng = random.Random(9)
-    tau = {c: rng.randint(0, 2) for c in phi_cells(4, 2)}
-    res = lemma_g(G, C, tau)
+    res = lemma_g(G, C)
     targets = dict(res.m_ab)
     # shift one unit between two cells, preserving the total
     targets[(1, 1)] -= 1
     targets[(3, 2)] += 1
-    res2 = lemma_g(G, C, tau, targets=targets)
+    res2 = lemma_g(G, C, targets=targets)
     assert res2.X is not None
     for cell, cluster in res2.X.items():
-        assert len(cluster) == targets[cell] + tau[cell]
+        assert len(cluster) == targets[cell]
     report = check_cycle_structure(G, res2.structure)
     assert report.partition_ok
     assert res2.structure.ell == 4 and res2.structure.r == 2
@@ -350,34 +292,30 @@ def test_lemma_g_planted_with_reservations_and_perturbation():
 def test_lemma_g_rejects_drifted_targets():
     # moving 5 vertices out of one cell drifts it beyond eps*m = 2
     G, C = complete_host_structure(2, 4, 10)
-    tau = no_reservations(C)
-    res = lemma_g(G, C, tau)
+    res = lemma_g(G, C)
     targets = dict(res.m_ab)
     targets[(1, 1)] -= 5
     targets[(1, 2)] += 5
     with pytest.raises(BalanceError, match="drifted by 5"):
-        lemma_g(G, C, tau, targets=targets)
+        lemma_g(G, C, targets=targets)
 
 
 def test_lemma_g_rejects_targets_that_lose_vertices():
     G, C = complete_host_structure(2, 4, 10)
-    tau = no_reservations(C)
-    targets = dict(lemma_g(G, C, tau).m_ab)
+    targets = dict(lemma_g(G, C).m_ab)
     targets[(1, 1)] -= 1
     with pytest.raises(BalanceError, match="sum to n"):
-        lemma_g(G, C, tau, targets=targets)
+        lemma_g(G, C, targets=targets)
 
 
 def test_lemma_g_requires_spanning():
     G, C = complete_host_structure(2, 4, 10)
     C2 = CycleStructure(C.ell, C.r, dict(C.clusters), (999,), C.eps, C.delta)
     with pytest.raises(BalanceError):
-        lemma_g(G, C2, no_reservations(C))
+        lemma_g(G, C2)
 
 
 def test_lemma_g_conservation():
     G, C = planted_structure(2, 4, 30, seed=10)
-    tau = {c: (1 if c == (1, 1) else 0) for c in phi_cells(4, 2)}
-    res = lemma_g(G, C, tau)
-    total = sum(res.m_ab.values()) + sum(tau.values())
-    assert total == G.n
+    res = lemma_g(G, C)
+    assert sum(res.m_ab.values()) == G.n

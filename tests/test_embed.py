@@ -200,25 +200,11 @@ def test_targets_complete_multipartite_greedy():
     H = make_named("P", [1, 6])
     phi = {x: x % L for x in range(6)}
     out = embed_with_targets(
-        G, H, list(range(6)), phi, clusters, Y=[], S_w={}, c=0.3
+        G, H, list(range(6)), phi, clusters, Y=[], c=0.3
     )
     assert verify_embedding(H, G, out.mapping) == ""
     for x, gv in out.mapping.items():
         assert gv in clusters[phi[x]]
-
-
-def test_targets_respects_target_sets():
-    L, m = 2, 10
-    G = DenseGraph.complete(L * m)
-    clusters = {a: tuple(range(a * m, (a + 1) * m)) for a in range(L)}
-    H = DenseGraph.empty(4)
-    phi = {0: 0, 1: 1, 2: 0, 3: 1}
-    S_w = {0: {3, 4}, 3: {11, 12, 13}}
-    out = embed_with_targets(
-        G, H, [0, 1, 2, 3], phi, clusters, Y=[], S_w=S_w, c=0.2
-    )
-    assert out.mapping[0] in S_w[0]
-    assert out.mapping[3] in S_w[3]
 
 
 def test_targets_boundary_candidate_sets():
@@ -227,7 +213,7 @@ def test_targets_boundary_candidate_sets():
     H = DenseGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     phi = {0: 0, 1: 1, 2: 2, 3: 0}
     out = embed_with_targets(
-        G, H, [0, 1, 2], phi, clusters, Y=[3], S_w={}, c=0.3
+        G, H, [0, 1, 2], phi, clusters, Y=[3], c=0.3
     )
     C3 = out.candidate_sets[3]
     assert len(C3) >= 0.3 * 12
@@ -240,8 +226,9 @@ def test_targets_boundary_candidate_sets():
 def test_targets_rejects_small_target_set():
     G, clusters = make_clustered_host()
     H = DenseGraph.empty(1)
+    # the boundary vertex's target set is its whole cluster, 12 < 1.5*m
     with pytest.raises(StageFailure) as exc:
-        embed_with_targets(G, H, [0], {0: 0}, clusters, Y=[], S_w={0: {1}}, c=0.5)
+        embed_with_targets(G, H, [], {0: 0}, clusters, Y=[0], c=1.5)
     assert exc.value.stage == "target-set"
 
 
@@ -251,7 +238,7 @@ def test_targets_rejects_overload():
     phi = {x: 0 for x in range(12)}
     with pytest.raises(StageFailure) as exc:
         embed_with_targets(
-            G, H, list(range(12)), phi, clusters, Y=[], S_w={}, c=0.1, eps=0.2
+            G, H, list(range(12)), phi, clusters, Y=[], c=0.1, eps=0.2
         )
     assert exc.value.stage == "load"
 
@@ -268,7 +255,7 @@ def test_targets_planted_superregular_segments():
     H = make_named("P", [1, 6])
     walk = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
     phi = {x: cell_ids[walk[x]] for x in range(6)}
-    out = embed_with_targets(G, H, list(range(6)), phi, clusters, Y=[], S_w={}, c=0.2)
+    out = embed_with_targets(G, H, list(range(6)), phi, clusters, Y=[], c=0.2)
     assert verify_embedding(H, G, out.mapping) == ""
 
 

@@ -9,6 +9,7 @@ from spanembed import graphs
 from spanembed.generators import gnp
 from spanembed.graphs import (
     DenseGraph,
+    MAX_EDGELIST_N,
     InvalidParameters,
     VertexLabelling,
     WitnessSequence,
@@ -268,8 +269,15 @@ def test_edgelist_rejects_non_integer_fields(text):
         from_edgelist_text(text)
 
 
-# Header vertex counts stay small: a header n of 10**9 is a valid record
-# whose n-entry row list is a resource bound, not a parse error.
+def test_edgelist_refuses_a_header_above_the_size_limit():
+    # a 12-byte text must not claim memory for millions of rows
+    assert from_edgelist_text(f"p {MAX_EDGELIST_N} 0\n").n == MAX_EDGELIST_N
+    with pytest.raises(InvalidParameters, match="line 2: header declares 4000000 > "):
+        from_edgelist_text("# big\np 4000000 0\n")
+
+
+# Header vertex counts stay small: every n up to MAX_EDGELIST_N is valid and
+# allocates its n rows.
 _edgelist_token = st.one_of(
     st.integers(-3, 64).map(str),
     st.text(alphabet="xe.-+_#é", min_size=1, max_size=4),

@@ -32,7 +32,12 @@ def _raise(stage: str, detail: str):
     "target, stage, detail, failure_stage",
     [
         ("basic_assignment", "floor", "target m(1, 1) = 0 below the floor 1", "basic-assignment"),
-        ("embed_with_targets", "target-set", "S_w of 7 has 0 < c*m vertices", "target-embedding"),
+        (
+            "embed_with_targets",
+            "target-set",
+            "boundary vertex 7 starts below the floor",
+            "target-embedding",
+        ),
     ],
     ids=["basic-assignment", "target-embedding"],
 )
@@ -48,12 +53,15 @@ def test_library_label_becomes_the_violated_display(
 
 
 def test_own_refusal_keeps_its_displayed_inequality():
-    # the special-assignment prefix does not fit in n = 400 (a known defect
-    # of the sizing); the refusal must name (seq), not be relabelled
+    # 400 mod 48 = 16 vertices fit no cluster; the pipeline's own refusal
+    # must reach the result as raised, not be relabelled or re-wrapped
     res = pipeline.run_main_pipeline(gnp(400, 0.97, 0), cycle_power_H(1, 400), seed=0)
-    assert res.failure_stage == "special-assignment"
-    assert res.violated_display == "(seq)"
-    assert res.failure_detail == "prefix 1098 exceeds |H| = 400"
+    assert res.failure_stage == "exceptional"
+    assert res.violated_display == "exceptional"
+    assert res.failure_detail == (
+        "|V0| = 16: 16 from the n mod L remainder, "
+        "0 from 0 clusters off the power cycle, 0 dropped by refine"
+    )
 
 
 @pytest.mark.parametrize("phase", [1, 2])
@@ -75,6 +83,12 @@ def test_lemma_g_refusal_is_labelled_lemma_g(monkeypatch, phase):
     assert res.failure_detail == f"phase {phase}: iteration budget exceeded"
 
 
+V0_TAIL = (
+    "from the n mod L remainder, 0 from 0 clusters off the power cycle, "
+    "0 dropped by refine"
+)
+
+
 @pytest.mark.parametrize(
     "host, guest, expected",
     [
@@ -83,12 +97,12 @@ def test_lemma_g_refusal_is_labelled_lemma_g(monkeypatch, phase):
         (
             lambda: gnp(400, 0.97, 4),
             lambda: cycle_power_H(1, 400),
-            ("special-assignment", "(seq)", "prefix 1098 exceeds |H| = 400"),
+            ("exceptional", "exceptional", f"|V0| = 16: 16 {V0_TAIL}"),
         ),
         (
             lambda: gnp(480, 0.97, 4),
             lambda: tiling_H(3, 160),
-            ("special-assignment", "(seq)", "prefix 3146 exceeds |H| = 480"),
+            ("exceptional", "exceptional", f"|V0| = 48: 48 {V0_TAIL}"),
         ),
         (
             lambda: clique_factor_extremal(3, 480),
@@ -96,7 +110,7 @@ def test_lemma_g_refusal_is_labelled_lemma_g(monkeypatch, phase):
             (
                 "refine",
                 "refine",
-                "cluster 0: 3 vertices fail the degree test toward cluster 7 (allowed 0.60)",
+                "cluster 60: 3 vertices fail the degree test toward cluster 67 (allowed 0.60)",
             ),
         ),
     ],
@@ -150,5 +164,45 @@ def test_singleton_path_embeds_with_the_guest_bandwidth(G, Hb):
     # and the power cycle needs only H's bandwidth, not 4r - 1
     res = pipeline.run_main_pipeline(G, Hb, seed=1)
     assert res.audit.notes["partition"] == "degenerate-singleton"
+    assert res, (res.failure_stage, res.failure_detail)
+    assert verify_embedding(Hb.H, G, res.mapping) == ""
+
+
+MATRIX_GUESTS = {
+    "C1": lambda n: cycle_power_H(1, n),
+    "K3tiling": lambda n: tiling_H(3, n // 3),
+}
+
+
+@pytest.mark.parametrize(
+    "n, guest",
+    [(n, g) for n in (240, 288, 400, 480) for g in MATRIX_GUESTS if g == "C1" or n % 3 == 0],
+)
+@pytest.mark.parametrize(
+    "host",
+    [lambda n: DenseGraph.complete(n), lambda n: gnp(n, 0.97, 1)],
+    ids=["complete", "gnp97"],
+)
+def test_exceptional_vertices_refuse_and_the_rest_embeds(host, n, guest):
+    # V0 is empty exactly when 4r*m divides n (48 for C1, 72 for K3-tiling)
+    G, Hb = host(n), MATRIX_GUESTS[guest](n)
+    res = pipeline.run_main_pipeline(G, Hb, seed=1)
+    if n % (4 * Hb.num_colours() * 6):
+        assert res.audit.notes["V0"] > 0
+        assert (res.failure_stage, res.violated_display) == ("exceptional", "exceptional")
+    else:
+        assert res.audit.notes["V0"] == 0
+        assert res, (res.failure_stage, res.failure_detail)
+        assert verify_embedding(Hb.H, G, res.mapping) == ""
+
+
+@pytest.mark.parametrize("seed", [2780996939, 4236761169, 3846038391])
+def test_refine_swap_repairs_a_lone_failing_vertex(seed):
+    # benchmark instances (pipeline-dense seeds 1, 4, 7; rounds 165, 224,
+    # 134): one vertex sees at most 1 of the 6 vertices of a cluster in its
+    # block, and at m = 6 refine may drop none; a swap into another block
+    # repairs the partition
+    G, Hb = gnp(480, 0.97, seed), cycle_power_H(1, 480)
+    res = pipeline.run_main_pipeline(G, Hb, seed=seed)
     assert res, (res.failure_stage, res.failure_detail)
     assert verify_embedding(Hb.H, G, res.mapping) == ""

@@ -241,6 +241,44 @@ def test_refine_reports_hypothesis_violation():
         refine_to_superregular(G, clusters, R, 0.04, 0.5, verify=False)
 
 
+def _k12_without(pairs):
+    G = DenseGraph.complete(12)
+    rows = list(G.rows)
+    for u, v in pairs:
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+    return DenseGraph(12, rows, check=False)
+
+
+def test_refine_swaps_a_lone_failing_vertex():
+    # m = 6, eps = 0.01: no vertex may drop.  Vertex 0 sees 1 of cluster 1
+    # (threshold 2.94); the first swap in (cluster, id) order that keeps
+    # every vertex passing is 0 <-> 6
+    G = _k12_without([(0, v) for v in range(7, 12)])
+    clusters = [list(range(6)), list(range(6, 12))]
+    refined = refine_to_superregular(G, clusters, DenseGraph.complete(2), 0.01, 0.5)
+    assert refined == [[1, 2, 3, 4, 5, 6], [0, 7, 8, 9, 10, 11]]
+
+
+def test_refine_refuses_when_no_swap_exists():
+    # an isolated vertex passes in no cluster
+    G = _k12_without([(0, v) for v in range(1, 12)])
+    clusters = [list(range(6)), list(range(6, 12))]
+    with pytest.raises(
+        InsufficientVertices, match=r"cluster 0: 1 vertices fail .* cluster 1 \(allowed 0.60\)"
+    ):
+        refine_to_superregular(G, clusters, DenseGraph.complete(2), 0.01, 0.5, verify=False)
+
+
+def test_refine_swaps_only_up_to_the_rounded_allowance():
+    # two failing vertices toward one cluster exceed ceil(sqrt(eps)*m) = 1:
+    # refused as before, although swaps would repair it
+    G = _k12_without([(u, v) for u in (0, 1) for v in range(7, 12)])
+    clusters = [list(range(6)), list(range(6, 12))]
+    with pytest.raises(InsufficientVertices, match="cluster 0: 2 vertices fail"):
+        refine_to_superregular(G, clusters, DenseGraph.complete(2), 0.01, 0.5, verify=False)
+
+
 def test_refine_output_sizes_and_degrees():
     L, m = 3, 20
     G, clusters = planted_cluster_system(L, m, 0.7, seed=5)

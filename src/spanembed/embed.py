@@ -320,39 +320,38 @@ def brute_force_embed(H: DenseGraph, G: DenseGraph, budget: int = 5_000_000) -> 
     fits = [fit_of[h_degree[u]] for u in order]
     image = [0] * H.n
     image_rows = [0] * H.n
+    # depth-first over order positions without recursion: rest[i] holds
+    # position i's untried candidates while deeper positions are searched,
+    # and every entered position counts one node
+    rest = [0] * H.n
+    last = H.n - 1
+    free = G.full_mask()
     nodes = 0
-
-    class _Budget(Exception):
-        pass
-
-    def rec(idx: int, free: int) -> bool:
-        nonlocal nodes
-        if idx == H.n:
-            return True
+    idx = 0
+    while True:
         nodes += 1
         if nodes > budget:
-            raise _Budget()
+            return OracleResult("budget-exceeded", nodes=nodes)
         cands = free & fits[idx]
         for j in back[idx]:
             cands &= image_rows[j]
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            gv = low.bit_length() - 1
-            image[idx] = gv
-            image_rows[idx] = g_rows[gv]
-            if rec(idx + 1, free ^ low):
-                return True
-        return False
-
-    try:
-        found = rec(0, G.full_mask())
-    except _Budget:
-        return OracleResult("budget-exceeded", nodes=nodes)
-    if found:
-        mapping = dict(zip(order, image))
-        problem = verify_embedding(H, G, mapping)
-        if problem:
-            raise StageFailure("revalidation", problem)
-        return OracleResult("embedded", mapping, nodes)
-    return OracleResult("no-embedding", nodes=nodes)
+        while not cands and idx:  # backtrack to the last untried candidate
+            idx -= 1
+            free |= 1 << image[idx]
+            cands = rest[idx]
+        if not cands:
+            return OracleResult("no-embedding", nodes=nodes)
+        low = cands & -cands
+        rest[idx] = cands ^ low
+        gv = low.bit_length() - 1
+        image[idx] = gv
+        image_rows[idx] = g_rows[gv]
+        if idx == last:
+            break
+        free ^= low
+        idx += 1
+    mapping = dict(zip(order, image))
+    problem = verify_embedding(H, G, mapping)
+    if problem:
+        raise StageFailure("revalidation", problem)
+    return OracleResult("embedded", mapping, nodes)

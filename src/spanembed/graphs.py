@@ -307,13 +307,18 @@ def path_power(r: int, k: int) -> DenseGraph:
 
 
 def cycle_power(r: int, k: int) -> DenseGraph:
-    edges = set()
-    for i in range(k):
-        for j in range(1, r + 1):
-            u, v = i, (i + j) % k
-            if u != v:
-                edges.add((min(u, v), max(u, v)))
-    return DenseGraph.from_edges(k, edges)
+    """The r-th power of the cycle on 0..k-1: i ~ i ± j (mod k) for
+    1 <= j <= r, so the complete graph once k <= 2r + 1.
+
+    Cost: vertex 0's row, built from min(r, k-1) bit pairs, and one rotation
+    of it per vertex: O(k) big-int operations on k bits.
+    """
+    full = (1 << k) - 1
+    base = 0
+    for j in range(1, min(r, k - 1) + 1):
+        base |= 1 << j | 1 << (k - j)
+    rows = [(base << i | base >> (k - i)) & full for i in range(k)]
+    return DenseGraph(k, rows, check=False)
 
 
 def blown_cycle(r: int, ell: int) -> DenseGraph:

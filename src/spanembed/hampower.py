@@ -596,6 +596,11 @@ def find_hamilton_power(
         _check_cycle(G, out, n_target)
         return out
 
+    # a host too small for the plan refuses before the prechecks, whose
+    # verdicts nothing would read
+    plan = HamPlan.derive(n, r, constants)
+    audit.plan = plan
+
     # advisory prechecks (recorded; the construction is its own certificate)
     p = DensityParams(constants.get("rho", 0.05), constants.get("d", 0.3))
     eta = constants.get("eta", 0.2)
@@ -603,9 +608,6 @@ def find_hamilton_power(
         is_locally_dense_sampled(G, p, trials=200, seed=seed)
     )
     audit.prechecks["min-degree"] = G.min_degree() >= (0.5 + eta) * n
-
-    plan = HamPlan.derive(n, r, constants)
-    audit.plan = plan
     eta2 = constants.get("eta2", 0.1)
 
     # Everything is rebuilt per attempt under a derived seed: the clique

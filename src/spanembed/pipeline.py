@@ -227,14 +227,11 @@ def _pipeline(
     # failing vertex may be swapped into another block
     refine_eps = min(0.01, eps)
     cells = list(cell_cluster)
-    R_blocks = DenseGraph.from_edges(
+    block = (1 << (4 * r)) - 1
+    R_blocks = DenseGraph(
         len(cells),
-        [
-            (x, y)
-            for x in range(len(cells))
-            for y in range(x + 1, len(cells))
-            if x // (4 * r) == y // (4 * r)
-        ],
+        [(block << (x - x % (4 * r))) ^ (1 << x) for x in range(len(cells))],
+        check=False,
     )
     try:
         refined_list = refine_to_superregular(
@@ -281,8 +278,10 @@ def _pipeline(
     # -- stage: lemma for G, phase 1 ----------------------------------------
     # lemma_g's drift bound eps*m must leave room for moves at desk-scale m:
     # a cell on an augmenting path drifts by 2, and m = 6 gives eps = 0.9,
-    # a drift of at most 5 per cell
+    # a drift of at most 5 per cell.  While m <= 8 this puts the valid-move
+    # threshold (delta/2 - 2*eps)*m below 0, so phase 2 checks no degree
     eps_balance = min(0.9, max(refine_eps, 8 / m))
+    audit.notes["lemma-g-move-threshold"] = (delta / 2 - 2 * eps_balance) * m
     struct = CycleStructure(
         ell=ell,
         r=4 * r,
@@ -462,6 +461,17 @@ def _reduced_power_cycle(
 ) -> list[int]:
     """Spanning power-q cycle on n_cycle reduced vertices: the absorbing
     pipeline when it fits, otherwise the exact oracle as a fallback."""
+    q_eff = min(q, (n_cycle - 1) // 2)
+    # every vertex of a q_eff-th power of a cycle has 2*q_eff neighbours on
+    # it, so when the cycle must span R a vertex of smaller degree refuses
+    # both routes at once
+    if n_cycle == reduced.n and reduced.min_degree() < 2 * q_eff:
+        audit.notes["hamilton-power"] = "refused: δ(R) < 2q"
+        raise StageFailure(
+            "hamilton-power",
+            f"δ(R) = {reduced.min_degree()} < 2q = {2 * q_eff}: no spanning "
+            f"power-{q_eff} cycle on {n_cycle} vertices",
+        )
     try:
         w = find_hamilton_power(
             reduced, q, n_target=n_cycle, seed=seed, config=config.ham_config
@@ -471,7 +481,6 @@ def _reduced_power_cycle(
     except StageFailure as exc:
         audit.notes["hamilton-power"] = f"pipeline failed ({exc.stage}); oracle fallback"
         first_failure = exc
-    q_eff = min(q, (n_cycle - 1) // 2)
     template = cycle_power(q_eff, n_cycle)
     res = brute_force_embed(template, reduced, budget=config.oracle_budget)
     if res.status == "embedded":

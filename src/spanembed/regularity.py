@@ -467,6 +467,10 @@ def heuristic_degree_form_partition(
     reduced graph on the L clusters with the dense pairs as edges, and a
     report.  Clusters are never refined.  Equal cluster sizes and missing
     intra-cluster pure edges hold by construction.
+
+    Cost: one n × n unpack of the cluster rows for the pair counts, L²/2
+    density comparisons, and one big-int AND per vertex for the pure rows
+    (the row against its cluster's keep mask).
     """
     if L_min < 1:
         raise ValueError("L_min must be >= 1")
@@ -485,43 +489,37 @@ def heuristic_degree_form_partition(
     flat = [v for c in clusters for v in c]
     blocks = G.bit_matrix(flat)[:, flat].reshape(L, m, L, m)
     counts = blocks.sum(axis=(1, 3)).tolist()
+    # per cluster, the vertices its pure rows keep: the exceptional set and
+    # the clusters it forms a dense pair with; r_rows are R's rows
+    exc_mask = mask_of(exceptional)
+    keep = [exc_mask] * L
+    r_rows = [0] * L
     pair_verdicts: dict[tuple[int, int], str] = {}
-    r_edges: list[tuple[int, int]] = []
     for i in range(L):
         for j in range(i + 1, L):
             if counts[i][j] / (m * m) < delta:
                 pair_verdicts[(i, j)] = "sparse"
             else:
                 pair_verdicts[(i, j)] = "dense"
-                r_edges.append((i, j))
+                keep[i] |= masks[j]
+                keep[j] |= masks[i]
+                r_rows[i] |= 1 << j
+                r_rows[j] |= 1 << i
 
-    keep = [[False] * L for _ in range(L)]
-    for i, j in r_edges:
-        keep[i][j] = keep[j][i] = True
-    cluster_of = {}
-    for i, c in enumerate(clusters):
+    # exceptional vertices keep their edges; a cluster vertex keeps those
+    # into its keep mask.  Symmetric by construction: keep is symmetric in
+    # the dense pairs, and every cluster row keeps its edges to the
+    # exceptional set
+    pure_rows = list(G.rows)
+    for c, km in zip(clusters, keep):
         for v in c:
-            cluster_of[v] = i
-    exc_mask = mask_of(exceptional)
-    pure_rows = [0] * n
-    for v in range(n):
-        ci = cluster_of.get(v)
-        if ci is None:
-            pure_rows[v] = G.rows[v]  # exceptional vertices keep their edges
-            continue
-        row = G.rows[v] & exc_mask
-        for j in range(L):
-            if keep[ci][j]:
-                row |= G.rows[v] & masks[j]
-        pure_rows[v] = row
-    # symmetric by construction: keep is symmetric, exceptional rows are G's,
-    # and every cluster row keeps its edges to the exceptional set
+            pure_rows[v] &= km
     pure = DenseGraph(n, pure_rows, check=False)
 
     partition = ClusterPartition(
         tuple(exceptional), tuple(tuple(c) for c in clusters)
     )
-    R = DenseGraph.from_edges(L, r_edges)
+    R = DenseGraph(L, r_rows, check=False)
     report = PartitionReport(
         L=L, m=m, exceptional_size=len(exceptional), pair_verdicts=pair_verdicts
     )

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanembed import embed
 from spanembed.embed import (
@@ -17,7 +19,7 @@ from spanembed.generators import (
     two_cliques,
     clique_factor_extremal,
 )
-from spanembed.graphs import DenseGraph, StageFailure, bits, cycle_power, make_named
+from spanembed.graphs import DenseGraph, StageFailure, bits, cycle_power, make_named, mask_of
 
 
 # -- brute force oracle ------------------------------------------------------
@@ -157,6 +159,101 @@ def test_oracle_matches_the_unprecomputed_search(budget):
         assert list((got.mapping or {}).items()) == list((want.mapping or {}).items())
         statuses.add(got.status)
     assert statuses == {"embedded", "no-embedding", "budget-exceeded"}
+
+
+def _recursive_brute_force_embed(H, G, budget=5_000_000):
+    """The oracle as it searched with one recursive call per template
+    vertex: the same order, candidates and node count."""
+    if H.n > G.n:
+        return OracleResult("no-embedding", nodes=0)
+    if H.n == 0:
+        return OracleResult("embedded", {}, 0)
+
+    h_degree = [H.degree(v) for v in range(H.n)]
+    placed_nbrs = [0] * H.n
+    unplaced = set(range(H.n))
+    order = []
+    best = max(range(H.n), key=lambda v: (h_degree[v], -v))
+    while True:
+        order.append(best)
+        unplaced.discard(best)
+        if not unplaced:
+            break
+        for w in bits(H.rows[best]):
+            placed_nbrs[w] += 1
+        best = max(unplaced, key=lambda v: (placed_nbrs[v], h_degree[v], -v))
+
+    position = {u: i for i, u in enumerate(order)}
+    back = [
+        [position[w] for w in bits(H.rows[u]) if position[w] < i]
+        for i, u in enumerate(order)
+    ]
+    g_rows = G.rows
+    g_degree = [row.bit_count() for row in g_rows]
+    fit_of = {
+        du: mask_of(gv for gv in range(G.n) if g_degree[gv] >= du) for du in set(h_degree)
+    }
+    fits = [fit_of[h_degree[u]] for u in order]
+    image = [0] * H.n
+    image_rows = [0] * H.n
+    nodes = 0
+
+    class _Budget(Exception):
+        pass
+
+    def rec(idx, free):
+        nonlocal nodes
+        if idx == H.n:
+            return True
+        nodes += 1
+        if nodes > budget:
+            raise _Budget()
+        cands = free & fits[idx]
+        for j in back[idx]:
+            cands &= image_rows[j]
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            gv = low.bit_length() - 1
+            image[idx] = gv
+            image_rows[idx] = g_rows[gv]
+            if rec(idx + 1, free ^ low):
+                return True
+        return False
+
+    try:
+        found = rec(0, G.full_mask())
+    except _Budget:
+        return OracleResult("budget-exceeded", nodes=nodes)
+    if found:
+        return OracleResult("embedded", dict(zip(order, image)), nodes)
+    return OracleResult("no-embedding", nodes=nodes)
+
+
+@given(
+    st.integers(0, 14),
+    st.integers(0, 14),
+    st.floats(0, 1),
+    st.floats(0, 1),
+    st.integers(0, 10_000),
+    st.sampled_from([1, 3, 30, 300, 5_000_000]),
+)
+@settings(max_examples=150, deadline=None)
+def test_oracle_matches_the_recursive_search(nh, ng, ph, pg, seed, budget):
+    H, G = gnp(nh, ph, seed), gnp(ng, pg, seed + 1)
+    got = brute_force_embed(H, G, budget=budget)
+    want = _recursive_brute_force_embed(H, G, budget=budget)
+    assert (got.status, got.mapping, got.nodes) == (want.status, want.mapping, want.nodes)
+    assert list((got.mapping or {}).items()) == list((want.mapping or {}).items())
+
+
+def test_oracle_embeds_a_template_deeper_than_the_recursion_limit():
+    # one stack frame per template vertex would exceed Python's default
+    # recursion limit of 1,000
+    H = cycle_power(1, 1100)
+    res = brute_force_embed(H, H, budget=10_000)
+    assert res.status == "embedded" and res.nodes == 1100
+    assert verify_embedding(H, H, res.mapping) == ""
 
 
 def test_oracle_agrees_with_random_truth():

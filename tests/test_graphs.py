@@ -248,6 +248,26 @@ def test_named_cycle_power_is_its_own_witness(k, r):
     assert validate_witness(G, w)
 
 
+def _reference_cycle_power(r, k):
+    """C^r_k as an edge set through ``DenseGraph.from_edges``."""
+    edges = set()
+    for i in range(k):
+        for j in range(1, r + 1):
+            u, v = i, (i + j) % k
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+    return DenseGraph.from_edges(k, edges)
+
+
+def test_cycle_power_matches_the_edge_set_construction():
+    # includes every k <= 2r + 1, where the power is complete, and k <= 2
+    for r in range(8):
+        for k in range(41):
+            G = graphs.cycle_power(r, k)
+            assert G.rows == _reference_cycle_power(r, k).rows, (r, k)
+            DenseGraph(G.n, G.rows)  # symmetric, no loops, no stray bits
+
+
 # -- serialization ------------------------------------------------------
 
 

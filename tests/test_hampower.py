@@ -13,6 +13,7 @@ from spanembed.hampower import (
     AbsorberSystem,
     HamAudit,
     HamConfig,
+    HamPlan,
     StageFailure,
     absorb,
     build_absorber,
@@ -232,6 +233,41 @@ def test_hamilton_power_disconnected_fails_at_connector():
         find_hamilton_power(G, 1, seed=0, config=HamConfig(attempts=4), audit=audit)
     assert exc.value.stage == "connector"
     assert not audit.prechecks["min-degree"]
+
+
+def _spy_density(monkeypatch):
+    calls = []
+    real = hampower.is_locally_dense_sampled
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].n)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hampower, "is_locally_dense_sampled", spy)
+    return calls
+
+
+def test_host_too_small_for_the_plan_refuses_before_the_prechecks(monkeypatch):
+    # the reduced graph of a pipeline-dense run: 80 clusters, q = 7
+    calls = _spy_density(monkeypatch)
+    with pytest.raises(StageFailure) as exc:
+        HamPlan.derive(80, 7, default_hampower_constants())
+    audit = HamAudit()
+    with pytest.raises(StageFailure) as got:
+        find_hamilton_power(DenseGraph.complete(80), 7, seed=0, audit=audit)
+    assert (got.value.stage, got.value.detail) == ("absorber", exc.value.detail)
+    assert calls == [] and audit.prechecks == {} and audit.plan is None
+
+
+def test_prechecks_are_recorded_when_the_plan_fits(monkeypatch):
+    calls = _spy_density(monkeypatch)
+    audit = HamAudit()
+    G = gnp(300, 0.9, 1)
+    w = find_hamilton_power(G, 2, seed=1, audit=audit)
+    assert validate_witness(G, w)
+    assert calls == [300]
+    assert set(audit.prechecks) == {"locally-dense-sampled", "min-degree"}
+    assert audit.plan is not None
 
 
 def test_hamilton_power_never_emits_invalid(subtests=None):

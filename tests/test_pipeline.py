@@ -5,6 +5,7 @@ pipeline stage that called it as ``failure_stage``.
 """
 
 import hashlib
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from spanembed.generators import (
     gnp,
     path_power_H,
     tiling_H,
+    two_cliques,
 )
 from spanembed.graphs import DenseGraph, StageFailure
 
@@ -148,6 +150,9 @@ def test_pipeline_embeds_three_colour_guests(host, guest, n, seed):
     assert res.audit.notes["lemma-g-moves"] > 0
     # the proof's iteration budget fails at m = 6 and is only recorded
     assert res.audit.checks["(K)"][0] is False
+    # (delta/2 - 2*eps_balance)*m at eps_balance = 0.9: no degree is checked
+    assert res.audit.notes["lemma-g-move-threshold"] == pytest.approx(-10.05)
+    assert "lemma-g-move-threshold" not in res.audit.checks
 
 
 @pytest.mark.parametrize(
@@ -206,3 +211,15 @@ def test_refine_swap_repairs_a_lone_failing_vertex(seed):
     res = pipeline.run_main_pipeline(G, Hb, seed=seed)
     assert res, (res.failure_stage, res.failure_detail)
     assert verify_embedding(Hb.H, G, res.mapping) == ""
+
+
+def test_reduced_graph_below_twice_the_power_refuses_at_once():
+    # two_cliques(96) at seed 2: R has 16 clusters and delta(R) = 13, so no
+    # spanning 7th power of a cycle exists; the oracle used to spend its
+    # whole node budget (3.5 s) before refusing
+    start = time.process_time()
+    res = pipeline.run_main_pipeline(two_cliques(96), cycle_power_H(1, 96), seed=2)
+    elapsed = time.process_time() - start
+    assert res.failure_stage == "hamilton-power"
+    assert res.failure_detail == "δ(R) = 13 < 2q = 14: no spanning power-7 cycle on 16 vertices"
+    assert elapsed < 0.1

@@ -5,6 +5,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spanembed.density import SizeLimitExceeded
 from spanembed.generators import (
@@ -589,3 +591,88 @@ def test_induced_matches_loop_reference():
             assert H.n == size and list(H.rows) == reference_induced(G, vs)
         H, _ = G.induced(range(n))
         assert H == G
+
+
+def _reference_partition(G, delta, L_min, seed):
+    """The partitioner as it built the pure graph with an n × L loop of
+    big-int ANDs and R through ``DenseGraph.from_edges``."""
+    n, L = G.n, L_min
+    m = n // L
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    clusters = [sorted(order[i * m : (i + 1) * m]) for i in range(L)]
+    exceptional = sorted(order[L * m :])
+
+    masks = [mask_of(c) for c in clusters]
+    flat = [v for c in clusters for v in c]
+    blocks = G.bit_matrix(flat)[:, flat].reshape(L, m, L, m)
+    counts = blocks.sum(axis=(1, 3)).tolist()
+    pair_verdicts = {}
+    r_edges = []
+    for i in range(L):
+        for j in range(i + 1, L):
+            if counts[i][j] / (m * m) < delta:
+                pair_verdicts[(i, j)] = "sparse"
+            else:
+                pair_verdicts[(i, j)] = "dense"
+                r_edges.append((i, j))
+
+    keep = [[False] * L for _ in range(L)]
+    for i, j in r_edges:
+        keep[i][j] = keep[j][i] = True
+    cluster_of = {}
+    for i, c in enumerate(clusters):
+        for v in c:
+            cluster_of[v] = i
+    exc_mask = mask_of(exceptional)
+    pure_rows = [0] * n
+    for v in range(n):
+        ci = cluster_of.get(v)
+        if ci is None:
+            pure_rows[v] = G.rows[v]
+            continue
+        row = G.rows[v] & exc_mask
+        for j in range(L):
+            if keep[ci][j]:
+                row |= G.rows[v] & masks[j]
+        pure_rows[v] = row
+    R = DenseGraph.from_edges(L, r_edges)
+    return exceptional, clusters, pure_rows, R.rows, pair_verdicts
+
+
+@st.composite
+def _partition_cases(draw):
+    # n = L*m + extra with 1 <= extra < L, so the exceptional set is never
+    # empty; delta at p puts pair densities on both sides of it
+    L = draw(st.integers(2, 12))
+    m = draw(st.integers(1, 8))
+    extra = draw(st.integers(1, L - 1))
+    p = draw(st.floats(0.1, 0.9))
+    return gnp(L * m + extra, p, draw(st.integers(0, 999))), p, L, draw(st.integers(0, 99))
+
+
+@given(_partition_cases())
+@example((gnp(79, 0.5, 3), 0.5, 9, 1))
+@settings(max_examples=60, deadline=None)
+def test_partitioner_matches_the_per_cluster_loop(case):
+    G, delta, L_min, seed = case
+    part, pure, R, report = heuristic_degree_form_partition(G, delta, L_min, seed=seed)
+    exceptional, clusters, pure_rows, r_rows, labels = _reference_partition(
+        G, delta, L_min, seed
+    )
+    assert part.exceptional == tuple(exceptional)
+    assert part.clusters == tuple(map(tuple, clusters))
+    assert pure.rows == tuple(pure_rows)
+    assert R.rows == r_rows
+    assert list(report.pair_verdicts.items()) == list(labels.items())
+    DenseGraph(pure.n, pure.rows)  # symmetric, no loops
+    DenseGraph(R.n, R.rows)
+
+
+def test_partitioner_reference_cases_reach_sparse_pairs_and_v0():
+    # the example above exercises every branch of the reference loop
+    G = gnp(79, 0.5, 3)
+    part, _, _, report = heuristic_degree_form_partition(G, 0.5, 9, seed=1)
+    assert part.exceptional
+    assert Counter(report.pair_verdicts.values()).keys() == {"sparse", "dense"}

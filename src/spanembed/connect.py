@@ -1,9 +1,12 @@
 """The connectivity engine: bridging cliques and short power-path connections.
 
-``find_bridging_clique`` follows the common-neighbourhood argument step by
+``bridging_cliques`` follows the common-neighbourhood argument step by
 step: restrict to vertices with high attachment to X ∪ Y, bucket them by
-exact attachment pattern, and find a clique inside a bucket.  Every failure
-names the proof step that broke.  ``connect_cliques`` wraps it into the
+exact attachment pattern, and find a clique inside a bucket.  It yields
+every bridge it finds, in one fixed order, for a caller that may need more
+than one (the threading search of ``hampower``); ``find_bridging_clique``
+is its first bridge.  Every failure names the proof step that broke.
+``connect_cliques`` wraps the first bridge into the
 full connection: envelope cliques around the endpoints supply fresh
 attachment sets, and the emitted path is revalidated by the caller's
 witness checker.  Everything here is a pure function of its inputs: the
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .density import enumerate_extendable_cliques, find_clique
 from .graphs import DenseGraph, StageFailure, WitnessSequence, bits, mask_of, validate_witness
@@ -33,27 +37,36 @@ class Bridge:
     Y_prime: tuple[int, ...]
 
 
-def find_bridging_clique(
+def bridging_cliques(
     G: DenseGraph,
-    U: list[int],
+    U: list[int] | None,
     X: list[int],
     Y: list[int],
     W: list[int],
     r: int,
     eta: float,
     min_bucket: int | None = None,
-) -> Bridge:
-    """Find Z ⊆ U spanning K_r, fresh of X ∪ Y ∪ W, with r-subsets of both X
-    and Y inside its joint neighbourhood.
+) -> Iterator[Bridge]:
+    """Yield every bridge ``find_bridging_clique`` would consider, in its
+    order, each clique Z once; then raise the failure that ends the list.
 
     Requires |X| = |Y| and the half-degree condition d(x,U) >= (1/2+eta)|U|
-    for x in X ∪ Y (violations are reported, not assumed away).  Vertices of
-    U need at least |X| + r neighbours in X ∪ Y to qualify; qualifying
-    vertices are bucketed by their exact attachment pattern and buckets are
-    searched largest first (ties by lexicographically smallest pattern).
-    Any bucket of size >= r is admitted at desk scale; the asymptotic
-    bucket-size bound is not enforced because the postcondition is checked
-    directly.
+    for x in X ∪ Y (violations are reported, not assumed away); ``U=None``
+    stands for the whole vertex set.  Vertices of U need at least |X| + r
+    neighbours in X ∪ Y to qualify.  They are bucketed by their exact
+    attachment pattern (``_attachment_buckets``, no per-vertex loop), and
+    buckets are searched largest first (ties by lexicographically smallest
+    pattern), each for its lexicographically first K_r.  Any bucket of size >= r is admitted at desk scale; the
+    asymptotic bucket-size bound is not enforced because every bridge is
+    revalidated before it is yielded.  After the buckets come the K_r's
+    among vertices that see >= r of each side (up to 64, lexicographically)
+    whose joint attachment still covers r of each side.
+
+    The generator never ends quietly: when no bucket qualifies it raises
+    ``no-high-attachment`` before yielding anything, and once its bridges
+    run out it raises ``no-clique-in-bucket``, whose detail reads as the
+    case where there was none.  Hypothesis violations are raised by the
+    first ``next``.
     """
     if len(X) != len(Y):
         raise HypothesisViolation(
@@ -65,11 +78,11 @@ def find_bridging_clique(
     xmask, ymask, wmask = mask_of(X), mask_of(Y), mask_of(W)
     if xmask & ymask or (xmask | ymask) & wmask:
         raise HypothesisViolation("attachment-sets", "X, Y, W must be disjoint")
-    umask = mask_of(U)
-    usize = len(U)
-    need = (0.5 + eta) * usize
+    umask = G.full_mask() if U is None else mask_of(U)
+    need = (0.5 + eta) * umask.bit_count()
+    rows = G.rows
     for x in X + Y:
-        if (G.rows[x] & umask).bit_count() < need:
+        if (rows[x] & umask).bit_count() < need:
             raise HypothesisViolation(
                 "half-degree",
                 f"vertex {x} has {G.degree_into(x, umask)} < {need:.2f} "
@@ -77,63 +90,114 @@ def find_bridging_clique(
             )
 
     u_prime = umask & ~xmask & ~ymask & ~wmask
-    attach_need = c + r
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for v in bits(u_prime):
-        ax = G.rows[v] & xmask
-        ay = G.rows[v] & ymask
-        if ax.bit_count() + ay.bit_count() >= attach_need:
-            buckets.setdefault((ax, ay), []).append(v)
+    buckets = _attachment_buckets(G, u_prime, X, Y, r)
     if not buckets:
         raise StageFailure(
             "no-high-attachment",
-            f"no vertex of U has >= {attach_need} neighbours in X ∪ Y",
+            f"no vertex of U has >= {c + r} neighbours in X ∪ Y",
         )
     floor = r if min_bucket is None else max(r, min_bucket)
     ordered = sorted(
         buckets.items(),
-        key=lambda kv: (-len(kv[1]), tuple(bits(kv[0][0])), tuple(bits(kv[0][1]))),
+        key=lambda kv: (-kv[1].bit_count(), tuple(bits(kv[0][0])), tuple(bits(kv[0][1]))),
     )
+    seen: set[tuple[int, ...]] = set()
     for (ax, ay), members in ordered:
-        if len(members) < floor:
-            continue
-        got = enumerate_extendable_cliques(G, r, s=0, cap=1, within=mask_of(members))
-        if not got:
-            continue
-        Z = got[0].vertices
+        if members.bit_count() < floor:
+            break
         # every member attaches to >= c + r of the 2c attachment vertices,
         # so at least r land on each side; take the r smallest of each
         x_att = list(bits(ax))
         y_att = list(bits(ay))
         if len(x_att) < r or len(y_att) < r:
             continue
+        got = enumerate_extendable_cliques(G, r, s=0, cap=1, within=members)
+        if not got or got[0].vertices in seen:
+            continue
+        Z = got[0].vertices
+        seen.add(Z)
         bridge = Bridge(Z, tuple(x_att[:r]), tuple(y_att[:r]))
         _revalidate_bridge(G, bridge, xmask, ymask, wmask, r)
-        return bridge
+        yield bridge
     # Desk-scale fallback when the pigeonhole buckets are all too thin:
     # search directly for a K_r among vertices seeing >= r of each side,
     # whose joint attachment still covers r of each side.
     loose = [
         v
         for v in bits(u_prime)
-        if (G.rows[v] & xmask).bit_count() >= r
-        and (G.rows[v] & ymask).bit_count() >= r
+        if (rows[v] & xmask).bit_count() >= r
+        and (rows[v] & ymask).bit_count() >= r
     ]
     for cand in enumerate_extendable_cliques(
         G, r, s=0, cap=64, within=mask_of(loose)
     ):
+        if cand.vertices in seen:
+            continue
         common = G.common_neighborhood(cand.vertices)
         x_att = list(bits(common & xmask))
         y_att = list(bits(common & ymask))
         if len(x_att) >= r and len(y_att) >= r:
+            seen.add(cand.vertices)
             bridge = Bridge(cand.vertices, tuple(x_att[:r]), tuple(y_att[:r]))
             _revalidate_bridge(G, bridge, xmask, ymask, wmask, r)
-            return bridge
+            yield bridge
     raise StageFailure(
         "no-clique-in-bucket",
         f"no attachment bucket of size >= {floor} spans a K_{r} "
         f"(and no loosely-attached clique either)",
     )
+
+
+def _attachment_buckets(
+    G: DenseGraph, candidates: int, X: list[int], Y: list[int], r: int
+) -> dict[tuple[int, int], int]:
+    """{(ax, ay): members} over the vertices v of the ``candidates`` mask with
+    at least |X| + r neighbours in X ∪ Y, where ax and ay are the masks of
+    v's neighbours in X and in Y and ``members`` the mask of the vertices
+    sharing them (|X| = |Y| >= r).
+
+    The mask is split once per attachment vertex into the part adjacent to
+    it and the rest; a part is dropped once it has missed more than
+    |X| - r attachment vertices.  For |X| = r that is one AND per vertex of
+    X ∪ Y.
+    """
+    rows = G.rows
+    slack = len(X) - r
+    # (members, attachment pattern so far, attachment vertices missed)
+    groups = [(candidates, 0, 0)] if candidates else []
+    for a in X + Y:
+        row, abit = rows[a], 1 << a
+        split = []
+        for members, pattern, missed in groups:
+            if members & row:
+                split.append((members & row, pattern | abit, missed))
+            if members & ~row and missed < slack:
+                split.append((members & ~row, pattern, missed + 1))
+        groups = split
+    xmask = mask_of(X)
+    return {(pattern & xmask, pattern & ~xmask): members for members, pattern, _ in groups}
+
+
+def find_bridging_clique(
+    G: DenseGraph,
+    U: list[int] | None,
+    X: list[int],
+    Y: list[int],
+    W: list[int],
+    r: int,
+    eta: float,
+    min_bucket: int | None = None,
+) -> Bridge:
+    """Find Z ⊆ U spanning K_r, fresh of X ∪ Y ∪ W, with r-subsets of both X
+    and Y inside its joint neighbourhood.
+
+    The first bridge of ``bridging_cliques`` (see there for the hypotheses,
+    the bucketing and the order), or its stage-labelled failure:
+    ``no-high-attachment`` when no vertex of U attaches to |X| + r vertices
+    of X ∪ Y, ``no-clique-in-bucket`` when no bucket, nor the loosely
+    attached vertices, spans a K_r.  ``U=None`` is the whole vertex set.
+    """
+    return next(bridging_cliques(G, U, X, Y, W, r, eta, min_bucket))
 
 
 def _revalidate_bridge(
@@ -226,7 +290,7 @@ def connect_cliques(
 
     bridge = find_bridging_clique(
         G,
-        U=list(range(G.n)),
+        U=None,
         X=list(env_x),
         Y=list(env_y),
         W=sorted(set(W) | set(X) | set(Y)),

@@ -337,18 +337,34 @@ def enumerate_extendable_cliques(
     return out
 
 
-def _lazy_shuffle(pool: list[int], rng: random.Random) -> Iterator[int]:
-    """Yield ``pool`` in uniform random order, one draw per element taken.
+def _kth_bit(mask: int, k: int) -> int:
+    """Position of the k-th (from 0) set bit of ``mask``, by binary search on
+    the popcounts of its low prefixes."""
+    lo, hi = 0, mask.bit_length() - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mask & ((2 << mid) - 1)).bit_count() > k:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
-    Fisher–Yates run lazily: each step picks one of the elements not yet
-    yielded and swap-removes it, so a consumer that stops early pays only for
-    the prefix it used.  Consumes ``pool``.
+
+def _shuffled_bits(mask: int, rng: random.Random) -> Iterator[int]:
+    """Yield the set bits of ``mask`` in uniform random order, one
+    ``randrange`` per bit taken.
+
+    A Fisher–Yates over the ascending list of set bits, run lazily and
+    sparsely: the list is never built.  ``moved`` maps each position that a
+    swap refilled to the list index now standing there, and a list entry
+    becomes a vertex (its set bit found by ``_kth_bit``) only when drawn.  A
+    consumer that stops early pays only for the prefix it used.
     """
-    while pool:
-        i = rng.randrange(len(pool))
-        v = pool[i]
-        pool[i] = pool[-1]
-        pool.pop()
+    moved: dict[int, int] = {}
+    for left in range(mask.bit_count(), 0, -1):
+        i = rng.randrange(left)
+        v = _kth_bit(mask, moved.get(i, i))
+        moved[i] = moved.pop(left - 1, left - 1)
         yield v
 
 
@@ -364,10 +380,12 @@ def find_clique(
     By default candidates are tried in descending order of degree restricted
     to the current candidate set (ties by id), which finds cliques quickly in
     dense hosts and is fully deterministic.  With ``rng`` each child is drawn
-    uniformly from the candidates not yet tried at that node (a lazy
-    Fisher–Yates draw), spreading which vertices get consumed: the vertices
-    tried are a prefix of a uniform random permutation, and only that prefix
-    costs random draws.  Gives up after ``node_budget`` DFS nodes.
+    uniformly from the candidates not yet tried at that node (a lazy, sparse
+    Fisher–Yates draw over the candidate mask, ``_shuffled_bits``), spreading
+    which vertices get consumed: the vertices tried are a prefix of a
+    uniform random permutation, and only that prefix costs random draws and
+    bit lookups; the candidates are never listed.  Gives up after
+    ``node_budget`` DFS nodes.
     """
     if size < 0:
         raise ValueError("size must be >= 0")
@@ -383,7 +401,7 @@ def find_clique(
                 bits(candidates),
                 key=lambda v: (-(rows[v] & candidates).bit_count(), v),
             )
-        return _lazy_shuffle(list(bits(candidates)), rng)
+        return _shuffled_bits(candidates, rng)
 
     def rec(chosen: list[int], candidates: int) -> tuple[int, ...] | None:
         nonlocal budget

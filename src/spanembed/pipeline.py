@@ -471,6 +471,7 @@ def _reduced_power_cycle(
             "hamilton-power",
             f"δ(R) = {reduced.min_degree()} < 2q = {2 * q_eff}: no spanning "
             f"power-{q_eff} cycle on {n_cycle} vertices",
+            violated="hamilton-power",
         )
     try:
         w = find_hamilton_power(
@@ -490,13 +491,16 @@ def _reduced_power_cycle(
         )
         if not check:
             raise StageFailure(
-                "hamilton-power", f"oracle cycle revalidation failed: {check.reason}"
+                "hamilton-power",
+                f"oracle cycle revalidation failed: {check.reason}",
+                violated="hamilton-power",
             )
         return order
     raise StageFailure(
         "hamilton-power",
         f"pipeline ({first_failure.stage}: {first_failure.detail}) and oracle "
         f"({res.status}) both failed",
+        violated="hamilton-power",
     )
 
 

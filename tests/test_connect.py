@@ -1,12 +1,16 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanembed import connect
 from spanembed.connect import (
     Bridge,
     Connection,
     HypothesisViolation,
+    bridging_cliques,
     connect_cliques,
     default_envelope_size,
     find_bridging_clique,
@@ -15,6 +19,7 @@ from spanembed.density import enumerate_extendable_cliques
 from spanembed.generators import complete_bipartite, gnp
 from spanembed.graphs import (
     DenseGraph,
+    bits,
     StageFailure,
     ValidationResult,
     WitnessSequence,
@@ -127,6 +132,66 @@ def test_bridge_deterministic():
     b1 = find_bridging_clique(G, list(range(12, 80)), X, Y, [], 2, 0.2)
     b2 = find_bridging_clique(G, list(range(12, 80)), X, Y, [], 2, 0.2)
     assert b1 == b2
+
+
+def _buckets_per_vertex(G, candidates, X, Y, r):
+    """The per-vertex attachment bucketing ``_attachment_buckets`` replaced."""
+    xmask, ymask = mask_of(X), mask_of(Y)
+    buckets = {}
+    for v in bits(candidates):
+        ax, ay = G.rows[v] & xmask, G.rows[v] & ymask
+        if ax.bit_count() + ay.bit_count() >= len(X) + r:
+            buckets.setdefault((ax, ay), []).append(v)
+    return {key: mask_of(members) for key, members in buckets.items()}
+
+
+@st.composite
+def bucket_queries(draw):
+    n = draw(st.integers(2, 40))
+    G = gnp(n, draw(st.sampled_from([0.3, 0.6, 0.9, 1.0])), draw(st.integers(0, 10**6)))
+    order = draw(st.permutations(range(n)))
+    c = draw(st.integers(1, n // 2))
+    X, Y = list(order[:c]), list(order[c : 2 * c])
+    r = draw(st.integers(1, c))
+    candidates = draw(st.integers(0, (1 << n) - 1)) & ~mask_of(X + Y)
+    return G, candidates, X, Y, r
+
+
+@given(bucket_queries())
+@settings(max_examples=200, deadline=None)
+def test_attachment_buckets_match_the_per_vertex_loop(query):
+    G, candidates, X, Y, r = query
+    assert connect._attachment_buckets(G, candidates, X, Y, r) == _buckets_per_vertex(
+        G, candidates, X, Y, r
+    )
+
+
+def test_bridging_cliques_start_with_the_bridge_found():
+    G = gnp(80, 0.8, 3)
+    X, Y, W = list(range(4)), list(range(4, 8)), [8, 9]
+    U = list(range(8, 80))
+    found = find_bridging_clique(G, U, X, Y, W, 2, 0.0)
+    listed = list(itertools.islice(bridging_cliques(G, U, X, Y, W, 2, 0.0), 40))
+    assert listed[0] == found
+    assert len({b.Z for b in listed}) == len(listed) > 1
+    for b in listed:
+        connect._revalidate_bridge(G, b, mask_of(X), mask_of(Y), mask_of(W), 2)
+
+
+def test_bridging_cliques_end_with_the_failure_label():
+    # X = {0} and Y = {1} both see U = {4, 5}: the one bucket gives Z = (4,),
+    # the loosely attached vertices add (5,), then the list runs out; with
+    # W = U no vertex is left to attach
+    G = DenseGraph.from_edges(6, [(0, 4), (0, 5), (1, 4), (1, 5)])
+    draws = bridging_cliques(G, [4, 5], [0], [1], [], 1, 0.0)
+    assert next(draws).Z == (4,)
+    assert next(draws).Z == (5,)
+    with pytest.raises(StageFailure) as exc:
+        next(draws)
+    assert exc.value.stage == "no-clique-in-bucket"
+    with pytest.raises(StageFailure) as exc:
+        next(bridging_cliques(G, [4, 5], [0], [1], [4, 5], 1, 0.0))
+    assert exc.value.stage == "no-high-attachment"
 
 
 # -- connect_cliques -----------------------------------------------------

@@ -585,11 +585,29 @@ def test_find_clique_seeded_tries_each_candidate_once():
         assert n - 1 <= rng.draws <= 2 * (n - 1)
 
 
-@given(st.lists(st.integers(), unique=True, max_size=30), st.integers(0, 10**6))
-@settings(max_examples=100, deadline=None)
-def test_lazy_shuffle_yields_a_permutation(pool, seed):
-    out = list(itertools.islice(density._lazy_shuffle(list(pool), random.Random(seed)), len(pool) + 1))
-    assert sorted(out) == sorted(pool)
+def _lazy_shuffle(pool: list[int], rng: random.Random):
+    """The listed lazy Fisher–Yates draw ``find_clique`` made before its draw
+    became sparse: the reference for ``density._shuffled_bits``."""
+    while pool:
+        i = rng.randrange(len(pool))
+        v = pool[i]
+        pool[i] = pool[-1]
+        pool.pop()
+        yield v
+
+
+@given(st.integers(0, 40).flatmap(lambda n: st.integers(0, (1 << n) - 1)), st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_shuffled_bits_replays_the_lazy_shuffle(mask, seed):
+    # every prefix: the same vertices, and the generator left in the same state
+    full = list(_lazy_shuffle(list(bits(mask)), random.Random(seed)))
+    assert sorted(full) == list(bits(mask))
+    for k in range(len(full) + 2):
+        sparse, listed = random.Random(seed), random.Random(seed)
+        got = list(itertools.islice(density._shuffled_bits(mask, sparse), k))
+        want = list(itertools.islice(_lazy_shuffle(list(bits(mask)), listed), k))
+        assert got == want == full[:k]
+        assert sparse.getstate() == listed.getstate()
 
 
 def test_independence_number_exact_small():

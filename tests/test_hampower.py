@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -294,6 +295,96 @@ def test_hamilton_power_reservoir_accounting():
     G = gnp(100, 0.95, 12)
     w = find_hamilton_power(G, 3, seed=12)
     assert sorted(w.vertices) == list(range(100))
+
+
+@pytest.mark.parametrize(
+    "n, p, r, seed, expected",
+    [
+        (300, 0.9, 2, 0, "e20b4fd9800e0311"),
+        (300, 0.9, 2, 1, "2c0328b096fd1e54"),
+        (400, 0.95, 3, 0, "fcde1af20b03f174"),
+        (400, 0.95, 3, 1, "e14efadede4fcc05"),
+    ],
+)
+def test_hamilton_power_outputs_pinned(n, p, r, seed, expected):
+    # the benchmark's hampower templates at seeds whose first attempt
+    # succeeded with greedy threading: the search must keep those witnesses
+    audit = HamAudit()
+    w = find_hamilton_power(gnp(n, p, seed), r, seed=seed, audit=audit)
+    assert audit.attempts == 1
+    assert hashlib.sha256(repr(w.vertices).encode()).hexdigest()[:16] == expected
+
+
+def test_hamilton_power_threads_where_greedy_lost_the_attempt():
+    # gnp(300, .9) at seed 3: greedy threading ran out of reservoir at pair
+    # (7,8) and the attempt was retried; the search threads it at once
+    G = gnp(300, 0.9, 3)
+    audit = HamAudit()
+    w = find_hamilton_power(G, 2, seed=3, audit=audit)
+    assert audit.attempts == 1 and not audit.failures
+    assert validate_witness(G, w) and sorted(w.vertices) == list(range(G.n))
+
+
+# -- the threading search ----------------------------------------------------
+
+# Segments (a,), (b, c), (d, e), (f,) on vertices 0..5 give the pairs
+# (a, b), (c, d), (e, f) with C = r = 1; the reservoir is 6, 7, 8.  A bridge
+# of a pair is a reservoir vertex adjacent to both its ends.
+THREAD_SEGS = [(0,), (1, 2), (3, 4), (5,)]
+THREAD_RESERVOIR = (6, 7, 8)
+
+
+def _thread_host(sees: dict[int, tuple[int, ...]]) -> DenseGraph:
+    return DenseGraph.from_edges(9, [(v, z) for v, zs in sees.items() for z in zs])
+
+
+def _count_draws(monkeypatch) -> list[int]:
+    drawn = []
+    real = hampower.bridging_cliques
+
+    def counting(*args, **kwargs):
+        draws = real(*args, **kwargs)  # ends by raising, never quietly
+        while True:
+            drawn.append(1)
+            yield next(draws)
+
+    monkeypatch.setattr(hampower, "bridging_cliques", counting)
+    return drawn
+
+
+def test_threading_search_threads_where_greedy_fails(monkeypatch):
+    # greedy gives pair (a, b) vertex 6, the smallest; then (e, f), which
+    # sees only 6 in common, has no bridge.  Every end sees 2 of the 3
+    # reservoir vertices, so the half-degree hypothesis holds at eta = 0.
+    G = _thread_host({0: (6, 7), 1: (6, 7), 2: (7, 8), 3: (7, 8), 4: (6, 7), 5: (6, 8)})
+    monkeypatch.setattr(hampower, "THREAD_BUDGET", 0)
+    with pytest.raises(StageFailure) as exc:
+        hampower._thread(G, 1, 1, THREAD_SEGS, THREAD_RESERVOIR, 0.0)
+    assert exc.value.stage == "connector"
+    assert exc.value.detail.startswith("threading pair (2,3): no-high-attachment")
+    monkeypatch.setattr(hampower, "THREAD_BUDGET", 16)
+    bridges = hampower._thread(G, 1, 1, THREAD_SEGS, THREAD_RESERVOIR, 0.0)
+    assert [b.Z for b in bridges] == [(7,), (8,), (6,)]
+    for (i, j), b in zip([(0, 1), (2, 3), (4, 5)], bridges):
+        assert G.has_edge(i, b.Z[0]) and G.has_edge(j, b.Z[0])
+
+
+@pytest.mark.parametrize("budget", [2, 256])
+def test_threading_search_refuses_at_the_deepest_pair_within_its_budget(monkeypatch, budget):
+    # (a, b) and (e, f) both see only 6 in common: no assignment exists,
+    # and the search gets no further than pair (2,3) whichever bridge
+    # (c, d) takes.  It gives up when its budget runs out (2) or when the
+    # first pair has nothing left to try (256).
+    G = _thread_host({0: (6, 7), 1: (6, 8), 2: (7, 8), 3: (7, 8), 4: (6, 7), 5: (6, 8)})
+    monkeypatch.setattr(hampower, "THREAD_BUDGET", budget)
+    drawn = _count_draws(monkeypatch)
+    with pytest.raises(StageFailure) as exc:
+        hampower._thread(G, 1, 1, THREAD_SEGS, THREAD_RESERVOIR, 0.0)
+    assert exc.value.stage == "connector"
+    assert exc.value.detail == (
+        "threading pair (2,3): no-high-attachment: no vertex of U has >= 2 neighbours in X ∪ Y"
+    )
+    assert len(drawn) == min(7, 3 + budget)
 
 
 # -- one failure type, -O-safe certificates --------------------------------

@@ -222,4 +222,6 @@ def test_reduced_graph_below_twice_the_power_refuses_at_once():
     elapsed = time.process_time() - start
     assert res.failure_stage == "hamilton-power"
     assert res.failure_detail == "δ(R) = 13 < 2q = 14: no spanning power-7 cycle on 16 vertices"
+    # the refusal names its own stage, not the first failed advisory check
+    assert res.violated_display == "hamilton-power"
     assert elapsed < 0.1

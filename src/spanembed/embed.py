@@ -4,12 +4,19 @@ embedding, and an exact brute-force oracle.
 The two constructive embedders are backtracking list-embedders over cluster
 candidate sets (fail-first ordering, node budgets, seeded restarts); the
 oracle is a complete search whose "no-embedding" answer is a certificate.
-Every success is revalidated edge-by-edge by a checker that shares no code
-with the constructions.
+All three search depth-first with an explicit stack, never recursing, so a
+block or template of any size fits.  The list-embedders keep live candidate
+masks: a placement x -> gv narrows only the masks it can change (those of
+x's unplaced neighbours and of gv's cell) and the search undoes it from a
+saved list.  Both are complete over their candidate lists, so running out
+of search tree below the node budget is the refusal "no-list-embedding",
+kept apart from "backtrack-budget-exhausted".  Every success is revalidated
+edge-by-edge by a checker that shares no code with the constructions.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 
@@ -62,6 +69,12 @@ def embed_with_targets(
     common neighbours of its embedded neighbours.  Candidate floors for Y
     are enforced during the search, so a placement that starves a boundary
     vertex is backtracked.
+
+    The search is depth-first over ``order`` with an explicit stack; the
+    boundary masks are updated in place and restored on backtracking.  It
+    raises "backtrack-budget-exhausted" when it would enter more than
+    ``node_budget`` nodes, and "no-list-embedding" when it runs out of tree
+    first, which certifies that no placement keeps every floor.
     """
     m = max((len(vs) for vs in clusters.values()), default=0)
     if eps is not None:
@@ -77,22 +90,71 @@ def embed_with_targets(
     floor = c * m
     rng = random.Random(f"targets:{seed}")
     cluster_mask = {a: mask_of(vs) for a, vs in clusters.items()}
-    used = 0
-    mapping: dict[int, int] = {}
-    order_pos = {x: i for i, x in enumerate(order)}
-    nodes = 0
-
-    # candidate masks for boundary vertices, updated as neighbours embed
-    y_mask: dict[int, int] = {y: cluster_mask[phi[y]] for y in Y}
+    g_rows = G.rows
     h_adj = H.rows
 
-    def y_floor_ok(masks: dict[int, int]) -> bool:
-        return all(mk.bit_count() >= floor for mk in masks.values())
+    # live candidate masks of the boundary vertices, kept in Y's order (the
+    # budget trace lists the first six); every mask stays at or above the
+    # floor, so a placement x -> gv need only look at the masks it changes:
+    # those of x's neighbours in Y and those holding gv, i.e. of the Y
+    # vertices whose cluster meets x's
+    masks: dict[int, int] = {y: cluster_mask[phi[y]] for y in Y}
+    if any(mk.bit_count() < floor for mk in masks.values()):
+        bad = min(masks, key=lambda y: masks[y].bit_count())
+        raise StageFailure(
+            "target-set", f"boundary vertex {bad} starts below the floor"
+        )
+    meets = {
+        a: [y for y in masks if cluster_mask[phi[y]] & am]
+        for a, am in cluster_mask.items()
+    }
+    y_nbrs = {x: [y for y in masks if (h_adj[x] >> y) & 1] for x in order}
+    y_mates = {
+        x: [y for y in meets[phi[x]] if not (h_adj[x] >> y) & 1] for x in order
+    }
+    position = {x: i for i, x in enumerate(order)}
+    # per order position, the earlier positions of its H-neighbours
+    back = [
+        [position[u] for u in bits(h_adj[x]) if position.get(u, i) < i]
+        for i, x in enumerate(order)
+    ]
 
-    def place(idx: int, used_mask: int, masks: dict[int, int]) -> bool:
-        nonlocal nodes
-        if idx == len(order):
-            return True
+    def narrow(x: int, gv: int) -> list[tuple[int, int]] | None:
+        """Narrow the boundary masks for x -> gv; returns the (y, old mask)
+        pairs overwritten, or None, changing nothing, if a mask would drop
+        below the floor."""
+        bit = 1 << gv
+        keep = g_rows[gv] & ~bit
+        saved = []
+        for y in y_nbrs[x]:
+            mk = masks[y] & keep
+            if mk.bit_count() < floor:
+                break
+            saved.append((y, masks[y]))
+            masks[y] = mk
+        else:
+            for y in y_mates[x]:
+                mk = masks[y]
+                if mk & bit:
+                    if mk.bit_count() - 1 < floor:
+                        break
+                    saved.append((y, mk))
+                    masks[y] = mk ^ bit
+            else:
+                return saved
+        for y, mk in saved:
+            masks[y] = mk
+        return None
+
+    image = [0] * len(order)
+    used = 0
+    nodes = 0
+    # depth-first without recursion: frames[i] holds position i's shuffled
+    # candidates, the index of its next one, and the masks its current
+    # placement overwrote; every entered position counts one node
+    frames: list[list] = []
+    while len(frames) < len(order):
+        idx = len(frames)
         nodes += 1
         if nodes > node_budget:
             raise StageFailure(
@@ -100,45 +162,40 @@ def embed_with_targets(
                 f"budget {node_budget} hit at vertex {order[idx]}; trace: "
                 f"{[(y, mk.bit_count()) for y, mk in masks.items()][:6]}",
             )
-        x = order[idx]
-        cands = cluster_mask[phi[x]] & ~used_mask
-        for u in bits(h_adj[x]):
-            if u in mapping:
-                cands &= G.rows[mapping[u]]
+        cands = cluster_mask[phi[order[idx]]] & ~used
+        for j in back[idx]:
+            cands &= g_rows[image[j]]
         cand_list = list(bits(cands))
         if len(cand_list) > 4:
             rng.shuffle(cand_list)
-        for gv in cand_list:
-            # tentative floor check for boundary neighbours of x
-            new_masks = dict(masks)
-            ok = True
-            for y in masks:
-                mk = masks[y] & ~(1 << gv)
-                if (h_adj[x] >> y) & 1:
-                    mk &= G.rows[gv]
-                if mk.bit_count() < floor:
-                    ok = False
-                    break
-                new_masks[y] = mk
-            if not ok:
+        frames.append([cand_list, 0, None])
+        # move the deepest frame to its next candidate that keeps every
+        # boundary mask at the floor, undoing its current one first
+        while frames:
+            idx = len(frames) - 1
+            frame = frames[idx]
+            cand_list, i, saved = frame
+            if saved is not None:
+                used ^= 1 << image[idx]
+                for y, mk in saved:
+                    masks[y] = mk
+            saved = None
+            while saved is None and i < len(cand_list):
+                saved = narrow(order[idx], cand_list[i])
+                i += 1
+            if saved is None:
+                frames.pop()
                 continue
-            mapping[x] = gv
-            if place(idx + 1, used_mask | (1 << gv), new_masks):
-                return True
-            del mapping[x]
-        return False
-
-    # restrict boundary masks by nothing initially; verify floors up front
-    if not y_floor_ok(y_mask):
-        bad = min(y_mask, key=lambda y: y_mask[y].bit_count())
-        raise StageFailure(
-            "target-set", f"boundary vertex {bad} starts below the floor"
-        )
-    if not place(0, used, dict(y_mask)):
-        raise StageFailure(
-            "backtrack-budget-exhausted",
-            f"no embedding within the search tree (nodes={nodes})",
-        )
+            frame[1], frame[2] = i, saved
+            image[idx] = cand_list[i - 1]
+            used |= 1 << image[idx]
+            break
+        else:
+            raise StageFailure(
+                "no-list-embedding",
+                f"no embedding within the search tree (nodes={nodes})",
+            )
+    mapping = dict(zip(order, image))
 
     final_masks: dict[int, tuple[int, ...]] = {}
     placed_images = mask_of(mapping.values())
@@ -178,6 +235,15 @@ def blowup_embed(
     their S_y.  Per-cluster demand may not exceed supply (checked).  Search
     is fail-first (smallest candidate set next) with seeded restarts; the
     result is revalidated edge-by-edge.
+
+    Each restart searches depth-first with an explicit stack and may enter
+    ``node_budget // restarts`` nodes.  Candidate masks and fail-first keys
+    are updated in place for the vertices a placement affects and restored
+    on backtracking.  A restart that runs out of tree within its budget
+    raises "no-list-embedding" at once, since the search is complete and
+    the other restarts would only visit the same tree in another order;
+    when every restart hits its budget the refusal is
+    "backtrack-budget-exhausted".
     """
     special = special or {}
     demand: dict[int, int] = {}
@@ -201,67 +267,114 @@ def blowup_embed(
     cluster_mask = {a: mask_of(vs) for a, vs in clusters.items()}
     vertices = sorted(phi)
     h_adj = H.rows
+    g_rows = G.rows
+    # a placement x -> gv changes only the masks of x's unplaced neighbours
+    # and of the unplaced vertices whose cluster holds gv: x's cell-mates
+    # (cells are disjoint; members of any cluster meeting x's in general)
+    nbrs = {x: [u for u in bits(h_adj[x]) if u in phi] for x in vertices}
+    meets = {
+        a: [x for x in vertices if cluster_mask[phi[x]] & am]
+        for a, am in cluster_mask.items()
+    }
+    mates = {x: meets[phi[x]] for x in vertices}
+    # fail-first key (live count, -deg, v) cached as one int per vertex:
+    # count * stride + the vertex's rank in (-deg, v) order
+    stride = len(vertices)
+    rank = {
+        v: i for i, v in enumerate(sorted(vertices, key=lambda v: (-h_adj[v].bit_count(), v)))
+    }
     last_trace = ""
     for attempt in range(restarts):
         rng = random.Random(f"blowup:{seed}:{attempt}")
-        mapping: dict[int, int] = {}
+        limit = node_budget // restarts
         cands: dict[int, int] = {}
         for x in vertices:
             mk = cluster_mask[phi[x]]
             if x in special:
                 mk &= mask_of(special[x])
             cands[x] = mk
+        key = {v: cands[v].bit_count() * stride + rank[v] for v in vertices}
+        unplaced = set(vertices)
+        mapping: dict[int, int] = {}
         nodes = 0
 
-        def search() -> bool:
-            nonlocal nodes
-            if len(mapping) == len(vertices):
-                return True
-            nodes += 1
-            if nodes > node_budget // restarts:
-                return False
-            # fail-first: fewest candidates, ties by most unplaced neighbours
-            x = min(
-                (v for v in vertices if v not in mapping),
-                key=lambda v: (cands[v].bit_count(), -h_adj[v].bit_count(), v),
-            )
-            options = list(bits(cands[x]))
-            rng.shuffle(options)
-            for gv in options:
-                saved: list[tuple[int, int]] = []
-                feasible = True
-                for u in bits(h_adj[x]):
-                    if u in mapping or u not in cands:
-                        continue
-                    saved.append((u, cands[u]))
-                    cands[u] &= G.rows[gv] & ~(1 << gv)
-                    if cands[u] == 0:
-                        feasible = False
-                for u in vertices:
-                    if u in mapping or u == x or not feasible:
-                        continue
-                    if cands[u] == 1 << gv:
-                        feasible = False
+        def place(x: int, gv: int) -> list[tuple[int, int, int]] | None:
+            """Place x at gv and narrow the masks it changes; returns the
+            (u, old mask, old key) triples overwritten, or None, changing
+            nothing, if an unplaced neighbour of x would be left without
+            candidates or another unplaced vertex has gv as its only one."""
+            bit = 1 << gv
+            keep = g_rows[gv] & ~bit
+            saved = []
+            for u in nbrs[x]:
+                if u in unplaced:
+                    mk = cands[u] & keep
+                    if not mk:
                         break
-                if feasible:
-                    pre = {u: cands[u] for u in vertices if u not in mapping and u != x}
-                    for u in pre:
-                        cands[u] &= ~(1 << gv)
-                    mapping[x] = gv
-                    if search():
-                        return True
-                    del mapping[x]
-                    for u, mk in pre.items():
-                        cands[u] = mk
-                for u, mk in saved:
+                    saved.append((u, cands[u], key[u]))
                     cands[u] = mk
-            return False
+                    key[u] = mk.bit_count() * stride + rank[u]
+            else:
+                for u in mates[x]:
+                    mk = cands[u]
+                    if mk & bit and u in unplaced and u != x:
+                        if mk == bit:
+                            break
+                        saved.append((u, mk, key[u]))
+                        cands[u] = mk ^ bit
+                        key[u] -= stride
+                else:
+                    unplaced.discard(x)
+                    mapping[x] = gv
+                    return saved
+            restore(saved)
+            return None
 
-        if search():
+        def restore(saved: list[tuple[int, int, int]]) -> None:
+            for u, mk, k in saved:
+                cands[u] = mk
+                key[u] = k
+
+        # depth-first without recursion: a frame holds the vertex a node
+        # chose, its shuffled candidates, the index of the next one and the
+        # masks its current placement overwrote; every entered node counts,
+        # and one entered past the budget fails at once
+        frames: list[list] = []
+        while unplaced:
+            nodes += 1
+            if nodes <= limit:
+                # fail-first: fewest candidates, ties by most H-neighbours
+                x = min(unplaced, key=key.__getitem__)
+                options = list(bits(cands[x]))
+                rng.shuffle(options)
+                frames.append([x, options, 0, None])
+            while frames:
+                frame = frames[-1]
+                x, options, i, saved = frame
+                if saved is not None:
+                    del mapping[x]
+                    unplaced.add(x)
+                    restore(saved)
+                saved = None
+                while saved is None and i < len(options):
+                    saved = place(x, options[i])
+                    i += 1
+                if saved is not None:
+                    frame[2], frame[3] = i, saved
+                    break
+                frames.pop()
+            else:
+                break
+        if not unplaced:
             problem = verify_embedding(H, G, mapping)
             if problem:
                 raise StageFailure("revalidation", problem)
             return mapping
+        if nodes <= limit:
+            # the search tree is exhausted: no restart can find an embedding
+            raise StageFailure(
+                "no-list-embedding", f"attempt {attempt}: tree exhausted in {nodes} nodes"
+            )
         last_trace = f"attempt {attempt}: {nodes} nodes"
     raise StageFailure("backtrack-budget-exhausted", last_trace)
 
@@ -290,20 +403,26 @@ def brute_force_embed(H: DenseGraph, G: DenseGraph, budget: int = 5_000_000) -> 
     if H.n == 0:
         return OracleResult("embedded", {}, 0)
 
-    # order H-vertices: max degree first, then most-placed-neighbours first
+    # order H-vertices: most placed neighbours first, then max degree, then
+    # the smallest label, from a heap of (-placed_nbrs, -deg, v) that gets a
+    # new entry whenever v gains a placed neighbour; v's newest entry sorts
+    # before its older ones, so an entry popped for a placed v is stale
     h_degree = [H.degree(v) for v in range(H.n)]
     placed_nbrs = [0] * H.n
-    unplaced = set(range(H.n))
+    placed = [False] * H.n
+    heap = [(0, -h_degree[v], v) for v in range(H.n)]
+    heapq.heapify(heap)
     order: list[int] = []
-    best = max(range(H.n), key=lambda v: (h_degree[v], -v))
-    while True:
+    while heap:
+        best = heapq.heappop(heap)[2]
+        if placed[best]:
+            continue
         order.append(best)
-        unplaced.discard(best)
-        if not unplaced:
-            break
+        placed[best] = True
         for w in bits(H.rows[best]):
-            placed_nbrs[w] += 1
-        best = max(unplaced, key=lambda v: (placed_nbrs[v], h_degree[v], -v))
+            if not placed[w]:
+                placed_nbrs[w] += 1
+                heapq.heappush(heap, (-placed_nbrs[w], -h_degree[w], w))
 
     # per order position: the positions of its earlier-placed H-neighbours,
     # and the G-vertices whose degree can host it

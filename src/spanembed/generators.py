@@ -19,6 +19,7 @@ from .graphs import (
     cycle_power,
     folded_labelling,
     identity_labelling,
+    packed_rows,
     path_power,
     z_rule_edge,
 )
@@ -29,9 +30,7 @@ def _graph_from_bool(adj: np.ndarray) -> DenseGraph:
     n = adj.shape[0]
     np.fill_diagonal(adj, False)
     adj |= adj.T
-    packed = np.packbits(adj, axis=1, bitorder="little")
-    rows = [int.from_bytes(packed[v].tobytes(), "little") for v in range(n)]
-    return DenseGraph(n, rows, check=False)
+    return DenseGraph(n, packed_rows(adj), check=False)
 
 
 def gnp(n: int, p: float, seed: int = 0) -> DenseGraph:

@@ -76,6 +76,13 @@ def _words(masks: Sequence[int], nwords: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<u8").reshape(len(masks), nwords)
 
 
+def packed_rows(matrix: np.ndarray) -> list[int]:
+    """Each row of a 0/1 matrix as a mask: bit w set iff entry w is nonzero
+    (the inverse of ``DenseGraph.bit_matrix``)."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def mask_of(vertices: Iterable[int]) -> int:
     m = 0
     for v in vertices:
@@ -236,8 +243,7 @@ class DenseGraph:
         """Induced subgraph on distinct ``vertices``, plus the list mapping new
         ids to original ids."""
         vs = list(vertices)
-        packed = np.packbits(self.bit_matrix(vs)[:, vs], axis=1, bitorder="little")
-        rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        rows = packed_rows(self.bit_matrix(vs)[:, vs])
         return DenseGraph(len(vs), rows, check=False), vs
 
     def bfs_distances(self, source: int) -> list[int]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import DensityParams, SizeLimitExceeded, is_locally_dense_exact
-from .graphs import DenseGraph, bits, mask_of
+from .graphs import DenseGraph, bits, mask_of, packed_rows
 
 
 EXACT_SIDE_THRESHOLD = 12
@@ -468,9 +468,11 @@ def heuristic_degree_form_partition(
     report.  Clusters are never refined.  Equal cluster sizes and missing
     intra-cluster pure edges hold by construction.
 
-    Cost: one n × n unpack of the cluster rows for the pair counts, L²/2
-    density comparisons, and one big-int AND per vertex for the pure rows
-    (the row against its cluster's keep mask).
+    Cost: one n × n unpack of the cluster rows, summed to L × n and then
+    to the L × L pair counts; the density verdicts, R's rows and the keep
+    masks come from one L × L boolean array without a per-pair loop; and one
+    big-int AND per vertex for the pure rows (the row against its cluster's
+    keep mask).
     """
     if L_min < 1:
         raise ValueError("L_min must be >= 1")
@@ -484,27 +486,27 @@ def heuristic_degree_form_partition(
     clusters = [sorted(order[i * m : (i + 1) * m]) for i in range(L)]
     exceptional = sorted(order[L * m :])
 
-    masks = [mask_of(c) for c in clusters]
-    # one unpack of the cluster rows; counts[i][j] = e(clusters[i], clusters[j])
+    # one unpack of the cluster rows, summed per cluster (L × n) and then
+    # per cluster of columns: counts[i, j] = e(clusters[i], clusters[j])
     flat = [v for c in clusters for v in c]
-    blocks = G.bit_matrix(flat)[:, flat].reshape(L, m, L, m)
-    counts = blocks.sum(axis=(1, 3)).tolist()
+    per_vertex = G.bit_matrix(flat).reshape(L, m, n).sum(axis=1, dtype=np.int32)
+    counts = per_vertex[:, flat].reshape(L, L, m).sum(axis=2)
+    # dense[i, j]: the pair {i, j} is kept, judged on i < j alone
+    dense = np.triu(counts / (m * m) >= delta, k=1)
+    up_i, up_j = np.triu_indices(L, k=1)
+    pair_verdicts = {
+        pair: "dense" if kept else "sparse"
+        for pair, kept in zip(
+            zip(up_i.tolist(), up_j.tolist()), dense[up_i, up_j].tolist()
+        )
+    }
+    dense |= dense.T
+    r_rows = packed_rows(dense)
     # per cluster, the vertices its pure rows keep: the exceptional set and
-    # the clusters it forms a dense pair with; r_rows are R's rows
-    exc_mask = mask_of(exceptional)
-    keep = [exc_mask] * L
-    r_rows = [0] * L
-    pair_verdicts: dict[tuple[int, int], str] = {}
-    for i in range(L):
-        for j in range(i + 1, L):
-            if counts[i][j] / (m * m) < delta:
-                pair_verdicts[(i, j)] = "sparse"
-            else:
-                pair_verdicts[(i, j)] = "dense"
-                keep[i] |= masks[j]
-                keep[j] |= masks[i]
-                r_rows[i] |= 1 << j
-                r_rows[j] |= 1 << i
+    # the clusters it forms a dense pair with
+    of_vertex = np.full(n, L)
+    of_vertex[flat] = np.repeat(np.arange(L), m)
+    keep = packed_rows(np.hstack([dense, np.ones((L, 1), bool)])[:, of_vertex])
 
     # exceptional vertices keep their edges; a cluster vertex keeps those
     # into its keep mask.  Symmetric by construction: keep is symmetric in

@@ -1,12 +1,15 @@
+import ast
+import inspect
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from spanembed import embed
 from spanembed.embed import (
     OracleResult,
+    PartialEmbedding,
     blowup_embed,
     brute_force_embed,
     embed_with_targets,
@@ -283,6 +286,83 @@ def test_oracle_agrees_with_random_truth():
 # -- embed_with_targets ------------------------------------------------------
 
 
+def _recursive_embed_with_targets(G, H, order, phi, clusters, Y, c, node_budget=1_000_000, seed=0):
+    """The target embedder as it searched with one recursive call per
+    ordered vertex and a copy of every boundary mask per candidate: the same
+    candidates, shuffles, node count and failures.  Returns the
+    PartialEmbedding, or the StageFailure it raised."""
+    m = max((len(vs) for vs in clusters.values()), default=0)
+    floor = c * m
+    rng = random.Random(f"targets:{seed}")
+    cluster_mask = {a: mask_of(vs) for a, vs in clusters.items()}
+    mapping = {}
+    nodes = 0
+    y_mask = {y: cluster_mask[phi[y]] for y in Y}
+    h_adj = H.rows
+
+    def place(idx, used_mask, masks):
+        nonlocal nodes
+        if idx == len(order):
+            return True
+        nodes += 1
+        if nodes > node_budget:
+            raise StageFailure(
+                "backtrack-budget-exhausted",
+                f"budget {node_budget} hit at vertex {order[idx]}; trace: "
+                f"{[(y, mk.bit_count()) for y, mk in masks.items()][:6]}",
+            )
+        x = order[idx]
+        cands = cluster_mask[phi[x]] & ~used_mask
+        for u in bits(h_adj[x]):
+            if u in mapping:
+                cands &= G.rows[mapping[u]]
+        cand_list = list(bits(cands))
+        if len(cand_list) > 4:
+            rng.shuffle(cand_list)
+        for gv in cand_list:
+            new_masks = dict(masks)
+            ok = True
+            for y in masks:
+                mk = masks[y] & ~(1 << gv)
+                if (h_adj[x] >> y) & 1:
+                    mk &= G.rows[gv]
+                if mk.bit_count() < floor:
+                    ok = False
+                    break
+                new_masks[y] = mk
+            if not ok:
+                continue
+            mapping[x] = gv
+            if place(idx + 1, used_mask | (1 << gv), new_masks):
+                return True
+            del mapping[x]
+        return False
+
+    try:
+        if not all(mk.bit_count() >= floor for mk in y_mask.values()):
+            bad = min(y_mask, key=lambda y: y_mask[y].bit_count())
+            raise StageFailure("target-set", f"boundary vertex {bad} starts below the floor")
+        if not place(0, 0, dict(y_mask)):
+            raise StageFailure(
+                "no-list-embedding", f"no embedding within the search tree (nodes={nodes})"
+            )
+        final_masks = {}
+        placed_images = mask_of(mapping.values())
+        for y in Y:
+            mk = cluster_mask[phi[y]] & ~placed_images
+            for u in bits(h_adj[y]):
+                if u in mapping:
+                    mk &= G.rows[mapping[u]]
+            final_masks[y] = tuple(bits(mk))
+            if len(final_masks[y]) < floor:
+                raise StageFailure("target-set", f"boundary vertex {y} finished below the floor")
+    except StageFailure as exc:
+        return exc
+    return PartialEmbedding(mapping, final_masks, nodes)
+
+
+
+
 def make_clustered_host(L=4, m=12, p=0.9, seed=0):
     G = gnp(L * m, p, seed)
     clusters = {a: tuple(range(a * m, (a + 1) * m)) for a in range(L)}
@@ -359,6 +439,80 @@ def test_targets_planted_superregular_segments():
 # -- blow-up embedding -------------------------------------------------------
 
 
+def _recursive_blowup_embed(G, H, phi, clusters, special=None, node_budget=10_000_000, restarts=4, seed=0):
+    """The blow-up embedder as it searched with one recursive call per
+    placed vertex, a fail-first scan of every unplaced vertex and a copy of
+    every candidate mask per node: the same choices, shuffles, node count
+    and failures.  Returns the mapping, or the StageFailure it raised."""
+    special = special or {}
+    cluster_mask = {a: mask_of(vs) for a, vs in clusters.items()}
+    vertices = sorted(phi)
+    h_adj = H.rows
+    last_trace = ""
+    for attempt in range(restarts):
+        rng = random.Random(f"blowup:{seed}:{attempt}")
+        mapping = {}
+        cands = {}
+        for x in vertices:
+            mk = cluster_mask[phi[x]]
+            if x in special:
+                mk &= mask_of(special[x])
+            cands[x] = mk
+        nodes = 0
+
+        def search():
+            nonlocal nodes
+            if len(mapping) == len(vertices):
+                return True
+            nodes += 1
+            if nodes > node_budget // restarts:
+                return False
+            x = min(
+                (v for v in vertices if v not in mapping),
+                key=lambda v: (cands[v].bit_count(), -h_adj[v].bit_count(), v),
+            )
+            options = list(bits(cands[x]))
+            rng.shuffle(options)
+            for gv in options:
+                saved = []
+                feasible = True
+                for u in bits(h_adj[x]):
+                    if u in mapping or u not in cands:
+                        continue
+                    saved.append((u, cands[u]))
+                    cands[u] &= G.rows[gv] & ~(1 << gv)
+                    if cands[u] == 0:
+                        feasible = False
+                for u in vertices:
+                    if u in mapping or u == x or not feasible:
+                        continue
+                    if cands[u] == 1 << gv:
+                        feasible = False
+                        break
+                if feasible:
+                    pre = {u: cands[u] for u in vertices if u not in mapping and u != x}
+                    for u in pre:
+                        cands[u] &= ~(1 << gv)
+                    mapping[x] = gv
+                    if search():
+                        return True
+                    del mapping[x]
+                    for u, mk in pre.items():
+                        cands[u] = mk
+                for u, mk in saved:
+                    cands[u] = mk
+            return False
+
+        if search():
+            return mapping
+        if nodes <= node_budget // restarts:
+            return StageFailure("no-list-embedding", f"attempt {attempt}: tree exhausted in {nodes} nodes")
+        last_trace = f"attempt {attempt}: {nodes} nodes"
+    return StageFailure("backtrack-budget-exhausted", last_trace)
+
+
+
+
 def test_blowup_complete_multipartite_exact_sizes():
     L, m = 3, 6
     G = DenseGraph.complete(L * m)
@@ -412,15 +566,190 @@ def test_blowup_pigeonhole_rejection():
     assert exc.value.stage == "load"
 
 
-def test_blowup_budget_failure_is_labelled():
-    # demand a spanning independent-set-free embedding into an empty pair
+def test_blowup_exhausted_tree_is_labelled_and_not_restarted():
+    # an empty host: every placement starves its partner, so the complete
+    # search runs out of tree far below the budget and no restart can help
     G = DenseGraph.empty(8)
     clusters = {0: (0, 1, 2, 3), 1: (4, 5, 6, 7)}
     H = DenseGraph.from_edges(8, [(i, i + 4) for i in range(4)])
     phi = {x: 0 if x < 4 else 1 for x in range(8)}
     with pytest.raises(StageFailure) as exc:
         blowup_embed(G, H, phi, clusters, node_budget=10_000)
+    assert exc.value.stage == "no-list-embedding"
+    assert exc.value.detail.startswith("attempt 0: tree exhausted in ")
+
+
+def test_blowup_never_enters_a_placement_that_takes_an_only_candidate():
+    # both template vertices may only go to host vertex 0: placing the
+    # first there would leave the second with nothing, so the root node has
+    # no feasible option and the tree ends after one node
+    G = DenseGraph.complete(2)
+    H = DenseGraph.empty(2)
+    with pytest.raises(StageFailure) as exc:
+        blowup_embed(G, H, {0: 0, 1: 0}, {0: (0, 1)}, special={0: {0}, 1: {0}}, alpha=1.0)
+    assert exc.value.stage == "no-list-embedding"
+    assert exc.value.detail == "attempt 0: tree exhausted in 1 nodes"
+
+
+def test_blowup_budget_failure_is_labelled():
+    # the embedding needs 16 nodes, and each of the four restarts may
+    # enter only 4
+    G = DenseGraph.complete(16)
+    clusters = {0: tuple(range(8)), 1: tuple(range(8, 16))}
+    H = DenseGraph.from_edges(16, [(i, i + 8) for i in range(8)])
+    phi = {x: 0 if x < 8 else 1 for x in range(16)}
+    with pytest.raises(StageFailure) as exc:
+        blowup_embed(G, H, phi, clusters, node_budget=16)
     assert exc.value.stage == "backtrack-budget-exhausted"
+    assert exc.value.detail.startswith("attempt 3: ")
+
+
+def test_targets_labels_budget_and_exhausted_tree_apart():
+    # two vertices of an edge into clusters with no edges between them
+    G = DenseGraph.empty(8)
+    clusters = {0: (0, 1, 2, 3), 1: (4, 5, 6, 7)}
+    H = DenseGraph.from_edges(2, [(0, 1)])
+    phi = {0: 0, 1: 1}
+    with pytest.raises(StageFailure) as exc:
+        embed_with_targets(G, H, [0, 1], phi, clusters, Y=[], c=0.0)
+    assert exc.value.stage == "no-list-embedding"
+    assert exc.value.detail == "no embedding within the search tree (nodes=5)"
+    with pytest.raises(StageFailure) as exc:
+        embed_with_targets(G, H, [0, 1], phi, clusters, Y=[], c=0.0, node_budget=3)
+    assert exc.value.stage == "backtrack-budget-exhausted"
+    assert exc.value.detail.startswith("budget 3 hit at vertex 1")
+
+
+def test_targets_keep_the_floor_of_a_boundary_cell_mate():
+    # the boundary vertex 3 shares cluster 0 with the three ordered
+    # vertices; each placement takes one of its 4 candidates, and the floor
+    # 0.5 * 4 = 2 leaves room for two, so every third placement is refused
+    # and the search backtracks through all 4 * 3 pairs before it
+    G = DenseGraph.complete(8)
+    clusters = {0: (0, 1, 2, 3), 1: (4, 5, 6, 7)}
+    H = DenseGraph.empty(4)
+    phi = {x: 0 for x in range(4)}
+    with pytest.raises(StageFailure) as exc:
+        embed_with_targets(G, H, [0, 1, 2], phi, clusters, Y=[3], c=0.5)
+    assert exc.value.stage == "no-list-embedding"
+    assert exc.value.detail == "no embedding within the search tree (nodes=17)"
+    out = embed_with_targets(G, H, [0, 1], phi, clusters, Y=[3], c=0.5)
+    assert len(out.candidate_sets[3]) == 2 and out.nodes == 2
+
+
+def test_blowup_embeds_a_block_deeper_than_the_recursion_limit():
+    # one stack frame per placed vertex would exceed Python's default
+    # recursion limit of 1,000
+    n = 1100
+    G = gnp(n, 0.9, 1)
+    H = cycle_power(1, n)
+    clusters = {a: tuple(range(a, n, 2)) for a in range(2)}
+    phi = {x: x % 2 for x in range(n)}
+    mapping = blowup_embed(G, H, phi, clusters, seed=1)
+    assert len(mapping) == n and verify_embedding(H, G, mapping) == ""
+    assert all(gv % 2 == phi[x] for x, gv in mapping.items())
+
+
+def test_embed_module_has_no_recursive_function():
+    # every search in embed.py keeps an explicit stack; a function (nested
+    # ones included) that calls itself by name is refused
+    tree = ast.parse(inspect.getsource(embed))
+    recursive = [
+        (fn.name, call.lineno)
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == fn.name
+    ]
+    assert recursive == []
+
+
+@st.composite
+def list_instances(draw):
+    """A host on at most 30 vertices with 1-4 disjoint cells, a template
+    whose vertices fit the cells, special sets, and budgets small enough to
+    be hit."""
+    sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=4))
+    n_g = sum(sizes) + draw(st.integers(0, 2))
+    G = gnp(n_g, draw(st.floats(0.3, 1.0)), draw(st.integers(0, 10**6)))
+    perm = draw(st.permutations(range(n_g)))
+    clusters, start = {}, 0
+    for a, size in enumerate(sizes):
+        clusters[a] = tuple(sorted(perm[start : start + size]))
+        start += size
+    slots = [a for a, size in enumerate(sizes) for _ in range(size)]
+    n_h = draw(st.integers(0, len(slots)))
+    H = gnp(n_h, draw(st.floats(0.0, 0.6)), draw(st.integers(0, 10**6)))
+    phi = dict(enumerate(draw(st.permutations(slots))[:n_h]))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    special = {
+        x: set(rng.sample(clusters[phi[x]], rng.randint(1, len(clusters[phi[x]]))))
+        for x in range(n_h)
+        if rng.random() < 0.2
+    }
+    return G, H, clusters, phi, special, rng
+
+
+def _outcome(run):
+    try:
+        return run()
+    except StageFailure as exc:
+        return exc
+
+
+def _failure(got):
+    return (got.stage, got.detail) if isinstance(got, StageFailure) else None
+
+
+@given(
+    list_instances(),
+    st.sampled_from([1, 4, 10, 40, 200, 10_000]),
+    st.integers(1, 4),
+    st.integers(0, 99),
+)
+@settings(max_examples=200, deadline=None)
+def test_blowup_matches_the_recursive_search(instance, budget, restarts, seed):
+    G, H, clusters, phi, special, _ = instance
+    got = _outcome(
+        lambda: blowup_embed(
+            G, H, phi, clusters, special, alpha=1.0,
+            node_budget=budget, restarts=restarts, seed=seed,
+        )
+    )
+    want = _recursive_blowup_embed(
+        G, H, phi, clusters, special, node_budget=budget, restarts=restarts, seed=seed
+    )
+    # the failure details carry each failed attempt's node count
+    assert _failure(got) == _failure(want)
+    event(_failure(got)[0] if _failure(got) else "embedded")
+    if _failure(got) is None:
+        assert list(got.items()) == list(want.items())
+
+
+@given(
+    list_instances(),
+    st.sampled_from([0.0, 0.1, 0.3, 0.5]),
+    st.sampled_from([1, 3, 10, 50, 10_000]),
+    st.integers(0, 99),
+)
+@settings(max_examples=200, deadline=None)
+def test_targets_match_the_recursive_search(instance, c, budget, seed):
+    G, H, clusters, phi, _, rng = instance
+    xs = list(range(H.n))
+    rng.shuffle(xs)
+    k = rng.randint(0, len(xs))
+    order, Y = xs[:k], xs[k : k + rng.randint(0, 6)]
+    got = _outcome(
+        lambda: embed_with_targets(G, H, order, phi, clusters, Y, c, node_budget=budget, seed=seed)
+    )
+    want = _recursive_embed_with_targets(G, H, order, phi, clusters, Y, c, node_budget=budget, seed=seed)
+    assert _failure(got) == _failure(want)
+    event(_failure(got)[0] if _failure(got) else "embedded")
+    if _failure(got) is None:
+        assert list(got.mapping.items()) == list(want.mapping.items())
+        assert (got.candidate_sets, got.nodes) == (want.candidate_sets, want.nodes)
 
 
 def test_blowup_matches_oracle_on_small_instances():

@@ -16,7 +16,6 @@ from .graphs import (
     make_named,
     validate_witness,
 )
-from .constants import ConstantsHierarchy, HierarchyError
 from .density import (
     DensityParams,
     DensityVerdict,
@@ -45,8 +44,6 @@ __all__ = [
     "is_labelled_subgraph",
     "make_named",
     "validate_witness",
-    "ConstantsHierarchy",
-    "HierarchyError",
     "DensityParams",
     "DensityVerdict",
     "ExtendableClique",

@@ -108,7 +108,7 @@ def check_cycle_structure(G: DenseGraph, C: CycleStructure) -> StructureReport:
     seen: set[int] = set(C.exceptional)
     partition_ok = len(seen) == len(C.exceptional)
     total = len(C.exceptional)
-    for cell, cluster in C.clusters.items():
+    for cluster in C.clusters.values():
         total += len(cluster)
         for v in cluster:
             if v in seen:

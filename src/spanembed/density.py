@@ -308,7 +308,6 @@ def enumerate_extendable_cliques(
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    n = G.n
     scope = G.full_mask() if within is None else within
     out: list[ExtendableClique] = []
     rows = G.rows

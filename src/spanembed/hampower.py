@@ -16,9 +16,20 @@ import random
 from dataclasses import dataclass, field
 
 from .connect import Bridge, HypothesisViolation, bridging_cliques, connect_cliques
-from .constants import ConstantsHierarchy, default_hampower_constants
 from .density import DensityParams, find_clique, is_locally_dense_sampled
 from .graphs import DenseGraph, StageFailure, WitnessSequence, bits, mask_of, validate_witness
+
+# Desk-scale constants.  The paper picks them from right to left
+# (rho << d << eta, eta2 << eta0); at a few hundred vertices no such
+# separation holds, and these values are the ones the greedy constructions
+# are feasible at.
+ETA = 0.2  # degree slack: advisory delta(G) >= (1/2 + ETA)n; reservoir, bridges ETA/2
+RHO, D = 0.02, 0.4  # the advisory (rho, d)-local-density check
+ETA0 = 0.8  # the absorber has at most ETA0*n/(8r) blocks
+D1 = 0.3  # absorbing-path connectors need d(x, U) >= (1/2 + D1)|U|
+ETA2 = 0.1  # the absorbing path swallows at most ETA2*n leftover vertices
+ATTEMPTS = 30  # derived-seed attempts of find_hamilton_power
+FLANK_BUDGET = 200_000  # search nodes per flanking-clique size
 
 
 @dataclass(frozen=True)
@@ -72,7 +83,6 @@ class AbsorbingPath:
 def build_absorber(
     G: DenseGraph,
     r: int,
-    constants: ConstantsHierarchy | None = None,
     seed: int = 0,
     coverage_target: int | None = None,
     max_blocks: int | None = None,
@@ -85,12 +95,10 @@ def build_absorber(
     coverage-unreachable signal (the density/degree hypotheses are too weak
     at this scale).
     """
-    constants = constants or default_hampower_constants()
     if coverage_target is None:
         coverage_target = 2 * r + 2
     if max_blocks is None:
-        eta0 = constants.get("eta0", 0.6)
-        max_blocks = max(1, int(eta0 * G.n / (8 * r)))
+        max_blocks = max(1, int(ETA0 * G.n / (8 * r)))
     rng = random.Random(f"absorber:{seed}") if seed is not None else None
     blocks: list[tuple[int, ...]] = []
     covers: list[int] = []  # N(B) per block B
@@ -129,7 +137,6 @@ def build_absorber(
 def build_absorbing_path(
     G: DenseGraph,
     absorber: AbsorberSystem,
-    constants: ConstantsHierarchy | None = None,
     seed: int = 0,
 ) -> AbsorbingPath:
     """Thread the absorber blocks into one power-2r path.
@@ -138,9 +145,7 @@ def build_absorbing_path(
     with the avoided set growing as connectors are placed; the result has
     exactly (t-1)*8r + 2r vertices and is validated before being returned.
     """
-    constants = constants or default_hampower_constants()
     r = absorber.r
-    d1 = constants.get("d1", 0.3)
     blocks = absorber.blocks
     if not blocks:
         raise StageFailure("absorber", "no blocks to thread")
@@ -155,7 +160,7 @@ def build_absorbing_path(
         W = sorted(avoid - set(X) - set(Y))
         try:
             conn = connect_cliques(
-                G, X, Y, W, r=2 * r, eta=d1, c=2 * r,
+                G, X, Y, W, r=2 * r, eta=D1, c=2 * r,
                 w_limit=G.n,  # the growing path itself dwarfs eta*n/4 here
                 seed=f"{seed}:pabs:{i}" if seed is not None else None,
             )
@@ -459,15 +464,8 @@ def cover_with_paths(
 
 
 @dataclass
-class HamConfig:
-    attempts: int = 30
-    reservoir_retries: int = 50
-    flank_budget: int = 200_000
-
-
-@dataclass
 class HamPlan:
-    """Desk-scale sizing for one run, derived from (n, r, constants)."""
+    """Desk-scale sizing for one run, derived from (n, r)."""
 
     t_blocks: int
     C: int
@@ -477,8 +475,7 @@ class HamPlan:
     target_paths: int
 
     @staticmethod
-    def derive(n: int, r: int, constants: ConstantsHierarchy) -> "HamPlan":
-        eta0 = constants.get("eta0", 0.8)
+    def derive(n: int, r: int) -> "HamPlan":
         flank = 2 * r + 1
         C = r
         min_path = 2 * C + 1
@@ -490,7 +487,7 @@ class HamPlan:
                 t_max = t
             else:
                 break
-        budget = max(2, int(eta0 * n / (8 * r)))
+        budget = max(2, int(ETA0 * n / (8 * r)))
         t = min(t_max, budget)
         if t < 2:
             raise StageFailure(
@@ -562,20 +559,16 @@ def find_hamilton_power(
     G: DenseGraph,
     r: int,
     n_target: int | None = None,
-    constants: ConstantsHierarchy | None = None,
     seed: int = 0,
-    config: HamConfig | None = None,
     audit: HamAudit | None = None,
 ) -> WitnessSequence:
     """Find the r-th power of a cycle covering exactly n_target vertices.
 
     Runs the full connecting-absorbing pipeline; stochastic stages (reservoir
-    draw, cover randomisation) are retried with derived seeds up to the
-    configured attempt budget.  The returned witness is always validated; on
-    exhaustion the last stage-labelled failure is re-raised.
+    draw, cover randomisation) are retried with derived seeds, ``ATTEMPTS``
+    times at most.  The returned witness is always validated; on exhaustion
+    the last stage-labelled failure is re-raised.
     """
-    constants = constants or default_hampower_constants()
-    config = config or HamConfig()
     audit = audit if audit is not None else HamAudit()
     n = G.n
     if n_target is None:
@@ -588,10 +581,7 @@ def find_hamilton_power(
             sorted(range(n), key=lambda v: (-G.degree(v), v))[:n_target]
         )
         sub, ids = G.induced(keep)
-        inner_audit = audit
-        witness = find_hamilton_power(
-            sub, r, None, constants, seed, config, inner_audit
-        )
+        witness = find_hamilton_power(sub, r, seed=seed, audit=audit)
         mapped = tuple(ids[v] for v in witness.vertices)
         out = WitnessSequence(mapped, "cycle", r)
         _check_cycle(G, out, n_target)
@@ -599,30 +589,25 @@ def find_hamilton_power(
 
     # a host too small for the plan refuses before the prechecks, whose
     # verdicts nothing would read
-    plan = HamPlan.derive(n, r, constants)
+    plan = HamPlan.derive(n, r)
     audit.plan = plan
 
     # advisory prechecks (recorded; the construction is its own certificate)
-    p = DensityParams(constants.get("rho", 0.05), constants.get("d", 0.3))
-    eta = constants.get("eta", 0.2)
     audit.prechecks["locally-dense-sampled"] = bool(
-        is_locally_dense_sampled(G, p, trials=200, seed=seed)
+        is_locally_dense_sampled(G, DensityParams(RHO, D), trials=200, seed=seed)
     )
-    audit.prechecks["min-degree"] = G.min_degree() >= (0.5 + eta) * n
-    eta2 = constants.get("eta2", 0.1)
+    audit.prechecks["min-degree"] = G.min_degree() >= (0.5 + ETA) * n
 
     # Everything is rebuilt per attempt under a derived seed: the clique
     # searches draw each candidate uniformly from the untried ones, so that
     # which vertices the absorber, path and flanks consume varies, keeping
     # the residual pool unbiased.
-    last_failure = StageFailure("precheck", f"attempt budget {config.attempts} < 1")
-    for attempt in range(config.attempts):
+    last_failure: StageFailure | None = None
+    for attempt in range(ATTEMPTS):
         audit.attempts = attempt + 1
         sub_seed = f"{seed}:attempt:{attempt}"
         try:
-            witness = _one_attempt(
-                G, r, plan, constants, eta, eta2, sub_seed, config, audit
-            )
+            witness = _one_attempt(G, r, plan, sub_seed, audit)
         except StageFailure as exc:
             audit.failures.append((exc.stage, exc.detail))
             last_failure = exc
@@ -647,17 +632,13 @@ def _one_attempt(
     G: DenseGraph,
     r: int,
     plan: HamPlan,
-    constants: ConstantsHierarchy,
-    eta: float,
-    eta2: float,
     sub_seed: str,
-    config: HamConfig,
     audit: HamAudit,
 ) -> WitnessSequence:
     n = G.n
-    absorber = build_absorber(G, r, constants, sub_seed, max_blocks=plan.t_blocks)
+    absorber = build_absorber(G, r, sub_seed, max_blocks=plan.t_blocks)
     _note(audit, "absorber")
-    pabs = build_absorbing_path(G, absorber, constants, sub_seed)
+    pabs = build_absorbing_path(G, absorber, sub_seed)
     _note(audit, "absorbing-path")
 
     # flanking cliques adjacent to everything in S / E
@@ -667,7 +648,7 @@ def _one_attempt(
     flank_S = None
     scope_S = G.common_neighborhood(pabs.S) & ~pset
     for size in range(want, 2 * r, -1):
-        flank_S = find_clique(G, size, within=scope_S, node_budget=config.flank_budget, rng=rng)
+        flank_S = find_clique(G, size, within=scope_S, node_budget=FLANK_BUDGET, rng=rng)
         if flank_S is not None:
             break
     if flank_S is None:
@@ -675,7 +656,7 @@ def _one_attempt(
     scope_E = G.common_neighborhood(pabs.E_end) & ~pset & ~mask_of(flank_S)
     flank_E = None
     for size in range(want, 2 * r, -1):
-        flank_E = find_clique(G, size, within=scope_E, node_budget=config.flank_budget, rng=rng)
+        flank_E = find_clique(G, size, within=scope_E, node_budget=FLANK_BUDGET, rng=rng)
         if flank_E is not None:
             break
     if flank_E is None:
@@ -687,9 +668,7 @@ def _one_attempt(
 
     protected = pset | mask_of(flank_S) | mask_of(flank_E)
     pool = [v for v in range(n) if not protected >> v & 1]
-    return _thread_and_close(
-        G, r, plan, C, pabs, flank_S, flank_E, pool, eta, eta2, sub_seed, config
-    )
+    return _thread_and_close(G, r, plan, C, pabs, flank_S, flank_E, pool, sub_seed)
 
 
 def _note(audit: HamAudit, stage: str) -> None:
@@ -706,10 +685,7 @@ def _thread_and_close(
     flank_S: tuple[int, ...],
     flank_E: tuple[int, ...],
     pool: list[int],
-    eta: float,
-    eta2: float,
     sub_seed: str,
-    config: HamConfig,
 ) -> WitnessSequence:
     """Draw the reservoir from ``pool``, cover the rest by power paths,
     thread flank_E, the cover paths and flank_S into one power-r path
@@ -725,10 +701,9 @@ def _thread_and_close(
     reservoir = select_reservoir(
         G,
         0.0,
-        eta,
+        ETA,
         seed=sub_seed,
         exclude=tuple(v for v in range(n) if v not in in_pool),
-        retries=config.reservoir_retries,
         size=plan.reservoir,
     )
     g2_vertices = sorted(in_pool - set(reservoir))
@@ -747,7 +722,7 @@ def _thread_and_close(
     segs: list[tuple[int, ...]] = [tuple(sorted(flank_E))] + cover_paths + [
         tuple(sorted(flank_S))
     ]
-    bridges = _thread(G, r, C, segs, reservoir, eta)
+    bridges = _thread(G, r, C, segs, reservoir, ETA)
     head_orders: list[tuple[int, ...] | None] = [None] * len(segs)
     tail_orders: list[tuple[int, ...] | None] = [None] * len(segs)
     for i, bridge in enumerate(bridges):
@@ -763,12 +738,12 @@ def _thread_and_close(
             big.extend(connectors[i])
 
     leftovers = sorted(set(uncovered) | (set(reservoir) - used_res))
-    if len(leftovers) > eta2 * n:
+    if len(leftovers) > ETA2 * n:
         raise StageFailure(
             "cover-too-lossy",
-            f"{len(leftovers)} uncovered vertices exceed eta2*n = {eta2 * n:.1f}",
+            f"{len(leftovers)} uncovered vertices exceed eta2*n = {ETA2 * n:.1f}",
         )
-    absorbed = absorb(G, pabs, leftovers, eta2_limit=eta2 * n)
+    absorbed = absorb(G, pabs, leftovers, eta2_limit=ETA2 * n)
     cycle = WitnessSequence(tuple(absorbed.vertices) + tuple(big), "cycle", r)
     res = validate_witness(G, cycle)
     if not res:

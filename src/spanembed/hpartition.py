@@ -7,7 +7,8 @@ blown-cycle template (a proper 2r-colouring whose colour classes stay within
 that a 2-independent set lands exactly on the exceptional vertices.  Job
 (2) has no caller in the pipeline, which refuses a non-empty exceptional
 set; the benchmark's tracer still names ``build_framework`` and
-``special_assignment``, so they go with its next refresh (ROADMAP item 7).
+``special_assignment``, so they go with its next refresh (ROADMAP,
+"Benchmark refresh").
 
 All outputs are checked by independent recounts that share no code with the
 constructions.
@@ -220,22 +221,18 @@ def check_balanced_colouring(
 def basic_assignment(
     Hb: BandwidthedH,
     targets: dict[Cell, int],
-    beta: float | None = None,
     ell: int | None = None,
     r: int | None = None,
-    relax_floor: bool = False,
-    colouring: tuple[int, ...] | None = None,
 ) -> Assignment:
     """Slice H along its bandwidth order into ell blocks of the target sizes
     and map x -> (block, balanced-colour).
 
-    Preconditions (all checked): targets sum to n, every target >= 10*beta*n
-    (the floor can be relaxed to 4 interval-widths for tiny hosts), and
-    within-block targets differ by at most 1.  The output satisfies the four
+    Preconditions (all checked): targets sum to n, every target is at least
+    1, every block is at least 4 interval-widths wide, and within-block
+    targets differ by at most 1.  The output satisfies the four
     block-homomorphism properties, which the independent checker recounts.
     """
-    if beta is None:
-        beta = Hb.beta
+    beta = Hb.beta
     n = Hb.n
     cells = sorted(targets)
     if ell is None:
@@ -248,31 +245,23 @@ def basic_assignment(
     if total != n:
         raise StageFailure("basic-assignment", f"targets sum to {total}, vertex count is {n}")
     W = interval_width(beta, n)
-    if relax_floor:
-        # the asymptotic per-cell floor is 10*beta*n; the construction only
-        # needs nonempty cells and block widths that dominate the buffers
-        for cell, m in targets.items():
-            if m < 1:
-                raise StageFailure("floor", f"target m{cell} = {m} below the floor 1")
-        for i in range(1, ell + 1):
-            block_total = sum(targets[(i, j)] for j in range(1, 2 * r + 1))
-            if block_total < 4 * W:
-                raise StageFailure(
-                    "floor", f"block {i} width {block_total} below the floor 4*beta*n = {4 * W}"
-                )
-    else:
-        floor = 10 * beta * n
-        for cell, m in targets.items():
-            if m < floor:
-                raise StageFailure(
-                    "floor", f"target m{cell} = {m} below the floor {floor:.1f} (= 10*beta*n)"
-                )
+    # the asymptotic per-cell floor is 10*beta*n; the construction only
+    # needs nonempty cells and block widths that dominate the buffers
+    for cell, m in targets.items():
+        if m < 1:
+            raise StageFailure("floor", f"target m{cell} = {m} below the floor 1")
+    for i in range(1, ell + 1):
+        block_total = sum(targets[(i, j)] for j in range(1, 2 * r + 1))
+        if block_total < 4 * W:
+            raise StageFailure(
+                "floor", f"block {i} width {block_total} below the floor 4*beta*n = {4 * W}"
+            )
     for i in range(1, ell + 1):
         row = [targets[(i, j)] for j in range(1, 2 * r + 1)]
         if max(row) - min(row) > 1:
             raise StageFailure("basic-assignment", f"block {i} targets differ by more than 1")
 
-    chi2 = colouring if colouring is not None else balanced_2r_colouring(Hb, beta, r)
+    chi2 = balanced_2r_colouring(Hb, beta, r)
     order = Hb.order.order
     block_sizes = [sum(targets[(i, j)] for j in range(1, 2 * r + 1)) for i in range(1, ell + 1)]
     boundaries = [0]

@@ -6,9 +6,11 @@ exact demands, and embed in two stages (target sets, then blow-up).
 Every hypothesis check and displayed inequality is evaluated into an audit
 (pass/fail with the computed quantities); the asymptotic displays are
 physically false at desk scale, so they are recorded rather than enforced,
-and the binding feasibility checks gate execution.  A failure is always
-labelled with its stage and carries the first violated named inequality.
-Successes are revalidated edge-by-edge before being reported.
+and the binding feasibility checks gate execution.  A failure is labelled
+with its stage and with the label it was raised under: the pipeline's own
+refusals name their stage or the inequality that gated them, and a library
+refusal keeps the library's label.  Successes are revalidated edge-by-edge
+before being reported.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from .balance import (
     lemma_g,
     phi_inverse,
 )
-from .constants import ConstantsHierarchy
-from .density import DensityParams, is_locally_dense_sampled
+from .density import EXACT_LOCAL_THRESHOLD, DensityParams, is_locally_dense_sampled
 from .embed import blowup_embed, embed_with_targets, brute_force_embed, verify_embedding
 from .generators import BandwidthedH
 from .graphs import (
@@ -35,7 +36,7 @@ from .graphs import (
     identity_labelling,
     validate_witness,
 )
-from .hampower import HamConfig, find_hamilton_power
+from .hampower import find_hamilton_power
 from .hpartition import basic_assignment, interval_width
 from .regularity import (
     InsufficientVertices,
@@ -43,6 +44,19 @@ from .regularity import (
     inheritance_check,
     refine_to_superregular,
 )
+
+# Desk-scale constants.  The paper picks them from right to left
+# (eps << d << eta); these values are the ones the stages are feasible at
+# for a few hundred host vertices, where no such separation holds.
+MIN_CLUSTER = 6  # the partition asks for clusters of at least this size
+EPS = 0.02  # the eps of the displayed inequalities
+REFINE_EPS = 0.01  # superregularity of the refined clusters
+DELTA = 0.25  # a cluster pair of density below DELTA is sparse
+ETA = 0.2  # degree slack of the advisory checks: delta(G) >= (1/2 + ETA)n
+RHO, D = 0.05, 0.3  # the advisory (rho, d)-local-density check
+C = 0.2  # target sets keep C/2 of a cluster as candidates
+ORACLE_BUDGET = 3_000_000  # brute-force nodes for the reduced power cycle
+BLOWUP_BUDGET = 6_000_000  # nodes of the target-set and blow-up searches
 
 
 @dataclass
@@ -57,12 +71,6 @@ class PipelineAudit:
     def stage(self, name: str) -> None:
         if name not in self.stages:
             self.stages.append(name)
-
-    def first_violated(self) -> str | None:
-        for name, (ok, _) in self.checks.items():
-            if not ok:
-                return name
-        return None
 
 
 @dataclass
@@ -81,78 +89,55 @@ class EmbeddingResult:
         return self.success
 
 
-@dataclass
-class PipelineConfig:
-    min_cluster: int = 6
-    eps: float = 0.02
-    delta: float = 0.25
-    c: float = 0.2
-    relax_target_floor: bool = True
-    ham_config: HamConfig | None = None
-    oracle_budget: int = 3_000_000
-    blowup_budget: int = 6_000_000
-
-
 def run_main_pipeline(
     G: DenseGraph,
     Hb: BandwidthedH,
-    constants: ConstantsHierarchy | None = None,
     seed: int = 0,
-    config: PipelineConfig | None = None,
 ) -> EmbeddingResult:
     """Orchestrate the full embedding of Hb into G; returns a result whose
-    failures are stage-labelled and cite a named violated inequality."""
-    config = config or PipelineConfig()
+    failures carry their stage and the label they were raised under."""
     audit = PipelineAudit()
     try:
-        mapping = _pipeline(G, Hb, constants, seed, config, audit)
+        mapping = _pipeline(G, Hb, seed, audit)
         return EmbeddingResult(mapping, audit)
     except StageFailure as exc:
-        violated = exc.violated or audit.first_violated() or exc.stage
         return EmbeddingResult(
             None,
             audit,
             failure_stage=exc.stage,
             failure_detail=exc.detail,
-            violated_display=violated,
+            violated_display=exc.violated or exc.stage,
         )
 
 
 def _pipeline(
     G: DenseGraph,
     Hb: BandwidthedH,
-    constants: ConstantsHierarchy | None,
     seed: int,
-    config: PipelineConfig,
     audit: PipelineAudit,
 ) -> dict[int, int]:
     n = G.n
     if Hb.n != n:
-        raise StageFailure("precheck", f"|H| = {Hb.n} != |G| = {n}")
+        raise StageFailure("precheck", f"|H| = {Hb.n} != |G| = {n}", violated="precheck")
     r = Hb.num_colours()
-    eta = constants.get("eta", 0.2) if constants else 0.2
-    d = constants.get("d", 0.3) if constants else 0.3
-    rho = constants.get("rho", 0.05) if constants else 0.05
-    eps = config.eps
-    delta = config.delta
     beta = Hb.beta
     W = interval_width(beta, n)
     audit.notes["r"] = r
     audit.notes["beta_n"] = W
 
     # -- advisory prechecks --------------------------------------------------
-    dense = is_locally_dense_sampled(G, DensityParams(rho, d), trials=300, seed=seed)
+    dense = is_locally_dense_sampled(G, DensityParams(RHO, D), trials=300, seed=seed)
     audit.record("locally-dense-sampled", bool(dense), f"witness={dense.witness is not None}")
     audit.record(
         "min-degree",
-        G.min_degree() >= (0.5 + eta) * n,
-        f"{G.min_degree()} vs {(0.5 + eta) * n:.1f}",
+        G.min_degree() >= (0.5 + ETA) * n,
+        f"{G.min_degree()} vs {(0.5 + ETA) * n:.1f}",
     )
 
     # -- stage: partition -----------------------------------------------------
-    ell = max(2, n // (4 * r * config.min_cluster))
+    ell = max(2, n // (4 * r * MIN_CLUSTER))
     L_target = 4 * r * ell  # ell >= 2 blocks of 4r clusters
-    degenerate = L_target > n or n // L_target < config.min_cluster
+    degenerate = L_target > n or n // L_target < MIN_CLUSTER
     if degenerate:
         # singleton clusters: the reduced graph is the host itself
         audit.notes["partition"] = "degenerate-singleton"
@@ -163,27 +148,27 @@ def _pipeline(
         audit.stage("partition")
     else:
         partition, pure, reduced, _ = heuristic_degree_form_partition(
-            G, delta=delta, L_min=L_target, seed=seed
+            G, delta=DELTA, L_min=L_target, seed=seed
         )
         clusters_list = [tuple(c) for c in partition.clusters]
         exceptional = tuple(partition.exceptional)
         audit.stage("partition")
         audit.record(
             "exceptional-bound",
-            len(exceptional) <= 2 * math.sqrt(eps) * n,
-            f"{len(exceptional)} vs {2 * math.sqrt(eps) * n:.1f}",
+            len(exceptional) <= 2 * math.sqrt(EPS) * n,
+            f"{len(exceptional)} vs {2 * math.sqrt(EPS) * n:.1f}",
         )
         inh = inheritance_check(
-            reduced, rho=rho, d=d, delta=delta, eta=eta
-        ) if reduced.n <= 22 else None
+            reduced, rho=RHO, d=D, delta=DELTA, eta=ETA
+        ) if reduced.n <= EXACT_LOCAL_THRESHOLD else None
         if inh is not None:
             audit.record("inheritance-density", inh.density_pass)
             audit.record("inheritance-degree", inh.min_degree_pass)
         else:
             audit.record(
                 "inheritance-degree",
-                reduced.min_degree() >= (0.5 + eta / 2) * reduced.n,
-                f"{reduced.min_degree()} vs {(0.5 + eta / 2) * reduced.n:.1f}",
+                reduced.min_degree() >= (0.5 + ETA / 2) * reduced.n,
+                f"{reduced.min_degree()} vs {(0.5 + ETA / 2) * reduced.n:.1f}",
             )
         audit.stage("inheritance")
 
@@ -192,7 +177,7 @@ def _pipeline(
     # the direct singleton embedding needs only a bandwidth-th power (at
     # least a Hamilton cycle, also for an edgeless H)
     q = max(1, bandwidth_of(Hb.H, Hb.order)) if degenerate else 4 * r - 1
-    r_star_formula = 324 * r / (eta * eta)
+    r_star_formula = 324 * r / (ETA * ETA)
     audit.record(
         "r-star-cap",
         q + 1 <= r_star_formula,
@@ -203,11 +188,13 @@ def _pipeline(
         n_cycle = L  # singleton clusters: span the whole host directly
     elif ell_eff < 2:
         raise StageFailure(
-            "hamilton-power", f"reduced graph has {L} < {8 * r} vertices"
+            "hamilton-power",
+            f"reduced graph has {L} < {8 * r} vertices",
+            violated="hamilton-power",
         )
     else:
         n_cycle = 4 * r * ell_eff
-    cycle = _reduced_power_cycle(reduced, q, n_cycle, seed, config, audit)
+    cycle = _reduced_power_cycle(reduced, q, n_cycle, seed, audit)
     audit.stage("hamilton-power")
 
     if degenerate:
@@ -225,7 +212,6 @@ def _pipeline(
 
     # one refinement over all cells with R = ell disjoint K_{4r}, so that a
     # failing vertex may be swapped into another block
-    refine_eps = min(0.01, eps)
     cells = list(cell_cluster)
     block = (1 << (4 * r)) - 1
     R_blocks = DenseGraph(
@@ -238,8 +224,8 @@ def _pipeline(
             pure,
             [list(cell_cluster[c]) for c in cells],
             R_blocks,
-            refine_eps,
-            delta,
+            REFINE_EPS,
+            DELTA,
             verify=False,
         )
     except InsufficientVertices as exc:
@@ -256,8 +242,8 @@ def _pipeline(
     # -- stage: exceptional vertices -----------------------------------------
     # the paper covers a non-empty V0 by a framework and a special assignment
     # of an H-prefix; at desk scale that prefix is longer than H itself, and
-    # no measured run has embedded through it (ROADMAP item 3), so V0 must
-    # be empty here
+    # no measured run has embedded through it (ROADMAP, "Equitable clusters
+    # end to end"), so V0 must be empty here
     if V0:
         off = len(off_cycle) * len(clusters_list[0])
         raise StageFailure(
@@ -271,8 +257,8 @@ def _pipeline(
     # displayed inequality (beta): beta*n <= eps^2 * m / L
     audit.record(
         "(beta)",
-        W <= eps * eps * m / max(L, 1),
-        f"{W} vs {eps * eps * m / max(L, 1):.4f}",
+        W <= EPS * EPS * m / max(L, 1),
+        f"{W} vs {EPS * EPS * m / max(L, 1):.4f}",
     )
 
     # -- stage: lemma for G, phase 1 ----------------------------------------
@@ -280,15 +266,15 @@ def _pipeline(
     # a cell on an augmenting path drifts by 2, and m = 6 gives eps = 0.9,
     # a drift of at most 5 per cell.  While m <= 8 this puts the valid-move
     # threshold (delta/2 - 2*eps)*m below 0, so phase 2 checks no degree
-    eps_balance = min(0.9, max(refine_eps, 8 / m))
-    audit.notes["lemma-g-move-threshold"] = (delta / 2 - 2 * eps_balance) * m
+    eps_balance = min(0.9, max(REFINE_EPS, 8 / m))
+    audit.notes["lemma-g-move-threshold"] = (DELTA / 2 - 2 * eps_balance) * m
     struct = CycleStructure(
         ell=ell,
         r=4 * r,
         clusters=refined,
         exceptional=(),
         eps=eps_balance,
-        delta=delta / 2,
+        delta=DELTA / 2,
     )
     try:
         phase1 = lemma_g(G, struct)
@@ -312,7 +298,6 @@ def _pipeline(
             dict(m_ab),
             ell=2 * ell,
             r=r,
-            relax_floor=config.relax_target_floor,
         )
     except StageFailure as exc:
         raise StageFailure("basic-assignment", str(exc), violated=exc.stage) from exc
@@ -340,7 +325,7 @@ def _pipeline(
     drift = max(len(set(X_cells[cell]) ^ original[cell]) for cell in X_cells)
     audit.record(
         "(Xprops)",
-        drift <= max(refine_eps, 2 / m) ** (1 / 18) * m + 1e-9,
+        drift <= max(REFINE_EPS, 2 / m) ** (1 / 18) * m + 1e-9,
         f"max drift {drift}",
     )
     audit.stage("lemma-g-partition")
@@ -354,15 +339,15 @@ def _pipeline(
     )
     audit.record(
         "(N)",
-        len(N_boundary) <= max(eps, refine_eps) * m,
-        f"{len(N_boundary)} vs {max(eps, refine_eps) * m:.2f}",
+        len(N_boundary) <= EPS * m,
+        f"{len(N_boundary)} vs {EPS * m:.2f}",
     )
     audit.record(
         "(psistar)",
         max(
             [sum(1 for x in X_prime if psi[x] == cell) for cell in m_ab] or [0]
         )
-        <= max(eps, refine_eps) ** (1 / 12) * m + len(X_prime),
+        <= EPS ** (1 / 12) * m + len(X_prime),
         "",
     )
 
@@ -375,8 +360,8 @@ def _pipeline(
             psi,
             X_cells,
             Y=N_boundary,
-            c=config.c / 2,
-            node_budget=config.blowup_budget,
+            c=C / 2,
+            node_budget=BLOWUP_BUDGET,
             seed=seed,
         )
     except StageFailure as exc:
@@ -418,7 +403,9 @@ def _pipeline(
                 cand &= set(U_cells[psi[orig]])
                 if not cand:
                     raise StageFailure(
-                        "blow-up", f"candidate set of boundary vertex {orig} died"
+                        "blow-up",
+                        f"candidate set of boundary vertex {orig} died",
+                        violated="blow-up",
                     )
                 special[k] = cand
         try:
@@ -429,11 +416,11 @@ def _pipeline(
                 U_cells,
                 special=special,
                 alpha=1.0,
-                node_budget=config.blowup_budget,
+                node_budget=BLOWUP_BUDGET,
                 seed=f"{seed}:block:{a}",
             )
         except StageFailure as exc:
-            raise StageFailure("blow-up", f"block {a}: {exc}") from exc
+            raise StageFailure("blow-up", f"block {a}: {exc}", violated=exc.stage) from exc
         for k, gv in local_map.items():
             g3[block_list[k]] = gv
             placed_images.add(gv)
@@ -442,11 +429,13 @@ def _pipeline(
     mapping = {**g2, **g3}
     if len(mapping) != n or len(set(mapping.values())) != n:
         raise StageFailure(
-            "assembly", f"assembled map covers {len(mapping)} of {n} vertices"
+            "assembly",
+            f"assembled map covers {len(mapping)} of {n} vertices",
+            violated="assembly",
         )
     problem = verify_embedding(Hb.H, G, mapping)
     if problem:
-        raise StageFailure("assembly", f"revalidation failed: {problem}")
+        raise StageFailure("assembly", f"revalidation failed: {problem}", violated="assembly")
     audit.stage("assembly")
     return mapping
 
@@ -456,7 +445,6 @@ def _reduced_power_cycle(
     q: int,
     n_cycle: int,
     seed: int,
-    config: PipelineConfig,
     audit: PipelineAudit,
 ) -> list[int]:
     """Spanning power-q cycle on n_cycle reduced vertices: the absorbing
@@ -474,16 +462,14 @@ def _reduced_power_cycle(
             violated="hamilton-power",
         )
     try:
-        w = find_hamilton_power(
-            reduced, q, n_target=n_cycle, seed=seed, config=config.ham_config
-        )
+        w = find_hamilton_power(reduced, q, n_target=n_cycle, seed=seed)
         audit.notes["hamilton-power"] = "connecting-absorbing"
         return list(w.vertices)
     except StageFailure as exc:
         audit.notes["hamilton-power"] = f"pipeline failed ({exc.stage}); oracle fallback"
         first_failure = exc
     template = cycle_power(q_eff, n_cycle)
-    res = brute_force_embed(template, reduced, budget=config.oracle_budget)
+    res = brute_force_embed(template, reduced, budget=ORACLE_BUDGET)
     if res.status == "embedded":
         order = [res.mapping[k] for k in range(n_cycle)]
         check = validate_witness(
@@ -515,18 +501,19 @@ def _degenerate_embed(
     n = G.n
     if len(cycle) < n:
         raise StageFailure(
-            "hamilton-power", f"cycle covers {len(cycle)} < {n} vertices"
+            "hamilton-power",
+            f"cycle covers {len(cycle)} < {n} vertices",
+            violated="hamilton-power",
         )
     order = Hb.order.order
-    pos = {v: k for k, v in enumerate(order)}
     bw = bandwidth_of(Hb.H, Hb.order)
     if bw > q:
         raise StageFailure(
-            "blow-up", f"bandwidth {bw} exceeds the cycle power {q}"
+            "blow-up", f"bandwidth {bw} exceeds the cycle power {q}", violated="blow-up"
         )
     mapping = {order[k]: cycle[k] for k in range(n)}
     problem = verify_embedding(Hb.H, G, mapping)
     if problem:
-        raise StageFailure("assembly", f"revalidation failed: {problem}")
+        raise StageFailure("assembly", f"revalidation failed: {problem}", violated="assembly")
     audit.stage("assembly")
     return mapping

@@ -8,8 +8,9 @@ subset scan per side settles all pairs.  Pairs are read as 0/1 matrices
 unpacked from the bit rows (``DenseGraph.bit_matrix``), and the prefixes of
 every Y are scored at once by sorted degrees and running sums
 (``_sorted_prefix_densities``).  Larger pairs are not checked for regularity
-yet (ROADMAP item 3): ``regularity_up_to_cap`` states the one rule the
-superregularity and cycle-structure checks apply.
+yet (ROADMAP, "Certify regularity at an ε the cluster size can carry"):
+``regularity_up_to_cap`` states the one rule the superregularity and
+cycle-structure checks apply.
 
 The partitioner stands in for the degree form of the regularity lemma: a
 seeded equitable chop into exactly ``L_min`` clusters and one density
@@ -181,7 +182,8 @@ def regularity_up_to_cap(
 ) -> RegularityVerdict:
     """``is_eps_regular`` when both sides have at most
     ``EXACT_SIDE_THRESHOLD`` vertices; a larger pair is reported regular at
-    its density, unchecked (ROADMAP item 3)."""
+    its density, unchecked (ROADMAP, "Certify regularity at an ε the
+    cluster size can carry")."""
     if len(A) <= EXACT_SIDE_THRESHOLD and len(B) <= EXACT_SIDE_THRESHOLD:
         return is_eps_regular(G, A, B, eps)
     return RegularityVerdict(True, pair_density(G, A, B))
@@ -440,7 +442,8 @@ class PartitionReport:
     """Measured (not guaranteed) properties of an emitted partition.
 
     ``pair_verdicts`` labels every cluster pair i < j "sparse" or "dense" by
-    its density alone; no pair's regularity is checked (ROADMAP item 3).
+    its density alone; no pair's regularity is checked (ROADMAP, "Certify
+    regularity at an ε the cluster size can carry").
     """
 
     L: int
@@ -461,7 +464,8 @@ def heuristic_degree_form_partition(
     m = n // L_min vertices; the n mod L_min vertices left over are the
     exceptional set.  Every cluster pair i < j is then labelled "sparse"
     (density below delta) or "dense", and the dense pairs are kept without
-    a regularity check, which is not done yet (ROADMAP item 3).  Returns
+    a regularity check, which is not done yet (ROADMAP, "Certify regularity
+    at an ε the cluster size can carry").  Returns
     the partition, the pure subgraph (edges of the dense pairs,
     intra-cluster edges dropped, exceptional-vertex edges kept), the
     reduced graph on the L clusters with the dense pairs as edges, and a

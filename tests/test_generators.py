@@ -1,0 +1,51 @@
+import pytest
+
+from spanembed.generators import (
+    clique_factor_extremal,
+    cycle_power_H,
+    gnp,
+    random_window_H,
+)
+from spanembed.graphs import InvalidParameters, mask_of
+
+
+def test_gnp_is_a_function_of_its_seed():
+    assert gnp(60, 0.5, 3) == gnp(60, 0.5, 3)
+    assert gnp(60, 0.5, 3) != gnp(60, 0.5, 4)
+
+
+def test_random_window_H_is_a_function_of_its_seed():
+    a, b = random_window_H(80, 4, 3, 3, seed=5), random_window_H(80, 4, 3, 3, seed=5)
+    assert a.H == b.H and a.colouring == b.colouring
+    c = random_window_H(80, 4, 3, 3, seed=6)
+    assert (c.H, c.colouring) != (a.H, a.colouring)
+
+
+@pytest.mark.parametrize("window, max_degree", [(1, 2), (4, 3), (9, 5)])
+def test_random_window_H_keeps_its_degree_cap_and_window(window, max_degree):
+    for seed in range(5):
+        Hb = random_window_H(120, window, max_degree, 3, seed=seed)
+        assert Hb.H.edge_count() > 0
+        assert max(Hb.H.degree(v) for v in range(Hb.n)) <= max_degree
+        assert all(0 < v - u <= window for u, v in Hb.H.edges())
+
+
+@pytest.mark.parametrize("r, n", [(2, 10), (3, 12), (4, 40)])
+def test_clique_factor_extremal_has_one_vertex_too_many_in_its_independent_part(r, n):
+    G = clique_factor_extremal(r, n)
+    part = [0] + [v for v in range(1, n) if not G.has_edge(0, v)]
+    assert len(part) == n // r + 1
+    assert all(G.rows[v] & mask_of(part) == 0 for v in part)
+    # every other vertex sees the whole graph
+    assert all(G.degree(v) == n - 1 for v in range(n) if v not in part)
+
+
+def test_clique_factor_extremal_needs_r_to_divide_n():
+    with pytest.raises(InvalidParameters):
+        clique_factor_extremal(3, 10)
+
+
+@pytest.mark.parametrize("r_pow, n", [(1, 9), (2, 10), (3, 30)])
+def test_cycle_power_H_needs_r_plus_one_to_divide_n(r_pow, n):
+    with pytest.raises(InvalidParameters):
+        cycle_power_H(r_pow, n)

@@ -6,14 +6,12 @@ import pytest
 
 from spanembed import graphs, hampower
 from spanembed.connect import HypothesisViolation
-from spanembed.constants import default_hampower_constants
 from spanembed.generators import complete_bipartite, gnp, two_cliques
 from spanembed.density import find_clique
 from spanembed.graphs import DenseGraph, ValidationResult, WitnessSequence, mask_of, validate_witness
 from spanembed.hampower import (
     AbsorberSystem,
     HamAudit,
-    HamConfig,
     HamPlan,
     StageFailure,
     absorb,
@@ -231,7 +229,7 @@ def test_hamilton_power_disconnected_fails_at_connector():
     G = two_cliques(30)
     audit = HamAudit()
     with pytest.raises(StageFailure) as exc:
-        find_hamilton_power(G, 1, seed=0, config=HamConfig(attempts=4), audit=audit)
+        find_hamilton_power(G, 1, seed=0, audit=audit)
     assert exc.value.stage == "connector"
     assert not audit.prechecks["min-degree"]
 
@@ -252,7 +250,7 @@ def test_host_too_small_for_the_plan_refuses_before_the_prechecks(monkeypatch):
     # the reduced graph of a pipeline-dense run: 80 clusters, q = 7
     calls = _spy_density(monkeypatch)
     with pytest.raises(StageFailure) as exc:
-        HamPlan.derive(80, 7, default_hampower_constants())
+        HamPlan.derive(80, 7)
     audit = HamAudit()
     with pytest.raises(StageFailure) as got:
         find_hamilton_power(DenseGraph.complete(80), 7, seed=0, audit=audit)
@@ -460,11 +458,9 @@ def test_absorber_revalidation_rejects_a_wrong_coverage_or_block():
 def _reference_build_absorber(G, r, seed, max_blocks=None):
     """build_absorber as it was before it counted coverage from common
     neighbourhoods: one mask test per vertex and block."""
-    constants = default_hampower_constants()
     coverage_target = 2 * r + 2
     if max_blocks is None:
-        eta0 = constants.get("eta0", 0.6)
-        max_blocks = max(1, int(eta0 * G.n / (8 * r)))
+        max_blocks = max(1, int(hampower.ETA0 * G.n / (8 * r)))
     rng = random.Random(f"absorber:{seed}") if seed is not None else None
     blocks = []
     used = 0

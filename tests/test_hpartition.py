@@ -110,19 +110,33 @@ def test_basic_assignment_cycle():
     assert check_basic_assignment(Hb, asg, targets) == ""
 
 
-def test_basic_assignment_rejects_small_targets():
+def _floor_refusal(block_1):
+    """The floor refusal of basic_assignment when block 1 of a 4 x 4 grid of
+    250-vertex cells takes the sizes ``block_1`` and block 4 the rest."""
     n = 4000
     Hb = cycle_power_H(1, n, beta=0.004)
     targets = near_uniform_targets(n, 4, 2)
-    # shrink one target to ~5*beta*n, violating the floor
-    small = int(5 * 0.004 * n)
-    victim = (1, 1)
-    delta = targets[victim] - small
-    targets[victim] = small
-    targets[(4, 1)] += delta
+    for j, size in enumerate(block_1, start=1):
+        targets[(4, j)] += targets[(1, j)] - size
+        targets[(1, j)] = size
     with pytest.raises(StageFailure) as exc:
         basic_assignment(Hb, targets)
-    assert exc.value.stage == "floor"
+    return exc.value.stage, exc.value.detail
+
+
+def test_basic_assignment_rejects_small_targets():
+    assert _floor_refusal((0, 250, 250, 250)) == (
+        "floor",
+        "target m(1, 1) = 0 below the floor 1",
+    )
+
+
+def test_basic_assignment_rejects_a_block_narrower_than_four_intervals():
+    # beta*n = 16, so a block needs 64 vertices to hold its boundary buffers
+    assert _floor_refusal((15, 15, 15, 15)) == (
+        "floor",
+        "block 1 width 60 below the floor 4*beta*n = 64",
+    )
 
 
 def test_basic_assignment_independent_checker_catches_corruption():

@@ -31,27 +31,41 @@ def _raise(stage: str, detail: str):
 
 
 @pytest.mark.parametrize(
-    "target, stage, detail, failure_stage",
+    "target, stage, detail, failure_stage, prefix",
     [
-        ("basic_assignment", "floor", "target m(1, 1) = 0 below the floor 1", "basic-assignment"),
+        (
+            "basic_assignment",
+            "floor",
+            "target m(1, 1) = 0 below the floor 1",
+            "basic-assignment",
+            "",
+        ),
         (
             "embed_with_targets",
             "target-set",
             "boundary vertex 7 starts below the floor",
             "target-embedding",
+            "",
+        ),
+        (
+            "blowup_embed",
+            "no-list-embedding",
+            "attempt 0: tree exhausted in 3 nodes",
+            "blow-up",
+            "block 1: ",
         ),
     ],
-    ids=["basic-assignment", "target-embedding"],
+    ids=["basic-assignment", "target-embedding", "blow-up"],
 )
 def test_library_label_becomes_the_violated_display(
-    monkeypatch, target, stage, detail, failure_stage
+    monkeypatch, target, stage, detail, failure_stage, prefix
 ):
     monkeypatch.setattr(pipeline, target, _raise(stage, detail))
     res = pipeline.run_main_pipeline(gnp(480, 0.97, 0), cycle_power_H(1, 480), seed=0)
     assert not res
     assert res.failure_stage == failure_stage
     assert res.violated_display == stage
-    assert res.failure_detail == f"{stage}: {detail}"
+    assert res.failure_detail == f"{prefix}{stage}: {detail}"
 
 
 def test_own_refusal_keeps_its_displayed_inequality():

@@ -10,9 +10,7 @@ from .graphs import (
     WitnessSequence,
     bandwidth_of,
     folded_labelling,
-    graph_power,
     identity_labelling,
-    is_labelled_subgraph,
     make_named,
     validate_witness,
 )
@@ -22,10 +20,8 @@ from .density import (
     ExtendableClique,
     SizeLimitExceeded,
     enumerate_extendable_cliques,
-    high_degree_vertices,
     is_locally_dense_exact,
     is_locally_dense_sampled,
-    is_uniformly_dense,
 )
 
 __version__ = "0.1.0"
@@ -39,9 +35,7 @@ __all__ = [
     "WitnessSequence",
     "bandwidth_of",
     "folded_labelling",
-    "graph_power",
     "identity_labelling",
-    "is_labelled_subgraph",
     "make_named",
     "validate_witness",
     "DensityParams",
@@ -49,9 +43,7 @@ __all__ = [
     "ExtendableClique",
     "SizeLimitExceeded",
     "enumerate_extendable_cliques",
-    "high_degree_vertices",
     "is_locally_dense_exact",
     "is_locally_dense_sampled",
-    "is_uniformly_dense",
     "__version__",
 ]

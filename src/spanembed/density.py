@@ -1,10 +1,10 @@
-"""Local/uniform density oracles and extendable-clique enumeration.
+"""Local density oracles, clique search and extendable-clique enumeration.
 
-The exact checkers are exhaustive (and therefore capped in size); the
-sampled checkers never certify density, they only report the absence of
-found violations, and every witness they return is rechecked exactly.
+The exact checker is exhaustive (and therefore capped in size); the
+sampled checker never certifies density, it only reports the absence of
+found violations, and every witness it returns is rechecked exactly.
 A subset X can only violate local density when its size k makes
-``local_threshold`` positive, so both local checkers count edges only for
+``local_threshold`` positive, so both checkers count edges only for
 subsets of such sizes.  The sampled one still visits every candidate in
 order and counts each non-empty one in ``checked``.
 """
@@ -24,7 +24,6 @@ class SizeLimitExceeded(ValueError):
 
 
 EXACT_LOCAL_THRESHOLD = 22
-EXACT_UNIFORM_THRESHOLD = 18
 
 
 @dataclass(frozen=True)
@@ -41,11 +40,10 @@ class DensityParams:
 
 @dataclass(frozen=True)
 class DensityVerdict:
-    """Outcome of a density check; witness is a violating subset (or pair)."""
+    """Outcome of a density check; witness is a violating subset."""
 
     holds: bool
     witness: tuple[int, ...] | None = None
-    witness_y: tuple[int, ...] | None = None
     checked: int = 0
 
     def __bool__(self) -> bool:
@@ -196,86 +194,6 @@ def is_locally_dense_sampled(
     return DensityVerdict(True, checked=checked)
 
 
-def _uniform_check_for_y(
-    G: DenseGraph, ymask: int, p: DensityParams
-) -> tuple[int, ...] | None:
-    """For fixed Y, test all X via the prefix-sum reduction; return violating X."""
-    n = G.n
-    ysize = ymask.bit_count()
-    if ysize == 0:
-        return None
-    rn2 = p.rho * n * n
-    degs = sorted(
-        ((G.rows[v] & ymask).bit_count(), v) for v in range(n)
-    )
-    prefix = 0
-    chosen: list[int] = []
-    for k, (c, v) in enumerate(degs, start=1):
-        prefix += c
-        chosen.append(v)
-        if prefix < p.d * k * ysize - rn2:
-            return tuple(sorted(chosen))
-    return None
-
-
-def is_uniformly_dense(
-    G: DenseGraph,
-    p: DensityParams,
-    mode: str = "exact",
-    trials: int = 2000,
-    seed: int = 0,
-    threshold: int = EXACT_UNIFORM_THRESHOLD,
-) -> DensityVerdict:
-    """Check e_G(X,Y) >= d|X||Y| - rho n^2 over (sampled) pairs X,Y.
-
-    e_G counts ordered incidences, so e_G(X,X) = 2 e(G[X]).  For each fixed Y
-    the X side is closed exactly: the minimising X of each size is the set of
-    vertices with fewest neighbours in Y, so scanning prefix sums of the
-    sorted Y-degrees decides all X at once.
-    """
-    n = G.n
-    if mode == "exact":
-        if n > threshold:
-            raise SizeLimitExceeded(f"n={n} exceeds exact threshold {threshold}")
-        checked = 0
-        for ymask in range(1, 1 << n):
-            checked += 1
-            x = _uniform_check_for_y(G, ymask, p)
-            if x is not None:
-                return DensityVerdict(
-                    False, witness=x, witness_y=tuple(bits(ymask)), checked=checked
-                )
-        return DensityVerdict(True, checked=checked)
-    if mode == "sampled":
-        rng = random.Random(seed)
-        full = G.full_mask()
-        candidates = [full]
-        for v in range(n) if n <= 64 else rng.sample(range(n), 64):
-            candidates.append(full & ~G.rows[v] & ~(1 << v))
-            candidates.append(G.rows[v])
-        candidates.extend(
-            rng.getrandbits(n) & full for _ in range(trials)
-        )
-        checked = 0
-        for ymask in candidates:
-            if ymask == 0:
-                continue
-            checked += 1
-            x = _uniform_check_for_y(G, ymask, p)
-            if x is not None:
-                return DensityVerdict(
-                    False, witness=x, witness_y=tuple(bits(ymask)), checked=checked
-                )
-        return DensityVerdict(True, checked=checked)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def high_degree_vertices(G: DenseGraph, d: float) -> set[int]:
-    """Y = { v : d_G(v) >= d*n/2 }."""
-    bound = d * G.n / 2
-    return {v for v in range(G.n) if G.degree(v) >= bound}
-
-
 @dataclass(frozen=True)
 class ExtendableClique:
     """A K_r whose joint neighbourhood has size at least the requested bound."""
@@ -423,21 +341,3 @@ def find_clique(
         return None
 
     return rec([], scope)
-
-
-def independence_number_exact(G: DenseGraph, threshold: int = 24) -> int:
-    """Exact independence number for small hosts (test utility)."""
-    if G.n > threshold:
-        raise SizeLimitExceeded(f"n={G.n} exceeds threshold {threshold}")
-    comp_rows = [
-        G.full_mask() & ~G.rows[v] & ~(1 << v) for v in range(G.n)
-    ]
-    comp = DenseGraph(G.n, comp_rows, check=False)
-    best = 0
-    for k in range(G.n, 0, -1):
-        if k <= best:
-            break
-        if find_clique(comp, k, node_budget=10_000_000) is not None:
-            best = k
-            break
-    return best

@@ -57,7 +57,6 @@ def embed_with_targets(
     clusters: dict[int, tuple[int, ...]],
     Y: list[int],
     c: float,
-    eps: float | None = None,
     node_budget: int = 1_000_000,
     seed: int = 0,
 ) -> PartialEmbedding:
@@ -77,16 +76,6 @@ def embed_with_targets(
     first, which certifies that no placement keeps every floor.
     """
     m = max((len(vs) for vs in clusters.values()), default=0)
-    if eps is not None:
-        loads: dict[int, int] = {}
-        for x in order:
-            loads[phi[x]] = loads.get(phi[x], 0) + 1
-        for a, load in loads.items():
-            if load > 2 * eps * m:
-                raise StageFailure(
-                    "load", f"cluster {a} receives {load} > 2*eps*m vertices"
-                )
-
     floor = c * m
     rng = random.Random(f"targets:{seed}")
     cluster_mask = {a: mask_of(vs) for a, vs in clusters.items()}
@@ -224,7 +213,6 @@ def blowup_embed(
     phi: dict[int, int],
     clusters: dict[int, tuple[int, ...]],
     special: dict[int, set[int]] | None = None,
-    alpha: float = 0.5,
     node_budget: int = 10_000_000,
     restarts: int = 4,
     seed: int = 0,
@@ -254,15 +242,6 @@ def blowup_embed(
             raise StageFailure(
                 "load", f"cluster {a} demanded {need} > {len(clusters.get(a, ()))}"
             )
-    if special:
-        per_cluster: dict[int, int] = {}
-        for y in special:
-            per_cluster[phi[y]] = per_cluster.get(phi[y], 0) + 1
-        for a, cnt in per_cluster.items():
-            if cnt > alpha * len(clusters[a]):
-                raise StageFailure(
-                    "load", f"cluster {a} has {cnt} special vertices > alpha*n_a"
-                )
 
     cluster_mask = {a: mask_of(vs) for a, vs in clusters.items()}
     vertices = sorted(phi)

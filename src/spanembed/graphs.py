@@ -282,18 +282,12 @@ class DenseGraph:
 # -- named graphs ---------------------------------------------------------
 
 
-def grid_vertex(i: int, j: int, r: int) -> int:
-    """Encode grid cell (i,j) in [ell]x[r] (1-based) lexicographically."""
-    return (i - 1) * r + (j - 1)
-
-
 def z_rule_edge(i: int, j: int, i2: int, j2: int, ell: int) -> bool:
     """Edge rule of the blown-up cycle on [ell]x[r] blocks (1-based cells).
 
     Consecutive or equal blocks (cyclically) are joined completely except for
-    the matching j == j2.  Well defined for ell >= 2; the named-graph
-    constructor additionally insists on ell >= 3 where the two rules are
-    disjoint.
+    the matching j == j2.  Well defined for ell >= 2; for ell >= 3 the
+    consecutive and the wrap-around pairs are disjoint.
     """
     if j == j2 and i == i2:
         return False
@@ -327,29 +321,8 @@ def cycle_power(r: int, k: int) -> DenseGraph:
     return DenseGraph(k, rows, check=False)
 
 
-def blown_cycle(r: int, ell: int) -> DenseGraph:
-    """Cycle of ell blocks of r vertices: cliques inside blocks, complete
-    minus a perfect matching between cyclically consecutive blocks."""
-    n = ell * r
-    edges = []
-    for i in range(1, ell + 1):
-        for j in range(1, r + 1):
-            u = grid_vertex(i, j, r)
-            for i2 in range(1, ell + 1):
-                for j2 in range(1, r + 1):
-                    v = grid_vertex(i2, j2, r)
-                    if v > u and z_rule_edge(i, j, i2, j2, ell):
-                        edges.append((u, v))
-    return DenseGraph.from_edges(n, edges)
-
-
 def make_named(kind: str, params: Sequence[int]) -> DenseGraph:
-    """Construct a named graph: P (r,k), C (r,k), Z (r,ell), K (n).
-
-    Grid-backed kinds use the lexicographic vertex encoding
-    (i,j) -> (i-1)*r + (j-1), so containment chains between them hold under
-    the identity labelling.
-    """
+    """Construct a named graph: P (r,k), C (r,k), K (n)."""
     if kind == "P":
         r, k = params
         if r < 1 or k < 1:
@@ -360,46 +333,12 @@ def make_named(kind: str, params: Sequence[int]) -> DenseGraph:
         if r < 1 or k <= 2 * r:
             raise InvalidParameters("C needs r >= 1, k >= 2r+1")
         return cycle_power(r, k)
-    if kind == "Z":
-        r, ell = params
-        if r < 1 or ell <= 2:
-            raise InvalidParameters(
-                "Z needs r >= 1, ell >= 3 (wrap-around degenerates below)"
-            )
-        return blown_cycle(r, ell)
     if kind == "K":
         (n,) = params
         if n < 0:
             raise InvalidParameters("K needs n >= 0")
         return DenseGraph.complete(n)
     raise InvalidParameters(f"unknown named graph kind {kind!r}")
-
-
-def graph_power(G: DenseGraph, r: int) -> DenseGraph:
-    """Add an edge between every pair of vertices at BFS distance <= r."""
-    if r < 1:
-        raise InvalidParameters("power needs r >= 1")
-    rows = [0] * G.n
-    for v in range(G.n):
-        dist = G.bfs_distances(v)
-        row = 0
-        for u in range(G.n):
-            if u != v and 0 < dist[u] <= r:
-                row |= 1 << u
-        rows[v] = row
-    return DenseGraph(G.n, rows, check=False)
-
-
-def is_labelled_subgraph(A: DenseGraph, B: DenseGraph, mapping: Sequence[int]) -> bool:
-    """True iff every edge of A maps to an edge of B under the injective map."""
-    if len(mapping) != A.n:
-        raise InvalidParameters("mapping must cover V(A)")
-    if len(set(mapping)) != A.n:
-        raise InvalidParameters("mapping must be injective")
-    for u, v in A.edges():
-        if not B.has_edge(mapping[u], mapping[v]):
-            return False
-    return True
 
 
 # -- vertex labellings ------------------------------------------------------
@@ -484,13 +423,6 @@ class WitnessSequence:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "r": self.r, "vertices": list(self.vertices)}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "WitnessSequence":
-        return cls(tuple(d["vertices"]), d["kind"], d["r"])
 
 
 @dataclass(frozen=True)

@@ -268,21 +268,18 @@ def absorb(
 
 def select_reservoir(
     G: DenseGraph,
-    eta3: float,
+    size: int,
     eta: float,
     seed: int = 0,
     exclude: tuple[int, ...] = (),
     retries: int = 50,
-    size: int | None = None,
 ) -> tuple[int, ...]:
-    """Draw V' of size eta3*n with d(x, V') >= (1/2+eta/2)|V'| for every x.
+    """Draw V' of ``size`` vertices with d(x, V') >= (1/2+eta/2)|V'| for every x.
 
     Seeded random selection with full verification and bounded retries
     replaces the concentration argument.
     """
     n = G.n
-    if size is None:
-        size = max(1, round(eta3 * n))
     excluded = set(exclude)
     pool = [v for v in range(n) if v not in excluded]
     if len(pool) < size:
@@ -700,11 +697,10 @@ def _thread_and_close(
     in_pool = set(pool)
     reservoir = select_reservoir(
         G,
-        0.0,
+        plan.reservoir,
         ETA,
         seed=sub_seed,
         exclude=tuple(v for v in range(n) if v not in in_pool),
-        size=plan.reservoir,
     )
     g2_vertices = sorted(in_pool - set(reservoir))
     G2, ids = G.induced(g2_vertices)

@@ -37,28 +37,6 @@ class Assignment:
     B: frozenset[int]
     tallies: dict[Cell, int]
 
-    def to_json_dict(self) -> dict:
-        out = []
-        for val in self.f:
-            if val[0] == "V0":
-                out.append(f"V0:{val[1]}")
-            else:
-                out.append([val[0], val[1]])
-        return {"f": out, "B": sorted(self.B)}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Assignment":
-        f = []
-        tallies: dict[Cell, int] = {}
-        for val in d["f"]:
-            if isinstance(val, str):
-                f.append(("V0", int(val.split(":", 1)[1])))
-            else:
-                cell = (int(val[0]), int(val[1]))
-                f.append(cell)
-                tallies[cell] = tallies.get(cell, 0) + 1
-        return cls(tuple(f), frozenset(d["B"]), tallies)
-
 
 def interval_width(beta: float, n: int) -> int:
     return max(1, math.ceil(beta * n))

@@ -18,13 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .balance import (
-    BalanceError,
-    CycleStructure,
-    lemma_g,
-    phi_inverse,
-)
-from .density import EXACT_LOCAL_THRESHOLD, DensityParams, is_locally_dense_sampled
+from .balance import CycleStructure, lemma_g, phi_inverse
+from .density import DensityParams, is_locally_dense_sampled
 from .embed import blowup_embed, embed_with_targets, brute_force_embed, verify_embedding
 from .generators import BandwidthedH
 from .graphs import (
@@ -41,7 +36,6 @@ from .hpartition import basic_assignment, interval_width
 from .regularity import (
     InsufficientVertices,
     heuristic_degree_form_partition,
-    inheritance_check,
     refine_to_superregular,
 )
 
@@ -158,18 +152,11 @@ def _pipeline(
             len(exceptional) <= 2 * math.sqrt(EPS) * n,
             f"{len(exceptional)} vs {2 * math.sqrt(EPS) * n:.1f}",
         )
-        inh = inheritance_check(
-            reduced, rho=RHO, d=D, delta=DELTA, eta=ETA
-        ) if reduced.n <= EXACT_LOCAL_THRESHOLD else None
-        if inh is not None:
-            audit.record("inheritance-density", inh.density_pass)
-            audit.record("inheritance-degree", inh.min_degree_pass)
-        else:
-            audit.record(
-                "inheritance-degree",
-                reduced.min_degree() >= (0.5 + ETA / 2) * reduced.n,
-                f"{reduced.min_degree()} vs {(0.5 + ETA / 2) * reduced.n:.1f}",
-            )
+        audit.record(
+            "inheritance-degree",
+            reduced.min_degree() >= (0.5 + ETA / 2) * reduced.n,
+            f"{reduced.min_degree()} vs {(0.5 + ETA / 2) * reduced.n:.1f}",
+        )
         audit.stage("inheritance")
 
     # -- stage: power cycle in the reduced graph ------------------------------
@@ -272,15 +259,10 @@ def _pipeline(
         ell=ell,
         r=4 * r,
         clusters=refined,
-        exceptional=(),
         eps=eps_balance,
         delta=DELTA / 2,
     )
-    try:
-        phase1 = lemma_g(G, struct)
-    except BalanceError as exc:
-        raise StageFailure("lemma-g", str(exc), violated="lemma-g") from exc
-    m_ab = phase1.m_ab
+    m_ab = lemma_g(G, struct).m_ab
     audit.stage("lemma-g-sizes")
 
     # -- stage: basic assignment of H in its bandwidth order ------------------
@@ -311,11 +293,7 @@ def _pipeline(
     # display like (beta); the reallocation itself has no budget
     K = sum(abs(n_ab[cell] - m_ab[cell]) for cell in m_ab)
     audit.record("(K)", K <= eps_balance * m / 2, f"{K} vs {eps_balance * m / 2:.1f}")
-    try:
-        phase2 = lemma_g(G, struct, targets=n_ab)
-    except BalanceError as exc:
-        raise StageFailure("lemma-g", str(exc), violated="lemma-g") from exc
-    X_cells = phase2.X
+    X_cells = lemma_g(G, struct, targets=n_ab).X
     original = {
         cell: set(refined[phi_inverse(*cell, 2 * r, ell)]) for cell in X_cells
     }
@@ -415,7 +393,6 @@ def _pipeline(
                 local_phi,
                 U_cells,
                 special=special,
-                alpha=1.0,
                 node_budget=BLOWUP_BUDGET,
                 seed=f"{seed}:block:{a}",
             )

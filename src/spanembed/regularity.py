@@ -1,5 +1,5 @@
-"""Regular/superregular pair checkers, slicing arithmetic, subcluster
-refinement, density inheritance of reduced graphs, and a one-pass partitioner.
+"""Regular/superregular pair checkers, subcluster refinement and a one-pass
+partitioner.
 
 Regularity is decided exactly and exhaustively, for sides of at most
 ``EXACT_SIDE_THRESHOLD`` vertices: for a fixed witness side Y, the extremal X
@@ -9,8 +9,8 @@ unpacked from the bit rows (``DenseGraph.bit_matrix``), and the prefixes of
 every Y are scored at once by sorted degrees and running sums
 (``_sorted_prefix_densities``).  Larger pairs are not checked for regularity
 yet (ROADMAP, "Certify regularity at an ε the cluster size can carry"):
-``regularity_up_to_cap`` states the one rule the superregularity and
-cycle-structure checks apply.
+``regularity_up_to_cap`` states the one rule the superregularity check
+applies.
 
 The partitioner stands in for the degree form of the regularity lemma: a
 seeded equitable chop into exactly ``L_min`` clusters and one density
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import DensityParams, SizeLimitExceeded, is_locally_dense_exact
+from .density import SizeLimitExceeded
 from .graphs import DenseGraph, bits, mask_of, packed_rows
 
 
@@ -213,16 +213,6 @@ def is_superregular(
     return verdict
 
 
-def slice_robustness_expected(
-    eps: float, delta: float, alpha: float
-) -> tuple[float, float]:
-    """Parameters surviving a perturbation of relative size alpha:
-    (eps + 6*sqrt(alpha), delta - 4*alpha)."""
-    if not 0 <= alpha < 1:
-        raise ValueError("alpha must lie in [0,1)")
-    return eps + 6 * math.sqrt(alpha), delta - 4 * alpha
-
-
 # -- cluster partitions and reduced graphs ---------------------------------
 
 
@@ -247,59 +237,6 @@ class ClusterPartition:
     @property
     def L(self) -> int:
         return len(self.clusters)
-
-    @property
-    def m(self) -> int:
-        return len(self.clusters[0]) if self.clusters else 0
-
-    def covered(self) -> int:
-        return len(self.exceptional) + self.L * self.m
-
-    def to_json_dict(self) -> dict:
-        return {
-            "exceptional": list(self.exceptional),
-            "clusters": [list(c) for c in self.clusters],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ClusterPartition":
-        return cls(
-            tuple(d["exceptional"]), tuple(tuple(c) for c in d["clusters"])
-        )
-
-
-@dataclass
-class InheritanceReport:
-    density_pass: bool
-    density_witness: tuple[int, ...] | None
-    min_degree_pass: bool
-    min_degree: int
-    min_degree_required: float
-
-    def all_pass(self) -> bool:
-        return self.density_pass and self.min_degree_pass
-
-
-def inheritance_check(
-    R: DenseGraph,
-    rho: float,
-    d: float,
-    delta: float,
-    eta: float,
-) -> InheritanceReport:
-    """Check that R is (max{3rho,3delta}, d)-dense with delta(R) >= (1/2+eta/2)L."""
-    L = R.n
-    rho_star = max(3 * rho, 3 * delta)
-    verdict = is_locally_dense_exact(R, DensityParams(rho_star, d))
-    min_deg = R.min_degree()
-    required = (0.5 + eta / 2) * L
-    return InheritanceReport(
-        density_pass=bool(verdict),
-        density_witness=verdict.witness,
-        min_degree_pass=min_deg >= required,
-        min_degree=min_deg,
-        min_degree_required=required,
-    )
 
 
 def refine_to_superregular(

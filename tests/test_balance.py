@@ -1,16 +1,14 @@
 import pytest
 
 from spanembed.balance import (
-    BalanceError,
     CycleStructure,
-    check_cycle_structure,
     is_valid_move,
     lemma_g,
     phi_bijection,
     phi_inverse,
 )
 from spanembed.generators import planted_blown_cycle
-from spanembed.graphs import DenseGraph, mask_of
+from spanembed.graphs import DenseGraph, InvalidParameters, StageFailure
 
 
 def planted_structure(ell, two_r, m, p_in=0.7, p_btw=0.6, eps=0.2, delta=0.4, seed=0):
@@ -19,7 +17,6 @@ def planted_structure(ell, two_r, m, p_in=0.7, p_btw=0.6, eps=0.2, delta=0.4, se
         ell=ell,
         r=two_r,
         clusters={cell: tuple(vs) for cell, vs in base.clusters.items()},
-        exceptional=(),
         eps=eps,
         delta=delta,
     )
@@ -33,7 +30,7 @@ def complete_host_structure(ell, two_r, m, eps=0.2, delta=0.4):
     cells = [(i, j) for i in range(1, ell + 1) for j in range(1, two_r + 1)]
     for k, cell in enumerate(cells):
         clusters[cell] = tuple(range(k * m, (k + 1) * m))
-    return G, CycleStructure(ell, two_r, clusters, (), eps, delta)
+    return G, CycleStructure(ell, two_r, clusters, eps, delta)
 
 
 # -- phi ------------------------------------------------------------------
@@ -72,50 +69,10 @@ def test_phi_lexicographic_order():
 
 
 def test_phi_out_of_range():
-    with pytest.raises(BalanceError):
+    with pytest.raises(InvalidParameters):
         phi_bijection(0, 1, 2, 2)
-    with pytest.raises(BalanceError):
+    with pytest.raises(InvalidParameters):
         phi_inverse(5, 1, 2, 2)
-
-
-# -- cycle structure checks ----------------------------------------------
-
-
-def test_structure_complete_multipartite_passes():
-    G, C = complete_host_structure(3, 4, 6)
-    # complete host: every pair is complete bipartite, trivially superregular
-    report = check_cycle_structure(G, C)
-    assert report.all_pass()
-
-
-def test_structure_planted_passes_heuristically():
-    G, C = planted_structure(2, 4, 25, p_in=0.8, delta=0.35, seed=3)
-    report = check_cycle_structure(G, C)
-    assert report.partition_ok and report.exceptional_ok
-    assert all(report.pair_results.values())
-
-
-def test_structure_detects_starved_vertex():
-    G, C = planted_structure(2, 4, 20, seed=4)
-    victim = C.clusters[(1, 1)][0]
-    rows = list(G.rows)
-    for u in G.neighbors(victim):
-        rows[u] &= ~(1 << victim)
-    rows[victim] = 0
-    G2 = DenseGraph(G.n, rows, check=False)
-    report = check_cycle_structure(G2, C)
-    assert not all(
-        ok for (c1, c2), ok in report.pair_results.items() if c1[0] == c2[0] == 1
-    )
-
-
-def test_structure_detects_partition_corruption():
-    G, C = planted_structure(2, 4, 10, seed=5)
-    bad = dict(C.clusters)
-    bad[(1, 1)] = bad[(1, 2)]  # duplicate cluster
-    C2 = CycleStructure(C.ell, C.r, bad, (), C.eps, C.delta)
-    report = check_cycle_structure(G, C2)
-    assert not report.partition_ok
 
 
 # -- valid moves ---------------------------------------------------------
@@ -255,7 +212,7 @@ def test_reallocation_refusal_names_the_cell_left_over_full():
     targets = dict(lemma_g(G, C).m_ab)
     targets[(2, 1)] -= 1
     targets[(1, 1)] += 1
-    with pytest.raises(BalanceError, match=r"cell \(2,1\) left over-full by 1"):
+    with pytest.raises(StageFailure, match=r"lemma-g: cell \(2,1\) left over-full by 1"):
         lemma_g(G, C, targets=targets)
 
 
@@ -284,9 +241,9 @@ def test_lemma_g_planted_with_perturbation():
     assert res2.X is not None
     for cell, cluster in res2.X.items():
         assert len(cluster) == targets[cell]
-    report = check_cycle_structure(G, res2.structure)
-    assert report.partition_ok
-    assert res2.structure.ell == 4 and res2.structure.r == 2
+    # the cells of X partition V(G)
+    placed = [v for cluster in res2.X.values() for v in cluster]
+    assert sorted(placed) == list(range(G.n))
 
 
 def test_lemma_g_rejects_drifted_targets():
@@ -296,7 +253,7 @@ def test_lemma_g_rejects_drifted_targets():
     targets = dict(res.m_ab)
     targets[(1, 1)] -= 5
     targets[(1, 2)] += 5
-    with pytest.raises(BalanceError, match="drifted by 5"):
+    with pytest.raises(StageFailure, match="drifted by 5"):
         lemma_g(G, C, targets=targets)
 
 
@@ -304,15 +261,17 @@ def test_lemma_g_rejects_targets_that_lose_vertices():
     G, C = complete_host_structure(2, 4, 10)
     targets = dict(lemma_g(G, C).m_ab)
     targets[(1, 1)] -= 1
-    with pytest.raises(BalanceError, match="sum to n"):
+    with pytest.raises(StageFailure, match="sum to n"):
         lemma_g(G, C, targets=targets)
 
 
 def test_lemma_g_requires_spanning():
-    G, C = complete_host_structure(2, 4, 10)
-    C2 = CycleStructure(C.ell, C.r, dict(C.clusters), (999,), C.eps, C.delta)
-    with pytest.raises(BalanceError):
-        lemma_g(G, C2)
+    # one host vertex outside every cluster
+    _, C = complete_host_structure(2, 4, 10)
+    G = DenseGraph.complete(81)
+    with pytest.raises(StageFailure, match="clusters hold 80 != n = 81 vertices") as exc:
+        lemma_g(G, C)
+    assert exc.value.stage == "lemma-g"
 
 
 def test_lemma_g_conservation():

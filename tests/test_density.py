@@ -13,11 +13,8 @@ from spanembed.density import (
     SizeLimitExceeded,
     enumerate_extendable_cliques,
     find_clique,
-    high_degree_vertices,
-    independence_number_exact,
     is_locally_dense_exact,
     is_locally_dense_sampled,
-    is_uniformly_dense,
     local_deficit,
 )
 from spanembed.generators import clique_factor_extremal, complete_bipartite, gnp, two_cliques
@@ -262,8 +259,8 @@ def test_sampled_matches_the_score_everything_reference(monkeypatch):
                 for trials in (1, 50):
                     got = is_locally_dense_sampled(G, p, trials=trials, seed=seed)
                     want = _reference_sampled(G, p, trials, seed)
-                    assert (got.holds, got.witness, got.witness_y, got.checked) == (
-                        want.holds, want.witness, want.witness_y, want.checked
+                    assert (got.holds, got.witness, got.checked) == (
+                        want.holds, want.witness, want.checked
                     ), (G.n, rho, d, seed, trials)
                     if not want.holds:
                         families.add(_first_violating_family(G, seed, want.checked))
@@ -299,57 +296,7 @@ def test_sampled_counts_edges_only_where_the_size_can_violate(monkeypatch, rho):
     assert scored == sum(1 for m in anti + randoms if m and can_violate(m))
 
 
-# -- uniform density -------------------------------------------------------
-
-
-def brute_uniformly_dense(G, p):
-    n = G.n
-    for xm in range(1 << n):
-        X = [v for v in range(n) if xm >> v & 1]
-        for ym in range(1 << n):
-            Y = [v for v in range(n) if ym >> v & 1]
-            e = sum(1 for x in X for y in Y if G.has_edge(x, y))
-            if e < p.d * len(X) * len(Y) - p.rho * n * n:
-                return False
-    return True
-
-
-def test_uniform_complete_holds():
-    # Under the ordered-incidence convention e_G(X,X) = 2e(G[X]), overlapping
-    # sets carry a diagonal deficit of |X ∩ Y|, so complete graphs need
-    # rho*n^2 >= d*n; rho = 0.2 > 1/6 covers it for K_6 at d = 1.
-    assert is_uniformly_dense(DenseGraph.complete(6), DensityParams(0.2, 1.0))
-    # disjoint sides alone never violate on a complete host
-    res = is_uniformly_dense(DenseGraph.complete(6), DensityParams(0.0, 1.0))
-    assert not res and set(res.witness) & set(res.witness_y)
-
-
-def test_uniform_bipartite_fails_on_one_side():
-    G = complete_bipartite(4, 4)
-    res = is_uniformly_dense(G, DensityParams(0.0, 0.6), mode="exact")
-    assert not res
-    # witness should be an independent-ish pair; recheck it exactly
-    e = G.edges_between(mask_of(res.witness), mask_of(res.witness_y))
-    assert e < 0.6 * len(res.witness) * len(res.witness_y)
-
-
-@given(st.integers(0, 300))
-@settings(max_examples=15, deadline=None)
-def test_uniform_exact_matches_bruteforce(seed):
-    rng = random.Random(seed)
-    n = rng.randint(2, 7)
-    G = gnp(n, rng.random(), seed)
-    p = DensityParams(rng.uniform(0, 0.05), rng.uniform(0.2, 0.9))
-    assert bool(is_uniformly_dense(G, p, mode="exact")) == brute_uniformly_dense(G, p)
-
-
-def test_uniform_sampled_mode_runs_and_rechecks():
-    G = gnp(80, 0.7, 4)
-    res = is_uniformly_dense(G, DensityParams(0.1, 0.5), mode="sampled", trials=300, seed=4)
-    assert res
-    G2 = DenseGraph.empty(40)
-    res2 = is_uniformly_dense(G2, DensityParams(0.001, 0.5), mode="sampled", trials=10, seed=0)
-    assert not res2
+# -- ordered incidences ------------------------------------------------------
 
 
 def test_uniform_ordered_incidence_convention():
@@ -357,23 +304,6 @@ def test_uniform_ordered_incidence_convention():
     G = DenseGraph.complete(4)
     full = G.full_mask()
     assert G.edges_between(full, full) == 2 * G.edge_count()
-
-
-# -- high degree -----------------------------------------------------------
-
-
-def test_high_degree_complete():
-    G = DenseGraph.complete(9)
-    assert high_degree_vertices(G, 0.9) == set(range(9))
-
-
-def test_high_degree_star():
-    G = DenseGraph.from_edges(10, [(0, v) for v in range(1, 10)])
-    assert high_degree_vertices(G, 0.5) == {0}
-
-
-def test_high_degree_edgeless():
-    assert high_degree_vertices(DenseGraph.empty(6), 0.1) == set()
 
 
 # -- extendable cliques ------------------------------------------------------
@@ -608,12 +538,6 @@ def test_shuffled_bits_replays_the_lazy_shuffle(mask, seed):
         want = list(itertools.islice(_lazy_shuffle(list(bits(mask)), listed), k))
         assert got == want == full[:k]
         assert sparse.getstate() == listed.getstate()
-
-
-def test_independence_number_exact_small():
-    assert independence_number_exact(DenseGraph.complete(6)) == 1
-    assert independence_number_exact(DenseGraph.empty(6)) == 6
-    assert independence_number_exact(complete_bipartite(3, 4)) == 4
 
 
 # -- induced-subgraph density property (hereditary check) --------------------

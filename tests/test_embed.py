@@ -409,17 +409,6 @@ def test_targets_rejects_small_target_set():
     assert exc.value.stage == "target-set"
 
 
-def test_targets_rejects_overload():
-    G, clusters = make_clustered_host(L=2, m=10)
-    H = DenseGraph.empty(12)
-    phi = {x: 0 for x in range(12)}
-    with pytest.raises(StageFailure) as exc:
-        embed_with_targets(
-            G, H, list(range(12)), phi, clusters, Y=[], c=0.1, eps=0.2
-        )
-    assert exc.value.stage == "load"
-
-
 def test_targets_planted_superregular_segments():
     base = planted_blown_cycle(3, 2, 14, p_inside=0.85, p_between=0.8, seed=5)
     G = base.G
@@ -586,7 +575,7 @@ def test_blowup_never_enters_a_placement_that_takes_an_only_candidate():
     G = DenseGraph.complete(2)
     H = DenseGraph.empty(2)
     with pytest.raises(StageFailure) as exc:
-        blowup_embed(G, H, {0: 0, 1: 0}, {0: (0, 1)}, special={0: {0}, 1: {0}}, alpha=1.0)
+        blowup_embed(G, H, {0: 0, 1: 0}, {0: (0, 1)}, special={0: {0}, 1: {0}})
     assert exc.value.stage == "no-list-embedding"
     assert exc.value.detail == "attempt 0: tree exhausted in 1 nodes"
 
@@ -714,7 +703,7 @@ def test_blowup_matches_the_recursive_search(instance, budget, restarts, seed):
     G, H, clusters, phi, special, _ = instance
     got = _outcome(
         lambda: blowup_embed(
-            G, H, phi, clusters, special, alpha=1.0,
+            G, H, phi, clusters, special,
             node_budget=budget, restarts=restarts, seed=seed,
         )
     )

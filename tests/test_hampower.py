@@ -126,7 +126,7 @@ def test_absorb_rejects_overlapping_z():
 
 def test_reservoir_complete_host_first_draw():
     G = DenseGraph.complete(50)
-    res = select_reservoir(G, 0.1, 0.2, seed=3)
+    res = select_reservoir(G, 5, 0.2, seed=3)
     assert len(res) == 5
     for x in range(G.n):
         assert G.degree_into(x, sum(1 << v for v in res)) >= (0.5 + 0.1) * 5 - 1e-9
@@ -134,7 +134,7 @@ def test_reservoir_complete_host_first_draw():
 
 def test_reservoir_random_dense_verified():
     G = gnp(300, 0.8, 11)
-    res = select_reservoir(G, 0.1, 0.2, seed=11)
+    res = select_reservoir(G, 30, 0.2, seed=11)
     assert len(res) == 30
     mask = sum(1 << v for v in res)
     need = (0.5 + 0.1) * 30
@@ -148,15 +148,15 @@ def test_reservoir_impossible_demand_exhausts():
     edges.append((0, 1))  # vertex 0 has degree 1
     G = DenseGraph.from_edges(n, edges)
     with pytest.raises(StageFailure) as exc:
-        select_reservoir(G, 0.25, 0.2, seed=0, retries=10)
+        select_reservoir(G, 10, 0.2, seed=0, retries=10)
     assert exc.value.stage == "reservoir"
     assert "retries-exhausted" in exc.value.detail
 
 
 def test_reservoir_deterministic_per_seed():
     G = gnp(100, 0.8, 5)
-    a = select_reservoir(G, 0.1, 0.2, seed=7)
-    b = select_reservoir(G, 0.1, 0.2, seed=7)
+    a = select_reservoir(G, 10, 0.2, seed=7)
+    b = select_reservoir(G, 10, 0.2, seed=7)
     assert a == b
 
 

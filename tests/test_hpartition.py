@@ -152,15 +152,6 @@ def test_basic_assignment_independent_checker_catches_corruption():
     assert check_basic_assignment(Hb, bad, targets) != ""
 
 
-def test_basic_assignment_serialization_round_trip():
-    n = 1000
-    Hb = cycle_power_H(1, n, beta=0.01)
-    targets = near_uniform_targets(n, 2, 2)
-    asg = basic_assignment(Hb, targets)
-    again = Assignment.from_json_dict(asg.to_json_dict())
-    assert again.f == asg.f and again.B == asg.B
-
-
 @pytest.mark.parametrize("r_pow,r,beta_num", [(1, 2, 8), (2, 3, 6), (3, 4, 8)])
 def test_basic_assignment_cycle_powers(r_pow, r, beta_num):
     n = 3000 - (3000 % (r_pow + 1))

@@ -10,7 +10,6 @@ import time
 import pytest
 
 from spanembed import pipeline
-from spanembed.balance import BalanceError
 from spanembed.embed import verify_embedding
 from spanembed.generators import (
     clique_factor_extremal,
@@ -88,7 +87,7 @@ def test_lemma_g_refusal_is_labelled_lemma_g(monkeypatch, phase):
 
     def lemma_g(*args, **kwargs):
         if (kwargs.get("targets") is not None) == (phase == 2):
-            raise BalanceError(f"phase {phase}: iteration budget exceeded")
+            raise StageFailure("lemma-g", f"phase {phase}: iteration budget exceeded")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "lemma_g", lemma_g)
@@ -213,6 +212,18 @@ def test_exceptional_vertices_refuse_and_the_rest_embeds(host, n, guest):
         assert res.audit.notes["V0"] == 0
         assert res, (res.failure_stage, res.failure_detail)
         assert verify_embedding(Hb.H, G, res.mapping) == ""
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_small_reduced_graph_records_only_the_degree_inheritance(seed):
+    # L = 16 clusters: every run records the same (1/2 + eta/2)L degree
+    # check of R, whatever the size of R
+    G, Hb = gnp(96, 0.97, seed), cycle_power_H(1, 96)
+    res = pipeline.run_main_pipeline(G, Hb, seed=seed)
+    assert res, (res.failure_stage, res.failure_detail)
+    assert verify_embedding(Hb.H, G, res.mapping) == ""
+    assert res.audit.checks["inheritance-degree"][0]
+    assert "inheritance-density" not in res.audit.checks
 
 
 @pytest.mark.parametrize("seed", [2780996939, 4236761169, 3846038391])

@@ -25,13 +25,11 @@ from spanembed.regularity import (
     NotSuperregular,
     RegularityVerdict,
     heuristic_degree_form_partition,
-    inheritance_check,
     is_eps_regular,
     is_superregular,
     pair_density,
     refine_to_superregular,
     regularity_up_to_cap,
-    slice_robustness_expected,
 )
 
 
@@ -154,42 +152,6 @@ def test_random_dense_pair_superregular():
     assert is_superregular(G, list(range(10)), list(range(10, 20)), 0.4, 0.3)
 
 
-# -- slicing ------------------------------------------------------------
-
-
-def test_slice_formula_identity_at_zero():
-    assert slice_robustness_expected(0.1, 0.5, 0.0) == (0.1, 0.5)
-
-
-def test_slice_formula_paper_values():
-    eps2, delta2 = slice_robustness_expected(0.1, 0.5, 0.01)
-    assert eps2 == pytest.approx(0.7)
-    assert delta2 == pytest.approx(0.46)
-
-
-def test_slice_formula_derived_values():
-    eps2, delta2 = slice_robustness_expected(0.05, 0.4, 0.0025)
-    assert eps2 == pytest.approx(0.35)
-    assert delta2 == pytest.approx(0.39)
-
-
-def test_slice_property_perturbed_pairs_stay_regular():
-    # swap one vertex across planted regular pairs and accept at the slice params
-    rng = random.Random(4)
-    for seed in range(8):
-        a = b = 12
-        G = random_bipartite(a, b, 0.55, seed)
-        A, B = list(range(a)), list(range(a, a + b))
-        eps = 0.45
-        if not is_eps_regular(G, A, B, eps):
-            continue
-        alpha = 1 / 12
-        A2 = A[1:] + [A[0]]  # same set; size-preserving noop keeps |A△A'|=0
-        eps2, delta2 = slice_robustness_expected(eps, 0.2, alpha)
-        if eps2 < 1:
-            assert is_eps_regular(G, A2, B, eps2)
-
-
 # -- refinement ----------------------------------------------------------
 
 
@@ -297,20 +259,6 @@ def test_refine_output_sizes_and_degrees():
                 assert G.degree_into(v, mask_of(refined[j])) >= (
                     (delta - eps) * m - (m - target)
                 )
-
-
-# -- inheritance ----------------------------------------------------------
-
-
-def test_inheritance_on_complete_host():
-    rep = inheritance_check(DenseGraph.complete(4), rho=0.01, d=0.9, delta=0.02, eta=0.2)
-    assert rep.all_pass()
-
-
-def test_inheritance_detects_two_clique_reduced():
-    rep = inheritance_check(two_cliques(10), rho=0.01, d=0.9, delta=0.02, eta=0.2)
-    assert not rep.density_pass
-    assert rep.density_witness is not None
 
 
 # -- partitioner ----------------------------------------------------------

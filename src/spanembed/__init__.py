@@ -18,7 +18,6 @@ from .density import (
     DensityParams,
     DensityVerdict,
     ExtendableClique,
-    SizeLimitExceeded,
     enumerate_extendable_cliques,
     is_locally_dense_exact,
     is_locally_dense_sampled,
@@ -41,7 +40,6 @@ __all__ = [
     "DensityParams",
     "DensityVerdict",
     "ExtendableClique",
-    "SizeLimitExceeded",
     "enumerate_extendable_cliques",
     "is_locally_dense_exact",
     "is_locally_dense_sampled",

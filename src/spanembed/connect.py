@@ -26,6 +26,10 @@ from .density import enumerate_extendable_cliques, find_clique
 from .graphs import DenseGraph, StageFailure, WitnessSequence, bits, mask_of, validate_witness
 
 
+# Search nodes of one envelope-clique search of ``connect_cliques``.
+ENVELOPE_BUDGET = 200_000
+
+
 class HypothesisViolation(StageFailure):
     """A checked hypothesis does not hold for the input (not a failed search)."""
 
@@ -45,7 +49,6 @@ def bridging_cliques(
     W: list[int],
     r: int,
     eta: float,
-    min_bucket: int | None = None,
 ) -> Iterator[Bridge]:
     """Yield every bridge ``find_bridging_clique`` would consider, in its
     order, each clique Z once; then raise the failure that ends the list.
@@ -96,14 +99,13 @@ def bridging_cliques(
             "no-high-attachment",
             f"no vertex of U has >= {c + r} neighbours in X ∪ Y",
         )
-    floor = r if min_bucket is None else max(r, min_bucket)
     ordered = sorted(
         buckets.items(),
         key=lambda kv: (-kv[1].bit_count(), tuple(bits(kv[0][0])), tuple(bits(kv[0][1]))),
     )
     seen: set[tuple[int, ...]] = set()
     for (ax, ay), members in ordered:
-        if members.bit_count() < floor:
+        if members.bit_count() < r:
             break
         # every member attaches to >= c + r of the 2c attachment vertices,
         # so at least r land on each side; take the r smallest of each
@@ -143,7 +145,7 @@ def bridging_cliques(
             yield bridge
     raise StageFailure(
         "no-clique-in-bucket",
-        f"no attachment bucket of size >= {floor} spans a K_{r} "
+        f"no attachment bucket of size >= {r} spans a K_{r} "
         f"(and no loosely-attached clique either)",
     )
 
@@ -186,7 +188,6 @@ def find_bridging_clique(
     W: list[int],
     r: int,
     eta: float,
-    min_bucket: int | None = None,
 ) -> Bridge:
     """Find Z ⊆ U spanning K_r, fresh of X ∪ Y ∪ W, with r-subsets of both X
     and Y inside its joint neighbourhood.
@@ -197,7 +198,7 @@ def find_bridging_clique(
     of X ∪ Y, ``no-clique-in-bucket`` when no bucket, nor the loosely
     attached vertices, spans a K_r.  ``U=None`` is the whole vertex set.
     """
-    return next(bridging_cliques(G, U, X, Y, W, r, eta, min_bucket))
+    return next(bridging_cliques(G, U, X, Y, W, r, eta))
 
 
 def _revalidate_bridge(
@@ -239,7 +240,6 @@ def connect_cliques(
     r: int,
     eta: float,
     c: int | None = None,
-    clique_budget: int = 200_000,
     w_limit: float | None = None,
     seed: int | str | None = None,
 ) -> Connection:
@@ -251,7 +251,8 @@ def connect_cliques(
     existence is the "lies in a big clique" hypothesis, extendability is
     checked first and recorded), then bridge the two envelopes through a
     common-neighbourhood clique.  ``c`` defaults to the proof's ceil(4r/eta)
-    and may be lowered at desk scale (c >= r always).  With ``seed`` the
+    and may be lowered at desk scale (c >= r always); each envelope search
+    stops after ``ENVELOPE_BUDGET`` nodes.  With ``seed`` the
     envelope searches draw their candidates at random (still a pure function
     of inputs and seed); by default they are greedy-deterministic.
     """
@@ -276,7 +277,7 @@ def connect_cliques(
         joint = G.common_neighborhood(ends)
         branch = "extendable" if joint.bit_count() >= eta * G.n else "clique"
         scope = joint & ~avoid & ~wmask
-        got = find_clique(G, c, within=scope, node_budget=clique_budget, rng=rng)
+        got = find_clique(G, c, within=scope, node_budget=ENVELOPE_BUDGET, rng=rng)
         if got is None:
             raise StageFailure(
                 "envelope-not-found",

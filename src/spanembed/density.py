@@ -16,11 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .graphs import DenseGraph, bits
-
-
-class SizeLimitExceeded(ValueError):
-    """Exact mode requested above the exhaustive threshold."""
+from .graphs import DenseGraph, InvalidParameters, bits
 
 
 EXACT_LOCAL_THRESHOLD = 22
@@ -72,7 +68,7 @@ def is_locally_dense_exact(
     """
     n = G.n
     if n > threshold:
-        raise SizeLimitExceeded(f"n={n} exceeds exact threshold {threshold}")
+        raise InvalidParameters(f"n={n} exceeds exact threshold {threshold}")
     checked = 0
 
     # Smallest k at which the inequality can bite at all.

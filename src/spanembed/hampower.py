@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 
 from .connect import Bridge, HypothesisViolation, bridging_cliques, connect_cliques
 from .density import DensityParams, find_clique, is_locally_dense_sampled
-from .graphs import DenseGraph, StageFailure, WitnessSequence, bits, mask_of, validate_witness
+from .graphs import (
+    DenseGraph, InvalidParameters, StageFailure, WitnessSequence, bits, mask_of, validate_witness
+)
 
 # Desk-scale constants.  The paper picks them from right to left
 # (rho << d << eta, eta2 << eta0); at a few hundred vertices no such
@@ -30,6 +32,7 @@ D1 = 0.3  # absorbing-path connectors need d(x, U) >= (1/2 + D1)|U|
 ETA2 = 0.1  # the absorbing path swallows at most ETA2*n leftover vertices
 ATTEMPTS = 30  # derived-seed attempts of find_hamilton_power
 FLANK_BUDGET = 200_000  # search nodes per flanking-clique size
+COVER_BACKOFFS = 6  # pop-and-retry steps of one cover path
 
 
 @dataclass(frozen=True)
@@ -331,16 +334,15 @@ def cover_with_paths(
     min_path: int,
     seed: int = 0,
     max_paths: int | None = None,
-    target_len: int | None = None,
-    backoffs: int = 6,
 ) -> tuple[list[WitnessSequence], list[int]]:
     """Cover G2 by vertex-disjoint power-r_cover paths of length >= min_path.
 
     Greedy: seed each path with a clique, repeatedly append a vertex adjacent
     to the last r_cover vertices (preferring vertices that are hard to reach
-    later), falling back to head extension and bounded pop-and-retry
-    rotations.  Returns (paths, leftover); cover quality is measured by the
-    caller, degenerate covers are legal.
+    later), falling back to head extension and at most ``COVER_BACKOFFS``
+    pop-and-retry rotations per path.  With ``max_paths`` each path aims at
+    its share of the vertices still uncovered.  Returns (paths, leftover);
+    cover quality is measured by the caller, degenerate covers are legal.
     """
     rng = random.Random(f"{seed}:cover")
     remaining = G2.full_mask()
@@ -371,7 +373,7 @@ def cover_with_paths(
         seq = list(core)
         pool = scope & ~mask_of(seq)
         tabu = 0
-        budget = backoffs
+        budget = COVER_BACKOFFS
         while len(seq) < goal:
             if extend_once(seq, pool, at_head=False):
                 pool &= ~mask_of(seq)
@@ -392,9 +394,7 @@ def cover_with_paths(
     while remaining.bit_count() >= min_path and (
         max_paths is None or len(paths) < max_paths
     ):
-        if target_len is not None:
-            goal = target_len
-        elif max_paths is not None:
+        if max_paths is not None:
             # spread the remaining vertices over the paths still to come
             goal = max(min_path, math.ceil(remaining.bit_count() / (max_paths - len(paths))))
         else:
@@ -564,8 +564,11 @@ def find_hamilton_power(
     Runs the full connecting-absorbing pipeline; stochastic stages (reservoir
     draw, cover randomisation) are retried with derived seeds, ``ATTEMPTS``
     times at most.  The returned witness is always validated; on exhaustion
-    the last stage-labelled failure is re-raised.
+    the last stage-labelled failure is re-raised.  A power r < 1 raises
+    ``InvalidParameters``.
     """
+    if r < 1:
+        raise InvalidParameters(f"power r={r} must be >= 1")
     audit = audit if audit is not None else HamAudit()
     n = G.n
     if n_target is None:

@@ -46,12 +46,11 @@ def _intervals(order: tuple[int, ...], width: int) -> list[list[int]]:
     return [list(order[i : i + width]) for i in range(0, len(order), width)]
 
 
-def balanced_2r_colouring(
-    Hb: BandwidthedH, beta: float | None = None, r: int | None = None
-) -> tuple[int, ...]:
+def balanced_2r_colouring(Hb: BandwidthedH, r: int | None = None) -> tuple[int, ...]:
     """A proper 2r-colouring whose classes are balanced on every prefix.
 
-    Slices the bandwidth order into width-ceil(beta*n) intervals, colours odd
+    ``r`` defaults to the number of colours of ``Hb``.  Slices the bandwidth
+    order into width-ceil(beta*n) intervals (beta = ``Hb.beta``), colours odd
     intervals inside [r] and even ones inside [2r]\\[r], and re-permutes the
     two colour halves at every step so that the running counts (sorted
     descending) meet the new interval's counts (sorted ascending).  Only the
@@ -59,8 +58,6 @@ def balanced_2r_colouring(
     at the end through the composed suffix permutations.  The three promised
     properties are verified by an independent recount before returning.
     """
-    if beta is None:
-        beta = Hb.beta
     H, order, chi = Hb.H, Hb.order.order, Hb.colouring
     n = H.n
     if r is None:
@@ -69,7 +66,7 @@ def balanced_2r_colouring(
         raise StageFailure(
             "balanced-colouring", f"colouring uses {max(chi)} colours, template has r={r}"
         )
-    W = interval_width(beta, n)
+    W = interval_width(Hb.beta, n)
     A = _intervals(order, W)
     T = len(A)
 
@@ -151,7 +148,7 @@ def balanced_2r_colouring(
         colouring[x] = suffix[step_of[x]][c]
 
     result = tuple(colouring)
-    report = check_balanced_colouring(Hb, result, beta, r)
+    report = check_balanced_colouring(Hb, result, r)
     if report:
         raise StageFailure("balanced-colouring", "failed verification: " + report)
     return result
@@ -160,12 +157,10 @@ def balanced_2r_colouring(
 def check_balanced_colouring(
     Hb: BandwidthedH,
     colouring: tuple[int, ...],
-    beta: float | None = None,
     r: int | None = None,
 ) -> str:
     """Independent recount of the three colouring properties; empty = pass."""
-    if beta is None:
-        beta = Hb.beta
+    beta = Hb.beta
     H, order, chi = Hb.H, Hb.order.order, Hb.colouring
     n = H.n
     if r is None:
@@ -196,33 +191,27 @@ def check_balanced_colouring(
     return ""
 
 
-def basic_assignment(
-    Hb: BandwidthedH,
-    targets: dict[Cell, int],
-    ell: int | None = None,
-    r: int | None = None,
-) -> Assignment:
+def basic_assignment(Hb: BandwidthedH, targets: dict[Cell, int]) -> Assignment:
     """Slice H along its bandwidth order into ell blocks of the target sizes
     and map x -> (block, balanced-colour).
 
-    Preconditions (all checked): targets sum to n, every target is at least
+    The cells of ``targets`` are [ell] x [2r]: ell is the largest block
+    index and 2r the largest colour.  Preconditions (all checked): targets
+    cover those cells exactly, sum to n, every target is at least
     1, every block is at least 4 interval-widths wide, and within-block
     targets differ by at most 1.  The output satisfies the four
     block-homomorphism properties, which the independent checker recounts.
     """
-    beta = Hb.beta
     n = Hb.n
     cells = sorted(targets)
-    if ell is None:
-        ell = max(i for i, _ in cells)
-    if r is None:
-        r = max(j for _, j in cells) // 2
+    ell = max(i for i, _ in cells)
+    r = max(j for _, j in cells) // 2
     if set(cells) != {(i, j) for i in range(1, ell + 1) for j in range(1, 2 * r + 1)}:
         raise StageFailure("basic-assignment", "targets must cover [ell] x [2r] exactly")
     total = sum(targets.values())
     if total != n:
         raise StageFailure("basic-assignment", f"targets sum to {total}, vertex count is {n}")
-    W = interval_width(beta, n)
+    W = interval_width(Hb.beta, n)
     # the asymptotic per-cell floor is 10*beta*n; the construction only
     # needs nonempty cells and block widths that dominate the buffers
     for cell, m in targets.items():
@@ -239,7 +228,7 @@ def basic_assignment(
         if max(row) - min(row) > 1:
             raise StageFailure("basic-assignment", f"block {i} targets differ by more than 1")
 
-    chi2 = balanced_2r_colouring(Hb, beta, r)
+    chi2 = balanced_2r_colouring(Hb, r)
     order = Hb.order.order
     block_sizes = [sum(targets[(i, j)] for j in range(1, 2 * r + 1)) for i in range(1, ell + 1)]
     boundaries = [0]
@@ -262,7 +251,7 @@ def basic_assignment(
         tallies[val] = tallies.get(val, 0) + 1
 
     asg = Assignment(tuple(f), frozenset(B), tallies)
-    report = check_basic_assignment(Hb, asg, targets, beta, ell, r)
+    report = check_basic_assignment(Hb, asg, targets)
     if report:
         raise StageFailure("basic-assignment", "failed verification: " + report)
     return asg
@@ -272,23 +261,15 @@ def check_basic_assignment(
     Hb: BandwidthedH,
     asg: Assignment,
     targets: dict[Cell, int],
-    beta: float | None = None,
-    ell: int | None = None,
-    r: int | None = None,
 ) -> str:
     """Independent recount of the four slicing properties plus the template
     homomorphism; empty string = pass.  Shares no code with the constructor.
     """
     from .graphs import z_rule_edge
 
-    if beta is None:
-        beta = Hb.beta
+    beta = Hb.beta
     n = Hb.n
-    cells = sorted(targets)
-    if ell is None:
-        ell = max(i for i, _ in cells)
-    if r is None:
-        r = max(j for _, j in cells) // 2
+    ell = max(i for i, _ in targets)
     order = Hb.order.order
     W = interval_width(beta, n)
     f, B = asg.f, asg.B

@@ -33,11 +33,7 @@ from .graphs import (
 )
 from .hampower import find_hamilton_power
 from .hpartition import basic_assignment, interval_width
-from .regularity import (
-    InsufficientVertices,
-    heuristic_degree_form_partition,
-    refine_to_superregular,
-)
+from .regularity import heuristic_degree_form_partition, refine_to_superregular
 
 # Desk-scale constants.  The paper picks them from right to left
 # (eps << d << eta); these values are the ones the stages are feasible at
@@ -141,7 +137,7 @@ def _pipeline(
         pure = G
         audit.stage("partition")
     else:
-        partition, pure, reduced, _ = heuristic_degree_form_partition(
+        partition, pure, reduced = heuristic_degree_form_partition(
             G, delta=DELTA, L_min=L_target, seed=seed
         )
         clusters_list = [tuple(c) for c in partition.clusters]
@@ -206,17 +202,14 @@ def _pipeline(
         [(block << (x - x % (4 * r))) ^ (1 << x) for x in range(len(cells))],
         check=False,
     )
-    try:
-        refined_list = refine_to_superregular(
-            pure,
-            [list(cell_cluster[c]) for c in cells],
-            R_blocks,
-            REFINE_EPS,
-            DELTA,
-            verify=False,
-        )
-    except InsufficientVertices as exc:
-        raise StageFailure("refine", str(exc), violated="refine") from exc
+    refined_list = refine_to_superregular(
+        pure,
+        [list(cell_cluster[c]) for c in cells],
+        R_blocks,
+        REFINE_EPS,
+        DELTA,
+        verify=False,
+    )
     refined = dict(zip(cells, map(tuple, refined_list)))
     audit.stage("refine")
 
@@ -275,12 +268,7 @@ def _pipeline(
         W / n,
     )
     try:
-        asg = basic_assignment(
-            H_in_order,
-            dict(m_ab),
-            ell=2 * ell,
-            r=r,
-        )
+        asg = basic_assignment(H_in_order, dict(m_ab))
     except StageFailure as exc:
         raise StageFailure("basic-assignment", str(exc), violated=exc.stage) from exc
     audit.stage("basic-assignment")
@@ -427,6 +415,11 @@ def _reduced_power_cycle(
     """Spanning power-q cycle on n_cycle reduced vertices: the absorbing
     pipeline when it fits, otherwise the exact oracle as a fallback."""
     q_eff = min(q, (n_cycle - 1) // 2)
+    if q_eff < 1:
+        audit.notes["hamilton-power"] = "refused: fewer than 3 vertices"
+        raise StageFailure(
+            "hamilton-power", f"no power cycle on {n_cycle} < 3 vertices", violated="hamilton-power"
+        )
     # every vertex of a q_eff-th power of a cycle has 2*q_eff neighbours on
     # it, so when the cycle must span R a vertex of smaller degree refuses
     # both routes at once

@@ -23,55 +23,20 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .density import SizeLimitExceeded
-from .graphs import DenseGraph, bits, mask_of, packed_rows
+from .graphs import DenseGraph, InvalidParameters, StageFailure, bits, mask_of, packed_rows
 
 
 EXACT_SIDE_THRESHOLD = 12
 
 
-class EmptySide(ValueError):
-    pass
-
-
-class InsufficientVertices(ValueError):
-    """A cluster lost more vertices than the refinement allows."""
-
-    def __init__(self, cluster: int, against: int, failed: int, allowed: float):
-        self.cluster = cluster
-        self.against = against
-        self.failed = failed
-        self.allowed = allowed
-        super().__init__(
-            f"cluster {cluster}: {failed} vertices fail the degree test toward "
-            f"cluster {against} (allowed {allowed:.2f})"
-        )
-
-
-class NotSuperregular(InsufficientVertices):
-    """A refined R-pair fails the superregularity check of the refinement."""
-
-    def __init__(self, cluster: int, against: int, verdict: "RegularityVerdict"):
-        self.cluster = cluster
-        self.against = against
-        self.verdict = verdict
-        X, Y = verdict.witness
-        ValueError.__init__(
-            self,
-            f"refined clusters {cluster} and {against} are not superregular: "
-            f"density {verdict.density:.3f}, witness of sizes "
-            f"({len(X)},{len(Y)}) deviates by {verdict.deviation:.3f}",
-        )
-
-
 def pair_density(G: DenseGraph, A: list[int], B: list[int]) -> float:
     """e_G(A,B) / (|A||B|) for disjoint nonempty A, B."""
     if not A or not B:
-        raise EmptySide("pair density needs nonempty sides")
+        raise InvalidParameters("pair density needs nonempty sides")
     am, bm = mask_of(A), mask_of(B)
     if am & bm:
         raise ValueError("sides must be disjoint")
@@ -154,13 +119,13 @@ def is_eps_regular(
 
     Exhaustive for sides up to ``EXACT_SIDE_THRESHOLD``: every Y on each
     side, with X closed by the sorted prefix sums; larger sides raise
-    ``SizeLimitExceeded``.  An irregular verdict carries a violating witness.
+    ``InvalidParameters``.  An irregular verdict carries a violating witness.
     """
     if not A or not B:
-        raise EmptySide("regularity needs nonempty sides")
+        raise InvalidParameters("regularity needs nonempty sides")
     d_ab = pair_density(G, A, B)
     if len(A) > EXACT_SIDE_THRESHOLD or len(B) > EXACT_SIDE_THRESHOLD:
-        raise SizeLimitExceeded(
+        raise InvalidParameters(
             f"sides ({len(A)},{len(B)}) exceed exact cap {EXACT_SIDE_THRESHOLD}"
         )
     # scan Y ⊆ B and close the X side analytically; then the mirror image
@@ -258,7 +223,11 @@ def refine_to_superregular(
     swaps (``_swap_failing``) and the violation is reported only if that
     fails.  Survivors are trimmed deterministically (highest ids first) to the
     exact target size.  With ``verify``, every refined R-pair is rechecked by
-    ``is_superregular`` and a failing pair raises ``NotSuperregular``.
+    ``is_superregular``.
+
+    Every refusal is a ``StageFailure`` at stage ``refine``: a violated
+    hypothesis has ``violated="refine"``, a refined pair that fails the
+    recheck ``violated="superregular"``.
     """
     m = len(clusters[0])
     if any(len(c) != m for c in clusters):
@@ -281,42 +250,47 @@ def refine_to_superregular(
         if counts.max() > math.ceil(allowed) or not _swap_failing(
             adj.astype(np.int64), deg, where, nbrs, thresh, fails, flat
         ):
-            raise refusal
+            raise StageFailure("refine", refusal, violated="refine")
         fails = (deg < thresh) & nbrs[where]
     survivors: list[list[int]] = [[] for _ in range(L)]
     for v, i, bad in zip(flat, where.tolist(), fails.any(axis=1).tolist()):
         if not bad:
             survivors[i].append(v)
     refined = [sorted(vs)[:target] for vs in survivors]
-    if verify:
-        for i in range(len(refined)):
-            for j in range(i + 1, len(refined)):
-                if not R.has_edge(i, j):
-                    continue
-                verdict = is_superregular(
-                    G, refined[i], refined[j], 4 * math.sqrt(eps), delta / 2
-                )
-                if not verdict:
-                    raise NotSuperregular(i, j, verdict)
+    if not verify:
+        return refined
+    for i, j in np.argwhere(np.triu(nbrs, 1)).tolist():  # R-pairs i < j, row-major
+        verdict = is_superregular(G, refined[i], refined[j], 4 * math.sqrt(eps), delta / 2)
+        if not verdict:
+            X, Y = verdict.witness
+            raise StageFailure(
+                "refine",
+                f"refined clusters {i} and {j} are not superregular: density "
+                f"{verdict.density:.3f}, witness of sizes ({len(X)},{len(Y)}) "
+                f"deviates by {verdict.deviation:.3f}",
+                violated="superregular",
+            )
     return refined
 
 
 def _first_refusal(
     fails: np.ndarray, counts: np.ndarray, allowed: float, drop: int
-) -> InsufficientVertices | None:
-    """The first violated refinement hypothesis in cluster order: a pair
-    with more than ``allowed`` failures, or a cluster with more than
-    ``drop`` failing vertices (named by its worst pair)."""
+) -> str | None:
+    """The detail of the first violated refinement hypothesis in cluster
+    order: a pair with more than ``allowed`` failures, or a cluster with
+    more than ``drop`` failing vertices (named by its worst pair)."""
     failing = fails.any(axis=1).reshape(len(counts), -1).sum(axis=1)
     over = counts > allowed
     violated = np.flatnonzero(over.any(axis=1) | (failing > drop))
     if not violated.size:
         return None
     i = int(violated[0])
-    if over[i].any():
-        j = int(np.argmax(over[i]))
-        return InsufficientVertices(i, j, int(counts[i, j]), allowed)
-    return InsufficientVertices(i, int(np.argmax(counts[i])), int(failing[i]), drop)
+    j = int(np.argmax(over[i] if over[i].any() else counts[i]))
+    failed, bound = (counts[i, j], allowed) if over[i].any() else (failing[i], drop)
+    return (
+        f"cluster {i}: {failed} vertices fail the degree test toward "
+        f"cluster {j} (allowed {bound:.2f})"
+    )
 
 
 def _swap_failing(
@@ -374,44 +348,28 @@ def _swap_failing(
 # -- one-pass degree-form partitioner ---------------------------------------
 
 
-@dataclass
-class PartitionReport:
-    """Measured (not guaranteed) properties of an emitted partition.
-
-    ``pair_verdicts`` labels every cluster pair i < j "sparse" or "dense" by
-    its density alone; no pair's regularity is checked (ROADMAP, "Certify
-    regularity at an ε the cluster size can carry").
-    """
-
-    L: int
-    m: int
-    exceptional_size: int
-    pair_verdicts: dict[tuple[int, int], str] = field(default_factory=dict)
-
-
 def heuristic_degree_form_partition(
     G: DenseGraph,
     delta: float,
     L_min: int,
     seed: int = 0,
-) -> tuple[ClusterPartition, DenseGraph, DenseGraph, PartitionReport]:
+) -> tuple[ClusterPartition, DenseGraph, DenseGraph]:
     """One-pass stand-in for the degree-form partition.
 
     A seeded shuffle of V(G) is chopped into L = L_min clusters of
     m = n // L_min vertices; the n mod L_min vertices left over are the
-    exceptional set.  Every cluster pair i < j is then labelled "sparse"
-    (density below delta) or "dense", and the dense pairs are kept without
-    a regularity check, which is not done yet (ROADMAP, "Certify regularity
-    at an ε the cluster size can carry").  Returns
-    the partition, the pure subgraph (edges of the dense pairs,
-    intra-cluster edges dropped, exceptional-vertex edges kept), the
-    reduced graph on the L clusters with the dense pairs as edges, and a
-    report.  Clusters are never refined.  Equal cluster sizes and missing
-    intra-cluster pure edges hold by construction.
+    exceptional set.  A cluster pair is dense when its density is at least
+    delta, and the dense pairs are kept without a regularity check, which
+    is not done yet (ROADMAP, "Certify regularity at an ε the cluster size
+    can carry").  Returns the partition, the pure subgraph (edges of the
+    dense pairs, intra-cluster edges dropped, exceptional-vertex edges
+    kept) and the reduced graph R on the L clusters, whose edges are the
+    dense pairs.  Clusters are never refined.  Equal cluster sizes and
+    missing intra-cluster pure edges hold by construction.
 
     Cost: one n × n unpack of the cluster rows, summed to L × n and then
-    to the L × L pair counts; the density verdicts, R's rows and the keep
-    masks come from one L × L boolean array without a per-pair loop; and one
+    to the L × L pair counts; R's rows and the keep masks come from one
+    L × L boolean array without a per-pair loop; and one
     big-int AND per vertex for the pure rows (the row against its cluster's
     keep mask).
     """
@@ -434,13 +392,6 @@ def heuristic_degree_form_partition(
     counts = per_vertex[:, flat].reshape(L, L, m).sum(axis=2)
     # dense[i, j]: the pair {i, j} is kept, judged on i < j alone
     dense = np.triu(counts / (m * m) >= delta, k=1)
-    up_i, up_j = np.triu_indices(L, k=1)
-    pair_verdicts = {
-        pair: "dense" if kept else "sparse"
-        for pair, kept in zip(
-            zip(up_i.tolist(), up_j.tolist()), dense[up_i, up_j].tolist()
-        )
-    }
     dense |= dense.T
     r_rows = packed_rows(dense)
     # per cluster, the vertices its pure rows keep: the exceptional set and
@@ -462,8 +413,4 @@ def heuristic_degree_form_partition(
     partition = ClusterPartition(
         tuple(exceptional), tuple(tuple(c) for c in clusters)
     )
-    R = DenseGraph(L, r_rows, check=False)
-    report = PartitionReport(
-        L=L, m=m, exceptional_size=len(exceptional), pair_verdicts=pair_verdicts
-    )
-    return partition, pure, R, report
+    return partition, pure, DenseGraph(L, r_rows, check=False)

@@ -10,7 +10,6 @@ from spanembed import density
 from spanembed.density import (
     DensityParams,
     DensityVerdict,
-    SizeLimitExceeded,
     enumerate_extendable_cliques,
     find_clique,
     is_locally_dense_exact,
@@ -18,7 +17,7 @@ from spanembed.density import (
     local_deficit,
 )
 from spanembed.generators import clique_factor_extremal, complete_bipartite, gnp, two_cliques
-from spanembed.graphs import DenseGraph, bits, make_named, mask_of
+from spanembed.graphs import DenseGraph, InvalidParameters, bits, make_named, mask_of
 
 
 def brute_locally_dense(G, p):
@@ -93,7 +92,7 @@ def test_exact_checker_witness_has_minimum_size():
 
 
 def test_exact_threshold_enforced():
-    with pytest.raises(SizeLimitExceeded):
+    with pytest.raises(InvalidParameters):
         is_locally_dense_exact(DenseGraph.empty(23), DensityParams(0, 0.5))
 
 

@@ -234,6 +234,13 @@ def test_hamilton_power_disconnected_fails_at_connector():
     assert not audit.prechecks["min-degree"]
 
 
+@pytest.mark.parametrize("r", [0, -1])
+def test_hamilton_power_rejects_a_power_below_one(r):
+    # r = 0 used to die with ZeroDivisionError in HamPlan.derive
+    with pytest.raises(graphs.InvalidParameters, match=f"power r={r} must be >= 1"):
+        find_hamilton_power(DenseGraph.complete(20), r)
+
+
 def _spy_density(monkeypatch):
     calls = []
     real = hampower.is_locally_dense_sampled

@@ -161,8 +161,8 @@ def test_basic_assignment_cycle_powers(r_pow, r, beta_num):
     ell = 3
     targets = near_uniform_targets(n, ell, r)
     Hb2 = BandwidthedH(Hb.H, Hb.order, Hb.colouring, beta)
-    asg = basic_assignment(Hb2, targets, ell=ell, r=r)
-    assert check_basic_assignment(Hb2, asg, targets, ell=ell, r=r) == ""
+    asg = basic_assignment(Hb2, targets)
+    assert check_basic_assignment(Hb2, asg, targets) == ""
 
 
 # -- 2-independent sets ----------------------------------------------------

@@ -1,0 +1,75 @@
+"""Static checks of the package source with the standard library's ``ast``:
+no module imports a name it never uses, and every name that
+``spanembed.__all__`` exports resolves."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import spanembed
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "spanembed"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement and never read in ``source``.
+
+    A name counts as read when it is loaded anywhere in the module, named in
+    a string annotation, or listed in the module's ``__all__``.
+    ``__future__`` imports bind nothing.
+    """
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    strings: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            annotations.append(node.value)
+        for ann in filter(None, annotations):
+            strings.extend(
+                n.value
+                for n in ast.walk(ann)
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            )
+    for text in strings:
+        sub = ast.parse(text, mode="eval")
+        used.update(n.id for n in ast.walk(sub) if isinstance(n, ast.Name))
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_check_sees_a_leftover():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "from dataclasses import dataclass, field\n"
+        "x: 'math.pi'\n"
+        "@dataclass\nclass A:\n    pass\n"
+    )
+    assert unused_imports(source) == ["line 3: field"]
+
+
+def test_every_export_resolves():
+    missing = [name for name in spanembed.__all__ if not hasattr(spanembed, name)]
+    assert missing == []
+    assert len(set(spanembed.__all__)) == len(spanembed.__all__)

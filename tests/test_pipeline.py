@@ -250,3 +250,14 @@ def test_reduced_graph_below_twice_the_power_refuses_at_once():
     # the refusal names its own stage, not the first failed advisory check
     assert res.violated_display == "hamilton-power"
     assert elapsed < 0.1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_host_below_three_vertices_refuses_at_hamilton_power(n):
+    # no power cycle exists on fewer than 3 vertices; the oracle route used
+    # to let its witness's InvalidParameters("witness power must be >= 1")
+    # escape
+    res = pipeline.run_main_pipeline(DenseGraph.complete(n), path_power_H(1, n))
+    assert not res
+    assert (res.failure_stage, res.violated_display) == ("hamilton-power", "hamilton-power")
+    assert res.failure_detail == f"no power cycle on {n} < 3 vertices"

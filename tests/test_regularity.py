@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spanembed.density import SizeLimitExceeded
 from spanembed.generators import (
     clique_factor_extremal,
     complete_bipartite,
@@ -17,12 +16,9 @@ from spanembed.generators import (
     random_bipartite,
     two_cliques,
 )
-from spanembed.graphs import DenseGraph, bits, mask_of
+from spanembed.graphs import DenseGraph, InvalidParameters, StageFailure, bits, mask_of
 from spanembed.regularity import (
     EXACT_SIDE_THRESHOLD,
-    EmptySide,
-    InsufficientVertices,
-    NotSuperregular,
     RegularityVerdict,
     heuristic_degree_form_partition,
     is_eps_regular,
@@ -73,7 +69,7 @@ def test_pair_density_cycle_example():
 
 def test_pair_density_rejects_empty_or_overlap():
     G = DenseGraph.empty(4)
-    with pytest.raises(EmptySide):
+    with pytest.raises(InvalidParameters):
         pair_density(G, [], [1])
     with pytest.raises(ValueError):
         pair_density(G, [0, 1], [1, 2])
@@ -122,7 +118,7 @@ def test_exact_matches_bruteforce_small():
 
 def test_exact_side_cap():
     G = complete_bipartite(13, 5)
-    with pytest.raises(SizeLimitExceeded):
+    with pytest.raises(InvalidParameters):
         is_eps_regular(G, list(range(13)), list(range(13, 18)), 0.1)
 
 
@@ -201,8 +197,9 @@ def test_refine_reports_hypothesis_violation():
     G = DenseGraph.empty(L * m)
     clusters = [list(range(10)), list(range(10, 20))]
     R = DenseGraph.complete(L)
-    with pytest.raises(InsufficientVertices):
+    with pytest.raises(StageFailure) as exc:
         refine_to_superregular(G, clusters, R, 0.04, 0.5, verify=False)
+    assert (exc.value.stage, exc.value.violated) == ("refine", "refine")
 
 
 def _k12_without(pairs):
@@ -229,9 +226,10 @@ def test_refine_refuses_when_no_swap_exists():
     G = _k12_without([(0, v) for v in range(1, 12)])
     clusters = [list(range(6)), list(range(6, 12))]
     with pytest.raises(
-        InsufficientVertices, match=r"cluster 0: 1 vertices fail .* cluster 1 \(allowed 0.60\)"
-    ):
+        StageFailure, match=r"cluster 0: 1 vertices fail .* cluster 1 \(allowed 0.60\)"
+    ) as exc:
         refine_to_superregular(G, clusters, DenseGraph.complete(2), 0.01, 0.5, verify=False)
+    assert (exc.value.stage, exc.value.violated) == ("refine", "refine")
 
 
 def test_refine_swaps_only_up_to_the_rounded_allowance():
@@ -239,8 +237,9 @@ def test_refine_swaps_only_up_to_the_rounded_allowance():
     # refused as before, although swaps would repair it
     G = _k12_without([(u, v) for u in (0, 1) for v in range(7, 12)])
     clusters = [list(range(6)), list(range(6, 12))]
-    with pytest.raises(InsufficientVertices, match="cluster 0: 2 vertices fail"):
+    with pytest.raises(StageFailure, match="cluster 0: 2 vertices fail") as exc:
         refine_to_superregular(G, clusters, DenseGraph.complete(2), 0.01, 0.5, verify=False)
+    assert (exc.value.stage, exc.value.violated) == ("refine", "refine")
 
 
 def test_refine_output_sizes_and_degrees():
@@ -266,19 +265,14 @@ def test_refine_output_sizes_and_degrees():
 
 def test_partitioner_accepts_complete_host():
     G = DenseGraph.complete(60)
-    part, pure, R, report = heuristic_degree_form_partition(
-        G, delta=0.2, L_min=4, seed=0
-    )
-    assert R.edge_count() == math.comb(part.L, 2)
-    assert all(v == "dense" for v in report.pair_verdicts.values())
+    part, pure, R = heuristic_degree_form_partition(G, delta=0.2, L_min=4, seed=0)
+    assert R == DenseGraph.complete(part.L)
 
 
 def test_partitioner_random_graph_all_regular():
     G = gnp(200, 0.5, 5)
-    part, pure, R, report = heuristic_degree_form_partition(
-        G, delta=0.2, L_min=4, seed=5
-    )
-    assert all(v == "dense" for v in report.pair_verdicts.values())
+    part, pure, R = heuristic_degree_form_partition(G, delta=0.2, L_min=4, seed=5)
+    assert R == DenseGraph.complete(part.L)
     # structural postconditions
     sizes = {len(c) for c in part.clusters}
     assert len(sizes) == 1
@@ -291,35 +285,29 @@ def test_partitioner_random_graph_all_regular():
 
 def test_partitioner_bipartite_keeps_crossing_pairs():
     G = complete_bipartite(60, 60)
-    part, pure, R, report = heuristic_degree_form_partition(
-        G, delta=0.2, L_min=2, seed=1
-    )
+    part, pure, R = heuristic_degree_form_partition(G, delta=0.2, L_min=2, seed=1)
     # dropped pairs are exactly the intra-side ones (density ~0 < delta)
-    for (i, j), verdict in report.pair_verdicts.items():
+    for i, j in itertools.combinations(range(part.L), 2):
         ci, cj = part.clusters[i], part.clusters[j]
         cross = pair_density(G, list(ci), list(cj))
-        if verdict == "sparse":
+        if not R.has_edge(i, j):
             assert cross < 0.2
         if cross >= 0.9:
-            assert verdict != "sparse"
+            assert R.has_edge(i, j)
 
 
 def test_partitioner_pure_graph_symmetric_with_dropped_pairs():
     # pairs of density about 1/2 are dropped; two vertices are exceptional
     G = complete_bipartite(61, 60)
-    part, pure, R, report = heuristic_degree_form_partition(
-        G, delta=0.5, L_min=7, seed=2
-    )
-    assert part.exceptional and "sparse" in report.pair_verdicts.values()
+    part, pure, R = heuristic_degree_form_partition(G, delta=0.5, L_min=7, seed=2)
+    assert part.exceptional and R.edge_count() < math.comb(part.L, 2)
     DenseGraph(pure.n, pure.rows)  # checks symmetry and loops
     assert all(p & ~g == 0 for p, g in zip(pure.rows, G.rows))
 
 
 def test_partitioner_pure_graph_is_subgraph():
     G = gnp(120, 0.6, 8)
-    part, pure, R, report = heuristic_degree_form_partition(
-        G, delta=0.25, L_min=3, seed=8
-    )
+    part, pure, R = heuristic_degree_form_partition(G, delta=0.25, L_min=3, seed=8)
     for v in range(G.n):
         assert pure.rows[v] & ~G.rows[v] == 0
 
@@ -404,8 +392,9 @@ def test_heuristic_two_cliques_example():
     A, B = [0, 1, 2, 6, 7, 8], [3, 4, 5, 9, 10, 11]
     assert is_eps_regular(G, A, B, 0.25).deviation == 0.5
     assert not is_superregular(G, A, B, 0.4, 0.25)
-    with pytest.raises(NotSuperregular, match="clusters 0 and 1 are not superregular"):
+    with pytest.raises(StageFailure, match="clusters 0 and 1 are not superregular") as exc:
         refine_to_superregular(G, [A, B], DenseGraph.complete(2), 0.01, 0.5, verify=True)
+    assert (exc.value.stage, exc.value.violated) == ("refine", "superregular")
 
 
 def test_regularity_checked_only_up_to_cap():
@@ -419,7 +408,7 @@ def test_regularity_checked_only_up_to_cap():
     assert not regularity_up_to_cap(G, A, B, 0.25)
     A, B = A + [2 * k, 24 + 2 * k], B + [2 * k + 1, 25 + 2 * k]
     assert regularity_up_to_cap(G, A, B, 0.25) == RegularityVerdict(True, 0.5)
-    with pytest.raises(SizeLimitExceeded):
+    with pytest.raises(InvalidParameters):
         is_eps_regular(G, A, B, 0.25)
 
 
@@ -427,11 +416,20 @@ def _digest(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
-def _legacy_labels(report):
+def _pair_labels(R):
+    """{(i, j): "dense" or "sparse"} over the cluster pairs i < j, read from
+    the edges of the reduced graph R."""
+    return {
+        (i, j): "dense" if R.has_edge(i, j) else "sparse"
+        for i, j in itertools.combinations(range(R.n), 2)
+    }
+
+
+def _legacy_labels(R):
     """The sorted pair labels, named as when the partitioner ran a heuristic
     regularity search that answered "regular-heuristic" for every dense pair."""
     old = {"sparse": "sparse", "dense": "regular-heuristic"}
-    return sorted((pair, old[label]) for pair, label in report.pair_verdicts.items())
+    return sorted((pair, old[label]) for pair, label in _pair_labels(R).items())
 
 
 @pytest.mark.parametrize(
@@ -444,11 +442,9 @@ def _legacy_labels(report):
 def test_partitioner_outputs_pinned(seed, clusters, verdicts, pure_rows):
     # digests recorded with the one-recheck-per-candidate search
     G = gnp(160, 0.97, 7)
-    part, pure, R, report = heuristic_degree_form_partition(
-        G, delta=0.25, L_min=16, seed=seed
-    )
+    part, pure, R = heuristic_degree_form_partition(G, delta=0.25, L_min=16, seed=seed)
     assert _digest((part.exceptional, part.clusters)) == clusters
-    assert _digest(_legacy_labels(report)) == verdicts
+    assert _digest(_legacy_labels(R)) == verdicts
     assert _digest(pure.rows) == pure_rows
     assert _digest(R.rows) == "57b7f95a5cb157e6"
 
@@ -495,19 +491,18 @@ def test_partitioner_matches_one_pass_reference(
 ):
     # digests of (partition, pure rows, R, labels) recorded while the
     # partitioner still ran its heuristic search on every dense pair
-    part, pure, R, report = heuristic_degree_form_partition(host, delta, L_min, seed=seed)
-    assert list(report.pair_verdicts.items()) == list(
-        reference_labels(host, delta, L_min, seed).items()
-    )
-    dense = [pair for pair, label in report.pair_verdicts.items() if label == "dense"]
+    part, pure, R = heuristic_degree_form_partition(host, delta, L_min, seed=seed)
+    reference = reference_labels(host, delta, L_min, seed)
+    assert _pair_labels(R) == reference
+    dense = [pair for pair, label in reference.items() if label == "dense"]
     assert R == DenseGraph.from_edges(L_min, dense)
-    assert report.L == L_min and len(part.exceptional) == exceptional
-    assert Counter(report.pair_verdicts.values()) == labels
+    assert part.L == L_min and len(part.exceptional) == exceptional
+    assert Counter(reference.values()) == labels
     got = (
         _digest((part.exceptional, part.clusters)),
         _digest(pure.rows),
         _digest(R.rows),
-        _digest(_legacy_labels(report)),
+        _digest(_legacy_labels(R)),
     )
     assert got == digests
 
@@ -516,8 +511,8 @@ def test_partitioner_rejects_more_clusters_than_vertices():
     G = gnp(20, 0.5, 0)
     with pytest.raises(ValueError, match="cannot split 20 vertices into 21 clusters"):
         heuristic_degree_form_partition(G, 0.25, L_min=21)
-    part, _, _, report = heuristic_degree_form_partition(G, 0.25, L_min=20)
-    assert report.m == 1 and not part.exceptional
+    part, _, _ = heuristic_degree_form_partition(G, 0.25, L_min=20)
+    assert len(part.clusters[0]) == 1 and not part.exceptional
 
 
 def test_induced_matches_loop_reference():
@@ -556,14 +551,14 @@ def _reference_partition(G, delta, L_min, seed):
     flat = [v for c in clusters for v in c]
     blocks = G.bit_matrix(flat)[:, flat].reshape(L, m, L, m)
     counts = blocks.sum(axis=(1, 3)).tolist()
-    pair_verdicts = {}
+    labels = {}
     r_edges = []
     for i in range(L):
         for j in range(i + 1, L):
             if counts[i][j] / (m * m) < delta:
-                pair_verdicts[(i, j)] = "sparse"
+                labels[(i, j)] = "sparse"
             else:
-                pair_verdicts[(i, j)] = "dense"
+                labels[(i, j)] = "dense"
                 r_edges.append((i, j))
 
     keep = [[False] * L for _ in range(L)]
@@ -586,7 +581,7 @@ def _reference_partition(G, delta, L_min, seed):
                 row |= G.rows[v] & masks[j]
         pure_rows[v] = row
     R = DenseGraph.from_edges(L, r_edges)
-    return exceptional, clusters, pure_rows, R.rows, pair_verdicts
+    return exceptional, clusters, pure_rows, R.rows, labels
 
 
 @st.composite
@@ -605,7 +600,7 @@ def _partition_cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_partitioner_matches_the_per_cluster_loop(case):
     G, delta, L_min, seed = case
-    part, pure, R, report = heuristic_degree_form_partition(G, delta, L_min, seed=seed)
+    part, pure, R = heuristic_degree_form_partition(G, delta, L_min, seed=seed)
     exceptional, clusters, pure_rows, r_rows, labels = _reference_partition(
         G, delta, L_min, seed
     )
@@ -613,7 +608,7 @@ def test_partitioner_matches_the_per_cluster_loop(case):
     assert part.clusters == tuple(map(tuple, clusters))
     assert pure.rows == tuple(pure_rows)
     assert R.rows == r_rows
-    assert list(report.pair_verdicts.items()) == list(labels.items())
+    assert _pair_labels(R) == labels
     DenseGraph(pure.n, pure.rows)  # symmetric, no loops
     DenseGraph(R.n, R.rows)
 
@@ -621,6 +616,6 @@ def test_partitioner_matches_the_per_cluster_loop(case):
 def test_partitioner_reference_cases_reach_sparse_pairs_and_v0():
     # the example above exercises every branch of the reference loop
     G = gnp(79, 0.5, 3)
-    part, _, _, report = heuristic_degree_form_partition(G, 0.5, 9, seed=1)
+    part, _, R = heuristic_degree_form_partition(G, 0.5, 9, seed=1)
     assert part.exceptional
-    assert Counter(report.pair_verdicts.values()).keys() == {"sparse", "dense"}
+    assert Counter(_pair_labels(R).values()).keys() == {"sparse", "dense"}

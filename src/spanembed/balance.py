@@ -1,77 +1,26 @@
-"""Cycle structures and two-phase cluster rebalancing.
+"""Cluster rebalancing onto exact cell sizes (the lemma for G).
 
-A cycle structure is a spanning partition of V(G) into clusters of one size
-m, indexed by the cells [ell] x [r] of the blown-cycle template, with the
-pair parameters (eps, delta) that decide which vertex moves are valid.  The
-rebalancing of ``lemma_g`` has two phases.  Phase one is arithmetic and
-moves no vertex: every cell, relabelled through ``phi_bijection``, has size
-m.  Phase two meets exact target sizes by augmenting paths: while some cell
-is over-full, one vertex is shifted along each edge of a shortest path of
-valid moves to an under-full cell.  The final partition is rechecked from
-scratch: exact sizes, every moved vertex valid in its new cell, and bounded
-drift from the original clusters.  A refusal is a ``StageFailure`` labelled
-``lemma-g``.
+The clusters of a spanning partition of V(G) sit on the cells (a,b) of the
+blown-cycle template [2ell] x [2r], all of one size m; a row a is one half
+of a block of 4r clusters on the reduced graph's power cycle.  ``lemma_g``
+meets exact target sizes n_{a,b} by augmenting paths: while some cell is
+over-full, one vertex is shifted along each edge of a shortest path of valid
+moves to an under-full cell, where a move into (a,b) is valid when the
+vertex sees enough of every other cell of row a.  The final partition is
+rechecked from scratch: exact sizes, every moved vertex valid in its new
+cell, and bounded drift from the original clusters.  A refusal is a
+``StageFailure`` labelled ``lemma-g``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
-from .graphs import DenseGraph, InvalidParameters, StageFailure, mask_of
+from .graphs import DenseGraph, StageFailure, mask_of
 
 
 Cell = tuple[int, int]
-
-
-# -- the relabelling bijection ------------------------------------------------
-
-
-def phi_bijection(i: int, j: int, r: int, ell: int) -> Cell:
-    """Map cell (i,j) of [ell] x [2r] to [2ell] x [r] lexicographically:
-    (1,1)...(1,r) -> (1,1)...(1,r), (1,r+1)...(1,2r) -> (2,1)...(2,r), etc."""
-    if not (1 <= i <= ell and 1 <= j <= 2 * r):
-        raise InvalidParameters(f"cell ({i},{j}) outside [{ell}]x[{2 * r}]")
-    a = 2 * (i - 1) + math.ceil(j / r)
-    b = (j - 1) % r + 1
-    return a, b
-
-
-def phi_inverse(a: int, b: int, r: int, ell: int) -> Cell:
-    if not (1 <= a <= 2 * ell and 1 <= b <= r):
-        raise InvalidParameters(f"cell ({a},{b}) outside [{2 * ell}]x[{r}]")
-    i = math.ceil(a / 2)
-    j = ((a - 1) % 2) * r + b
-    return i, j
-
-
-# -- cycle structures ---------------------------------------------------
-
-
-@dataclass
-class CycleStructure:
-    """Definition-17 package without an exceptional set: clusters over
-    [ell] x [r] cells that span V(G), and pair parameters."""
-
-    ell: int
-    r: int
-    clusters: dict[Cell, tuple[int, ...]]
-    eps: float
-    delta: float
-
-    def cells(self) -> list[Cell]:
-        return [(i, j) for i in range(1, self.ell + 1) for j in range(1, self.r + 1)]
-
-    def n(self) -> int:
-        return sum(len(c) for c in self.clusters.values())
-
-    def m(self) -> int:
-        sizes = {len(c) for c in self.clusters.values()}
-        return max(sizes) if sizes else 0
-
-
-# -- rebalancing ------------------------------------------------------------
 
 
 def is_valid_move(
@@ -79,36 +28,30 @@ def is_valid_move(
     v: int,
     target: Cell,
     Y: dict[Cell, tuple[int, ...]],
-    r: int,
     delta: float,
     eps: float,
     m: int,
 ) -> bool:
-    """v -> Y_{i,j} is valid when v sees at least (delta-2eps)m vertices of
-    every other same-half cell of the target block."""
-    i, j = target
+    """v -> Y_{a,b} is valid when v sees at least (delta-2eps)m vertices of
+    every other cell of row a."""
     need = (delta - 2 * eps) * m
-    half = range(1, r + 1) if j <= r else range(r + 1, 2 * r + 1)
-    for j2 in half:
-        if j2 == j:
-            continue
-        if G.degree_into(v, mask_of(Y[(i, j2)])) < need:
-            return False
-    return True
+    return all(
+        G.degree_into(v, mask_of(Y[cell])) >= need
+        for cell in Y
+        if cell[0] == target[0] and cell != target
+    )
 
 
 def _reallocate(
     G: DenseGraph,
     Y: dict[Cell, tuple[int, ...]],
     want: dict[Cell, int],
-    ell: int,
-    r: int,
     delta: float,
     eps: float,
     m: int,
 ) -> dict[Cell, set[int]]:
-    """Phase two: starting from W = Y, shift vertices along augmenting paths
-    until every cell c holds exactly want[c] vertices.
+    """Starting from W = Y, shift vertices along augmenting paths until
+    every cell c holds exactly want[c] vertices.
 
     The smallest over-full cell is the source of a breadth-first search over
     cells, with an edge c -> d when a vertex still in its own cell Y_c may
@@ -121,7 +64,7 @@ def _reallocate(
 
     def mover(c: Cell, d: Cell) -> int | None:
         for v in Y[c]:
-            if v in W[c] and is_valid_move(G, v, d, Y, r, delta, eps, m):
+            if v in W[c] and is_valid_move(G, v, d, Y, delta, eps, m):
                 return v
         return None
 
@@ -146,7 +89,7 @@ def _reallocate(
                     sink = d
                     break
         if sink is None:
-            a, b = phi_bijection(*source, r, ell)
+            a, b = source
             raise StageFailure(
                 "lemma-g",
                 f"cell ({a},{b}) left over-full by {len(W[source]) - want[source]}: "
@@ -160,67 +103,48 @@ def _reallocate(
             d = c
 
 
-@dataclass
-class LemmaGResult:
-    m_ab: dict[Cell, int]
-    X: dict[Cell, tuple[int, ...]] | None = None
-
-
 def lemma_g(
     G: DenseGraph,
-    C: CycleStructure,
-    targets: dict[Cell, int] | None = None,
-) -> LemmaGResult:
-    """Two-phase rebalancing of a spanning 2r-cycle structure.
+    clusters: dict[Cell, tuple[int, ...]],
+    targets: dict[Cell, int],
+    eps: float,
+    delta: float,
+) -> dict[Cell, tuple[int, ...]]:
+    """Rebalance spanning clusters of one size m onto exact targets n_{a,b}.
 
-    Phase one moves no vertex: it checks that the structure spans G with
-    clusters of one size m and sizes every cell m_{a,b} = m (relabelled
-    through the bijection).  Given targets n_{a,b}, phase two reallocates
-    the clusters along augmenting paths (``_reallocate``) and returns the
-    partition X with |X_{a,b}| = n_{a,b} exactly, every moved vertex valid
-    in its new cell and every cell within min(eps, sqrt(eps))*m of its
-    original cluster.  Every refusal is a ``StageFailure("lemma-g", ...)``.
+    Checks that the clusters have one size m and span G, reallocates them
+    along augmenting paths (``_reallocate``) and returns the partition X
+    with |X_{a,b}| = n_{a,b} exactly, every moved vertex valid in its new
+    cell and every cell within min(eps, sqrt(eps))*m of its original
+    cluster.  Every refusal is a ``StageFailure("lemma-g", ...)``.
     """
-    ell = C.ell
-    two_r = C.r
-    if two_r % 2 != 0:
-        raise StageFailure(
-            "lemma-g", "structure must sit on an even number of columns"
-        )
-    r = two_r // 2
-    m = C.m()
-    if any(len(c) != m for c in C.clusters.values()):
+    m = max(map(len, clusters.values()), default=0)
+    if any(len(c) != m for c in clusters.values()):
         raise StageFailure("lemma-g", "cells must have equal size m")
-    if C.n() != G.n:
-        raise StageFailure("lemma-g", f"clusters hold {C.n()} != n = {G.n} vertices")
-    m_ab = {phi_bijection(*cell, r, ell): m for cell in C.cells()}
-    result = LemmaGResult(m_ab)
-    if targets is None:
-        return result
-
-    if sum(targets[c] for c in m_ab) != G.n:
-        raise StageFailure("lemma-g", "phase-two targets must sum to n")
-    want = {phi_inverse(*c, r, ell): targets[c] for c in m_ab}
-    Y = {cell: tuple(sorted(cluster)) for cell, cluster in C.clusters.items()}
-    W = _reallocate(G, Y, want, ell, r, C.delta, C.eps, m)
-    # binding checks, recomputed from the final state; phase one moved no
-    # vertex, so the drift from the phase-one cell (at most eps*m) and from
-    # the original cluster (at most sqrt(eps)*m) are the same set
-    max_drift = min(C.eps, math.sqrt(C.eps)) * m
+    held = sum(len(c) for c in clusters.values())
+    if held != G.n:
+        raise StageFailure("lemma-g", f"clusters hold {held} != n = {G.n} vertices")
+    if sum(targets[c] for c in clusters) != G.n:
+        raise StageFailure("lemma-g", "targets must sum to n")
+    Y = {cell: tuple(sorted(cluster)) for cell, cluster in clusters.items()}
+    W = _reallocate(G, Y, targets, delta, eps, m)
+    # binding checks, recomputed from the final state; a cell starts as its
+    # original cluster, so the proof's drift bounds eps*m (from the size-m
+    # cell) and sqrt(eps)*m (from the cluster) measure the same set
+    max_drift = min(eps, math.sqrt(eps)) * m
     X: dict[Cell, tuple[int, ...]] = {}
-    for (a, b), pre in ((c, phi_inverse(*c, r, ell)) for c in m_ab):
-        X[(a, b)] = tuple(sorted(W[pre]))
+    for (a, b), cluster in Y.items():
+        X[(a, b)] = tuple(sorted(W[(a, b)]))
         if len(X[(a, b)]) != targets[(a, b)]:
             raise StageFailure("lemma-g", f"cell ({a},{b}) missed its exact size")
-        drift = set(X[(a, b)]) ^ set(Y[pre])
+        drift = set(X[(a, b)]) ^ set(cluster)
         if len(drift) > max_drift + 1e-9:
             raise StageFailure(
                 "lemma-g",
                 f"cell ({a},{b}) drifted by {len(drift)} > "
                 f"min(eps, sqrt(eps))*m = {max_drift:.1f}"
             )
-        for v in drift - set(Y[pre]):
-            if not is_valid_move(G, v, pre, Y, r, C.delta, C.eps, m):
+        for v in drift - set(cluster):
+            if not is_valid_move(G, v, (a, b), Y, delta, eps, m):
                 raise StageFailure("lemma-g", f"vertex {v} sits invalidly in ({a},{b})")
-    result.X = X
-    return result
+    return X

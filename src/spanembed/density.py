@@ -29,9 +29,9 @@ class DensityParams:
 
     def __post_init__(self):
         if self.rho < 0:
-            raise ValueError("rho must be >= 0")
+            raise InvalidParameters("rho must be >= 0")
         if not 0 < self.d <= 1:
-            raise ValueError("d must lie in (0,1]")
+            raise InvalidParameters("d must lie in (0,1]")
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def is_locally_dense_sampled(
     order is reported.  Any violation reported has been evaluated exactly.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InvalidParameters("trials must be >= 1")
     rng = random.Random(seed)
     n = G.n
     full = G.full_mask()
@@ -221,7 +221,7 @@ def enumerate_extendable_cliques(
     stops after ``cap`` results.
     """
     if r < 1:
-        raise ValueError("r must be >= 1")
+        raise InvalidParameters("r must be >= 1")
     scope = G.full_mask() if within is None else within
     out: list[ExtendableClique] = []
     rows = G.rows
@@ -301,7 +301,7 @@ def find_clique(
     ``node_budget`` DFS nodes.
     """
     if size < 0:
-        raise ValueError("size must be >= 0")
+        raise InvalidParameters("size must be >= 0")
     if size == 0:
         return ()
     scope = G.full_mask() if within is None else within

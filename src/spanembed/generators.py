@@ -16,6 +16,7 @@ from .graphs import (
     DenseGraph,
     InvalidParameters,
     VertexLabelling,
+    bandwidth_of,
     cycle_power,
     folded_labelling,
     identity_labelling,
@@ -175,8 +176,6 @@ class BandwidthedH:
     beta: float
 
     def __post_init__(self):
-        from .graphs import bandwidth_of
-
         if bandwidth_of(self.H, self.order) > self.beta * self.H.n:
             raise InvalidParameters("ordering exceeds the declared bandwidth")
         for u, v in self.H.edges():

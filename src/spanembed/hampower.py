@@ -218,7 +218,6 @@ def absorb(
     G: DenseGraph,
     pabs: AbsorbingPath,
     Z: list[int],
-    eta2_limit: float | None = None,
 ) -> WitnessSequence:
     """Insert each z of Z into a distinct interior block, keeping the path's
     first and last 2r vertices intact; returns the power-r path.
@@ -231,10 +230,6 @@ def absorb(
     pset = set(pabs.path.vertices)
     if set(Z) & pset:
         raise StageFailure("absorb", "Z intersects the absorbing path")
-    if eta2_limit is not None and len(Z) > eta2_limit:
-        raise StageFailure(
-            "cover-too-lossy", f"|Z|={len(Z)} exceeds eta2 budget {eta2_limit:.1f}"
-        )
     t = len(pabs.blocks)
     usable = range(1, t - 1)  # interior blocks only: ends anchor the closure
     candidates: dict[int, list[int]] = {}
@@ -742,7 +737,7 @@ def _thread_and_close(
             "cover-too-lossy",
             f"{len(leftovers)} uncovered vertices exceed eta2*n = {ETA2 * n:.1f}",
         )
-    absorbed = absorb(G, pabs, leftovers, eta2_limit=ETA2 * n)
+    absorbed = absorb(G, pabs, leftovers)
     cycle = WitnessSequence(tuple(absorbed.vertices) + tuple(big), "cycle", r)
     res = validate_witness(G, cycle)
     if not res:

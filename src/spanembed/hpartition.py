@@ -7,8 +7,8 @@ blown-cycle template (a proper 2r-colouring whose colour classes stay within
 that a 2-independent set lands exactly on the exceptional vertices.  Job
 (2) has no caller in the pipeline, which refuses a non-empty exceptional
 set; the benchmark's tracer still names ``build_framework`` and
-``special_assignment``, so they go with its next refresh (ROADMAP,
-"Benchmark refresh").
+``special_assignment``, so they go with its next refresh (ROADMAP item 6,
+"Delete the framework path").
 
 All outputs are checked by independent recounts that share no code with the
 constructions.
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .connect import HypothesisViolation, connect_cliques
 from .density import DensityParams, enumerate_extendable_cliques, find_clique, is_locally_dense_sampled
 from .generators import BandwidthedH
-from .graphs import DenseGraph, StageFailure, WitnessSequence, mask_of, validate_witness
+from .graphs import DenseGraph, StageFailure, WitnessSequence, mask_of, validate_witness, z_rule_edge
 
 
 V0Target = tuple[str, int]  # ("V0", vertex-id in the host)
@@ -51,12 +51,13 @@ def balanced_2r_colouring(Hb: BandwidthedH, r: int | None = None) -> tuple[int, 
 
     ``r`` defaults to the number of colours of ``Hb``.  Slices the bandwidth
     order into width-ceil(beta*n) intervals (beta = ``Hb.beta``), colours odd
-    intervals inside [r] and even ones inside [2r]\\[r], and re-permutes the
-    two colour halves at every step so that the running counts (sorted
-    descending) meet the new interval's counts (sorted ascending).  Only the
-    count vectors are permuted during the sweep; vertices are relabelled once
-    at the end through the composed suffix permutations.  The three promised
-    properties are verified by an independent recount before returning.
+    intervals inside [r] and even ones inside [2r]\\[r], and keeps the colour
+    classes as vertex lists.  The first interval keeps its colours and is not
+    counted; the second is one step and later intervals go in pairs.  Every
+    step reorders the classes of each half by size, largest first, and gives
+    the step's new classes, smallest first, to those positions; ties keep the
+    colour order.  The three promised properties are verified by an
+    independent recount before returning.
     """
     H, order, chi = Hb.H, Hb.order.order, Hb.colouring
     n = H.n
@@ -66,87 +67,24 @@ def balanced_2r_colouring(Hb: BandwidthedH, r: int | None = None) -> tuple[int, 
         raise StageFailure(
             "balanced-colouring", f"colouring uses {max(chi)} colours, template has r={r}"
         )
-    W = interval_width(Hb.beta, n)
-    A = _intervals(order, W)
-    T = len(A)
-
-    # step records: vertices coloured at each step keep their step-local
-    # colour; later steps contribute one half-permutation each
-    step_colour: dict[int, int] = {}
-    step_of: dict[int, int] = {}
-    perms: list[list[int]] = []  # perms[s] applies to everything before step s
-    counts = [0] * (2 * r + 1)  # 1-based colour counts of the running prefix
-
-    def desc_perm(counts_: list[int]) -> list[int]:
-        """old colour -> new colour so that new counts sort descending,
-        separately inside [r] and [2r]\\[r]; ties by colour index."""
-        perm = [0] * (2 * r + 1)
-        for lo, hi in ((1, r), (r + 1, 2 * r)):
-            ranked = sorted(range(lo, hi + 1), key=lambda c: (-counts_[c], c))
-            for newpos, old in enumerate(ranked):
-                perm[old] = lo + newpos
-        return perm
-
-    def asc_perm(counts_: list[int]) -> list[int]:
-        perm = [0] * (2 * r + 1)
-        for lo, hi in ((1, r), (r + 1, 2 * r)):
-            ranked = sorted(range(lo, hi + 1), key=lambda c: (counts_[c], c))
-            for newpos, old in enumerate(ranked):
-                perm[old] = lo + newpos
-        return perm
-
-    def fresh_colour(x: int, t: int) -> int:
-        # odd interval (1-based t) -> [r], even -> [2r] \ [r]
-        return chi[x] if t % 2 == 1 else chi[x] + r
-
-    # interval 2 starts the iteration; A_1 is spliced in unpermuted at the end
-    steps: list[list[int]] = []  # interval indices handled per step
-    if T >= 2:
-        steps.append([1])  # A_2 (0-based index 1)
-    t0 = 2
-    while t0 < T:
-        steps.append([t for t in (t0, t0 + 1) if t < T])
-        t0 += 2
-
-    for s, interval_ids in enumerate(steps):
-        if s == 0:
-            perms.append(list(range(2 * r + 1)))  # nothing before A_2
-        else:
-            sigma1 = desc_perm(counts)
-            perms.append(sigma1)
-            old = counts
-            counts = [0] * (2 * r + 1)
-            for c in range(1, 2 * r + 1):
-                counts[sigma1[c]] += old[c]
-        fresh_counts = [0] * (2 * r + 1)
-        for t in interval_ids:
+    A = _intervals(order, interval_width(Hb.beta, n))
+    halves = (slice(0, r), slice(r, 2 * r))
+    classes: list[list[int]] = [[] for _ in range(2 * r)]
+    for first in range(0, len(A), 2):
+        for half in halves:
+            classes[half] = sorted(classes[half], key=len, reverse=True)
+        fresh: list[list[int]] = [[] for _ in range(2 * r)]
+        for t in range(max(first, 1), min(first + 2, len(A))):
             for x in A[t]:
-                fresh_counts[fresh_colour(x, t + 1)] += 1
-        sigma2 = asc_perm(fresh_counts)
-        for t in interval_ids:
-            for x in A[t]:
-                step_colour[x] = sigma2[fresh_colour(x, t + 1)]
-                step_of[x] = s
-        for c in range(1, 2 * r + 1):
-            counts[sigma2[c]] += fresh_counts[c]
+                fresh[chi[x] - 1 + r * (t % 2)].append(x)
+        for half in halves:
+            for cls, new in zip(classes[half], sorted(fresh[half], key=len)):
+                cls.extend(new)
 
-    # suffix compositions: a vertex coloured at step s is re-permuted by the
-    # sigma1 of every later step
-    S = len(steps)
-    suffix: list[list[int]] = [list(range(2 * r + 1)) for _ in range(S + 1)]
-    for s in range(S - 1, -1, -1):
-        nxt = perms[s + 1] if s + 1 < S else list(range(2 * r + 1))
-        comp = [0] * (2 * r + 1)
-        for c in range(1, 2 * r + 1):
-            comp[c] = suffix[s + 1][nxt[c]]
-        suffix[s] = comp
-
-    colouring = [0] * n
-    for x in A[0]:
-        colouring[x] = chi[x]
-    for x, c in step_colour.items():
-        colouring[x] = suffix[step_of[x]][c]
-
+    colouring = list(chi)
+    for c, cls in enumerate(classes, start=1):
+        for x in cls:
+            colouring[x] = c
     result = tuple(colouring)
     report = check_balanced_colouring(Hb, result, r)
     if report:
@@ -265,8 +203,6 @@ def check_basic_assignment(
     """Independent recount of the four slicing properties plus the template
     homomorphism; empty string = pass.  Shares no code with the constructor.
     """
-    from .graphs import z_rule_edge
-
     beta = Hb.beta
     n = Hb.n
     ell = max(i for i, _ in targets)

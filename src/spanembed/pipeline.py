@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .balance import CycleStructure, lemma_g, phi_inverse
+from .balance import lemma_g
 from .density import DensityParams, is_locally_dense_sampled
 from .embed import blowup_embed, embed_with_targets, brute_force_embed, verify_embedding
 from .generators import BandwidthedH
@@ -186,11 +186,13 @@ def _pipeline(
         return _degenerate_embed(G, Hb, cycle, q, audit)
 
     # -- stage: refine to superregular blocks --------------------------------
+    # the cycle's clusters in runs of 2r are the rows a of the template
+    # cells (a,b) in [2ell] x [2r]; a block of 4r clusters is two rows
     ell = ell_eff
     cell_cluster: dict[tuple[int, int], tuple[int, ...]] = {}
     for idx, rv in enumerate(cycle):
-        i, j = idx // (4 * r) + 1, idx % (4 * r) + 1
-        cell_cluster[(i, j)] = clusters_list[rv]
+        a, b = divmod(idx, 2 * r)
+        cell_cluster[(a + 1, b + 1)] = clusters_list[rv]
     off_cycle = set(range(L)) - set(cycle)
 
     # one refinement over all cells with R = ell disjoint K_{4r}, so that a
@@ -241,22 +243,15 @@ def _pipeline(
         f"{W} vs {EPS * EPS * m / max(L, 1):.4f}",
     )
 
-    # -- stage: lemma for G, phase 1 ----------------------------------------
-    # lemma_g's drift bound eps*m must leave room for moves at desk-scale m:
-    # a cell on an augmenting path drifts by 2, and m = 6 gives eps = 0.9,
-    # a drift of at most 5 per cell.  While m <= 8 this puts the valid-move
-    # threshold (delta/2 - 2*eps)*m below 0, so phase 2 checks no degree
+    # every cell starts at size m; lemma_g moves vertices to the demands of
+    # the assignment below.  Its drift bound eps*m must leave room for moves
+    # at desk-scale m: a cell on an augmenting path drifts by 2, and m = 6
+    # gives eps = 0.9, a drift of at most 5 per cell.  While m <= 8 this puts
+    # the valid-move threshold (delta/2 - 2*eps)*m below 0, so lemma_g checks
+    # no degree
+    m_ab = {cell: m for cell in refined}
     eps_balance = min(0.9, max(REFINE_EPS, 8 / m))
     audit.notes["lemma-g-move-threshold"] = (DELTA / 2 - 2 * eps_balance) * m
-    struct = CycleStructure(
-        ell=ell,
-        r=4 * r,
-        clusters=refined,
-        eps=eps_balance,
-        delta=DELTA / 2,
-    )
-    m_ab = lemma_g(G, struct).m_ab
-    audit.stage("lemma-g-sizes")
 
     # -- stage: basic assignment of H in its bandwidth order ------------------
     order = list(Hb.order.order)
@@ -268,7 +263,7 @@ def _pipeline(
         W / n,
     )
     try:
-        asg = basic_assignment(H_in_order, dict(m_ab))
+        asg = basic_assignment(H_in_order, m_ab)
     except StageFailure as exc:
         raise StageFailure("basic-assignment", str(exc), violated=exc.stage) from exc
     audit.stage("basic-assignment")
@@ -276,15 +271,13 @@ def _pipeline(
     dev = max(abs(n_ab[cellx] - m_ab[cellx]) for cellx in m_ab)
     audit.record("(B2)", dev <= 10 * beta * n + 1e-9, f"max dev {dev} vs {10 * beta * n:.1f}")
 
-    # -- stage: lemma for G, phase 2 ----------------------------------------
+    # -- stage: lemma for G ----------------------------------------------------
     # displayed inequality (K): the proof's iteration budget, an asymptotic
     # display like (beta); the reallocation itself has no budget
     K = sum(abs(n_ab[cell] - m_ab[cell]) for cell in m_ab)
     audit.record("(K)", K <= eps_balance * m / 2, f"{K} vs {eps_balance * m / 2:.1f}")
-    X_cells = lemma_g(G, struct, targets=n_ab).X
-    original = {
-        cell: set(refined[phi_inverse(*cell, 2 * r, ell)]) for cell in X_cells
-    }
+    X_cells = lemma_g(G, refined, n_ab, eps_balance, DELTA / 2)
+    original = {cell: set(refined[cell]) for cell in X_cells}
     audit.notes["lemma-g-moves"] = sum(
         len(set(X_cells[cell]) - original[cell]) for cell in X_cells
     )

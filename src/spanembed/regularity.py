@@ -39,7 +39,7 @@ def pair_density(G: DenseGraph, A: list[int], B: list[int]) -> float:
         raise InvalidParameters("pair density needs nonempty sides")
     am, bm = mask_of(A), mask_of(B)
     if am & bm:
-        raise ValueError("sides must be disjoint")
+        raise InvalidParameters("sides must be disjoint")
     return G.edges_between(am, bm) / (len(A) * len(B))
 
 
@@ -191,12 +191,12 @@ class ClusterPartition:
     def __post_init__(self):
         sizes = {len(c) for c in self.clusters}
         if len(sizes) > 1:
-            raise ValueError(f"clusters must be equal-sized, got sizes {sorted(sizes)}")
+            raise InvalidParameters(f"clusters must be equal-sized, got sizes {sorted(sizes)}")
         seen: set[int] = set()
         for part in (self.exceptional, *self.clusters):
             for v in part:
                 if v in seen:
-                    raise ValueError(f"vertex {v} appears twice in the partition")
+                    raise InvalidParameters(f"vertex {v} appears twice in the partition")
                 seen.add(v)
 
     @property
@@ -231,7 +231,7 @@ def refine_to_superregular(
     """
     m = len(clusters[0])
     if any(len(c) != m for c in clusters):
-        raise ValueError("clusters must be equal-sized")
+        raise InvalidParameters("clusters must be equal-sized")
     L = len(clusters)
     target = math.ceil((1 - math.sqrt(eps)) * m)
     allowed = math.sqrt(eps) * m
@@ -374,11 +374,11 @@ def heuristic_degree_form_partition(
     keep mask).
     """
     if L_min < 1:
-        raise ValueError("L_min must be >= 1")
+        raise InvalidParameters("L_min must be >= 1")
     n, L = G.n, L_min
     m = n // L
     if m == 0:
-        raise ValueError(f"cannot split {n} vertices into {L} clusters")
+        raise InvalidParameters(f"cannot split {n} vertices into {L} clusters")
     rng = random.Random(seed)
     order = list(range(n))
     rng.shuffle(order)

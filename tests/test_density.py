@@ -33,6 +33,22 @@ def brute_locally_dense(G, p):
     return True, None
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda G: DensityParams(-1, 0.3),
+        lambda G: DensityParams(0.05, 0),
+        lambda G: is_locally_dense_sampled(G, DensityParams(0.05, 0.3), trials=0),
+        lambda G: enumerate_extendable_cliques(G, 0),
+        lambda G: find_clique(G, -1),
+    ],
+    ids=["rho", "d", "trials", "clique-order", "clique-size"],
+)
+def test_bad_parameters_raise_invalid_parameters(call):
+    with pytest.raises(InvalidParameters):
+        call(DenseGraph.complete(5))
+
+
 # -- exact local density ------------------------------------------------------
 
 

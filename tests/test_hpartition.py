@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from spanembed.generators import (
     gnp,
     path_power_H,
     random_window_H,
+    tiling_H,
 )
 from spanembed.graphs import DenseGraph, StageFailure, identity_labelling, make_named
 from spanembed.hpartition import (
@@ -74,6 +76,32 @@ def test_colouring_random_window_graphs():
                              num_colours=3, seed=seed)
         col = balanced_2r_colouring(Hb)
         assert check_balanced_colouring(Hb, col) == ""
+
+
+@pytest.mark.parametrize(
+    "guest, r, expected",
+    [
+        (lambda: cycle_power_H(1, 480), None, "1a156b286f544cb6"),
+        (lambda: cycle_power_H(1, 2000, beta=0.005), None, "1057b38b9bc5f013"),
+        (lambda: cycle_power_H(1, 480), 3, "19896f015b82e297"),
+        (lambda: path_power_H(2, 300), None, "92423d12089e0c61"),
+        (lambda: cycle_power_H(2, 576), None, "7c3e5c18766bfcfb"),
+        (lambda: tiling_H(3, 160), None, "8ecfdcfd641f9653"),
+        (lambda: random_window_H(600, 6, 3, 3, seed=1), None, "b1492bf0cff8727a"),
+    ],
+    ids=["C1-480", "C1-2000", "C1-480-r3", "P2-300", "C2-576", "K3tiling-480", "window-600"],
+)
+def test_colouring_output_pinned(guest, r, expected):
+    # the exact colouring, not only its three properties
+    col = balanced_2r_colouring(guest(), r)
+    assert hashlib.sha256(repr(col).encode()).hexdigest()[:16] == expected
+
+
+def test_colouring_short_guest_exact():
+    # one interval keeps chi; two or three intervals alternate the halves
+    assert balanced_2r_colouring(path_power_H(1, 10, beta=1.0)) == (1, 2) * 5
+    assert balanced_2r_colouring(path_power_H(1, 12, beta=0.5)) == (1, 2) * 3 + (3, 4) * 3
+    assert balanced_2r_colouring(path_power_H(1, 12, beta=0.3)) == (1, 2, 1, 2, 3, 4, 3, 4, 1, 2, 1, 2)
 
 
 def test_colouring_prefix_balance_is_tight():

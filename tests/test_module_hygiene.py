@@ -1,6 +1,6 @@
 """Static checks of the package source with the standard library's ``ast``:
-no module imports a name it never uses, and every name that
-``spanembed.__all__`` exports resolves."""
+no module imports a name it never uses, no function imports anything, and
+every name that ``spanembed.__all__`` exports resolves."""
 
 import ast
 from pathlib import Path
@@ -53,6 +53,18 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def function_imports(source: str) -> list[str]:
+    """Import statements inside a function body, with the outermost
+    function that holds each."""
+    found: dict[int, str] = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    found.setdefault(inner.lineno, node.name)
+    return [f"line {line}: {name}" for line, name in sorted(found.items())]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
@@ -67,6 +79,20 @@ def test_unused_import_check_sees_a_leftover():
         "@dataclass\nclass A:\n    pass\n"
     )
     assert unused_imports(source) == ["line 3: field"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_imports_only_at_top_level(path):
+    assert function_imports(path.read_text()) == []
+
+
+def test_function_import_check_sees_a_nested_import():
+    source = (
+        "import math\n"
+        "def f():\n    from os import path\n    return path, math\n"
+        "class A:\n    def g(self):\n        def h():\n            import json\n"
+    )
+    assert function_imports(source) == ["line 3: f", "line 8: g"]
 
 
 def test_every_export_resolves():

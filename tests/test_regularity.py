@@ -19,6 +19,7 @@ from spanembed.generators import (
 from spanembed.graphs import DenseGraph, InvalidParameters, StageFailure, bits, mask_of
 from spanembed.regularity import (
     EXACT_SIDE_THRESHOLD,
+    ClusterPartition,
     RegularityVerdict,
     heuristic_degree_form_partition,
     is_eps_regular,
@@ -65,6 +66,23 @@ def test_pair_density_cycle_example():
 
     G = make_named("C", [1, 6])
     assert pair_density(G, [0, 2], [1, 3]) == pytest.approx(3 / 4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda G: pair_density(G, [0, 1], [1, 2]),
+        lambda G: ClusterPartition((), ((0, 1), (2,))),
+        lambda G: ClusterPartition((0,), ((0, 1), (2, 3))),
+        lambda G: refine_to_superregular(G, [[0, 1], [2]], G, 0.01, 0.25),
+        lambda G: heuristic_degree_form_partition(G, 0.25, L_min=0),
+        lambda G: heuristic_degree_form_partition(G, 0.25, L_min=6),
+    ],
+    ids=["overlap", "unequal-clusters", "vertex-twice", "refine-unequal", "L_min", "too-few"],
+)
+def test_bad_parameters_raise_invalid_parameters(call):
+    with pytest.raises(InvalidParameters):
+        call(DenseGraph.complete(5))
 
 
 def test_pair_density_rejects_empty_or_overlap():

@@ -112,7 +112,8 @@ def lemma_g(
 ) -> dict[Cell, tuple[int, ...]]:
     """Rebalance spanning clusters of one size m onto exact targets n_{a,b}.
 
-    Checks that the clusters have one size m and span G, reallocates them
+    Checks that the clusters have one size m and span G and that the
+    targets name every cell and sum to n, reallocates them
     along augmenting paths (``_reallocate``) and returns the partition X
     with |X_{a,b}| = n_{a,b} exactly, every moved vertex valid in its new
     cell and every cell within min(eps, sqrt(eps))*m of its original
@@ -124,6 +125,9 @@ def lemma_g(
     held = sum(len(c) for c in clusters.values())
     if held != G.n:
         raise StageFailure("lemma-g", f"clusters hold {held} != n = {G.n} vertices")
+    missing = sorted(set(clusters) - set(targets))
+    if missing:
+        raise StageFailure("lemma-g", f"no target for cell {missing[0]}")
     if sum(targets[c] for c in clusters) != G.n:
         raise StageFailure("lemma-g", "targets must sum to n")
     Y = {cell: tuple(sorted(cluster)) for cell, cluster in clusters.items()}

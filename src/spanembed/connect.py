@@ -6,13 +6,13 @@ exact attachment pattern, and find a clique inside a bucket.  It yields
 every bridge it finds, in one fixed order, for a caller that may need more
 than one (the threading search of ``hampower``); ``find_bridging_clique``
 is its first bridge.  Every failure names the proof step that broke.
-``connect_cliques`` wraps the first bridge into the
-full connection: envelope cliques around the endpoints supply fresh
-attachment sets, and the emitted path is revalidated by the caller's
-witness checker.  Everything here is a pure function of its inputs: the
-bridging search breaks ties lexicographically, and ``connect_cliques``
-draws its envelope cliques at random only from ``seed`` (greedy and
-deterministic without one).
+``connect_cliques`` wraps the first bridge into the connecting power
+path, which is all it returns: envelope cliques around the endpoints
+supply fresh attachment sets, and the path is revalidated, with both
+concatenations, by the generic witness validator.  Everything here is a
+pure function of its inputs: the bridging search breaks ties
+lexicographically, and ``connect_cliques`` draws its envelope cliques at
+random only from ``seed`` (greedy and deterministic without one).
 """
 
 from __future__ import annotations
@@ -215,18 +215,6 @@ def _revalidate_bridge(
             raise StageFailure("revalidation", f"bridge: {what}")
 
 
-@dataclass(frozen=True)
-class Connection:
-    """A power-path bridge between two cliques, with provenance."""
-
-    path: WitnessSequence
-    branch_x: str  # which hypothesis held for X: "extendable" | "clique"
-    branch_y: str
-    envelope_x: tuple[int, ...]
-    envelope_y: tuple[int, ...]
-    bridge: Bridge
-
-
 def default_envelope_size(r: int, eta: float) -> int:
     """The proof's attachment-set size ceil(4r/eta)."""
     return math.ceil(4 * r / eta)
@@ -242,19 +230,20 @@ def connect_cliques(
     c: int | None = None,
     w_limit: float | None = None,
     seed: int | str | None = None,
-) -> Connection:
+) -> WitnessSequence:
     """Connect the r-cliques X and Y by a fresh power-r path on 3r vertices.
 
-    The returned x_1..x_{3r} avoids W and both concatenations X·path and
-    path·Y span power-r paths on 4r vertices.  Construction: find a size-c
-    clique inside each endpoint's joint neighbourhood (the envelope; its
-    existence is the "lies in a big clique" hypothesis, extendability is
-    checked first and recorded), then bridge the two envelopes through a
-    common-neighbourhood clique.  ``c`` defaults to the proof's ceil(4r/eta)
-    and may be lowered at desk scale (c >= r always); each envelope search
-    stops after ``ENVELOPE_BUDGET`` nodes.  With ``seed`` the
-    envelope searches draw their candidates at random (still a pure function
-    of inputs and seed); by default they are greedy-deterministic.
+    The returned path x_1..x_{3r} avoids W and both concatenations X·path
+    and path·Y span power-r paths on 4r vertices.  Construction: find a
+    size-c clique inside each endpoint's joint neighbourhood (the envelope;
+    its existence is the "lies in a big clique" hypothesis, and a failed
+    search names which branch, extendable or clique, held), then bridge
+    the two envelopes through a common-neighbourhood clique.  ``c`` defaults
+    to the proof's ceil(4r/eta) and may be lowered at desk scale (c >= r
+    always); each envelope search stops after ``ENVELOPE_BUDGET`` nodes.
+    With ``seed`` the envelope searches draw their candidates at random
+    (still a pure function of inputs and seed); by default they are
+    greedy-deterministic.
     """
     if len(X) != r or len(Y) != r:
         raise HypothesisViolation("endpoint", f"|X|={len(X)}, |Y|={len(Y)}, want {r}")
@@ -273,21 +262,21 @@ def connect_cliques(
     c = max(c, r)
     rng = random.Random(f"connect:{seed}") if seed is not None else None
 
-    def envelope(ends: list[int], avoid: int) -> tuple[tuple[int, ...], str]:
+    def envelope(ends: list[int], avoid: int) -> tuple[int, ...]:
         joint = G.common_neighborhood(ends)
-        branch = "extendable" if joint.bit_count() >= eta * G.n else "clique"
         scope = joint & ~avoid & ~wmask
         got = find_clique(G, c, within=scope, node_budget=ENVELOPE_BUDGET, rng=rng)
         if got is None:
+            branch = "extendable" if joint.bit_count() >= eta * G.n else "clique"
             raise StageFailure(
                 "envelope-not-found",
                 f"no K_{c} in the joint neighbourhood of {sorted(ends)} "
                 f"(branch {branch})",
             )
-        return got, branch
+        return got
 
-    env_x, branch_x = envelope(X, xmask | ymask)
-    env_y, branch_y = envelope(Y, xmask | ymask | mask_of(env_x))
+    env_x = envelope(X, xmask | ymask)
+    env_y = envelope(Y, xmask | ymask | mask_of(env_x))
 
     bridge = find_bridging_clique(
         G,
@@ -302,21 +291,20 @@ def connect_cliques(
         sorted(bridge.Y_prime)
     )
     path = WitnessSequence(seq, "path", r)
-    conn = Connection(path, branch_x, branch_y, env_x, env_y, bridge)
-    _revalidate_connection(G, conn, X, Y, W, r)
-    return conn
+    _revalidate_connection(G, path, X, Y, W, r)
+    return path
 
 
 def _revalidate_connection(
-    G: DenseGraph, conn: Connection, X: list[int], Y: list[int], W: list[int], r: int
+    G: DenseGraph, path: WitnessSequence, X: list[int], Y: list[int], W: list[int], r: int
 ) -> None:
-    seq = conn.path.vertices
+    seq = path.vertices
     if len(seq) != 3 * r or len(set(seq)) != 3 * r:
         raise StageFailure("revalidation", f"connection is not {3 * r} distinct vertices")
     if set(seq) & (set(W) | set(X) | set(Y)):
         raise StageFailure("revalidation", "connection meets W, X or Y")
     for what, w in (
-        ("bridge path", conn.path),
+        ("bridge path", path),
         ("X-concatenation", WitnessSequence(tuple(sorted(X)) + seq, "path", r)),
         ("Y-concatenation", WitnessSequence(seq + tuple(sorted(Y)), "path", r)),
     ):

@@ -16,17 +16,15 @@ import random
 from dataclasses import dataclass, field
 
 from .connect import Bridge, HypothesisViolation, bridging_cliques, connect_cliques
-from .density import DensityParams, find_clique, is_locally_dense_sampled
+from .density import find_clique
 from .graphs import (
     DenseGraph, InvalidParameters, StageFailure, WitnessSequence, bits, mask_of, validate_witness
 )
 
 # Desk-scale constants.  The paper picks them from right to left
-# (rho << d << eta, eta2 << eta0); at a few hundred vertices no such
-# separation holds, and these values are the ones the greedy constructions
-# are feasible at.
-ETA = 0.2  # degree slack: advisory delta(G) >= (1/2 + ETA)n; reservoir, bridges ETA/2
-RHO, D = 0.02, 0.4  # the advisory (rho, d)-local-density check
+# (eta2 << eta0); at a few hundred vertices no such separation holds, and
+# these values are the ones the greedy constructions are feasible at.
+ETA = 0.2  # the reservoir draw and the threading bridges get degree slack ETA/2
 ETA0 = 0.8  # the absorber has at most ETA0*n/(8r) blocks
 D1 = 0.3  # absorbing-path connectors need d(x, U) >= (1/2 + D1)|U|
 ETA2 = 0.1  # the absorbing path swallows at most ETA2*n leftover vertices
@@ -37,12 +35,11 @@ COVER_BACKOFFS = 6  # pop-and-retry steps of one cover path
 
 @dataclass(frozen=True)
 class AbsorberSystem:
-    """Disjoint K_{2r} blocks plus, per vertex, the blocks inside its
-    neighbourhood."""
+    """Vertex-disjoint K_{2r} blocks.  A vertex z can be absorbed by a block
+    inside its neighbourhood; ``absorb`` tests that per block itself."""
 
     r: int
     blocks: tuple[tuple[int, ...], ...]
-    coverage: dict[int, tuple[int, ...]]
 
     def revalidate(self, G: DenseGraph) -> None:
         used: set[int] = set()
@@ -50,14 +47,6 @@ class AbsorberSystem:
             if len(block) != 2 * self.r or not G.is_clique(block) or used & set(block):
                 raise StageFailure("revalidation", f"absorber block {block} is not a fresh K_2r")
             used |= set(block)
-        # a block never covers its own vertices: they passed is_clique, so
-        # their rows hold no loop
-        block_masks = [sum(1 << w for w in block) for block in self.blocks]
-        for v in range(G.n):
-            row = G.rows[v]
-            expect = tuple(i for i, bm in enumerate(block_masks) if row & bm == bm)
-            if self.coverage.get(v, ()) != expect:
-                raise StageFailure("revalidation", f"absorber coverage wrong at {v}")
 
 
 @dataclass(frozen=True)
@@ -104,9 +93,8 @@ def build_absorber(
         max_blocks = max(1, int(ETA0 * G.n / (8 * r)))
     rng = random.Random(f"absorber:{seed}") if seed is not None else None
     blocks: list[tuple[int, ...]] = []
-    covers: list[int] = []  # N(B) per block B
     used = 0
-    coverage = [0] * G.n
+    coverage = [0] * G.n  # blocks inside each vertex's neighbourhood
     while len(blocks) < max_blocks:
         worst = min(range(G.n), key=coverage.__getitem__)
         if coverage[worst] >= coverage_target:
@@ -124,15 +112,9 @@ def build_absorber(
         blocks.append(got)
         used |= mask_of(got)
         # v is covered by a block B iff v lies in N(B), which excludes B itself
-        covers.append(G.common_neighborhood(got))
-        for v in bits(covers[-1]):
+        for v in bits(G.common_neighborhood(got)):
             coverage[v] += 1
-    covering: list[list[int]] = [[] for _ in range(G.n)]
-    for i, cover in enumerate(covers):
-        for v in bits(cover):
-            covering[v].append(i)
-    cov_map = {v: tuple(covering[v]) for v in range(G.n)}
-    system = AbsorberSystem(r, tuple(blocks), cov_map)
+    system = AbsorberSystem(r, tuple(blocks))
     system.revalidate(G)
     return system
 
@@ -171,10 +153,10 @@ def build_absorbing_path(
             raise StageFailure(
                 "connector", f"absorbing path, block pair ({i},{i + 1}): {exc}"
             ) from exc
-        sequence.extend(conn.path.vertices)
+        sequence.extend(conn.vertices)
         starts.append(len(sequence))
         sequence.extend(blocks[i + 1])
-        avoid |= set(conn.path.vertices)
+        avoid |= set(conn.vertices)
     path = WitnessSequence(tuple(sequence), "path", 2 * r)
     res = validate_witness(G, path)
     if not res:
@@ -518,9 +500,10 @@ class HamPlan:
 
 @dataclass
 class HamAudit:
-    """Per-stage records for one find_hamilton_power call."""
+    """Records of one find_hamilton_power call: its plan, the attempts made,
+    the stages some attempt completed, and each failed attempt's stage and
+    detail."""
 
-    prechecks: dict[str, bool] = field(default_factory=dict)
     attempts: int = 0
     stages: list[str] = field(default_factory=list)
     failures: list[tuple[str, str]] = field(default_factory=list)
@@ -550,48 +533,22 @@ def _reorder_ends(
 def find_hamilton_power(
     G: DenseGraph,
     r: int,
-    n_target: int | None = None,
     seed: int = 0,
     audit: HamAudit | None = None,
 ) -> WitnessSequence:
-    """Find the r-th power of a cycle covering exactly n_target vertices.
+    """Find the r-th power of a Hamilton cycle of G.
 
     Runs the full connecting-absorbing pipeline; stochastic stages (reservoir
     draw, cover randomisation) are retried with derived seeds, ``ATTEMPTS``
-    times at most.  The returned witness is always validated; on exhaustion
-    the last stage-labelled failure is re-raised.  A power r < 1 raises
-    ``InvalidParameters``.
+    times at most.  No degree or density hypothesis on G is prechecked: the
+    returned witness is validated, and on exhaustion the last stage-labelled
+    failure is re-raised.  A power r < 1 raises ``InvalidParameters``.
     """
     if r < 1:
         raise InvalidParameters(f"power r={r} must be >= 1")
     audit = audit if audit is not None else HamAudit()
-    n = G.n
-    if n_target is None:
-        n_target = n
-    if not 1 <= n_target <= n:
-        raise StageFailure("precheck", f"n_target={n_target} outside [1, {n}]")
-
-    if n_target < n:
-        keep = sorted(
-            sorted(range(n), key=lambda v: (-G.degree(v), v))[:n_target]
-        )
-        sub, ids = G.induced(keep)
-        witness = find_hamilton_power(sub, r, seed=seed, audit=audit)
-        mapped = tuple(ids[v] for v in witness.vertices)
-        out = WitnessSequence(mapped, "cycle", r)
-        _check_cycle(G, out, n_target)
-        return out
-
-    # a host too small for the plan refuses before the prechecks, whose
-    # verdicts nothing would read
-    plan = HamPlan.derive(n, r)
+    plan = HamPlan.derive(G.n, r)
     audit.plan = plan
-
-    # advisory prechecks (recorded; the construction is its own certificate)
-    audit.prechecks["locally-dense-sampled"] = bool(
-        is_locally_dense_sampled(G, DensityParams(RHO, D), trials=200, seed=seed)
-    )
-    audit.prechecks["min-degree"] = G.min_degree() >= (0.5 + ETA) * n
 
     # Everything is rebuilt per attempt under a derived seed: the clique
     # searches draw each candidate uniformly from the untried ones, so that
@@ -607,19 +564,19 @@ def find_hamilton_power(
             audit.failures.append((exc.stage, exc.detail))
             last_failure = exc
             continue
-        _check_cycle(G, witness, n)
+        _check_cycle(G, witness)
         return witness
     raise last_failure
 
 
-def _check_cycle(G: DenseGraph, witness: WitnessSequence, n_target: int) -> None:
-    """The returned certificate: a valid power cycle on exactly n_target vertices."""
+def _check_cycle(G: DenseGraph, witness: WitnessSequence) -> None:
+    """The returned certificate: a valid power cycle through all of G."""
     res = validate_witness(G, witness)
     if not res:
         raise StageFailure("revalidation", f"final cycle invalid: {res.reason}")
-    if len(witness.vertices) != n_target:
+    if len(witness.vertices) != G.n:
         raise StageFailure(
-            "revalidation", f"final cycle has {len(witness.vertices)} != {n_target} vertices"
+            "revalidation", f"final cycle has {len(witness.vertices)} != {G.n} vertices"
         )
 
 

@@ -382,8 +382,8 @@ def build_framework(
             )
         except StageFailure as exc:
             raise StageFailure("framework", f"connector {k}: {exc}") from exc
-        sequence.extend(conn.path.vertices)
-        bump(conn.path.vertices)
+        sequence.extend(conn.vertices)
+        bump(conn.vertices)
     sequence.extend(b)
     bump(b)
 

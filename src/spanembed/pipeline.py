@@ -16,7 +16,7 @@ before being reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .balance import lemma_g
 from .density import DensityParams, is_locally_dense_sampled
@@ -28,7 +28,6 @@ from .graphs import (
     WitnessSequence,
     bandwidth_of,
     cycle_power,
-    identity_labelling,
     validate_witness,
 )
 from .hampower import find_hamilton_power
@@ -127,14 +126,11 @@ def _pipeline(
     # -- stage: partition -----------------------------------------------------
     ell = max(2, n // (4 * r * MIN_CLUSTER))
     L_target = 4 * r * ell  # ell >= 2 blocks of 4r clusters
-    degenerate = L_target > n or n // L_target < MIN_CLUSTER
+    degenerate = n // L_target < MIN_CLUSTER
     if degenerate:
         # singleton clusters: the reduced graph is the host itself
         audit.notes["partition"] = "degenerate-singleton"
         reduced = G
-        clusters_list = [(v,) for v in range(n)]
-        exceptional: tuple[int, ...] = ()
-        pure = G
         audit.stage("partition")
     else:
         partition, pure, reduced = heuristic_degree_form_partition(
@@ -166,34 +162,22 @@ def _pipeline(
         q + 1 <= r_star_formula,
         f"using r*={q + 1}, formula gives {r_star_formula:.0f}",
     )
-    ell_eff = L // (4 * r)
-    if degenerate:
-        n_cycle = L  # singleton clusters: span the whole host directly
-    elif ell_eff < 2:
-        raise StageFailure(
-            "hamilton-power",
-            f"reduced graph has {L} < {8 * r} vertices",
-            violated="hamilton-power",
-        )
-    else:
-        n_cycle = 4 * r * ell_eff
-    cycle = _reduced_power_cycle(reduced, q, n_cycle, seed, audit)
+    cycle = _reduced_power_cycle(reduced, q, seed, audit)
     audit.stage("hamilton-power")
 
     if degenerate:
         # at singleton scale the cycle itself is the final object only when
         # H is a subgraph of the power cycle; continue with a direct embed
-        return _degenerate_embed(G, Hb, cycle, q, audit)
+        return _degenerate_embed(G, Hb, cycle, audit)
 
     # -- stage: refine to superregular blocks --------------------------------
-    # the cycle's clusters in runs of 2r are the rows a of the template
-    # cells (a,b) in [2ell] x [2r]; a block of 4r clusters is two rows
-    ell = ell_eff
+    # R has exactly L_target clusters and its power cycle spans R; the
+    # cycle's clusters in runs of 2r are the rows a of the template cells
+    # (a,b) in [2ell] x [2r]; a block of 4r clusters is two rows
     cell_cluster: dict[tuple[int, int], tuple[int, ...]] = {}
     for idx, rv in enumerate(cycle):
         a, b = divmod(idx, 2 * r)
         cell_cluster[(a + 1, b + 1)] = clusters_list[rv]
-    off_cycle = set(range(L)) - set(cycle)
 
     # one refinement over all cells with R = ell disjoint K_{4r}, so that a
     # failing vertex may be swapped into another block
@@ -227,12 +211,10 @@ def _pipeline(
     # no measured run has embedded through it (ROADMAP, "Equitable clusters
     # end to end"), so V0 must be empty here
     if V0:
-        off = len(off_cycle) * len(clusters_list[0])
         raise StageFailure(
             "exceptional",
             f"|V0| = {V0}: {len(exceptional)} from the n mod L remainder, "
-            f"{off} from {len(off_cycle)} clusters off the power cycle, "
-            f"{V0 - len(exceptional) - off} dropped by refine",
+            f"{V0 - len(exceptional)} dropped by refine",
             violated="exceptional",
         )
 
@@ -254,16 +236,10 @@ def _pipeline(
     audit.notes["lemma-g-move-threshold"] = (DELTA / 2 - 2 * eps_balance) * m
 
     # -- stage: basic assignment of H in its bandwidth order ------------------
-    order = list(Hb.order.order)
-    H_in_order_graph, _ = Hb.H.induced(order)
-    H_in_order = BandwidthedH(
-        H_in_order_graph,
-        identity_labelling(n),
-        tuple(Hb.colouring[v] for v in order),
-        W / n,
-    )
+    # the assignment slices H into intervals of the whole width W, so its
+    # checker's bounds in beta*n must read W too: beta is rounded up to W/n
     try:
-        asg = basic_assignment(H_in_order, m_ab)
+        asg = basic_assignment(replace(Hb, beta=W / n), m_ab)
     except StageFailure as exc:
         raise StageFailure("basic-assignment", str(exc), violated=exc.stage) from exc
     audit.stage("basic-assignment")
@@ -290,8 +266,8 @@ def _pipeline(
     audit.stage("lemma-g-partition")
 
     # -- guide psi: the assignment's cell for every vertex of H ---------------
-    psi = {orig: asg.f[local] for local, orig in enumerate(order)}
-    X_prime = [order[x] for x in sorted(asg.B)]
+    psi = asg.f
+    X_prime = sorted(asg.B, key=Hb.order.positions().__getitem__)
     X_set = set(X_prime)
     N_boundary = sorted(
         {y for x in X_prime for y in Hb.H.neighbors(x) if y not in X_set}
@@ -401,40 +377,40 @@ def _pipeline(
 def _reduced_power_cycle(
     reduced: DenseGraph,
     q: int,
-    n_cycle: int,
     seed: int,
     audit: PipelineAudit,
 ) -> list[int]:
-    """Spanning power-q cycle on n_cycle reduced vertices: the absorbing
-    pipeline when it fits, otherwise the exact oracle as a fallback."""
-    q_eff = min(q, (n_cycle - 1) // 2)
+    """A power cycle through every vertex of the reduced graph, of power q
+    capped at (n - 1) // 2: the connecting-absorbing construction when it
+    succeeds, otherwise the exact oracle as a fallback."""
+    n = reduced.n
+    q_eff = min(q, (n - 1) // 2)
     if q_eff < 1:
         audit.notes["hamilton-power"] = "refused: fewer than 3 vertices"
         raise StageFailure(
-            "hamilton-power", f"no power cycle on {n_cycle} < 3 vertices", violated="hamilton-power"
+            "hamilton-power", f"no power cycle on {n} < 3 vertices", violated="hamilton-power"
         )
     # every vertex of a q_eff-th power of a cycle has 2*q_eff neighbours on
-    # it, so when the cycle must span R a vertex of smaller degree refuses
-    # both routes at once
-    if n_cycle == reduced.n and reduced.min_degree() < 2 * q_eff:
+    # it, so a vertex of R of smaller degree refuses both routes at once
+    if reduced.min_degree() < 2 * q_eff:
         audit.notes["hamilton-power"] = "refused: δ(R) < 2q"
         raise StageFailure(
             "hamilton-power",
             f"δ(R) = {reduced.min_degree()} < 2q = {2 * q_eff}: no spanning "
-            f"power-{q_eff} cycle on {n_cycle} vertices",
+            f"power-{q_eff} cycle on {n} vertices",
             violated="hamilton-power",
         )
     try:
-        w = find_hamilton_power(reduced, q, n_target=n_cycle, seed=seed)
+        w = find_hamilton_power(reduced, q, seed=seed)
         audit.notes["hamilton-power"] = "connecting-absorbing"
         return list(w.vertices)
     except StageFailure as exc:
         audit.notes["hamilton-power"] = f"pipeline failed ({exc.stage}); oracle fallback"
         first_failure = exc
-    template = cycle_power(q_eff, n_cycle)
+    template = cycle_power(q_eff, n)
     res = brute_force_embed(template, reduced, budget=ORACLE_BUDGET)
     if res.status == "embedded":
-        order = [res.mapping[k] for k in range(n_cycle)]
+        order = [res.mapping[k] for k in range(n)]
         check = validate_witness(
             reduced, WitnessSequence(tuple(order), "cycle", q_eff)
         )
@@ -457,24 +433,13 @@ def _degenerate_embed(
     G: DenseGraph,
     Hb: BandwidthedH,
     cycle: list[int],
-    q: int,
     audit: PipelineAudit,
 ) -> dict[int, int]:
-    """Singleton-cluster fallback: embed H along the power cycle directly."""
-    n = G.n
-    if len(cycle) < n:
-        raise StageFailure(
-            "hamilton-power",
-            f"cycle covers {len(cycle)} < {n} vertices",
-            violated="hamilton-power",
-        )
+    """Singleton-cluster fallback: embed H along the spanning power cycle
+    directly, H's k-th vertex in bandwidth order onto the cycle's k-th; the
+    embedding check is the only guard."""
     order = Hb.order.order
-    bw = bandwidth_of(Hb.H, Hb.order)
-    if bw > q:
-        raise StageFailure(
-            "blow-up", f"bandwidth {bw} exceeds the cycle power {q}", violated="blow-up"
-        )
-    mapping = {order[k]: cycle[k] for k in range(n)}
+    mapping = {order[k]: cycle[k] for k in range(G.n)}
     problem = verify_embedding(Hb.H, G, mapping)
     if problem:
         raise StageFailure("assembly", f"revalidation failed: {problem}", violated="assembly")

@@ -208,6 +208,14 @@ def test_lemma_g_rejects_targets_that_lose_vertices():
         lemma_g(G, Y, targets, eps=0.2, delta=0.4)
 
 
+def test_lemma_g_refuses_targets_that_miss_a_cell():
+    # a missing target used to escape as a bare KeyError
+    G = DenseGraph.complete(8)
+    with pytest.raises(StageFailure) as exc:
+        lemma_g(G, {(1, 1): (0, 1, 2, 3), (1, 2): (4, 5, 6, 7)}, {(1, 1): 8}, 0.2, 0.4)
+    assert (exc.value.stage, exc.value.detail) == ("lemma-g", "no target for cell (1, 2)")
+
+
 def test_lemma_g_requires_spanning():
     # one host vertex outside every cluster
     _, Y = complete_host_structure(4, 2, 10)

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from spanembed import connect
 from spanembed.connect import (
-    Bridge,
-    Connection,
     HypothesisViolation,
     bridging_cliques,
     connect_cliques,
@@ -197,10 +195,10 @@ def test_bridging_cliques_end_with_the_failure_label():
 # -- connect_cliques -----------------------------------------------------
 
 
-def check_connection(G, conn, X, Y, r, W):
-    seq = conn.path.vertices
+def check_connection(G, path, X, Y, r, W):
+    seq = path.vertices
     assert len(seq) == 3 * r
-    assert validate_witness(G, conn.path)
+    assert validate_witness(G, path)
     assert validate_witness(
         G, WitnessSequence(tuple(sorted(X)) + seq, "path", r)
     )
@@ -214,8 +212,8 @@ def check_connection(G, conn, X, Y, r, W):
 def test_connect_complete_host():
     G = DenseGraph.complete(80)
     X, Y = [0, 1], [2, 3]
-    conn = connect_cliques(G, X, Y, [], r=2, eta=0.4, c=4)
-    check_connection(G, conn, X, Y, 2, [])
+    path = connect_cliques(G, X, Y, [], r=2, eta=0.4, c=4)
+    check_connection(G, path, X, Y, 2, [])
 
 
 def test_connect_two_lobes_through_core():
@@ -223,12 +221,12 @@ def test_connect_two_lobes_through_core():
     n = G.n
     X = [0, 1]          # deep in the left lobe
     Y = [n - 1, n - 2]  # deep in the right lobe
-    conn = connect_cliques(G, X, Y, [], r=2, eta=0.1, c=3)
-    check_connection(G, conn, X, Y, 2, [])
+    path = connect_cliques(G, X, Y, [], r=2, eta=0.1, c=3)
+    check_connection(G, path, X, Y, 2, [])
     # any left-to-right connection must route through the shared core:
     # only core vertices are adjacent to both lobes
     core = set(range(20, 40))
-    assert set(conn.path.vertices) & core
+    assert set(path.vertices) & core
 
 
 def test_connect_random_dense_with_avoid_set():
@@ -243,8 +241,8 @@ def test_connect_random_dense_with_avoid_set():
         enumerate_extendable_cliques(G, 3, s=int(0.2 * G.n), cap=1, within=upper)[0].vertices
     )
     W = [v for v in rng.sample(range(G.n), 30) if v not in X + Y][:9]
-    conn = connect_cliques(G, X, Y, W, r=3, eta=0.25, c=4)
-    check_connection(G, conn, X, Y, 3, W)
+    path = connect_cliques(G, X, Y, W, r=3, eta=0.25, c=4)
+    check_connection(G, path, X, Y, 3, W)
 
 
 def test_connect_deterministic():
@@ -257,9 +255,7 @@ def test_connect_deterministic():
     Y = list(
         enumerate_extendable_cliques(G, 2, s=int(0.2 * G.n), cap=1, within=upper)[0].vertices
     )
-    c1 = connect_cliques(G, X, Y, [], 2, 0.1, c=4)
-    c2 = connect_cliques(G, X, Y, [], 2, 0.1, c=4)
-    assert c1.path == c2.path
+    assert connect_cliques(G, X, Y, [], 2, 0.1, c=4) == connect_cliques(G, X, Y, [], 2, 0.1, c=4)
 
 
 def test_connect_rejects_oversized_w():
@@ -268,12 +264,15 @@ def test_connect_rejects_oversized_w():
         connect_cliques(G, [0, 1], [2, 3], list(range(4, 20)), 2, 0.5, c=3)
 
 
+def star_host(n=30):
+    """X = {0, 1} sees every other vertex, and the only other edge is 23."""
+    edges = [(0, v) for v in range(2, n)] + [(1, v) for v in range(2, n)] + [(0, 1)]
+    return DenseGraph.from_edges(n, edges + [(2, 3)])
+
+
 def test_connect_envelope_failure_on_sparse_host():
     # star-ish host: X extendable but its neighbourhood is an independent set
-    n = 30
-    edges = [(0, v) for v in range(2, n)] + [(1, v) for v in range(2, n)] + [(0, 1)]
-    edges += [(2, 3)]
-    G = DenseGraph.from_edges(n, edges)
+    G = star_host()
     with pytest.raises(StageFailure) as exc:
         connect_cliques(G, [0, 1], [2, 3], [], 2, 0.2, c=3)
     assert exc.value.stage in ("envelope-not-found", "no-clique-in-bucket")
@@ -290,10 +289,17 @@ def test_connect_raises_when_its_path_fails_revalidation(monkeypatch):
 
 
 def test_connect_records_branch():
-    G = DenseGraph.complete(80)
-    conn = connect_cliques(G, [0, 1], [2, 3], [], 2, 0.4, c=4)
-    assert conn.branch_x == "extendable"
-    assert conn.branch_y == "extendable"
+    # a failed envelope search names the hypothesis that held for its ends:
+    # a joint neighbourhood of >= eta*n vertices ("extendable") or not
+    # ("clique"); here X's has 28 of 30 and 4 of 40 vertices
+    small = DenseGraph.from_edges(40, list(itertools.combinations(range(6), 2)))
+    for G, branch in ((star_host(), "extendable"), (small, "clique")):
+        with pytest.raises(StageFailure) as exc:
+            connect_cliques(G, [0, 1], [2, 3], [], 2, 0.2, c=3)
+        assert (exc.value.stage, exc.value.detail) == (
+            "envelope-not-found",
+            f"no K_3 in the joint neighbourhood of [0, 1] (branch {branch})",
+        )
 
 
 def test_default_envelope_size_formula():

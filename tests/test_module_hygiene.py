@@ -1,6 +1,7 @@
 """Static checks of the package source with the standard library's ``ast``:
-no module imports a name it never uses, no function imports anything, and
-every name that ``spanembed.__all__`` exports resolves."""
+no module imports a name it never uses, no function imports anything, every
+module-level constant is read somewhere in the package, and every name that
+``spanembed.__all__`` exports resolves."""
 
 import ast
 from pathlib import Path
@@ -93,6 +94,59 @@ def test_function_import_check_sees_a_nested_import():
         "class A:\n    def g(self):\n        def h():\n            import json\n"
     )
     assert function_imports(source) == ["line 3: f", "line 8: g"]
+
+
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """``module.NAME`` for every UPPER_CASE name assigned at the top level of
+    a module of ``sources`` (module name -> source) and read nowhere in them.
+
+    A constant of module ``m`` is read when ``m`` loads it, when a module
+    imports it from ``m`` (the unused-import check makes sure that import is
+    read), or when a module reads it as the attribute ``m.NAME``.  A name
+    that another module assigns and reads does not count.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read: set[tuple[str, str]] = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add((module, node.id))
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                origin = node.module.rsplit(".", 1)[-1]
+                read.update((origin, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                read.add((node.value.id, node.attr))
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if (
+                        isinstance(name, ast.Name)
+                        and name.id.isupper()
+                        and (module, name.id) not in read
+                    ):
+                        unread.append(f"{module}.{name.id}")
+    return unread
+
+
+def test_every_module_constant_is_read():
+    assert unread_constants({path.stem: path.read_text() for path in MODULES}) == []
+
+
+def test_unread_constant_check_sees_a_leftover():
+    sources = {
+        "hampower": "RHO, D = 0.02, 0.4\nETA = 0.2\nslack = ETA / 2\n",
+        "pipeline": "from .hampower import ETA\nRHO, D = 0.05, 0.3\nprint(RHO, D, ETA)\n",
+        "tracer": "import hampower\nprint(hampower.ETA)\n",
+    }
+    assert unread_constants(sources) == ["hampower.RHO", "hampower.D"]
 
 
 def test_every_export_resolves():

@@ -16,6 +16,7 @@ from spanembed.generators import (
     cycle_power_H,
     gnp,
     path_power_H,
+    random_window_H,
     tiling_H,
     two_cliques,
 )
@@ -74,8 +75,7 @@ def test_own_refusal_keeps_its_displayed_inequality():
     assert res.failure_stage == "exceptional"
     assert res.violated_display == "exceptional"
     assert res.failure_detail == (
-        "|V0| = 16: 16 from the n mod L remainder, "
-        "0 from 0 clusters off the power cycle, 0 dropped by refine"
+        "|V0| = 16: 16 from the n mod L remainder, 0 dropped by refine"
     )
 
 
@@ -90,10 +90,7 @@ def test_lemma_g_refusal_is_labelled_lemma_g(monkeypatch):
     assert res.failure_detail == "iteration budget exceeded"
 
 
-V0_TAIL = (
-    "from the n mod L remainder, 0 from 0 clusters off the power cycle, "
-    "0 dropped by refine"
-)
+V0_TAIL = "from the n mod L remainder, 0 dropped by refine"
 
 
 @pytest.mark.parametrize(
@@ -101,6 +98,13 @@ V0_TAIL = (
     [
         (lambda: gnp(480, 0.97, 4), lambda: cycle_power_H(1, 480), "86abe1d47e9e175a"),
         (lambda: gnp(480, 0.97, 4), lambda: path_power_H(1, 480), "bbb2f613ba934c23"),
+        # 3-colour guests, on which lemma_g moves 32 and 37 vertices
+        (lambda: gnp(576, 0.97, 4), lambda: cycle_power_H(2, 576), "5a0fb342a0d12a72"),
+        (
+            lambda: gnp(576, 0.97, 4),
+            lambda: random_window_H(576, 4, 3, 3),
+            "865e8d63fc128f3b",
+        ),
         (
             lambda: gnp(400, 0.97, 4),
             lambda: cycle_power_H(1, 400),
@@ -121,7 +125,15 @@ V0_TAIL = (
             ),
         ),
     ],
-    ids=["gnp480-C1", "gnp480-P1", "gnp400-C1", "gnp480-K3tiling", "extremal3x480-K3tiling"],
+    ids=[
+        "gnp480-C1",
+        "gnp480-P1",
+        "gnp576-C2",
+        "gnp576-window",
+        "gnp400-C1",
+        "gnp480-K3tiling",
+        "extremal3x480-K3tiling",
+    ],
 )
 def test_pipeline_outputs_pinned(host, guest, expected):
     # the benchmark's pipeline templates at seed 4: a digest of the mapping
@@ -132,6 +144,18 @@ def test_pipeline_outputs_pinned(host, guest, expected):
     else:
         got = (res.failure_stage, res.violated_display, res.failure_detail)
     assert got == expected
+
+
+def test_a_fractional_beta_is_read_as_the_whole_interval_width():
+    # beta*n = 2.16 slices H into width-3 intervals; the assignment's
+    # checker must bound |B| by 2*ell*3, not 2*ell*2.16, or this embeddable
+    # run refuses at basic-assignment
+    res = pipeline.run_main_pipeline(
+        gnp(480, 0.97, 4), cycle_power_H(1, 480, beta=0.0045), seed=4
+    )
+    assert res, (res.failure_stage, res.failure_detail)
+    got = hashlib.sha256(repr(sorted(res.mapping.items())).encode()).hexdigest()[:16]
+    assert got == "1d7f7630421a8d3b"
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -176,6 +200,22 @@ def test_singleton_path_embeds_with_the_guest_bandwidth(G, Hb):
     assert res.audit.notes["partition"] == "degenerate-singleton"
     assert res, (res.failure_stage, res.failure_detail)
     assert verify_embedding(Hb.H, G, res.mapping) == ""
+
+
+def test_singleton_path_refuses_an_order_that_does_not_carry_h(monkeypatch):
+    # the embedding check is the singleton path's only guard: a spanning
+    # order whose first two vertices are not adjacent cannot carry the
+    # cycle edge between H's first two vertices in bandwidth order
+    G, Hb = gnp(60, 0.95, 1), cycle_power_H(1, 60)
+    u, v = next((u, v) for u in range(G.n) for v in range(G.n) if u != v and not G.has_edge(u, v))
+    order = [u, v] + [w for w in range(G.n) if w not in (u, v)]
+    monkeypatch.setattr(pipeline, "_reduced_power_cycle", lambda *args: order)
+    res = pipeline.run_main_pipeline(G, Hb, seed=1)
+    assert res.audit.notes["partition"] == "degenerate-singleton"
+    assert res.mapping is None
+    assert (res.failure_stage, res.violated_display) == ("assembly", "assembly")
+    assert res.failure_detail == "revalidation failed: edge (0,1) maps to a non-edge"
+    assert "assembly" not in res.audit.stages
 
 
 MATRIX_GUESTS = {

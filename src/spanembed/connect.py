@@ -12,22 +12,17 @@ supply fresh attachment sets, and the path is revalidated, with both
 concatenations, by the generic witness validator.  Everything here is a
 pure function of its inputs: the bridging search breaks ties
 lexicographically, and ``connect_cliques`` draws its envelope cliques at
-random only from ``seed`` (greedy and deterministic without one).
+random from its ``seed``.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Iterator
 
 from .density import enumerate_extendable_cliques, find_clique
 from .graphs import DenseGraph, StageFailure, WitnessSequence, bits, mask_of, validate_witness
-
-
-# Search nodes of one envelope-clique search of ``connect_cliques``.
-ENVELOPE_BUDGET = 200_000
 
 
 class HypothesisViolation(StageFailure):
@@ -215,11 +210,6 @@ def _revalidate_bridge(
             raise StageFailure("revalidation", f"bridge: {what}")
 
 
-def default_envelope_size(r: int, eta: float) -> int:
-    """The proof's attachment-set size ceil(4r/eta)."""
-    return math.ceil(4 * r / eta)
-
-
 def connect_cliques(
     G: DenseGraph,
     X: list[int],
@@ -227,23 +217,19 @@ def connect_cliques(
     W: list[int],
     r: int,
     eta: float,
-    c: int | None = None,
-    w_limit: float | None = None,
-    seed: int | str | None = None,
+    seed: int | str,
 ) -> WitnessSequence:
     """Connect the r-cliques X and Y by a fresh power-r path on 3r vertices.
 
     The returned path x_1..x_{3r} avoids W and both concatenations X·path
-    and path·Y span power-r paths on 4r vertices.  Construction: find a
-    size-c clique inside each endpoint's joint neighbourhood (the envelope;
-    its existence is the "lies in a big clique" hypothesis, and a failed
-    search names which branch, extendable or clique, held), then bridge
-    the two envelopes through a common-neighbourhood clique.  ``c`` defaults
-    to the proof's ceil(4r/eta) and may be lowered at desk scale (c >= r
-    always); each envelope search stops after ``ENVELOPE_BUDGET`` nodes.
-    With ``seed`` the envelope searches draw their candidates at random
-    (still a pure function of inputs and seed); by default they are
-    greedy-deterministic.
+    and path·Y span power-r paths on 4r vertices.  Construction: find a K_r
+    inside each endpoint's joint neighbourhood (the envelope, where the
+    proof takes ceil(4r/eta) vertices; a failed search names which branch,
+    extendable or clique, held), then bridge the two envelopes through a
+    common-neighbourhood clique.  The envelope searches draw their
+    candidates at random from ``seed`` within ``find_clique``'s default
+    node budget.  |W| is not capped: the absorbing path's connectors avoid
+    the whole path built so far.
     """
     if len(X) != r or len(Y) != r:
         raise HypothesisViolation("endpoint", f"|X|={len(X)}, |Y|={len(Y)}, want {r}")
@@ -252,25 +238,17 @@ def connect_cliques(
     xmask, ymask, wmask = mask_of(X), mask_of(Y), mask_of(W)
     if xmask & ymask:
         raise HypothesisViolation("endpoint", "X and Y overlap")
-    w_cap = eta * G.n / 4 if w_limit is None else w_limit
-    if len(W) > w_cap:
-        raise HypothesisViolation(
-            "avoid-set", f"|W|={len(W)} > cap {w_cap:.1f}"
-        )
-    if c is None:
-        c = default_envelope_size(r, eta)
-    c = max(c, r)
-    rng = random.Random(f"connect:{seed}") if seed is not None else None
+    rng = random.Random(f"connect:{seed}")
 
     def envelope(ends: list[int], avoid: int) -> tuple[int, ...]:
         joint = G.common_neighborhood(ends)
         scope = joint & ~avoid & ~wmask
-        got = find_clique(G, c, within=scope, node_budget=ENVELOPE_BUDGET, rng=rng)
+        got = find_clique(G, r, within=scope, rng=rng)
         if got is None:
             branch = "extendable" if joint.bit_count() >= eta * G.n else "clique"
             raise StageFailure(
                 "envelope-not-found",
-                f"no K_{c} in the joint neighbourhood of {sorted(ends)} "
+                f"no K_{r} in the joint neighbourhood of {sorted(ends)} "
                 f"(branch {branch})",
             )
         return got

@@ -29,7 +29,6 @@ ETA0 = 0.8  # the absorber has at most ETA0*n/(8r) blocks
 D1 = 0.3  # absorbing-path connectors need d(x, U) >= (1/2 + D1)|U|
 ETA2 = 0.1  # the absorbing path swallows at most ETA2*n leftover vertices
 ATTEMPTS = 30  # derived-seed attempts of find_hamilton_power
-FLANK_BUDGET = 200_000  # search nodes per flanking-clique size
 COVER_BACKOFFS = 6  # pop-and-retry steps of one cover path
 
 
@@ -72,32 +71,23 @@ class AbsorbingPath:
         return self.block_start[block_index] + self.r
 
 
-def build_absorber(
-    G: DenseGraph,
-    r: int,
-    seed: int = 0,
-    coverage_target: int | None = None,
-    max_blocks: int | None = None,
-) -> AbsorberSystem:
-    """Greedily pick vertex-disjoint K_{2r}'s until every vertex sees enough
-    blocks inside its neighbourhood or the block budget runs out.
+def build_absorber(G: DenseGraph, r: int, seed: int | str, max_blocks: int) -> AbsorberSystem:
+    """Greedily pick vertex-disjoint K_{2r}'s, at most ``max_blocks`` of them,
+    until every vertex sees 2r + 2 blocks inside its neighbourhood.
 
-    Always serves the currently worst-covered vertex; failing to find any
-    disjoint block inside that vertex's neighbourhood is the
-    coverage-unreachable signal (the density/degree hypotheses are too weak
-    at this scale).
+    Always serves the currently worst-covered vertex, drawing its block at
+    random from ``seed``; failing to find any disjoint block inside that
+    vertex's neighbourhood is the coverage-unreachable signal (the
+    density/degree hypotheses are too weak at this scale), unless every
+    vertex already sees a block.
     """
-    if coverage_target is None:
-        coverage_target = 2 * r + 2
-    if max_blocks is None:
-        max_blocks = max(1, int(ETA0 * G.n / (8 * r)))
-    rng = random.Random(f"absorber:{seed}") if seed is not None else None
+    rng = random.Random(f"absorber:{seed}")
     blocks: list[tuple[int, ...]] = []
     used = 0
     coverage = [0] * G.n  # blocks inside each vertex's neighbourhood
     while len(blocks) < max_blocks:
         worst = min(range(G.n), key=coverage.__getitem__)
-        if coverage[worst] >= coverage_target:
+        if coverage[worst] >= 2 * r + 2:
             break
         scope = G.rows[worst] & ~used
         got = find_clique(G, 2 * r, within=scope, rng=rng)
@@ -119,11 +109,7 @@ def build_absorber(
     return system
 
 
-def build_absorbing_path(
-    G: DenseGraph,
-    absorber: AbsorberSystem,
-    seed: int = 0,
-) -> AbsorbingPath:
+def build_absorbing_path(G: DenseGraph, absorber: AbsorberSystem, seed: int | str) -> AbsorbingPath:
     """Thread the absorber blocks into one power-2r path.
 
     Consecutive blocks are joined by fresh 6r-vertex connectors at power 2r,
@@ -144,11 +130,7 @@ def build_absorbing_path(
         X, Y = list(blocks[i]), list(blocks[i + 1])
         W = sorted(avoid - set(X) - set(Y))
         try:
-            conn = connect_cliques(
-                G, X, Y, W, r=2 * r, eta=D1, c=2 * r,
-                w_limit=G.n,  # the growing path itself dwarfs eta*n/4 here
-                seed=f"{seed}:pabs:{i}" if seed is not None else None,
-            )
+            conn = connect_cliques(G, X, Y, W, r=2 * r, eta=D1, seed=f"{seed}:pabs:{i}")
         except StageFailure as exc:
             raise StageFailure(
                 "connector", f"absorbing path, block pair ({i},{i + 1}): {exc}"
@@ -247,29 +229,21 @@ def absorb(
 
 
 def select_reservoir(
-    G: DenseGraph,
-    size: int,
-    eta: float,
-    seed: int = 0,
-    exclude: tuple[int, ...] = (),
-    retries: int = 50,
+    G: DenseGraph, pool: list[int], size: int, seed: int | str
 ) -> tuple[int, ...]:
-    """Draw V' of ``size`` vertices with d(x, V') >= (1/2+eta/2)|V'| for every x.
+    """Draw V' of ``size`` vertices from ``pool`` with
+    d(x, V') >= (1/2 + ETA/2)|V'| for every vertex x of G.
 
-    Seeded random selection with full verification and bounded retries
-    replaces the concentration argument.
+    Seeded random draws, each repaired by at most 2·size swaps and verified
+    exactly, replace the concentration argument.  After 50 draws the
+    refusal names the vertex with the fewest neighbours in the pool.
     """
     n = G.n
-    excluded = set(exclude)
-    pool = [v for v in range(n) if v not in excluded]
     if len(pool) < size:
         raise StageFailure("reservoir", f"pool {len(pool)} smaller than size {size}")
     pool_mask = mask_of(pool)
-    # advisory degree precheck into the pool (recorded in failures)
-    worst = min(range(n), key=lambda x: G.degree_into(x, pool_mask))
-    worst_deg = G.degree_into(worst, pool_mask)
     rng = random.Random(f"{seed}:reservoir")
-    need = (0.5 + eta / 2) * size
+    need = (0.5 + ETA / 2) * size
 
     def deficit_vertex(dmask: int) -> int | None:
         for x in range(n):
@@ -277,7 +251,7 @@ def select_reservoir(
                 return x
         return None
 
-    for _ in range(retries):
+    for _ in range(50):
         draw = set(rng.sample(pool, size))
         dmask = mask_of(draw)
         # greedy repair: swap a draw vertex for a pool neighbour of the
@@ -297,30 +271,31 @@ def select_reservoir(
             dmask = mask_of(draw)
         if deficit_vertex(dmask) is None:
             return tuple(sorted(draw))
+    worst = min(range(n), key=lambda x: G.degree_into(x, pool_mask))
     raise StageFailure(
         "reservoir",
-        f"retries-exhausted after {retries} draws of size {size} "
-        f"(weakest vertex {worst} has {worst_deg}/{len(pool)} pool neighbours, "
-        f"needs {need:.1f} into the draw)",
+        f"retries-exhausted after 50 draws of size {size} "
+        f"(weakest vertex {worst} has {G.degree_into(worst, pool_mask)}/{len(pool)} "
+        f"pool neighbours, needs {need:.1f} into the draw)",
     )
 
 
 def cover_with_paths(
-    G2: DenseGraph,
-    r_cover: int,
-    min_path: int,
-    seed: int = 0,
-    max_paths: int | None = None,
+    G2: DenseGraph, r: int, max_paths: int, seed: int | str
 ) -> tuple[list[WitnessSequence], list[int]]:
-    """Cover G2 by vertex-disjoint power-r_cover paths of length >= min_path.
+    """Cover G2 by at most ``max_paths`` vertex-disjoint power-2r paths on at
+    least 2r + 1 vertices each.
 
-    Greedy: seed each path with a clique, repeatedly append a vertex adjacent
-    to the last r_cover vertices (preferring vertices that are hard to reach
-    later), falling back to head extension and at most ``COVER_BACKOFFS``
-    pop-and-retry rotations per path.  With ``max_paths`` each path aims at
-    its share of the vertices still uncovered.  Returns (paths, leftover);
-    cover quality is measured by the caller, degenerate covers are legal.
+    The power is 2r so that reordering a path's first or last r vertices
+    (``_reorder_ends``) leaves a power-r path.  Greedy: seed each path with
+    a clique, repeatedly append a vertex adjacent to the last 2r vertices
+    (preferring vertices that are hard to reach later), falling back to head
+    extension and at most ``COVER_BACKOFFS`` pop-and-retry rotations per
+    path; each path aims at its share of the vertices still uncovered.
+    Returns (paths, leftover); cover quality is measured by the caller,
+    degenerate covers are legal.
     """
+    r_cover, min_path = 2 * r, 2 * r + 1
     rng = random.Random(f"{seed}:cover")
     remaining = G2.full_mask()
     paths: list[WitnessSequence] = []
@@ -368,14 +343,9 @@ def cover_with_paths(
             break
         return seq
 
-    while remaining.bit_count() >= min_path and (
-        max_paths is None or len(paths) < max_paths
-    ):
-        if max_paths is not None:
-            # spread the remaining vertices over the paths still to come
-            goal = max(min_path, math.ceil(remaining.bit_count() / (max_paths - len(paths))))
-        else:
-            goal = G2.n
+    while remaining.bit_count() >= min_path and len(paths) < max_paths:
+        # spread the remaining vertices over the paths still to come
+        goal = max(min_path, math.ceil(remaining.bit_count() / (max_paths - len(paths))))
         seq = None
         scope = remaining
         for _ in range(4):  # reseed around an unlucky core
@@ -442,25 +412,16 @@ class HamPlan:
     """Desk-scale sizing for one run, derived from (n, r)."""
 
     t_blocks: int
-    C: int
-    min_path: int
-    r_cover: int
     reservoir: int
     target_paths: int
 
     @staticmethod
     def derive(n: int, r: int) -> "HamPlan":
-        flank = 2 * r + 1
-        C = r
-        min_path = 2 * C + 1
-        r_cover = max(2 * r, C)
-        t_max = 1
-        for t in range(1, n):
-            need = (t - 1) * 8 * r + 2 * r + 2 * flank + max(4, r + 2) + min_path
-            if need <= n:
-                t_max = t
-            else:
-                break
+        flank = min_path = 2 * r + 1
+        # the most blocks t >= 1 whose path, two flanks, a reservoir of
+        # max(4, r + 2) and one cover path fit: (t-1)8r + 2r + 2flank +
+        # max(4, r + 2) + min_path = 8rt + 3 + max(4, r + 2) <= n
+        t_max = max(1, (n - 3 - max(4, r + 2)) // (8 * r))
         budget = max(2, int(ETA0 * n / (8 * r)))
         t = min(t_max, budget)
         if t < 2:
@@ -488,14 +449,7 @@ class HamPlan:
                 f"no feasible sizing at n={n}, r={r}, t={t} (budget {B})",
             )
         p, R = plan
-        return HamPlan(
-            t_blocks=t,
-            C=C,
-            min_path=min_path,
-            r_cover=r_cover,
-            reservoir=R,
-            target_paths=p,
-        )
+        return HamPlan(t_blocks=t, reservoir=R, target_paths=p)
 
 
 @dataclass
@@ -511,22 +465,22 @@ class HamAudit:
 
 
 def _reorder_ends(
-    seq: tuple[int, ...], C: int, head_first: tuple[int, ...] | None, tail_last: tuple[int, ...] | None
+    seq: tuple[int, ...], r: int, head_first: tuple[int, ...] | None, tail_last: tuple[int, ...] | None
 ) -> list[int]:
     """Reorder a cover path so the connector-attached r-subsets sit innermost:
     head_first comes first in the head block, tail_last comes last in the
     tail block (both blocks are cliques, so any order inside them is valid)."""
     out = list(seq)
     if head_first is not None:
-        head = list(seq[:C])
+        head = list(seq[:r])
         chosen = [v for v in head if v in set(head_first)]
         rest = [v for v in head if v not in set(head_first)]
-        out[:C] = chosen + rest
+        out[:r] = chosen + rest
     if tail_last is not None:
-        tail = list(out[-C:])
+        tail = list(out[-r:])
         chosen = [v for v in tail if v in set(tail_last)]
         rest = [v for v in tail if v not in set(tail_last)]
-        out[-C:] = rest + chosen
+        out[-r:] = rest + chosen
     return out
 
 
@@ -593,34 +547,22 @@ def _one_attempt(
     pabs = build_absorbing_path(G, absorber, sub_seed)
     _note(audit, "absorbing-path")
 
-    # flanking cliques adjacent to everything in S / E
+    # flanking K_{2r+1}'s adjacent to everything in S / E
     rng = random.Random(f"{sub_seed}:flank")
     pset = mask_of(pabs.path.vertices)
-    want = 2 * plan.C + 1
-    flank_S = None
     scope_S = G.common_neighborhood(pabs.S) & ~pset
-    for size in range(want, 2 * r, -1):
-        flank_S = find_clique(G, size, within=scope_S, node_budget=FLANK_BUDGET, rng=rng)
-        if flank_S is not None:
-            break
+    flank_S = find_clique(G, 2 * r + 1, within=scope_S, rng=rng)
     if flank_S is None:
         raise StageFailure("flank-clique", "no clique >= 2r+1 adjacent to all of S")
     scope_E = G.common_neighborhood(pabs.E_end) & ~pset & ~mask_of(flank_S)
-    flank_E = None
-    for size in range(want, 2 * r, -1):
-        flank_E = find_clique(G, size, within=scope_E, node_budget=FLANK_BUDGET, rng=rng)
-        if flank_E is not None:
-            break
+    flank_E = find_clique(G, 2 * r + 1, within=scope_E, rng=rng)
     if flank_E is None:
         raise StageFailure("flank-clique", "no clique >= 2r+1 adjacent to all of E")
-    C = min(plan.C, (len(flank_S) - 1) // 2, (len(flank_E) - 1) // 2)
-    if C < r:
-        raise StageFailure("flank-clique", f"flank cliques too small for C >= r ({C})")
     _note(audit, "flank-clique")
 
     protected = pset | mask_of(flank_S) | mask_of(flank_E)
     pool = [v for v in range(n) if not protected >> v & 1]
-    return _thread_and_close(G, r, plan, C, pabs, flank_S, flank_E, pool, sub_seed)
+    return _thread_and_close(G, r, plan, pabs, flank_S, flank_E, pool, sub_seed)
 
 
 def _note(audit: HamAudit, stage: str) -> None:
@@ -632,7 +574,6 @@ def _thread_and_close(
     G: DenseGraph,
     r: int,
     plan: HamPlan,
-    C: int,
     pabs: AbsorbingPath,
     flank_S: tuple[int, ...],
     flank_E: tuple[int, ...],
@@ -649,23 +590,10 @@ def _thread_and_close(
     bridge is a ``connector`` failure naming that pair.
     """
     n = G.n
-    in_pool = set(pool)
-    reservoir = select_reservoir(
-        G,
-        plan.reservoir,
-        ETA,
-        seed=sub_seed,
-        exclude=tuple(v for v in range(n) if v not in in_pool),
-    )
-    g2_vertices = sorted(in_pool - set(reservoir))
+    reservoir = select_reservoir(G, pool, plan.reservoir, sub_seed)
+    g2_vertices = sorted(set(pool) - set(reservoir))
     G2, ids = G.induced(g2_vertices)
-    paths2, leftover2 = cover_with_paths(
-        G2,
-        plan.r_cover,
-        plan.min_path,
-        seed=sub_seed,
-        max_paths=plan.target_paths,
-    )
+    paths2, leftover2 = cover_with_paths(G2, r, plan.target_paths, sub_seed)
     cover_paths = [tuple(ids[v] for v in w.vertices) for w in paths2]
     uncovered = [ids[v] for v in leftover2]
 
@@ -673,7 +601,7 @@ def _thread_and_close(
     segs: list[tuple[int, ...]] = [tuple(sorted(flank_E))] + cover_paths + [
         tuple(sorted(flank_S))
     ]
-    bridges = _thread(G, r, C, segs, reservoir, ETA)
+    bridges = _thread(G, r, segs, reservoir)
     head_orders: list[tuple[int, ...] | None] = [None] * len(segs)
     tail_orders: list[tuple[int, ...] | None] = [None] * len(segs)
     for i, bridge in enumerate(bridges):
@@ -684,7 +612,7 @@ def _thread_and_close(
 
     big: list[int] = []
     for i, seg in enumerate(segs):
-        big.extend(_reorder_ends(seg, C, head_orders[i], tail_orders[i]))
+        big.extend(_reorder_ends(seg, r, head_orders[i], tail_orders[i]))
         if i < len(connectors):
             big.extend(connectors[i])
 
@@ -712,16 +640,11 @@ THREAD_BUDGET = 256
 
 
 def _thread(
-    G: DenseGraph,
-    r: int,
-    C: int,
-    segs: list[tuple[int, ...]],
-    reservoir: tuple[int, ...],
-    eta: float,
+    G: DenseGraph, r: int, segs: list[tuple[int, ...]], reservoir: tuple[int, ...]
 ) -> list[Bridge]:
-    """One bridge per consecutive segment pair (the last C vertices of one,
-    the first C of the next), with pairwise disjoint cliques from the
-    reservoir.
+    """One bridge per consecutive segment pair (the last r vertices of one,
+    the first r of the next), with pairwise disjoint cliques from the
+    reservoir, each drawn at degree slack ETA/2.
 
     A depth-first search over the pairs, with an explicit stack: each pair
     draws its bridges from ``bridging_cliques`` in ``find_bridging_clique``'s
@@ -736,11 +659,11 @@ def _thread(
     choice of the earlier bridges can mend, is raised at once.
     """
     res_mask = mask_of(reservoir)
-    pairs = [(list(segs[i][-C:]), list(segs[i + 1][:C])) for i in range(len(segs) - 1)]
+    pairs = [(list(segs[i][-r:]), list(segs[i + 1][:r])) for i in range(len(segs) - 1)]
 
     def draws(i: int, held: int):
         X, Y = pairs[i]
-        return bridging_cliques(G, list(reservoir), X, Y, list(bits(held)), r, eta / 2)
+        return bridging_cliques(G, list(reservoir), X, Y, list(bits(held)), r, ETA / 2)
 
     def failure(i: int, exc: StageFailure) -> StageFailure:
         return StageFailure("connector", f"threading pair ({i},{i + 1}): {exc}")

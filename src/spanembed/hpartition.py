@@ -2,13 +2,13 @@
 
 Two jobs: (1) produce a balanced homomorphism of a low-bandwidth H into the
 blown-cycle template (a proper 2r-colouring whose colour classes stay within
-2*beta*n of each other on every prefix, then block-slicing into cells), and
-(2) assign a short prefix of H onto a framework trail in the reduced graph so
-that a 2-independent set lands exactly on the exceptional vertices.  Job
-(2) has no caller in the pipeline, which refuses a non-empty exceptional
-set; the benchmark's tracer still names ``build_framework`` and
-``special_assignment``, so they go with its next refresh (ROADMAP item 6,
-"Delete the framework path").
+2W of each other on every prefix, W = ceil(beta*n) the interval width, then
+block-slicing into cells), and (2) assign a short prefix of H onto a
+framework trail in the reduced graph so that a 2-independent set lands
+exactly on the exceptional vertices.  Job (2) has no caller in the
+pipeline, which refuses a non-empty exceptional set; the benchmark's tracer
+still names ``build_framework`` and ``special_assignment``, so they go with
+its next refresh (ROADMAP item 6, "Delete the framework path").
 
 All outputs are checked by independent recounts that share no code with the
 constructions.
@@ -39,7 +39,9 @@ class Assignment:
 
 
 def interval_width(beta: float, n: int) -> int:
-    return max(1, math.ceil(beta * n))
+    """W = ceil(beta*n), the interval width; a beta given as W/n reads W even
+    where the float product beta*n overshoots W."""
+    return max(1, math.ceil(beta * n - 1e-9))
 
 
 def _intervals(order: tuple[int, ...], width: int) -> list[list[int]]:
@@ -97,13 +99,13 @@ def check_balanced_colouring(
     colouring: tuple[int, ...],
     r: int | None = None,
 ) -> str:
-    """Independent recount of the three colouring properties; empty = pass."""
-    beta = Hb.beta
+    """Independent recount of the three colouring properties, bounded in the
+    interval width W; empty = pass."""
     H, order, chi = Hb.H, Hb.order.order, Hb.colouring
     n = H.n
     if r is None:
         r = max(chi)
-    W = interval_width(beta, n)
+    W = interval_width(Hb.beta, n)
     A = _intervals(order, W)
     for u, v in H.edges():
         if colouring[u] == colouring[v]:
@@ -114,7 +116,7 @@ def check_balanced_colouring(
             if not lo <= colouring[x] <= hi:
                 return f"interval {t} colour {colouring[x]} outside its half"
     counts = [0] * (2 * r + 1)
-    bound = 2 * beta * n + 1e-9
+    bound = 2 * W
     for t, interval in enumerate(A, start=1):
         for x in interval:
             counts[colouring[x]] += 1
@@ -124,7 +126,7 @@ def check_balanced_colouring(
                     if abs(counts[j] - counts[j2]) > bound:
                         return (
                             f"prefix {t}: classes {j},{j2} differ by "
-                            f"{abs(counts[j] - counts[j2])} > {bound:.1f}"
+                            f"{abs(counts[j] - counts[j2])} > {bound}"
                         )
     return ""
 
@@ -201,21 +203,21 @@ def check_basic_assignment(
     targets: dict[Cell, int],
 ) -> str:
     """Independent recount of the four slicing properties plus the template
-    homomorphism; empty string = pass.  Shares no code with the constructor.
+    homomorphism, bounded in the interval width W; empty string = pass.
+    Shares no code with the constructor.
     """
-    beta = Hb.beta
     n = Hb.n
     ell = max(i for i, _ in targets)
     order = Hb.order.order
-    W = interval_width(beta, n)
+    W = interval_width(Hb.beta, n)
     f, B = asg.f, asg.B
 
-    # B avoids the first beta*n vertices and is small
+    # B avoids the first W vertices and is small
     head = set(order[:W])
     if head & B:
-        return "B intersects the first beta*n vertices"
-    if len(B) > 2 * ell * beta * n + 1e-9:
-        return f"|B| = {len(B)} exceeds 2*ell*beta*n"
+        return "B intersects the first W vertices"
+    if len(B) > 2 * ell * W:
+        return f"|B| = {len(B)} exceeds 2*ell*W"
 
     # per-cell size deviation
     counts: dict[Cell, int] = {}
@@ -225,7 +227,7 @@ def check_basic_assignment(
         counts[val] = counts.get(val, 0) + 1
     for cell in targets:
         got = counts.get(cell, 0)
-        if abs(got - targets[cell]) > 10 * beta * n + 1e-9:
+        if abs(got - targets[cell]) > 10 * W:
             return f"cell {cell} holds {got}, target {targets[cell]}"
 
     # edge condition and the block equality off B
@@ -376,8 +378,6 @@ def build_framework(
                 sorted(set(bad_set()) - set(blocks[k]) - set(target)),
                 r=2 * r,
                 eta=eta,
-                c=2 * r,
-                w_limit=R.n,
                 seed=f"framework:{seed}:{k}",
             )
         except StageFailure as exc:

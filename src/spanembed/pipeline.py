@@ -16,7 +16,7 @@ before being reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .balance import lemma_g
 from .density import DensityParams, is_locally_dense_sampled
@@ -236,10 +236,8 @@ def _pipeline(
     audit.notes["lemma-g-move-threshold"] = (DELTA / 2 - 2 * eps_balance) * m
 
     # -- stage: basic assignment of H in its bandwidth order ------------------
-    # the assignment slices H into intervals of the whole width W, so its
-    # checker's bounds in beta*n must read W too: beta is rounded up to W/n
     try:
-        asg = basic_assignment(replace(Hb, beta=W / n), m_ab)
+        asg = basic_assignment(Hb, m_ab)
     except StageFailure as exc:
         raise StageFailure("basic-assignment", str(exc), violated=exc.stage) from exc
     audit.stage("basic-assignment")
@@ -276,14 +274,6 @@ def _pipeline(
         "(N)",
         len(N_boundary) <= EPS * m,
         f"{len(N_boundary)} vs {EPS * m:.2f}",
-    )
-    audit.record(
-        "(psistar)",
-        max(
-            [sum(1 for x in X_prime if psi[x] == cell) for cell in m_ab] or [0]
-        )
-        <= EPS ** (1 / 12) * m + len(X_prime),
-        "",
     )
 
     # -- stage: embed X' with target sets ------------------------------------

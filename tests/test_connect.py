@@ -10,7 +10,6 @@ from spanembed.connect import (
     HypothesisViolation,
     bridging_cliques,
     connect_cliques,
-    default_envelope_size,
     find_bridging_clique,
 )
 from spanembed.density import enumerate_extendable_cliques
@@ -212,7 +211,7 @@ def check_connection(G, path, X, Y, r, W):
 def test_connect_complete_host():
     G = DenseGraph.complete(80)
     X, Y = [0, 1], [2, 3]
-    path = connect_cliques(G, X, Y, [], r=2, eta=0.4, c=4)
+    path = connect_cliques(G, X, Y, [], r=2, eta=0.4, seed=0)
     check_connection(G, path, X, Y, 2, [])
 
 
@@ -221,7 +220,7 @@ def test_connect_two_lobes_through_core():
     n = G.n
     X = [0, 1]          # deep in the left lobe
     Y = [n - 1, n - 2]  # deep in the right lobe
-    path = connect_cliques(G, X, Y, [], r=2, eta=0.1, c=3)
+    path = connect_cliques(G, X, Y, [], r=2, eta=0.1, seed=0)
     check_connection(G, path, X, Y, 2, [])
     # any left-to-right connection must route through the shared core:
     # only core vertices are adjacent to both lobes
@@ -241,7 +240,7 @@ def test_connect_random_dense_with_avoid_set():
         enumerate_extendable_cliques(G, 3, s=int(0.2 * G.n), cap=1, within=upper)[0].vertices
     )
     W = [v for v in rng.sample(range(G.n), 30) if v not in X + Y][:9]
-    path = connect_cliques(G, X, Y, W, r=3, eta=0.25, c=4)
+    path = connect_cliques(G, X, Y, W, r=3, eta=0.25, seed=0)
     check_connection(G, path, X, Y, 3, W)
 
 
@@ -255,13 +254,7 @@ def test_connect_deterministic():
     Y = list(
         enumerate_extendable_cliques(G, 2, s=int(0.2 * G.n), cap=1, within=upper)[0].vertices
     )
-    assert connect_cliques(G, X, Y, [], 2, 0.1, c=4) == connect_cliques(G, X, Y, [], 2, 0.1, c=4)
-
-
-def test_connect_rejects_oversized_w():
-    G = DenseGraph.complete(40)
-    with pytest.raises(HypothesisViolation):
-        connect_cliques(G, [0, 1], [2, 3], list(range(4, 20)), 2, 0.5, c=3)
+    assert connect_cliques(G, X, Y, [], 2, 0.1, seed=0) == connect_cliques(G, X, Y, [], 2, 0.1, seed=0)
 
 
 def star_host(n=30):
@@ -274,7 +267,7 @@ def test_connect_envelope_failure_on_sparse_host():
     # star-ish host: X extendable but its neighbourhood is an independent set
     G = star_host()
     with pytest.raises(StageFailure) as exc:
-        connect_cliques(G, [0, 1], [2, 3], [], 2, 0.2, c=3)
+        connect_cliques(G, [0, 1], [2, 3], [], 2, 0.2, seed=0)
     assert exc.value.stage in ("envelope-not-found", "no-clique-in-bucket")
 
 
@@ -284,24 +277,21 @@ def test_connect_raises_when_its_path_fails_revalidation(monkeypatch):
         connect, "validate_witness", lambda G, w: ValidationResult(False, "rejected")
     )
     with pytest.raises(StageFailure) as exc:
-        connect_cliques(DenseGraph.complete(40), [0, 1], [2, 3], [], 2, 0.2, c=3)
+        connect_cliques(DenseGraph.complete(40), [0, 1], [2, 3], [], 2, 0.2, seed=0)
     assert exc.value.stage == "revalidation"
 
 
 def test_connect_records_branch():
     # a failed envelope search names the hypothesis that held for its ends:
     # a joint neighbourhood of >= eta*n vertices ("extendable") or not
-    # ("clique"); here X's has 28 of 30 and 4 of 40 vertices
+    # ("clique"); here X's has 28 of 30 vertices, and in the K_6 host, where
+    # X's envelope is the edge 45, Y's has 4 of 40
     small = DenseGraph.from_edges(40, list(itertools.combinations(range(6), 2)))
-    for G, branch in ((star_host(), "extendable"), (small, "clique")):
+    for G, ends, branch in ((star_host(), [0, 1], "extendable"), (small, [2, 3], "clique")):
         with pytest.raises(StageFailure) as exc:
-            connect_cliques(G, [0, 1], [2, 3], [], 2, 0.2, c=3)
+            connect_cliques(G, [0, 1], [2, 3], [], 2, 0.2, seed=0)
         assert (exc.value.stage, exc.value.detail) == (
             "envelope-not-found",
-            f"no K_3 in the joint neighbourhood of [0, 1] (branch {branch})",
+            f"no K_2 in the joint neighbourhood of {ends} (branch {branch})",
         )
 
-
-def test_default_envelope_size_formula():
-    assert default_envelope_size(2, 0.5) == 16
-    assert default_envelope_size(3, 1.0) == 12

@@ -36,7 +36,7 @@ def coverage(G, system):
 
 def test_absorber_complete_host_full_coverage():
     G = DenseGraph.complete(100)
-    system = build_absorber(G, 2, seed=0, coverage_target=3, max_blocks=50)
+    system = build_absorber(G, 2, seed=0, max_blocks=50)
     assert len(system.blocks) >= 3
     assert min(coverage(G, system)) >= 3
     used = set()
@@ -49,14 +49,14 @@ def test_absorber_complete_host_full_coverage():
 def test_absorber_bipartite_unreachable():
     G = complete_bipartite(30, 30)
     with pytest.raises(StageFailure) as exc:
-        build_absorber(G, 2, seed=0)
+        build_absorber(G, 2, seed=0, max_blocks=3)
     assert exc.value.stage == "absorber"
     assert "coverage-unreachable" in exc.value.detail
 
 
 def test_absorber_random_dense_verified():
     G = gnp(200, 0.9, 4)
-    system = build_absorber(G, 2, seed=4, coverage_target=2, max_blocks=8)
+    system = build_absorber(G, 2, seed=4, max_blocks=8)
     system.revalidate(G)
     assert len(system.blocks) <= 8
     assert min(coverage(G, system)) >= 2
@@ -67,7 +67,7 @@ def test_absorber_random_dense_verified():
 
 def test_absorbing_path_two_blocks_has_twenty_vertices():
     G = DenseGraph.complete(60)
-    system = build_absorber(G, 2, seed=0, coverage_target=1, max_blocks=2)
+    system = build_absorber(G, 2, seed=0, max_blocks=2)
     assert len(system.blocks) == 2
     pabs = build_absorbing_path(G, system, seed=0)
     assert len(pabs.path.vertices) == 20  # (t-1)*8r + 2r with t=2, r=2
@@ -78,7 +78,7 @@ def test_absorbing_path_two_blocks_has_twenty_vertices():
 def test_absorbing_path_length_formula(t):
     r = 2
     G = DenseGraph.complete(120)
-    system = build_absorber(G, r, seed=1, coverage_target=99, max_blocks=t)
+    system = build_absorber(G, r, seed=1, max_blocks=t)
     assert len(system.blocks) == t
     pabs = build_absorbing_path(G, system, seed=1)
     assert len(pabs.path.vertices) == (t - 1) * 8 * r + 2 * r
@@ -91,7 +91,7 @@ def test_absorbing_path_length_formula(t):
 
 def make_pabs(n=140, r=2, t=6, seed=0):
     G = DenseGraph.complete(n)
-    system = build_absorber(G, r, seed=seed, coverage_target=99, max_blocks=t)
+    system = build_absorber(G, r, seed=seed, max_blocks=t)
     return G, build_absorbing_path(G, system, seed=seed)
 
 
@@ -131,7 +131,7 @@ def test_absorb_rejects_overlapping_z():
 
 def test_reservoir_complete_host_first_draw():
     G = DenseGraph.complete(50)
-    res = select_reservoir(G, 5, 0.2, seed=3)
+    res = select_reservoir(G, list(range(G.n)), 5, seed=3)
     assert len(res) == 5
     for x in range(G.n):
         assert G.degree_into(x, sum(1 << v for v in res)) >= (0.5 + 0.1) * 5 - 1e-9
@@ -139,7 +139,7 @@ def test_reservoir_complete_host_first_draw():
 
 def test_reservoir_random_dense_verified():
     G = gnp(300, 0.8, 11)
-    res = select_reservoir(G, 30, 0.2, seed=11)
+    res = select_reservoir(G, list(range(G.n)), 30, seed=11)
     assert len(res) == 30
     mask = sum(1 << v for v in res)
     need = (0.5 + 0.1) * 30
@@ -153,16 +153,23 @@ def test_reservoir_impossible_demand_exhausts():
     edges.append((0, 1))  # vertex 0 has degree 1
     G = DenseGraph.from_edges(n, edges)
     with pytest.raises(StageFailure) as exc:
-        select_reservoir(G, 10, 0.2, seed=0, retries=10)
+        select_reservoir(G, list(range(n)), 10, seed=0)
     assert exc.value.stage == "reservoir"
     assert "retries-exhausted" in exc.value.detail
 
 
 def test_reservoir_deterministic_per_seed():
     G = gnp(100, 0.8, 5)
-    a = select_reservoir(G, 10, 0.2, seed=7)
-    b = select_reservoir(G, 10, 0.2, seed=7)
+    a = select_reservoir(G, list(range(G.n)), 10, seed=7)
+    b = select_reservoir(G, list(range(G.n)), 10, seed=7)
     assert a == b
+
+
+def test_reservoir_draws_inside_its_pool():
+    G = gnp(120, 0.9, 8)
+    pool = list(range(0, G.n, 2))
+    res = select_reservoir(G, pool, 12, seed=8)
+    assert len(res) == 12 and set(res) <= set(pool)
 
 
 # -- cover ---------------------------------------------------------------
@@ -170,7 +177,7 @@ def test_reservoir_deterministic_per_seed():
 
 def test_cover_complete_host_single_path():
     G = DenseGraph.complete(50)
-    paths, leftover = cover_with_paths(G, 4, 10, seed=0)
+    paths, leftover = cover_with_paths(G, 2, max_paths=1, seed=0)
     assert len(paths) == 1
     assert len(paths[0].vertices) == 50
     assert leftover == []
@@ -178,10 +185,10 @@ def test_cover_complete_host_single_path():
 
 def test_cover_random_dense_leftover_bound():
     G = gnp(200, 0.9, 6)
-    paths, leftover = cover_with_paths(G, 4, 9, seed=6)
+    paths, leftover = cover_with_paths(G, 2, max_paths=10, seed=6)
     for w in paths:
         assert validate_witness(G, w)
-        assert len(w.vertices) >= 9
+        assert len(w.vertices) >= 5
     covered = set()
     for w in paths:
         assert not covered & set(w.vertices)
@@ -192,14 +199,14 @@ def test_cover_random_dense_leftover_bound():
 
 def test_cover_edgeless_everything_leftover():
     G = DenseGraph.empty(30)
-    paths, leftover = cover_with_paths(G, 2, 4, seed=0)
+    paths, leftover = cover_with_paths(G, 1, max_paths=10, seed=0)
     assert paths == []
     assert leftover == list(range(30))
 
 
 def test_cover_respects_max_paths():
     G = DenseGraph.complete(40)
-    paths, leftover = cover_with_paths(G, 3, 5, seed=1, max_paths=3)
+    paths, leftover = cover_with_paths(G, 2, max_paths=3, seed=1)
     assert len(paths) <= 3
     assert sum(len(p.vertices) for p in paths) + len(leftover) == 40
 
@@ -293,6 +300,24 @@ def test_hamilton_power_outputs_pinned(n, p, r, seed, expected):
     assert hashlib.sha256(repr(w.vertices).encode()).hexdigest()[:16] == expected
 
 
+@pytest.mark.parametrize(
+    "seed, pair, expected",
+    [(14, "(8,9)", "0b2708d5b9f4918a"), (29, "(7,8)", "c986f4c2725ed764")],
+)
+def test_hamilton_power_outputs_pinned_after_a_failed_attempt(seed, pair, expected):
+    # the benchmark's gnp(400, .95) template at r = 3 on seeds whose first
+    # attempt refuses in the threading search: the second attempt's witness
+    audit = HamAudit()
+    w = find_hamilton_power(gnp(400, 0.95, seed), 3, seed=seed, audit=audit)
+    assert audit.attempts == 2
+    assert audit.failures == [(
+        "connector",
+        f"threading pair {pair}: no-clique-in-bucket: no attachment bucket of size >= 3 "
+        "spans a K_3 (and no loosely-attached clique either)",
+    )]
+    assert hashlib.sha256(repr(w.vertices).encode()).hexdigest()[:16] == expected
+
+
 def test_hamilton_power_threads_where_greedy_lost_the_attempt():
     # gnp(300, .9) at seed 3: greedy threading ran out of reservoir at pair
     # (7,8) and the attempt was retried; the search threads it at once
@@ -307,8 +332,10 @@ def test_hamilton_power_threads_where_greedy_lost_the_attempt():
 # -- the threading search ----------------------------------------------------
 
 # Segments (a,), (b, c), (d, e), (f,) on vertices 0..5 give the pairs
-# (a, b), (c, d), (e, f) with C = r = 1; the reservoir is 6, 7, 8.  A bridge
-# of a pair is a reservoir vertex adjacent to both its ends.
+# (a, b), (c, d), (e, f) at r = 1; the reservoir is 6, 7, 8.  A bridge of a
+# pair is a reservoir vertex adjacent to both its ends.  Every end sees 2 of
+# the 3 reservoir vertices, which meets the half-degree hypothesis at slack
+# ETA/2: 2 >= (1/2 + ETA/2) * 3.
 THREAD_SEGS = [(0,), (1, 2), (3, 4), (5,)]
 THREAD_RESERVOIR = (6, 7, 8)
 
@@ -333,16 +360,15 @@ def _count_draws(monkeypatch) -> list[int]:
 
 def test_threading_search_threads_where_greedy_fails(monkeypatch):
     # greedy gives pair (a, b) vertex 6, the smallest; then (e, f), which
-    # sees only 6 in common, has no bridge.  Every end sees 2 of the 3
-    # reservoir vertices, so the half-degree hypothesis holds at eta = 0.
+    # sees only 6 in common, has no bridge.
     G = _thread_host({0: (6, 7), 1: (6, 7), 2: (7, 8), 3: (7, 8), 4: (6, 7), 5: (6, 8)})
     monkeypatch.setattr(hampower, "THREAD_BUDGET", 0)
     with pytest.raises(StageFailure) as exc:
-        hampower._thread(G, 1, 1, THREAD_SEGS, THREAD_RESERVOIR, 0.0)
+        hampower._thread(G, 1, THREAD_SEGS, THREAD_RESERVOIR)
     assert exc.value.stage == "connector"
     assert exc.value.detail.startswith("threading pair (2,3): no-high-attachment")
     monkeypatch.setattr(hampower, "THREAD_BUDGET", 16)
-    bridges = hampower._thread(G, 1, 1, THREAD_SEGS, THREAD_RESERVOIR, 0.0)
+    bridges = hampower._thread(G, 1, THREAD_SEGS, THREAD_RESERVOIR)
     assert [b.Z for b in bridges] == [(7,), (8,), (6,)]
     for (i, j), b in zip([(0, 1), (2, 3), (4, 5)], bridges):
         assert G.has_edge(i, b.Z[0]) and G.has_edge(j, b.Z[0])
@@ -358,7 +384,7 @@ def test_threading_search_refuses_at_the_deepest_pair_within_its_budget(monkeypa
     monkeypatch.setattr(hampower, "THREAD_BUDGET", budget)
     drawn = _count_draws(monkeypatch)
     with pytest.raises(StageFailure) as exc:
-        hampower._thread(G, 1, 1, THREAD_SEGS, THREAD_RESERVOIR, 0.0)
+        hampower._thread(G, 1, THREAD_SEGS, THREAD_RESERVOIR)
     assert exc.value.stage == "connector"
     assert exc.value.detail == (
         "threading pair (2,3): no-high-attachment: no vertex of U has >= 2 neighbours in X ∪ Y"
@@ -401,7 +427,7 @@ def test_absorber_revalidation_raises(system):
 
 def test_absorber_revalidation_rejects_a_wrong_block():
     G = gnp(120, 0.9, 5)
-    system = build_absorber(G, 2, seed=1)
+    system = build_absorber(G, 2, seed=1, max_blocks=6)
     system.revalidate(G)
     a, b, c, d = system.blocks[0]
     w = next(w for w in range(G.n) if not G.has_edge(a, w) and w != a)
@@ -411,13 +437,11 @@ def test_absorber_revalidation_rejects_a_wrong_block():
     assert exc.value.stage == "revalidation"
 
 
-def _reference_build_absorber(G, r, seed, max_blocks=None):
+def _reference_build_absorber(G, r, seed, max_blocks):
     """build_absorber as it was before it counted coverage from common
     neighbourhoods: one mask test per vertex and block."""
     coverage_target = 2 * r + 2
-    if max_blocks is None:
-        max_blocks = max(1, int(hampower.ETA0 * G.n / (8 * r)))
-    rng = random.Random(f"absorber:{seed}") if seed is not None else None
+    rng = random.Random(f"absorber:{seed}")
     blocks = []
     used = 0
     coverage = [0] * G.n
@@ -444,6 +468,8 @@ def _reference_build_absorber(G, r, seed, max_blocks=None):
 @pytest.mark.parametrize("seed", ["0", "7:attempt:0", "7:attempt:3"])
 @pytest.mark.parametrize("max_blocks", [None, 3])
 def test_build_absorber_matches_the_per_vertex_reference(n, p, r, seed, max_blocks):
+    if max_blocks is None:  # the absorber's share of the host, ETA0*n/(8r)
+        max_blocks = max(1, int(hampower.ETA0 * n / (8 * r)))
     G = gnp(n, p, len(seed))
     got = build_absorber(G, r, seed=seed, max_blocks=max_blocks)
     assert got == _reference_build_absorber(G, r, seed, max_blocks)

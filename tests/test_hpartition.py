@@ -193,6 +193,24 @@ def test_basic_assignment_cycle_powers(r_pow, r, beta_num):
     assert check_basic_assignment(Hb2, asg, targets) == ""
 
 
+def test_basic_assignment_accepts_its_own_output_at_a_fractional_beta_n():
+    # beta*n = 2.16 slices H into width-3 intervals, and the 19 block
+    # boundaries put 2*19*3 = 114 vertices into B: the checker must bound |B|
+    # by 2*ell*W = 120, not by 2*ell*beta*n = 86.4
+    Hb = cycle_power_H(1, 480, beta=0.0045)
+    targets = {(a, b): 6 for a in range(1, 21) for b in range(1, 5)}
+    asg = basic_assignment(Hb, targets)
+    assert len(asg.B) == 114
+    assert check_basic_assignment(Hb, asg, targets) == ""
+
+
+def test_interval_width_reads_w_over_n_as_w():
+    # 0.035 * 200 is 7.000000000000001 in floats, which must not round up to 8
+    assert interval_width(random_window_H(200, 7, 3, 3).beta, 200) == 7
+    assert all(interval_width(w / n, n) == w for n in range(1, 1001) for w in range(1, min(n, 40) + 1))
+    assert interval_width(0.0045, 480) == 3
+
+
 # -- 2-independent sets ----------------------------------------------------
 
 

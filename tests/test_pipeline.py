@@ -146,6 +146,16 @@ def test_pipeline_outputs_pinned(host, guest, expected):
     assert got == expected
 
 
+@pytest.mark.parametrize("seed, expected", [(1, "008a87ae8e2459b8"), (2, "141a1510ca0d32d3")])
+def test_pipeline_outputs_pinned_on_the_connecting_absorbing_route(seed, expected):
+    # L = 160 clusters: find_hamilton_power builds R's power cycle, not the oracle
+    res = pipeline.run_main_pipeline(gnp(960, 0.97, seed), cycle_power_H(1, 960), seed=seed)
+    assert res, (res.failure_stage, res.failure_detail)
+    assert res.audit.notes["hamilton-power"] == "connecting-absorbing"
+    got = hashlib.sha256(repr(sorted(res.mapping.items())).encode()).hexdigest()[:16]
+    assert got == expected
+
+
 def test_a_fractional_beta_is_read_as_the_whole_interval_width():
     # beta*n = 2.16 slices H into width-3 intervals; the assignment's
     # checker must bound |B| by 2*ell*3, not 2*ell*2.16, or this embeddable

@@ -5,7 +5,6 @@ from .graphs import (
     DenseGraph,
     InvalidParameters,
     StageFailure,
-    ValidationResult,
     VertexLabelling,
     WitnessSequence,
     bandwidth_of,
@@ -16,8 +15,6 @@ from .graphs import (
 )
 from .density import (
     DensityParams,
-    DensityVerdict,
-    ExtendableClique,
     enumerate_extendable_cliques,
     is_locally_dense_exact,
     is_locally_dense_sampled,
@@ -29,7 +26,6 @@ __all__ = [
     "DenseGraph",
     "InvalidParameters",
     "StageFailure",
-    "ValidationResult",
     "VertexLabelling",
     "WitnessSequence",
     "bandwidth_of",
@@ -38,8 +34,6 @@ __all__ = [
     "make_named",
     "validate_witness",
     "DensityParams",
-    "DensityVerdict",
-    "ExtendableClique",
     "enumerate_extendable_cliques",
     "is_locally_dense_exact",
     "is_locally_dense_sampled",

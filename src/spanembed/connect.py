@@ -109,9 +109,9 @@ def bridging_cliques(
         if len(x_att) < r or len(y_att) < r:
             continue
         got = enumerate_extendable_cliques(G, r, s=0, cap=1, within=members)
-        if not got or got[0].vertices in seen:
+        if not got or got[0] in seen:
             continue
-        Z = got[0].vertices
+        Z = got[0]
         seen.add(Z)
         bridge = Bridge(Z, tuple(x_att[:r]), tuple(y_att[:r]))
         _revalidate_bridge(G, bridge, xmask, ymask, wmask, r)
@@ -128,14 +128,14 @@ def bridging_cliques(
     for cand in enumerate_extendable_cliques(
         G, r, s=0, cap=64, within=mask_of(loose)
     ):
-        if cand.vertices in seen:
+        if cand in seen:
             continue
-        common = G.common_neighborhood(cand.vertices)
+        common = G.common_neighborhood(cand)
         x_att = list(bits(common & xmask))
         y_att = list(bits(common & ymask))
         if len(x_att) >= r and len(y_att) >= r:
-            seen.add(cand.vertices)
-            bridge = Bridge(cand.vertices, tuple(x_att[:r]), tuple(y_att[:r]))
+            seen.add(cand)
+            bridge = Bridge(cand, tuple(x_att[:r]), tuple(y_att[:r]))
             _revalidate_bridge(G, bridge, xmask, ymask, wmask, r)
             yield bridge
     raise StageFailure(
@@ -286,6 +286,6 @@ def _revalidate_connection(
         ("X-concatenation", WitnessSequence(tuple(sorted(X)) + seq, "path", r)),
         ("Y-concatenation", WitnessSequence(seq + tuple(sorted(Y)), "path", r)),
     ):
-        res = validate_witness(G, w)
-        if not res:
-            raise StageFailure("revalidation", f"{what} invalid: {res.reason}")
+        problem = validate_witness(G, w)
+        if problem:
+            raise StageFailure("revalidation", f"{what} invalid: {problem}")

@@ -5,8 +5,8 @@ sampled checker never certifies density, it only reports the absence of
 found violations, and every witness it returns is rechecked exactly.
 A subset X can only violate local density when its size k makes
 ``local_threshold`` positive, so both checkers count edges only for
-subsets of such sizes.  The sampled one still visits every candidate in
-order and counts each non-empty one in ``checked``.
+subsets of such sizes.  Each returns the violating subset it found, or
+None.
 """
 
 from __future__ import annotations
@@ -34,18 +34,6 @@ class DensityParams:
             raise InvalidParameters("d must lie in (0,1]")
 
 
-@dataclass(frozen=True)
-class DensityVerdict:
-    """Outcome of a density check; witness is a violating subset."""
-
-    holds: bool
-    witness: tuple[int, ...] | None = None
-    checked: int = 0
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
 def local_threshold(n: int, k: int, p: DensityParams) -> float:
     """d*C(k,2) - rho n^2: the fewest edges a k-subset of an n-vertex host may
     span.  A k-subset can violate local density only when this is positive."""
@@ -57,36 +45,29 @@ def local_deficit(G: DenseGraph, xmask: int, p: DensityParams) -> float:
     return G.edges_within(xmask) - local_threshold(G.n, xmask.bit_count(), p)
 
 
-def is_locally_dense_exact(
-    G: DenseGraph, p: DensityParams, threshold: int = EXACT_LOCAL_THRESHOLD
-) -> DensityVerdict:
-    """Exhaustively check e(G[X]) >= d*C(|X|,2) - rho n^2 for every X.
+def is_locally_dense_exact(G: DenseGraph, p: DensityParams) -> tuple[int, ...] | None:
+    """Exhaustively check e(G[X]) >= d*C(|X|,2) - rho n^2 for every X: the
+    first violating X, or None when every X holds.
 
     Scans subset sizes in increasing order so a returned witness has minimum
     size.  Sizes where the inequality is vacuous (d*C(k,2) <= rho n^2) are
-    skipped outright.
+    skipped outright.  Hosts above ``EXACT_LOCAL_THRESHOLD`` vertices are
+    refused.
     """
     n = G.n
-    if n > threshold:
-        raise InvalidParameters(f"n={n} exceeds exact threshold {threshold}")
-    checked = 0
-
-    # Smallest k at which the inequality can bite at all.
-    k0 = next((k for k in range(n + 1) if local_threshold(n, k, p) > 0), None)
-    if k0 is None:
-        return DensityVerdict(True, checked=0)
-
+    if n > EXACT_LOCAL_THRESHOLD:
+        raise InvalidParameters(f"n={n} exceeds exact threshold {EXACT_LOCAL_THRESHOLD}")
     rows = G.rows
-    for k in range(k0, n + 1):
+    for k in range(n + 1):
         need = local_threshold(n, k, p)
+        if need <= 0:
+            continue
 
         # DFS over k-subsets in lexicographic order, tracking internal edges.
         def rec(
             start: int, chosen: list[int], cmask: int, edges: int
         ) -> tuple[int, ...] | None:
-            nonlocal checked
             if len(chosen) == k:
-                checked += 1
                 return tuple(chosen) if edges < need else None
             slots = k - len(chosen)
             for v in range(start, n - slots + 1):
@@ -100,8 +81,8 @@ def is_locally_dense_exact(
 
         found = rec(0, [], 0, 0)
         if found is not None:
-            return DensityVerdict(False, witness=found, checked=checked)
-    return DensityVerdict(True, checked=checked)
+            return found
+    return None
 
 
 def _greedy_sparse_prefixes(G: DenseGraph, limit: int) -> Iterator[tuple[int, int]]:
@@ -129,44 +110,40 @@ def is_locally_dense_sampled(
     p: DensityParams,
     trials: int = 1000,
     seed: int = 0,
-) -> DensityVerdict:
-    """Search for local-density violations; never certifies their absence.
+) -> tuple[int, ...] | None:
+    """Search for a local-density violation: the first violating subset
+    found, or None, which never certifies that none exists.
 
     Candidates: the full set first (by design), anti-neighbourhoods,
     greedy-sparsest growth prefixes, then uniform random subsets.  Edges are
     counted only for a candidate whose size k can violate, that is when
-    ``local_threshold(n, k, p) > 0``; ``checked`` counts every non-empty
-    candidate all the same.  The full set takes ``G.edge_count()``, and the
-    prefixes a running sum; they are not even built when the longest cannot
-    violate (the threshold grows with k).  The anti-neighbourhoods, then the
-    random subsets, are each scored in one ``edges_within_many`` batch of
-    the candidates that can violate, and the first violation in candidate
-    order is reported.  Any violation reported has been evaluated exactly.
+    ``local_threshold(n, k, p) > 0``.  The full set takes
+    ``G.edge_count()``, and the prefixes a running sum; they are not even
+    built when the longest cannot violate (the threshold grows with k).  The
+    anti-neighbourhoods, then the random subsets, are each scored in one
+    ``edges_within_many`` batch of the candidates that can violate, and the
+    first violation in candidate order is reported.  Any violation reported
+    has been evaluated exactly.
     """
     if trials < 1:
         raise InvalidParameters("trials must be >= 1")
     rng = random.Random(seed)
     n = G.n
     full = G.full_mask()
-    checked = 0
 
     def first_violation(
         masks: list[int], edges: list[int] | None = None
-    ) -> DensityVerdict | None:
-        """Count the candidates in order, up to the first violating one;
-        without ``edges`` those that can violate are scored in one batch."""
-        nonlocal checked
+    ) -> tuple[int, ...] | None:
+        """The first violating candidate in order; without ``edges`` those
+        that can violate are scored in one batch."""
         needs = [local_threshold(n, m.bit_count(), p) for m in masks]
         if edges is None:
             scored = [m for m, need in zip(masks, needs) if need > 0]
             counts = iter(G.edges_within_many(scored))
             edges = [next(counts) if need > 0 else 0 for need in needs]
         for mask, need, e in zip(masks, needs, edges):
-            if mask == 0:
-                continue
-            checked += 1
-            if need > 0 and e - need < 0:
-                return DensityVerdict(False, witness=tuple(bits(mask)), checked=checked)
+            if need > 0 and e < need:
+                return tuple(bits(mask))
         return None
 
     bad = first_violation([full], [G.edge_count()])
@@ -182,26 +159,7 @@ def is_locally_dense_sampled(
             bad = first_violation([mask], [edges])
             if bad is not None:
                 return bad
-    else:
-        checked += limit
-    bad = first_violation([rng.getrandbits(n) & full for _ in range(trials)])
-    if bad is not None:
-        return bad
-    return DensityVerdict(True, checked=checked)
-
-
-@dataclass(frozen=True)
-class ExtendableClique:
-    """A K_r whose joint neighbourhood has size at least the requested bound."""
-
-    vertices: tuple[int, ...]
-    joint_degree: int
-
-    def revalidate(self, G: DenseGraph) -> bool:
-        return (
-            G.is_clique(self.vertices)
-            and G.joint_degree(self.vertices) == self.joint_degree
-        )
+    return first_violation([rng.getrandbits(n) & full for _ in range(trials)])
 
 
 def enumerate_extendable_cliques(
@@ -210,8 +168,9 @@ def enumerate_extendable_cliques(
     s: int = 0,
     cap: int | None = None,
     within: int | None = None,
-) -> list[ExtendableClique]:
-    """Enumerate K_r's with joint degree >= s, lexicographically.
+) -> list[tuple[int, ...]]:
+    """Enumerate K_r's with joint degree >= s, lexicographically, as vertex
+    tuples.
 
     Follows the inductive tuple construction: every prefix of a returned
     clique already has joint neighbourhood of size >= s (the common
@@ -223,14 +182,14 @@ def enumerate_extendable_cliques(
     if r < 1:
         raise InvalidParameters("r must be >= 1")
     scope = G.full_mask() if within is None else within
-    out: list[ExtendableClique] = []
+    out: list[tuple[int, ...]] = []
     rows = G.rows
     full = G.full_mask()
 
     def rec(start: int, chosen: list[int], common: int, candidates: int) -> bool:
         """Return True when the cap is reached."""
         if len(chosen) == r:
-            out.append(ExtendableClique(tuple(chosen), common.bit_count()))
+            out.append(tuple(chosen))
             return cap is not None and len(out) >= cap
         # candidates: vertices > last chosen, inside scope, adjacent to all chosen
         for v in bits(candidates >> start << start):

@@ -15,7 +15,8 @@ import numpy as np
 
 
 class InvalidParameters(ValueError):
-    """Raised when a named-graph or IO parameter combination is rejected."""
+    """Raised for every rejected parameter: a graph, generator, IO, density,
+    regularity or Hamilton-power argument outside what its function accepts."""
 
 
 class StageFailure(RuntimeError):
@@ -41,10 +42,10 @@ BITS_NUMPY_FROM = 24
 # at n = 300 and n = 5,000 neither 64 KB nor 1 MB tiles were faster.
 BATCH_BYTES = 1 << 18
 
-# Largest vertex count an edge-list `p` header may declare.  Desk-scale runs
-# top out at n = 4,800; at n = 10,000 the bit rows take 12.5 MB and one
-# unpacked 0/1 matrix (``bit_matrix``) 100 MB, so a larger header is refused
-# before anything is allocated.
+# Largest vertex count an edge-list `p` header may declare.  The pipeline
+# embeds C^1 in gnp(9600, .97); at n = 10,000 the bit rows take 12.5 MB and
+# one unpacked 0/1 matrix (``bit_matrix``) 100 MB, so a larger header is
+# refused before anything is allocated.
 MAX_EDGELIST_N = 10_000
 
 
@@ -425,16 +426,6 @@ class WitnessSequence:
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    reason: str = ""
-    violation: tuple | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def _windows_hold(G: DenseGraph, w: WitnessSequence) -> bool:
     """True when the vertices are distinct, in range, and each one's row
     holds the next r vertices (cyclically for a cycle of more than r)."""
@@ -455,8 +446,9 @@ def _windows_hold(G: DenseGraph, w: WitnessSequence) -> bool:
     return all(rows[v] & m == m for v, m in zip(vs, windows))
 
 
-def validate_witness(G: DenseGraph, w: WitnessSequence) -> ValidationResult:
-    """Check the claimed witness against the host; reports the first violation.
+def validate_witness(G: DenseGraph, w: WitnessSequence) -> str:
+    """Check the claimed witness against the host: its first violation, or
+    "" when it holds.
 
     Path/cycle entries must be pairwise distinct; trails may repeat vertices
     but every required pair must still be a (non-loop) edge.  A witness of
@@ -464,32 +456,26 @@ def validate_witness(G: DenseGraph, w: WitnessSequence) -> ValidationResult:
     any condition fails, the pairwise scan below finds and reports it.
     """
     if _windows_hold(G, w):
-        return ValidationResult(True)
+        return ""
     vs = w.vertices
     k = len(vs)
     for v in vs:
         if not 0 <= v < G.n:
-            return ValidationResult(False, f"vertex {v} outside host", ("range", v))
+            return f"vertex {v} outside host"
     if w.kind in ("path", "cycle"):
         seen = set()
         for v in vs:
             if v in seen:
-                return ValidationResult(False, f"duplicate vertex {v}", ("dup", v))
+                return f"duplicate vertex {v}"
             seen.add(v)
     if w.kind == "cycle":
         for i in range(k):
             for j in range(1, w.r + 1):
                 u, v = vs[i], vs[(i + j) % k]
                 if u == v:
-                    return ValidationResult(
-                        False, f"cyclic pair ({i},{i + j}) collapses", ("loop", i, j)
-                    )
+                    return f"cyclic pair ({i},{i + j}) collapses"
                 if not G.has_edge(u, v):
-                    return ValidationResult(
-                        False,
-                        f"missing edge ({u},{v}) at offsets ({i},{(i + j) % k})",
-                        ("edge", u, v),
-                    )
+                    return f"missing edge ({u},{v}) at offsets ({i},{(i + j) % k})"
     else:
         for i in range(k):
             for j in range(1, w.r + 1):
@@ -497,16 +483,10 @@ def validate_witness(G: DenseGraph, w: WitnessSequence) -> ValidationResult:
                     break
                 u, v = vs[i], vs[i + j]
                 if u == v:
-                    return ValidationResult(
-                        False, f"pair ({i},{i + j}) collapses to vertex {u}", ("loop", i, j)
-                    )
+                    return f"pair ({i},{i + j}) collapses to vertex {u}"
                 if not G.has_edge(u, v):
-                    return ValidationResult(
-                        False,
-                        f"missing edge ({u},{v}) at offsets ({i},{i + j})",
-                        ("edge", u, v),
-                    )
-    return ValidationResult(True)
+                    return f"missing edge ({u},{v}) at offsets ({i},{i + j})"
+    return ""
 
 
 # -- edge-list text format --------------------------------------------------

@@ -140,9 +140,9 @@ def build_absorbing_path(G: DenseGraph, absorber: AbsorberSystem, seed: int | st
         sequence.extend(blocks[i + 1])
         avoid |= set(conn.vertices)
     path = WitnessSequence(tuple(sequence), "path", 2 * r)
-    res = validate_witness(G, path)
-    if not res:
-        raise StageFailure("connector", f"absorbing path invalid: {res.reason}")
+    problem = validate_witness(G, path)
+    if problem:
+        raise StageFailure("connector", f"absorbing path invalid: {problem}")
     expected = (len(blocks) - 1) * 8 * r + 2 * r
     if len(sequence) != expected:
         raise StageFailure(
@@ -154,24 +154,35 @@ def build_absorbing_path(G: DenseGraph, absorber: AbsorberSystem, seed: int | st
 def _match_to_blocks(candidates: dict[int, list[int]]) -> dict[int, int]:
     """Maximum bipartite matching z -> block via augmenting paths.
 
-    Raises matching-infeasible naming the first unmatchable vertex.
+    Each path is a depth-first search kept on an explicit stack, so a path
+    through every block needs no call depth.  Raises matching-infeasible
+    naming the first unmatchable vertex.
     """
     match_block: dict[int, int] = {}
     order = sorted(candidates, key=lambda z: (len(candidates[z]), z))
     for z in order:
         seen: set[int] = set()
-
-        def augment(u: int) -> bool:
-            for b in candidates[u]:
-                if b in seen:
-                    continue
-                seen.add(b)
-                if b not in match_block or augment(match_block[b]):
-                    match_block[b] = u
-                    return True
-            return False
-
-        if not augment(z):
+        # stack[i]: the vertex at depth i with its untried blocks; tried[i]:
+        # the block it took, whose holder is the vertex at depth i + 1
+        stack = [(z, iter(candidates[z]))]
+        tried: list[int] = []
+        while stack:
+            b = next((b for b in stack[-1][1] if b not in seen), None)
+            if b is None:
+                stack.pop()
+                if tried:
+                    tried.pop()
+                continue
+            seen.add(b)
+            tried.append(b)
+            if b in match_block:
+                stack.append((match_block[b], iter(candidates[match_block[b]])))
+                continue
+            # b is free: every vertex on the path moves to the block it took
+            for (u, _), taken in zip(stack, tried):
+                match_block[taken] = u
+            break
+        else:
             raise StageFailure(
                 "matching-infeasible", f"no free interior block for vertex {z}"
             )
@@ -220,9 +231,9 @@ def absorb(
         if (pos + 1) in inserts:
             out.append(inserts[pos + 1])
     witness = WitnessSequence(tuple(out), "path", r)
-    res = validate_witness(G, witness)
-    if not res:
-        raise StageFailure("absorb", f"absorbed path invalid: {res.reason}")
+    problem = validate_witness(G, witness)
+    if problem:
+        raise StageFailure("absorb", f"absorbed path invalid: {problem}")
     if witness.vertices[: 2 * r] != pabs.S or witness.vertices[-2 * r :] != pabs.E_end:
         raise StageFailure("revalidation", "absorption moved the path's end blocks")
     return witness
@@ -366,9 +377,9 @@ def cover_with_paths(
             remaining &= ~mask_of(got)
             continue
         w = WitnessSequence(tuple(seq), "path", r_cover)
-        check = validate_witness(G2, w)
-        if not check:
-            raise StageFailure("revalidation", f"greedy cover emitted a bad path: {check.reason}")
+        problem = validate_witness(G2, w)
+        if problem:
+            raise StageFailure("revalidation", f"greedy cover emitted a bad path: {problem}")
         paths.append(w)
         remaining &= ~mask_of(seq)
 
@@ -394,10 +405,10 @@ def cover_with_paths(
                     changed = True
             if len(seq) != len(w.vertices):
                 w2 = WitnessSequence(tuple(seq), "path", r_cover)
-                check = validate_witness(G2, w2)
-                if not check:
+                problem = validate_witness(G2, w2)
+                if problem:
                     raise StageFailure(
-                        "revalidation", f"stray tack-on broke a path: {check.reason}"
+                        "revalidation", f"stray tack-on broke a path: {problem}"
                     )
                 paths[i] = w2
     leftover.extend(bits(strays))
@@ -525,9 +536,9 @@ def find_hamilton_power(
 
 def _check_cycle(G: DenseGraph, witness: WitnessSequence) -> None:
     """The returned certificate: a valid power cycle through all of G."""
-    res = validate_witness(G, witness)
-    if not res:
-        raise StageFailure("revalidation", f"final cycle invalid: {res.reason}")
+    problem = validate_witness(G, witness)
+    if problem:
+        raise StageFailure("revalidation", f"final cycle invalid: {problem}")
     if len(witness.vertices) != G.n:
         raise StageFailure(
             "revalidation", f"final cycle has {len(witness.vertices)} != {G.n} vertices"
@@ -624,9 +635,9 @@ def _thread_and_close(
         )
     absorbed = absorb(G, pabs, leftovers)
     cycle = WitnessSequence(tuple(absorbed.vertices) + tuple(big), "cycle", r)
-    res = validate_witness(G, cycle)
-    if not res:
-        raise StageFailure("closure", f"cycle validation failed: {res.reason}")
+    problem = validate_witness(G, cycle)
+    if problem:
+        raise StageFailure("closure", f"cycle validation failed: {problem}")
     return cycle
 
 

@@ -304,7 +304,7 @@ def build_framework(
             raise HypothesisViolation(
                 "candidate-set", f"|N_v| = {len(nv)} < eta*L for vertex {v}"
             )
-    if not is_locally_dense_sampled(R, DensityParams(rho, d), trials=200, seed=seed):
+    if is_locally_dense_sampled(R, DensityParams(rho, d), trials=200, seed=seed) is not None:
         raise HypothesisViolation("reduced-density", "R fails sampled local density")
     if R.min_degree() < (0.5 + eta) * L:
         raise HypothesisViolation(
@@ -340,8 +340,8 @@ def build_framework(
                     f"no K_{2 * r} inside the candidate set "
                     f"of exceptional vertex {v} (avoiding the anchor)",
                 )
-            blocks.append(got[0].vertices)
-            used_blocks |= mask_of(got[0].vertices)
+            blocks.append(got[0])
+            used_blocks |= mask_of(got[0])
             groups[len(blocks) - 1] = [v]
     K = len(blocks)
 
@@ -411,9 +411,9 @@ def check_framework(
     if F.t != (8 * F.K + 1) * r:
         return f"trail length {F.t} != (8K+1)r"
     w = WitnessSequence(F.sequence, "trail", 2 * r)
-    res = validate_witness(R, w)
-    if not res:
-        return f"trail invalid: {res.reason}"
+    problem = validate_witness(R, w)
+    if problem:
+        return f"trail invalid: {problem}"
     covered: set[int] = set()
     for k, vs in F.block_map.items():
         blk = set(F.block_vertices(k))

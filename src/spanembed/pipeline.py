@@ -115,8 +115,8 @@ def _pipeline(
     audit.notes["beta_n"] = W
 
     # -- advisory prechecks --------------------------------------------------
-    dense = is_locally_dense_sampled(G, DensityParams(RHO, D), trials=300, seed=seed)
-    audit.record("locally-dense-sampled", bool(dense), f"witness={dense.witness is not None}")
+    sparse = is_locally_dense_sampled(G, DensityParams(RHO, D), trials=300, seed=seed)
+    audit.record("locally-dense-sampled", sparse is None, f"witness={sparse is not None}")
     audit.record(
         "min-degree",
         G.min_degree() >= (0.5 + ETA) * n,
@@ -189,12 +189,7 @@ def _pipeline(
         check=False,
     )
     refined_list = refine_to_superregular(
-        pure,
-        [list(cell_cluster[c]) for c in cells],
-        R_blocks,
-        REFINE_EPS,
-        DELTA,
-        verify=False,
+        pure, [list(cell_cluster[c]) for c in cells], R_blocks, REFINE_EPS, DELTA
     )
     refined = dict(zip(cells, map(tuple, refined_list)))
     audit.stage("refine")
@@ -401,13 +396,11 @@ def _reduced_power_cycle(
     res = brute_force_embed(template, reduced, budget=ORACLE_BUDGET)
     if res.status == "embedded":
         order = [res.mapping[k] for k in range(n)]
-        check = validate_witness(
-            reduced, WitnessSequence(tuple(order), "cycle", q_eff)
-        )
-        if not check:
+        problem = validate_witness(reduced, WitnessSequence(tuple(order), "cycle", q_eff))
+        if problem:
             raise StageFailure(
                 "hamilton-power",
-                f"oracle cycle revalidation failed: {check.reason}",
+                f"oracle cycle revalidation failed: {problem}",
                 violated="hamilton-power",
             )
         return order

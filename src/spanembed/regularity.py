@@ -210,7 +210,6 @@ def refine_to_superregular(
     R: DenseGraph,
     eps: float,
     delta: float,
-    verify: bool = True,
 ) -> list[list[int]]:
     """Shrink each cluster to ceil((1-sqrt(eps))*m) so R-neighbour pairs become
     superregular at (4*sqrt(eps), delta/2).
@@ -222,12 +221,11 @@ def refine_to_superregular(
     more than ceil(sqrt(eps)*m) failures, the clusters are first repaired by
     swaps (``_swap_failing``) and the violation is reported only if that
     fails.  Survivors are trimmed deterministically (highest ids first) to the
-    exact target size.  With ``verify``, every refined R-pair is rechecked by
-    ``is_superregular``.
+    exact target size.  ``is_superregular`` is the independent check of the
+    refined pairs.
 
-    Every refusal is a ``StageFailure`` at stage ``refine``: a violated
-    hypothesis has ``violated="refine"``, a refined pair that fails the
-    recheck ``violated="superregular"``.
+    A violated hypothesis is a ``StageFailure`` at stage ``refine`` with
+    ``violated="refine"``.
     """
     m = len(clusters[0])
     if any(len(c) != m for c in clusters):
@@ -256,21 +254,7 @@ def refine_to_superregular(
     for v, i, bad in zip(flat, where.tolist(), fails.any(axis=1).tolist()):
         if not bad:
             survivors[i].append(v)
-    refined = [sorted(vs)[:target] for vs in survivors]
-    if not verify:
-        return refined
-    for i, j in np.argwhere(np.triu(nbrs, 1)).tolist():  # R-pairs i < j, row-major
-        verdict = is_superregular(G, refined[i], refined[j], 4 * math.sqrt(eps), delta / 2)
-        if not verdict:
-            X, Y = verdict.witness
-            raise StageFailure(
-                "refine",
-                f"refined clusters {i} and {j} are not superregular: density "
-                f"{verdict.density:.3f}, witness of sizes ({len(X)},{len(Y)}) "
-                f"deviates by {verdict.deviation:.3f}",
-                violated="superregular",
-            )
-    return refined
+    return [sorted(vs)[:target] for vs in survivors]
 
 
 def _first_refusal(

@@ -18,7 +18,6 @@ from spanembed.graphs import (
     DenseGraph,
     bits,
     StageFailure,
-    ValidationResult,
     WitnessSequence,
     mask_of,
     validate_witness,
@@ -197,13 +196,9 @@ def test_bridging_cliques_end_with_the_failure_label():
 def check_connection(G, path, X, Y, r, W):
     seq = path.vertices
     assert len(seq) == 3 * r
-    assert validate_witness(G, path)
-    assert validate_witness(
-        G, WitnessSequence(tuple(sorted(X)) + seq, "path", r)
-    )
-    assert validate_witness(
-        G, WitnessSequence(seq + tuple(sorted(Y)), "path", r)
-    )
+    assert validate_witness(G, path) == ""
+    assert validate_witness(G, WitnessSequence(tuple(sorted(X)) + seq, "path", r)) == ""
+    assert validate_witness(G, WitnessSequence(seq + tuple(sorted(Y)), "path", r)) == ""
     assert not set(seq) & set(W)
     assert not set(seq) & (set(X) | set(Y))
 
@@ -233,12 +228,8 @@ def test_connect_random_dense_with_avoid_set():
     rng = random.Random(9)
     lower = mask_of(range(G.n // 2))
     upper = mask_of(range(G.n // 2, G.n))
-    X = list(
-        enumerate_extendable_cliques(G, 3, s=int(0.2 * G.n), cap=1, within=lower)[0].vertices
-    )
-    Y = list(
-        enumerate_extendable_cliques(G, 3, s=int(0.2 * G.n), cap=1, within=upper)[0].vertices
-    )
+    X = list(enumerate_extendable_cliques(G, 3, s=int(0.2 * G.n), cap=1, within=lower)[0])
+    Y = list(enumerate_extendable_cliques(G, 3, s=int(0.2 * G.n), cap=1, within=upper)[0])
     W = [v for v in rng.sample(range(G.n), 30) if v not in X + Y][:9]
     path = connect_cliques(G, X, Y, W, r=3, eta=0.25, seed=0)
     check_connection(G, path, X, Y, 3, W)
@@ -248,12 +239,8 @@ def test_connect_deterministic():
     G = gnp(120, 0.8, 2)
     lower = mask_of(range(G.n // 2))
     upper = mask_of(range(G.n // 2, G.n))
-    X = list(
-        enumerate_extendable_cliques(G, 2, s=int(0.2 * G.n), cap=1, within=lower)[0].vertices
-    )
-    Y = list(
-        enumerate_extendable_cliques(G, 2, s=int(0.2 * G.n), cap=1, within=upper)[0].vertices
-    )
+    X = list(enumerate_extendable_cliques(G, 2, s=int(0.2 * G.n), cap=1, within=lower)[0])
+    Y = list(enumerate_extendable_cliques(G, 2, s=int(0.2 * G.n), cap=1, within=upper)[0])
     assert connect_cliques(G, X, Y, [], 2, 0.1, seed=0) == connect_cliques(G, X, Y, [], 2, 0.1, seed=0)
 
 
@@ -273,9 +260,7 @@ def test_connect_envelope_failure_on_sparse_host():
 
 def test_connect_raises_when_its_path_fails_revalidation(monkeypatch):
     # the emitted path is rechecked by an explicit test that survives -O
-    monkeypatch.setattr(
-        connect, "validate_witness", lambda G, w: ValidationResult(False, "rejected")
-    )
+    monkeypatch.setattr(connect, "validate_witness", lambda G, w: "rejected")
     with pytest.raises(StageFailure) as exc:
         connect_cliques(DenseGraph.complete(40), [0, 1], [2, 3], [], 2, 0.2, seed=0)
     assert exc.value.stage == "revalidation"

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from spanembed import density
 from spanembed.density import (
     DensityParams,
-    DensityVerdict,
     enumerate_extendable_cliques,
     find_clique,
     is_locally_dense_exact,
@@ -54,22 +53,22 @@ def test_bad_parameters_raise_invalid_parameters(call):
 
 def test_complete_graph_is_1_dense():
     G = DenseGraph.complete(8)
-    assert is_locally_dense_exact(G, DensityParams(0.0, 1.0))
+    assert is_locally_dense_exact(G, DensityParams(0.0, 1.0)) is None
 
 
 def test_edgeless_graph_violates_with_full_witness():
     G = DenseGraph.empty(8)
-    res = is_locally_dense_exact(G, DensityParams(0.01, 0.5))
-    assert not res
+    witness = is_locally_dense_exact(G, DensityParams(0.01, 0.5))
+    assert witness is not None
     # a minimum-size violating subset: d*C(k,2) > rho*n^2 first at k=2
-    k = len(res.witness)
+    k = len(witness)
     assert 0.5 * k * (k - 1) / 2 > 0.01 * 64
     assert 0.5 * (k - 1) * (k - 2) / 2 <= 0.01 * 64
 
 
 def test_two_disjoint_k4_pass():
     G = two_cliques(8)
-    assert is_locally_dense_exact(G, DensityParams(0.2, 0.5))
+    assert is_locally_dense_exact(G, DensityParams(0.2, 0.5)) is None
 
 
 @given(st.integers(0, 400))
@@ -80,10 +79,10 @@ def test_exact_checker_matches_bruteforce(seed):
     G = gnp(n, rng.random(), seed)
     p = DensityParams(rng.uniform(0, 0.05), rng.uniform(0.1, 1.0))
     expected_ok, _ = brute_locally_dense(G, p)
-    res = is_locally_dense_exact(G, p)
-    assert bool(res) == expected_ok
-    if not res:
-        assert local_deficit(G, mask_of(res.witness), p) < 0
+    witness = is_locally_dense_exact(G, p)
+    assert (witness is None) == expected_ok
+    if witness is not None:
+        assert local_deficit(G, mask_of(witness), p) < 0
 
 
 def test_exact_checker_witness_has_minimum_size():
@@ -92,11 +91,11 @@ def test_exact_checker_witness_has_minimum_size():
         n = rng.randint(3, 9)
         G = gnp(n, 0.35, seed)
         p = DensityParams(0.005, 0.9)
-        res = is_locally_dense_exact(G, p)
+        witness = is_locally_dense_exact(G, p)
         ok, _ = brute_locally_dense(G, p)
-        assert bool(res) == ok
-        if not res:
-            k = len(res.witness)
+        assert (witness is None) == ok
+        if witness is not None:
+            k = len(witness)
             for size in range(k):
                 for X in itertools.combinations(range(n), size):
                     e = sum(
@@ -118,9 +117,9 @@ def test_monotonicity_in_params():
         n = rng.randint(3, 10)
         G = gnp(n, rng.random(), seed)
         rho, d = rng.uniform(0, 0.05), rng.uniform(0.2, 1.0)
-        if is_locally_dense_exact(G, DensityParams(rho, d)):
+        if is_locally_dense_exact(G, DensityParams(rho, d)) is None:
             worse = DensityParams(rho * rng.uniform(1, 3), d * rng.uniform(0.3, 1))
-            assert is_locally_dense_exact(G, worse)
+            assert is_locally_dense_exact(G, worse) is None
 
 
 # -- sampled local density ---------------------------------------------------
@@ -128,14 +127,13 @@ def test_monotonicity_in_params():
 
 def test_sampled_no_violation_on_complete():
     G = DenseGraph.complete(100)
-    assert is_locally_dense_sampled(G, DensityParams(0.0, 1.0), trials=1000, seed=3)
+    assert is_locally_dense_sampled(G, DensityParams(0.0, 1.0), trials=1000, seed=3) is None
 
 
 def test_sampled_catches_edgeless_with_full_set():
     G = DenseGraph.empty(100)
-    res = is_locally_dense_sampled(G, DensityParams(0.001, 0.5), trials=10, seed=0)
-    assert not res
-    assert res.witness == tuple(range(100))
+    witness = is_locally_dense_sampled(G, DensityParams(0.001, 0.5), trials=10, seed=0)
+    assert witness == tuple(range(100))
 
 
 def test_sampled_agrees_with_exact_on_small_instances():
@@ -146,17 +144,16 @@ def test_sampled_agrees_with_exact_on_small_instances():
         p = DensityParams(rng.uniform(0, 0.03), rng.uniform(0.3, 0.9))
         exact = is_locally_dense_exact(G, p)
         sampled = is_locally_dense_sampled(G, p, trials=400, seed=seed)
-        if exact:
+        if exact is None:
             # sampled may not certify, but must not fabricate a violation
-            assert sampled
-        if not sampled:
-            assert local_deficit(G, mask_of(sampled.witness), p) < 0
+            assert sampled is None
+        if sampled is not None:
+            assert local_deficit(G, mask_of(sampled), p) < 0
 
 
 def test_sampled_no_false_violation_on_random_dense():
     G = gnp(100, 0.5, 7)
-    res = is_locally_dense_sampled(G, DensityParams(0.05, 0.3), trials=1000, seed=7)
-    assert res
+    assert is_locally_dense_sampled(G, DensityParams(0.05, 0.3), trials=1000, seed=7) is None
 
 
 def _reference_greedy_sparse_subsets(G, limit):
@@ -179,7 +176,9 @@ def _reference_greedy_sparse_subsets(G, limit):
 
 
 def _reference_sampled(G, p, trials, seed):
-    """The sampled check scoring every candidate with ``local_deficit``."""
+    """The sampled check scoring every candidate with ``local_deficit``: its
+    violating subset or None, and the number of non-empty candidates it
+    scored, which tells the family of a violation."""
     rng = random.Random(seed)
     n = G.n
     full = G.full_mask()
@@ -191,7 +190,7 @@ def _reference_sampled(G, p, trials, seed):
             return None
         checked += 1
         if local_deficit(G, mask, p) < 0:
-            return DensityVerdict(False, witness=tuple(bits(mask)), checked=checked)
+            return tuple(bits(mask)), checked
         return None
 
     bad = test(full)
@@ -213,7 +212,7 @@ def _reference_sampled(G, p, trials, seed):
         bad = test(mask)
         if bad is not None:
             return bad
-    return DensityVerdict(True, checked=checked)
+    return None, checked
 
 
 def _anti_neighbourhoods(G, seed):
@@ -273,12 +272,10 @@ def test_sampled_matches_the_score_everything_reference(monkeypatch):
             for seed in (0, 1):
                 for trials in (1, 50):
                     got = is_locally_dense_sampled(G, p, trials=trials, seed=seed)
-                    want = _reference_sampled(G, p, trials, seed)
-                    assert (got.holds, got.witness, got.checked) == (
-                        want.holds, want.witness, want.checked
-                    ), (G.n, rho, d, seed, trials)
-                    if not want.holds:
-                        families.add(_first_violating_family(G, seed, want.checked))
+                    want, checked = _reference_sampled(G, p, trials, seed)
+                    assert got == want, (G.n, rho, d, seed, trials)
+                    if want is not None:
+                        families.add(_first_violating_family(G, seed, checked))
     assert families == {"full", "anti-neighbourhood", "greedy", "random"}
     assert built > 0
 
@@ -305,9 +302,7 @@ def test_sampled_counts_edges_only_where_the_size_can_violate(monkeypatch, rho):
         return real_edges_within_many(self, masks)
 
     monkeypatch.setattr(DenseGraph, "edges_within_many", counting_edges_within_many)
-    res = is_locally_dense_sampled(G, DensityParams(rho, d), trials=trials, seed=seed)
-    assert res.holds
-    assert res.checked == 1 + len(anti) + (4 * math.isqrt(n) + 8) + sum(1 for m in randoms if m)
+    assert is_locally_dense_sampled(G, DensityParams(rho, d), trials=trials, seed=seed) is None
     assert scored == sum(1 for m in anti + randoms if m and can_violate(m))
 
 
@@ -328,10 +323,9 @@ def test_all_triangles_of_k10():
     G = DenseGraph.complete(10)
     out = enumerate_extendable_cliques(G, 3, s=7)
     assert len(out) == math.comb(10, 3)
-    assert all(c.joint_degree == 7 for c in out)
-    assert all(c.revalidate(G) for c in out)
+    assert all(G.joint_degree(c) == 7 and G.is_clique(c) for c in out)
     # lexicographic order on sorted vertex tuples
-    assert [c.vertices for c in out] == sorted(c.vertices for c in out)
+    assert out == sorted(out) == list(itertools.combinations(range(10), 3))
 
 
 def test_triangle_free_host_yields_nothing():
@@ -343,7 +337,7 @@ def test_two_cliques_edges():
     G = two_cliques(10)
     out = enumerate_extendable_cliques(G, 2, s=3)
     assert len(out) == 2 * math.comb(5, 2)
-    assert all(c.joint_degree == 3 for c in out)
+    assert all(G.joint_degree(c) == 3 for c in out)
 
 
 def test_cap_limits_enumeration():
@@ -356,15 +350,15 @@ def test_joint_degree_lower_bound_respected():
     G = gnp(30, 0.6, 2)
     out = enumerate_extendable_cliques(G, 3, s=5, cap=50)
     for c in out:
-        assert G.joint_degree(c.vertices) >= 5
-        assert G.is_clique(c.vertices)
+        assert G.joint_degree(c) >= 5
+        assert G.is_clique(c)
 
 
 def test_within_mask_restricts_vertices():
     G = DenseGraph.complete(8)
     scope = mask_of(range(4))
     out = enumerate_extendable_cliques(G, 2, s=0, within=scope)
-    assert all(set(c.vertices) <= set(range(4)) for c in out)
+    assert all(set(c) <= set(range(4)) for c in out)
     assert len(out) == math.comb(4, 2)
 
 
@@ -564,13 +558,11 @@ def test_induced_density_property_on_small_instances():
         n = rng.randint(6, 10)
         G = gnp(n, 0.7, seed)
         p = DensityParams(0.02, 0.4)
-        if not is_locally_dense_exact(G, p):
+        if is_locally_dense_exact(G, p) is not None:
             continue
         size = rng.randint(3, n - 1)
         U = rng.sample(range(n), size)
         H, _ = G.induced(U)
         alpha = size / n
         # induced graphs stay dense at rho scaled by 1/alpha^2
-        assert is_locally_dense_exact(
-            H, DensityParams(p.rho / alpha**2, p.d)
-        )
+        assert is_locally_dense_exact(H, DensityParams(p.rho / alpha**2, p.d)) is None

@@ -25,7 +25,6 @@ from spanembed.graphs import (
     validate_witness,
     z_rule_edge,
 )
-from spanembed.graphs import ValidationResult
 
 
 def brute_edge_count(G):
@@ -214,15 +213,13 @@ def test_power_monotone(n, r):
 def test_witness_cycle_in_complete_host():
     K5 = DenseGraph.complete(5)
     w = WitnessSequence((3, 0, 4, 1, 2), "cycle", 2)
-    assert validate_witness(K5, w)
+    assert validate_witness(K5, w) == ""
 
 
 def test_witness_cycle_missing_chord():
     C6 = make_named("C", [1, 6])
     w = WitnessSequence((0, 1, 2, 3, 4, 5), "cycle", 2)
-    res = validate_witness(C6, w)
-    assert not res
-    assert res.violation == ("edge", 0, 2)
+    assert validate_witness(C6, w) == "missing edge (0,2) at offsets (0,2)"
 
 
 def test_witness_trail_allows_revisits():
@@ -236,14 +233,13 @@ def test_witness_trail_allows_revisits():
             if i + j < len(seq):
                 ok = ok and Z.has_edge(seq[i], seq[i + j])
     w = WitnessSequence(seq, "trail", 2)
-    assert bool(validate_witness(Z, w)) == ok
+    assert (validate_witness(Z, w) == "") == ok
 
 
 def test_witness_path_rejects_duplicates():
     K5 = DenseGraph.complete(5)
     w = WitnessSequence((0, 1, 0), "path", 1)
-    res = validate_witness(K5, w)
-    assert not res and res.violation == ("dup", 0)
+    assert validate_witness(K5, w) == "duplicate vertex 0"
 
 
 def test_witness_trail_rejects_collapsing_pair():
@@ -251,8 +247,8 @@ def test_witness_trail_rejects_collapsing_pair():
     w = WitnessSequence((0, 1, 0), "path", 2)
     # as a path it's a dup; as a trail the pair (0,0) at offsets (0,2) collapses
     w2 = WitnessSequence((0, 1, 0), "trail", 2)
-    assert not validate_witness(K5, w)
-    assert not validate_witness(K5, w2)
+    assert validate_witness(K5, w) == "duplicate vertex 0"
+    assert validate_witness(K5, w2) == "pair (0,2) collapses to vertex 0"
 
 
 @given(st.integers(5, 40), st.integers(1, 4))
@@ -262,7 +258,7 @@ def test_named_cycle_power_is_its_own_witness(k, r):
         return
     G = make_named("C", [r, k])
     w = WitnessSequence(tuple(range(k)), "cycle", r)
-    assert validate_witness(G, w)
+    assert validate_witness(G, w) == ""
 
 
 def _reference_cycle_power(r, k):
@@ -466,27 +462,21 @@ def _reference_validate(G, w):
     k = len(vs)
     for v in vs:
         if not 0 <= v < G.n:
-            return ValidationResult(False, f"vertex {v} outside host", ("range", v))
+            return f"vertex {v} outside host"
     if w.kind in ("path", "cycle"):
         seen = set()
         for v in vs:
             if v in seen:
-                return ValidationResult(False, f"duplicate vertex {v}", ("dup", v))
+                return f"duplicate vertex {v}"
             seen.add(v)
     if w.kind == "cycle":
         for i in range(k):
             for j in range(1, w.r + 1):
                 u, v = vs[i], vs[(i + j) % k]
                 if u == v:
-                    return ValidationResult(
-                        False, f"cyclic pair ({i},{i + j}) collapses", ("loop", i, j)
-                    )
+                    return f"cyclic pair ({i},{i + j}) collapses"
                 if not G.has_edge(u, v):
-                    return ValidationResult(
-                        False,
-                        f"missing edge ({u},{v}) at offsets ({i},{(i + j) % k})",
-                        ("edge", u, v),
-                    )
+                    return f"missing edge ({u},{v}) at offsets ({i},{(i + j) % k})"
     else:
         for i in range(k):
             for j in range(1, w.r + 1):
@@ -494,16 +484,16 @@ def _reference_validate(G, w):
                     break
                 u, v = vs[i], vs[i + j]
                 if u == v:
-                    return ValidationResult(
-                        False, f"pair ({i},{i + j}) collapses to vertex {u}", ("loop", i, j)
-                    )
+                    return f"pair ({i},{i + j}) collapses to vertex {u}"
                 if not G.has_edge(u, v):
-                    return ValidationResult(
-                        False,
-                        f"missing edge ({u},{v}) at offsets ({i},{i + j})",
-                        ("edge", u, v),
-                    )
-    return ValidationResult(True)
+                    return f"missing edge ({u},{v}) at offsets ({i},{i + j})"
+    return ""
+
+
+# the kind of violation each first word of a reason names
+_VIOLATION_KINDS = {
+    "vertex": "range", "duplicate": "dup", "cyclic": "loop", "pair": "loop", "missing": "edge"
+}
 
 
 def _witness_variants(seq, n, rng):
@@ -546,7 +536,7 @@ def test_validate_witness_matches_the_pairwise_checker(r):
                     w = WitnessSequence(seq, kind, r)
                     want = _reference_validate(G, w)
                     assert validate_witness(G, w) == want, (G, seq, kind)
-                    outcomes.add(want.violation[0] if want.violation else "ok")
+                    outcomes.add(_VIOLATION_KINDS[want.split()[0]] if want else "ok")
     assert outcomes == {"ok", "range", "dup", "loop", "edge"}
 
 
@@ -558,7 +548,7 @@ def test_validate_witness_short_cycles_collapse(r):
     for k in range(0, r + 1):
         w = WitnessSequence(tuple(range(k)), "cycle", r)
         assert validate_witness(K, w) == _reference_validate(K, w)
-        assert bool(validate_witness(K, w)) == (k == 0)
+        assert (validate_witness(K, w) == "") == (k == 0)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])

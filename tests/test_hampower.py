@@ -71,7 +71,7 @@ def test_absorbing_path_two_blocks_has_twenty_vertices():
     assert len(system.blocks) == 2
     pabs = build_absorbing_path(G, system, seed=0)
     assert len(pabs.path.vertices) == 20  # (t-1)*8r + 2r with t=2, r=2
-    assert validate_witness(G, pabs.path)
+    assert validate_witness(G, pabs.path) == ""
 
 
 @pytest.mark.parametrize("t", [1, 3, 4])
@@ -106,7 +106,7 @@ def test_absorb_three_vertices_complete_host():
     G, pabs = make_pabs(t=6)
     free = [v for v in range(G.n) if v not in set(pabs.path.vertices)][:3]
     out = absorb(G, pabs, free)
-    assert validate_witness(G, out)
+    assert validate_witness(G, out) == ""
     assert set(out.vertices) == set(pabs.path.vertices) | set(free)
     assert out.vertices[: 2 * pabs.r] == pabs.S
     assert out.vertices[-2 * pabs.r :] == pabs.E_end
@@ -124,6 +124,57 @@ def test_absorb_rejects_overlapping_z():
     G, pabs = make_pabs()
     with pytest.raises(StageFailure):
         absorb(G, pabs, [pabs.path.vertices[0]])
+
+
+def test_block_matching_follows_an_augmenting_path_through_every_block():
+    # vertex i takes block i, then vertex 2000's augmenting path moves all
+    # 2,000 of them one block up: deeper than Python's recursion limit
+    candidates = {i: [i, i + 1] for i in range(2000)} | {2000: [0, 1999]}
+    want = {i: i + 1 for i in range(2000)} | {2000: 0}
+    assert hampower._match_to_blocks(candidates) == want
+
+
+def _reference_match_to_blocks(candidates):
+    """The recursive augmenting-path matching, or None where a vertex has
+    no augmenting path."""
+    match_block = {}
+    for z in sorted(candidates, key=lambda z: (len(candidates[z]), z)):
+        seen = set()
+
+        def augment(u):
+            for b in candidates[u]:
+                if b in seen:
+                    continue
+                seen.add(b)
+                if b not in match_block or augment(match_block[b]):
+                    match_block[b] = u
+                    return True
+            return False
+
+        if not augment(z):
+            return None
+    return {z: b for b, z in match_block.items()}
+
+
+def test_block_matching_matches_the_recursive_reference():
+    rng = random.Random(5)
+    refused = 0
+    for _ in range(400):
+        nz = rng.randint(1, 30)
+        nb = rng.randint(nz, nz + 6)
+        candidates = {
+            rng.randrange(100): rng.sample(range(nb), rng.randint(1, min(nb, 6)))
+            for _ in range(nz)
+        }
+        want = _reference_match_to_blocks(candidates)
+        if want is None:
+            refused += 1
+            with pytest.raises(StageFailure) as exc:
+                hampower._match_to_blocks(candidates)
+            assert exc.value.stage == "matching-infeasible"
+        else:
+            assert list(hampower._match_to_blocks(candidates).items()) == list(want.items())
+    assert 0 < refused < 400
 
 
 # -- reservoir -----------------------------------------------------------
@@ -187,7 +238,7 @@ def test_cover_random_dense_leftover_bound():
     G = gnp(200, 0.9, 6)
     paths, leftover = cover_with_paths(G, 2, max_paths=10, seed=6)
     for w in paths:
-        assert validate_witness(G, w)
+        assert validate_witness(G, w) == ""
         assert len(w.vertices) >= 5
     covered = set()
     for w in paths:
@@ -219,13 +270,13 @@ def test_hamilton_power_complete_r3():
     w = find_hamilton_power(G, 3, seed=0)
     assert w.kind == "cycle" and w.r == 3
     assert len(w.vertices) == 70
-    assert validate_witness(G, w)
+    assert validate_witness(G, w) == ""
 
 
 def test_hamilton_power_random_dense():
     G = gnp(80, 0.9, 1)
     w = find_hamilton_power(G, 2, seed=1)
-    assert validate_witness(G, w)
+    assert validate_witness(G, w) == ""
     assert sorted(w.vertices) == list(range(80))
 
 
@@ -264,7 +315,7 @@ def test_hamilton_power_never_emits_invalid(subtests=None):
             w = find_hamilton_power(G, 2, seed=seed)
         except StageFailure:
             continue
-        assert validate_witness(G, w)
+        assert validate_witness(G, w) == ""
 
 
 def test_hamilton_power_deterministic_per_seed():
@@ -326,7 +377,7 @@ def test_hamilton_power_threads_where_greedy_lost_the_attempt():
     w = find_hamilton_power(G, 2, seed=3, audit=audit)
     assert audit.attempts == 1 and not audit.failures
     assert audit.plan == HamPlan.derive(G.n, 2)
-    assert validate_witness(G, w) and sorted(w.vertices) == list(range(G.n))
+    assert validate_witness(G, w) == "" and sorted(w.vertices) == list(range(G.n))
 
 
 # -- the threading search ----------------------------------------------------

@@ -1,6 +1,8 @@
 """Static checks of the package source with the standard library's ``ast``:
 no module imports a name it never uses, no function imports anything, every
-module-level constant is read somewhere in the package, and every name that
+module-level constant is read somewhere in the package, no function calls
+itself but the bounded-depth searches listed here, no module holds an
+``assert`` (``python -O`` strips them), and every name that
 ``spanembed.__all__`` exports resolves."""
 
 import ast
@@ -147,6 +149,81 @@ def test_unread_constant_check_sees_a_leftover():
         "tracer": "import hampower\nprint(hampower.ETA)\n",
     }
     assert unread_constants(sources) == ["hampower.RHO", "hampower.D"]
+
+
+def self_calls(source: str) -> dict[str, int]:
+    """``{qualified name: line}`` of the first call that each function makes
+    to itself, by its bare name or, in a method, as ``self.name``/``cls.name``.
+    A function nested in another is named ``outer.inner``."""
+    found: dict[str, int] = {}
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, prefix)
+                continue
+            name = prefix + child.name
+            if not isinstance(child, ast.ClassDef):
+                for inner in ast.walk(child):
+                    if not isinstance(inner, ast.Call):
+                        continue
+                    func = inner.func
+                    if (isinstance(func, ast.Name) and func.id == child.name) or (
+                        isinstance(func, ast.Attribute)
+                        and func.attr == child.name
+                        and isinstance(func.value, ast.Name)
+                        and func.value.id in ("self", "cls")
+                    ):
+                        found.setdefault(name, inner.lineno)
+            visit(child, name + ".")
+
+    visit(ast.parse(source), "")
+    return found
+
+
+# The searches allowed to recurse, each one level per vertex it has chosen;
+# any other recursion must run on an explicit stack, since an input can make
+# its depth exceed Python's recursion limit.
+BOUNDED_RECURSION = {
+    ("density", "find_clique.rec"): "depth <= size, the clique order sought",
+    ("density", "enumerate_extendable_cliques.rec"): "depth <= r, the clique order",
+    ("density", "is_locally_dense_exact.rec"): "depth <= n <= EXACT_LOCAL_THRESHOLD",
+}
+
+
+def test_only_the_bounded_searches_call_themselves():
+    found = {(path.stem, name) for path in MODULES for name in self_calls(path.read_text())}
+    assert found == set(BOUNDED_RECURSION)
+
+
+def test_self_call_check_sees_a_leftover():
+    source = (
+        "def walk(node):\n    return [walk(c) for c in node]\n"
+        "class T:\n    def visit(self, x):\n        return self.visit(x - 1) if x else 0\n"
+        "def match(cands):\n    for z in cands:\n"
+        "        def augment(u):\n            return augment(u)\n"
+        "        augment(z)\n"
+        "def fine(xs):\n    return sorted(xs)\n"
+    )
+    assert self_calls(source) == {"walk": 2, "T.visit": 5, "match.augment": 9}
+
+
+def assert_lines(source: str) -> list[int]:
+    """The lines of every ``assert`` statement in ``source``, wherever it
+    stands, also after ``if x:`` on one line."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_has_no_assert(path):
+    assert assert_lines(path.read_text()) == []
+
+
+def test_assert_check_sees_a_one_line_guard():
+    source = "x = 1\nif x: assert x > 0\ndef f(y):\n    assert y, 'msg'\n"
+    assert assert_lines(source) == [2, 4]
 
 
 def test_every_export_resolves():

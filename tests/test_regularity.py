@@ -205,7 +205,7 @@ def test_refine_discards_planted_isolated_vertex():
     rows[victim] = 0
     G = DenseGraph(G.n, rows, check=False)
     R = DenseGraph.complete(L)
-    refined = refine_to_superregular(G, clusters, R, 0.09, 0.4, verify=False)
+    refined = refine_to_superregular(G, clusters, R, 0.09, 0.4)
     assert victim not in refined[0]
 
 
@@ -216,7 +216,7 @@ def test_refine_reports_hypothesis_violation():
     clusters = [list(range(10)), list(range(10, 20))]
     R = DenseGraph.complete(L)
     with pytest.raises(StageFailure) as exc:
-        refine_to_superregular(G, clusters, R, 0.04, 0.5, verify=False)
+        refine_to_superregular(G, clusters, R, 0.04, 0.5)
     assert (exc.value.stage, exc.value.violated) == ("refine", "refine")
 
 
@@ -246,7 +246,7 @@ def test_refine_refuses_when_no_swap_exists():
     with pytest.raises(
         StageFailure, match=r"cluster 0: 1 vertices fail .* cluster 1 \(allowed 0.60\)"
     ) as exc:
-        refine_to_superregular(G, clusters, DenseGraph.complete(2), 0.01, 0.5, verify=False)
+        refine_to_superregular(G, clusters, DenseGraph.complete(2), 0.01, 0.5)
     assert (exc.value.stage, exc.value.violated) == ("refine", "refine")
 
 
@@ -256,7 +256,7 @@ def test_refine_swaps_only_up_to_the_rounded_allowance():
     G = _k12_without([(u, v) for u in (0, 1) for v in range(7, 12)])
     clusters = [list(range(6)), list(range(6, 12))]
     with pytest.raises(StageFailure, match="cluster 0: 2 vertices fail") as exc:
-        refine_to_superregular(G, clusters, DenseGraph.complete(2), 0.01, 0.5, verify=False)
+        refine_to_superregular(G, clusters, DenseGraph.complete(2), 0.01, 0.5)
     assert (exc.value.stage, exc.value.violated) == ("refine", "refine")
 
 
@@ -265,8 +265,10 @@ def test_refine_output_sizes_and_degrees():
     G, clusters = planted_cluster_system(L, m, 0.7, seed=5)
     R = DenseGraph.complete(L)
     eps, delta = 0.05, 0.3
-    refined = refine_to_superregular(G, clusters, R, eps, delta, verify=True)
+    refined = refine_to_superregular(G, clusters, R, eps, delta)
     target = math.ceil((1 - math.sqrt(eps)) * m)
+    for i, j in itertools.combinations(range(L), 2):
+        assert is_superregular(G, refined[i], refined[j], 4 * math.sqrt(eps), delta / 2)
     for i, c in enumerate(refined):
         assert len(c) == target
         for j in range(L):
@@ -403,16 +405,14 @@ def test_exact_matches_reference_scan():
 def test_heuristic_two_cliques_example():
     # Every vertex of A sees exactly half of B (the cliques are 0..5 and
     # 6..11), so the pair passes the min-degree and density tests, yet X =
-    # {0,1,2} and Y = {3,4,5} deviate by 0.5.  The refinement's verify step
-    # once asked the heuristic search, which let the pair through; at 6×6 it
-    # now runs the exact check and refuses.
+    # {0,1,2} and Y = {3,4,5} deviate by 0.5.  The refinement keeps the pair
+    # whole (3 > (0.5 - 0.01)*6 neighbours each); the independent check of
+    # its output runs the exact check at 6×6 and refuses it.
     G = two_cliques(12)
     A, B = [0, 1, 2, 6, 7, 8], [3, 4, 5, 9, 10, 11]
     assert is_eps_regular(G, A, B, 0.25).deviation == 0.5
-    assert not is_superregular(G, A, B, 0.4, 0.25)
-    with pytest.raises(StageFailure, match="clusters 0 and 1 are not superregular") as exc:
-        refine_to_superregular(G, [A, B], DenseGraph.complete(2), 0.01, 0.5, verify=True)
-    assert (exc.value.stage, exc.value.violated) == ("refine", "superregular")
+    assert refine_to_superregular(G, [A, B], DenseGraph.complete(2), 0.01, 0.5) == [A, B]
+    assert not is_superregular(G, A, B, 4 * math.sqrt(0.01), 0.5 / 2)
 
 
 def test_regularity_checked_only_up_to_cap():
@@ -470,8 +470,10 @@ def test_partitioner_outputs_pinned(seed, clusters, verdicts, pure_rows):
 def test_refine_verified_output_pinned():
     G, clusters = planted_cluster_system(3, 20, 0.7, seed=5)
     R = DenseGraph.complete(3)
-    refined = refine_to_superregular(G, clusters, R, 0.05, 0.3, verify=True)
+    refined = refine_to_superregular(G, clusters, R, 0.05, 0.3)
     assert _digest(refined) == "fa8d9586e729b270"
+    for i, j in itertools.combinations(range(3), 2):
+        assert is_superregular(G, refined[i], refined[j], 4 * math.sqrt(0.05), 0.3 / 2)
 
 
 def reference_labels(G, delta, L_min, seed):

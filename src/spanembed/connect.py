@@ -9,8 +9,8 @@ is its first bridge.  Every failure names the proof step that broke.
 ``connect_cliques`` wraps the first bridge into the connecting power
 path, which is all it returns: envelope cliques around the endpoints
 supply fresh attachment sets, and the path is revalidated, with both
-concatenations, by the generic witness validator.  Everything here is a
-pure function of its inputs: the bridging search breaks ties
+concatenations, by the generic witness validator.  Everything here depends
+on its inputs alone: the bridging search breaks ties
 lexicographically, and ``connect_cliques`` draws its envelope cliques at
 random from its ``seed``.
 """

@@ -24,7 +24,13 @@ from .graphs import DenseGraph, StageFailure, bits, mask_of
 
 
 def verify_embedding(H: DenseGraph, G: DenseGraph, mapping: dict[int, int]) -> str:
-    """Independent edge-by-edge check; returns '' when the map embeds H."""
+    """Independent edge-by-edge check of the H-edges with both ends mapped;
+    returns '' when the map embeds that part of H.
+
+    The edges are walked from each mapped vertex, in increasing order, to
+    its higher neighbours, so the first violation is the one ``H.edges()``
+    order meets first, and the cost is that of the mapped part of H.
+    """
     seen: set[int] = set()
     for u, gv in mapping.items():
         if not (0 <= u < H.n and 0 <= gv < G.n):
@@ -32,9 +38,9 @@ def verify_embedding(H: DenseGraph, G: DenseGraph, mapping: dict[int, int]) -> s
         if gv in seen:
             return f"image {gv} used twice"
         seen.add(gv)
-    for u, v in H.edges():
-        if u in mapping and v in mapping:
-            if not G.has_edge(mapping[u], mapping[v]):
+    for u in sorted(mapping):
+        for v in bits(H.rows[u] >> (u + 1) << (u + 1)):
+            if v in mapping and not G.has_edge(mapping[u], mapping[v]):
                 return f"edge ({u},{v}) maps to a non-edge"
     return ""
 
@@ -217,11 +223,14 @@ def blowup_embed(
     restarts: int = 4,
     seed: int = 0,
 ) -> dict[int, int]:
-    """Spanning list-embedding of H into the block clusters.
+    """List-embedding of the vertices of ``phi`` into the block clusters.
 
-    Every vertex must land in its phi-cluster; special vertices must land in
-    their S_y.  Per-cluster demand may not exceed supply (checked).  Search
-    is fail-first (smallest candidate set next) with seeded restarts; the
+    H may be a whole guest of which ``phi`` names one block: only the
+    vertices of ``phi`` are embedded, only the H-edges among them are
+    constrained, and fail-first ranks by degree within them.  Every vertex
+    must land in its phi-cluster; special vertices must land in their S_y.
+    Per-cluster demand may not exceed supply (checked).  Search is
+    fail-first (smallest candidate set next) with seeded restarts; the
     result is revalidated edge-by-edge.
 
     Each restart searches depth-first with an explicit stack and may enter
@@ -259,9 +268,7 @@ def blowup_embed(
     # fail-first key (live count, -deg, v) cached as one int per vertex:
     # count * stride + the vertex's rank in (-deg, v) order
     stride = len(vertices)
-    rank = {
-        v: i for i, v in enumerate(sorted(vertices, key=lambda v: (-h_adj[v].bit_count(), v)))
-    }
+    rank = {v: i for i, v in enumerate(sorted(vertices, key=lambda v: (-len(nbrs[v]), v)))}
     last_trace = ""
     for attempt in range(restarts):
         rng = random.Random(f"blowup:{seed}:{attempt}")
@@ -322,7 +329,7 @@ def blowup_embed(
         while unplaced:
             nodes += 1
             if nodes <= limit:
-                # fail-first: fewest candidates, ties by most H-neighbours
+                # fail-first: fewest candidates, ties by most H-neighbours in phi
                 x = min(unplaced, key=key.__getitem__)
                 options = list(bits(cands[x]))
                 rng.shuffle(options)

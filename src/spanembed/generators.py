@@ -1,6 +1,6 @@
 """Seeded instance generators: random hosts, extremal examples, planted systems.
 
-Every generator is a pure function of its parameters and seed, so instances
+Every generator depends on its parameters and seed alone, so instances
 regenerate bit-exactly.  Random adjacency is produced with numpy and packed
 straight into graph rows.
 """
@@ -168,7 +168,8 @@ def planted_multipartite(
 
 @dataclass(frozen=True)
 class BandwidthedH:
-    """A bounded-degree graph with a bandwidth ordering and proper colouring."""
+    """A bounded-degree graph with a bandwidth ordering and a proper
+    colouring that gives each vertex one colour >= 1."""
 
     H: DenseGraph
     order: VertexLabelling
@@ -176,6 +177,10 @@ class BandwidthedH:
     beta: float
 
     def __post_init__(self):
+        if len(self.colouring) != self.H.n or min(self.colouring, default=1) < 1:
+            raise InvalidParameters(
+                f"colouring must give each of the {self.H.n} vertices one colour >= 1"
+            )
         if bandwidth_of(self.H, self.order) > self.beta * self.H.n:
             raise InvalidParameters("ordering exceeds the declared bandwidth")
         for u, v in self.H.edges():

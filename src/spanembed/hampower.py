@@ -466,11 +466,9 @@ class HamPlan:
 @dataclass
 class HamAudit:
     """Records of one find_hamilton_power call: its plan, the attempts made,
-    the stages some attempt completed, and each failed attempt's stage and
-    detail."""
+    and each failed attempt's stage and detail."""
 
     attempts: int = 0
-    stages: list[str] = field(default_factory=list)
     failures: list[tuple[str, str]] = field(default_factory=list)
     plan: HamPlan | None = None
 
@@ -524,7 +522,7 @@ def find_hamilton_power(
         audit.attempts = attempt + 1
         sub_seed = f"{seed}:attempt:{attempt}"
         try:
-            witness = _one_attempt(G, r, plan, sub_seed, audit)
+            witness = _one_attempt(G, r, plan, sub_seed)
         except StageFailure as exc:
             audit.failures.append((exc.stage, exc.detail))
             last_failure = exc
@@ -550,13 +548,10 @@ def _one_attempt(
     r: int,
     plan: HamPlan,
     sub_seed: str,
-    audit: HamAudit,
 ) -> WitnessSequence:
     n = G.n
     absorber = build_absorber(G, r, sub_seed, max_blocks=plan.t_blocks)
-    _note(audit, "absorber")
     pabs = build_absorbing_path(G, absorber, sub_seed)
-    _note(audit, "absorbing-path")
 
     # flanking K_{2r+1}'s adjacent to everything in S / E
     rng = random.Random(f"{sub_seed}:flank")
@@ -569,16 +564,10 @@ def _one_attempt(
     flank_E = find_clique(G, 2 * r + 1, within=scope_E, rng=rng)
     if flank_E is None:
         raise StageFailure("flank-clique", "no clique >= 2r+1 adjacent to all of E")
-    _note(audit, "flank-clique")
 
     protected = pset | mask_of(flank_S) | mask_of(flank_E)
     pool = [v for v in range(n) if not protected >> v & 1]
     return _thread_and_close(G, r, plan, pabs, flank_S, flank_E, pool, sub_seed)
-
-
-def _note(audit: HamAudit, stage: str) -> None:
-    if stage not in audit.stages:
-        audit.stages.append(stage)
 
 
 def _thread_and_close(

@@ -15,7 +15,6 @@ before being reported.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .balance import lemma_g
@@ -107,8 +106,8 @@ def _pipeline(
 ) -> dict[int, int]:
     n = G.n
     if Hb.n != n:
-        raise StageFailure("precheck", f"|H| = {Hb.n} != |G| = {n}", violated="precheck")
-    r = Hb.num_colours()
+        raise StageFailure("precheck", f"|H| = {Hb.n} != |G| = {n}")
+    r = max(1, Hb.num_colours())  # an H on no vertex has no colour
     beta = Hb.beta
     W = interval_width(beta, n)
     audit.notes["r"] = r
@@ -133,17 +132,12 @@ def _pipeline(
         reduced = G
         audit.stage("partition")
     else:
-        partition, pure, reduced = heuristic_degree_form_partition(
+        partition, reduced = heuristic_degree_form_partition(
             G, delta=DELTA, L_min=L_target, seed=seed
         )
         clusters_list = [tuple(c) for c in partition.clusters]
         exceptional = tuple(partition.exceptional)
         audit.stage("partition")
-        audit.record(
-            "exceptional-bound",
-            len(exceptional) <= 2 * math.sqrt(EPS) * n,
-            f"{len(exceptional)} vs {2 * math.sqrt(EPS) * n:.1f}",
-        )
         audit.record(
             "inheritance-degree",
             reduced.min_degree() >= (0.5 + ETA / 2) * reduced.n,
@@ -156,12 +150,6 @@ def _pipeline(
     # the direct singleton embedding needs only a bandwidth-th power (at
     # least a Hamilton cycle, also for an edgeless H)
     q = max(1, bandwidth_of(Hb.H, Hb.order)) if degenerate else 4 * r - 1
-    r_star_formula = 324 * r / (ETA * ETA)
-    audit.record(
-        "r-star-cap",
-        q + 1 <= r_star_formula,
-        f"using r*={q + 1}, formula gives {r_star_formula:.0f}",
-    )
     cycle = _reduced_power_cycle(reduced, q, seed, audit)
     audit.stage("hamilton-power")
 
@@ -189,7 +177,7 @@ def _pipeline(
         check=False,
     )
     refined_list = refine_to_superregular(
-        pure, [list(cell_cluster[c]) for c in cells], R_blocks, REFINE_EPS, DELTA
+        G, [list(cell_cluster[c]) for c in cells], R_blocks, REFINE_EPS, DELTA
     )
     refined = dict(zip(cells, map(tuple, refined_list)))
     audit.stage("refine")
@@ -210,7 +198,6 @@ def _pipeline(
             "exceptional",
             f"|V0| = {V0}: {len(exceptional)} from the n mod L remainder, "
             f"{V0 - len(exceptional)} dropped by refine",
-            violated="exceptional",
         )
 
     # displayed inequality (beta): beta*n <= eps^2 * m / L
@@ -246,15 +233,8 @@ def _pipeline(
     K = sum(abs(n_ab[cell] - m_ab[cell]) for cell in m_ab)
     audit.record("(K)", K <= eps_balance * m / 2, f"{K} vs {eps_balance * m / 2:.1f}")
     X_cells = lemma_g(G, refined, n_ab, eps_balance, DELTA / 2)
-    original = {cell: set(refined[cell]) for cell in X_cells}
     audit.notes["lemma-g-moves"] = sum(
-        len(set(X_cells[cell]) - original[cell]) for cell in X_cells
-    )
-    drift = max(len(set(X_cells[cell]) ^ original[cell]) for cell in X_cells)
-    audit.record(
-        "(Xprops)",
-        drift <= max(REFINE_EPS, 2 / m) ** (1 / 18) * m + 1e-9,
-        f"max drift {drift}",
+        len(set(X_cells[cell]) - set(refined[cell])) for cell in X_cells
     )
     audit.stage("lemma-g-partition")
 
@@ -290,20 +270,22 @@ def _pipeline(
     audit.stage("target-embedding")
 
     # -- stage: blow-up per block ---------------------------------------------
-    g3: dict[int, int] = {}
+    # each block embeds its own vertices of H into the cells of row a of the
+    # template, which no other block's cells meet
     placed_images = set(g2.values())
-    rest = [v for v in range(n) if v not in g2]
-    for a in range(1, 2 * ell + 1):
-        block_vertices = [x for x in rest if psi[x][0] == a]
-        if not block_vertices:
-            continue
+    blocks: dict[int, list[int]] = {}
+    for x in range(n):
+        if x not in g2:
+            blocks.setdefault(psi[x][0], []).append(x)
+    g3: dict[int, int] = {}
+    for a, block in sorted(blocks.items()):
         U_cells = {}
         for b in range(1, 2 * r + 1):
             U_cells[(a, b)] = tuple(
                 gv for gv in X_cells[(a, b)] if gv not in placed_images
             )
         demand: dict[tuple[int, int], int] = {}
-        for x in block_vertices:
+        for x in block:
             demand[psi[x]] = demand.get(psi[x], 0) + 1
         for b in range(1, 2 * r + 1):
             cell = (a, b)
@@ -314,25 +296,20 @@ def _pipeline(
                     f"cell {cell} demand {need} != supply {len(U_cells[cell])}",
                     violated="(Xprops)",
                 )
-        Hblock_graph, block_list = Hb.H.induced(block_vertices)
-        local_phi = {k: psi[block_list[k]] for k in range(len(block_list))}
+        # the boundary vertices keep the candidate sets their embedded
+        # neighbours left them
         special = {}
-        for k, orig in enumerate(block_list):
-            if orig in part.candidate_sets or orig in N_boundary:
-                cand = set(part.candidate_sets.get(orig, ()))
-                cand &= set(U_cells[psi[orig]])
+        for x in block:
+            if x in part.candidate_sets:
+                cand = set(part.candidate_sets[x]) & set(U_cells[psi[x]])
                 if not cand:
-                    raise StageFailure(
-                        "blow-up",
-                        f"candidate set of boundary vertex {orig} died",
-                        violated="blow-up",
-                    )
-                special[k] = cand
+                    raise StageFailure("blow-up", f"candidate set of boundary vertex {x} died")
+                special[x] = cand
         try:
-            local_map = blowup_embed(
+            g3 |= blowup_embed(
                 G,
-                Hblock_graph,
-                local_phi,
+                Hb.H,
+                {x: psi[x] for x in block},
                 U_cells,
                 special=special,
                 node_budget=BLOWUP_BUDGET,
@@ -340,9 +317,6 @@ def _pipeline(
             )
         except StageFailure as exc:
             raise StageFailure("blow-up", f"block {a}: {exc}", violated=exc.stage) from exc
-        for k, gv in local_map.items():
-            g3[block_list[k]] = gv
-            placed_images.add(gv)
     audit.stage("blow-up")
 
     mapping = {**g2, **g3}
@@ -350,11 +324,10 @@ def _pipeline(
         raise StageFailure(
             "assembly",
             f"assembled map covers {len(mapping)} of {n} vertices",
-            violated="assembly",
         )
     problem = verify_embedding(Hb.H, G, mapping)
     if problem:
-        raise StageFailure("assembly", f"revalidation failed: {problem}", violated="assembly")
+        raise StageFailure("assembly", f"revalidation failed: {problem}")
     audit.stage("assembly")
     return mapping
 
@@ -372,9 +345,7 @@ def _reduced_power_cycle(
     q_eff = min(q, (n - 1) // 2)
     if q_eff < 1:
         audit.notes["hamilton-power"] = "refused: fewer than 3 vertices"
-        raise StageFailure(
-            "hamilton-power", f"no power cycle on {n} < 3 vertices", violated="hamilton-power"
-        )
+        raise StageFailure("hamilton-power", f"no power cycle on {n} < 3 vertices")
     # every vertex of a q_eff-th power of a cycle has 2*q_eff neighbours on
     # it, so a vertex of R of smaller degree refuses both routes at once
     if reduced.min_degree() < 2 * q_eff:
@@ -383,7 +354,6 @@ def _reduced_power_cycle(
             "hamilton-power",
             f"δ(R) = {reduced.min_degree()} < 2q = {2 * q_eff}: no spanning "
             f"power-{q_eff} cycle on {n} vertices",
-            violated="hamilton-power",
         )
     try:
         w = find_hamilton_power(reduced, q, seed=seed)
@@ -399,16 +369,13 @@ def _reduced_power_cycle(
         problem = validate_witness(reduced, WitnessSequence(tuple(order), "cycle", q_eff))
         if problem:
             raise StageFailure(
-                "hamilton-power",
-                f"oracle cycle revalidation failed: {problem}",
-                violated="hamilton-power",
+                "hamilton-power", f"oracle cycle revalidation failed: {problem}"
             )
         return order
     raise StageFailure(
         "hamilton-power",
         f"pipeline ({first_failure.stage}: {first_failure.detail}) and oracle "
         f"({res.status}) both failed",
-        violated="hamilton-power",
     )
 
 
@@ -425,6 +392,6 @@ def _degenerate_embed(
     mapping = {order[k]: cycle[k] for k in range(G.n)}
     problem = verify_embedding(Hb.H, G, mapping)
     if problem:
-        raise StageFailure("assembly", f"revalidation failed: {problem}", violated="assembly")
+        raise StageFailure("assembly", f"revalidation failed: {problem}")
     audit.stage("assembly")
     return mapping

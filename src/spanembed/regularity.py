@@ -16,7 +16,8 @@ The partitioner stands in for the degree form of the regularity lemma: a
 seeded equitable chop into exactly ``L_min`` clusters and one density
 classification of every cluster pair.  It keeps the dense pairs without
 checking their regularity and never refines a cluster.  A reduced graph is
-a plain ``DenseGraph`` on the cluster indices.
+a plain ``DenseGraph`` on the cluster indices.  The superregular refinement
+reads the host's own edges: every pair it checks is one that R joins.
 """
 
 from __future__ import annotations
@@ -214,8 +215,10 @@ def refine_to_superregular(
     """Shrink each cluster to ceil((1-sqrt(eps))*m) so R-neighbour pairs become
     superregular at (4*sqrt(eps), delta/2).
 
-    A vertex fails when its degree into some R-neighbour cluster falls below
-    (delta-eps)*m, and failing vertices are discarded.  More than sqrt(eps)*m
+    A vertex fails when its degree in G into some R-neighbour cluster falls
+    below (delta-eps)*m, and failing vertices are discarded.  Degrees are
+    read in G itself, so a swap that moves a vertex to another cluster of
+    its block counts its edges into the cluster it leaves.  More than sqrt(eps)*m
     failures toward one cluster, or more than m minus the target size in one
     cluster, means the regularity hypothesis was violated.  When no pair has
     more than ceil(sqrt(eps)*m) failures, the clusters are first repaired by
@@ -224,8 +227,7 @@ def refine_to_superregular(
     exact target size.  ``is_superregular`` is the independent check of the
     refined pairs.
 
-    A violated hypothesis is a ``StageFailure`` at stage ``refine`` with
-    ``violated="refine"``.
+    A violated hypothesis is a ``StageFailure`` at stage ``refine``.
     """
     m = len(clusters[0])
     if any(len(c) != m for c in clusters):
@@ -246,9 +248,9 @@ def refine_to_superregular(
     refusal = _first_refusal(fails, counts, allowed, m - target)
     if refusal is not None:
         if counts.max() > math.ceil(allowed) or not _swap_failing(
-            adj.astype(np.int64), deg, where, nbrs, thresh, fails, flat
+            adj, deg, where, nbrs, thresh, fails, flat
         ):
-            raise StageFailure("refine", refusal, violated="refine")
+            raise StageFailure("refine", refusal)
         fails = (deg < thresh) & nbrs[where]
     survivors: list[list[int]] = [[] for _ in range(L)]
     for v, i, bad in zip(flat, where.tolist(), fails.any(axis=1).tolist()):
@@ -288,7 +290,8 @@ def _swap_failing(
 ) -> bool:
     """Swap every failing vertex with a vertex of another cluster, updating
     ``deg`` and ``where`` in place; False (and nothing changed) when some
-    failing vertex has no valid swap.
+    failing vertex has no valid swap.  ``adj`` is the 0/1 uint8 matrix of G
+    on ``flat``; numpy promotes its columns to the int64 of ``deg``.
 
     For a failing v, the swap taken is the first partner w in (cluster, id)
     order after which v and w both pass the degree test in their new
@@ -337,7 +340,7 @@ def heuristic_degree_form_partition(
     delta: float,
     L_min: int,
     seed: int = 0,
-) -> tuple[ClusterPartition, DenseGraph, DenseGraph]:
+) -> tuple[ClusterPartition, DenseGraph]:
     """One-pass stand-in for the degree-form partition.
 
     A seeded shuffle of V(G) is chopped into L = L_min clusters of
@@ -345,17 +348,14 @@ def heuristic_degree_form_partition(
     exceptional set.  A cluster pair is dense when its density is at least
     delta, and the dense pairs are kept without a regularity check, which
     is not done yet (ROADMAP, "Certify regularity at an ε the cluster size
-    can carry").  Returns the partition, the pure subgraph (edges of the
-    dense pairs, intra-cluster edges dropped, exceptional-vertex edges
-    kept) and the reduced graph R on the L clusters, whose edges are the
-    dense pairs.  Clusters are never refined.  Equal cluster sizes and
-    missing intra-cluster pure edges hold by construction.
+    can carry").  Returns the partition and the reduced graph R on the L
+    clusters, whose edges are the dense pairs.  Clusters are never refined,
+    and equal cluster sizes hold by construction.  Later stages read the
+    cluster pairs in G itself.
 
     Cost: one n × n unpack of the cluster rows, summed to L × n and then
-    to the L × L pair counts; R's rows and the keep masks come from one
-    L × L boolean array without a per-pair loop; and one
-    big-int AND per vertex for the pure rows (the row against its cluster's
-    keep mask).
+    to the L × L pair counts; R's rows come from one L × L boolean array
+    without a per-pair loop.
     """
     if L_min < 1:
         raise InvalidParameters("L_min must be >= 1")
@@ -377,24 +377,7 @@ def heuristic_degree_form_partition(
     # dense[i, j]: the pair {i, j} is kept, judged on i < j alone
     dense = np.triu(counts / (m * m) >= delta, k=1)
     dense |= dense.T
-    r_rows = packed_rows(dense)
-    # per cluster, the vertices its pure rows keep: the exceptional set and
-    # the clusters it forms a dense pair with
-    of_vertex = np.full(n, L)
-    of_vertex[flat] = np.repeat(np.arange(L), m)
-    keep = packed_rows(np.hstack([dense, np.ones((L, 1), bool)])[:, of_vertex])
-
-    # exceptional vertices keep their edges; a cluster vertex keeps those
-    # into its keep mask.  Symmetric by construction: keep is symmetric in
-    # the dense pairs, and every cluster row keeps its edges to the
-    # exceptional set
-    pure_rows = list(G.rows)
-    for c, km in zip(clusters, keep):
-        for v in c:
-            pure_rows[v] &= km
-    pure = DenseGraph(n, pure_rows, check=False)
-
     partition = ClusterPartition(
         tuple(exceptional), tuple(tuple(c) for c in clusters)
     )
-    return partition, pure, DenseGraph(L, r_rows, check=False)
+    return partition, DenseGraph(L, packed_rows(dense), check=False)

@@ -1,9 +1,11 @@
 import pytest
 
 from spanembed.generators import (
+    BandwidthedH,
     clique_factor_extremal,
     cycle_power_H,
     gnp,
+    path_power_H,
     random_window_H,
 )
 from spanembed.graphs import InvalidParameters, mask_of
@@ -49,3 +51,21 @@ def test_clique_factor_extremal_needs_r_to_divide_n():
 def test_cycle_power_H_needs_r_plus_one_to_divide_n(r_pow, n):
     with pytest.raises(InvalidParameters):
         cycle_power_H(r_pow, n)
+
+
+@pytest.mark.parametrize(
+    "recolour",
+    [
+        lambda c: c[:-1],
+        lambda c: c + (1,),
+        lambda c: tuple(x - 1 for x in c),
+    ],
+    ids=["shorter-than-n", "longer-than-n", "zero-based"],
+)
+def test_bandwidthed_h_needs_one_colour_at_least_1_per_vertex(recolour):
+    # a short colouring used to escape as a bare IndexError, and a long or
+    # 0-based one was accepted (the 0-based one refused at basic-assignment)
+    Hb = path_power_H(1, 96)
+    assert BandwidthedH(Hb.H, Hb.order, Hb.colouring, Hb.beta) == Hb
+    with pytest.raises(InvalidParameters, match="one colour >= 1"):
+        BandwidthedH(Hb.H, Hb.order, recolour(Hb.colouring), Hb.beta)

@@ -1,18 +1,22 @@
 """Static checks of the package source with the standard library's ``ast``:
 no module imports a name it never uses, no function imports anything, every
-module-level constant is read somewhere in the package, no function calls
-itself but the bounded-depth searches listed here, no module holds an
-``assert`` (``python -O`` strips them), and every name that
-``spanembed.__all__`` exports resolves."""
+import is of the standard library, the package itself or a dependency that
+``pyproject.toml`` declares, every module-level constant is read somewhere
+in the package, no function calls itself but the bounded-depth searches
+listed here, no module holds an ``assert`` (``python -O`` strips them), and
+every name that ``spanembed.__all__`` exports resolves."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
 import spanembed
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "spanembed"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "spanembed"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -96,6 +100,62 @@ def test_function_import_check_sees_a_nested_import():
         "class A:\n    def g(self):\n        def h():\n            import json\n"
     )
     assert function_imports(source) == ["line 3: f", "line 8: g"]
+
+
+def declared_dependencies(pyproject: str) -> set[str]:
+    """The distribution names of the ``dependencies = [...]`` list of a
+    ``pyproject.toml`` text, read as text (``tomllib`` needs Python 3.11)."""
+    listed = re.search(r"^dependencies\s*=\s*\[(.*?)\]", pyproject, re.M | re.S).group(1)
+    specs = re.findall(r"\"([^\"]*)\"|'([^']*)'", listed)
+    return {
+        re.match(r"[A-Za-z0-9_.-]*", double or single).group().lower().replace("-", "_")
+        for double, single in specs
+    }
+
+
+def undeclared_imports(source: str, declared: set[str]) -> list[str]:
+    """The top-level modules that ``source`` imports absolutely and that are
+    neither in the standard library nor in ``declared``."""
+    found: dict[str, int] = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top not in sys.stdlib_module_names and top not in declared:
+                found.setdefault(top, node.lineno)
+    return [f"line {line}: {name}" for name, line in found.items()]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_imports_only_the_standard_library_and_declared_dependencies(path):
+    declared = declared_dependencies((ROOT / "pyproject.toml").read_text())
+    assert "numpy" in declared
+    assert undeclared_imports(path.read_text(), declared) == []
+
+
+def test_undeclared_import_check_sees_a_leftover():
+    pyproject = (
+        '[project]\nname = "x"\ndependencies = [\n    "numpy>=2.0",\n'
+        "    'Typing-Extensions; python_version < \"3.11\"',\n]\n"
+        '[project.optional-dependencies]\ntest = ["pytest>=7"]\n'
+    )
+    declared = declared_dependencies(pyproject)
+    assert declared == {"numpy", "typing_extensions"}
+    source = (
+        "from __future__ import annotations\n"
+        "import math, numpy as np\n"
+        "import scipy.sparse\n"
+        "from networkx import Graph\n"
+        "from . import graphs\n"
+        "from .graphs import DenseGraph\n"
+        "import typing_extensions\n"
+    )
+    assert undeclared_imports(source, declared) == ["line 3: scipy", "line 4: networkx"]
 
 
 def unread_constants(sources: dict[str, str]) -> list[str]:

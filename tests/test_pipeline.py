@@ -12,6 +12,7 @@ import pytest
 from spanembed import pipeline
 from spanembed.embed import verify_embedding
 from spanembed.generators import (
+    BandwidthedH,
     clique_factor_extremal,
     cycle_power_H,
     gnp,
@@ -20,7 +21,7 @@ from spanembed.generators import (
     tiling_H,
     two_cliques,
 )
-from spanembed.graphs import DenseGraph, StageFailure
+from spanembed.graphs import DenseGraph, StageFailure, identity_labelling
 
 
 def _raise(stage: str, detail: str):
@@ -268,7 +269,18 @@ def test_small_reduced_graph_records_only_the_degree_inheritance(seed):
     assert "inheritance-density" not in res.audit.checks
 
 
-@pytest.mark.parametrize("seed", [2780996939, 4236761169, 3846038391])
+def _mapping_digest(res):
+    return hashlib.sha256(repr(sorted(res.mapping.items())).encode()).hexdigest()[:16]
+
+
+SWAP_DIGESTS = {
+    2780996939: "d928655c63e27ec9",
+    4236761169: "eab27a2c8e3ee0bc",
+    3846038391: "13c5d31e1db37525",
+}
+
+
+@pytest.mark.parametrize("seed", list(SWAP_DIGESTS))
 def test_refine_swap_repairs_a_lone_failing_vertex(seed):
     # benchmark instances (pipeline-dense seeds 1, 4, 7; rounds 165, 224,
     # 134): one vertex sees at most 1 of the 6 vertices of a cluster in its
@@ -278,6 +290,19 @@ def test_refine_swap_repairs_a_lone_failing_vertex(seed):
     res = pipeline.run_main_pipeline(G, Hb, seed=seed)
     assert res, (res.failure_stage, res.failure_detail)
     assert verify_embedding(Hb.H, G, res.mapping) == ""
+    assert _mapping_digest(res) == SWAP_DIGESTS[seed]
+
+
+def test_refine_swap_counts_the_degree_into_the_cluster_it_leaves():
+    # refine reads G itself, so a swap may move a failing vertex to another
+    # cluster of its own block, where its edges into the cluster it leaves
+    # count; when refine read a subgraph without intra-cluster edges, that
+    # degree read 0, and this run took another swap and mapping
+    G, Hb = gnp(480, 0.75, 1), cycle_power_H(1, 480)
+    res = pipeline.run_main_pipeline(G, Hb, seed=1)
+    assert res, (res.failure_stage, res.failure_detail)
+    assert verify_embedding(Hb.H, G, res.mapping) == ""
+    assert _mapping_digest(res) == "fb702cefeac20b3d"
 
 
 def test_reduced_graph_below_twice_the_power_refuses_at_once():
@@ -294,12 +319,17 @@ def test_reduced_graph_below_twice_the_power_refuses_at_once():
     assert elapsed < 0.1
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [0, 1, 2])
 def test_host_below_three_vertices_refuses_at_hamilton_power(n):
     # no power cycle exists on fewer than 3 vertices; the oracle route used
     # to let its witness's InvalidParameters("witness power must be >= 1")
-    # escape
-    res = pipeline.run_main_pipeline(DenseGraph.complete(n), path_power_H(1, n))
+    # escape, and an H on no vertex, which has no colour, used to divide by
+    # its zero colours
+    if n:
+        Hb = path_power_H(1, n)
+    else:
+        Hb = BandwidthedH(DenseGraph.empty(0), identity_labelling(0), (), 0.1)
+    res = pipeline.run_main_pipeline(DenseGraph.complete(n), Hb)
     assert not res
     assert (res.failure_stage, res.violated_display) == ("hamilton-power", "hamilton-power")
     assert res.failure_detail == f"no power cycle on {n} < 3 vertices"

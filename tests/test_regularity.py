@@ -217,7 +217,7 @@ def test_refine_reports_hypothesis_violation():
     R = DenseGraph.complete(L)
     with pytest.raises(StageFailure) as exc:
         refine_to_superregular(G, clusters, R, 0.04, 0.5)
-    assert (exc.value.stage, exc.value.violated) == ("refine", "refine")
+    assert (exc.value.stage, exc.value.violated) == ("refine", None)
 
 
 def _k12_without(pairs):
@@ -247,7 +247,7 @@ def test_refine_refuses_when_no_swap_exists():
         StageFailure, match=r"cluster 0: 1 vertices fail .* cluster 1 \(allowed 0.60\)"
     ) as exc:
         refine_to_superregular(G, clusters, DenseGraph.complete(2), 0.01, 0.5)
-    assert (exc.value.stage, exc.value.violated) == ("refine", "refine")
+    assert (exc.value.stage, exc.value.violated) == ("refine", None)
 
 
 def test_refine_swaps_only_up_to_the_rounded_allowance():
@@ -257,7 +257,7 @@ def test_refine_swaps_only_up_to_the_rounded_allowance():
     clusters = [list(range(6)), list(range(6, 12))]
     with pytest.raises(StageFailure, match="cluster 0: 2 vertices fail") as exc:
         refine_to_superregular(G, clusters, DenseGraph.complete(2), 0.01, 0.5)
-    assert (exc.value.stage, exc.value.violated) == ("refine", "refine")
+    assert (exc.value.stage, exc.value.violated) == ("refine", None)
 
 
 def test_refine_output_sizes_and_degrees():
@@ -285,27 +285,23 @@ def test_refine_output_sizes_and_degrees():
 
 def test_partitioner_accepts_complete_host():
     G = DenseGraph.complete(60)
-    part, pure, R = heuristic_degree_form_partition(G, delta=0.2, L_min=4, seed=0)
+    part, R = heuristic_degree_form_partition(G, delta=0.2, L_min=4, seed=0)
     assert R == DenseGraph.complete(part.L)
 
 
 def test_partitioner_random_graph_all_regular():
     G = gnp(200, 0.5, 5)
-    part, pure, R = heuristic_degree_form_partition(G, delta=0.2, L_min=4, seed=5)
+    part, R = heuristic_degree_form_partition(G, delta=0.2, L_min=4, seed=5)
     assert R == DenseGraph.complete(part.L)
     # structural postconditions
     sizes = {len(c) for c in part.clusters}
     assert len(sizes) == 1
     assert len(part.exceptional) <= 0.3 * G.n
-    for c in part.clusters:
-        cm = mask_of(c)
-        for v in c:
-            assert pure.rows[v] & cm == 0  # no intra-cluster pure edges
 
 
 def test_partitioner_bipartite_keeps_crossing_pairs():
     G = complete_bipartite(60, 60)
-    part, pure, R = heuristic_degree_form_partition(G, delta=0.2, L_min=2, seed=1)
+    part, R = heuristic_degree_form_partition(G, delta=0.2, L_min=2, seed=1)
     # dropped pairs are exactly the intra-side ones (density ~0 < delta)
     for i, j in itertools.combinations(range(part.L), 2):
         ci, cj = part.clusters[i], part.clusters[j]
@@ -316,20 +312,12 @@ def test_partitioner_bipartite_keeps_crossing_pairs():
             assert R.has_edge(i, j)
 
 
-def test_partitioner_pure_graph_symmetric_with_dropped_pairs():
+def test_partitioner_reduced_graph_symmetric_with_dropped_pairs():
     # pairs of density about 1/2 are dropped; two vertices are exceptional
     G = complete_bipartite(61, 60)
-    part, pure, R = heuristic_degree_form_partition(G, delta=0.5, L_min=7, seed=2)
+    part, R = heuristic_degree_form_partition(G, delta=0.5, L_min=7, seed=2)
     assert part.exceptional and R.edge_count() < math.comb(part.L, 2)
-    DenseGraph(pure.n, pure.rows)  # checks symmetry and loops
-    assert all(p & ~g == 0 for p, g in zip(pure.rows, G.rows))
-
-
-def test_partitioner_pure_graph_is_subgraph():
-    G = gnp(120, 0.6, 8)
-    part, pure, R = heuristic_degree_form_partition(G, delta=0.25, L_min=3, seed=8)
-    for v in range(G.n):
-        assert pure.rows[v] & ~G.rows[v] == 0
+    DenseGraph(R.n, R.rows)  # checks symmetry and loops
 
 
 # -- reference copies, regressions and pinned outputs --------------------------
@@ -451,19 +439,18 @@ def _legacy_labels(R):
 
 
 @pytest.mark.parametrize(
-    "seed, clusters, verdicts, pure_rows",
+    "seed, clusters, verdicts",
     [
-        (3, "e4de348ac9c6d77a", "2d99d2f711795da0", "19e83e0aa8463057"),
-        (11, "806a626087cefacf", "2d99d2f711795da0", "64105bbd788b6bf9"),
+        (3, "e4de348ac9c6d77a", "2d99d2f711795da0"),
+        (11, "806a626087cefacf", "2d99d2f711795da0"),
     ],
 )
-def test_partitioner_outputs_pinned(seed, clusters, verdicts, pure_rows):
+def test_partitioner_outputs_pinned(seed, clusters, verdicts):
     # digests recorded with the one-recheck-per-candidate search
     G = gnp(160, 0.97, 7)
-    part, pure, R = heuristic_degree_form_partition(G, delta=0.25, L_min=16, seed=seed)
+    part, R = heuristic_degree_form_partition(G, delta=0.25, L_min=16, seed=seed)
     assert _digest((part.exceptional, part.clusters)) == clusters
     assert _digest(_legacy_labels(R)) == verdicts
-    assert _digest(pure.rows) == pure_rows
     assert _digest(R.rows) == "57b7f95a5cb157e6"
 
 
@@ -496,22 +483,22 @@ def reference_labels(G, delta, L_min, seed):
     "host, delta, L_min, seed, labels, exceptional, digests",
     [
         (gnp(100, 0.5, 4), 0.5, 9, 1, {"sparse": 21, "dense": 15}, 1,
-         ("929d4ac4547247f4", "3c45d839f7d13a25", "7dc982b24196821b", "52679c6ef5c038a6")),
+         ("929d4ac4547247f4", "7dc982b24196821b", "52679c6ef5c038a6")),
         (gnp(160, 0.97, 7), 0.25, 16, 1, {"dense": 120}, 0,
-         ("020e9a8198285ddb", "d69413d9c37a71b5", "57b7f95a5cb157e6", "2d99d2f711795da0")),
+         ("020e9a8198285ddb", "57b7f95a5cb157e6", "2d99d2f711795da0")),
         (two_cliques(96), 0.25, 4, 1, {"dense": 6}, 0,
-         ("f57c1dfb67565057", "252299f0a2bbd197", "a65ce4b261088b8e", "6c731214ebd525d7")),
+         ("f57c1dfb67565057", "a65ce4b261088b8e", "6c731214ebd525d7")),
         (clique_factor_extremal(3, 96), 0.25, 4, 1, {"dense": 6}, 0,
-         ("f57c1dfb67565057", "ca8783fae557bac3", "a65ce4b261088b8e", "6c731214ebd525d7")),
+         ("f57c1dfb67565057", "a65ce4b261088b8e", "6c731214ebd525d7")),
     ],
     ids=["gnp100", "gnp160", "two-cliques", "extremal"],
 )
 def test_partitioner_matches_one_pass_reference(
     host, delta, L_min, seed, labels, exceptional, digests
 ):
-    # digests of (partition, pure rows, R, labels) recorded while the
-    # partitioner still ran its heuristic search on every dense pair
-    part, pure, R = heuristic_degree_form_partition(host, delta, L_min, seed=seed)
+    # digests of (partition, R, labels) recorded while the partitioner
+    # still ran its heuristic search on every dense pair
+    part, R = heuristic_degree_form_partition(host, delta, L_min, seed=seed)
     reference = reference_labels(host, delta, L_min, seed)
     assert _pair_labels(R) == reference
     dense = [pair for pair, label in reference.items() if label == "dense"]
@@ -520,7 +507,6 @@ def test_partitioner_matches_one_pass_reference(
     assert Counter(reference.values()) == labels
     got = (
         _digest((part.exceptional, part.clusters)),
-        _digest(pure.rows),
         _digest(R.rows),
         _digest(_legacy_labels(R)),
     )
@@ -531,7 +517,7 @@ def test_partitioner_rejects_more_clusters_than_vertices():
     G = gnp(20, 0.5, 0)
     with pytest.raises(ValueError, match="cannot split 20 vertices into 21 clusters"):
         heuristic_degree_form_partition(G, 0.25, L_min=21)
-    part, _, _ = heuristic_degree_form_partition(G, 0.25, L_min=20)
+    part, _ = heuristic_degree_form_partition(G, 0.25, L_min=20)
     assert len(part.clusters[0]) == 1 and not part.exceptional
 
 
@@ -557,8 +543,9 @@ def test_induced_matches_loop_reference():
 
 
 def _reference_partition(G, delta, L_min, seed):
-    """The partitioner as it built the pure graph with an n × L loop of
-    big-int ANDs and R through ``DenseGraph.from_edges``."""
+    """The partitioner with a per-pair loop: pair counts summed over the
+    cluster blocks of the unpacked matrix, labels and R's edges pair by
+    pair, and R through ``DenseGraph.from_edges``."""
     n, L = G.n, L_min
     m = n // L
     rng = random.Random(seed)
@@ -567,7 +554,6 @@ def _reference_partition(G, delta, L_min, seed):
     clusters = [sorted(order[i * m : (i + 1) * m]) for i in range(L)]
     exceptional = sorted(order[L * m :])
 
-    masks = [mask_of(c) for c in clusters]
     flat = [v for c in clusters for v in c]
     blocks = G.bit_matrix(flat)[:, flat].reshape(L, m, L, m)
     counts = blocks.sum(axis=(1, 3)).tolist()
@@ -580,28 +566,8 @@ def _reference_partition(G, delta, L_min, seed):
             else:
                 labels[(i, j)] = "dense"
                 r_edges.append((i, j))
-
-    keep = [[False] * L for _ in range(L)]
-    for i, j in r_edges:
-        keep[i][j] = keep[j][i] = True
-    cluster_of = {}
-    for i, c in enumerate(clusters):
-        for v in c:
-            cluster_of[v] = i
-    exc_mask = mask_of(exceptional)
-    pure_rows = [0] * n
-    for v in range(n):
-        ci = cluster_of.get(v)
-        if ci is None:
-            pure_rows[v] = G.rows[v]
-            continue
-        row = G.rows[v] & exc_mask
-        for j in range(L):
-            if keep[ci][j]:
-                row |= G.rows[v] & masks[j]
-        pure_rows[v] = row
     R = DenseGraph.from_edges(L, r_edges)
-    return exceptional, clusters, pure_rows, R.rows, labels
+    return exceptional, clusters, R.rows, labels
 
 
 @st.composite
@@ -620,22 +586,18 @@ def _partition_cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_partitioner_matches_the_per_cluster_loop(case):
     G, delta, L_min, seed = case
-    part, pure, R = heuristic_degree_form_partition(G, delta, L_min, seed=seed)
-    exceptional, clusters, pure_rows, r_rows, labels = _reference_partition(
-        G, delta, L_min, seed
-    )
+    part, R = heuristic_degree_form_partition(G, delta, L_min, seed=seed)
+    exceptional, clusters, r_rows, labels = _reference_partition(G, delta, L_min, seed)
     assert part.exceptional == tuple(exceptional)
     assert part.clusters == tuple(map(tuple, clusters))
-    assert pure.rows == tuple(pure_rows)
     assert R.rows == r_rows
     assert _pair_labels(R) == labels
-    DenseGraph(pure.n, pure.rows)  # symmetric, no loops
-    DenseGraph(R.n, R.rows)
+    DenseGraph(R.n, R.rows)  # symmetric, no loops
 
 
 def test_partitioner_reference_cases_reach_sparse_pairs_and_v0():
     # the example above exercises every branch of the reference loop
     G = gnp(79, 0.5, 3)
-    part, _, R = heuristic_degree_form_partition(G, 0.5, 9, seed=1)
+    part, R = heuristic_degree_form_partition(G, 0.5, 9, seed=1)
     assert part.exceptional
     assert Counter(_pair_labels(R).values()).keys() == {"sparse", "dense"}

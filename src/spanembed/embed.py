@@ -4,6 +4,9 @@ embedding, and an exact brute-force oracle.
 The two constructive embedders are backtracking list-embedders over cluster
 candidate sets (fail-first ordering, node budgets, seeded restarts); the
 oracle is a complete search whose "no-embedding" answer is a certificate.
+The clusters of the list-embedders are cells, which are disjoint, as the
+cells V_{a,b} of the proof are: both refuse two cells that share a vertex
+with ``InvalidParameters``, and index each vertex's cell-mates by its cell.
 All three search depth-first with an explicit stack, never recursing, so a
 block or template of any size fits.  The list-embedders keep live candidate
 masks: a placement x -> gv narrows only the masks it can change (those of
@@ -18,9 +21,24 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .graphs import DenseGraph, StageFailure, bits, mask_of
+from .graphs import DenseGraph, InvalidParameters, StageFailure, bits, mask_of
+
+
+def _cell_masks(clusters: dict[int, tuple[int, ...]]) -> dict[int, int]:
+    """The vertex mask of every cell; cells that share a vertex raise
+    ``InvalidParameters``."""
+    masks: dict[int, int] = {}
+    covered = 0
+    for a, vs in clusters.items():
+        mk = mask_of(vs)
+        if covered & mk:
+            raise InvalidParameters(f"cell {a} shares a vertex with another cell")
+        covered |= mk
+        masks[a] = mk
+    return masks
 
 
 def verify_embedding(H: DenseGraph, G: DenseGraph, mapping: dict[int, int]) -> str:
@@ -66,8 +84,8 @@ def embed_with_targets(
     node_budget: int = 1_000_000,
     seed: int = 0,
 ) -> PartialEmbedding:
-    """Embed the ordered vertices into their phi-clusters, keeping target
-    sets for the boundary.
+    """Embed the ordered vertices into their phi-clusters, which must be
+    disjoint, keeping target sets for the boundary.
 
     Guarantees on success: f(x) lands in cluster phi(x), and every boundary
     vertex y of Y keeps a candidate set C_y of at least c*|cluster| fresh
@@ -84,7 +102,7 @@ def embed_with_targets(
     m = max((len(vs) for vs in clusters.values()), default=0)
     floor = c * m
     rng = random.Random(f"targets:{seed}")
-    cluster_mask = {a: mask_of(vs) for a, vs in clusters.items()}
+    cluster_mask = _cell_masks(clusters)
     g_rows = G.rows
     h_adj = H.rows
 
@@ -92,21 +110,19 @@ def embed_with_targets(
     # budget trace lists the first six); every mask stays at or above the
     # floor, so a placement x -> gv need only look at the masks it changes:
     # those of x's neighbours in Y and those holding gv, i.e. of the Y
-    # vertices whose cluster meets x's
+    # vertices in x's cell
     masks: dict[int, int] = {y: cluster_mask[phi[y]] for y in Y}
     if any(mk.bit_count() < floor for mk in masks.values()):
         bad = min(masks, key=lambda y: masks[y].bit_count())
         raise StageFailure(
             "target-set", f"boundary vertex {bad} starts below the floor"
         )
-    meets = {
-        a: [y for y in masks if cluster_mask[phi[y]] & am]
-        for a, am in cluster_mask.items()
-    }
-    y_nbrs = {x: [y for y in masks if (h_adj[x] >> y) & 1] for x in order}
-    y_mates = {
-        x: [y for y in meets[phi[x]] if not (h_adj[x] >> y) & 1] for x in order
-    }
+    y_cells: dict[int, int] = {}  # cell -> mask of its Y vertices
+    for y in masks:
+        y_cells[phi[y]] = y_cells.get(phi[y], 0) | 1 << y
+    y_mask = mask_of(masks)
+    y_nbrs = {x: list(bits(h_adj[x] & y_mask)) for x in order}
+    y_mates = {x: list(bits(y_cells.get(phi[x], 0) & ~h_adj[x])) for x in order}
     position = {x: i for i, x in enumerate(order)}
     # per order position, the earlier positions of its H-neighbours
     back = [
@@ -218,7 +234,7 @@ def blowup_embed(
     H: DenseGraph,
     phi: dict[int, int],
     clusters: dict[int, tuple[int, ...]],
-    special: dict[int, set[int]] | None = None,
+    special: dict[int, Iterable[int]] | None = None,
     node_budget: int = 10_000_000,
     restarts: int = 4,
     seed: int = 0,
@@ -229,9 +245,9 @@ def blowup_embed(
     vertices of ``phi`` are embedded, only the H-edges among them are
     constrained, and fail-first ranks by degree within them.  Every vertex
     must land in its phi-cluster; special vertices must land in their S_y.
-    Per-cluster demand may not exceed supply (checked).  Search is
-    fail-first (smallest candidate set next) with seeded restarts; the
-    result is revalidated edge-by-edge.
+    Clusters must be disjoint and per-cluster demand may not exceed supply
+    (both checked).  Search is fail-first (smallest candidate set next) with
+    seeded restarts; the result is revalidated edge-by-edge.
 
     Each restart searches depth-first with an explicit stack and may enter
     ``node_budget // restarts`` nodes.  Candidate masks and fail-first keys
@@ -243,6 +259,7 @@ def blowup_embed(
     "backtrack-budget-exhausted".
     """
     special = special or {}
+    cluster_mask = _cell_masks(clusters)
     demand: dict[int, int] = {}
     for x in phi:
         demand[phi[x]] = demand.get(phi[x], 0) + 1
@@ -252,19 +269,17 @@ def blowup_embed(
                 "load", f"cluster {a} demanded {need} > {len(clusters.get(a, ()))}"
             )
 
-    cluster_mask = {a: mask_of(vs) for a, vs in clusters.items()}
     vertices = sorted(phi)
     h_adj = H.rows
     g_rows = G.rows
     # a placement x -> gv changes only the masks of x's unplaced neighbours
-    # and of the unplaced vertices whose cluster holds gv: x's cell-mates
-    # (cells are disjoint; members of any cluster meeting x's in general)
+    # and of the unplaced vertices whose cluster holds gv: x's cell-mates,
+    # since cells are disjoint
     nbrs = {x: [u for u in bits(h_adj[x]) if u in phi] for x in vertices}
-    meets = {
-        a: [x for x in vertices if cluster_mask[phi[x]] & am]
-        for a, am in cluster_mask.items()
-    }
-    mates = {x: meets[phi[x]] for x in vertices}
+    cell_members: dict[int, list[int]] = {}
+    for x in vertices:
+        cell_members.setdefault(phi[x], []).append(x)
+    mates = {x: cell_members[phi[x]] for x in vertices}
     # fail-first key (live count, -deg, v) cached as one int per vertex:
     # count * stride + the vertex's rank in (-deg, v) order
     stride = len(vertices)

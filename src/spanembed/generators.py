@@ -79,41 +79,26 @@ def clique_factor_extremal(r: int, n: int) -> DenseGraph:
     return _graph_from_bool(adj)
 
 
-@dataclass(frozen=True)
-class PlantedStructure:
-    """A blown-up cycle host plus the planted ground truth."""
-
-    G: DenseGraph
-    ell: int
-    r: int
-    clusters: dict[tuple[int, int], tuple[int, ...]]
-    exceptional: tuple[int, ...]
-    p_inside: float
-    p_between: float
-
-
 def planted_blown_cycle(
     ell: int,
     r: int,
     m: int,
     p_inside: float = 0.7,
     p_between: float = 0.6,
-    n_exceptional: int = 0,
-    p_exceptional: float = 0.9,
     seed: int = 0,
-) -> PlantedStructure:
+) -> tuple[DenseGraph, dict[tuple[int, int], tuple[int, ...]]]:
     """Blow up each block-cycle cell into a cluster of m vertices.
 
     Cluster pairs inside a block get density ``p_inside`` (superregular-ish),
     pairs whose cells are joined by the blown-cycle rule get ``p_between``,
-    all remaining pairs stay empty.  Exceptional vertices attach everywhere
-    with density ``p_exceptional``.  Cells follow the lexicographic layout,
-    cluster (i,j) holding vertices [cell*m, (cell+1)*m).
+    all remaining pairs stay empty.  Cells follow the lexicographic layout,
+    cluster (i,j) holding vertices [cell*m, (cell+1)*m).  Returns the host
+    and the planted clusters.
     """
     if ell < 2 or r < 1 or m < 1:
         raise InvalidParameters("need ell >= 2, r >= 1, m >= 1")
     cells = [(i, j) for i in range(1, ell + 1) for j in range(1, r + 1)]
-    n = ell * r * m + n_exceptional
+    n = ell * r * m
     rng = np.random.default_rng(seed)
     adj = np.zeros((n, n), dtype=bool)
     for ci, (i, j) in enumerate(cells):
@@ -128,23 +113,10 @@ def planted_blown_cycle(
             else:
                 continue
             adj[lo1:hi1, lo2:hi2] = rng.random((m, m)) < p
-    base = ell * r * m
-    if n_exceptional:
-        adj[:base, base:] = rng.random((base, n_exceptional)) < p_exceptional
-        adj[base:, base:] = np.triu(rng.random((n_exceptional, n_exceptional)) < p_exceptional, 1)
-    G = _graph_from_bool(adj)
     clusters = {
         (i, j): tuple(range(ci * m, (ci + 1) * m)) for ci, (i, j) in enumerate(cells)
     }
-    return PlantedStructure(
-        G=G,
-        ell=ell,
-        r=r,
-        clusters=clusters,
-        exceptional=tuple(range(base, n)),
-        p_inside=p_inside,
-        p_between=p_between,
-    )
+    return _graph_from_bool(adj), clusters
 
 
 def planted_multipartite(
@@ -201,6 +173,8 @@ def cycle_power_H(r_pow: int, n: int, beta: float | None = None) -> BandwidthedH
     Proper colouring uses r_pow+1 colours, so n must be divisible by
     r_pow + 1.  Colours are 1-based.
     """
+    if n < 1:
+        raise InvalidParameters(f"a guest needs n >= 1 vertices, got {n}")
     k = r_pow + 1
     if n % k != 0:
         raise InvalidParameters(f"n must be divisible by {k}")
@@ -214,6 +188,8 @@ def cycle_power_H(r_pow: int, n: int, beta: float | None = None) -> BandwidthedH
 
 def path_power_H(r_pow: int, n: int, beta: float | None = None) -> BandwidthedH:
     """P^{r_pow}_n in its natural order (bandwidth r_pow)."""
+    if n < 1:
+        raise InvalidParameters(f"a guest needs n >= 1 vertices, got {n}")
     H = path_power(r_pow, n)
     order = identity_labelling(n)
     colouring = tuple(v % (r_pow + 1) + 1 for v in range(n))
@@ -224,6 +200,8 @@ def path_power_H(r_pow: int, n: int, beta: float | None = None) -> BandwidthedH:
 
 def tiling_H(r: int, copies: int, beta: float | None = None) -> BandwidthedH:
     """A K_r-tiling of `copies` blocks in consecutive order (bandwidth r-1)."""
+    if r < 1 or copies < 1:
+        raise InvalidParameters(f"need r >= 1 and copies >= 1, got {r}, {copies}")
     n = r * copies
     edges = []
     for c in range(copies):
@@ -246,6 +224,8 @@ def random_window_H(
 ) -> BandwidthedH:
     """Random low-bandwidth H: edges only within the given window of the
     identity order, degree-capped, coloured greedily with num_colours."""
+    if n < 1 or window < 1:
+        raise InvalidParameters(f"need n >= 1 vertices and window >= 1, got {n}, {window}")
     rng = random.Random(seed)
     degree = [0] * n
     colouring = [0] * n

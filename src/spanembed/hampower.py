@@ -29,7 +29,6 @@ ETA0 = 0.8  # the absorber has at most ETA0*n/(8r) blocks
 D1 = 0.3  # absorbing-path connectors need d(x, U) >= (1/2 + D1)|U|
 ETA2 = 0.1  # the absorbing path swallows at most ETA2*n leftover vertices
 ATTEMPTS = 30  # derived-seed attempts of find_hamilton_power
-COVER_BACKOFFS = 6  # pop-and-retry steps of one cover path
 
 
 @dataclass(frozen=True)
@@ -301,8 +300,7 @@ def cover_with_paths(
     (``_reorder_ends``) leaves a power-r path.  Greedy: seed each path with
     a clique, repeatedly append a vertex adjacent to the last 2r vertices
     (preferring vertices that are hard to reach later), falling back to head
-    extension and at most ``COVER_BACKOFFS`` pop-and-retry rotations per
-    path; each path aims at its share of the vertices still uncovered.
+    extension; each path aims at its share of the vertices still uncovered.
     Returns (paths, leftover); cover quality is measured by the caller,
     degenerate covers are legal.
     """
@@ -335,23 +333,10 @@ def cover_with_paths(
             return None
         seq = list(core)
         pool = scope & ~mask_of(seq)
-        tabu = 0
-        budget = COVER_BACKOFFS
-        while len(seq) < goal:
-            if extend_once(seq, pool, at_head=False):
-                pool &= ~mask_of(seq)
-                continue
-            if extend_once(seq, pool, at_head=True):
-                pool &= ~mask_of(seq)
-                continue
-            if budget > 0 and r_cover < len(seq) < min_path:
-                # rotation-style retreat, only while the path is unusable
-                victim = seq.pop()
-                tabu |= 1 << victim
-                pool &= ~tabu
-                budget -= 1
-                continue
-            break
+        while len(seq) < goal and (
+            extend_once(seq, pool, at_head=False) or extend_once(seq, pool, at_head=True)
+        ):
+            pool &= ~mask_of(seq)
         return seq
 
     while remaining.bit_count() >= min_path and len(paths) < max_paths:
@@ -587,7 +572,8 @@ def _thread_and_close(
 
     The threading is ``_thread``'s backtracking search over the segment
     pairs, whose first assignment is the greedy one; a pair it cannot
-    bridge is a ``connector`` failure naming that pair.
+    bridge is a ``connector`` failure naming that pair.  The cycle is
+    validated once, by ``find_hamilton_power``'s ``_check_cycle``.
     """
     n = G.n
     reservoir = select_reservoir(G, pool, plan.reservoir, sub_seed)
@@ -623,11 +609,7 @@ def _thread_and_close(
             f"{len(leftovers)} uncovered vertices exceed eta2*n = {ETA2 * n:.1f}",
         )
     absorbed = absorb(G, pabs, leftovers)
-    cycle = WitnessSequence(tuple(absorbed.vertices) + tuple(big), "cycle", r)
-    problem = validate_witness(G, cycle)
-    if problem:
-        raise StageFailure("closure", f"cycle validation failed: {problem}")
-    return cycle
+    return WitnessSequence(tuple(absorbed.vertices) + tuple(big), "cycle", r)
 
 
 # Bridges a threading search may draw beyond one per pair; see _thread.

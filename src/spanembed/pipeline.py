@@ -270,8 +270,13 @@ def _pipeline(
     audit.stage("target-embedding")
 
     # -- stage: blow-up per block ---------------------------------------------
-    # each block embeds its own vertices of H into the cells of row a of the
-    # template, which no other block's cells meet
+    # each block embeds its own vertices of H into the unplaced part of the
+    # cells of row a of the template.  Cells are disjoint, lemma_g sized
+    # each to its demand, and embed_with_targets placed every x of X' in its
+    # own cell, so supply meets demand cell by cell; a boundary vertex keeps
+    # the candidate set its embedded neighbours left it, which lies in the
+    # unplaced part of its cell.  The blow-up's load check and the
+    # assembly's checks below certify the result
     placed_images = set(g2.values())
     blocks: dict[int, list[int]] = {}
     for x in range(n):
@@ -284,27 +289,7 @@ def _pipeline(
             U_cells[(a, b)] = tuple(
                 gv for gv in X_cells[(a, b)] if gv not in placed_images
             )
-        demand: dict[tuple[int, int], int] = {}
-        for x in block:
-            demand[psi[x]] = demand.get(psi[x], 0) + 1
-        for b in range(1, 2 * r + 1):
-            cell = (a, b)
-            need = demand.get(cell, 0)
-            if need != len(U_cells[cell]):
-                raise StageFailure(
-                    "blow-up",
-                    f"cell {cell} demand {need} != supply {len(U_cells[cell])}",
-                    violated="(Xprops)",
-                )
-        # the boundary vertices keep the candidate sets their embedded
-        # neighbours left them
-        special = {}
-        for x in block:
-            if x in part.candidate_sets:
-                cand = set(part.candidate_sets[x]) & set(U_cells[psi[x]])
-                if not cand:
-                    raise StageFailure("blow-up", f"candidate set of boundary vertex {x} died")
-                special[x] = cand
+        special = {x: part.candidate_sets[x] for x in block if x in part.candidate_sets}
         try:
             g3 |= blowup_embed(
                 G,

@@ -11,12 +11,12 @@ from spanembed.graphs import DenseGraph, StageFailure
 
 
 def planted_structure(ell, cols, m, p_in=0.7, p_btw=0.6, seed=0):
-    base = planted_blown_cycle(ell, 2 * cols, m, p_in, p_btw, 0, seed=seed)
+    G, planted = planted_blown_cycle(ell, 2 * cols, m, p_in, p_btw, seed=seed)
     clusters = {
         (k // cols + 1, k % cols + 1): tuple(vs)
-        for k, vs in enumerate(base.clusters.values())
+        for k, vs in enumerate(planted.values())
     }
-    return base.G, clusters
+    return G, clusters
 
 
 def complete_host_structure(rows, cols, m):

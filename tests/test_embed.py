@@ -22,7 +22,9 @@ from spanembed.generators import (
     two_cliques,
     clique_factor_extremal,
 )
-from spanembed.graphs import DenseGraph, StageFailure, bits, cycle_power, make_named, mask_of
+from spanembed.graphs import (
+    DenseGraph, InvalidParameters, StageFailure, bits, cycle_power, make_named, mask_of
+)
 
 
 # -- brute force oracle ------------------------------------------------------
@@ -410,11 +412,10 @@ def test_targets_rejects_small_target_set():
 
 
 def test_targets_planted_superregular_segments():
-    base = planted_blown_cycle(3, 2, 14, p_inside=0.85, p_between=0.8, seed=5)
-    G = base.G
+    G, planted = planted_blown_cycle(3, 2, 14, p_inside=0.85, p_between=0.8, seed=5)
     clusters = {}
     cell_ids = {}
-    for k, (cell, vs) in enumerate(sorted(base.clusters.items())):
+    for k, (cell, vs) in enumerate(sorted(planted.items())):
         clusters[k] = vs
         cell_ids[cell] = k
     # H = short power-of-path segment walking the template
@@ -517,10 +518,9 @@ def test_blowup_complete_multipartite_exact_sizes():
 
 
 def test_blowup_union_of_paths_in_planted_system():
-    base = planted_blown_cycle(2, 2, 10, p_inside=0.8, p_between=0.7, seed=7)
-    G = base.G
+    G, planted = planted_blown_cycle(2, 2, 10, p_inside=0.8, p_between=0.7, seed=7)
     block = [(1, 1), (1, 2)]
-    clusters = {k: base.clusters[cell] for k, cell in enumerate(block)}
+    clusters = {k: planted[cell] for k, cell in enumerate(block)}
     # H: ten disjoint edges spanning the two clusters
     H = DenseGraph.from_edges(20, [(2 * i, 2 * i + 1) for i in range(10)])
     phi = {}
@@ -637,6 +637,16 @@ def test_blowup_embeds_a_block_deeper_than_the_recursion_limit():
     mapping = blowup_embed(G, H, phi, clusters, seed=1)
     assert len(mapping) == n and verify_embedding(H, G, mapping) == ""
     assert all(gv % 2 == phi[x] for x, gv in mapping.items())
+
+
+def test_embedders_refuse_cells_that_share_a_vertex():
+    # cells are disjoint: a vertex's cell-mates are those of its own cell
+    G, H = DenseGraph.complete(6), DenseGraph.empty(2)
+    phi, clusters = {0: 0, 1: 1}, {0: (0, 1, 2), 1: (2, 3, 4)}
+    with pytest.raises(InvalidParameters, match="cell 1 shares a vertex"):
+        embed_with_targets(G, H, [0, 1], phi, clusters, Y=[], c=0.0)
+    with pytest.raises(InvalidParameters, match="cell 1 shares a vertex"):
+        blowup_embed(G, H, phi, clusters)
 
 
 def test_embed_module_has_no_recursive_function():

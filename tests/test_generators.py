@@ -7,6 +7,7 @@ from spanembed.generators import (
     gnp,
     path_power_H,
     random_window_H,
+    tiling_H,
 )
 from spanembed.graphs import InvalidParameters, mask_of
 
@@ -51,6 +52,25 @@ def test_clique_factor_extremal_needs_r_to_divide_n():
 def test_cycle_power_H_needs_r_plus_one_to_divide_n(r_pow, n):
     with pytest.raises(InvalidParameters):
         cycle_power_H(r_pow, n)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: path_power_H(1, 0),
+        lambda: cycle_power_H(1, 0),
+        lambda: tiling_H(3, 0),
+        lambda: tiling_H(0, 5),
+        lambda: random_window_H(0, 4, 3, 3),
+        lambda: random_window_H(10, 0, 3, 3),
+    ],
+    ids=["path-power-n0", "cycle-power-n0", "tiling-0-copies", "tiling-r0", "window-n0", "window-0"],
+)
+def test_guest_generators_refuse_no_vertex_and_a_window_below_1(make):
+    # the default beta divided by n = 0, and window 0 reached randint(1, 0);
+    # an empty guest is built as a BandwidthedH directly
+    with pytest.raises(InvalidParameters):
+        make()
 
 
 @pytest.mark.parametrize(

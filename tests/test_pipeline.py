@@ -80,6 +80,24 @@ def test_own_refusal_keeps_its_displayed_inequality():
     )
 
 
+def test_guest_of_another_size_refuses_at_precheck():
+    res = pipeline.run_main_pipeline(gnp(480, 0.97, 0), cycle_power_H(1, 240))
+    assert (res.failure_stage, res.violated_display) == ("precheck", "precheck")
+    assert res.failure_detail == "|H| = 240 != |G| = 480"
+
+
+def test_oracle_fallback_failing_too_names_both_failures(monkeypatch):
+    # R has 80 clusters, too few for the absorber, so the oracle is R's only
+    # route to its power cycle; a 10-node budget cannot find it
+    monkeypatch.setattr(pipeline, "ORACLE_BUDGET", 10)
+    res = pipeline.run_main_pipeline(gnp(480, 0.97, 0), cycle_power_H(1, 480), seed=0)
+    assert (res.failure_stage, res.violated_display) == ("hamilton-power", "hamilton-power")
+    assert res.failure_detail == (
+        "pipeline (absorber: host too small: cannot fit two blocks plus flanks at n=80) "
+        "and oracle (budget-exceeded) both failed"
+    )
+
+
 def test_lemma_g_refusal_is_labelled_lemma_g(monkeypatch):
     # a rebalancing refusal must not be attributed to an asymptotic display
     # such as (beta), which fails on every desk-scale run

@@ -12,7 +12,6 @@ from spanembed.generators import (
     clique_factor_extremal,
     complete_bipartite,
     gnp,
-    planted_blown_cycle,
     random_bipartite,
     two_cliques,
 )

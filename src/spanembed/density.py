@@ -177,10 +177,12 @@ def enumerate_extendable_cliques(
     neighbourhood only shrinks as vertices are added), which is also the
     pruning rule.  ``within`` restricts the clique to a vertex bitmask;
     the joint degree is still measured in the whole host.  Enumeration
-    stops after ``cap`` results.
+    stops after ``cap`` results, so ``cap=0`` finds none.
     """
     if r < 1:
         raise InvalidParameters("r must be >= 1")
+    if cap is not None and cap < 0:
+        raise InvalidParameters("cap must be >= 0")
     scope = G.full_mask() if within is None else within
     out: list[tuple[int, ...]] = []
     rows = G.rows
@@ -205,7 +207,8 @@ def enumerate_extendable_cliques(
             chosen.pop()
         return False
 
-    rec(0, [], full, scope)
+    if cap != 0:
+        rec(0, [], full, scope)
     return out
 
 

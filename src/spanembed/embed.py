@@ -103,6 +103,9 @@ def embed_with_targets(
     floor = c * m
     rng = random.Random(f"targets:{seed}")
     cluster_mask = _cell_masks(clusters)
+    stray = next((x for x in [*order, *Y] if phi[x] not in cluster_mask), None)
+    if stray is not None:
+        raise InvalidParameters(f"vertex {stray}'s cell {phi[stray]} is not a cluster")
     g_rows = G.rows
     h_adj = H.rows
 

@@ -290,8 +290,6 @@ def z_rule_edge(i: int, j: int, i2: int, j2: int, ell: int) -> bool:
     the matching j == j2.  Well defined for ell >= 2; for ell >= 3 the
     consecutive and the wrap-around pairs are disjoint.
     """
-    if j == j2 and i == i2:
-        return False
     if j == j2:
         return False
     di = abs(i - i2)
@@ -422,71 +420,56 @@ class WitnessSequence:
         if self.r < 1:
             raise InvalidParameters("witness power must be >= 1")
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-
-def _windows_hold(G: DenseGraph, w: WitnessSequence) -> bool:
-    """True when the vertices are distinct, in range, and each one's row
-    holds the next r vertices (cyclically for a cycle of more than r)."""
-    vs, r = w.vertices, w.r
-    k = len(vs)
-    if not vs or min(vs) < 0 or max(vs) >= G.n or len(set(vs)) != k:
-        return False
-    if w.kind == "cycle":
-        if k <= r:
-            return False
-        ext = [1 << v for v in vs + vs[:r]]
-    else:
-        ext = [1 << v for v in vs] + [0] * r
-    windows = [0] * k
-    for j in range(1, r + 1):
-        windows = [m | b for m, b in zip(windows, ext[j : j + k])]
-    rows = G.rows
-    return all(rows[v] & m == m for v, m in zip(vs, windows))
-
 
 def validate_witness(G: DenseGraph, w: WitnessSequence) -> str:
     """Check the claimed witness against the host: its first violation, or
     "" when it holds.
 
     Path/cycle entries must be pairwise distinct; trails may repeat vertices
-    but every required pair must still be a (non-loop) edge.  A witness of
-    distinct in-range vertices is first checked one mask per position; when
-    any condition fails, the pairwise scan below finds and reports it.
+    but every required pair must still be a (non-loop) edge.  One pass ORs
+    each position's next r vertices (cyclically for a cycle) into a window
+    mask and finds the first position whose row misses a bit of it; only
+    that position's offsets are scanned to name the pair.
     """
-    if _windows_hold(G, w):
-        return ""
-    vs = w.vertices
+    vs, r = w.vertices, w.r
     k = len(vs)
-    for v in vs:
-        if not 0 <= v < G.n:
-            return f"vertex {v} outside host"
-    if w.kind in ("path", "cycle"):
+    if not vs:
+        return ""
+    if min(vs) < 0 or max(vs) >= G.n:
+        return f"vertex {next(v for v in vs if not 0 <= v < G.n)} outside host"
+    cyclic = w.kind == "cycle"
+    if w.kind != "trail" and len(set(vs)) != k:
         seen = set()
         for v in vs:
             if v in seen:
                 return f"duplicate vertex {v}"
             seen.add(v)
-    if w.kind == "cycle":
-        for i in range(k):
-            for j in range(1, w.r + 1):
-                u, v = vs[i], vs[(i + j) % k]
-                if u == v:
-                    return f"cyclic pair ({i},{i + j}) collapses"
-                if not G.has_edge(u, v):
-                    return f"missing edge ({u},{v}) at offsets ({i},{(i + j) % k})"
+    if cyclic:
+        ext = [1 << vs[p % k] for p in range(k + r)]
     else:
-        for i in range(k):
-            for j in range(1, w.r + 1):
-                if i + j >= k:
-                    break
-                u, v = vs[i], vs[i + j]
-                if u == v:
-                    return f"pair ({i},{i + j}) collapses to vertex {u}"
-                if not G.has_edge(u, v):
-                    return f"missing edge ({u},{v}) at offsets ({i},{i + j})"
-    return ""
+        ext = [1 << v for v in vs] + [0] * r
+    windows = [0] * k
+    for j in range(1, r + 1):
+        windows = [m | b for m, b in zip(windows, ext[j : j + k])]
+    # a window holds its own vertex only in a trail or in a cycle of at most
+    # r vertices, and a row built unchecked may hold that loop
+    loops = w.kind == "trail" or (cyclic and k <= r)
+    rows = G.rows
+    for bad, (u, m) in enumerate(zip(vs, windows)):
+        if rows[u] & m != m or (loops and m >> u & 1):
+            break
+    else:
+        return ""
+    for j in range(1, r + 1):
+        p = (bad + j) % k  # below k for a path: its window ends at k - 1
+        v = vs[p]
+        if u == v:
+            if cyclic:
+                return f"cyclic pair ({bad},{bad + j}) collapses"
+            return f"pair ({bad},{p}) collapses to vertex {u}"
+        if not G.has_edge(u, v):
+            return f"missing edge ({u},{v}) at offsets ({bad},{p})"
+    raise AssertionError("the failing window names no failing pair")
 
 
 # -- edge-list text format --------------------------------------------------

@@ -144,9 +144,11 @@ def basic_assignment(Hb: BandwidthedH, targets: dict[Cell, int]) -> Assignment:
     """
     n = Hb.n
     cells = sorted(targets)
-    ell = max(i for i, _ in cells)
-    r = max(j for _, j in cells) // 2
-    if set(cells) != {(i, j) for i in range(1, ell + 1) for j in range(1, 2 * r + 1)}:
+    ell = max((i for i, _ in cells), default=0)
+    r = max((j for _, j in cells), default=0) // 2
+    if not cells or set(cells) != {
+        (i, j) for i in range(1, ell + 1) for j in range(1, 2 * r + 1)
+    }:
         raise StageFailure("basic-assignment", "targets must cover [ell] x [2r] exactly")
     total = sum(targets.values())
     if total != n:
@@ -206,6 +208,8 @@ def check_basic_assignment(
     homomorphism, bounded in the interval width W; empty string = pass.
     Shares no code with the constructor.
     """
+    if not targets:
+        return "targets must cover [ell] x [2r] exactly"
     n = Hb.n
     ell = max(i for i, _ in targets)
     order = Hb.order.order
@@ -235,8 +239,6 @@ def check_basic_assignment(
         (i, j), (i2, j2) = f[u], f[v]
         if abs(i - i2) > 1:
             return f"edge ({u},{v}) spans blocks {i},{i2}"
-        if j == j2:
-            return f"edge ({u},{v}) lands in one colour {j}"
         if u not in B and v not in B and i != i2:
             return f"edge ({u},{v}) off B spans blocks {i},{i2}"
         if not z_rule_edge(i, j, i2, j2, ell):

@@ -227,8 +227,13 @@ def refine_to_superregular(
     exact target size.  ``is_superregular`` is the independent check of the
     refined pairs.
 
-    A violated hypothesis is a ``StageFailure`` at stage ``refine``.
+    A violated hypothesis is a ``StageFailure`` at stage ``refine``; R must
+    have one vertex per cluster, and there must be a cluster.
     """
+    if not 1 <= len(clusters) == R.n:
+        raise InvalidParameters(
+            f"{len(clusters)} clusters for a reduced graph on {R.n} vertices"
+        )
     m = len(clusters[0])
     if any(len(c) != m for c in clusters):
         raise InvalidParameters("clusters must be equal-sized")

@@ -266,6 +266,55 @@ def test_connect_raises_when_its_path_fails_revalidation(monkeypatch):
     assert exc.value.stage == "revalidation"
 
 
+def _reference_revalidate(G, seq, X, Y, W, r):
+    """The connection checked as three witnesses, the path, X·path and
+    path·Y; "" when all of them hold."""
+    if len(seq) != 3 * r or len(set(seq)) != 3 * r:
+        return "not 3r distinct vertices"
+    if set(seq) & (set(W) | set(X) | set(Y)):
+        return "meets W, X or Y"
+    for w in (seq, tuple(sorted(X)) + seq, seq + tuple(sorted(Y))):
+        problem = validate_witness(G, WitnessSequence(w, "path", r))
+        if problem:
+            return problem
+    return ""
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_connection_witness_matches_the_three_witness_check(seed):
+    # connections emitted on seeded hosts, and corruptions of them: a path
+    # vertex replaced by one outside the path, and two path vertices swapped
+    G = gnp(60, 0.85, seed)
+    r = 2 + seed % 2
+    rng = random.Random(seed)
+    lower, upper = mask_of(range(30)), mask_of(range(30, 60))
+    X = list(enumerate_extendable_cliques(G, r, s=10, cap=1, within=lower)[0])
+    Y = list(enumerate_extendable_cliques(G, r, s=10, cap=1, within=upper)[0])
+    W = [v for v in rng.sample(range(G.n), 8) if v not in X + Y]
+    seq = connect_cliques(G, X, Y, W, r, 0.1, seed=seed).vertices
+    variants = [seq]
+    outside = [v for v in range(G.n) if v not in seq]
+    for i in range(len(seq)):
+        for v in rng.sample(outside, 3):
+            variants.append(seq[:i] + (v,) + seq[i + 1 :])
+    for i, j in itertools.combinations(range(len(seq)), 2):
+        swapped = list(seq)
+        swapped[i], swapped[j] = seq[j], seq[i]
+        variants.append(tuple(swapped))
+    outcomes = set()
+    for vs in variants:
+        want = _reference_revalidate(G, vs, X, Y, W, r) == ""
+        try:
+            connect._revalidate_connection(G, WitnessSequence(vs, "path", r), X, Y, W, r)
+            got = True
+        except StageFailure as exc:
+            assert exc.stage == "revalidation"
+            got = False
+        assert got == want, vs
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
 def test_connect_records_branch():
     # a failed envelope search names the hypothesis that held for its ends:
     # a joint neighbourhood of >= eta*n vertices ("extendable") or not

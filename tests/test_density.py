@@ -39,9 +39,10 @@ def brute_locally_dense(G, p):
         lambda G: DensityParams(0.05, 0),
         lambda G: is_locally_dense_sampled(G, DensityParams(0.05, 0.3), trials=0),
         lambda G: enumerate_extendable_cliques(G, 0),
+        lambda G: enumerate_extendable_cliques(G, 2, cap=-1),
         lambda G: find_clique(G, -1),
     ],
-    ids=["rho", "d", "trials", "clique-order", "clique-size"],
+    ids=["rho", "d", "trials", "clique-order", "clique-cap", "clique-size"],
 )
 def test_bad_parameters_raise_invalid_parameters(call):
     with pytest.raises(InvalidParameters):
@@ -344,6 +345,7 @@ def test_cap_limits_enumeration():
     G = DenseGraph.complete(10)
     out = enumerate_extendable_cliques(G, 3, s=0, cap=5)
     assert len(out) == 5
+    assert enumerate_extendable_cliques(G, 2, cap=0) == []
 
 
 def test_joint_degree_lower_bound_respected():

@@ -555,6 +555,18 @@ def test_blowup_pigeonhole_rejection():
     assert exc.value.stage == "load"
 
 
+def test_embed_with_targets_refuses_a_cell_that_is_not_a_cluster():
+    # blowup_embed refuses the same input as a "load" failure
+    G, H = DenseGraph.complete(4), DenseGraph.empty(2)
+    with pytest.raises(InvalidParameters, match="vertex 0's cell 9 is not a cluster"):
+        embed_with_targets(G, H, [0], {0: 9}, {}, [], c=0.0)
+    with pytest.raises(InvalidParameters, match="vertex 1's cell 9 is not a cluster"):
+        embed_with_targets(G, H, [0], {0: 0, 1: 9}, {0: (0, 1)}, [1], c=0.0)
+    with pytest.raises(StageFailure) as exc:
+        blowup_embed(G, H, {0: 9}, {})
+    assert exc.value.stage == "load"
+
+
 def test_blowup_exhausted_tree_is_labelled_and_not_restarted():
     # an empty host: every placement starves its partner, so the complete
     # search runs out of tree far below the budget and no restart can help

@@ -457,7 +457,9 @@ def test_constructor_names_the_same_first_asymmetric_pair(n, seed, drops):
 
 
 def _reference_validate(G, w):
-    """The pairwise witness checker as it was before its per-position fast path."""
+    """The pairwise witness checker: every required pair, one at a time, in
+    position-then-offset order; ``validate_witness`` must name the same
+    first violation."""
     vs = w.vertices
     k = len(vs)
     for v in vs:

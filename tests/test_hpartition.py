@@ -138,6 +138,19 @@ def test_basic_assignment_cycle():
     assert check_basic_assignment(Hb, asg, targets) == ""
 
 
+def test_assignment_refuses_targets_that_cover_no_cell():
+    Hb = cycle_power_H(1, 40, beta=0.1)
+    with pytest.raises(StageFailure) as exc:
+        basic_assignment(Hb, {})
+    assert (exc.value.stage, exc.value.detail) == (
+        "basic-assignment",
+        "targets must cover [ell] x [2r] exactly",
+    )
+    targets = near_uniform_targets(40, 2, 2)
+    asg = basic_assignment(Hb, targets)
+    assert check_basic_assignment(Hb, asg, {}) == "targets must cover [ell] x [2r] exactly"
+
+
 def _floor_refusal(block_1):
     """The floor refusal of basic_assignment when block 1 of a 4 x 4 grid of
     250-vertex cells takes the sizes ``block_1`` and block 4 the rest."""

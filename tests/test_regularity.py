@@ -73,11 +73,24 @@ def test_pair_density_cycle_example():
         lambda G: pair_density(G, [0, 1], [1, 2]),
         lambda G: ClusterPartition((), ((0, 1), (2,))),
         lambda G: ClusterPartition((0,), ((0, 1), (2, 3))),
-        lambda G: refine_to_superregular(G, [[0, 1], [2]], G, 0.01, 0.25),
+        lambda G: refine_to_superregular(G, [[0, 1], [2]], DenseGraph.complete(2), 0.01, 0.25),
+        lambda G: refine_to_superregular(G, [], G, 0.01, 0.25),
+        lambda G: refine_to_superregular(G, [[0], [1]], G, 0.01, 0.25),
+        lambda G: refine_to_superregular(G, [[0], [1], [2]], DenseGraph.complete(2), 0.01, 0.25),
         lambda G: heuristic_degree_form_partition(G, 0.25, L_min=0),
         lambda G: heuristic_degree_form_partition(G, 0.25, L_min=6),
     ],
-    ids=["overlap", "unequal-clusters", "vertex-twice", "refine-unequal", "L_min", "too-few"],
+    ids=[
+        "overlap",
+        "unequal-clusters",
+        "vertex-twice",
+        "refine-unequal",
+        "refine-no-cluster",
+        "refine-R-larger",
+        "refine-R-smaller",
+        "L_min",
+        "too-few",
+    ],
 )
 def test_bad_parameters_raise_invalid_parameters(call):
     with pytest.raises(InvalidParameters):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .graphs import DenseGraph, StageFailure, mask_of
+from .graphs import DenseGraph, StageFailure, first_misplaced, mask_of
 
 
 Cell = tuple[int, int]
@@ -112,7 +112,7 @@ def lemma_g(
 ) -> dict[Cell, tuple[int, ...]]:
     """Rebalance spanning clusters of one size m onto exact targets n_{a,b}.
 
-    Checks that the clusters have one size m and span G and that the
+    Checks that the clusters have one size m and partition V(G) and that the
     targets name every cell and sum to n, reallocates them
     along augmenting paths (``_reallocate``) and returns the partition X
     with |X_{a,b}| = n_{a,b} exactly, every moved vertex valid in its new
@@ -122,6 +122,9 @@ def lemma_g(
     m = max(map(len, clusters.values()), default=0)
     if any(len(c) != m for c in clusters.values()):
         raise StageFailure("lemma-g", "cells must have equal size m")
+    misplaced = first_misplaced(G.n, clusters.values())
+    if misplaced:
+        raise StageFailure("lemma-g", misplaced)
     held = sum(len(c) for c in clusters.values())
     if held != G.n:
         raise StageFailure("lemma-g", f"clusters hold {held} != n = {G.n} vertices")

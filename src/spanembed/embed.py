@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections.abc import Iterable
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .graphs import DenseGraph, InvalidParameters, StageFailure, bits, mask_of
@@ -77,7 +77,7 @@ def embed_with_targets(
     G: DenseGraph,
     H: DenseGraph,
     order: list[int],
-    phi: dict[int, int],
+    phi: Sequence[Hashable] | Mapping[int, Hashable],
     clusters: dict[int, tuple[int, ...]],
     Y: list[int],
     c: float,
@@ -85,7 +85,10 @@ def embed_with_targets(
     seed: int = 0,
 ) -> PartialEmbedding:
     """Embed the ordered vertices into their phi-clusters, which must be
-    disjoint, keeping target sets for the boundary.
+    disjoint, keeping target sets for the boundary.  ``phi`` gives the cell
+    of each vertex of ``order`` and ``Y``, indexed by vertex: a tuple over
+    all of H (the assignment's) or a dict; a vertex it gives no cell, or a
+    cell that is not a key of ``clusters``, raises ``InvalidParameters``.
 
     Guarantees on success: f(x) lands in cluster phi(x), and every boundary
     vertex y of Y keeps a candidate set C_y of at least c*|cluster| fresh
@@ -103,9 +106,13 @@ def embed_with_targets(
     floor = c * m
     rng = random.Random(f"targets:{seed}")
     cluster_mask = _cell_masks(clusters)
-    stray = next((x for x in [*order, *Y] if phi[x] not in cluster_mask), None)
-    if stray is not None:
-        raise InvalidParameters(f"vertex {stray}'s cell {phi[stray]} is not a cluster")
+    for x in [*order, *Y]:
+        try:
+            cell = phi[x]
+        except (IndexError, KeyError):
+            raise InvalidParameters(f"phi gives vertex {x} no cell") from None
+        if cell not in cluster_mask:
+            raise InvalidParameters(f"vertex {x}'s cell {cell} is not a cluster")
     g_rows = G.rows
     h_adj = H.rows
 

@@ -34,8 +34,16 @@ def _graph_from_bool(adj: np.ndarray) -> DenseGraph:
     return DenseGraph(n, packed_rows(adj), check=False)
 
 
+def _refuse_negative(**counts: int) -> None:
+    """Refuse a vertex count below 0, naming it."""
+    for name, k in counts.items():
+        if k < 0:
+            raise InvalidParameters(f"{name} must be >= 0, got {k}")
+
+
 def gnp(n: int, p: float, seed: int = 0) -> DenseGraph:
     """Erdos-Renyi G(n,p), deterministic per (n, p, seed)."""
+    _refuse_negative(n=n)
     rng = np.random.default_rng(seed)
     adj = rng.random((n, n)) < p
     adj = np.triu(adj, 1)
@@ -44,6 +52,7 @@ def gnp(n: int, p: float, seed: int = 0) -> DenseGraph:
 
 def random_bipartite(a: int, b: int, p: float, seed: int = 0) -> DenseGraph:
     """Bipartite G(a+b, p) with parts 0..a-1 and a..a+b-1."""
+    _refuse_negative(a=a, b=b)
     rng = np.random.default_rng(seed)
     adj = np.zeros((a + b, a + b), dtype=bool)
     adj[:a, a:] = rng.random((a, b)) < p
@@ -51,6 +60,7 @@ def random_bipartite(a: int, b: int, p: float, seed: int = 0) -> DenseGraph:
 
 
 def complete_bipartite(a: int, b: int) -> DenseGraph:
+    _refuse_negative(a=a, b=b)
     adj = np.zeros((a + b, a + b), dtype=bool)
     adj[:a, a:] = True
     return _graph_from_bool(adj)
@@ -58,6 +68,7 @@ def complete_bipartite(a: int, b: int) -> DenseGraph:
 
 def two_cliques(n: int) -> DenseGraph:
     """Two vertex-disjoint cliques of sizes floor(n/2) and ceil(n/2)."""
+    _refuse_negative(n=n)
     h = n // 2
     adj = np.zeros((n, n), dtype=bool)
     adj[:h, :h] = True
@@ -71,6 +82,9 @@ def clique_factor_extremal(r: int, n: int) -> DenseGraph:
     The classic obstruction to a K_r-factor: A has one vertex too many for
     the rest of the graph to cover.
     """
+    _refuse_negative(n=n)
+    if r < 1:
+        raise InvalidParameters(f"r must be >= 1, got {r}")
     if n % r != 0:
         raise InvalidParameters("n must be divisible by r")
     a = n // r + 1
@@ -124,6 +138,7 @@ def planted_multipartite(
 ) -> tuple[DenseGraph, list[list[int]]]:
     """L clusters of size m, every cluster pair random bipartite of density p,
     clusters internally empty.  Returns the host and the planted clusters."""
+    _refuse_negative(L=L, m=m)
     n = L * m
     rng = np.random.default_rng(seed)
     adj = np.triu(rng.random((n, n)) < p, 1)
@@ -173,8 +188,8 @@ def cycle_power_H(r_pow: int, n: int, beta: float | None = None) -> BandwidthedH
     Proper colouring uses r_pow+1 colours, so n must be divisible by
     r_pow + 1.  Colours are 1-based.
     """
-    if n < 1:
-        raise InvalidParameters(f"a guest needs n >= 1 vertices, got {n}")
+    if n < 1 or r_pow < 0:
+        raise InvalidParameters(f"need n >= 1 vertices and r_pow >= 0, got {n}, {r_pow}")
     k = r_pow + 1
     if n % k != 0:
         raise InvalidParameters(f"n must be divisible by {k}")
@@ -188,8 +203,8 @@ def cycle_power_H(r_pow: int, n: int, beta: float | None = None) -> BandwidthedH
 
 def path_power_H(r_pow: int, n: int, beta: float | None = None) -> BandwidthedH:
     """P^{r_pow}_n in its natural order (bandwidth r_pow)."""
-    if n < 1:
-        raise InvalidParameters(f"a guest needs n >= 1 vertices, got {n}")
+    if n < 1 or r_pow < 0:
+        raise InvalidParameters(f"need n >= 1 vertices and r_pow >= 0, got {n}, {r_pow}")
     H = path_power(r_pow, n)
     order = identity_labelling(n)
     colouring = tuple(v % (r_pow + 1) + 1 for v in range(n))

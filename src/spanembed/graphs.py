@@ -91,6 +91,21 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def first_misplaced(n: int, groups: Iterable[Iterable[int]]) -> str | None:
+    """The first vertex, in group order, that lies outside 0..n-1 or in two
+    of ``groups``, described; None when the groups are disjoint sets of
+    vertices of an n-vertex graph."""
+    seen: set[int] = set()
+    for group in groups:
+        for v in group:
+            if not 0 <= v < n:
+                return f"vertex {v} lies outside 0..{n - 1}"
+            if v in seen:
+                return f"vertex {v} lies in two clusters"
+            seen.add(v)
+    return None
+
+
 class DenseGraph:
     """Immutable undirected graph over 0..n-1 backed by a row bit-matrix."""
 
@@ -322,6 +337,11 @@ def cycle_power(r: int, k: int) -> DenseGraph:
 
 def make_named(kind: str, params: Sequence[int]) -> DenseGraph:
     """Construct a named graph: P (r,k), C (r,k), K (n)."""
+    arity = {"P": 2, "C": 2, "K": 1}
+    if kind not in arity:
+        raise InvalidParameters(f"unknown named graph kind {kind!r}")
+    if len(params) != arity[kind]:
+        raise InvalidParameters(f"{kind} takes {arity[kind]} parameters, got {len(params)}")
     if kind == "P":
         r, k = params
         if r < 1 or k < 1:
@@ -332,12 +352,10 @@ def make_named(kind: str, params: Sequence[int]) -> DenseGraph:
         if r < 1 or k <= 2 * r:
             raise InvalidParameters("C needs r >= 1, k >= 2r+1")
         return cycle_power(r, k)
-    if kind == "K":
-        (n,) = params
-        if n < 0:
-            raise InvalidParameters("K needs n >= 0")
-        return DenseGraph.complete(n)
-    raise InvalidParameters(f"unknown named graph kind {kind!r}")
+    (n,) = params
+    if n < 0:
+        raise InvalidParameters("K needs n >= 0")
+    return DenseGraph.complete(n)
 
 
 # -- vertex labellings ------------------------------------------------------

@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .connect import Bridge, HypothesisViolation, bridging_cliques, connect_cliques
+from .connect import HypothesisViolation, bridging_cliques, connect_cliques
 from .density import find_clique
 from .graphs import (
     DenseGraph, InvalidParameters, StageFailure, WitnessSequence, bits, mask_of, validate_witness
@@ -296,8 +296,9 @@ def cover_with_paths(
     """Cover G2 by at most ``max_paths`` vertex-disjoint power-2r paths on at
     least 2r + 1 vertices each.
 
-    The power is 2r so that reordering a path's first or last r vertices
-    (``_reorder_ends``) leaves a power-r path.  Greedy: seed each path with
+    Threading needs only power r, since each bridge sees the whole of both
+    ends it joins; the paths keep power 2r because every cover, and so every
+    witness, was built and pinned at 2r.  Greedy: seed each path with
     a clique, repeatedly append a vertex adjacent to the last 2r vertices
     (preferring vertices that are hard to reach later), falling back to head
     extension; each path aims at its share of the vertices still uncovered.
@@ -458,26 +459,6 @@ class HamAudit:
     plan: HamPlan | None = None
 
 
-def _reorder_ends(
-    seq: tuple[int, ...], r: int, head_first: tuple[int, ...] | None, tail_last: tuple[int, ...] | None
-) -> list[int]:
-    """Reorder a cover path so the connector-attached r-subsets sit innermost:
-    head_first comes first in the head block, tail_last comes last in the
-    tail block (both blocks are cliques, so any order inside them is valid)."""
-    out = list(seq)
-    if head_first is not None:
-        head = list(seq[:r])
-        chosen = [v for v in head if v in set(head_first)]
-        rest = [v for v in head if v not in set(head_first)]
-        out[:r] = chosen + rest
-    if tail_last is not None:
-        tail = list(out[-r:])
-        chosen = [v for v in tail if v in set(tail_last)]
-        rest = [v for v in tail if v not in set(tail_last)]
-        out[-r:] = rest + chosen
-    return out
-
-
 def find_hamilton_power(
     G: DenseGraph,
     r: int,
@@ -588,21 +569,11 @@ def _thread_and_close(
         tuple(sorted(flank_S))
     ]
     bridges = _thread(G, r, segs, reservoir)
-    head_orders: list[tuple[int, ...] | None] = [None] * len(segs)
-    tail_orders: list[tuple[int, ...] | None] = [None] * len(segs)
-    for i, bridge in enumerate(bridges):
-        tail_orders[i] = bridge.X_prime
-        head_orders[i + 1] = bridge.Y_prime
-    connectors = [tuple(sorted(bridge.Z)) for bridge in bridges]
-    used_res = set().union(*(bridge.Z for bridge in bridges))
-
     big: list[int] = []
-    for i, seg in enumerate(segs):
-        big.extend(_reorder_ends(seg, r, head_orders[i], tail_orders[i]))
-        if i < len(connectors):
-            big.extend(connectors[i])
+    for seg, Z in zip(segs, bridges + [()]):
+        big += seg + Z
 
-    leftovers = sorted(set(uncovered) | (set(reservoir) - used_res))
+    leftovers = sorted(set(uncovered) | (set(reservoir) - set().union(*bridges)))
     if len(leftovers) > ETA2 * n:
         raise StageFailure(
             "cover-too-lossy",
@@ -623,10 +594,13 @@ THREAD_BUDGET = 256
 
 def _thread(
     G: DenseGraph, r: int, segs: list[tuple[int, ...]], reservoir: tuple[int, ...]
-) -> list[Bridge]:
-    """One bridge per consecutive segment pair (the last r vertices of one,
-    the first r of the next), with pairwise disjoint cliques from the
-    reservoir, each drawn at degree slack ETA/2.
+) -> list[tuple[int, ...]]:
+    """One bridge per consecutive segment pair: a K_r of the reservoir inside
+    the common neighbourhood of the pair's ends (the last r vertices of one
+    segment and the first r of the next), the K_r's pairwise disjoint, each
+    drawn at degree slack ETA/2.  A bridge sees all of both ends, so the
+    segments and their bridges concatenate, as they are, into a power-r
+    path.
 
     A depth-first search over the pairs, with an explicit stack: each pair
     draws its bridges from ``bridging_cliques`` in ``find_bridging_clique``'s
@@ -650,7 +624,7 @@ def _thread(
     def failure(i: int, exc: StageFailure) -> StageFailure:
         return StageFailure("connector", f"threading pair ({i},{i + 1}): {exc}")
 
-    chosen: list[Bridge] = []
+    chosen: list[tuple[int, ...]] = []
     held = [0]  # held[i]: reservoir vertices taken by the bridges of pairs < i
     stack = [draws(0, 0)] if pairs else []
     exhausted: set[tuple[int, int]] = set()
@@ -662,7 +636,7 @@ def _thread(
             raise failure(*deepest) from deepest[1]
         budget -= 1
         try:
-            bridge = next(stack[-1])
+            Z = next(stack[-1])
         except HypothesisViolation as exc:
             raise failure(i, exc) from exc
         except StageFailure as exc:
@@ -675,12 +649,12 @@ def _thread(
             chosen.pop()
             held.pop()
             continue
-        zmask = mask_of(bridge.Z)
-        if len(bridge.Z) != r or zmask & ~res_mask or zmask & held[i]:
-            raise StageFailure("revalidation", f"threading bridge {bridge.Z} leaves the reservoir")
+        zmask = mask_of(Z)
+        if zmask & ~res_mask:
+            raise StageFailure("revalidation", f"threading bridge {Z} leaves the reservoir")
         if (i + 1, held[i] | zmask) in exhausted:
             continue
-        chosen.append(bridge)
+        chosen.append(Z)
         held.append(held[i] | zmask)
         if len(chosen) < len(pairs):
             stack.append(draws(i + 1, held[-1]))

@@ -28,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DenseGraph, InvalidParameters, StageFailure, bits, mask_of, packed_rows
+from .graphs import (
+    DenseGraph, InvalidParameters, StageFailure, bits, first_misplaced, mask_of, packed_rows
+)
 
 
 EXACT_SIDE_THRESHOLD = 12
@@ -228,7 +230,8 @@ def refine_to_superregular(
     refined pairs.
 
     A violated hypothesis is a ``StageFailure`` at stage ``refine``; R must
-    have one vertex per cluster, and there must be a cluster.
+    have one vertex per cluster, there must be a cluster, and the clusters
+    must be disjoint sets of vertices of G.
     """
     if not 1 <= len(clusters) == R.n:
         raise InvalidParameters(
@@ -237,6 +240,9 @@ def refine_to_superregular(
     m = len(clusters[0])
     if any(len(c) != m for c in clusters):
         raise InvalidParameters("clusters must be equal-sized")
+    misplaced = first_misplaced(G.n, clusters)
+    if misplaced:
+        raise InvalidParameters(misplaced)
     L = len(clusters)
     target = math.ceil((1 - math.sqrt(eps)) * m)
     allowed = math.sqrt(eps) * m

@@ -225,6 +225,20 @@ def test_lemma_g_requires_spanning():
     assert exc.value.stage == "lemma-g"
 
 
+@pytest.mark.parametrize(
+    "clusters, named",
+    [
+        ({(1, 1): (0, 1), (1, 2): (1, 2)}, "vertex 1 lies in two clusters"),
+        ({(1, 1): (0, 1), (1, 2): (2, 4)}, "vertex 4 lies outside 0..3"),
+    ],
+)
+def test_lemma_g_refuses_clusters_that_overlap_or_leave_g(clusters, named):
+    # both hold n = 4 vertices in cells of one size, and miss vertex 3
+    with pytest.raises(StageFailure) as exc:
+        lemma_g(DenseGraph.complete(4), clusters, {(1, 1): 2, (1, 2): 2}, 0.1, 0.2)
+    assert (exc.value.stage, exc.value.detail) == ("lemma-g", named)
+
+
 def test_lemma_g_conservation():
     # several units shifted at once: every vertex stays placed exactly once
     G, Y = planted_structure(2, 2, 30, seed=10)

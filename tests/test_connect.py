@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spanembed import connect
@@ -16,7 +16,6 @@ from spanembed.density import enumerate_extendable_cliques
 from spanembed.generators import complete_bipartite, gnp
 from spanembed.graphs import (
     DenseGraph,
-    bits,
     StageFailure,
     WitnessSequence,
     mask_of,
@@ -43,22 +42,19 @@ def make_two_lobes(lobe=40, shared=20):
 
 def test_bridge_in_complete_host():
     G = DenseGraph.complete(60)
-    X, Y = list(range(8)), list(range(8, 16))
-    b = find_bridging_clique(G, list(range(G.n)), X, Y, [], r=2, eta=0.4)
-    assert G.is_clique(b.Z)
-    assert not set(b.Z) & (set(X) | set(Y))
-    assert set(b.X_prime) <= set(X) and set(b.Y_prime) <= set(Y)
-    common = G.common_neighborhood(b.Z)
-    for v in b.X_prime + b.Y_prime:
-        assert common >> v & 1
+    X, Y = [0, 1], [2, 3]
+    Z = find_bridging_clique(G, list(range(G.n)), X, Y, [], r=2, eta=0.4)
+    assert len(Z) == 2 and G.is_clique(Z)
+    assert not set(Z) & (set(X) | set(Y))
+    assert mask_of(X + Y) & ~G.common_neighborhood(Z) == 0
 
 
 def test_bridge_bucket_independent_set_fails():
     # X, Y on one side of a complete bipartite host, U the other side:
-    # every U-vertex attaches fully, the single bucket is independent.
+    # every U-vertex sees all of X ∪ Y, and U is independent.
     G = complete_bipartite(30, 30)
     side1 = list(range(30))
-    X, Y = list(range(30, 34)), list(range(34, 38))
+    X, Y = [30, 31], [32, 33]
     with pytest.raises(StageFailure) as exc:
         find_bridging_clique(G, side1, X, Y, [], r=2, eta=0.4)
     assert exc.value.stage == "no-clique-in-bucket"
@@ -66,47 +62,27 @@ def test_bridge_bucket_independent_set_fails():
 
 def test_bridge_reports_degree_violation():
     G = DenseGraph.empty(40)
-    with pytest.raises(HypothesisViolation):
-        find_bridging_clique(
-            G, list(range(20)), list(range(20, 24)), list(range(24, 28)), [], 2, 0.2
-        )
+    with pytest.raises(HypothesisViolation) as exc:
+        find_bridging_clique(G, list(range(20)), [20, 21], [22, 23], [], 2, 0.2)
+    assert exc.value.stage == "half-degree"
 
 
 def test_bridge_no_high_attachment():
-    # U sees nothing of X and Y except what the degree bound forces; make
-    # U-vertices adjacent to U only plus barely half of X ∪ Y
-    n = 30
-    edges = set()
-    U = list(range(10))
-    X = list(range(10, 14))
-    Y = list(range(14, 18))
-    for i in U:
-        for j in U:
-            if i < j:
-                edges.add((i, j))
-    # X, Y vertices adjacent to all of U (degree condition) and to each other
-    for x in X + Y:
-        for u in U:
-            edges.add((u, x))
-    for i in X + Y:
-        for j in X + Y:
-            if i < j:
-                edges.add((i, j))
-    G = DenseGraph.from_edges(n, edges)
-    # each u in U is adjacent to all 8 of X ∪ Y: qualifies; remove most of it
-    edges2 = {e for e in edges if not (e[0] in U and e[1] in X + Y)}
-    # keep degree of X,Y into U high by connecting them to a fresh clique? not
-    # needed: degree check is on X ∪ Y into U, which is now 0 -> violation
-    G2 = DenseGraph.from_edges(n, edges2)
-    with pytest.raises(StageFailure):
-        find_bridging_clique(G2, U, X, Y, [], 2, 0.2)
+    # each end sees 6 of the 10 vertices of U, which meets the half-degree
+    # hypothesis, but the common neighbourhood of X = {10, 11} is {4, 5},
+    # which Y = {12, 13} misses
+    sees = {10: range(0, 6), 11: range(4, 10), 12: (0, 1, 2, 3, 6, 7), 13: (0, 1, 2, 3, 8, 9)}
+    G = DenseGraph.from_edges(14, [(a, u) for a, us in sees.items() for u in us])
+    with pytest.raises(StageFailure) as exc:
+        find_bridging_clique(G, list(range(10)), [10, 11], [12, 13], [], 2, 0.05)
+    assert exc.value.stage == "no-high-attachment"
 
 
 def test_bridge_respects_w():
     G = DenseGraph.complete(40)
-    W = list(range(20, 30))
-    b = find_bridging_clique(G, list(range(G.n)), list(range(6)), list(range(6, 12)), W, 3, 0.3)
-    assert not set(b.Z) & set(W)
+    W = list(range(6, 30))
+    Z = find_bridging_clique(G, list(range(G.n)), [0, 1, 2], [3, 4, 5], W, 3, 0.3)
+    assert Z == (30, 31, 32)
 
 
 def test_bridge_requires_equal_sides():
@@ -115,73 +91,100 @@ def test_bridge_requires_equal_sides():
         find_bridging_clique(G, list(range(30)), [0, 1, 2], [3, 4], [], 2, 0.3)
 
 
+def test_bridge_requires_ends_of_r_vertices():
+    # equal sides of the wrong size: the ends of a bridge are r-cliques' worth
+    G = DenseGraph.complete(30)
+    for X, Y in (([0, 1, 2], [3, 4, 5]), ([0], [1])):
+        with pytest.raises(HypothesisViolation) as exc:
+            find_bridging_clique(G, list(range(30)), X, Y, [], 2, 0.3)
+        assert exc.value.stage == "attachment-sets"
+
+
 def test_bridge_deterministic():
     G = gnp(80, 0.8, 3)
-    X, Y = list(range(6)), list(range(6, 12))
+    X, Y = [0, 1], [2, 3]
     # make X, Y fully attached so the precondition holds
     rows = list(G.rows)
     for x in X + Y:
-        for v in range(12, 80):
+        for v in range(4, 80):
             rows[x] |= 1 << v
             rows[v] |= 1 << x
     G = DenseGraph(80, rows, check=False)
-    b1 = find_bridging_clique(G, list(range(12, 80)), X, Y, [], 2, 0.2)
-    b2 = find_bridging_clique(G, list(range(12, 80)), X, Y, [], 2, 0.2)
+    b1 = find_bridging_clique(G, list(range(4, 80)), X, Y, [], 2, 0.2)
+    b2 = find_bridging_clique(G, list(range(4, 80)), X, Y, [], 2, 0.2)
     assert b1 == b2
 
 
-def _buckets_per_vertex(G, candidates, X, Y, r):
-    """The per-vertex attachment bucketing ``_attachment_buckets`` replaced."""
-    xmask, ymask = mask_of(X), mask_of(Y)
-    buckets = {}
-    for v in bits(candidates):
-        ax, ay = G.rows[v] & xmask, G.rows[v] & ymask
-        if ax.bit_count() + ay.bit_count() >= len(X) + r:
-            buckets.setdefault((ax, ay), []).append(v)
-    return {key: mask_of(members) for key, members in buckets.items()}
+def _reference_bridges(G, U, X, Y, W, r, eta):
+    """(cliques, closing stage) of ``bridging_cliques``, by brute force: the
+    vertices of U outside X ∪ Y ∪ W adjacent to each of X ∪ Y, one by one,
+    and the first 64 of their r-subsets that span cliques."""
+    U = range(G.n) if U is None else U
+    for x in X + Y:
+        if sum(G.has_edge(x, u) for u in U) < (0.5 + eta) * len(U):
+            return [], "half-degree"
+    M = [
+        v
+        for v in sorted(U)
+        if v not in X + Y + W and all(G.has_edge(v, a) for a in X + Y)
+    ]
+    if not M:
+        return [], "no-high-attachment"
+    cliques = (
+        Z
+        for Z in itertools.combinations(M, r)
+        if all(G.has_edge(a, b) for a, b in itertools.combinations(Z, 2))
+    )
+    return list(itertools.islice(cliques, 64)), "no-clique-in-bucket"
 
 
 @st.composite
-def bucket_queries(draw):
-    n = draw(st.integers(2, 40))
+def bridge_queries(draw):
+    n = draw(st.integers(2, 30))
     G = gnp(n, draw(st.sampled_from([0.3, 0.6, 0.9, 1.0])), draw(st.integers(0, 10**6)))
     order = draw(st.permutations(range(n)))
-    c = draw(st.integers(1, n // 2))
-    X, Y = list(order[:c]), list(order[c : 2 * c])
-    r = draw(st.integers(1, c))
-    candidates = draw(st.integers(0, (1 << n) - 1)) & ~mask_of(X + Y)
-    return G, candidates, X, Y, r
+    r = draw(st.integers(1, min(3, n // 2)))
+    X, Y = list(order[:r]), list(order[r : 2 * r])
+    rest = order[2 * r :]
+    W = sorted(draw(st.lists(st.sampled_from(rest), unique=True))) if rest else []
+    U = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    # eta = -1/2 waives the half-degree hypothesis, so most queries search
+    eta = draw(st.sampled_from([-0.5, -0.5, 0.0]))
+    return G, U, X, Y, W, r, eta
 
 
-@given(bucket_queries())
-@settings(max_examples=200, deadline=None)
-def test_attachment_buckets_match_the_per_vertex_loop(query):
-    G, candidates, X, Y, r = query
-    assert connect._attachment_buckets(G, candidates, X, Y, r) == _buckets_per_vertex(
-        G, candidates, X, Y, r
-    )
+@given(bridge_queries())
+@example((DenseGraph.complete(20), None, [0, 1], [2, 3], [], 2, 0.0))  # 120 K_2's in M
+@settings(max_examples=300, deadline=None)
+def test_bridging_cliques_match_the_brute_force_reference(query):
+    G, U, X, Y, W, r, eta = query
+    got = []
+    draws = bridging_cliques(G, U, X, Y, W, r, eta)
+    with pytest.raises(StageFailure) as exc:
+        while True:
+            got.append(next(draws))
+    assert (got, exc.value.stage) == _reference_bridges(G, U, X, Y, W, r, eta)
 
 
 def test_bridging_cliques_start_with_the_bridge_found():
     G = gnp(80, 0.8, 3)
-    X, Y, W = list(range(4)), list(range(4, 8)), [8, 9]
-    U = list(range(8, 80))
+    X, Y, W = [0, 1], [2, 3], [4, 5]
+    U = list(range(4, 80))
     found = find_bridging_clique(G, U, X, Y, W, 2, 0.0)
     listed = list(itertools.islice(bridging_cliques(G, U, X, Y, W, 2, 0.0), 40))
     assert listed[0] == found
-    assert len({b.Z for b in listed}) == len(listed) > 1
-    for b in listed:
-        connect._revalidate_bridge(G, b, mask_of(X), mask_of(Y), mask_of(W), 2)
+    assert len(set(listed)) == len(listed) > 1
+    for Z in listed:
+        connect._revalidate_bridge(G, Z, mask_of(X), mask_of(Y), mask_of(W), 2)
 
 
 def test_bridging_cliques_end_with_the_failure_label():
-    # X = {0} and Y = {1} both see U = {4, 5}: the one bucket gives Z = (4,),
-    # the loosely attached vertices add (5,), then the list runs out; with
-    # W = U no vertex is left to attach
+    # X = {0} and Y = {1} both see U = {4, 5}: the K_1's (4,) and (5,),
+    # then the list runs out; with W = U no vertex is left to attach
     G = DenseGraph.from_edges(6, [(0, 4), (0, 5), (1, 4), (1, 5)])
     draws = bridging_cliques(G, [4, 5], [0], [1], [], 1, 0.0)
-    assert next(draws).Z == (4,)
-    assert next(draws).Z == (5,)
+    assert next(draws) == (4,)
+    assert next(draws) == (5,)
     with pytest.raises(StageFailure) as exc:
         next(draws)
     assert exc.value.stage == "no-clique-in-bucket"

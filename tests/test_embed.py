@@ -567,6 +567,15 @@ def test_embed_with_targets_refuses_a_cell_that_is_not_a_cluster():
     assert exc.value.stage == "load"
 
 
+@pytest.mark.parametrize("phi", [{0: 0}, (0,)], ids=["dict", "tuple"])
+def test_embed_with_targets_refuses_a_vertex_phi_gives_no_cell(phi):
+    # phi is a dict or, as the pipeline passes it, the assignment tuple; a
+    # vertex of Y beyond it raised a bare KeyError or IndexError
+    G, H = DenseGraph.complete(4), DenseGraph.empty(2)
+    with pytest.raises(InvalidParameters, match="phi gives vertex 1 no cell"):
+        embed_with_targets(G, H, [0], phi, {0: (0, 1)}, [1], c=0.0)
+
+
 def test_blowup_exhausted_tree_is_labelled_and_not_restarted():
     # an empty host: every placement starves its partner, so the complete
     # search runs out of tree far below the budget and no restart can help

@@ -3,11 +3,15 @@ import pytest
 from spanembed.generators import (
     BandwidthedH,
     clique_factor_extremal,
+    complete_bipartite,
     cycle_power_H,
     gnp,
     path_power_H,
+    planted_multipartite,
+    random_bipartite,
     random_window_H,
     tiling_H,
+    two_cliques,
 )
 from spanembed.graphs import InvalidParameters, mask_of
 
@@ -63,12 +67,41 @@ def test_cycle_power_H_needs_r_plus_one_to_divide_n(r_pow, n):
         lambda: tiling_H(0, 5),
         lambda: random_window_H(0, 4, 3, 3),
         lambda: random_window_H(10, 0, 3, 3),
+        lambda: cycle_power_H(-1, 4),
+        lambda: path_power_H(-1, 4),
     ],
-    ids=["path-power-n0", "cycle-power-n0", "tiling-0-copies", "tiling-r0", "window-n0", "window-0"],
+    ids=[
+        "path-power-n0", "cycle-power-n0", "tiling-0-copies", "tiling-r0", "window-n0", "window-0",
+        "cycle-power-r-1", "path-power-r-1",
+    ],
 )
 def test_guest_generators_refuse_no_vertex_and_a_window_below_1(make):
     # the default beta divided by n = 0, and window 0 reached randint(1, 0);
     # an empty guest is built as a BandwidthedH directly
+    with pytest.raises(InvalidParameters):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gnp(-1, 0.5),
+        lambda: random_bipartite(-1, 3, 0.5),
+        lambda: complete_bipartite(-1, 3),
+        lambda: two_cliques(-1),
+        lambda: clique_factor_extremal(3, -3),
+        lambda: clique_factor_extremal(0, 6),
+        lambda: clique_factor_extremal(-1, 6),
+        lambda: planted_multipartite(2, -1, 0.5),
+    ],
+    ids=[
+        "gnp-n-1", "bipartite-a-1", "complete-bipartite-a-1", "two-cliques-n-1",
+        "extremal-n-3", "extremal-r0", "extremal-r-1", "multipartite-m-1",
+    ],
+)
+def test_host_generators_refuse_negative_counts_and_a_part_count_below_1(make):
+    # numpy's ValueError, a ZeroDivisionError, a 2-vertex complete bipartite
+    # graph and K_6 before
     with pytest.raises(InvalidParameters):
         make()
 

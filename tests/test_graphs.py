@@ -88,7 +88,11 @@ def test_p_1_2_is_single_edge():
 @pytest.mark.parametrize(
     "kind,params",
     # Z, the blown-up cycle, is not a named kind: it is refused as unknown
-    [("Z", [2, 2]), ("Z", [1, 1]), ("C", [2, 4]), ("C", [3, 6]), ("P", [0, 5])],
+    # C (1,) and K (1, 2) raised an unpacking ValueError
+    [
+        ("Z", [2, 2]), ("Z", [1, 1]), ("C", [2, 4]), ("C", [3, 6]), ("P", [0, 5]),
+        ("C", (1,)), ("K", (1, 2)),
+    ],
 )
 def test_degenerate_named_parameters_rejected(kind, params):
     with pytest.raises(InvalidParameters):

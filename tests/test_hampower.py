@@ -363,8 +363,8 @@ def test_hamilton_power_outputs_pinned_after_a_failed_attempt(seed, pair, expect
     assert audit.attempts == 2
     assert audit.failures == [(
         "connector",
-        f"threading pair {pair}: no-clique-in-bucket: no attachment bucket of size >= 3 "
-        "spans a K_3 (and no loosely-attached clique either)",
+        f"threading pair {pair}: no-clique-in-bucket: no K_3 left to try among the 2 "
+        "vertices of U that see all of X ∪ Y",
     )]
     assert hashlib.sha256(repr(w.vertices).encode()).hexdigest()[:16] == expected
 
@@ -420,9 +420,9 @@ def test_threading_search_threads_where_greedy_fails(monkeypatch):
     assert exc.value.detail.startswith("threading pair (2,3): no-high-attachment")
     monkeypatch.setattr(hampower, "THREAD_BUDGET", 16)
     bridges = hampower._thread(G, 1, THREAD_SEGS, THREAD_RESERVOIR)
-    assert [b.Z for b in bridges] == [(7,), (8,), (6,)]
-    for (i, j), b in zip([(0, 1), (2, 3), (4, 5)], bridges):
-        assert G.has_edge(i, b.Z[0]) and G.has_edge(j, b.Z[0])
+    assert bridges == [(7,), (8,), (6,)]
+    for (i, j), (z,) in zip([(0, 1), (2, 3), (4, 5)], bridges):
+        assert G.has_edge(i, z) and G.has_edge(j, z)
 
 
 @pytest.mark.parametrize("budget", [2, 256])

@@ -97,6 +97,16 @@ def test_bad_parameters_raise_invalid_parameters(call):
         call(DenseGraph.complete(5))
 
 
+@pytest.mark.parametrize(
+    "clusters, named",
+    [([[0, 1], [2, 99]], "vertex 99 lies outside 0..29"), ([[0, 1], [1, 2]], "vertex 1 lies in two clusters")],
+)
+def test_refine_refuses_clusters_that_are_not_disjoint_vertex_sets(clusters, named):
+    # the first raised a bare IndexError, the second a refinement failure
+    with pytest.raises(InvalidParameters, match=named):
+        refine_to_superregular(gnp(30, 0.9, 1), clusters, DenseGraph.complete(2), 0.1, 0.2)
+
+
 def test_pair_density_rejects_empty_or_overlap():
     G = DenseGraph.empty(4)
     with pytest.raises(InvalidParameters):

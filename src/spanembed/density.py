@@ -114,16 +114,14 @@ def is_locally_dense_sampled(
     """Search for a local-density violation: the first violating subset
     found, or None, which never certifies that none exists.
 
-    Candidates: the full set first (by design), anti-neighbourhoods,
-    greedy-sparsest growth prefixes, then uniform random subsets.  Edges are
-    counted only for a candidate whose size k can violate, that is when
-    ``local_threshold(n, k, p) > 0``.  The full set takes
-    ``G.edge_count()``, and the prefixes a running sum; they are not even
-    built when the longest cannot violate (the threshold grows with k).  The
-    anti-neighbourhoods, then the random subsets, are each scored in one
-    ``edges_within_many`` batch of the candidates that can violate, and the
-    first violation in candidate order is reported.  Any violation reported
-    has been evaluated exactly.
+    Candidates come as one lazy stream, in this order: the full set (with
+    its stored edge count), the anti-neighbourhoods of up to 64 sampled
+    vertices, the greedy sparsest-growth prefixes (with their running edge
+    sums), then ``trials`` uniform random subsets.  The prefixes are not even
+    built when the longest cannot violate (the threshold grows with k).  A
+    candidate of size k is counted with ``G.edges_within`` only when
+    ``local_threshold(n, k, p) > 0``, and the first violation is returned,
+    so any violation reported has been evaluated exactly.
     """
     if trials < 1:
         raise InvalidParameters("trials must be >= 1")
@@ -131,35 +129,32 @@ def is_locally_dense_sampled(
     n = G.n
     full = G.full_mask()
 
-    def first_violation(
-        masks: list[int], edges: list[int] | None = None
-    ) -> tuple[int, ...] | None:
-        """The first violating candidate in order; without ``edges`` those
-        that can violate are scored in one batch."""
-        needs = [local_threshold(n, m.bit_count(), p) for m in masks]
-        if edges is None:
-            scored = [m for m, need in zip(masks, needs) if need > 0]
-            counts = iter(G.edges_within_many(scored))
-            edges = [next(counts) if need > 0 else 0 for need in needs]
-        for mask, need, e in zip(masks, needs, edges):
-            if need > 0 and e < need:
-                return tuple(bits(mask))
-        return None
+    def candidates() -> Iterator[tuple[int, int | None]]:
+        """(mask, its edge count, or None when it is still to be counted)."""
+        yield full, G.edge_count()
+        for v in range(n) if n <= 64 else rng.sample(range(n), 64):
+            yield full & ~G.rows[v] & ~(1 << v), None
+        limit = min(n, 4 * math.isqrt(n) + 8)
+        if local_threshold(n, limit, p) > 0:
+            yield from _greedy_sparse_prefixes(G, limit)
+        for _ in range(trials):
+            yield rng.getrandbits(n) & full, None
 
-    bad = first_violation([full], [G.edge_count()])
-    if bad is not None:
-        return bad
-    sample_vs = list(range(n)) if n <= 64 else rng.sample(range(n), 64)
-    bad = first_violation([full & ~G.rows[v] & ~(1 << v) for v in sample_vs])
-    if bad is not None:
-        return bad
-    limit = min(n, 4 * int(math.isqrt(n)) + 8)
-    if local_threshold(n, limit, p) > 0:
-        for mask, edges in _greedy_sparse_prefixes(G, limit):
-            bad = first_violation([mask], [edges])
-            if bad is not None:
-                return bad
-    return first_violation([rng.getrandbits(n) & full for _ in range(trials)])
+    for mask, edges in candidates():
+        need = local_threshold(n, mask.bit_count(), p)
+        if need > 0 and (G.edges_within(mask) if edges is None else edges) < need:
+            return tuple(bits(mask))
+    return None
+
+
+def _scope(G: DenseGraph, within: int | None) -> int:
+    """``within``, or every vertex when it is None; a bit outside 0..n-1 is
+    refused."""
+    if within is None:
+        return G.full_mask()
+    if within >> G.n:
+        raise InvalidParameters(f"within has a bit outside 0..{G.n - 1}")
+    return within
 
 
 def enumerate_extendable_cliques(
@@ -177,13 +172,14 @@ def enumerate_extendable_cliques(
     neighbourhood only shrinks as vertices are added), which is also the
     pruning rule.  ``within`` restricts the clique to a vertex bitmask;
     the joint degree is still measured in the whole host.  Enumeration
-    stops after ``cap`` results, so ``cap=0`` finds none.
+    stops after ``cap`` results, so ``cap=0`` finds none.  A ``within`` with
+    a bit outside 0..n-1 raises ``InvalidParameters``.
     """
     if r < 1:
         raise InvalidParameters("r must be >= 1")
     if cap is not None and cap < 0:
         raise InvalidParameters("cap must be >= 0")
-    scope = G.full_mask() if within is None else within
+    scope = _scope(G, within)
     out: list[tuple[int, ...]] = []
     rows = G.rows
     full = G.full_mask()
@@ -260,13 +256,14 @@ def find_clique(
     which vertices get consumed: the vertices tried are a prefix of a
     uniform random permutation, and only that prefix costs random draws and
     bit lookups; the candidates are never listed.  Gives up after
-    ``node_budget`` DFS nodes.
+    ``node_budget`` DFS nodes.  A ``within`` with a bit outside 0..n-1
+    raises ``InvalidParameters``.
     """
     if size < 0:
         raise InvalidParameters("size must be >= 0")
+    scope = _scope(G, within)
     if size == 0:
         return ()
-    scope = G.full_mask() if within is None else within
     rows = G.rows
     budget = node_budget
 

@@ -33,15 +33,6 @@ class StageFailure(RuntimeError):
         super().__init__(f"{stage}: {detail}" if detail else stage)
 
 
-# Popcount from which ``bits`` unpacks with numpy: below it the per-bit loop
-# is faster (1.1 against 3.8 us at 16 bits), above it numpy wins (20 against
-# 98 us at 466 of 480 bits).
-BITS_NUMPY_FROM = 24
-
-# Bytes of the uint64 tile one ``edges_within_many`` step allocates at most;
-# at n = 300 and n = 5,000 neither 64 KB nor 1 MB tiles were faster.
-BATCH_BYTES = 1 << 18
-
 # Largest vertex count an edge-list `p` header may declare.  The pipeline
 # embeds C^1 in gnp(9600, .97); at n = 10,000 the bit rows take 12.5 MB and
 # one unpacked 0/1 matrix (``bit_matrix``) 100 MB, so a larger header is
@@ -49,32 +40,14 @@ BATCH_BYTES = 1 << 18
 MAX_EDGELIST_N = 10_000
 
 
-def _bits_loop(mask: int) -> Iterator[int]:
+def bits(mask: int) -> Iterator[int]:
+    """Iterator over the set bit positions of ``mask`` in ascending order,
+    one lowest-bit step per position, so a caller that stops early pays
+    only for the positions it read."""
     while mask:
         b = mask & -mask
         yield b.bit_length() - 1
         mask ^= b
-
-
-def bits(mask: int) -> Iterator[int]:
-    """Iterator over the set bit positions of ``mask`` in ascending order.
-
-    A mask with at least ``BITS_NUMPY_FROM`` set bits is unpacked whole with
-    numpy before the first position is returned, so its cost does not depend
-    on how many positions the caller reads; sparser masks are walked one bit
-    at a time.
-    """
-    if mask.bit_count() < BITS_NUMPY_FROM:
-        return _bits_loop(mask)
-    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), np.uint8)
-    return iter(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
-
-
-def _words(masks: Sequence[int], nwords: int) -> np.ndarray:
-    """``masks`` as a len(masks)×nwords uint64 array, bit v in word v // 64."""
-    nbytes = 8 * nwords
-    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
-    return np.frombuffer(raw, dtype="<u8").reshape(len(masks), nwords)
 
 
 def packed_rows(matrix: np.ndarray) -> list[int]:
@@ -187,9 +160,6 @@ class DenseGraph:
             m &= self.rows[v]
         return m
 
-    def joint_degree(self, vertices: Iterable[int]) -> int:
-        return self.common_neighborhood(vertices).bit_count()
-
     def is_clique(self, vertices: Iterable[int]) -> bool:
         vs = list(vertices)
         vmask = mask_of(vs)
@@ -204,34 +174,6 @@ class DenseGraph:
         for v in bits(mask):
             total += (self.rows[v] & mask).bit_count()
         return total // 2
-
-    def edges_within_many(self, masks: Sequence[int]) -> list[int]:
-        """[e(G[X]) for X in masks], by word-wide ANDs and popcounts.
-
-        The rows are laid out word-major, so each step ANDs one word of a
-        few masks with that word of a run of rows.  A step's uint64 tile
-        holds at most ``BATCH_BYTES``, so memory stays bounded in n and in
-        the number of masks.
-        """
-        if not masks:
-            return []
-        n = self.n
-        nwords = max(1, (n + 63) // 64)
-        rows = np.ascontiguousarray(_words(self.rows, nwords).T)  # word w of row v at [w, v]
-        xs = _words(masks, nwords)
-        member = np.unpackbits(xs.view(np.uint8), axis=1, count=n, bitorder="little")
-        budget = max(1, BATCH_BYTES // (8 * nwords))  # masks × rows per tile
-        span = max(1, min(n, budget))
-        per = max(1, budget // span)
-        totals = np.zeros(len(masks), dtype=np.int64)
-        for lo in range(0, len(masks), per):
-            hi = min(lo + per, len(masks))
-            for v0 in range(0, n, span):
-                v1 = min(v0 + span, n)
-                tile = rows[None, :, v0:v1] & xs[lo:hi, :, None]
-                degs = np.bitwise_count(tile).sum(axis=1, dtype=np.int32)
-                totals[lo:hi] += (degs * member[lo:hi, v0:v1]).sum(axis=1, dtype=np.int64)
-        return [t // 2 for t in totals.tolist()]
 
     def edges_between(self, xmask: int, ymask: int) -> int:
         """Ordered incidence count e_G(X,Y); e_G(X,X) = 2 e(G[X])."""

@@ -297,11 +297,13 @@ def cover_with_paths(
     least 2r + 1 vertices each.
 
     Threading needs only power r, since each bridge sees the whole of both
-    ends it joins; the paths keep power 2r because every cover, and so every
-    witness, was built and pinned at 2r.  Greedy: seed each path with
-    a clique, repeatedly append a vertex adjacent to the last 2r vertices
-    (preferring vertices that are hard to reach later), falling back to head
-    extension; each path aims at its share of the vertices still uncovered.
+    ends it joins; the paths keep power 2r because power-r covers measured
+    slower on gnp(300|400) hosts at r = 2, 3: more CPU per instance, a slower
+    worst instance, and 129 attempts against 124 over 40 seeded rounds.
+    Greedy: seed each path with a clique, repeatedly append a vertex
+    adjacent to the last 2r vertices (preferring vertices that are hard to
+    reach later), falling back to head extension; each path aims at its
+    share of the vertices still uncovered.
     Returns (paths, leftover); cover quality is measured by the caller,
     degenerate covers are legal.
     """
@@ -414,6 +416,8 @@ class HamPlan:
 
     @staticmethod
     def derive(n: int, r: int) -> "HamPlan":
+        if r < 1:
+            raise InvalidParameters(f"power r={r} must be >= 1")
         flank = min_path = 2 * r + 1
         # the most blocks t >= 1 whose path, two flanks, a reservoir of
         # max(4, r + 2) and one cover path fit: (t-1)8r + 2r + 2flank +
@@ -473,8 +477,6 @@ def find_hamilton_power(
     returned witness is validated, and on exhaustion the last stage-labelled
     failure is re-raised.  A power r < 1 raises ``InvalidParameters``.
     """
-    if r < 1:
-        raise InvalidParameters(f"power r={r} must be >= 1")
     audit = audit if audit is not None else HamAudit()
     plan = HamPlan.derive(G.n, r)
     audit.plan = plan

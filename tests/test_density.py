@@ -41,8 +41,17 @@ def brute_locally_dense(G, p):
         lambda G: enumerate_extendable_cliques(G, 0),
         lambda G: enumerate_extendable_cliques(G, 2, cap=-1),
         lambda G: find_clique(G, -1),
+        lambda G: find_clique(G, 2, within=(1 << 12) | 3),
+        lambda G: find_clique(G, 2, within=1 << 12, rng=random.Random(0)),
+        lambda G: find_clique(G, 0, within=-1),
+        lambda G: enumerate_extendable_cliques(G, 2, within=1 << 12),
+        lambda G: enumerate_extendable_cliques(G, 2, within=1 << 5),
     ],
-    ids=["rho", "d", "trials", "clique-order", "clique-cap", "clique-size"],
+    ids=[
+        "rho", "d", "trials", "clique-order", "clique-cap", "clique-size",
+        "clique-scope", "clique-scope-rng", "clique-scope-negative",
+        "enumerate-scope", "enumerate-scope-at-n",
+    ],
 )
 def test_bad_parameters_raise_invalid_parameters(call):
     with pytest.raises(InvalidParameters):
@@ -283,8 +292,8 @@ def test_sampled_matches_the_score_everything_reference(monkeypatch):
 
 @pytest.mark.parametrize("rho", [0.05, 0.01])
 def test_sampled_counts_edges_only_where_the_size_can_violate(monkeypatch, rho):
-    """Only candidates whose size k has d*C(k,2) > rho n^2 are passed to
-    ``edges_within_many``; the full set takes the stored edge count and the
+    """Only candidates whose size k has d*C(k,2) > rho n^2 are counted with
+    ``edges_within``; the full set takes the stored edge count and the
     prefixes a running sum."""
     G = gnp(480, 0.97, 1)
     n, d, trials, seed = G.n, 0.3, 300, 1
@@ -295,14 +304,14 @@ def test_sampled_counts_edges_only_where_the_size_can_violate(monkeypatch, rho):
         return d * math.comb(mask.bit_count(), 2) > rho * n * n
 
     scored = 0
-    real_edges_within_many = DenseGraph.edges_within_many
+    real_edges_within = DenseGraph.edges_within
 
-    def counting_edges_within_many(self, masks):
+    def counting_edges_within(self, mask):
         nonlocal scored
-        scored += len(masks)
-        return real_edges_within_many(self, masks)
+        scored += 1
+        return real_edges_within(self, mask)
 
-    monkeypatch.setattr(DenseGraph, "edges_within_many", counting_edges_within_many)
+    monkeypatch.setattr(DenseGraph, "edges_within", counting_edges_within)
     assert is_locally_dense_sampled(G, DensityParams(rho, d), trials=trials, seed=seed) is None
     assert scored == sum(1 for m in anti + randoms if m and can_violate(m))
 
@@ -324,7 +333,7 @@ def test_all_triangles_of_k10():
     G = DenseGraph.complete(10)
     out = enumerate_extendable_cliques(G, 3, s=7)
     assert len(out) == math.comb(10, 3)
-    assert all(G.joint_degree(c) == 7 and G.is_clique(c) for c in out)
+    assert all(G.common_neighborhood(c).bit_count() == 7 and G.is_clique(c) for c in out)
     # lexicographic order on sorted vertex tuples
     assert out == sorted(out) == list(itertools.combinations(range(10), 3))
 
@@ -338,7 +347,7 @@ def test_two_cliques_edges():
     G = two_cliques(10)
     out = enumerate_extendable_cliques(G, 2, s=3)
     assert len(out) == 2 * math.comb(5, 2)
-    assert all(G.joint_degree(c) == 3 for c in out)
+    assert all(G.common_neighborhood(c).bit_count() == 3 for c in out)
 
 
 def test_cap_limits_enumeration():
@@ -352,7 +361,7 @@ def test_joint_degree_lower_bound_respected():
     G = gnp(30, 0.6, 2)
     out = enumerate_extendable_cliques(G, 3, s=5, cap=50)
     for c in out:
-        assert G.joint_degree(c) >= 5
+        assert G.common_neighborhood(c).bit_count() >= 5
         assert G.is_clique(c)
 
 

@@ -296,6 +296,12 @@ def test_hamilton_power_rejects_a_power_below_one(r):
         find_hamilton_power(DenseGraph.complete(20), r)
 
 
+@pytest.mark.parametrize("r", [0, -1])
+def test_plan_rejects_a_power_below_one(r):
+    with pytest.raises(graphs.InvalidParameters, match=f"power r={r} must be >= 1"):
+        HamPlan.derive(100, r)
+
+
 def test_host_too_small_for_the_plan_refuses_before_any_attempt():
     # the reduced graph of a pipeline-dense run: 80 clusters, q = 7
     with pytest.raises(StageFailure) as exc:

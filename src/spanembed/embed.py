@@ -1,20 +1,24 @@
 """Embedding engines: targeted partial embedding, per-block spanning
-embedding, and an exact brute-force oracle.
+embedding, an exact brute-force oracle, and the oracle's search for a
+spanning power of a cycle.
 
 The two constructive embedders are backtracking list-embedders over cluster
 candidate sets (fail-first ordering, node budgets, seeded restarts); the
-oracle is a complete search whose "no-embedding" answer is a certificate.
+oracle is a complete search whose "no-embedding" answer is a certificate,
+and ``power_cycle_oracle`` walks the oracle's tree on the cycle-power
+template without building it.
 The clusters of the list-embedders are cells, which are disjoint, as the
 cells V_{a,b} of the proof are: both refuse two cells that share a vertex
 with ``InvalidParameters``, and index each vertex's cell-mates by its cell.
-All three search depth-first with an explicit stack, never recursing, so a
+All four search depth-first with an explicit stack, never recursing, so a
 block or template of any size fits.  The list-embedders keep live candidate
 masks: a placement x -> gv narrows only the masks it can change (those of
 x's unplaced neighbours and of gv's cell) and the search undoes it from a
 saved list.  Both are complete over their candidate lists, so running out
 of search tree below the node budget is the refusal "no-list-embedding",
-kept apart from "backtrack-budget-exhausted".  Every success is revalidated
-edge-by-edge by a checker that shares no code with the constructions.
+kept apart from "backtrack-budget-exhausted".  Every embedding is
+revalidated edge-by-edge by a checker that shares no code with the
+constructions; a power cycle, by its caller's ``validate_witness``.
 """
 
 from __future__ import annotations
@@ -485,3 +489,60 @@ def brute_force_embed(H: DenseGraph, G: DenseGraph, budget: int = 5_000_000) -> 
     if problem:
         raise StageFailure("revalidation", problem)
     return OracleResult("embedded", mapping, nodes)
+
+
+def power_cycle_oracle(G: DenseGraph, q: int, budget: int) -> OracleResult:
+    """Complete search for a spanning q-th power of a cycle in G: the
+    oracle's search tree on ``cycle_power(q, G.n)``, without the template.
+
+    On that template the oracle's order is the cycle order 0..L-1 (after
+    0..k-1 are placed, k has as many placed neighbours as any later vertex
+    and the lowest label), so position k is searched against positions
+    k-q..k-1 and, for k >= L-q, also 0..k+q-L; its candidates are the free
+    vertices of degree at least the template's, lowest first.  Status,
+    mapping (position -> vertex) and node count are the oracle's.  The
+    cycle is not rechecked here: the caller certifies it.
+    """
+    L = G.n
+    if L == 0:
+        return OracleResult("embedded", {}, 0)
+    # per position, the earlier positions at cyclic distance at most q, each
+    # once: k-q..k-1, then those of 0..k+q-L below k-q
+    back = [
+        [*range(max(0, k - q), k), *range(max(0, min(k - q, k + q - L + 1)))]
+        for k in range(L)
+    ]
+    g_rows = G.rows
+    fits = mask_of(gv for gv in range(L) if g_rows[gv].bit_count() >= min(2 * q, L - 1))
+    image = [0] * L
+    image_rows = [0] * L
+    # the oracle's loop: rest[k] holds position k's untried candidates while
+    # deeper positions are searched, and every entered position counts one
+    # node
+    rest = [0] * L
+    last = L - 1
+    free = fits
+    nodes = 0
+    k = 0
+    while True:
+        nodes += 1
+        if nodes > budget:
+            return OracleResult("budget-exceeded", nodes=nodes)
+        cands = free
+        for j in back[k]:
+            cands &= image_rows[j]
+        while not cands and k:  # backtrack to the last untried candidate
+            k -= 1
+            free |= 1 << image[k]
+            cands = rest[k]
+        if not cands:
+            return OracleResult("no-embedding", nodes=nodes)
+        low = cands & -cands
+        rest[k] = cands ^ low
+        gv = low.bit_length() - 1
+        image[k] = gv
+        image_rows[k] = g_rows[gv]
+        if k == last:
+            return OracleResult("embedded", dict(enumerate(image)), nodes)
+        free ^= low
+        k += 1

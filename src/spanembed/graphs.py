@@ -170,10 +170,7 @@ class DenseGraph:
 
     def edges_within(self, mask: int) -> int:
         """e(G[X]) for X a bitmask."""
-        total = 0
-        for v in bits(mask):
-            total += (self.rows[v] & mask).bit_count()
-        return total // 2
+        return self.edges_between(mask, mask) // 2
 
     def edges_between(self, xmask: int, ymask: int) -> int:
         """Ordered incidence count e_G(X,Y); e_G(X,X) = 2 e(G[X])."""

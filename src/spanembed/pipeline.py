@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 from .balance import lemma_g
 from .density import DensityParams, is_locally_dense_sampled
-from .embed import blowup_embed, embed_with_targets, brute_force_embed, verify_embedding
+from .embed import blowup_embed, embed_with_targets, power_cycle_oracle, verify_embedding
 from .generators import BandwidthedH
-from .graphs import DenseGraph, StageFailure, bandwidth_of, cycle_power
+from .graphs import DenseGraph, StageFailure, WitnessSequence, bandwidth_of, validate_witness
 from .hampower import find_hamilton_power
 from .hpartition import basic_assignment, interval_width
 from .regularity import heuristic_degree_form_partition, refine_to_superregular
@@ -36,7 +36,7 @@ DELTA = 0.25  # a cluster pair of density below DELTA is sparse
 ETA = 0.2  # degree slack of the advisory checks: delta(G) >= (1/2 + ETA)n
 RHO, D = 0.05, 0.3  # the advisory (rho, d)-local-density check
 C = 0.2  # target sets keep C/2 of a cluster as candidates
-ORACLE_BUDGET = 3_000_000  # brute-force nodes for the reduced power cycle
+ORACLE_BUDGET = 3_000_000  # exact-search nodes for the reduced power cycle
 BLOWUP_BUDGET = 6_000_000  # nodes of the target-set and blow-up searches
 
 
@@ -197,9 +197,9 @@ def _pipeline(
     # every cell starts at size m; lemma_g moves vertices to the demands of
     # the assignment below.  Its drift bound eps*m must leave room for moves
     # at desk-scale m: a cell on an augmenting path drifts by 2, and m = 6
-    # gives eps = 0.9, a drift of at most 5 per cell.  While m <= 8 this puts
-    # the valid-move threshold (delta/2 - 2*eps)*m below 0, so lemma_g checks
-    # no degree
+    # gives eps = 0.9, a drift of at most 5 per cell.  For every m < 128,
+    # where 8/m and so eps exceed delta/4, this puts the valid-move threshold
+    # (delta/2 - 2*eps)*m below 0, so lemma_g checks no degree
     m_ab = {cell: m for cell in refined}
     eps_balance = min(0.9, max(REFINE_EPS, 8 / m))
     audit.notes["lemma-g-move-threshold"] = (DELTA / 2 - 2 * eps_balance) * m
@@ -312,7 +312,9 @@ def _reduced_power_cycle(
 ) -> list[int]:
     """A power cycle through every vertex of the reduced graph, of power q
     capped at (n - 1) // 2: the connecting-absorbing construction when it
-    succeeds, otherwise the exact oracle as a fallback."""
+    succeeds, otherwise the exact search of ``power_cycle_oracle``, whose
+    cycle ``validate_witness`` certifies and whose node count the audit
+    notes as "hamilton-power-nodes"."""
     n = reduced.n
     q_eff = min(q, (n - 1) // 2)
     if q_eff < 1:
@@ -334,13 +336,17 @@ def _reduced_power_cycle(
     except StageFailure as exc:
         audit.notes["hamilton-power"] = f"pipeline failed ({exc.stage}); oracle fallback"
         first_failure = exc
-    template = cycle_power(q_eff, n)
-    res = brute_force_embed(template, reduced, budget=ORACLE_BUDGET)
+    res = power_cycle_oracle(reduced, q_eff, budget=ORACLE_BUDGET)
+    audit.notes["hamilton-power-nodes"] = res.nodes
     if res.status == "embedded":
-        # brute_force_embed certified the map with verify_embedding: distinct
-        # in-range images and every template pair at cyclic distance <= q_eff
-        # an edge of R, which is what makes the order a power-q_eff cycle
-        return [res.mapping[k] for k in range(n)]
+        # the search shares no code with validate_witness, which checks that
+        # the entries of the n positions are distinct vertices of R and that
+        # every pair at cyclic distance <= q_eff is an edge
+        cycle = [res.mapping[k] for k in range(n)]
+        problem = validate_witness(reduced, WitnessSequence(tuple(cycle), "cycle", q_eff))
+        if problem:
+            raise StageFailure("revalidation", problem)
+        return cycle
     raise StageFailure(
         "hamilton-power",
         f"pipeline ({first_failure.stage}: {first_failure.detail}) and oracle "

@@ -13,6 +13,7 @@ from spanembed.embed import (
     blowup_embed,
     brute_force_embed,
     embed_with_targets,
+    power_cycle_oracle,
     verify_embedding,
 )
 from spanembed.generators import (
@@ -164,6 +165,28 @@ def test_oracle_matches_the_unprecomputed_search(budget):
         assert list((got.mapping or {}).items()) == list((want.mapping or {}).items())
         statuses.add(got.status)
     assert statuses == {"embedded", "no-embedding", "budget-exceeded"}
+
+
+@pytest.mark.parametrize("budget", [1, 10, 100, 20_000])
+def test_power_cycle_oracle_is_the_oracle_on_the_cycle_power(budget):
+    statuses = set()
+    filtered = 0
+    for _, G in _oracle_cases():
+        for q in sorted({1, 2, 3, (G.n - 1) // 2}):
+            got = power_cycle_oracle(G, q, budget)
+            want = brute_force_embed(cycle_power(q, G.n), G, budget=budget)
+            assert (got.status, got.nodes) == (want.status, want.nodes), (G, q)
+            if want:
+                assert [got.mapping[k] for k in range(G.n)] == [
+                    want.mapping[k] for k in range(G.n)
+                ]
+            else:
+                assert got.mapping is None
+            statuses.add(got.status)
+            filtered += G.min_degree() < min(2 * q, G.n - 1)
+    assert statuses == {"embedded", "no-embedding", "budget-exceeded"}
+    # hosts with a vertex below the template's degree reach the degree filter
+    assert filtered >= 20
 
 
 def _recursive_brute_force_embed(H, G, budget=5_000_000):

@@ -118,6 +118,22 @@ def test_colouring_prefix_balance_is_tight():
         assert abs(counts[3] - counts[4]) <= 2 * Hb.beta * n
 
 
+@pytest.mark.parametrize(
+    "colouring, message",
+    [
+        ((1, 3) * 5, "prefix 5: classes 1,2 differ by 3 > 2"),
+        ((1, 3, 2, 3) * 2 + (1, 3), "prefix 6: classes 3,4 differ by 3 > 2"),
+        ((2, 4) * 5, "prefix 5: classes 1,2 differ by 3 > 2"),
+    ],
+    ids=["first-half", "second-half", "higher-class-ahead"],
+)
+def test_colouring_check_names_the_first_unbalanced_pair(colouring, message):
+    # width-1 intervals and r = 2: the bound is 2, and the first prefix on
+    # which a half drifts by 3 is named with its first pair in (j, j2) order
+    Hb = BandwidthedH(DenseGraph.empty(10), identity_labelling(10), (1,) * 10, 0.1)
+    assert check_balanced_colouring(Hb, colouring, 2) == message
+
+
 # -- basic assignment ---------------------------------------------------
 
 

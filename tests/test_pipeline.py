@@ -10,7 +10,7 @@ import time
 import pytest
 
 from spanembed import pipeline
-from spanembed.embed import verify_embedding
+from spanembed.embed import OracleResult, verify_embedding
 from spanembed.generators import (
     BandwidthedH,
     clique_factor_extremal,
@@ -96,6 +96,24 @@ def test_oracle_fallback_failing_too_names_both_failures(monkeypatch):
         "pipeline (absorber: host too small: cannot fit two blocks plus flanks at n=80) "
         "and oracle (budget-exceeded) both failed"
     )
+    # the budget-exceeded search entered one node past its budget
+    assert res.audit.notes["hamilton-power-nodes"] == 11
+
+
+def test_oracle_cycle_of_the_complete_reduced_graph_needs_no_backtracking():
+    # R is K_80, so the search places its 80 positions one node each
+    res = pipeline.run_main_pipeline(gnp(480, 0.97, 0), cycle_power_H(1, 480), seed=0)
+    assert res
+    assert res.audit.notes["hamilton-power"].endswith("oracle fallback")
+    assert res.audit.notes["hamilton-power-nodes"] == 80
+
+
+def test_oracle_cycle_failing_its_certificate_is_refused(monkeypatch):
+    # a cycle that repeats a vertex must not reach the refinement
+    forged = OracleResult("embedded", {k: 0 for k in range(80)}, 80)
+    monkeypatch.setattr(pipeline, "power_cycle_oracle", lambda G, q, budget: forged)
+    res = pipeline.run_main_pipeline(gnp(480, 0.97, 0), cycle_power_H(1, 480), seed=0)
+    assert (res.failure_stage, res.failure_detail) == ("revalidation", "duplicate vertex 0")
 
 
 def test_lemma_g_refusal_is_labelled_lemma_g(monkeypatch):

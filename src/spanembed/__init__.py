@@ -15,7 +15,7 @@ from .graphs import (
 )
 from .density import (
     DensityParams,
-    enumerate_extendable_cliques,
+    cliques,
     is_locally_dense_exact,
     is_locally_dense_sampled,
 )
@@ -34,7 +34,7 @@ __all__ = [
     "make_named",
     "validate_witness",
     "DensityParams",
-    "enumerate_extendable_cliques",
+    "cliques",
     "is_locally_dense_exact",
     "is_locally_dense_sampled",
     "__version__",

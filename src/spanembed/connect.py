@@ -19,9 +19,10 @@ at random from its ``seed``.
 from __future__ import annotations
 
 import random
+from itertools import islice
 from typing import Iterator
 
-from .density import enumerate_extendable_cliques, find_clique
+from .density import cliques, find_clique
 from .graphs import DenseGraph, StageFailure, WitnessSequence, mask_of, validate_witness
 
 
@@ -45,9 +46,9 @@ def bridging_cliques(
     Requires |X| = |Y| = r, X, Y and W disjoint, and the half-degree
     condition d(x,U) >= (1/2+eta)|U| for x in X ∪ Y (violations are
     reported, not assumed away); ``U=None`` stands for the whole vertex
-    set.  The first clique costs a search with ``cap=1``; the other 63 are
-    enumerated only when the caller draws again.  Every bridge is
-    revalidated before it is yielded.
+    set.  The bridges are drawn lazily from one lexicographic clique
+    search, so a caller that takes only the first pays for no other.  Every
+    bridge is revalidated before it is yielded.
 
     The generator never ends quietly: when no vertex of U′ sees all of
     X ∪ Y it raises ``no-high-attachment`` before yielding anything, and
@@ -78,13 +79,9 @@ def bridging_cliques(
             "no-high-attachment",
             f"no vertex of U has >= {2 * r} neighbours in X ∪ Y",
         )
-    first = enumerate_extendable_cliques(G, r, s=0, cap=1, within=attached)
-    if first:
-        _revalidate_bridge(G, first[0], xmask, ymask, wmask, r)
-        yield first[0]
-        for Z in enumerate_extendable_cliques(G, r, s=0, cap=64, within=attached)[1:]:
-            _revalidate_bridge(G, Z, xmask, ymask, wmask, r)
-            yield Z
+    for Z in islice(cliques(G, r, within=attached), 64):
+        _revalidate_bridge(G, Z, xmask, ymask, wmask, r)
+        yield Z
     raise StageFailure(
         "no-clique-in-bucket",
         f"no K_{r} left to try among the {attached.bit_count()} vertices of U "

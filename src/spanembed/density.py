@@ -1,4 +1,4 @@
-"""Local density oracles, clique search and extendable-clique enumeration.
+"""Local density oracles and the clique search.
 
 The exact checker is exhaustive (and therefore capped in size); the
 sampled checker never certifies density, it only reports the absence of
@@ -7,6 +7,11 @@ A subset X can only violate local density when its size k makes
 ``local_threshold`` positive, so both checkers count edges only for
 subsets of such sizes.  Each returns the violating subset it found, or
 None.
+
+One depth-first search, ``_clique_search``, finds cliques inside a vertex
+mask; ``cliques`` walks it in lexicographic order and ``find_clique`` takes
+its first clique under a node budget, in degree order or a seeded random
+order.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .graphs import DenseGraph, InvalidParameters, bits
 
@@ -157,57 +162,6 @@ def _scope(G: DenseGraph, within: int | None) -> int:
     return within
 
 
-def enumerate_extendable_cliques(
-    G: DenseGraph,
-    r: int,
-    s: int = 0,
-    cap: int | None = None,
-    within: int | None = None,
-) -> list[tuple[int, ...]]:
-    """Enumerate K_r's with joint degree >= s, lexicographically, as vertex
-    tuples.
-
-    Follows the inductive tuple construction: every prefix of a returned
-    clique already has joint neighbourhood of size >= s (the common
-    neighbourhood only shrinks as vertices are added), which is also the
-    pruning rule.  ``within`` restricts the clique to a vertex bitmask;
-    the joint degree is still measured in the whole host.  Enumeration
-    stops after ``cap`` results, so ``cap=0`` finds none.  A ``within`` with
-    a bit outside 0..n-1 raises ``InvalidParameters``.
-    """
-    if r < 1:
-        raise InvalidParameters("r must be >= 1")
-    if cap is not None and cap < 0:
-        raise InvalidParameters("cap must be >= 0")
-    scope = _scope(G, within)
-    out: list[tuple[int, ...]] = []
-    rows = G.rows
-    full = G.full_mask()
-
-    def rec(start: int, chosen: list[int], common: int, candidates: int) -> bool:
-        """Return True when the cap is reached."""
-        if len(chosen) == r:
-            out.append(tuple(chosen))
-            return cap is not None and len(out) >= cap
-        # candidates: vertices > last chosen, inside scope, adjacent to all chosen
-        for v in bits(candidates >> start << start):
-            new_common = common & rows[v]
-            if new_common.bit_count() < s:
-                continue
-            new_cands = candidates & rows[v]
-            if (new_cands >> (v + 1)).bit_count() < r - len(chosen) - 1:
-                continue
-            chosen.append(v)
-            if rec(v + 1, chosen, new_common, new_cands):
-                return True
-            chosen.pop()
-        return False
-
-    if cap != 0:
-        rec(0, [], full, scope)
-    return out
-
-
 def _kth_bit(mask: int, k: int) -> int:
     """Position of the k-th (from 0) set bit of ``mask``, by binary search on
     the popcounts of its low prefixes."""
@@ -239,6 +193,54 @@ def _shuffled_bits(mask: int, rng: random.Random) -> Iterator[int]:
         yield v
 
 
+def _clique_search(
+    G: DenseGraph,
+    size: int,
+    scope: int,
+    order: Callable[[int], Iterable[int]],
+    budget: float,
+) -> Iterator[tuple[int, ...]]:
+    """Yield each K_size inside the ``scope`` mask, as its sorted vertex tuple.
+
+    One depth-first search: a node's children are its candidates (the
+    vertices of ``scope`` adjacent to every vertex chosen so far), taken in
+    ``order(candidates)``, and each child is dropped from its siblings once
+    tried, so every clique is met once.  A node is cut when too few
+    candidates remain.  Opening a node costs one unit of ``budget``; a node
+    met with none left returns at once, but its siblings are still tried
+    (and drawn, when ``order`` draws them).
+    """
+    rows = G.rows
+
+    def rec(chosen: list[int], candidates: int) -> Iterator[tuple[int, ...]]:
+        nonlocal budget
+        if len(chosen) == size:
+            yield tuple(sorted(chosen))
+            return
+        if candidates.bit_count() < size - len(chosen) or budget <= 0:
+            return
+        budget -= 1
+        for v in order(candidates):
+            chosen.append(v)
+            yield from rec(chosen, candidates & rows[v])
+            chosen.pop()
+            candidates &= ~(1 << v)
+            if candidates.bit_count() < size - len(chosen):
+                return
+
+    return rec([], scope)
+
+
+def cliques(G: DenseGraph, r: int, within: int | None = None) -> Iterator[tuple[int, ...]]:
+    """The K_r's inside the ``within`` mask (every vertex when None), as
+    sorted vertex tuples in lexicographic order, drawn lazily.  An ``r`` below
+    1, or a ``within`` with a bit outside 0..n-1, raises ``InvalidParameters``
+    at the call."""
+    if r < 1:
+        raise InvalidParameters("r must be >= 1")
+    return _clique_search(G, r, _scope(G, within), bits, math.inf)
+
+
 def find_clique(
     G: DenseGraph,
     size: int,
@@ -246,7 +248,8 @@ def find_clique(
     node_budget: int = 200_000,
     rng: random.Random | None = None,
 ) -> tuple[int, ...] | None:
-    """DFS for one K_size inside the ``within`` mask.
+    """The first K_size inside the ``within`` mask that ``_clique_search``
+    meets, or None.
 
     By default candidates are tried in descending order of degree restricted
     to the current candidate set (ties by id), which finds cliques quickly in
@@ -262,10 +265,7 @@ def find_clique(
     if size < 0:
         raise InvalidParameters("size must be >= 0")
     scope = _scope(G, within)
-    if size == 0:
-        return ()
     rows = G.rows
-    budget = node_budget
 
     def order(candidates: int) -> Iterable[int]:
         if rng is None:
@@ -275,24 +275,4 @@ def find_clique(
             )
         return _shuffled_bits(candidates, rng)
 
-    def rec(chosen: list[int], candidates: int) -> tuple[int, ...] | None:
-        nonlocal budget
-        if len(chosen) == size:
-            return tuple(sorted(chosen))
-        if candidates.bit_count() < size - len(chosen):
-            return None
-        if budget <= 0:
-            return None
-        budget -= 1
-        for v in order(candidates):
-            chosen.append(v)
-            got = rec(chosen, candidates & rows[v])
-            chosen.pop()
-            if got is not None:
-                return got
-            candidates &= ~(1 << v)
-            if candidates.bit_count() < size - len(chosen):
-                return None
-        return None
-
-    return rec([], scope)
+    return next(_clique_search(G, size, scope, order, node_budget), None)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from .connect import HypothesisViolation, connect_cliques
-from .density import DensityParams, enumerate_extendable_cliques, find_clique, is_locally_dense_sampled
+from .density import DensityParams, cliques, find_clique, is_locally_dense_sampled
 from .generators import BandwidthedH
 from .graphs import DenseGraph, StageFailure, WitnessSequence, mask_of, validate_witness, z_rule_edge
 
@@ -289,12 +289,11 @@ def build_framework(
     d: float = 0.3,
     group_cap: int | None = None,
     appearance_cap: int | None = None,
-    extend_s: int = 0,
     seed: int = 0,
 ) -> FrameworkTrail:
-    """Build the covering trail: one extendable 2r-clique per exceptional
-    group, threaded by power-2r connectors that dodge overused vertices,
-    ending with a connector into the anchor clique b.
+    """Build the covering trail: one 2r-clique per exceptional group,
+    threaded by power-2r connectors that dodge overused vertices, ending
+    with a connector into the anchor clique b.
 
     Hypotheses checked: candidate sets of size >= eta*L, sampled local
     density plus minimum degree (1/2+eta)L on R, and b sitting inside a
@@ -320,9 +319,10 @@ def build_framework(
         # the asymptotic per-group cap sqrt(eps)*m/L^(2r-1) is vacuous at desk
         # scale; by default let a block serve every vertex it covers
         group_cap = max(1, len(V0_requirements))
-    # assign each exceptional vertex to the first extendable block inside N_v,
-    # preferring blocks disjoint from previous picks and from the anchor
-    # (trail revisits are legal but disjointness keeps the connectors simple)
+    # assign each exceptional vertex to a block already inside N_v, or else to
+    # the lexicographically first 2r-clique inside N_v, preferring one
+    # disjoint from previous picks and from the anchor (trail revisits are
+    # legal but disjointness keeps the connectors simple)
     blocks: list[tuple[int, ...]] = []
     groups: dict[int, list[int]] = {}
     used_blocks = mask_of(b)
@@ -335,19 +335,17 @@ def build_framework(
                 placed = True
                 break
         if not placed:
-            got = enumerate_extendable_cliques(
-                R, 2 * r, s=extend_s, cap=1, within=nv_mask & ~used_blocks
-            ) or enumerate_extendable_cliques(
-                R, 2 * r, s=extend_s, cap=1, within=nv_mask & ~mask_of(b)
+            got = next(cliques(R, 2 * r, nv_mask & ~used_blocks), None) or next(
+                cliques(R, 2 * r, nv_mask & ~mask_of(b)), None
             )
-            if not got:
+            if got is None:
                 raise StageFailure(
                     "no-covering-clique",
                     f"no K_{2 * r} inside the candidate set "
                     f"of exceptional vertex {v} (avoiding the anchor)",
                 )
-            blocks.append(got[0])
-            used_blocks |= mask_of(got[0])
+            blocks.append(got)
+            used_blocks |= mask_of(got)
             groups[len(blocks) - 1] = [v]
     K = len(blocks)
 

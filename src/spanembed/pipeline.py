@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .balance import lemma_g
-from .density import DensityParams, is_locally_dense_sampled
 from .embed import blowup_embed, embed_with_targets, power_cycle_oracle, verify_embedding
 from .generators import BandwidthedH
 from .graphs import DenseGraph, StageFailure, WitnessSequence, bandwidth_of, validate_witness
@@ -34,7 +33,6 @@ EPS = 0.02  # the eps of the displayed inequalities
 REFINE_EPS = 0.01  # superregularity of the refined clusters
 DELTA = 0.25  # a cluster pair of density below DELTA is sparse
 ETA = 0.2  # degree slack of the advisory checks: delta(G) >= (1/2 + ETA)n
-RHO, D = 0.05, 0.3  # the advisory (rho, d)-local-density check
 C = 0.2  # target sets keep C/2 of a cluster as candidates
 ORACLE_BUDGET = 3_000_000  # exact-search nodes for the reduced power cycle
 BLOWUP_BUDGET = 6_000_000  # nodes of the target-set and blow-up searches
@@ -102,9 +100,7 @@ def _pipeline(
     audit.notes["r"] = r
     audit.notes["beta_n"] = W
 
-    # -- advisory prechecks --------------------------------------------------
-    sparse = is_locally_dense_sampled(G, DensityParams(RHO, D), trials=300, seed=seed)
-    audit.record("locally-dense-sampled", sparse is None, f"witness={sparse is not None}")
+    # -- advisory precheck ---------------------------------------------------
     audit.record(
         "min-degree",
         G.min_degree() >= (0.5 + ETA) * n,

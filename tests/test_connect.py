@@ -12,7 +12,7 @@ from spanembed.connect import (
     connect_cliques,
     find_bridging_clique,
 )
-from spanembed.density import enumerate_extendable_cliques
+from spanembed.density import cliques
 from spanembed.generators import complete_bipartite, gnp
 from spanembed.graphs import (
     DenseGraph,
@@ -226,13 +226,19 @@ def test_connect_two_lobes_through_core():
     assert set(path.vertices) & core
 
 
+def first_clique_of_joint_degree(G, r, s, within):
+    """The lexicographically first K_r inside ``within`` whose vertices have
+    at least s common neighbours in G, as a list."""
+    return list(next(c for c in cliques(G, r, within) if G.common_neighborhood(c).bit_count() >= s))
+
+
 def test_connect_random_dense_with_avoid_set():
     G = gnp(150, 0.85, 9)
     rng = random.Random(9)
     lower = mask_of(range(G.n // 2))
     upper = mask_of(range(G.n // 2, G.n))
-    X = list(enumerate_extendable_cliques(G, 3, s=int(0.2 * G.n), cap=1, within=lower)[0])
-    Y = list(enumerate_extendable_cliques(G, 3, s=int(0.2 * G.n), cap=1, within=upper)[0])
+    X = first_clique_of_joint_degree(G, 3, int(0.2 * G.n), lower)
+    Y = first_clique_of_joint_degree(G, 3, int(0.2 * G.n), upper)
     W = [v for v in rng.sample(range(G.n), 30) if v not in X + Y][:9]
     path = connect_cliques(G, X, Y, W, r=3, eta=0.25, seed=0)
     check_connection(G, path, X, Y, 3, W)
@@ -242,8 +248,8 @@ def test_connect_deterministic():
     G = gnp(120, 0.8, 2)
     lower = mask_of(range(G.n // 2))
     upper = mask_of(range(G.n // 2, G.n))
-    X = list(enumerate_extendable_cliques(G, 2, s=int(0.2 * G.n), cap=1, within=lower)[0])
-    Y = list(enumerate_extendable_cliques(G, 2, s=int(0.2 * G.n), cap=1, within=upper)[0])
+    X = first_clique_of_joint_degree(G, 2, int(0.2 * G.n), lower)
+    Y = first_clique_of_joint_degree(G, 2, int(0.2 * G.n), upper)
     assert connect_cliques(G, X, Y, [], 2, 0.1, seed=0) == connect_cliques(G, X, Y, [], 2, 0.1, seed=0)
 
 
@@ -291,8 +297,8 @@ def test_one_connection_witness_matches_the_three_witness_check(seed):
     r = 2 + seed % 2
     rng = random.Random(seed)
     lower, upper = mask_of(range(30)), mask_of(range(30, 60))
-    X = list(enumerate_extendable_cliques(G, r, s=10, cap=1, within=lower)[0])
-    Y = list(enumerate_extendable_cliques(G, r, s=10, cap=1, within=upper)[0])
+    X = first_clique_of_joint_degree(G, r, 10, lower)
+    Y = first_clique_of_joint_degree(G, r, 10, upper)
     W = [v for v in rng.sample(range(G.n), 8) if v not in X + Y]
     seq = connect_cliques(G, X, Y, W, r, 0.1, seed=seed).vertices
     variants = [seq]

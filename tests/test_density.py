@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from spanembed import density
 from spanembed.density import (
     DensityParams,
-    enumerate_extendable_cliques,
+    cliques,
     find_clique,
     is_locally_dense_exact,
     is_locally_dense_sampled,
@@ -38,17 +38,16 @@ def brute_locally_dense(G, p):
         lambda G: DensityParams(-1, 0.3),
         lambda G: DensityParams(0.05, 0),
         lambda G: is_locally_dense_sampled(G, DensityParams(0.05, 0.3), trials=0),
-        lambda G: enumerate_extendable_cliques(G, 0),
-        lambda G: enumerate_extendable_cliques(G, 2, cap=-1),
+        lambda G: cliques(G, 0),
         lambda G: find_clique(G, -1),
         lambda G: find_clique(G, 2, within=(1 << 12) | 3),
         lambda G: find_clique(G, 2, within=1 << 12, rng=random.Random(0)),
         lambda G: find_clique(G, 0, within=-1),
-        lambda G: enumerate_extendable_cliques(G, 2, within=1 << 12),
-        lambda G: enumerate_extendable_cliques(G, 2, within=1 << 5),
+        lambda G: cliques(G, 2, within=1 << 12),
+        lambda G: cliques(G, 2, within=1 << 5),
     ],
     ids=[
-        "rho", "d", "trials", "clique-order", "clique-cap", "clique-size",
+        "rho", "d", "trials", "clique-order", "clique-size",
         "clique-scope", "clique-scope-rng", "clique-scope-negative",
         "enumerate-scope", "enumerate-scope-at-n",
     ],
@@ -326,12 +325,12 @@ def test_uniform_ordered_incidence_convention():
     assert G.edges_between(full, full) == 2 * G.edge_count()
 
 
-# -- extendable cliques ------------------------------------------------------
+# -- clique search -----------------------------------------------------------
 
 
 def test_all_triangles_of_k10():
     G = DenseGraph.complete(10)
-    out = enumerate_extendable_cliques(G, 3, s=7)
+    out = list(cliques(G, 3))
     assert len(out) == math.comb(10, 3)
     assert all(G.common_neighborhood(c).bit_count() == 7 and G.is_clique(c) for c in out)
     # lexicographic order on sorted vertex tuples
@@ -340,35 +339,28 @@ def test_all_triangles_of_k10():
 
 def test_triangle_free_host_yields_nothing():
     G = make_named("C", [1, 6])
-    assert enumerate_extendable_cliques(G, 3, s=0) == []
+    assert list(cliques(G, 3)) == []
 
 
 def test_two_cliques_edges():
     G = two_cliques(10)
-    out = enumerate_extendable_cliques(G, 2, s=3)
+    out = list(cliques(G, 2))
     assert len(out) == 2 * math.comb(5, 2)
     assert all(G.common_neighborhood(c).bit_count() == 3 for c in out)
 
 
-def test_cap_limits_enumeration():
-    G = DenseGraph.complete(10)
-    out = enumerate_extendable_cliques(G, 3, s=0, cap=5)
-    assert len(out) == 5
-    assert enumerate_extendable_cliques(G, 2, cap=0) == []
-
-
-def test_joint_degree_lower_bound_respected():
-    G = gnp(30, 0.6, 2)
-    out = enumerate_extendable_cliques(G, 3, s=5, cap=50)
-    for c in out:
-        assert G.common_neighborhood(c).bit_count() >= 5
-        assert G.is_clique(c)
+def test_cliques_stream_stops_where_the_caller_stops():
+    # the first five triangles of K_10; and the first K_5 of K_200 without
+    # walking the C(200, 5) others
+    out = list(itertools.islice(cliques(DenseGraph.complete(10), 3), 5))
+    assert out == list(itertools.islice(itertools.combinations(range(10), 3), 5))
+    assert next(cliques(DenseGraph.complete(200), 5)) == (0, 1, 2, 3, 4)
 
 
 def test_within_mask_restricts_vertices():
     G = DenseGraph.complete(8)
     scope = mask_of(range(4))
-    out = enumerate_extendable_cliques(G, 2, s=0, within=scope)
+    out = list(cliques(G, 2, within=scope))
     assert all(set(c) <= set(range(4)) for c in out)
     assert len(out) == math.comb(4, 2)
 
@@ -386,9 +378,12 @@ def _find_clique_shuffled(
     within: int | None = None,
     node_budget: int = 200_000,
     rng: random.Random | None = None,
+    lazy: bool = False,
 ) -> tuple[int, ...] | None:
     """``find_clique`` as it was when the seeded order was a full per-node
-    shuffle; the reference for the unchanged ``rng=None`` order."""
+    shuffle; the reference for the unchanged ``rng=None`` order.  With
+    ``lazy`` the seeded order draws as ``find_clique`` now does, by
+    ``density._shuffled_bits``: the reference for its seeded search."""
     if size < 0:
         raise ValueError("size must be >= 0")
     if size == 0:
@@ -397,12 +392,14 @@ def _find_clique_shuffled(
     rows = G.rows
     budget = node_budget
 
-    def order(candidates: int) -> list[int]:
+    def order(candidates: int):
         if rng is None:
             return sorted(
                 bits(candidates),
                 key=lambda v: (-(rows[v] & candidates).bit_count(), v),
             )
+        if lazy:
+            return density._shuffled_bits(candidates, rng)
         out = list(bits(candidates))
         rng.shuffle(out)
         return out
@@ -488,11 +485,25 @@ def test_find_clique_seeded_finds_a_clique_iff_one_exists(query):
 def test_find_clique_tiny_budget_returns_none_or_a_clique(query, budget):
     G, within, size, seed = query
     plain = find_clique(G, size, within=within, node_budget=budget)
-    seeded = find_clique(G, size, within=within, node_budget=budget, rng=random.Random(seed))
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    seeded = find_clique(G, size, within=within, node_budget=budget, rng=rng)
     for got in (plain, seeded):
         if got is not None:
             assert_clique_in(G, got, size, within)
     assert plain == _find_clique_shuffled(G, size, within=within, node_budget=budget)
+    # siblings of a node met with no budget left are still drawn
+    assert seeded == _find_clique_shuffled(
+        G, size, within=within, node_budget=budget, rng=reference_rng, lazy=True
+    )
+    assert rng.getstate() == reference_rng.getstate()
+
+
+@given(clique_queries())
+@settings(max_examples=150, deadline=None)
+def test_cliques_match_the_brute_force_list(query):
+    G, within, r, _ = query
+    want = [c for c in itertools.combinations(bits(within), r) if G.is_clique(c)]
+    assert list(cliques(G, r, within)) == want
 
 
 def test_find_clique_seeded_first_pick_is_uniform():

@@ -245,8 +245,7 @@ def self_calls(source: str) -> dict[str, int]:
 # any other recursion must run on an explicit stack, since an input can make
 # its depth exceed Python's recursion limit.
 BOUNDED_RECURSION = {
-    ("density", "find_clique.rec"): "depth <= size, the clique order sought",
-    ("density", "enumerate_extendable_cliques.rec"): "depth <= r, the clique order",
+    ("density", "_clique_search.rec"): "depth <= size, the clique order sought",
     ("density", "is_locally_dense_exact.rec"): "depth <= n <= EXACT_LOCAL_THRESHOLD",
 }
 

@@ -152,14 +152,14 @@ def is_locally_dense_sampled(
     return None
 
 
-def _scope(G: DenseGraph, within: int | None) -> int:
-    """``within``, or every vertex when it is None; a bit outside 0..n-1 is
-    refused."""
-    if within is None:
+def scope(G: DenseGraph, mask: int | None, name: str = "within") -> int:
+    """``mask``, or every vertex when it is None; a bit outside 0..n-1 (a
+    negative mask has infinitely many) is refused, naming the argument."""
+    if mask is None:
         return G.full_mask()
-    if within >> G.n:
-        raise InvalidParameters(f"within has a bit outside 0..{G.n - 1}")
-    return within
+    if mask >> G.n:
+        raise InvalidParameters(f"{name} has a bit outside 0..{G.n - 1}")
+    return mask
 
 
 def _kth_bit(mask: int, k: int) -> int:
@@ -238,7 +238,7 @@ def cliques(G: DenseGraph, r: int, within: int | None = None) -> Iterator[tuple[
     at the call."""
     if r < 1:
         raise InvalidParameters("r must be >= 1")
-    return _clique_search(G, r, _scope(G, within), bits, math.inf)
+    return _clique_search(G, r, scope(G, within), bits, math.inf)
 
 
 def find_clique(
@@ -264,7 +264,7 @@ def find_clique(
     """
     if size < 0:
         raise InvalidParameters("size must be >= 0")
-    scope = _scope(G, within)
+    within = scope(G, within)
     rows = G.rows
 
     def order(candidates: int) -> Iterable[int]:
@@ -275,4 +275,4 @@ def find_clique(
             )
         return _shuffled_bits(candidates, rng)
 
-    return next(_clique_search(G, size, scope, order, node_budget), None)
+    return next(_clique_search(G, size, within, order, node_budget), None)

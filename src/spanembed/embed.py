@@ -252,8 +252,9 @@ def blowup_embed(
     node_budget: int = 10_000_000,
     restarts: int = 4,
     seed: int = 0,
-) -> dict[int, int]:
-    """List-embedding of the vertices of ``phi`` into the block clusters.
+) -> tuple[dict[int, int], int]:
+    """List-embedding of the vertices of ``phi`` into the block clusters,
+    returned with the search nodes it entered, over all its restarts.
 
     H may be a whole guest of which ``phi`` names one block: only the
     vertices of ``phi`` are embedded, only the H-edges among them are
@@ -298,7 +299,7 @@ def blowup_embed(
     # count * stride + the vertex's rank in (-deg, v) order
     stride = len(vertices)
     rank = {v: i for i, v in enumerate(sorted(vertices, key=lambda v: (-len(nbrs[v]), v)))}
-    last_trace = ""
+    last_trace, total = "", 0  # total: nodes over all restarts
     for attempt in range(restarts):
         rng = random.Random(f"blowup:{seed}:{attempt}")
         limit = node_budget // restarts
@@ -380,11 +381,12 @@ def blowup_embed(
                 frames.pop()
             else:
                 break
+        total += nodes
         if not unplaced:
             problem = verify_embedding(H, G, mapping)
             if problem:
                 raise StageFailure("revalidation", problem)
-            return mapping
+            return mapping, total
         if nodes <= limit:
             # the search tree is exhausted: no restart can find an embedding
             raise StageFailure(

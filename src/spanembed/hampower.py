@@ -74,24 +74,26 @@ def build_absorber(G: DenseGraph, r: int, seed: int | str, max_blocks: int) -> A
     """Greedily pick vertex-disjoint K_{2r}'s, at most ``max_blocks`` of them,
     until every vertex sees 2r + 2 blocks inside its neighbourhood.
 
-    Always serves the currently worst-covered vertex, drawing its block at
-    random from ``seed``; failing to find any disjoint block inside that
-    vertex's neighbourhood is the coverage-unreachable signal (the
-    density/degree hypotheses are too weak at this scale), unless every
-    vertex already sees a block.
+    Always serves the currently worst-covered vertex (the lowest one among
+    ties), drawing its block at random from ``seed``; failing to find any
+    disjoint block inside that vertex's neighbourhood is the
+    coverage-unreachable signal (the density/degree hypotheses are too weak
+    at this scale), unless every vertex already sees a block.  Coverage is
+    bit-sliced: ``level[k]`` masks the vertices that see at least k blocks
+    (k = 0..2r+2, saturating), the worst-covered are those missing from the
+    first level not full, and a new block B lifts N(B) a level, top down.
     """
     rng = random.Random(f"absorber:{seed}")
     blocks: list[tuple[int, ...]] = []
     used = 0
-    coverage = [0] * G.n  # blocks inside each vertex's neighbourhood
-    while len(blocks) < max_blocks:
-        worst = min(range(G.n), key=coverage.__getitem__)
-        if coverage[worst] >= 2 * r + 2:
-            break
-        scope = G.rows[worst] & ~used
-        got = find_clique(G, 2 * r, within=scope, rng=rng)
+    full = G.full_mask()
+    level = [full] + [0] * (2 * r + 2)
+    while len(blocks) < max_blocks and level[-1] != full:
+        starved = next(full & ~lv for lv in level if lv != full)
+        worst = (starved & -starved).bit_length() - 1
+        got = find_clique(G, 2 * r, within=G.rows[worst] & ~used, rng=rng)
         if got is None:
-            if blocks and min(coverage) > 0:
+            if level[1] == full:
                 break  # budget-style exit: every vertex has some coverage
             raise StageFailure(
                 "absorber",
@@ -101,8 +103,9 @@ def build_absorber(G: DenseGraph, r: int, seed: int | str, max_blocks: int) -> A
         blocks.append(got)
         used |= mask_of(got)
         # v is covered by a block B iff v lies in N(B), which excludes B itself
-        for v in bits(G.common_neighborhood(got)):
-            coverage[v] += 1
+        covered = G.common_neighborhood(got)
+        for k in range(len(level) - 1, 0, -1):
+            level[k] |= level[k - 1] & covered
     system = AbsorberSystem(r, tuple(blocks))
     system.revalidate(G)
     return system
@@ -112,22 +115,19 @@ def build_absorbing_path(G: DenseGraph, absorber: AbsorberSystem, seed: int | st
     """Thread the absorber blocks into one power-2r path.
 
     Consecutive blocks are joined by fresh 6r-vertex connectors at power 2r,
-    with the avoided set growing as connectors are placed; the result has
+    with the avoided mask growing as connectors are placed; the result has
     exactly (t-1)*8r + 2r vertices and is validated before being returned.
     """
     r = absorber.r
     blocks = absorber.blocks
     if not blocks:
         raise StageFailure("absorber", "no blocks to thread")
-    protected = set()
-    for b in blocks:
-        protected |= set(b)
     sequence: list[int] = list(blocks[0])
     starts = [0]
-    avoid = set(protected)
+    avoid = mask_of(v for b in blocks for v in b)  # the blocks, then each connector
     for i in range(len(blocks) - 1):
         X, Y = list(blocks[i]), list(blocks[i + 1])
-        W = sorted(avoid - set(X) - set(Y))
+        W = avoid & ~mask_of(X) & ~mask_of(Y)
         try:
             conn = connect_cliques(G, X, Y, W, r=2 * r, eta=D1, seed=f"{seed}:pabs:{i}")
         except StageFailure as exc:
@@ -137,7 +137,7 @@ def build_absorbing_path(G: DenseGraph, absorber: AbsorberSystem, seed: int | st
         sequence.extend(conn.vertices)
         starts.append(len(sequence))
         sequence.extend(blocks[i + 1])
-        avoid |= set(conn.vertices)
+        avoid |= mask_of(conn.vertices)
     path = WitnessSequence(tuple(sequence), "path", 2 * r)
     problem = validate_witness(G, path)
     if problem:
@@ -204,15 +204,11 @@ def absorb(
     pset = set(pabs.path.vertices)
     if set(Z) & pset:
         raise StageFailure("absorb", "Z intersects the absorbing path")
-    t = len(pabs.blocks)
-    usable = range(1, t - 1)  # interior blocks only: ends anchor the closure
+    # interior blocks only, each with its mask: the end blocks anchor the closure
+    interior = [(j, mask_of(b)) for j, b in enumerate(pabs.blocks[1:-1], 1)]
     candidates: dict[int, list[int]] = {}
     for z in Z:
-        opts = [
-            j
-            for j in usable
-            if (G.rows[z] & mask_of(pabs.blocks[j])) == mask_of(pabs.blocks[j])
-        ]
+        opts = [j for j, bmask in interior if (G.rows[z] & bmask) == bmask]
         if not opts:
             raise StageFailure(
                 "matching-infeasible",
@@ -278,7 +274,7 @@ def select_reservoir(
             u_out = rng.choice(swappable)
             draw.discard(u_out)
             draw.add(u_in)
-            dmask = mask_of(draw)
+            dmask ^= (1 << u_out) | (1 << u_in)
         if deficit_vertex(dmask) is None:
             return tuple(sorted(draw))
     worst = min(range(n), key=lambda x: G.degree_into(x, pool_mask))
@@ -610,7 +606,9 @@ def _thread(
     out sends the search back to draw the previous pair's next bridge.  So
     the first assignment tried is the greedy one.  What a pair can still
     draw depends only on the reservoir vertices the earlier pairs hold, so a
-    (pair, held) state that was exhausted once is not entered again.  After
+    (pair, held) state that was exhausted once is not entered again.  The
+    reservoir and each ``held`` are vertex masks, handed to
+    ``bridging_cliques`` as its U and W as they are.  After
     one bridge per pair plus ``THREAD_BUDGET`` more, or when the first pair
     runs out, the search raises the failure of the deepest pair it reached
     (the first such failure met); a violated hypothesis, which no other
@@ -620,8 +618,7 @@ def _thread(
     pairs = [(list(segs[i][-r:]), list(segs[i + 1][:r])) for i in range(len(segs) - 1)]
 
     def draws(i: int, held: int):
-        X, Y = pairs[i]
-        return bridging_cliques(G, list(reservoir), X, Y, list(bits(held)), r, ETA / 2)
+        return bridging_cliques(G, res_mask, *pairs[i], held, r, ETA / 2)
 
     def failure(i: int, exc: StageFailure) -> StageFailure:
         return StageFailure("connector", f"threading pair ({i},{i + 1}): {exc}")

@@ -366,8 +366,8 @@ def build_framework(
         for a in vs:
             multiplicity[a] = multiplicity.get(a, 0) + 1
 
-    def bad_set() -> list[int]:
-        return [a for a, c in multiplicity.items() if c >= appearance_cap]
+    def bad_set() -> int:
+        return mask_of(a for a, c in multiplicity.items() if c >= appearance_cap)
 
     sequence: list[int] = []
     for k in range(K):
@@ -379,7 +379,7 @@ def build_framework(
                 R,
                 list(blocks[k]),
                 list(target),
-                sorted(set(bad_set()) - set(blocks[k]) - set(target)),
+                bad_set() & ~mask_of(blocks[k]) & ~mask_of(target),
                 r=2 * r,
                 eta=eta,
                 seed=f"framework:{seed}:{k}",

@@ -266,6 +266,7 @@ def _pipeline(
         if x not in g2:
             blocks.setdefault(psi[x][0], []).append(x)
     g3: dict[int, int] = {}
+    audit.notes["blowup-nodes"] = 0  # summed over the blocks
     for a, block in sorted(blocks.items()):
         U_cells = {}
         for b in range(1, 2 * r + 1):
@@ -274,7 +275,7 @@ def _pipeline(
             )
         special = {x: part.candidate_sets[x] for x in block if x in part.candidate_sets}
         try:
-            g3 |= blowup_embed(
+            embedded, nodes = blowup_embed(
                 G,
                 Hb.H,
                 {x: psi[x] for x in block},
@@ -285,6 +286,8 @@ def _pipeline(
             )
         except StageFailure as exc:
             raise StageFailure("blow-up", f"block {a}: {exc}", violated=exc.stage) from exc
+        g3 |= embedded
+        audit.notes["blowup-nodes"] += nodes
     audit.stage("blow-up")
 
     mapping = {**g2, **g3}

@@ -16,6 +16,7 @@ from spanembed.density import cliques
 from spanembed.generators import complete_bipartite, gnp
 from spanembed.graphs import (
     DenseGraph,
+    InvalidParameters,
     StageFailure,
     WitnessSequence,
     mask_of,
@@ -43,7 +44,7 @@ def make_two_lobes(lobe=40, shared=20):
 def test_bridge_in_complete_host():
     G = DenseGraph.complete(60)
     X, Y = [0, 1], [2, 3]
-    Z = find_bridging_clique(G, list(range(G.n)), X, Y, [], r=2, eta=0.4)
+    Z = find_bridging_clique(G, G.full_mask(), X, Y, 0, r=2, eta=0.4)
     assert len(Z) == 2 and G.is_clique(Z)
     assert not set(Z) & (set(X) | set(Y))
     assert mask_of(X + Y) & ~G.common_neighborhood(Z) == 0
@@ -56,14 +57,14 @@ def test_bridge_bucket_independent_set_fails():
     side1 = list(range(30))
     X, Y = [30, 31], [32, 33]
     with pytest.raises(StageFailure) as exc:
-        find_bridging_clique(G, side1, X, Y, [], r=2, eta=0.4)
+        find_bridging_clique(G, mask_of(side1), X, Y, 0, r=2, eta=0.4)
     assert exc.value.stage == "no-clique-in-bucket"
 
 
 def test_bridge_reports_degree_violation():
     G = DenseGraph.empty(40)
     with pytest.raises(HypothesisViolation) as exc:
-        find_bridging_clique(G, list(range(20)), [20, 21], [22, 23], [], 2, 0.2)
+        find_bridging_clique(G, mask_of(range(20)), [20, 21], [22, 23], 0, 2, 0.2)
     assert exc.value.stage == "half-degree"
 
 
@@ -74,21 +75,21 @@ def test_bridge_no_high_attachment():
     sees = {10: range(0, 6), 11: range(4, 10), 12: (0, 1, 2, 3, 6, 7), 13: (0, 1, 2, 3, 8, 9)}
     G = DenseGraph.from_edges(14, [(a, u) for a, us in sees.items() for u in us])
     with pytest.raises(StageFailure) as exc:
-        find_bridging_clique(G, list(range(10)), [10, 11], [12, 13], [], 2, 0.05)
+        find_bridging_clique(G, mask_of(range(10)), [10, 11], [12, 13], 0, 2, 0.05)
     assert exc.value.stage == "no-high-attachment"
 
 
 def test_bridge_respects_w():
     G = DenseGraph.complete(40)
-    W = list(range(6, 30))
-    Z = find_bridging_clique(G, list(range(G.n)), [0, 1, 2], [3, 4, 5], W, 3, 0.3)
+    W = mask_of(range(6, 30))
+    Z = find_bridging_clique(G, G.full_mask(), [0, 1, 2], [3, 4, 5], W, 3, 0.3)
     assert Z == (30, 31, 32)
 
 
 def test_bridge_requires_equal_sides():
     G = DenseGraph.complete(30)
     with pytest.raises(HypothesisViolation):
-        find_bridging_clique(G, list(range(30)), [0, 1, 2], [3, 4], [], 2, 0.3)
+        find_bridging_clique(G, mask_of(range(30)), [0, 1, 2], [3, 4], 0, 2, 0.3)
 
 
 def test_bridge_requires_ends_of_r_vertices():
@@ -96,7 +97,7 @@ def test_bridge_requires_ends_of_r_vertices():
     G = DenseGraph.complete(30)
     for X, Y in (([0, 1, 2], [3, 4, 5]), ([0], [1])):
         with pytest.raises(HypothesisViolation) as exc:
-            find_bridging_clique(G, list(range(30)), X, Y, [], 2, 0.3)
+            find_bridging_clique(G, mask_of(range(30)), X, Y, 0, 2, 0.3)
         assert exc.value.stage == "attachment-sets"
 
 
@@ -110,8 +111,8 @@ def test_bridge_deterministic():
             rows[x] |= 1 << v
             rows[v] |= 1 << x
     G = DenseGraph(80, rows, check=False)
-    b1 = find_bridging_clique(G, list(range(4, 80)), X, Y, [], 2, 0.2)
-    b2 = find_bridging_clique(G, list(range(4, 80)), X, Y, [], 2, 0.2)
+    b1 = find_bridging_clique(G, mask_of(range(4, 80)), X, Y, 0, 2, 0.2)
+    b2 = find_bridging_clique(G, mask_of(range(4, 80)), X, Y, 0, 2, 0.2)
     assert b1 == b2
 
 
@@ -159,7 +160,8 @@ def bridge_queries(draw):
 def test_bridging_cliques_match_the_brute_force_reference(query):
     G, U, X, Y, W, r, eta = query
     got = []
-    draws = bridging_cliques(G, U, X, Y, W, r, eta)
+    # the reference reads U and W as lists, the connector as masks
+    draws = bridging_cliques(G, None if U is None else mask_of(U), X, Y, mask_of(W), r, eta)
     with pytest.raises(StageFailure) as exc:
         while True:
             got.append(next(draws))
@@ -168,29 +170,58 @@ def test_bridging_cliques_match_the_brute_force_reference(query):
 
 def test_bridging_cliques_start_with_the_bridge_found():
     G = gnp(80, 0.8, 3)
-    X, Y, W = [0, 1], [2, 3], [4, 5]
-    U = list(range(4, 80))
+    X, Y, W = [0, 1], [2, 3], mask_of([4, 5])
+    U = mask_of(range(4, 80))
     found = find_bridging_clique(G, U, X, Y, W, 2, 0.0)
     listed = list(itertools.islice(bridging_cliques(G, U, X, Y, W, 2, 0.0), 40))
     assert listed[0] == found
     assert len(set(listed)) == len(listed) > 1
     for Z in listed:
-        connect._revalidate_bridge(G, Z, mask_of(X), mask_of(Y), mask_of(W), 2)
+        connect._revalidate_bridge(G, Z, mask_of(X), mask_of(Y), W, 2)
 
 
 def test_bridging_cliques_end_with_the_failure_label():
     # X = {0} and Y = {1} both see U = {4, 5}: the K_1's (4,) and (5,),
     # then the list runs out; with W = U no vertex is left to attach
     G = DenseGraph.from_edges(6, [(0, 4), (0, 5), (1, 4), (1, 5)])
-    draws = bridging_cliques(G, [4, 5], [0], [1], [], 1, 0.0)
+    draws = bridging_cliques(G, mask_of([4, 5]), [0], [1], 0, 1, 0.0)
     assert next(draws) == (4,)
     assert next(draws) == (5,)
     with pytest.raises(StageFailure) as exc:
         next(draws)
     assert exc.value.stage == "no-clique-in-bucket"
     with pytest.raises(StageFailure) as exc:
-        next(bridging_cliques(G, [4, 5], [0], [1], [4, 5], 1, 0.0))
+        next(bridging_cliques(G, mask_of([4, 5]), [0], [1], mask_of([4, 5]), 1, 0.0))
     assert exc.value.stage == "no-high-attachment"
+
+
+# a mask with a bit outside 0..n-1, or a negative one, names a vertex the
+# host does not have; each connector refuses it instead of folding it in
+BAD_MASKS = [1 << 30, mask_of([0, 31]), -1, -(1 << 5)]
+
+
+@pytest.mark.parametrize("bad", BAD_MASKS)
+@pytest.mark.parametrize("where", ["U", "W"])
+def test_bridging_cliques_refuse_a_mask_outside_the_host(where, bad):
+    G = DenseGraph.complete(30)
+    U, W = (bad, 0) if where == "U" else (None, bad)
+    with pytest.raises(InvalidParameters, match=f"{where} has a bit outside 0..29"):
+        next(bridging_cliques(G, U, [0, 1], [2, 3], W, 2, 0.0))
+
+
+@pytest.mark.parametrize("bad", BAD_MASKS)
+@pytest.mark.parametrize("where", ["U", "W"])
+def test_find_bridging_clique_refuses_a_mask_outside_the_host(where, bad):
+    G = DenseGraph.complete(30)
+    U, W = (bad, 0) if where == "U" else (None, bad)
+    with pytest.raises(InvalidParameters, match=f"{where} has a bit outside 0..29"):
+        find_bridging_clique(G, U, [0, 1], [2, 3], W, 2, 0.0)
+
+
+@pytest.mark.parametrize("bad", BAD_MASKS)
+def test_connect_cliques_refuses_a_mask_outside_the_host(bad):
+    with pytest.raises(InvalidParameters, match="W has a bit outside 0..29"):
+        connect_cliques(DenseGraph.complete(30), [0, 1], [2, 3], bad, 2, 0.2, seed=0)
 
 
 # -- connect_cliques -----------------------------------------------------
@@ -209,7 +240,7 @@ def check_connection(G, path, X, Y, r, W):
 def test_connect_complete_host():
     G = DenseGraph.complete(80)
     X, Y = [0, 1], [2, 3]
-    path = connect_cliques(G, X, Y, [], r=2, eta=0.4, seed=0)
+    path = connect_cliques(G, X, Y, 0, r=2, eta=0.4, seed=0)
     check_connection(G, path, X, Y, 2, [])
 
 
@@ -218,7 +249,7 @@ def test_connect_two_lobes_through_core():
     n = G.n
     X = [0, 1]          # deep in the left lobe
     Y = [n - 1, n - 2]  # deep in the right lobe
-    path = connect_cliques(G, X, Y, [], r=2, eta=0.1, seed=0)
+    path = connect_cliques(G, X, Y, 0, r=2, eta=0.1, seed=0)
     check_connection(G, path, X, Y, 2, [])
     # any left-to-right connection must route through the shared core:
     # only core vertices are adjacent to both lobes
@@ -240,7 +271,7 @@ def test_connect_random_dense_with_avoid_set():
     X = first_clique_of_joint_degree(G, 3, int(0.2 * G.n), lower)
     Y = first_clique_of_joint_degree(G, 3, int(0.2 * G.n), upper)
     W = [v for v in rng.sample(range(G.n), 30) if v not in X + Y][:9]
-    path = connect_cliques(G, X, Y, W, r=3, eta=0.25, seed=0)
+    path = connect_cliques(G, X, Y, mask_of(W), r=3, eta=0.25, seed=0)
     check_connection(G, path, X, Y, 3, W)
 
 
@@ -250,7 +281,7 @@ def test_connect_deterministic():
     upper = mask_of(range(G.n // 2, G.n))
     X = first_clique_of_joint_degree(G, 2, int(0.2 * G.n), lower)
     Y = first_clique_of_joint_degree(G, 2, int(0.2 * G.n), upper)
-    assert connect_cliques(G, X, Y, [], 2, 0.1, seed=0) == connect_cliques(G, X, Y, [], 2, 0.1, seed=0)
+    assert connect_cliques(G, X, Y, 0, 2, 0.1, seed=0) == connect_cliques(G, X, Y, 0, 2, 0.1, seed=0)
 
 
 def star_host(n=30):
@@ -263,7 +294,7 @@ def test_connect_envelope_failure_on_sparse_host():
     # star-ish host: X extendable but its neighbourhood is an independent set
     G = star_host()
     with pytest.raises(StageFailure) as exc:
-        connect_cliques(G, [0, 1], [2, 3], [], 2, 0.2, seed=0)
+        connect_cliques(G, [0, 1], [2, 3], 0, 2, 0.2, seed=0)
     assert exc.value.stage in ("envelope-not-found", "no-clique-in-bucket")
 
 
@@ -271,7 +302,7 @@ def test_connect_raises_when_its_path_fails_revalidation(monkeypatch):
     # the emitted path is rechecked by an explicit test that survives -O
     monkeypatch.setattr(connect, "validate_witness", lambda G, w: "rejected")
     with pytest.raises(StageFailure) as exc:
-        connect_cliques(DenseGraph.complete(40), [0, 1], [2, 3], [], 2, 0.2, seed=0)
+        connect_cliques(DenseGraph.complete(40), [0, 1], [2, 3], 0, 2, 0.2, seed=0)
     assert exc.value.stage == "revalidation"
 
 
@@ -300,7 +331,7 @@ def test_one_connection_witness_matches_the_three_witness_check(seed):
     X = first_clique_of_joint_degree(G, r, 10, lower)
     Y = first_clique_of_joint_degree(G, r, 10, upper)
     W = [v for v in rng.sample(range(G.n), 8) if v not in X + Y]
-    seq = connect_cliques(G, X, Y, W, r, 0.1, seed=seed).vertices
+    seq = connect_cliques(G, X, Y, mask_of(W), r, 0.1, seed=seed).vertices
     variants = [seq]
     outside = [v for v in range(G.n) if v not in seq]
     for i in range(len(seq)):
@@ -314,7 +345,7 @@ def test_one_connection_witness_matches_the_three_witness_check(seed):
     for vs in variants:
         want = _reference_revalidate(G, vs, X, Y, W, r) == ""
         try:
-            connect._revalidate_connection(G, WitnessSequence(vs, "path", r), X, Y, W, r)
+            connect._revalidate_connection(G, WitnessSequence(vs, "path", r), X, Y, mask_of(W), r)
             got = True
         except StageFailure as exc:
             assert exc.stage == "revalidation"
@@ -332,7 +363,7 @@ def test_connect_records_branch():
     small = DenseGraph.from_edges(40, list(itertools.combinations(range(6), 2)))
     for G, ends, branch in ((star_host(), [0, 1], "extendable"), (small, [2, 3], "clique")):
         with pytest.raises(StageFailure) as exc:
-            connect_cliques(G, [0, 1], [2, 3], [], 2, 0.2, seed=0)
+            connect_cliques(G, [0, 1], [2, 3], 0, 2, 0.2, seed=0)
         assert (exc.value.stage, exc.value.detail) == (
             "envelope-not-found",
             f"no K_2 in the joint neighbourhood of {ends} (branch {branch})",

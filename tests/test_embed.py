@@ -456,12 +456,14 @@ def _recursive_blowup_embed(G, H, phi, clusters, special=None, node_budget=10_00
     """The blow-up embedder as it searched with one recursive call per
     placed vertex, a fail-first scan of every unplaced vertex and a copy of
     every candidate mask per node: the same choices, shuffles, node count
-    and failures.  Returns the mapping, or the StageFailure it raised."""
+    and failures.  Returns the mapping with the nodes entered over all
+    restarts, or the StageFailure it raised."""
     special = special or {}
     cluster_mask = {a: mask_of(vs) for a, vs in clusters.items()}
     vertices = sorted(phi)
     h_adj = H.rows
     last_trace = ""
+    total = 0
     for attempt in range(restarts):
         rng = random.Random(f"blowup:{seed}:{attempt}")
         mapping = {}
@@ -516,8 +518,10 @@ def _recursive_blowup_embed(G, H, phi, clusters, special=None, node_budget=10_00
                     cands[u] = mk
             return False
 
-        if search():
-            return mapping
+        found = search()
+        total += nodes
+        if found:
+            return mapping, total
         if nodes <= node_budget // restarts:
             return StageFailure("no-list-embedding", f"attempt {attempt}: tree exhausted in {nodes} nodes")
         last_trace = f"attempt {attempt}: {nodes} nodes"
@@ -533,7 +537,7 @@ def test_blowup_complete_multipartite_exact_sizes():
     # H: disjoint triangles filling the clusters exactly
     H = tiling_H(3, m).H
     phi = {x: x % 3 for x in range(H.n)}
-    mapping = blowup_embed(G, H, phi, clusters)
+    mapping, _ = blowup_embed(G, H, phi, clusters)
     assert verify_embedding(H, G, mapping) == ""
     for x, gv in mapping.items():
         assert gv in clusters[phi[x]]
@@ -550,7 +554,7 @@ def test_blowup_union_of_paths_in_planted_system():
     for i in range(10):
         phi[2 * i] = 0
         phi[2 * i + 1] = 1
-    mapping = blowup_embed(G, H, phi, clusters, seed=7)
+    mapping, _ = blowup_embed(G, H, phi, clusters, seed=7)
     assert verify_embedding(H, G, mapping) == ""
     assert len(mapping) == 20
 
@@ -562,7 +566,7 @@ def test_blowup_special_vertices_hit_their_sets():
     H = DenseGraph.from_edges(4, [(0, 1), (2, 3)])
     phi = {0: 0, 1: 1, 2: 0, 3: 1}
     special = {0: {3}, 3: {9, 10}}
-    mapping = blowup_embed(G, H, phi, clusters, special=special)
+    mapping, _ = blowup_embed(G, H, phi, clusters, special=special)
     assert mapping[0] == 3
     assert mapping[3] in {9, 10}
 
@@ -678,7 +682,7 @@ def test_blowup_embeds_a_block_deeper_than_the_recursion_limit():
     H = cycle_power(1, n)
     clusters = {a: tuple(range(a, n, 2)) for a in range(2)}
     phi = {x: x % 2 for x in range(n)}
-    mapping = blowup_embed(G, H, phi, clusters, seed=1)
+    mapping, _ = blowup_embed(G, H, phi, clusters, seed=1)
     assert len(mapping) == n and verify_embedding(H, G, mapping) == ""
     assert all(gv % 2 == phi[x] for x, gv in mapping.items())
 
@@ -764,11 +768,13 @@ def test_blowup_matches_the_recursive_search(instance, budget, restarts, seed):
     want = _recursive_blowup_embed(
         G, H, phi, clusters, special, node_budget=budget, restarts=restarts, seed=seed
     )
-    # the failure details carry each failed attempt's node count
+    # the failure details carry each failed attempt's node count, and an
+    # embedding comes with the nodes of all its restarts
     assert _failure(got) == _failure(want)
     event(_failure(got)[0] if _failure(got) else "embedded")
     if _failure(got) is None:
-        assert list(got.items()) == list(want.items())
+        assert list(got[0].items()) == list(want[0].items())
+        assert got[1] == want[1]
 
 
 @given(
@@ -795,6 +801,22 @@ def test_targets_match_the_recursive_search(instance, c, budget, seed):
         assert (got.candidate_sets, got.nodes) == (want.candidate_sets, want.nodes)
 
 
+def test_blowup_counts_the_nodes_of_every_restart():
+    # restart 0 runs out of its 50 nodes and restart 1 embeds: the count
+    # returned is of both restarts, as the recursive search counts them
+    G, H = gnp(16, 0.6, 24), gnp(16, 0.3, 124)
+    clusters = {0: tuple(range(8)), 1: tuple(range(8, 16))}
+    phi = {x: x % 2 for x in range(16)}
+    with pytest.raises(StageFailure) as exc:
+        blowup_embed(G, H, phi, clusters, node_budget=50, restarts=1, seed=2)
+    assert exc.value.detail == "attempt 0: 62 nodes"
+    mapping, nodes = blowup_embed(G, H, phi, clusters, node_budget=100, restarts=2, seed=2)
+    assert verify_embedding(H, G, mapping) == "" and nodes == 62 + 28
+    assert (mapping, nodes) == _recursive_blowup_embed(
+        G, H, phi, clusters, node_budget=100, restarts=2, seed=2
+    )
+
+
 def test_blowup_matches_oracle_on_small_instances():
     rng = random.Random(1)
     for seed in range(15):
@@ -805,7 +827,7 @@ def test_blowup_matches_oracle_on_small_instances():
         clusters = {0: tuple(range(n))}
         oracle = brute_force_embed(H, G)
         try:
-            mapping = blowup_embed(G, H, phi, clusters, seed=seed)
+            mapping, _ = blowup_embed(G, H, phi, clusters, seed=seed)
             assert verify_embedding(H, G, mapping) == ""
             assert oracle.status == "embedded"
         except StageFailure:

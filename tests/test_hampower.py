@@ -521,7 +521,7 @@ def _reference_build_absorber(G, r, seed, max_blocks):
     return AbsorberSystem(r, tuple(blocks))
 
 
-@pytest.mark.parametrize("n,p,r", [(300, 0.9, 2), (400, 0.95, 3)])
+@pytest.mark.parametrize("n,p,r", [(200, 0.85, 1), (300, 0.9, 2), (400, 0.95, 3)])
 @pytest.mark.parametrize("seed", ["0", "7:attempt:0", "7:attempt:3"])
 @pytest.mark.parametrize("max_blocks", [None, 3])
 def test_build_absorber_matches_the_per_vertex_reference(n, p, r, seed, max_blocks):
@@ -530,3 +530,56 @@ def test_build_absorber_matches_the_per_vertex_reference(n, p, r, seed, max_bloc
     G = gnp(n, p, len(seed))
     got = build_absorber(G, r, seed=seed, max_blocks=max_blocks)
     assert got == _reference_build_absorber(G, r, seed, max_blocks)
+
+
+@pytest.mark.parametrize(
+    "n, r, blocks, least",
+    [
+        # K_n: each vertex sees the blocks it is not in, and the cap of
+        # 2r + 2 stops the absorber after 2r + 3 blocks, far below max_blocks
+        (30, 1, 5, 4),
+        (40, 2, 7, 6),
+        (60, 3, 9, 8),
+        # K_5 holds 2 disjoint edges and K_9 2 disjoint K_4's: the starved
+        # vertex then sees 1 block and only the one vertex left over, the
+        # "every vertex covered" exit, far below the cap
+        (5, 1, 2, 1),
+        (9, 2, 2, 1),
+    ],
+)
+@pytest.mark.parametrize("seed", ["0", "7:attempt:3"])
+def test_build_absorber_stops_where_the_per_vertex_reference_stops(n, r, blocks, least, seed):
+    G = DenseGraph.complete(n)
+    got = build_absorber(G, r, seed=seed, max_blocks=n)
+    assert got == _reference_build_absorber(G, r, seed, n)
+    assert (len(got.blocks), min(coverage(G, got))) == (blocks, least)
+
+
+def _bipartite_beside_a_clique(k: int, m: int) -> DenseGraph:
+    """K_k on 0..k-1 and, disjoint from it, K_{m,m} on the next 2m vertices."""
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    edges += [(k + a, k + m + b) for a in range(m) for b in range(m)]
+    return DenseGraph.from_edges(k + 2 * m, edges)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize(
+    "host, starved",
+    [
+        # no K_2 lies in a neighbourhood of K_{m,m}: vertex 0 starves at once
+        (lambda r: complete_bipartite(20, 20), lambda r: 0),
+        # the clique's vertices are covered first; then the lowest vertex of
+        # the bipartite part starves
+        (lambda r: _bipartite_beside_a_clique(6 * r, 20), lambda r: 6 * r),
+    ],
+    ids=["K_mm", "K_mm-beside-K_6r"],
+)
+def test_build_absorber_refuses_the_reference_starved_vertex(r, host, starved):
+    G = host(r)
+    with pytest.raises(StageFailure) as got:
+        build_absorber(G, r, seed=0, max_blocks=10)
+    with pytest.raises(StageFailure) as want:
+        _reference_build_absorber(G, r, 0, 10)
+    assert got.value.stage == "absorber"
+    assert want.value.detail == f"starved vertex {starved(r)}"
+    assert got.value.detail.endswith(f"neighbourhood of {want.value.detail}")

@@ -205,6 +205,23 @@ def test_a_fractional_beta_is_read_as_the_whole_interval_width():
     assert got == "1d7f7630421a8d3b"
 
 
+def test_pipeline_notes_the_blowup_nodes_summed_over_the_blocks(monkeypatch):
+    counts = []
+    real = pipeline.blowup_embed
+
+    def recording(*args, **kwargs):
+        mapping, nodes = real(*args, **kwargs)
+        counts.append(nodes)
+        return mapping, nodes
+
+    monkeypatch.setattr(pipeline, "blowup_embed", recording)
+    res = pipeline.run_main_pipeline(gnp(480, 0.97, 4), cycle_power_H(1, 480, beta=0.0045), seed=4)
+    assert res, (res.failure_stage, res.failure_detail)
+    # every block places at least one vertex, one node per placement
+    assert len(counts) > 1 and min(counts) > 0
+    assert res.audit.notes["blowup-nodes"] == sum(counts)
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("n", [288, 576])
 @pytest.mark.parametrize(

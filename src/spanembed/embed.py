@@ -354,16 +354,18 @@ def blowup_embed(
         # depth-first without recursion: a frame holds the vertex a node
         # chose, its shuffled candidates, the index of the next one and the
         # masks its current placement overwrote; every entered node counts,
-        # and one entered past the budget fails at once
+        # and one entered past the budget ends the restart, since no
+        # placement in the open frames can complete without another node
         frames: list[list] = []
         while unplaced:
             nodes += 1
-            if nodes <= limit:
-                # fail-first: fewest candidates, ties by most H-neighbours in phi
-                x = min(unplaced, key=key.__getitem__)
-                options = list(bits(cands[x]))
-                rng.shuffle(options)
-                frames.append([x, options, 0, None])
+            if nodes > limit:
+                break
+            # fail-first: fewest candidates, ties by most H-neighbours in phi
+            x = min(unplaced, key=key.__getitem__)
+            options = list(bits(cands[x]))
+            rng.shuffle(options)
+            frames.append([x, options, 0, None])
             while frames:
                 frame = frames[-1]
                 x, options, i, saved = frame

@@ -101,10 +101,11 @@ def _pipeline(
     audit.notes["beta_n"] = W
 
     # -- advisory precheck ---------------------------------------------------
+    min_deg_G = G.min_degree()
     audit.record(
         "min-degree",
-        G.min_degree() >= (0.5 + ETA) * n,
-        f"{G.min_degree()} vs {(0.5 + ETA) * n:.1f}",
+        min_deg_G >= (0.5 + ETA) * n,
+        f"{min_deg_G} vs {(0.5 + ETA) * n:.1f}",
     )
 
     # -- stage: partition -----------------------------------------------------
@@ -114,17 +115,18 @@ def _pipeline(
     if degenerate:
         # singleton clusters: the reduced graph is the host itself
         audit.notes["partition"] = "degenerate-singleton"
-        reduced = G
+        reduced, min_deg_R = G, min_deg_G
         audit.stage("partition")
     else:
-        partition, reduced = heuristic_degree_form_partition(
+        partition, reduced, degrees = heuristic_degree_form_partition(
             G, delta=DELTA, L_min=L_target, seed=seed
         )
         audit.stage("partition")
+        min_deg_R = reduced.min_degree()
         audit.record(
             "inheritance-degree",
-            reduced.min_degree() >= (0.5 + ETA / 2) * reduced.n,
-            f"{reduced.min_degree()} vs {(0.5 + ETA / 2) * reduced.n:.1f}",
+            min_deg_R >= (0.5 + ETA / 2) * reduced.n,
+            f"{min_deg_R} vs {(0.5 + ETA / 2) * reduced.n:.1f}",
         )
         audit.stage("inheritance")
 
@@ -133,7 +135,7 @@ def _pipeline(
     # the direct singleton embedding needs only a bandwidth-th power (at
     # least a Hamilton cycle, also for an edgeless H)
     q = max(1, bandwidth_of(Hb.H, Hb.order)) if degenerate else 4 * r - 1
-    cycle = _reduced_power_cycle(reduced, q, seed, audit)
+    cycle = _reduced_power_cycle(reduced, min_deg_R, q, seed, audit)
     audit.stage("hamilton-power")
 
     if degenerate:
@@ -151,7 +153,8 @@ def _pipeline(
         cell_cluster[(a + 1, b + 1)] = partition.clusters[rv]
 
     # one refinement over all cells with R = ell disjoint K_{4r}, so that a
-    # failing vertex may be swapped into another block
+    # failing vertex may be swapped into another block; the cells follow
+    # the cycle, so the partitioner's degree table goes in cycle order
     cells = list(cell_cluster)
     block = (1 << (4 * r)) - 1
     R_blocks = DenseGraph(
@@ -159,8 +162,9 @@ def _pipeline(
         [(block << (x - x % (4 * r))) ^ (1 << x) for x in range(len(cells))],
         check=False,
     )
+    clusters = [list(cell_cluster[c]) for c in cells]
     refined_list = refine_to_superregular(
-        G, [list(cell_cluster[c]) for c in cells], R_blocks, REFINE_EPS, DELTA
+        G, clusters, degrees[cycle], R_blocks, REFINE_EPS, DELTA
     )
     refined = dict(zip(cells, map(tuple, refined_list)))
     audit.stage("refine")
@@ -305,15 +309,17 @@ def _pipeline(
 
 def _reduced_power_cycle(
     reduced: DenseGraph,
+    min_degree: int,
     q: int,
     seed: int,
     audit: PipelineAudit,
 ) -> list[int]:
-    """A power cycle through every vertex of the reduced graph, of power q
-    capped at (n - 1) // 2: the connecting-absorbing construction when it
-    succeeds, otherwise the exact search of ``power_cycle_oracle``, whose
-    cycle ``validate_witness`` certifies and whose node count the audit
-    notes as "hamilton-power-nodes"."""
+    """A power cycle through every vertex of the reduced graph, whose
+    minimum degree is ``min_degree``, of power q capped at (n - 1) // 2:
+    the connecting-absorbing construction when it succeeds, otherwise the
+    exact search of ``power_cycle_oracle``, whose cycle ``validate_witness``
+    certifies and whose node count the audit notes as
+    "hamilton-power-nodes"."""
     n = reduced.n
     q_eff = min(q, (n - 1) // 2)
     if q_eff < 1:
@@ -321,11 +327,11 @@ def _reduced_power_cycle(
         raise StageFailure("hamilton-power", f"no power cycle on {n} < 3 vertices")
     # every vertex of a q_eff-th power of a cycle has 2*q_eff neighbours on
     # it, so a vertex of R of smaller degree refuses both routes at once
-    if reduced.min_degree() < 2 * q_eff:
+    if min_degree < 2 * q_eff:
         audit.notes["hamilton-power"] = "refused: δ(R) < 2q"
         raise StageFailure(
             "hamilton-power",
-            f"δ(R) = {reduced.min_degree()} < 2q = {2 * q_eff}: no spanning "
+            f"δ(R) = {min_degree} < 2q = {2 * q_eff}: no spanning "
             f"power-{q_eff} cycle on {n} vertices",
         )
     try:

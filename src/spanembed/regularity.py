@@ -16,8 +16,10 @@ The partitioner stands in for the degree form of the regularity lemma: a
 seeded equitable chop into exactly ``L_min`` clusters and one density
 classification of every cluster pair.  It keeps the dense pairs without
 checking their regularity and never refines a cluster.  A reduced graph is
-a plain ``DenseGraph`` on the cluster indices.  The superregular refinement
-reads the host's own edges: every pair it checks is one that R joins.
+a plain ``DenseGraph`` on the cluster indices.  The partitioner's degrees of
+every vertex into every cluster (``cluster_degrees``) are returned with it,
+and the superregular refinement reads them instead of the host's edges:
+every pair it checks is one that R joins, and only a swap reads G again.
 """
 
 from __future__ import annotations
@@ -207,9 +209,21 @@ class ClusterPartition:
         return len(self.clusters)
 
 
+def cluster_degrees(G: DenseGraph, clusters: list[list[int]]) -> np.ndarray:
+    """The L × n int32 table whose entry [i, w] is |N(w) ∩ clusters[i]|, for
+    equal-sized clusters: one unpack of the cluster rows, summed per
+    cluster."""
+    m = len(clusters[0]) if clusters else 0
+    if any(len(c) != m for c in clusters):
+        raise InvalidParameters("clusters must be equal-sized")
+    flat = [v for c in clusters for v in c]
+    return G.bit_matrix(flat).reshape(len(clusters), m, G.n).sum(axis=1, dtype=np.int32)
+
+
 def refine_to_superregular(
     G: DenseGraph,
     clusters: list[list[int]],
+    degrees: np.ndarray,
     R: DenseGraph,
     eps: float,
     delta: float,
@@ -219,10 +233,12 @@ def refine_to_superregular(
 
     A vertex fails when its degree in G into some R-neighbour cluster falls
     below (delta-eps)*m, and failing vertices are discarded.  Degrees are
-    read in G itself, so a swap that moves a vertex to another cluster of
-    its block counts its edges into the cluster it leaves.  More than sqrt(eps)*m
-    failures toward one cluster, or more than m minus the target size in one
-    cluster, means the regularity hypothesis was violated.  When no pair has
+    read from ``degrees``, the ``cluster_degrees`` table of G whose rows
+    follow ``clusters``; only a swap unpacks G's rows, so that moving a
+    vertex to another cluster of its block counts its edges into the
+    cluster it leaves.  More than sqrt(eps)*m failures toward one cluster,
+    or more than m minus the target size in one cluster, means the
+    regularity hypothesis was violated.  When no pair has
     more than ceil(sqrt(eps)*m) failures, the clusters are first repaired by
     swaps (``_swap_failing``) and the violation is reported only if that
     fails.  Survivors are trimmed deterministically (highest ids first) to the
@@ -230,8 +246,9 @@ def refine_to_superregular(
     refined pairs.
 
     A violated hypothesis is a ``StageFailure`` at stage ``refine``; R must
-    have one vertex per cluster, there must be a cluster, and the clusters
-    must be disjoint sets of vertices of G.
+    have one vertex per cluster, there must be a cluster, the clusters must
+    be disjoint sets of vertices of G, and the table must have one row per
+    cluster and one column per vertex of G.
     """
     if not 1 <= len(clusters) == R.n:
         raise InvalidParameters(
@@ -244,22 +261,26 @@ def refine_to_superregular(
     if misplaced:
         raise InvalidParameters(misplaced)
     L = len(clusters)
+    if np.shape(degrees) != (L, G.n):
+        raise InvalidParameters(
+            f"degree table of shape {np.shape(degrees)} for {L} clusters of a "
+            f"host on {G.n} vertices"
+        )
     target = math.ceil((1 - math.sqrt(eps)) * m)
     allowed = math.sqrt(eps) * m
     thresh = (delta - eps) * m
     nbrs = R.bit_matrix(range(L))[:, :L].astype(bool)
     flat = [v for c in clusters for v in c]
-    # adj[x, y] for positions x, y of flat; deg[x, j] = degree of flat[x]
-    # into cluster j; where[x] = the cluster holding flat[x]
-    adj = G.bit_matrix(flat)[:, flat]
-    deg = adj.reshape(L * m, L, m).sum(axis=2, dtype=np.int64)
+    # deg[x, j] = degree of flat[x] into cluster j (a copy, which a swap
+    # updates); where[x] = the cluster holding flat[x]
+    deg = degrees[:, flat].T
     where = np.repeat(np.arange(L), m)
     fails = (deg < thresh) & nbrs[where]
     counts = fails.reshape(L, m, L).sum(axis=1)
     refusal = _first_refusal(fails, counts, allowed, m - target)
     if refusal is not None:
         if counts.max() > math.ceil(allowed) or not _swap_failing(
-            adj, deg, where, nbrs, thresh, fails, flat
+            G.bit_matrix(flat)[:, flat], deg, where, nbrs, thresh, fails, flat
         ):
             raise StageFailure("refine", refusal)
         fails = (deg < thresh) & nbrs[where]
@@ -302,7 +323,7 @@ def _swap_failing(
     """Swap every failing vertex with a vertex of another cluster, updating
     ``deg`` and ``where`` in place; False (and nothing changed) when some
     failing vertex has no valid swap.  ``adj`` is the 0/1 uint8 matrix of G
-    on ``flat``; numpy promotes its columns to the int64 of ``deg``.
+    on ``flat``; numpy promotes its columns to the int32 of ``deg``.
 
     For a failing v, the swap taken is the first partner w in (cluster, id)
     order after which v and w both pass the degree test in their new
@@ -351,7 +372,7 @@ def heuristic_degree_form_partition(
     delta: float,
     L_min: int,
     seed: int = 0,
-) -> tuple[ClusterPartition, DenseGraph]:
+) -> tuple[ClusterPartition, DenseGraph, np.ndarray]:
     """One-pass stand-in for the degree-form partition.
 
     A seeded shuffle of V(G) is chopped into L = L_min clusters of
@@ -359,14 +380,15 @@ def heuristic_degree_form_partition(
     exceptional set.  A cluster pair is dense when its density is at least
     delta, and the dense pairs are kept without a regularity check, which
     is not done yet (ROADMAP, "Certify regularity at an ε the cluster size
-    can carry").  Returns the partition and the reduced graph R on the L
-    clusters, whose edges are the dense pairs.  Clusters are never refined,
-    and equal cluster sizes hold by construction.  Later stages read the
-    cluster pairs in G itself.
+    can carry").  Returns the partition, the reduced graph R on the L
+    clusters, whose edges are the dense pairs, and the ``cluster_degrees``
+    table of the clusters, which the refinement reads.  Clusters are never
+    refined, and equal cluster sizes hold by construction.
 
-    Cost: one n × n unpack of the cluster rows, summed to L × n and then
-    to the L × L pair counts; R's rows come from one L × L boolean array
-    without a per-pair loop.
+    Cost: one n × n unpack of the cluster rows, summed to the L × n table
+    that is returned and then to the L × L pair counts; R's rows come from
+    one L × L boolean array without a per-pair loop.  No later stage
+    unpacks G again, apart from a swap in the refinement.
     """
     if L_min < 1:
         raise InvalidParameters("L_min must be >= 1")
@@ -380,15 +402,14 @@ def heuristic_degree_form_partition(
     clusters = [sorted(order[i * m : (i + 1) * m]) for i in range(L)]
     exceptional = sorted(order[L * m :])
 
-    # one unpack of the cluster rows, summed per cluster (L × n) and then
-    # per cluster of columns: counts[i, j] = e(clusters[i], clusters[j])
-    flat = [v for c in clusters for v in c]
-    per_vertex = G.bit_matrix(flat).reshape(L, m, n).sum(axis=1, dtype=np.int32)
-    counts = per_vertex[:, flat].reshape(L, L, m).sum(axis=2)
+    # the degree table summed per cluster of columns:
+    # counts[i, j] = e(clusters[i], clusters[j])
+    degrees = cluster_degrees(G, clusters)
+    counts = degrees[:, [v for c in clusters for v in c]].reshape(L, L, m).sum(axis=2)
     # dense[i, j]: the pair {i, j} is kept, judged on i < j alone
     dense = np.triu(counts / (m * m) >= delta, k=1)
     dense |= dense.T
     partition = ClusterPartition(
         tuple(exceptional), tuple(tuple(c) for c in clusters)
     )
-    return partition, DenseGraph(L, packed_rows(dense), check=False)
+    return partition, DenseGraph(L, packed_rows(dense), check=False), degrees

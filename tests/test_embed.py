@@ -511,6 +511,8 @@ def _recursive_blowup_embed(G, H, phi, clusters, special=None, node_budget=10_00
                     mapping[x] = gv
                     if search():
                         return True
+                    if nodes > node_budget // restarts:
+                        return False  # the budget is spent: no sibling is tried
                     del mapping[x]
                     for u, mk in pre.items():
                         cands[u] = mk
@@ -803,15 +805,17 @@ def test_targets_match_the_recursive_search(instance, c, budget, seed):
 
 def test_blowup_counts_the_nodes_of_every_restart():
     # restart 0 runs out of its 50 nodes and restart 1 embeds: the count
-    # returned is of both restarts, as the recursive search counts them
+    # returned is of both restarts, as the recursive search counts them.  A
+    # restart stops at the first node past its budget, so it counts one more
     G, H = gnp(16, 0.6, 24), gnp(16, 0.3, 124)
     clusters = {0: tuple(range(8)), 1: tuple(range(8, 16))}
     phi = {x: x % 2 for x in range(16)}
-    with pytest.raises(StageFailure) as exc:
-        blowup_embed(G, H, phi, clusters, node_budget=50, restarts=1, seed=2)
-    assert exc.value.detail == "attempt 0: 62 nodes"
+    for budget in (50, 100):
+        with pytest.raises(StageFailure) as exc:
+            blowup_embed(G, H, phi, clusters, node_budget=budget, restarts=1, seed=2)
+        assert exc.value.detail == f"attempt 0: {budget + 1} nodes"
     mapping, nodes = blowup_embed(G, H, phi, clusters, node_budget=100, restarts=2, seed=2)
-    assert verify_embedding(H, G, mapping) == "" and nodes == 62 + 28
+    assert verify_embedding(H, G, mapping) == "" and nodes == 51 + 28
     assert (mapping, nodes) == _recursive_blowup_embed(
         G, H, phi, clusters, node_budget=100, restarts=2, seed=2
     )

@@ -5,6 +5,7 @@ pipeline stage that called it as ``failure_stage``.
 """
 
 import hashlib
+import random
 import time
 
 import pytest
@@ -21,7 +22,7 @@ from spanembed.generators import (
     tiling_H,
     two_cliques,
 )
-from spanembed.graphs import DenseGraph, StageFailure, identity_labelling
+from spanembed.graphs import DenseGraph, StageFailure, identity_labelling, mask_of
 
 
 def _raise(stage: str, detail: str):
@@ -220,6 +221,46 @@ def test_pipeline_notes_the_blowup_nodes_summed_over_the_blocks(monkeypatch):
     # every block places at least one vertex, one node per placement
     assert len(counts) > 1 and min(counts) > 0
     assert res.audit.notes["blowup-nodes"] == sum(counts)
+
+
+def test_a_run_unpacks_the_host_once(monkeypatch):
+    # the partitioner's degree table is the one unpack of G's rows: refine
+    # reads the table, and only a swap would unpack G again
+    G = gnp(480, 0.97, 0)
+    unpacks = []
+    real = DenseGraph.bit_matrix
+
+    def counting(self, vertices):
+        if self is G:
+            unpacks.append(len(vertices))
+        return real(self, vertices)
+
+    monkeypatch.setattr(DenseGraph, "bit_matrix", counting)
+    res = pipeline.run_main_pipeline(G, cycle_power_H(1, 480), seed=0)
+    assert res, (res.failure_stage, res.failure_detail)
+    assert unpacks == [480]
+
+
+def test_refine_gets_the_degree_table_of_its_clusters(monkeypatch):
+    # the cells follow the power cycle, so the partitioner's rows must be
+    # reordered to match them.  R is complete here, so any order of its
+    # vertices is a power cycle; a shuffled one tells the orders apart
+    G = gnp(480, 0.97, 0)
+    tables = []
+    real = pipeline.refine_to_superregular
+
+    def checking(G_, clusters, degrees, *args):
+        want = [[(G.rows[w] & mask_of(c)).bit_count() for w in range(G.n)] for c in clusters]
+        tables.append(degrees.tolist() == want)
+        return real(G_, clusters, degrees, *args)
+
+    monkeypatch.setattr(pipeline, "refine_to_superregular", checking)
+    monkeypatch.setattr(
+        pipeline, "_reduced_power_cycle", lambda R, *args: random.Random(0).sample(range(R.n), R.n)
+    )
+    res = pipeline.run_main_pipeline(G, cycle_power_H(1, 480), seed=0)
+    assert res, (res.failure_stage, res.failure_detail)
+    assert tables == [True]
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -4,6 +4,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from spanembed.regularity import (
     EXACT_SIDE_THRESHOLD,
     ClusterPartition,
     RegularityVerdict,
+    cluster_degrees,
     heuristic_degree_form_partition,
     is_eps_regular,
     is_superregular,
@@ -67,16 +69,35 @@ def test_pair_density_cycle_example():
     assert pair_density(G, [0, 2], [1, 3]) == pytest.approx(3 / 4)
 
 
+def _zeros(rows, columns=5):
+    # a degree table of the given shape, for the checks that precede its use
+    return np.zeros((rows, columns), dtype=np.int32)
+
+
+def _refine(clusters, table, R=None):
+    """refine_to_superregular on the host G, with R = G unless given."""
+    return lambda G: refine_to_superregular(
+        G, clusters, table, G if R is None else R, 0.01, 0.25
+    )
+
+
 @pytest.mark.parametrize(
     "call",
     [
         lambda G: pair_density(G, [0, 1], [1, 2]),
         lambda G: ClusterPartition((), ((0, 1), (2,))),
         lambda G: ClusterPartition((0,), ((0, 1), (2, 3))),
-        lambda G: refine_to_superregular(G, [[0, 1], [2]], DenseGraph.complete(2), 0.01, 0.25),
-        lambda G: refine_to_superregular(G, [], G, 0.01, 0.25),
-        lambda G: refine_to_superregular(G, [[0], [1]], G, 0.01, 0.25),
-        lambda G: refine_to_superregular(G, [[0], [1], [2]], DenseGraph.complete(2), 0.01, 0.25),
+        _refine([[0, 1], [2]], _zeros(2), DenseGraph.complete(2)),
+        _refine([], _zeros(0)),
+        _refine([[0], [1]], _zeros(2)),
+        _refine([[0], [1], [2]], _zeros(3), DenseGraph.complete(2)),
+        _refine([[0], [1]], _zeros(3), DenseGraph.complete(2)),
+        _refine([[0], [1]], _zeros(1), DenseGraph.complete(2)),
+        _refine([[0], [1]], _zeros(2, 4), DenseGraph.complete(2)),
+        _refine([[0], [1]], _zeros(2, 6), DenseGraph.complete(2)),
+        _refine([[0], [1]], _zeros(5, 2), DenseGraph.complete(2)),
+        _refine([[0], [1]], [0] * 10, DenseGraph.complete(2)),
+        lambda G: cluster_degrees(G, [[0, 1], [2]]),
         lambda G: heuristic_degree_form_partition(G, 0.25, L_min=0),
         lambda G: heuristic_degree_form_partition(G, 0.25, L_min=6),
     ],
@@ -88,6 +109,13 @@ def test_pair_density_cycle_example():
         "refine-no-cluster",
         "refine-R-larger",
         "refine-R-smaller",
+        "refine-table-more-rows",
+        "refine-table-fewer-rows",
+        "refine-table-fewer-columns",
+        "refine-table-more-columns",
+        "refine-table-transposed",
+        "refine-table-flat",
+        "cluster-degrees-unequal",
         "L_min",
         "too-few",
     ],
@@ -104,7 +132,9 @@ def test_bad_parameters_raise_invalid_parameters(call):
 def test_refine_refuses_clusters_that_are_not_disjoint_vertex_sets(clusters, named):
     # the first raised a bare IndexError, the second a refinement failure
     with pytest.raises(InvalidParameters, match=named):
-        refine_to_superregular(gnp(30, 0.9, 1), clusters, DenseGraph.complete(2), 0.1, 0.2)
+        refine_to_superregular(
+            gnp(30, 0.9, 1), clusters, _zeros(2, 30), DenseGraph.complete(2), 0.1, 0.2
+        )
 
 
 def test_pair_density_rejects_empty_or_overlap():
@@ -210,7 +240,7 @@ def test_refine_complete_multipartite_trims_only():
     clusters = [list(range(i * m, (i + 1) * m)) for i in range(L)]
     R = DenseGraph.complete(L)
     eps = 0.09
-    refined = refine_to_superregular(G, clusters, R, eps, 0.5)
+    refined = refine_to_superregular(G, clusters, cluster_degrees(G, clusters), R, eps, 0.5)
     target = math.ceil((1 - math.sqrt(eps)) * m)
     assert all(len(c) == target for c in refined)
     assert all(set(c) <= set(orig) for c, orig in zip(refined, clusters))
@@ -227,7 +257,7 @@ def test_refine_discards_planted_isolated_vertex():
     rows[victim] = 0
     G = DenseGraph(G.n, rows, check=False)
     R = DenseGraph.complete(L)
-    refined = refine_to_superregular(G, clusters, R, 0.09, 0.4)
+    refined = refine_to_superregular(G, clusters, cluster_degrees(G, clusters), R, 0.09, 0.4)
     assert victim not in refined[0]
 
 
@@ -238,7 +268,7 @@ def test_refine_reports_hypothesis_violation():
     clusters = [list(range(10)), list(range(10, 20))]
     R = DenseGraph.complete(L)
     with pytest.raises(StageFailure) as exc:
-        refine_to_superregular(G, clusters, R, 0.04, 0.5)
+        refine_to_superregular(G, clusters, cluster_degrees(G, clusters), R, 0.04, 0.5)
     assert (exc.value.stage, exc.value.violated) == ("refine", None)
 
 
@@ -257,7 +287,9 @@ def test_refine_swaps_a_lone_failing_vertex():
     # every vertex passing is 0 <-> 6
     G = _k12_without([(0, v) for v in range(7, 12)])
     clusters = [list(range(6)), list(range(6, 12))]
-    refined = refine_to_superregular(G, clusters, DenseGraph.complete(2), 0.01, 0.5)
+    refined = refine_to_superregular(
+        G, clusters, cluster_degrees(G, clusters), DenseGraph.complete(2), 0.01, 0.5
+    )
     assert refined == [[1, 2, 3, 4, 5, 6], [0, 7, 8, 9, 10, 11]]
 
 
@@ -268,7 +300,9 @@ def test_refine_refuses_when_no_swap_exists():
     with pytest.raises(
         StageFailure, match=r"cluster 0: 1 vertices fail .* cluster 1 \(allowed 0.60\)"
     ) as exc:
-        refine_to_superregular(G, clusters, DenseGraph.complete(2), 0.01, 0.5)
+        refine_to_superregular(
+            G, clusters, cluster_degrees(G, clusters), DenseGraph.complete(2), 0.01, 0.5
+        )
     assert (exc.value.stage, exc.value.violated) == ("refine", None)
 
 
@@ -278,7 +312,9 @@ def test_refine_swaps_only_up_to_the_rounded_allowance():
     G = _k12_without([(u, v) for u in (0, 1) for v in range(7, 12)])
     clusters = [list(range(6)), list(range(6, 12))]
     with pytest.raises(StageFailure, match="cluster 0: 2 vertices fail") as exc:
-        refine_to_superregular(G, clusters, DenseGraph.complete(2), 0.01, 0.5)
+        refine_to_superregular(
+            G, clusters, cluster_degrees(G, clusters), DenseGraph.complete(2), 0.01, 0.5
+        )
     assert (exc.value.stage, exc.value.violated) == ("refine", None)
 
 
@@ -287,7 +323,7 @@ def test_refine_output_sizes_and_degrees():
     G, clusters = planted_cluster_system(L, m, 0.7, seed=5)
     R = DenseGraph.complete(L)
     eps, delta = 0.05, 0.3
-    refined = refine_to_superregular(G, clusters, R, eps, delta)
+    refined = refine_to_superregular(G, clusters, cluster_degrees(G, clusters), R, eps, delta)
     target = math.ceil((1 - math.sqrt(eps)) * m)
     for i, j in itertools.combinations(range(L), 2):
         assert is_superregular(G, refined[i], refined[j], 4 * math.sqrt(eps), delta / 2)
@@ -302,18 +338,88 @@ def test_refine_output_sizes_and_degrees():
                 )
 
 
+@pytest.mark.parametrize("n", [8, 63, 64, 65, 480])
+def test_cluster_degrees_match_the_popcount_reference(n):
+    rng = random.Random(n)
+    G = gnp(n, 0.6, n)
+    for L in {1, 2, max(1, n // 8), n}:
+        m = n // L
+        order = rng.sample(range(n), n)
+        clusters = [order[i * m : (i + 1) * m] for i in range(L)]
+        table = cluster_degrees(G, clusters)
+        assert table.shape == (L, n) and table.dtype == np.int32
+        want = [[(G.rows[w] & mask_of(c)).bit_count() for w in range(n)] for c in clusters]
+        assert table.tolist() == want
+    assert cluster_degrees(G, []).shape == (0, n)
+
+
+def _refine_outcome(G, clusters, table, R, eps, delta):
+    try:
+        return refine_to_superregular(G, clusters, table, R, eps, delta)
+    except StageFailure as exc:
+        return exc.stage, exc.detail
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: (*planted_cluster_system(3, 20, 0.7, seed=5), DenseGraph.complete(3), 0.05, 0.3),
+        lambda: (
+            *planted_cluster_system(4, 12, 0.8, seed=2),
+            DenseGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+            0.09,
+            0.4,
+        ),
+        lambda: (
+            _k12_without([(0, v) for v in range(7, 12)]),
+            [list(range(6)), list(range(6, 12))],
+            DenseGraph.complete(2),
+            0.01,
+            0.5,
+        ),
+        lambda: (
+            _k12_without([(0, v) for v in range(1, 12)]),
+            [list(range(6)), list(range(6, 12))],
+            DenseGraph.complete(2),
+            0.01,
+            0.5,
+        ),
+    ],
+    ids=["planted", "planted-path-R", "swap", "no-swap"],
+)
+def test_refine_reads_the_rows_of_a_permuted_table(case):
+    # the rows of one table, permuted with the clusters, are the table of
+    # the permuted cluster list: refine answers the same with either, and
+    # on these hosts it refines each cluster as in the first order
+    G, clusters, R, eps, delta = case()
+    table = cluster_degrees(G, clusters)
+    first = _refine_outcome(G, clusters, table, R, eps, delta)
+    for perm in itertools.permutations(range(len(clusters))):
+        permuted = [clusters[i] for i in perm]
+        pairs = itertools.combinations(range(R.n), 2)
+        R_perm = DenseGraph.from_edges(
+            R.n, [(a, b) for a, b in pairs if R.has_edge(perm[a], perm[b])]
+        )
+        got = _refine_outcome(G, permuted, table[list(perm)], R_perm, eps, delta)
+        assert got == _refine_outcome(G, permuted, cluster_degrees(G, permuted), R_perm, eps, delta)
+        if isinstance(first, list):
+            assert got == [first[i] for i in perm]
+        else:
+            assert got[0] == first[0] == "refine"
+
+
 # -- partitioner ----------------------------------------------------------
 
 
 def test_partitioner_accepts_complete_host():
     G = DenseGraph.complete(60)
-    part, R = heuristic_degree_form_partition(G, delta=0.2, L_min=4, seed=0)
+    part, R, _ = heuristic_degree_form_partition(G, delta=0.2, L_min=4, seed=0)
     assert R == DenseGraph.complete(part.L)
 
 
 def test_partitioner_random_graph_all_regular():
     G = gnp(200, 0.5, 5)
-    part, R = heuristic_degree_form_partition(G, delta=0.2, L_min=4, seed=5)
+    part, R, _ = heuristic_degree_form_partition(G, delta=0.2, L_min=4, seed=5)
     assert R == DenseGraph.complete(part.L)
     # structural postconditions
     sizes = {len(c) for c in part.clusters}
@@ -323,7 +429,7 @@ def test_partitioner_random_graph_all_regular():
 
 def test_partitioner_bipartite_keeps_crossing_pairs():
     G = complete_bipartite(60, 60)
-    part, R = heuristic_degree_form_partition(G, delta=0.2, L_min=2, seed=1)
+    part, R, _ = heuristic_degree_form_partition(G, delta=0.2, L_min=2, seed=1)
     # dropped pairs are exactly the intra-side ones (density ~0 < delta)
     for i, j in itertools.combinations(range(part.L), 2):
         ci, cj = part.clusters[i], part.clusters[j]
@@ -337,7 +443,7 @@ def test_partitioner_bipartite_keeps_crossing_pairs():
 def test_partitioner_reduced_graph_symmetric_with_dropped_pairs():
     # pairs of density about 1/2 are dropped; two vertices are exceptional
     G = complete_bipartite(61, 60)
-    part, R = heuristic_degree_form_partition(G, delta=0.5, L_min=7, seed=2)
+    part, R, _ = heuristic_degree_form_partition(G, delta=0.5, L_min=7, seed=2)
     assert part.exceptional and R.edge_count() < math.comb(part.L, 2)
     DenseGraph(R.n, R.rows)  # checks symmetry and loops
 
@@ -421,7 +527,8 @@ def test_heuristic_two_cliques_example():
     G = two_cliques(12)
     A, B = [0, 1, 2, 6, 7, 8], [3, 4, 5, 9, 10, 11]
     assert is_eps_regular(G, A, B, 0.25).deviation == 0.5
-    assert refine_to_superregular(G, [A, B], DenseGraph.complete(2), 0.01, 0.5) == [A, B]
+    table = cluster_degrees(G, [A, B])
+    assert refine_to_superregular(G, [A, B], table, DenseGraph.complete(2), 0.01, 0.5) == [A, B]
     assert not is_superregular(G, A, B, 4 * math.sqrt(0.01), 0.5 / 2)
 
 
@@ -470,7 +577,7 @@ def _legacy_labels(R):
 def test_partitioner_outputs_pinned(seed, clusters, verdicts):
     # digests recorded with the one-recheck-per-candidate search
     G = gnp(160, 0.97, 7)
-    part, R = heuristic_degree_form_partition(G, delta=0.25, L_min=16, seed=seed)
+    part, R, _ = heuristic_degree_form_partition(G, delta=0.25, L_min=16, seed=seed)
     assert _digest((part.exceptional, part.clusters)) == clusters
     assert _digest(_legacy_labels(R)) == verdicts
     assert _digest(R.rows) == "57b7f95a5cb157e6"
@@ -479,7 +586,7 @@ def test_partitioner_outputs_pinned(seed, clusters, verdicts):
 def test_refine_verified_output_pinned():
     G, clusters = planted_cluster_system(3, 20, 0.7, seed=5)
     R = DenseGraph.complete(3)
-    refined = refine_to_superregular(G, clusters, R, 0.05, 0.3)
+    refined = refine_to_superregular(G, clusters, cluster_degrees(G, clusters), R, 0.05, 0.3)
     assert _digest(refined) == "fa8d9586e729b270"
     for i, j in itertools.combinations(range(3), 2):
         assert is_superregular(G, refined[i], refined[j], 4 * math.sqrt(0.05), 0.3 / 2)
@@ -520,7 +627,7 @@ def test_partitioner_matches_one_pass_reference(
 ):
     # digests of (partition, R, labels) recorded while the partitioner
     # still ran its heuristic search on every dense pair
-    part, R = heuristic_degree_form_partition(host, delta, L_min, seed=seed)
+    part, R, _ = heuristic_degree_form_partition(host, delta, L_min, seed=seed)
     reference = reference_labels(host, delta, L_min, seed)
     assert _pair_labels(R) == reference
     dense = [pair for pair, label in reference.items() if label == "dense"]
@@ -539,7 +646,7 @@ def test_partitioner_rejects_more_clusters_than_vertices():
     G = gnp(20, 0.5, 0)
     with pytest.raises(ValueError, match="cannot split 20 vertices into 21 clusters"):
         heuristic_degree_form_partition(G, 0.25, L_min=21)
-    part, _ = heuristic_degree_form_partition(G, 0.25, L_min=20)
+    part, _, _ = heuristic_degree_form_partition(G, 0.25, L_min=20)
     assert len(part.clusters[0]) == 1 and not part.exceptional
 
 
@@ -608,8 +715,11 @@ def _partition_cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_partitioner_matches_the_per_cluster_loop(case):
     G, delta, L_min, seed = case
-    part, R = heuristic_degree_form_partition(G, delta, L_min, seed=seed)
+    part, R, degrees = heuristic_degree_form_partition(G, delta, L_min, seed=seed)
     exceptional, clusters, r_rows, labels = _reference_partition(G, delta, L_min, seed)
+    assert degrees.tolist() == [
+        [(G.rows[w] & mask_of(c)).bit_count() for w in range(G.n)] for c in clusters
+    ]
     assert part.exceptional == tuple(exceptional)
     assert part.clusters == tuple(map(tuple, clusters))
     assert R.rows == r_rows
@@ -620,6 +730,6 @@ def test_partitioner_matches_the_per_cluster_loop(case):
 def test_partitioner_reference_cases_reach_sparse_pairs_and_v0():
     # the example above exercises every branch of the reference loop
     G = gnp(79, 0.5, 3)
-    part, R = heuristic_degree_form_partition(G, 0.5, 9, seed=1)
+    part, R, _ = heuristic_degree_form_partition(G, 0.5, 9, seed=1)
     assert part.exceptional
     assert Counter(_pair_labels(R).values()).keys() == {"sparse", "dense"}

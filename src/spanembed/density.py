@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .graphs import DenseGraph, InvalidParameters, bits
+from .graphs import DenseGraph, InvalidParameters, bits, kth_bit
 
 
 EXACT_LOCAL_THRESHOLD = 22
@@ -162,19 +162,6 @@ def scope(G: DenseGraph, mask: int | None, name: str = "within") -> int:
     return mask
 
 
-def _kth_bit(mask: int, k: int) -> int:
-    """Position of the k-th (from 0) set bit of ``mask``, by binary search on
-    the popcounts of its low prefixes."""
-    lo, hi = 0, mask.bit_length() - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if (mask & ((2 << mid) - 1)).bit_count() > k:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def _shuffled_bits(mask: int, rng: random.Random) -> Iterator[int]:
     """Yield the set bits of ``mask`` in uniform random order, one
     ``randrange`` per bit taken.
@@ -182,13 +169,13 @@ def _shuffled_bits(mask: int, rng: random.Random) -> Iterator[int]:
     A Fisher–Yates over the ascending list of set bits, run lazily and
     sparsely: the list is never built.  ``moved`` maps each position that a
     swap refilled to the list index now standing there, and a list entry
-    becomes a vertex (its set bit found by ``_kth_bit``) only when drawn.  A
+    becomes a vertex (its set bit found by ``kth_bit``) only when drawn.  A
     consumer that stops early pays only for the prefix it used.
     """
     moved: dict[int, int] = {}
     for left in range(mask.bit_count(), 0, -1):
         i = rng.randrange(left)
-        v = _kth_bit(mask, moved.get(i, i))
+        v = kth_bit(mask, moved.get(i, i))
         moved[i] = moved.pop(left - 1, left - 1)
         yield v
 

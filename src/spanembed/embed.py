@@ -14,9 +14,12 @@ All four search depth-first with an explicit stack, never recursing, so a
 block or template of any size fits.  The list-embedders keep live candidate
 masks: a placement x -> gv narrows only the masks it can change (those of
 x's unplaced neighbours and of gv's cell) and the search undoes it from a
-saved list.  Both are complete over their candidate lists, so running out
-of search tree below the node budget is the refusal "no-list-embedding",
-kept apart from "backtrack-budget-exhausted".  Every embedding is
+saved list.  A node keeps its untried candidates as a mask and draws each
+try uniformly from it (one ``randrange`` and one ``kth_bit`` per candidate
+tried), so it never lists or shuffles the candidates it does not reach.
+Both are complete over their candidates, so running out of search tree
+below the node budget is the refusal "no-list-embedding", kept apart from
+"backtrack-budget-exhausted".  Every embedding is
 revalidated edge-by-edge by a checker that shares no code with the
 constructions; a power cycle, by its caller's ``validate_witness``.
 """
@@ -28,7 +31,7 @@ import random
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from .graphs import DenseGraph, InvalidParameters, StageFailure, bits, mask_of
+from .graphs import DenseGraph, InvalidParameters, StageFailure, bits, kth_bit, mask_of
 
 
 def _cell_masks(clusters: dict[int, tuple[int, ...]]) -> dict[int, int]:
@@ -50,8 +53,10 @@ def verify_embedding(H: DenseGraph, G: DenseGraph, mapping: dict[int, int]) -> s
     returns '' when the map embeds that part of H.
 
     The edges are walked from each mapped vertex, in increasing order, to
-    its higher neighbours, so the first violation is the one ``H.edges()``
-    order meets first, and the cost is that of the mapped part of H.
+    its higher neighbours, lowest first, skipping the unmapped ones, so the
+    first violation is the one ``H.edges()`` order meets first.  Each
+    vertex's image row is read once, and the cost is that of the mapped part
+    of H.
     """
     seen: set[int] = set()
     for u, gv in mapping.items():
@@ -60,10 +65,17 @@ def verify_embedding(H: DenseGraph, G: DenseGraph, mapping: dict[int, int]) -> s
         if gv in seen:
             return f"image {gv} used twice"
         seen.add(gv)
+    g_rows, h_rows = G.rows, H.rows
     for u in sorted(mapping):
-        for v in bits(H.rows[u] >> (u + 1) << (u + 1)):
-            if v in mapping and not G.has_edge(mapping[u], mapping[v]):
+        row = g_rows[mapping[u]]
+        higher = h_rows[u] >> (u + 1)  # bit i is the neighbour u + 1 + i
+        while higher:
+            low = higher & -higher
+            v = u + low.bit_length()
+            gv = mapping.get(v)
+            if gv is not None and not row >> gv & 1:
                 return f"edge ({u},{v}) maps to a non-edge"
+            higher ^= low
     return ""
 
 
@@ -100,9 +112,11 @@ def embed_with_targets(
     are enforced during the search, so a placement that starves a boundary
     vertex is backtracked.
 
-    The search is depth-first over ``order`` with an explicit stack; the
-    boundary masks are updated in place and restored on backtracking.  It
-    raises "backtrack-budget-exhausted" when it would enter more than
+    The search is depth-first over ``order`` with an explicit stack; each
+    position draws its tries one at a time, uniformly from its untried
+    candidates, with the seeded generator.  The boundary masks are updated
+    in place and restored on backtracking.  It raises
+    "backtrack-budget-exhausted" when it would enter more than
     ``node_budget`` nodes, and "no-list-embedding" when it runs out of tree
     first, which certifies that no placement keeps every floor.
     """
@@ -174,9 +188,10 @@ def embed_with_targets(
     image = [0] * len(order)
     used = 0
     nodes = 0
-    # depth-first without recursion: frames[i] holds position i's shuffled
-    # candidates, the index of its next one, and the masks its current
-    # placement overwrote; every entered position counts one node
+    # depth-first without recursion: frames[i] holds position i's untried
+    # candidates as a mask, each try drawn uniformly from it, and the masks
+    # its current placement overwrote; every entered position counts one
+    # node
     frames: list[list] = []
     while len(frames) < len(order):
         idx = len(frames)
@@ -190,30 +205,28 @@ def embed_with_targets(
         cands = cluster_mask[phi[order[idx]]] & ~used
         for j in back[idx]:
             cands &= g_rows[image[j]]
-        cand_list = list(bits(cands))
-        if len(cand_list) > 4:
-            rng.shuffle(cand_list)
-        frames.append([cand_list, 0, None])
-        # move the deepest frame to its next candidate that keeps every
-        # boundary mask at the floor, undoing its current one first
+        frames.append([cands, None])
+        # move the deepest frame to a random untried candidate that keeps
+        # every boundary mask at the floor, undoing its current one first
         while frames:
             idx = len(frames) - 1
             frame = frames[idx]
-            cand_list, i, saved = frame
+            rest, saved = frame
             if saved is not None:
                 used ^= 1 << image[idx]
                 for y, mk in saved:
                     masks[y] = mk
             saved = None
-            while saved is None and i < len(cand_list):
-                saved = narrow(order[idx], cand_list[i])
-                i += 1
+            while saved is None and rest:
+                gv = kth_bit(rest, rng.randrange(rest.bit_count()))
+                rest ^= 1 << gv
+                saved = narrow(order[idx], gv)
             if saved is None:
                 frames.pop()
                 continue
-            frame[1], frame[2] = i, saved
-            image[idx] = cand_list[i - 1]
-            used |= 1 << image[idx]
+            frame[0], frame[1] = rest, saved
+            image[idx] = gv
+            used |= 1 << gv
             break
         else:
             raise StageFailure(
@@ -265,13 +278,15 @@ def blowup_embed(
     seeded restarts; the result is revalidated edge-by-edge.
 
     Each restart searches depth-first with an explicit stack and may enter
-    ``node_budget // restarts`` nodes.  Candidate masks and fail-first keys
-    are updated in place for the vertices a placement affects and restored
-    on backtracking.  A restart that runs out of tree within its budget
-    raises "no-list-embedding" at once, since the search is complete and
-    the other restarts would only visit the same tree in another order;
-    when every restart hits its budget the refusal is
-    "backtrack-budget-exhausted".
+    ``node_budget // restarts`` nodes; a node draws its tries one at a time,
+    uniformly from its vertex's untried candidates, with the restart's
+    seeded generator.  The block's state is kept in lists indexed by block
+    position; candidate masks and fail-first keys are updated in place for
+    the vertices a placement affects and restored on backtracking.  A
+    restart that runs out of tree within its budget raises
+    "no-list-embedding" at once, since the search is complete and the other
+    restarts would only visit the same tree in another order; when every
+    restart hits its budget the refusal is "backtrack-budget-exhausted".
     """
     special = special or {}
     cluster_mask = _cell_masks(clusters)
@@ -284,34 +299,37 @@ def blowup_embed(
                 "load", f"cluster {a} demanded {need} > {len(clusters.get(a, ()))}"
             )
 
+    # the block's state lives in lists indexed by block position (the
+    # vertices of phi in increasing order).  A placement x -> gv changes
+    # only the masks of x's unplaced neighbours and of the unplaced vertices
+    # whose cluster holds gv: x's cell-mates, since cells are disjoint
     vertices = sorted(phi)
+    position = {x: i for i, x in enumerate(vertices)}
     h_adj = H.rows
     g_rows = G.rows
-    # a placement x -> gv changes only the masks of x's unplaced neighbours
-    # and of the unplaced vertices whose cluster holds gv: x's cell-mates,
-    # since cells are disjoint
-    nbrs = {x: [u for u in bits(h_adj[x]) if u in phi] for x in vertices}
+    nbrs = [[position[u] for u in bits(h_adj[x]) if u in position] for x in vertices]
     cell_members: dict[int, list[int]] = {}
-    for x in vertices:
-        cell_members.setdefault(phi[x], []).append(x)
-    mates = {x: cell_members[phi[x]] for x in vertices}
+    for i, x in enumerate(vertices):
+        cell_members.setdefault(phi[x], []).append(i)
+    mates = [cell_members[phi[x]] for x in vertices]
+    start = [
+        cluster_mask[phi[x]] & mask_of(special[x]) if x in special else cluster_mask[phi[x]]
+        for x in vertices
+    ]
     # fail-first key (live count, -deg, v) cached as one int per vertex:
     # count * stride + the vertex's rank in (-deg, v) order
     stride = len(vertices)
-    rank = {v: i for i, v in enumerate(sorted(vertices, key=lambda v: (-len(nbrs[v]), v)))}
+    rank = [0] * stride
+    for k, i in enumerate(sorted(range(stride), key=lambda i: (-len(nbrs[i]), i))):
+        rank[i] = k
     last_trace, total = "", 0  # total: nodes over all restarts
     for attempt in range(restarts):
         rng = random.Random(f"blowup:{seed}:{attempt}")
         limit = node_budget // restarts
-        cands: dict[int, int] = {}
-        for x in vertices:
-            mk = cluster_mask[phi[x]]
-            if x in special:
-                mk &= mask_of(special[x])
-            cands[x] = mk
-        key = {v: cands[v].bit_count() * stride + rank[v] for v in vertices}
-        unplaced = set(vertices)
-        mapping: dict[int, int] = {}
+        cands = start.copy()
+        key = [mk.bit_count() * stride + rank[i] for i, mk in enumerate(cands)]
+        unplaced = set(range(stride))
+        image = [0] * stride
         nodes = 0
 
         def place(x: int, gv: int) -> list[tuple[int, int, int]] | None:
@@ -341,7 +359,7 @@ def blowup_embed(
                         key[u] -= stride
                 else:
                     unplaced.discard(x)
-                    mapping[x] = gv
+                    image[x] = gv
                     return saved
             restore(saved)
             return None
@@ -352,10 +370,11 @@ def blowup_embed(
                 key[u] = k
 
         # depth-first without recursion: a frame holds the vertex a node
-        # chose, its shuffled candidates, the index of the next one and the
-        # masks its current placement overwrote; every entered node counts,
-        # and one entered past the budget ends the restart, since no
-        # placement in the open frames can complete without another node
+        # chose, its untried candidates as a mask, each try drawn uniformly
+        # from it, and the masks its current placement overwrote; every
+        # entered node counts, and one entered past the budget ends the
+        # restart, since no placement in the open frames can complete
+        # without another node
         frames: list[list] = []
         while unplaced:
             nodes += 1
@@ -363,28 +382,28 @@ def blowup_embed(
                 break
             # fail-first: fewest candidates, ties by most H-neighbours in phi
             x = min(unplaced, key=key.__getitem__)
-            options = list(bits(cands[x]))
-            rng.shuffle(options)
-            frames.append([x, options, 0, None])
+            frames.append([x, cands[x], None])
             while frames:
                 frame = frames[-1]
-                x, options, i, saved = frame
+                x, rest, saved = frame
                 if saved is not None:
-                    del mapping[x]
                     unplaced.add(x)
                     restore(saved)
                 saved = None
-                while saved is None and i < len(options):
-                    saved = place(x, options[i])
-                    i += 1
+                while saved is None and rest:
+                    gv = kth_bit(rest, rng.randrange(rest.bit_count()))
+                    rest ^= 1 << gv
+                    saved = place(x, gv)
                 if saved is not None:
-                    frame[2], frame[3] = i, saved
+                    frame[1], frame[2] = rest, saved
                     break
                 frames.pop()
             else:
                 break
         total += nodes
         if not unplaced:
+            # the frames hold the placements in the order they were made
+            mapping = {vertices[x]: image[x] for x, _, _ in frames}
             problem = verify_embedding(H, G, mapping)
             if problem:
                 raise StageFailure("revalidation", problem)

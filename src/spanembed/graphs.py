@@ -50,6 +50,25 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
+def kth_bit(mask: int, k: int) -> int:
+    """Position of the k-th (from 0) set bit of ``mask``, for k below its
+    popcount.  A k below the binary search's step count (the bit length of
+    ``mask.bit_length()``) clears the k low bits one at a time; a larger k
+    searches on the popcounts of the low prefixes of ``mask``."""
+    if k < mask.bit_length().bit_length():
+        for _ in range(k):
+            mask &= mask - 1
+        return (mask & -mask).bit_length() - 1
+    lo, hi = 0, mask.bit_length() - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mask & ((2 << mid) - 1)).bit_count() > k:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def packed_rows(matrix: np.ndarray) -> list[int]:
     """Each row of a 0/1 matrix as a mask: bit w set iff entry w is nonzero
     (the inverse of ``DenseGraph.bit_matrix``)."""

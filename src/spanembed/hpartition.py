@@ -19,10 +19,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .connect import HypothesisViolation, connect_cliques
 from .density import DensityParams, cliques, find_clique, is_locally_dense_sampled
 from .generators import BandwidthedH
-from .graphs import DenseGraph, StageFailure, WitnessSequence, mask_of, validate_witness, z_rule_edge
+from .graphs import (
+    DenseGraph,
+    StageFailure,
+    WitnessSequence,
+    mask_of,
+    packed_rows,
+    validate_witness,
+    z_rule_edge,
+)
 
 
 V0Target = tuple[str, int]  # ("V0", vertex-id in the host)
@@ -100,39 +110,55 @@ def check_balanced_colouring(
     r: int | None = None,
 ) -> str:
     """Independent recount of the three colouring properties, bounded in the
-    interval width W; empty = pass."""
+    interval width W; empty = pass.
+
+    Properness ANDs each row with the mask of its vertex's colour class: the
+    first vertex with a neighbour of its own colour has no such neighbour
+    below it, so its lowest one above it ends the first clash in
+    ``H.edges()`` order.  The half-range and prefix-balance tests are one
+    numpy pass over the colours in bandwidth order, reading the cumulative
+    class counts at the interval ends; only a failing prefix is scanned
+    pair by pair to name its first pair.
+    """
     H, order, chi = Hb.H, Hb.order.order, Hb.colouring
     n = H.n
     if r is None:
         r = max(chi)
     W = interval_width(Hb.beta, n)
-    A = _intervals(order, W)
-    for u, v in H.edges():
-        if colouring[u] == colouring[v]:
-            return f"not proper at edge ({u},{v})"
-    for t, interval in enumerate(A, start=1):
-        lo, hi = (1, r) if t % 2 == 1 else (r + 1, 2 * r)
-        for x in interval:
-            if not lo <= colouring[x] <= hi:
-                return f"interval {t} colour {colouring[x]} outside its half"
-    counts = [0] * (2 * r + 1)
+    colours = np.asarray(colouring)
+    values = sorted(set(colouring))
+    classes = dict(zip(values, packed_rows(colours == np.array(values)[:, None])))
+    for u, row in enumerate(H.rows):
+        clash = (row & classes[colouring[u]]) >> (u + 1)
+        if clash:
+            return f"not proper at edge ({u},{u + (clash & -clash).bit_length()})"
+    if not n:
+        return ""
+    col = colours[list(order)]
+    # interval t (from 1) holds the positions (t-1)W..tW-1; odd ones take
+    # the colours 1..r, even ones r+1..2r
+    lo = np.where(np.arange(n) // W % 2 == 0, 1, r + 1)
+    outside = (col < lo) | (col >= lo + r)
+    if outside.any():
+        p = int(outside.argmax())
+        return f"interval {p // W + 1} colour {colouring[order[p]]} outside its half"
+    counts = (col[:, None] == np.arange(1, 2 * r + 1)).cumsum(axis=0)
+    ends = np.minimum(np.arange(W, n + W, W), n) - 1
+    prefix = counts[ends]  # row t-1: the class counts after interval t
     bound = 2 * W
-    for t, interval in enumerate(A, start=1):
-        for x in interval:
-            counts[colouring[x]] += 1
-        for lo, hi in ((1, r), (r + 1, 2 * r)):
-            half = counts[lo : hi + 1]
-            if max(half) - min(half) <= bound:
-                continue
-            # some pair differs by more than the bound: name the first one
-            for j in range(lo, hi + 1):
-                for j2 in range(lo, hi + 1):
-                    if abs(counts[j] - counts[j2]) > bound:
-                        return (
-                            f"prefix {t}: classes {j},{j2} differ by "
-                            f"{abs(counts[j] - counts[j2])} > {bound}"
-                        )
-    return ""
+    # entry 2(t-1) + h: the spread of half h (0: 1..r, 1: r+1..2r) after t
+    unbalanced = (np.ptp(prefix.reshape(len(ends), 2, r), axis=2) > bound).ravel()
+    if not unbalanced.any():
+        return ""
+    t, h = divmod(int(unbalanced.argmax()), 2)
+    at = [0, *prefix[t].tolist()]
+    span = range(h * r + 1, h * r + r + 1)
+    for j in span:
+        for j2 in span:
+            gap = abs(at[j] - at[j2])
+            if gap > bound:
+                return f"prefix {t + 1}: classes {j},{j2} differ by {gap} > {bound}"
+    raise AssertionError("the unbalanced prefix names no pair")
 
 
 def basic_assignment(Hb: BandwidthedH, targets: dict[Cell, int]) -> Assignment:

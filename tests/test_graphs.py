@@ -20,11 +20,27 @@ from spanembed.graphs import (
     folded_labelling,
     from_edgelist_text,
     identity_labelling,
+    kth_bit,
     make_named,
     to_edgelist_text,
     validate_witness,
     z_rule_edge,
 )
+
+
+def test_kth_bit_is_the_kth_entry_of_the_ascending_bits():
+    # masks from one bit to a few thousand, sparse and dense, and every k,
+    # on both sides of the switch from the low-bit walk to the binary search
+    rng = random.Random(0)
+    masks = [1, 2, 3, 1 << 63, (1 << 64) - 1, 1 << 1000 | 1]
+    for _ in range(300):
+        width = rng.choice([4, 30, 64, 65, 480, 3000])
+        mask = rng.getrandbits(width) & rng.getrandbits(width) | 1 << rng.randrange(width)
+        masks.append(mask)
+    for mask in masks:
+        ascending = list(bits(mask))
+        for k in range(len(ascending)):
+            assert kth_bit(mask, k) == ascending[k], (mask, k)
 
 
 def brute_edge_count(G):

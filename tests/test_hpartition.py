@@ -134,6 +134,101 @@ def test_colouring_check_names_the_first_unbalanced_pair(colouring, message):
     assert check_balanced_colouring(Hb, colouring, 2) == message
 
 
+def _reference_check_balanced_colouring(Hb, colouring, r=None):
+    """The colouring checker as a loop over ``H.edges()``, the intervals and
+    every prefix's classes: ``check_balanced_colouring`` must give the same
+    verdict and message."""
+    H, order, chi = Hb.H, Hb.order.order, Hb.colouring
+    n = H.n
+    if r is None:
+        r = max(chi)
+    W = interval_width(Hb.beta, n)
+    A = [list(order[i : i + W]) for i in range(0, len(order), W)]
+    for u, v in H.edges():
+        if colouring[u] == colouring[v]:
+            return f"not proper at edge ({u},{v})"
+    for t, interval in enumerate(A, start=1):
+        lo, hi = (1, r) if t % 2 == 1 else (r + 1, 2 * r)
+        for x in interval:
+            if not lo <= colouring[x] <= hi:
+                return f"interval {t} colour {colouring[x]} outside its half"
+    counts = [0] * (2 * r + 1)
+    bound = 2 * W
+    for t, interval in enumerate(A, start=1):
+        for x in interval:
+            counts[colouring[x]] += 1
+        for lo, hi in ((1, r), (r + 1, 2 * r)):
+            half = counts[lo : hi + 1]
+            if max(half) - min(half) <= bound:
+                continue
+            for j in range(lo, hi + 1):
+                for j2 in range(lo, hi + 1):
+                    if abs(counts[j] - counts[j2]) > bound:
+                        return (
+                            f"prefix {t}: classes {j},{j2} differ by "
+                            f"{abs(counts[j] - counts[j2])} > {bound}"
+                        )
+    return ""
+
+
+def _corrupted_colourings(Hb, colouring, r, rng):
+    """``colouring`` and corruptions of it: single vertices recoloured in
+    and out of 1..2r, two vertices swapped, and a run of the bandwidth order
+    most of whose vertices take the first colour of their half, or move to
+    the other half."""
+    n, order = Hb.n, Hb.order.order
+    out = [colouring]
+    for _ in range(3):
+        col = list(colouring)
+        for x in rng.sample(range(n), rng.randint(1, 3)):
+            col[x] = rng.randint(0, 2 * r + 1)
+        out.append(tuple(col))
+    col = list(colouring)
+    x, y = rng.sample(range(n), 2)
+    col[x], col[y] = col[y], col[x]
+    out.append(tuple(col))
+    for paint in (lambda c: 1 if c <= r else r + 1, lambda c: c + r if c <= r else c - r):
+        col = list(colouring)
+        start = rng.randrange(n)
+        for x in order[start : start + rng.randint(1, n // 2)]:
+            if rng.random() < 0.8:
+                col[x] = paint(colouring[x])
+        out.append(tuple(col))
+    return out
+
+
+def test_colouring_check_matches_the_loop_reference():
+    # the generator guests at several interval widths, their own balanced
+    # colourings and corruptions of them; an edgeless guest with narrower
+    # intervals lets a painted run unbalance a prefix without breaking
+    # properness
+    rng = random.Random(0)
+    guests = [
+        lambda b: cycle_power_H(1, 120, beta=b),
+        lambda b: cycle_power_H(2, 150, beta=b),
+        lambda b: path_power_H(2, 90, beta=b),
+        lambda b: tiling_H(3, 40, beta=b),
+        lambda b: random_window_H(160, 4, 3, 3, seed=rng.randrange(100)),
+        lambda b: BandwidthedH(
+            DenseGraph.empty(99), identity_labelling(99), (1, 2, 3) * 33, b / 3
+        ),
+    ]
+    verdicts = {}
+    for guest in guests:
+        for beta in (0.03, 0.05, 0.1, 0.25, 1.0):
+            Hb = guest(beta)
+            for r in (None, max(Hb.colouring) + 1):
+                colouring = balanced_2r_colouring(Hb, r)
+                rr = max(Hb.colouring) if r is None else r
+                for _ in range(8):
+                    for col in _corrupted_colourings(Hb, colouring, rr, rng):
+                        want = _reference_check_balanced_colouring(Hb, col, r)
+                        assert check_balanced_colouring(Hb, col, r) == want, (Hb, col, r)
+                        kind = want.split()[0] if want else "ok"
+                        verdicts[kind] = verdicts.get(kind, 0) + 1
+    assert set(verdicts) == {"ok", "not", "interval", "prefix"}, verdicts
+
+
 # -- basic assignment ---------------------------------------------------
 
 

@@ -134,14 +134,14 @@ V0_TAIL = "from the n mod L remainder, 0 dropped by refine"
 @pytest.mark.parametrize(
     "host, guest, expected",
     [
-        (lambda: gnp(480, 0.97, 4), lambda: cycle_power_H(1, 480), "86abe1d47e9e175a"),
-        (lambda: gnp(480, 0.97, 4), lambda: path_power_H(1, 480), "bbb2f613ba934c23"),
+        (lambda: gnp(480, 0.97, 4), lambda: cycle_power_H(1, 480), "9f5900fb95b3178a"),
+        (lambda: gnp(480, 0.97, 4), lambda: path_power_H(1, 480), "4ea998d8f49b23f6"),
         # 3-colour guests, on which lemma_g moves 32 and 37 vertices
-        (lambda: gnp(576, 0.97, 4), lambda: cycle_power_H(2, 576), "5a0fb342a0d12a72"),
+        (lambda: gnp(576, 0.97, 4), lambda: cycle_power_H(2, 576), "d4c898eb0119a6f7"),
         (
             lambda: gnp(576, 0.97, 4),
             lambda: random_window_H(576, 4, 3, 3),
-            "865e8d63fc128f3b",
+            "d3c166ae2f14937d",
         ),
         (
             lambda: gnp(400, 0.97, 4),
@@ -184,7 +184,7 @@ def test_pipeline_outputs_pinned(host, guest, expected):
     assert got == expected
 
 
-@pytest.mark.parametrize("seed, expected", [(1, "008a87ae8e2459b8"), (2, "141a1510ca0d32d3")])
+@pytest.mark.parametrize("seed, expected", [(1, "698dfc8d60fb8302"), (2, "e73882f0ff933ebf")])
 def test_pipeline_outputs_pinned_on_the_connecting_absorbing_route(seed, expected):
     # L = 160 clusters: find_hamilton_power builds R's power cycle, not the oracle
     res = pipeline.run_main_pipeline(gnp(960, 0.97, seed), cycle_power_H(1, 960), seed=seed)
@@ -203,7 +203,7 @@ def test_a_fractional_beta_is_read_as_the_whole_interval_width():
     )
     assert res, (res.failure_stage, res.failure_detail)
     got = hashlib.sha256(repr(sorted(res.mapping.items())).encode()).hexdigest()[:16]
-    assert got == "1d7f7630421a8d3b"
+    assert got == "af41c9ba31203446"
 
 
 def test_pipeline_notes_the_blowup_nodes_summed_over_the_blocks(monkeypatch):
@@ -368,9 +368,9 @@ def _mapping_digest(res):
 
 
 SWAP_DIGESTS = {
-    2780996939: "d928655c63e27ec9",
-    4236761169: "eab27a2c8e3ee0bc",
-    3846038391: "13c5d31e1db37525",
+    2780996939: "d4b88badc594c26a",
+    4236761169: "683f0791fa31bd8b",
+    3846038391: "7317292fa6aa1822",
 }
 
 
@@ -396,7 +396,11 @@ def test_refine_swap_counts_the_degree_into_the_cluster_it_leaves():
     res = pipeline.run_main_pipeline(G, Hb, seed=1)
     assert res, (res.failure_stage, res.failure_detail)
     assert verify_embedding(Hb.H, G, res.mapping) == ""
-    assert _mapping_digest(res) == "fb702cefeac20b3d"
+    assert _mapping_digest(res) == "30bdebe534999b32"
+    # this seed's draw order lands on a heavy tail of the blow-up's restart
+    # schedule (see the CHANGES.md FOUND line on its quarter-of-budget
+    # restarts); the count is pinned so that a change making it slower fails
+    assert res.audit.notes["blowup-nodes"] == 250_613
 
 
 def test_reduced_graph_below_twice_the_power_refuses_at_once():

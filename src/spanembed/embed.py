@@ -1,33 +1,28 @@
-"""Embedding engines: targeted partial embedding, per-block spanning
-embedding, an exact brute-force oracle, and the oracle's search for a
-spanning power of a cycle.
+"""Embedding engines: one list-embedding engine behind the targeted partial
+embedding and the per-block spanning embedding, an exact brute-force oracle,
+and the oracle's search for a spanning power of a cycle.
 
-The two constructive embedders are backtracking list-embedders over cluster
-candidate sets (fail-first ordering, node budgets, seeded restarts); the
-oracle is a complete search whose "no-embedding" answer is a certificate,
-and ``power_cycle_oracle`` walks the oracle's tree on the cycle-power
-template without building it.
-The clusters of the list-embedders are cells, which are disjoint, as the
-cells V_{a,b} of the proof are: both refuse two cells that share a vertex
-with ``InvalidParameters``, and index each vertex's cell-mates by its cell.
-All four search depth-first with an explicit stack, never recursing, so a
-block or template of any size fits.  The list-embedders keep live candidate
-masks: a placement x -> gv narrows only the masks it can change (those of
-x's unplaced neighbours and of gv's cell) and the search undoes it from a
-saved list.  A node keeps its untried candidates as a mask and draws each
-try uniformly from it (one ``randrange`` and one ``kth_bit`` per candidate
-tried), so it never lists or shuffles the candidates it does not reach.
-Both are complete over their candidates, so running out of search tree
-below the node budget is the refusal "no-list-embedding", kept apart from
-"backtrack-budget-exhausted".  Every embedding is
-revalidated edge-by-edge by a checker that shares no code with the
-constructions; a power cycle, by its caller's ``validate_witness``.
+``_list_search`` keeps a live candidate mask per tracked vertex.  A
+placement x -> gv narrows only the masks of x's unplaced neighbours and
+cell-mates, is refused if one would drop below its vertex's floor, and is
+undone from a saved list; a node draws each try uniformly from its untried
+candidates with one ``kth_bit``.  ``embed_with_targets`` and
+``blowup_embed`` wrap it and differ in three inputs: the vertex rule (the
+next of ``order``, or fail-first), the floor (0 on ordered and c*m on
+boundary vertices, against 1 on every blow-up vertex: a cell-mate keeps a
+candidate) and the budget stop (a refusal, or the blow-up's next restart).
+Cells are disjoint, as the cells V_{a,b} of the proof are.  No search here
+recurses.  Every embedding is revalidated edge by edge by a checker that
+shares no code with the constructions; a power cycle, by its caller's
+``validate_witness``.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
+from collections import Counter
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -79,6 +74,102 @@ def verify_embedding(H: DenseGraph, G: DenseGraph, mapping: dict[int, int]) -> s
     return ""
 
 
+# -- the list-embedding engine ----------------------------------------------
+
+
+def _list_search(
+    G: DenseGraph, H: DenseGraph, vertices: list[int], cells: list[Hashable],
+    cands: list[int], floors: list[int], size: int, fail_first: bool, limit: int, seed: str,
+) -> tuple[dict[int, int], int]:
+    """Depth-first list-embedding of the first ``size`` of ``vertices`` into
+    their candidate masks ``cands``, narrowed in place; the rest are tracked,
+    never placed.  Position i lies in cell ``cells[i]`` and keeps at least
+    ``floors[i]`` candidates while unplaced.  The next vertex is position
+    ``len(placed)`` or, with ``fail_first``, the unplaced one with fewest
+    candidates, ties by most H-neighbours among ``vertices``, then position.
+    The search stops at the first node past ``limit``.  Returns the
+    placements made, in order, and the nodes entered.
+    """
+    g_rows, n = G.rows, len(vertices)
+    position = {v: i for i, v in enumerate(vertices)}
+    nbrs = [[position[u] for u in bits(H.rows[v]) if u in position] for v in vertices]
+    mates: dict[Hashable, list[int]] = {}  # cell -> its positions; cells are disjoint
+    for i, a in enumerate(cells):
+        mates.setdefault(a, []).append(i)
+    # fail-first key (live count, -deg, position) cached as one int per
+    # position, less its floor: (count - floor) * n + the position's rank in
+    # (-deg, position) order, so a key below 0 is a count below the floor
+    base = [0] * n
+    for k, i in enumerate(sorted(range(n), key=lambda i: (-len(nbrs[i]), i))):
+        base[i] = k - floors[i] * n
+    key = [mk.bit_count() * n + base[i] for i, mk in enumerate(cands)]
+    unplaced = set(range(n))
+    rng = random.Random(seed)
+
+    def place(x: int, gv: int) -> list[tuple[int, int, int]] | None:
+        """Narrow the masks x -> gv changes; the (u, old mask, old key) triples
+        overwritten, or None, changing nothing, if one drops below its floor."""
+        bit = 1 << gv
+        keep = g_rows[gv] & ~bit
+        saved = []
+        for u in nbrs[x]:
+            if u in unplaced:
+                mk, new = cands[u], cands[u] & keep
+                k = new.bit_count() * n + base[u]
+                saved.append((u, mk, key[u]))
+                cands[u], key[u] = new, k
+                if k < 0:
+                    break
+        else:
+            for u in mates[cells[x]]:
+                mk = cands[u]
+                if mk & bit and u in unplaced and u != x:
+                    k = key[u]
+                    saved.append((u, mk, k))
+                    cands[u], key[u] = mk ^ bit, k - n
+                    if k < n:
+                        break
+            else:
+                unplaced.discard(x)
+                return saved
+        for u, mk, k in saved:
+            cands[u], key[u] = mk, k
+        return None
+
+    # a frame holds a node's position, its untried candidates as a mask, its
+    # image and the masks its placement overwrote (None before the first)
+    frames: list[list] = []
+    nodes = 0
+    while len(frames) < size:
+        nodes += 1
+        if nodes > limit:
+            break
+        x = min(unplaced, key=key.__getitem__) if fail_first else len(frames)
+        frames.append([x, cands[x], 0, None])
+        # move the deepest frame on to a random untried candidate, undoing its placement
+        while frames:
+            x, rest, _, saved = frame = frames[-1]
+            if saved is not None:
+                unplaced.add(x)
+                for u, mk, k in saved:
+                    cands[u], key[u] = mk, k
+            saved = None
+            while saved is None and rest:
+                gv = kth_bit(rest, rng.randrange(rest.bit_count()))
+                rest ^= 1 << gv
+                saved = place(x, gv)
+            if saved is not None:
+                frame[1:] = rest, gv, saved
+                break
+            frames.pop()
+        else:
+            break
+    mapping = {vertices[x]: gv for x, _, gv, _ in frames}
+    if len(frames) == size and (problem := verify_embedding(H, G, mapping)):
+        raise StageFailure("revalidation", problem)
+    return mapping, nodes
+
+
 # -- embedding with target sets ----------------------------------------------
 
 
@@ -101,156 +192,56 @@ def embed_with_targets(
     seed: int = 0,
 ) -> PartialEmbedding:
     """Embed the ordered vertices into their phi-clusters, which must be
-    disjoint, keeping target sets for the boundary.  ``phi`` gives the cell
-    of each vertex of ``order`` and ``Y``, indexed by vertex: a tuple over
-    all of H (the assignment's) or a dict; a vertex it gives no cell, or a
-    cell that is not a key of ``clusters``, raises ``InvalidParameters``.
+    disjoint, keeping target sets for the boundary Y (disjoint from
+    ``order``).  ``phi`` gives the cell of each vertex of ``order`` and
+    ``Y``, indexed by vertex: a tuple over all of H (the assignment's) or a
+    dict; a vertex it gives no cell, or a cell that is not a key of
+    ``clusters``, raises ``InvalidParameters``.
 
     Guarantees on success: f(x) lands in cluster phi(x), and every boundary
-    vertex y of Y keeps a candidate set C_y of at least c*|cluster| fresh
-    common neighbours of its embedded neighbours.  Candidate floors for Y
-    are enforced during the search, so a placement that starves a boundary
-    vertex is backtracked.
-
-    The search is depth-first over ``order`` with an explicit stack; each
-    position draws its tries one at a time, uniformly from its untried
-    candidates, with the seeded generator.  The boundary masks are updated
-    in place and restored on backtracking.  It raises
-    "backtrack-budget-exhausted" when it would enter more than
+    vertex y keeps a candidate set C_y of at least c*|cluster| fresh common
+    neighbours of its embedded neighbours.  The engine places ``order`` in
+    turn with that floor on Y.  It raises "backtrack-budget-exhausted" past
     ``node_budget`` nodes, and "no-list-embedding" when it runs out of tree
     first, which certifies that no placement keeps every floor.
     """
-    m = max((len(vs) for vs in clusters.values()), default=0)
-    floor = c * m
-    rng = random.Random(f"targets:{seed}")
+    floor = math.ceil(c * max((len(vs) for vs in clusters.values()), default=0))
     cluster_mask = _cell_masks(clusters)
-    for x in [*order, *Y]:
+    vertices = [*order, *Y]
+    for x in vertices:
         try:
             cell = phi[x]
         except (IndexError, KeyError):
             raise InvalidParameters(f"phi gives vertex {x} no cell") from None
         if cell not in cluster_mask:
             raise InvalidParameters(f"vertex {x}'s cell {cell} is not a cluster")
-    g_rows = G.rows
-    h_adj = H.rows
-
-    # live candidate masks of the boundary vertices, kept in Y's order (the
-    # budget trace lists the first six); every mask stays at or above the
-    # floor, so a placement x -> gv need only look at the masks it changes:
-    # those of x's neighbours in Y and those holding gv, i.e. of the Y
-    # vertices in x's cell
-    masks: dict[int, int] = {y: cluster_mask[phi[y]] for y in Y}
-    if any(mk.bit_count() < floor for mk in masks.values()):
-        bad = min(masks, key=lambda y: masks[y].bit_count())
+    cells = [phi[x] for x in vertices]
+    cands = [cluster_mask[a] for a in cells]
+    k = len(order)
+    if any(mk.bit_count() < floor for mk in cands[k:]):
+        bad = min(Y, key=lambda y: cluster_mask[phi[y]].bit_count())
+        raise StageFailure("target-set", f"boundary vertex {bad} starts below the floor")
+    floors = [0] * k + [floor] * len(Y)
+    mapping, nodes = _list_search(
+        G, H, vertices, cells, cands, floors, k, False, node_budget, f"targets:{seed}"
+    )
+    if nodes > node_budget:  # the trace: the first six live boundary masks
+        trace = [(y, mk.bit_count()) for y, mk in zip(Y, cands[k:])][:6]
+        detail = f"budget {node_budget} hit at vertex {order[len(mapping)]}; trace: {trace}"
+        raise StageFailure("backtrack-budget-exhausted", detail)
+    if len(mapping) < k:
         raise StageFailure(
-            "target-set", f"boundary vertex {bad} starts below the floor"
+            "no-list-embedding", f"no embedding within the search tree (nodes={nodes})"
         )
-    y_cells: dict[int, int] = {}  # cell -> mask of its Y vertices
-    for y in masks:
-        y_cells[phi[y]] = y_cells.get(phi[y], 0) | 1 << y
-    y_mask = mask_of(masks)
-    y_nbrs = {x: list(bits(h_adj[x] & y_mask)) for x in order}
-    y_mates = {x: list(bits(y_cells.get(phi[x], 0) & ~h_adj[x])) for x in order}
-    position = {x: i for i, x in enumerate(order)}
-    # per order position, the earlier positions of its H-neighbours
-    back = [
-        [position[u] for u in bits(h_adj[x]) if position.get(u, i) < i]
-        for i, x in enumerate(order)
-    ]
-
-    def narrow(x: int, gv: int) -> list[tuple[int, int]] | None:
-        """Narrow the boundary masks for x -> gv; returns the (y, old mask)
-        pairs overwritten, or None, changing nothing, if a mask would drop
-        below the floor."""
-        bit = 1 << gv
-        keep = g_rows[gv] & ~bit
-        saved = []
-        for y in y_nbrs[x]:
-            mk = masks[y] & keep
-            if mk.bit_count() < floor:
-                break
-            saved.append((y, masks[y]))
-            masks[y] = mk
-        else:
-            for y in y_mates[x]:
-                mk = masks[y]
-                if mk & bit:
-                    if mk.bit_count() - 1 < floor:
-                        break
-                    saved.append((y, mk))
-                    masks[y] = mk ^ bit
-            else:
-                return saved
-        for y, mk in saved:
-            masks[y] = mk
-        return None
-
-    image = [0] * len(order)
-    used = 0
-    nodes = 0
-    # depth-first without recursion: frames[i] holds position i's untried
-    # candidates as a mask, each try drawn uniformly from it, and the masks
-    # its current placement overwrote; every entered position counts one
-    # node
-    frames: list[list] = []
-    while len(frames) < len(order):
-        idx = len(frames)
-        nodes += 1
-        if nodes > node_budget:
-            raise StageFailure(
-                "backtrack-budget-exhausted",
-                f"budget {node_budget} hit at vertex {order[idx]}; trace: "
-                f"{[(y, mk.bit_count()) for y, mk in masks.items()][:6]}",
-            )
-        cands = cluster_mask[phi[order[idx]]] & ~used
-        for j in back[idx]:
-            cands &= g_rows[image[j]]
-        frames.append([cands, None])
-        # move the deepest frame to a random untried candidate that keeps
-        # every boundary mask at the floor, undoing its current one first
-        while frames:
-            idx = len(frames) - 1
-            frame = frames[idx]
-            rest, saved = frame
-            if saved is not None:
-                used ^= 1 << image[idx]
-                for y, mk in saved:
-                    masks[y] = mk
-            saved = None
-            while saved is None and rest:
-                gv = kth_bit(rest, rng.randrange(rest.bit_count()))
-                rest ^= 1 << gv
-                saved = narrow(order[idx], gv)
-            if saved is None:
-                frames.pop()
-                continue
-            frame[0], frame[1] = rest, saved
-            image[idx] = gv
-            used |= 1 << gv
-            break
-        else:
-            raise StageFailure(
-                "no-list-embedding",
-                f"no embedding within the search tree (nodes={nodes})",
-            )
-    mapping = dict(zip(order, image))
-
-    final_masks: dict[int, tuple[int, ...]] = {}
-    placed_images = mask_of(mapping.values())
-    for y in Y:
-        mk = cluster_mask[phi[y]] & ~placed_images
-        for u in bits(h_adj[y]):
-            if u in mapping:
-                mk &= G.rows[mapping[u]]
-        final_masks[y] = tuple(bits(mk))
-        if len(final_masks[y]) < floor:
-            raise StageFailure(
-                "target-set", f"boundary vertex {y} finished below the floor"
-            )
-    problem = verify_embedding(H, G, mapping)
-    if problem:
-        raise StageFailure("revalidation", problem)
-    return PartialEmbedding(mapping, final_masks, nodes)
+    placed, sets = mask_of(mapping.values()), {}
+    for y in Y:  # C_y again, from the mapping alone
+        mk = cluster_mask[phi[y]] & ~placed
+        for u in bits(H.rows[y]):
+            mk &= G.rows[mapping[u]] if u in mapping else -1
+        sets[y] = tuple(bits(mk))
+        if len(sets[y]) < floor:
+            raise StageFailure("target-set", f"boundary vertex {y} finished below the floor")
+    return PartialEmbedding(mapping, sets, nodes)
 
 
 # -- per-block spanning embedding ------------------------------------------
@@ -272,147 +263,36 @@ def blowup_embed(
     H may be a whole guest of which ``phi`` names one block: only the
     vertices of ``phi`` are embedded, only the H-edges among them are
     constrained, and fail-first ranks by degree within them.  Every vertex
-    must land in its phi-cluster; special vertices must land in their S_y.
-    Clusters must be disjoint and per-cluster demand may not exceed supply
-    (both checked).  Search is fail-first (smallest candidate set next) with
-    seeded restarts; the result is revalidated edge-by-edge.
+    lands in its phi-cluster, a special vertex in its S_y.  Clusters must be
+    disjoint and per-cluster demand may not exceed supply (both checked).
 
-    Each restart searches depth-first with an explicit stack and may enter
-    ``node_budget // restarts`` nodes; a node draws its tries one at a time,
-    uniformly from its vertex's untried candidates, with the restart's
-    seeded generator.  The block's state is kept in lists indexed by block
-    position; candidate masks and fail-first keys are updated in place for
-    the vertices a placement affects and restored on backtracking.  A
-    restart that runs out of tree within its budget raises
-    "no-list-embedding" at once, since the search is complete and the other
-    restarts would only visit the same tree in another order; when every
-    restart hits its budget the refusal is "backtrack-budget-exhausted".
+    Each restart runs the engine fail-first with floor 1 on every vertex,
+    within ``node_budget // restarts`` nodes.  One that runs out of tree
+    raises "no-list-embedding" at once, since the other restarts would only
+    search the same tree in another order; when every restart hits its
+    budget the refusal is "backtrack-budget-exhausted".
     """
     special = special or {}
     cluster_mask = _cell_masks(clusters)
-    demand: dict[int, int] = {}
-    for x in phi:
-        demand[phi[x]] = demand.get(phi[x], 0) + 1
-    for a, need in demand.items():
+    for a, need in Counter(phi.values()).items():
         if need > len(clusters.get(a, ())):
-            raise StageFailure(
-                "load", f"cluster {a} demanded {need} > {len(clusters.get(a, ()))}"
-            )
-
-    # the block's state lives in lists indexed by block position (the
-    # vertices of phi in increasing order).  A placement x -> gv changes
-    # only the masks of x's unplaced neighbours and of the unplaced vertices
-    # whose cluster holds gv: x's cell-mates, since cells are disjoint
+            raise StageFailure("load", f"cluster {a} demanded {need} > {len(clusters.get(a, ()))}")
     vertices = sorted(phi)
-    position = {x: i for i, x in enumerate(vertices)}
-    h_adj = H.rows
-    g_rows = G.rows
-    nbrs = [[position[u] for u in bits(h_adj[x]) if u in position] for x in vertices]
-    cell_members: dict[int, list[int]] = {}
-    for i, x in enumerate(vertices):
-        cell_members.setdefault(phi[x], []).append(i)
-    mates = [cell_members[phi[x]] for x in vertices]
-    start = [
-        cluster_mask[phi[x]] & mask_of(special[x]) if x in special else cluster_mask[phi[x]]
-        for x in vertices
-    ]
-    # fail-first key (live count, -deg, v) cached as one int per vertex:
-    # count * stride + the vertex's rank in (-deg, v) order
-    stride = len(vertices)
-    rank = [0] * stride
-    for k, i in enumerate(sorted(range(stride), key=lambda i: (-len(nbrs[i]), i))):
-        rank[i] = k
+    cells = [phi[x] for x in vertices]
+    start = [cluster_mask[a] & (mask_of(special[x]) if x in special else -1)
+             for x, a in zip(vertices, cells)]
     last_trace, total = "", 0  # total: nodes over all restarts
     for attempt in range(restarts):
-        rng = random.Random(f"blowup:{seed}:{attempt}")
         limit = node_budget // restarts
-        cands = start.copy()
-        key = [mk.bit_count() * stride + rank[i] for i, mk in enumerate(cands)]
-        unplaced = set(range(stride))
-        image = [0] * stride
-        nodes = 0
-
-        def place(x: int, gv: int) -> list[tuple[int, int, int]] | None:
-            """Place x at gv and narrow the masks it changes; returns the
-            (u, old mask, old key) triples overwritten, or None, changing
-            nothing, if an unplaced neighbour of x would be left without
-            candidates or another unplaced vertex has gv as its only one."""
-            bit = 1 << gv
-            keep = g_rows[gv] & ~bit
-            saved = []
-            for u in nbrs[x]:
-                if u in unplaced:
-                    mk = cands[u] & keep
-                    if not mk:
-                        break
-                    saved.append((u, cands[u], key[u]))
-                    cands[u] = mk
-                    key[u] = mk.bit_count() * stride + rank[u]
-            else:
-                for u in mates[x]:
-                    mk = cands[u]
-                    if mk & bit and u in unplaced and u != x:
-                        if mk == bit:
-                            break
-                        saved.append((u, mk, key[u]))
-                        cands[u] = mk ^ bit
-                        key[u] -= stride
-                else:
-                    unplaced.discard(x)
-                    image[x] = gv
-                    return saved
-            restore(saved)
-            return None
-
-        def restore(saved: list[tuple[int, int, int]]) -> None:
-            for u, mk, k in saved:
-                cands[u] = mk
-                key[u] = k
-
-        # depth-first without recursion: a frame holds the vertex a node
-        # chose, its untried candidates as a mask, each try drawn uniformly
-        # from it, and the masks its current placement overwrote; every
-        # entered node counts, and one entered past the budget ends the
-        # restart, since no placement in the open frames can complete
-        # without another node
-        frames: list[list] = []
-        while unplaced:
-            nodes += 1
-            if nodes > limit:
-                break
-            # fail-first: fewest candidates, ties by most H-neighbours in phi
-            x = min(unplaced, key=key.__getitem__)
-            frames.append([x, cands[x], None])
-            while frames:
-                frame = frames[-1]
-                x, rest, saved = frame
-                if saved is not None:
-                    unplaced.add(x)
-                    restore(saved)
-                saved = None
-                while saved is None and rest:
-                    gv = kth_bit(rest, rng.randrange(rest.bit_count()))
-                    rest ^= 1 << gv
-                    saved = place(x, gv)
-                if saved is not None:
-                    frame[1], frame[2] = rest, saved
-                    break
-                frames.pop()
-            else:
-                break
+        mapping, nodes = _list_search(G, H, vertices, cells, start.copy(), [1] * len(vertices),
+                                      len(vertices), True, limit, f"blowup:{seed}:{attempt}")
         total += nodes
-        if not unplaced:
-            # the frames hold the placements in the order they were made
-            mapping = {vertices[x]: image[x] for x, _, _ in frames}
-            problem = verify_embedding(H, G, mapping)
-            if problem:
-                raise StageFailure("revalidation", problem)
+        if len(mapping) == len(vertices):
             return mapping, total
         if nodes <= limit:
             # the search tree is exhausted: no restart can find an embedding
-            raise StageFailure(
-                "no-list-embedding", f"attempt {attempt}: tree exhausted in {nodes} nodes"
-            )
+            raise StageFailure("no-list-embedding",
+                               f"attempt {attempt}: tree exhausted in {nodes} nodes")
         last_trace = f"attempt {attempt}: {nodes} nodes"
     raise StageFailure("backtrack-budget-exhausted", last_trace)
 

@@ -755,6 +755,21 @@ def test_embed_module_has_no_recursive_function():
     assert recursive == []
 
 
+def test_list_search_is_the_only_function_that_draws_a_candidate():
+    # both list-embedders run on one engine: a function (nested ones
+    # included) that calls kth_bit outside _list_search is a second search
+    tree = ast.parse(inspect.getsource(embed))
+    drawing = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call)
+        and "kth_bit" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+    }
+    assert drawing == {"_list_search"}
+
+
 @st.composite
 def list_instances(draw):
     """A host on at most 30 vertices with 1-4 disjoint cells, a template

@@ -77,18 +77,50 @@ def verify_embedding(H: DenseGraph, G: DenseGraph, mapping: dict[int, int]) -> s
 # -- the list-embedding engine ----------------------------------------------
 
 
+def _distinct_candidates(masks: list[int]) -> bool:
+    """Whether the masks have distinct representatives, one vertex each
+    (Hall, J. London Math. Soc. 1935), by augmenting paths: mask i searches
+    breadth-first through the masks holding the vertices it reaches until it
+    finds a free vertex, and the path to it is flipped."""
+    owner: dict[int, int] = {}  # vertex -> the mask it represents
+    chosen: dict[int, int] = {}  # mask -> its representative
+    for i in range(len(masks)):
+        via: dict[int, int] = {}  # vertex -> the mask it was reached from
+        queue, seen, free = [i], 0, None
+        for j in queue:
+            fresh = masks[j] & ~seen
+            seen |= fresh
+            for gv in bits(fresh):
+                via[gv] = j
+                if gv not in owner:
+                    free = gv
+                    break
+                queue.append(owner[gv])
+            if free is not None:
+                break
+        else:
+            return False
+        while True:  # each mask on the path takes the vertex it reached
+            j = via[free]
+            owner[free], chosen[j], free = j, free, chosen.get(j)
+            if j == i:
+                break
+    return True
+
+
 def _list_search(
     G: DenseGraph, H: DenseGraph, vertices: list[int], cells: list[Hashable],
     cands: list[int], floors: list[int], size: int, fail_first: bool, limit: int, seed: str,
 ) -> tuple[dict[int, int], int]:
     """Depth-first list-embedding of the first ``size`` of ``vertices`` into
     their candidate masks ``cands``, narrowed in place; the rest are tracked,
-    never placed.  Position i lies in cell ``cells[i]`` and keeps at least
-    ``floors[i]`` candidates while unplaced.  The next vertex is position
-    ``len(placed)`` or, with ``fail_first``, the unplaced one with fewest
-    candidates, ties by most H-neighbours among ``vertices``, then position.
-    The search stops at the first node past ``limit``.  Returns the
-    placements made, in order, and the nodes entered.
+    never placed, and those of one cell keep distinct candidates.  Position
+    i lies in cell ``cells[i]`` and keeps at least ``floors[i]`` candidates
+    while unplaced.  The next vertex is position ``len(placed)`` or, with
+    ``fail_first``, the unplaced one with fewest candidates, ties by most
+    H-neighbours among ``vertices``, then position.  The search stops at the
+    first node past ``limit``.  Returns the placements made, in order, and
+    the nodes entered.
     """
     g_rows, n = G.rows, len(vertices)
     position = {v: i for i, v in enumerate(vertices)}
@@ -97,29 +129,44 @@ def _list_search(
     for i, a in enumerate(cells):
         mates.setdefault(a, []).append(i)
     # fail-first key (live count, -deg, position) cached as one int per
-    # position, less its floor: (count - floor) * n + the position's rank in
-    # (-deg, position) order, so a key below 0 is a count below the floor
+    # position, less its alarm: (count - alarm) * n + the position's rank in
+    # (-deg, position) order, so a key below 0 is a count below the alarm.
+    # The alarm is the floor or, for a tracked vertex, the number of tracked
+    # vertices in its cell if larger: only below it can they lose distinct
+    # candidates
     base = [0] * n
-    for k, i in enumerate(sorted(range(n), key=lambda i: (-len(nbrs[i]), i))):
+    ranked = sorted(range(n), key=lambda i: (-len(nbrs[i]), i)) if fail_first else range(n)
+    for k, i in enumerate(ranked):
         base[i] = k - floors[i] * n
+    joint: dict[Hashable, list[int]] = {}  # cell -> its tracked positions
+    for u in range(size, n):
+        joint.setdefault(cells[u], []).append(u)
+    for group in joint.values():
+        for u in group:
+            base[u] -= max(len(group) - floors[u], 0) * n
     key = [mk.bit_count() * n + base[i] for i, mk in enumerate(cands)]
     unplaced = set(range(n))
     rng = random.Random(seed)
 
     def place(x: int, gv: int) -> list[tuple[int, int, int]] | None:
         """Narrow the masks x -> gv changes; the (u, old mask, old key) triples
-        overwritten, or None, changing nothing, if one drops below its floor."""
+        overwritten, or None, changing nothing, if one drops below its floor
+        or the tracked vertices of a cell lose distinct candidates."""
         bit = 1 << gv
         keep = g_rows[gv] & ~bit
         saved = []
+        short = ()  # cells of tracked vertices narrowed below their alarm
         for u in nbrs[x]:
             if u in unplaced:
-                mk, new = cands[u], cands[u] & keep
+                mk = cands[u]
+                new = mk & keep
                 k = new.bit_count() * n + base[u]
                 saved.append((u, mk, key[u]))
                 cands[u], key[u] = new, k
                 if k < 0:
-                    break
+                    if u < size or new.bit_count() < floors[u]:
+                        break
+                    short += (cells[u],)
         else:
             for u in mates[cells[x]]:
                 mk = cands[u]
@@ -128,10 +175,15 @@ def _list_search(
                     saved.append((u, mk, k))
                     cands[u], key[u] = mk ^ bit, k - n
                     if k < n:
-                        break
+                        if u < size or mk.bit_count() <= floors[u]:
+                            break
+                        short += (cells[u],)
             else:
-                unplaced.discard(x)
-                return saved
+                if not short or all(
+                    _distinct_candidates([cands[j] for j in joint[a]]) for a in short
+                ):
+                    unplaced.discard(x)
+                    return saved
         for u, mk, k in saved:
             cands[u], key[u] = mk, k
         return None
@@ -200,8 +252,9 @@ def embed_with_targets(
 
     Guarantees on success: f(x) lands in cluster phi(x), and every boundary
     vertex y keeps a candidate set C_y of at least c*|cluster| fresh common
-    neighbours of its embedded neighbours.  The engine places ``order`` in
-    turn with that floor on Y.  It raises "backtrack-budget-exhausted" past
+    neighbours of its embedded neighbours; the boundary vertices of one cell
+    have distinct candidates, one each (Hall's condition).  The engine
+    places ``order`` in turn with that floor on Y.  It raises "backtrack-budget-exhausted" past
     ``node_budget`` nodes, and "no-list-embedding" when it runs out of tree
     first, which certifies that no placement keeps every floor.
     """
@@ -221,6 +274,11 @@ def embed_with_targets(
     if any(mk.bit_count() < floor for mk in cands[k:]):
         bad = min(Y, key=lambda y: cluster_mask[phi[y]].bit_count())
         raise StageFailure("target-set", f"boundary vertex {bad} starts below the floor")
+    for a, count in Counter(cells[k:]).items():
+        if count > cluster_mask[a].bit_count():
+            raise StageFailure(
+                "target-set", f"cell {a} holds fewer vertices than its {count} boundary vertices"
+            )
     floors = [0] * k + [floor] * len(Y)
     mapping, nodes = _list_search(
         G, H, vertices, cells, cands, floors, k, False, node_budget, f"targets:{seed}"

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import event, given, settings
@@ -346,13 +347,24 @@ def test_verify_embedding_matches_the_edge_loop_reference():
 # -- embed_with_targets ------------------------------------------------------
 
 
+def _hall(masks):
+    """Hall's condition by brute force: every set of the masks covers at
+    least as many vertices as it has masks."""
+    return all(
+        mask_of(v for mk in subset for v in bits(mk)).bit_count() >= size
+        for size in range(1, len(masks) + 1)
+        for subset in combinations(masks, size)
+    )
+
+
 def _recursive_embed_with_targets(G, H, order, phi, clusters, Y, c, node_budget=1_000_000, seed=0):
     """The target embedder as it searched with one recursive call per
     ordered vertex and a copy of every boundary mask per candidate: the same
     candidates, draws, node count and failures.  Each try is drawn uniformly
     from the untried candidates, the k-th of their ascending list for one
-    ``randrange`` k.  Returns the PartialEmbedding, or the StageFailure it
-    raised."""
+    ``randrange`` k, and is refused if a boundary mask drops below the floor
+    or the boundary masks of some cell fail Hall's condition.  Returns the
+    PartialEmbedding, or the StageFailure it raised."""
     m = max((len(vs) for vs in clusters.values()), default=0)
     floor = c * m
     rng = random.Random(f"targets:{seed}")
@@ -392,7 +404,9 @@ def _recursive_embed_with_targets(G, H, order, phi, clusters, Y, c, node_budget=
                     ok = False
                     break
                 new_masks[y] = mk
-            if not ok:
+            if not ok or not all(
+                _hall([new_masks[y] for y in Y if phi[y] == a]) for a in {phi[y] for y in Y}
+            ):
                 continue
             mapping[x] = gv
             if place(idx + 1, used_mask | (1 << gv), new_masks):
@@ -404,6 +418,12 @@ def _recursive_embed_with_targets(G, H, order, phi, clusters, Y, c, node_budget=
         if not all(mk.bit_count() >= floor for mk in y_mask.values()):
             bad = min(y_mask, key=lambda y: y_mask[y].bit_count())
             raise StageFailure("target-set", f"boundary vertex {bad} starts below the floor")
+        for a in dict.fromkeys(phi[y] for y in Y):
+            count = sum(phi[y] == a for y in Y)
+            if count > len(clusters[a]):
+                raise StageFailure(
+                    "target-set", f"cell {a} holds fewer vertices than its {count} boundary vertices"
+                )
         if not place(0, 0, dict(y_mask)):
             raise StageFailure(
                 "no-list-embedding", f"no embedding within the search tree (nodes={nodes})"
@@ -714,6 +734,55 @@ def test_targets_keep_the_floor_of_a_boundary_cell_mate():
     assert exc.value.detail == "no embedding within the search tree (nodes=17)"
     out = embed_with_targets(G, H, [0, 1], phi, clusters, Y=[3], c=0.5)
     assert len(out.candidate_sets[3]) == 2 and out.nodes == 2
+
+
+def test_targets_backtrack_a_placement_that_leaves_two_boundary_vertices_one_candidate():
+    # boundary vertices 2 and 3 share cell 0; placing 0 at host vertex 4 and
+    # 1 at 6 would leave each with the single candidate 0, which passes the
+    # floor 0.25 * 4 = 1 per vertex but not Hall's condition, so 1 -> 6
+    # is refused there and the search backtracks to 0 -> 5
+    G = DenseGraph.from_edges(7, [(4, 0), (5, 0), (5, 1), (5, 2), (5, 3), (6, 0)])
+    H = DenseGraph.from_edges(4, [(0, 2), (1, 3)])
+    phi = {0: 1, 1: 2, 2: 0, 3: 0}
+    clusters = {0: (0, 1, 2, 3), 1: (4, 5), 2: (6,)}
+    nodes = set()
+    for seed in range(8):
+        out = embed_with_targets(G, H, [0, 1], phi, clusters, Y=[2, 3], c=0.25, seed=seed)
+        assert out.mapping == {0: 5, 1: 6}
+        assert out.candidate_sets == {2: (0, 1, 2, 3), 3: (0,)}
+        want = _recursive_embed_with_targets(G, H, [0, 1], phi, clusters, [2, 3], 0.25, seed=seed)
+        assert (out.mapping, out.candidate_sets, out.nodes) == (
+            want.mapping, want.candidate_sets, want.nodes
+        )
+        nodes.add(out.nodes)
+    # 3 nodes when 0 -> 4 was drawn first: 0, then 1 refused, then 1 again
+    assert nodes == {2, 3}
+    # with 4 as 0's only candidate no placement keeps the boundary apart
+    with pytest.raises(StageFailure) as exc:
+        embed_with_targets(G, H, [0, 1], phi, {**clusters, 1: (4,)}, Y=[2, 3], c=0.25)
+    assert exc.value.stage == "no-list-embedding"
+    assert exc.value.detail == "no embedding within the search tree (nodes=2)"
+
+
+def test_targets_refuse_a_cell_with_more_boundary_vertices_than_vertices():
+    G, H = DenseGraph.complete(4), DenseGraph.empty(3)
+    with pytest.raises(StageFailure) as exc:
+        embed_with_targets(G, H, [], {0: 0, 1: 0, 2: 0}, {0: (0, 1)}, Y=[0, 1, 2], c=0.0)
+    assert exc.value.stage == "target-set"
+    assert exc.value.detail == "cell 0 holds fewer vertices than its 3 boundary vertices"
+
+
+def test_distinct_candidates_is_halls_condition():
+    # the matching against the brute-force subset check, on masks over 6
+    # vertices with up to 7 masks
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(2000):
+        masks = [rng.getrandbits(6) & rng.getrandbits(6) for _ in range(rng.randint(1, 7))]
+        want = _hall(masks)
+        assert embed._distinct_candidates(masks) == want, masks
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_blowup_embeds_a_block_deeper_than_the_recursion_limit():

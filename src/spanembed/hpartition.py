@@ -8,7 +8,7 @@ framework trail in the reduced graph so that a 2-independent set lands
 exactly on the exceptional vertices.  Job (2) has no caller in the
 pipeline, which refuses a non-empty exceptional set; the benchmark's tracer
 still names ``build_framework`` and ``special_assignment``, so they go with
-its next refresh (ROADMAP item 1, which then deletes the framework path).
+its next refresh (ROADMAP item 3, which deletes the framework path).
 
 All outputs are checked by independent recounts that share no code with the
 constructions.

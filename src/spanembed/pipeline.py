@@ -178,8 +178,8 @@ def _pipeline(
     # -- stage: exceptional vertices -----------------------------------------
     # the paper covers a non-empty V0 by a framework and a special assignment
     # of an H-prefix; at desk scale that prefix is longer than H itself, and
-    # no measured run has embedded through it (ROADMAP, "Equitable clusters
-    # end to end"), so V0 must be empty here
+    # no measured run has embedded through it (ROADMAP item 6, "Equitable
+    # clusters and a re-homed V0"), so V0 must be empty here
     if V0:
         raise StageFailure(
             "exceptional",
@@ -254,6 +254,7 @@ def _pipeline(
     except StageFailure as exc:
         raise StageFailure("target-embedding", str(exc), violated=exc.stage) from exc
     g2 = part.mapping
+    audit.notes["target-nodes"] = part.nodes
     audit.stage("target-embedding")
 
     # -- stage: blow-up per block ---------------------------------------------

@@ -223,6 +223,31 @@ def test_pipeline_notes_the_blowup_nodes_summed_over_the_blocks(monkeypatch):
     assert res.audit.notes["blowup-nodes"] == sum(counts)
 
 
+def test_pipeline_notes_the_nodes_of_both_list_embedders(monkeypatch):
+    # the audit keeps the target embedder's node count next to the blow-up's
+    targets, blocks = [], []
+    real_targets, real_blowup = pipeline.embed_with_targets, pipeline.blowup_embed
+
+    def recording_targets(*args, **kwargs):
+        part = real_targets(*args, **kwargs)
+        targets.append(part.nodes)
+        return part
+
+    def recording_blowup(*args, **kwargs):
+        mapping, nodes = real_blowup(*args, **kwargs)
+        blocks.append(nodes)
+        return mapping, nodes
+
+    monkeypatch.setattr(pipeline, "embed_with_targets", recording_targets)
+    monkeypatch.setattr(pipeline, "blowup_embed", recording_blowup)
+    res = pipeline.run_main_pipeline(gnp(480, 0.97, 4), cycle_power_H(1, 480), seed=4)
+    assert res, (res.failure_stage, res.failure_detail)
+    # one node per placed vertex at least, and one target-embedding call
+    assert len(targets) == 1 and targets[0] > 0
+    assert res.audit.notes["target-nodes"] == targets[0]
+    assert res.audit.notes["blowup-nodes"] == sum(blocks) > 0
+
+
 def test_a_run_unpacks_the_host_once(monkeypatch):
     # the partitioner's degree table is the one unpack of G's rows: refine
     # reads the table, and only a swap would unpack G again

@@ -254,9 +254,10 @@ def embed_with_targets(
     vertex y keeps a candidate set C_y of at least c*|cluster| fresh common
     neighbours of its embedded neighbours; the boundary vertices of one cell
     have distinct candidates, one each (Hall's condition).  The engine
-    places ``order`` in turn with that floor on Y.  It raises "backtrack-budget-exhausted" past
-    ``node_budget`` nodes, and "no-list-embedding" when it runs out of tree
-    first, which certifies that no placement keeps every floor.
+    places ``order`` in turn with that floor on Y.  It raises
+    "backtrack-budget-exhausted" past ``node_budget`` nodes, and
+    "no-list-embedding" when it runs out of tree first, which certifies that
+    no placement keeps every floor.
     """
     floor = math.ceil(c * max((len(vs) for vs in clusters.values()), default=0))
     cluster_mask = _cell_masks(clusters)

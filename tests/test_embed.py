@@ -422,7 +422,8 @@ def _recursive_embed_with_targets(G, H, order, phi, clusters, Y, c, node_budget=
             count = sum(phi[y] == a for y in Y)
             if count > len(clusters[a]):
                 raise StageFailure(
-                    "target-set", f"cell {a} holds fewer vertices than its {count} boundary vertices"
+                    "target-set",
+                    f"cell {a} holds fewer vertices than its {count} boundary vertices",
                 )
         if not place(0, 0, dict(y_mask)):
             raise StageFailure(

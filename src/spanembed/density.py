@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import DenseGraph, InvalidParameters, bits, kth_bit
 
@@ -180,6 +180,19 @@ def _shuffled_bits(mask: int, rng: random.Random) -> Iterator[int]:
         yield v
 
 
+def _by_degree(rows: Sequence[int], candidates: int) -> Iterator[int]:
+    """The set bits of ``candidates`` by descending degree into
+    ``candidates`` (ties by id): the best in one pass, the rest sorted only
+    when a second one is asked for."""
+    vs = list(bits(candidates))
+    degrees = [(rows[v] & candidates).bit_count() for v in vs]
+    yield vs[degrees.index(max(degrees))]
+    # a stable descending sort keeps ties in ascending id, so its head is the
+    # vertex already yielded
+    for i in sorted(range(len(vs)), key=degrees.__getitem__, reverse=True)[1:]:
+        yield vs[i]
+
+
 def _clique_search(
     G: DenseGraph,
     size: int,
@@ -196,26 +209,36 @@ def _clique_search(
     candidates remain.  Opening a node costs one unit of ``budget``; a node
     met with none left returns at once, but its siblings are still tried
     (and drawn, when ``order`` draws them).
+
+    It runs on an explicit stack of ``[candidates, children]`` frames, one
+    per open node; ``chosen`` holds the vertex each child was entered by, so
+    a frame is back from its child when ``chosen`` is as long as the stack.
+    Such a frame drops that child and closes when too few candidates remain,
+    at the latest once all are tried, so ``next`` never exhausts its children.
     """
     rows = G.rows
-
-    def rec(chosen: list[int], candidates: int) -> Iterator[tuple[int, ...]]:
-        nonlocal budget
+    chosen: list[int] = []
+    stack: list[list] = []
+    candidates = scope
+    while True:
         if len(chosen) == size:
             yield tuple(sorted(chosen))
-            return
-        if candidates.bit_count() < size - len(chosen) or budget <= 0:
-            return
-        budget -= 1
-        for v in order(candidates):
+        elif candidates.bit_count() >= size - len(chosen) and budget > 0:
+            budget -= 1
+            stack.append([candidates, iter(order(candidates))])
+        while stack:
+            frame = stack[-1]
+            if len(chosen) == len(stack):
+                frame[0] &= ~(1 << chosen.pop())
+                if frame[0].bit_count() < size - len(chosen):
+                    stack.pop()
+                    continue
+            v = next(frame[1])
             chosen.append(v)
-            yield from rec(chosen, candidates & rows[v])
-            chosen.pop()
-            candidates &= ~(1 << v)
-            if candidates.bit_count() < size - len(chosen):
-                return
-
-    return rec([], scope)
+            candidates = frame[0] & rows[v]
+            break
+        else:
+            return
 
 
 def cliques(G: DenseGraph, r: int, within: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -240,26 +263,26 @@ def find_clique(
 
     By default candidates are tried in descending order of degree restricted
     to the current candidate set (ties by id), which finds cliques quickly in
-    dense hosts and is fully deterministic.  With ``rng`` each child is drawn
-    uniformly from the candidates not yet tried at that node (a lazy, sparse
-    Fisher–Yates draw over the candidate mask, ``_shuffled_bits``), spreading
-    which vertices get consumed: the vertices tried are a prefix of a
-    uniform random permutation, and only that prefix costs random draws and
-    bit lookups; the candidates are never listed.  Gives up after
-    ``node_budget`` DFS nodes.  A ``within`` with a bit outside 0..n-1
-    raises ``InvalidParameters``.
+    dense hosts and is fully deterministic.  A node takes its best candidate
+    in one pass over the degrees and sorts the rest only when the search
+    comes back to it (``_by_degree``), which a first descent that succeeds
+    never does.  With ``rng`` each child is drawn uniformly from the
+    candidates not yet tried at that node (a lazy, sparse Fisher–Yates draw
+    over the candidate mask, ``_shuffled_bits``), spreading which vertices
+    get consumed: the vertices tried are a prefix of a uniform random
+    permutation, and only that prefix costs random draws and bit lookups;
+    the candidates are never listed.  Gives up after ``node_budget`` DFS
+    nodes.  A ``within`` with a bit outside 0..n-1 raises
+    ``InvalidParameters``.
     """
     if size < 0:
         raise InvalidParameters("size must be >= 0")
     within = scope(G, within)
     rows = G.rows
 
-    def order(candidates: int) -> Iterable[int]:
+    def order(candidates: int) -> Iterator[int]:
         if rng is None:
-            return sorted(
-                bits(candidates),
-                key=lambda v: (-(rows[v] & candidates).bit_count(), v),
-            )
+            return _by_degree(rows, candidates)
         return _shuffled_bits(candidates, rng)
 
     return next(_clique_search(G, size, within, order, node_budget), None)

@@ -9,6 +9,7 @@ Everything here is immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -402,10 +403,13 @@ def validate_witness(G: DenseGraph, w: WitnessSequence) -> str:
     "" when it holds.
 
     Path/cycle entries must be pairwise distinct; trails may repeat vertices
-    but every required pair must still be a (non-loop) edge.  One pass ORs
-    each position's next r vertices (cyclically for a cycle) into a window
-    mask and finds the first position whose row misses a bit of it; only
-    that position's offsets are scanned to name the pair.
+    but every required pair must still be a (non-loop) edge.  Where no pair
+    can join a vertex to itself, one pass over the pairs (p, p + j), offset
+    by offset, tests each position's row against the bit of the vertex j
+    places on (cyclically for a cycle) and returns "" when every pair holds.
+    Otherwise a window scan names the first violation: it ORs each
+    position's next r vertices into a window mask, finds the first position
+    whose row misses a bit of it, and scans only that position's offsets.
     """
     vs, r = w.vertices, w.r
     k = len(vs)
@@ -420,6 +424,17 @@ def validate_witness(G: DenseGraph, w: WitnessSequence) -> str:
             if v in seen:
                 return f"duplicate vertex {v}"
             seen.add(v)
+    # a window holds its own vertex only in a trail or in a cycle of at most
+    # r vertices, and a row built unchecked may hold that loop
+    loops = w.kind == "trail" or (cyclic and k <= r)
+    rows = G.rows
+    if not loops:
+        row = [rows[v] for v in vs]
+        bit = [1 << v for v in vs]
+        if cyclic:
+            bit += bit[:r]
+        if all(all(map(and_, row, bit[j:])) for j in range(1, r + 1)):
+            return ""
     if cyclic:
         ext = [1 << vs[p % k] for p in range(k + r)]
     else:
@@ -427,10 +442,6 @@ def validate_witness(G: DenseGraph, w: WitnessSequence) -> str:
     windows = [0] * k
     for j in range(1, r + 1):
         windows = [m | b for m, b in zip(windows, ext[j : j + k])]
-    # a window holds its own vertex only in a trail or in a cycle of at most
-    # r vertices, and a row built unchecked may hold that loop
-    loops = w.kind == "trail" or (cyclic and k <= r)
-    rows = G.rows
     for bad, (u, m) in enumerate(zip(vs, windows)):
         if rows[u] & m != m or (loops and m >> u & 1):
             break

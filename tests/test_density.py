@@ -427,6 +427,40 @@ def _find_clique_shuffled(
     return rec([], scope)
 
 
+def _recursive_clique_search(G, size, scope, order, budget):
+    """``density._clique_search`` as it was before its explicit stack: a
+    recursive generator, one generator per node, each clique passed up
+    through ``size`` nested ``yield from`` frames.  The reference for the
+    stack search's cliques, their order, its ``order`` calls and its budget."""
+    rows = G.rows
+
+    def rec(chosen, candidates):
+        nonlocal budget
+        if len(chosen) == size:
+            yield tuple(sorted(chosen))
+            return
+        if candidates.bit_count() < size - len(chosen) or budget <= 0:
+            return
+        budget -= 1
+        for v in order(candidates):
+            chosen.append(v)
+            yield from rec(chosen, candidates & rows[v])
+            chosen.pop()
+            candidates &= ~(1 << v)
+            if candidates.bit_count() < size - len(chosen):
+                return
+
+    return rec([], scope)
+
+
+def _sorted_by_degree(rows):
+    """The degree order as one full sort per node, as ``find_clique`` took it
+    before ``density._by_degree``."""
+    return lambda candidates: sorted(
+        bits(candidates), key=lambda v: (-(rows[v] & candidates).bit_count(), v)
+    )
+
+
 class CountingRandom(random.Random):
     """A ``random.Random`` that counts the raw draws behind every method."""
 
@@ -496,6 +530,41 @@ def test_find_clique_tiny_budget_returns_none_or_a_clique(query, budget):
         G, size, within=within, node_budget=budget, rng=reference_rng, lazy=True
     )
     assert rng.getstate() == reference_rng.getstate()
+
+
+@given(clique_queries())
+@settings(max_examples=150, deadline=None)
+def test_clique_search_matches_the_recursive_reference(query):
+    G, within, size, seed = query
+    reference_order = _sorted_by_degree(G.rows)
+    assert list(cliques(G, size, within)) == list(
+        _recursive_clique_search(G, size, within, bits, math.inf)
+    )
+    assert list(
+        density._clique_search(
+            G, size, within, lambda c: density._by_degree(G.rows, c), math.inf
+        )
+    ) == list(_recursive_clique_search(G, size, within, reference_order, math.inf))
+    streams = []
+    for search in (density._clique_search, _recursive_clique_search):
+        rng = CountingRandom(seed)
+        found = list(search(G, size, within, lambda c: density._shuffled_bits(c, rng), math.inf))
+        streams.append((found, rng.draws))
+    assert streams[0] == streams[1]
+    for budget in range(9):
+        want = next(_recursive_clique_search(G, size, within, reference_order, budget), None)
+        assert find_clique(G, size, within=within, node_budget=budget) == want
+        rng, reference_rng = CountingRandom(seed), CountingRandom(seed)
+        seeded = find_clique(G, size, within=within, node_budget=budget, rng=rng)
+        want = next(
+            _recursive_clique_search(
+                G, size, within, lambda c: density._shuffled_bits(c, reference_rng), budget
+            ),
+            None,
+        )
+        assert seeded == want
+        assert rng.draws == reference_rng.draws
+        assert rng.getstate() == reference_rng.getstate()
 
 
 @given(clique_queries())

@@ -541,6 +541,62 @@ def test_validate_witness_matches_the_pairwise_checker(r):
     assert outcomes == {"ok", "range", "dup", "loop", "edge"}
 
 
+def _with_power(G, seq, r, cyclic):
+    """``G`` with every pair of ``seq`` at most ``r`` places apart (also
+    across the end when ``cyclic``) added as an edge, unless it is a loop."""
+    rows = list(G.rows)
+    k = len(seq)
+    for p in range(k):
+        for j in range(1, r + 1):
+            if p + j < k or cyclic:
+                u, v = seq[p], seq[(p + j) % k]
+                if u != v:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+    return DenseGraph(G.n, rows)
+
+
+def _without_edge(G, u, v):
+    rows = list(G.rows)
+    rows[u] &= ~(1 << v)
+    rows[v] &= ~(1 << u)
+    return DenseGraph(G.n, rows, check=False)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_validate_witness_on_long_witnesses(r):
+    """Paths and cycles of 200-400 vertices on gnp hosts with their r-th
+    power planted: the valid witness passes the one-pass check, and each
+    single planted fault (a missing pair, also one across a cycle's end; a
+    duplicate; a collapsing pair of a trail) fails it and is named as the
+    pairwise checker names it."""
+    rng = random.Random(r)
+    outcomes = set()
+    for n in (200, 300, 400):
+        G = gnp(n, 0.5, 100 * r + n)
+        for kind in ("path", "cycle"):
+            seq = tuple(rng.sample(range(n), rng.randint(200, n)))
+            k = len(seq)
+            host = _with_power(G, seq, r, kind == "cycle")
+            cases = [(host, seq, kind)]
+            ends = [rng.randrange(k - r)]
+            if kind == "cycle":
+                ends.append(rng.randrange(k - r, k))
+            for p in ends:
+                j = rng.randint(1, r)
+                cases.append((_without_edge(host, seq[p], seq[(p + j) % k]), seq, kind))
+            i, i2 = rng.sample(range(k), 2)
+            cases.append((host, seq[:i] + (seq[i2],) + seq[i + 1 :], kind))
+            trail = seq[: i + r] + (seq[i],) + seq[i + r + 1 :]
+            cases.append((_with_power(G, trail, r, False), trail, "trail"))
+            for H, vs, as_kind in cases:
+                w = WitnessSequence(vs, as_kind, r)
+                want = _reference_validate(H, w)
+                assert validate_witness(H, w) == want, (n, as_kind, want)
+                outcomes.add(_VIOLATION_KINDS[want.split()[0]] if want else "ok")
+    assert outcomes == {"ok", "dup", "loop", "edge"}
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_validate_witness_short_cycles_collapse(r):
     """A cycle of k <= r vertices wraps onto itself; the fast path must not

@@ -241,11 +241,11 @@ def self_calls(source: str) -> dict[str, int]:
     return found
 
 
-# The searches allowed to recurse, each one level per vertex it has chosen;
-# any other recursion must run on an explicit stack, since an input can make
-# its depth exceed Python's recursion limit.
+# The one search allowed to recurse, one level per vertex it has chosen, on
+# hosts no larger than EXACT_LOCAL_THRESHOLD; any other recursion must run on
+# an explicit stack (as the clique search does), since an input can make its
+# depth exceed Python's recursion limit.
 BOUNDED_RECURSION = {
-    ("density", "_clique_search.rec"): "depth <= size, the clique order sought",
     ("density", "is_locally_dense_exact.rec"): "depth <= n <= EXACT_LOCAL_THRESHOLD",
 }
 

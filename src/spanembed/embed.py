@@ -1,16 +1,24 @@
 """Embedding engines: one list-embedding engine behind the targeted partial
-embedding and the per-block spanning embedding, an exact brute-force oracle,
-and the oracle's search for a spanning power of a cycle.
+embedding and the per-block spanning embedding, and one exact search loop
+behind the brute-force oracle and its search for a spanning power of a cycle.
 
 ``_list_search`` keeps a live candidate mask per tracked vertex.  A
 placement x -> gv narrows only the masks of x's unplaced neighbours and
-cell-mates, is refused if one would drop below its vertex's floor, and is
-undone from a saved list; a node draws each try uniformly from its untried
-candidates with one ``kth_bit``.  ``embed_with_targets`` and
-``blowup_embed`` wrap it and differ in three inputs: the vertex rule (the
-next of ``order``, or fail-first), the floor (0 on ordered and c*m on
-boundary vertices, against 1 on every blow-up vertex: a cell-mate keeps a
-candidate) and the budget stop (a refusal, or the blow-up's next restart).
+cell-mates, is refused if one would drop below its vertex's floor or the
+tracked vertices of a cell would lose distinct candidates (checked by
+``graphs.distinct_representatives``), and is undone from a saved list; a
+node draws each try uniformly from its untried candidates with one
+``kth_bit``.  ``embed_with_targets`` and ``blowup_embed`` wrap it and differ
+in three inputs: the vertex rule (the next of ``order``, or fail-first), the
+floor (0 on ordered and c*m on boundary vertices, against 1 on every
+blow-up vertex: a cell-mate keeps a candidate) and the budget stop (a
+refusal, or the blow-up's next restart on Luby's schedule).
+
+``_exact_search`` is the complete search: template positions in a fixed
+order, candidates lowest first.  ``brute_force_embed`` and
+``power_cycle_oracle`` differ only in the earlier positions each position
+must see and in the vertices that fit it.
+
 Cells are disjoint, as the cells V_{a,b} of the proof are.  No search here
 recurses.  Every embedding is revalidated edge by edge by a checker that
 shares no code with the constructions; a power cycle, by its caller's
@@ -19,14 +27,15 @@ shares no code with the constructions; a power cycle, by its caller's
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from collections import Counter
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from .graphs import DenseGraph, InvalidParameters, StageFailure, bits, kth_bit, mask_of
+from .graphs import (
+    DenseGraph, InvalidParameters, StageFailure, bits, distinct_representatives, kth_bit, mask_of
+)
 
 
 def _cell_masks(clusters: dict[int, tuple[int, ...]]) -> dict[int, int]:
@@ -75,37 +84,6 @@ def verify_embedding(H: DenseGraph, G: DenseGraph, mapping: dict[int, int]) -> s
 
 
 # -- the list-embedding engine ----------------------------------------------
-
-
-def _distinct_candidates(masks: list[int]) -> bool:
-    """Whether the masks have distinct representatives, one vertex each
-    (Hall, J. London Math. Soc. 1935), by augmenting paths: mask i searches
-    breadth-first through the masks holding the vertices it reaches until it
-    finds a free vertex, and the path to it is flipped."""
-    owner: dict[int, int] = {}  # vertex -> the mask it represents
-    chosen: dict[int, int] = {}  # mask -> its representative
-    for i in range(len(masks)):
-        via: dict[int, int] = {}  # vertex -> the mask it was reached from
-        queue, seen, free = [i], 0, None
-        for j in queue:
-            fresh = masks[j] & ~seen
-            seen |= fresh
-            for gv in bits(fresh):
-                via[gv] = j
-                if gv not in owner:
-                    free = gv
-                    break
-                queue.append(owner[gv])
-            if free is not None:
-                break
-        else:
-            return False
-        while True:  # each mask on the path takes the vertex it reached
-            j = via[free]
-            owner[free], chosen[j], free = j, free, chosen.get(j)
-            if j == i:
-                break
-    return True
 
 
 def _list_search(
@@ -180,7 +158,8 @@ def _list_search(
                         short += (cells[u],)
             else:
                 if not short or all(
-                    _distinct_candidates([cands[j] for j in joint[a]]) for a in short
+                    len(distinct_representatives([cands[j] for j in joint[a]])) == len(joint[a])
+                    for a in short
                 ):
                     unplaced.discard(x)
                     return saved
@@ -305,6 +284,20 @@ def embed_with_targets(
 
 # -- per-block spanning embedding ------------------------------------------
 
+# Nodes of the shortest blow-up restart.  Restart i, from 0, may enter
+# RESTART_UNIT * luby(i + 1) nodes (Luby, Sinclair and Zuckerman, IPL 1993),
+# so an unlucky draw costs one short restart, not a fixed share of the budget.
+RESTART_UNIT = 2_000
+
+
+def _luby(i: int) -> int:
+    """The i-th term, from 1, of Luby's sequence 1, 1, 2, 1, 1, 2, 4, 1, ...:
+    2^(k-1) at i = 2^k - 1, and otherwise the term of i less 2^(k-1) - 1,
+    for the k with 2^(k-1) <= i < 2^k."""
+    while (i + 1) & i:
+        i -= (1 << (i.bit_length() - 1)) - 1
+    return (i + 1) >> 1
+
 
 def blowup_embed(
     G: DenseGraph,
@@ -313,7 +306,6 @@ def blowup_embed(
     clusters: dict[int, tuple[int, ...]],
     special: dict[int, Iterable[int]] | None = None,
     node_budget: int = 10_000_000,
-    restarts: int = 4,
     seed: int = 0,
 ) -> tuple[dict[int, int], int]:
     """List-embedding of the vertices of ``phi`` into the block clusters,
@@ -325,11 +317,13 @@ def blowup_embed(
     lands in its phi-cluster, a special vertex in its S_y.  Clusters must be
     disjoint and per-cluster demand may not exceed supply (both checked).
 
-    Each restart runs the engine fail-first with floor 1 on every vertex,
-    within ``node_budget // restarts`` nodes.  One that runs out of tree
-    raises "no-list-embedding" at once, since the other restarts would only
-    search the same tree in another order; when every restart hits its
-    budget the refusal is "backtrack-budget-exhausted".
+    Each restart runs the engine fail-first with floor 1 on every vertex.
+    Restart i may enter ``RESTART_UNIT * luby(i + 1)`` nodes, as many as are
+    left of ``node_budget``.  One that runs out of tree raises
+    "no-list-embedding" at once, since the other restarts would only search
+    the same tree in another order; once the restarts have spent the budget
+    the refusal is "backtrack-budget-exhausted", naming the restarts, the
+    largest slice and the nodes in all.
     """
     special = special or {}
     cluster_mask = _cell_masks(clusters)
@@ -340,9 +334,9 @@ def blowup_embed(
     cells = [phi[x] for x in vertices]
     start = [cluster_mask[a] & (mask_of(special[x]) if x in special else -1)
              for x, a in zip(vertices, cells)]
-    last_trace, total = "", 0  # total: nodes over all restarts
-    for attempt in range(restarts):
-        limit = node_budget // restarts
+    attempt = total = largest = 0  # total: nodes over all restarts
+    while True:
+        limit = min(RESTART_UNIT * _luby(attempt + 1), node_budget - total)
         mapping, nodes = _list_search(G, H, vertices, cells, start.copy(), [1] * len(vertices),
                                       len(vertices), True, limit, f"blowup:{seed}:{attempt}")
         total += nodes
@@ -352,8 +346,10 @@ def blowup_embed(
             # the search tree is exhausted: no restart can find an embedding
             raise StageFailure("no-list-embedding",
                                f"attempt {attempt}: tree exhausted in {nodes} nodes")
-        last_trace = f"attempt {attempt}: {nodes} nodes"
-    raise StageFailure("backtrack-budget-exhausted", last_trace)
+        attempt, largest = attempt + 1, max(largest, limit)
+        if total >= node_budget:
+            raise StageFailure("backtrack-budget-exhausted",
+                               f"restarts {attempt}, largest slice {largest}, nodes {total}")
 
 
 # -- exact oracle -----------------------------------------------------------
@@ -369,88 +365,75 @@ class OracleResult:
         return self.status == "embedded"
 
 
-def brute_force_embed(H: DenseGraph, G: DenseGraph, budget: int = 5_000_000) -> OracleResult:
-    """Complete backtracking over injective homomorphisms of H into G.
-
-    "no-embedding" is a certificate (the search space was exhausted);
-    "budget-exceeded" is explicitly distinct from non-containment.
+def _exact_search(
+    g_rows: list[int], back: list[list[int]], fits: list[int], budget: int
+) -> OracleResult:
+    """The oracle's complete depth-first search, without recursion: position
+    k takes a free vertex of ``fits[k]`` adjacent to the images of the
+    earlier positions ``back[k]``, lowest first.  ``rest[k]`` holds position
+    k's untried candidates while deeper positions are searched, and every
+    entered position counts one node.  The mapping is position -> vertex.
     """
-    if H.n > G.n:
-        return OracleResult("no-embedding", nodes=0)
-    if H.n == 0:
+    n = len(back)
+    if n == 0:
         return OracleResult("embedded", {}, 0)
-
-    # order H-vertices: most placed neighbours first, then max degree, then
-    # the smallest label, from a heap of (-placed_nbrs, -deg, v) that gets a
-    # new entry whenever v gains a placed neighbour; v's newest entry sorts
-    # before its older ones, so an entry popped for a placed v is stale
-    h_degree = [H.degree(v) for v in range(H.n)]
-    placed_nbrs = [0] * H.n
-    placed = [False] * H.n
-    heap = [(0, -h_degree[v], v) for v in range(H.n)]
-    heapq.heapify(heap)
-    order: list[int] = []
-    while heap:
-        best = heapq.heappop(heap)[2]
-        if placed[best]:
-            continue
-        order.append(best)
-        placed[best] = True
-        for w in bits(H.rows[best]):
-            if not placed[w]:
-                placed_nbrs[w] += 1
-                heapq.heappush(heap, (-placed_nbrs[w], -h_degree[w], w))
-
-    # per order position: the positions of its earlier-placed H-neighbours,
-    # and the G-vertices whose degree can host it
-    position = {u: i for i, u in enumerate(order)}
-    back = [
-        [position[w] for w in bits(H.rows[u]) if position[w] < i]
-        for i, u in enumerate(order)
-    ]
-    g_rows = G.rows
-    g_degree = [row.bit_count() for row in g_rows]
-    fit_of = {
-        du: mask_of(gv for gv in range(G.n) if g_degree[gv] >= du) for du in set(h_degree)
-    }
-    fits = [fit_of[h_degree[u]] for u in order]
-    image = [0] * H.n
-    image_rows = [0] * H.n
-    # depth-first over order positions without recursion: rest[i] holds
-    # position i's untried candidates while deeper positions are searched,
-    # and every entered position counts one node
-    rest = [0] * H.n
-    last = H.n - 1
-    free = G.full_mask()
-    nodes = 0
-    idx = 0
+    image, image_rows, rest = [0] * n, [0] * n, [0] * n
+    free = (1 << len(g_rows)) - 1
+    nodes = k = 0
     while True:
         nodes += 1
         if nodes > budget:
             return OracleResult("budget-exceeded", nodes=nodes)
-        cands = free & fits[idx]
-        for j in back[idx]:
+        cands = free & fits[k]
+        for j in back[k]:
             cands &= image_rows[j]
-        while not cands and idx:  # backtrack to the last untried candidate
-            idx -= 1
-            free |= 1 << image[idx]
-            cands = rest[idx]
+        while not cands and k:  # backtrack to the last untried candidate
+            k -= 1
+            free |= 1 << image[k]
+            cands = rest[k]
         if not cands:
             return OracleResult("no-embedding", nodes=nodes)
         low = cands & -cands
-        rest[idx] = cands ^ low
-        gv = low.bit_length() - 1
-        image[idx] = gv
-        image_rows[idx] = g_rows[gv]
-        if idx == last:
-            break
+        rest[k] = cands ^ low
+        image[k] = gv = low.bit_length() - 1
+        image_rows[k] = g_rows[gv]
+        if k == n - 1:
+            return OracleResult("embedded", dict(enumerate(image)), nodes)
         free ^= low
-        idx += 1
-    mapping = dict(zip(order, image))
-    problem = verify_embedding(H, G, mapping)
-    if problem:
-        raise StageFailure("revalidation", problem)
-    return OracleResult("embedded", mapping, nodes)
+        k += 1
+
+
+def brute_force_embed(H: DenseGraph, G: DenseGraph, budget: int = 5_000_000) -> OracleResult:
+    """Complete backtracking over injective homomorphisms of H into G.
+
+    H's vertices are searched with most placed neighbours first, then most
+    neighbours, then the smallest label; a vertex's candidates are the
+    G-vertices of at least its degree.  "no-embedding" is a certificate (the
+    search space was exhausted); "budget-exceeded" is explicitly distinct
+    from non-containment.
+    """
+    if H.n > G.n:
+        return OracleResult("no-embedding", nodes=0)
+    h_degree = [H.degree(v) for v in range(H.n)]
+    placed_nbrs = [0] * H.n
+    unplaced = set(range(H.n))
+    order: list[int] = []
+    for _ in range(H.n):
+        best = min(unplaced, key=lambda v: (-placed_nbrs[v], -h_degree[v], v))
+        order.append(best)
+        unplaced.discard(best)
+        for w in bits(H.rows[best]):
+            placed_nbrs[w] += 1
+    position = {u: i for i, u in enumerate(order)}
+    back = [[position[w] for w in bits(H.rows[u]) if position[w] < i] for i, u in enumerate(order)]
+    g_degree = [row.bit_count() for row in G.rows]
+    fit_of = {du: mask_of(v for v, dg in enumerate(g_degree) if dg >= du) for du in set(h_degree)}
+    res = _exact_search(G.rows, back, [fit_of[h_degree[u]] for u in order], budget)
+    if res:
+        res.mapping = {order[i]: gv for i, gv in res.mapping.items()}
+        if problem := verify_embedding(H, G, res.mapping):
+            raise StageFailure("revalidation", problem)
+    return res
 
 
 def power_cycle_oracle(G: DenseGraph, q: int, budget: int) -> OracleResult:
@@ -466,45 +449,11 @@ def power_cycle_oracle(G: DenseGraph, q: int, budget: int) -> OracleResult:
     cycle is not rechecked here: the caller certifies it.
     """
     L = G.n
-    if L == 0:
-        return OracleResult("embedded", {}, 0)
     # per position, the earlier positions at cyclic distance at most q, each
     # once: k-q..k-1, then those of 0..k+q-L below k-q
     back = [
         [*range(max(0, k - q), k), *range(max(0, min(k - q, k + q - L + 1)))]
         for k in range(L)
     ]
-    g_rows = G.rows
-    fits = mask_of(gv for gv in range(L) if g_rows[gv].bit_count() >= min(2 * q, L - 1))
-    image = [0] * L
-    image_rows = [0] * L
-    # the oracle's loop: rest[k] holds position k's untried candidates while
-    # deeper positions are searched, and every entered position counts one
-    # node
-    rest = [0] * L
-    last = L - 1
-    free = fits
-    nodes = 0
-    k = 0
-    while True:
-        nodes += 1
-        if nodes > budget:
-            return OracleResult("budget-exceeded", nodes=nodes)
-        cands = free
-        for j in back[k]:
-            cands &= image_rows[j]
-        while not cands and k:  # backtrack to the last untried candidate
-            k -= 1
-            free |= 1 << image[k]
-            cands = rest[k]
-        if not cands:
-            return OracleResult("no-embedding", nodes=nodes)
-        low = cands & -cands
-        rest[k] = cands ^ low
-        gv = low.bit_length() - 1
-        image[k] = gv
-        image_rows[k] = g_rows[gv]
-        if k == last:
-            return OracleResult("embedded", dict(enumerate(image)), nodes)
-        free ^= low
-        k += 1
+    fits = mask_of(gv for gv in range(L) if G.rows[gv].bit_count() >= min(2 * q, L - 1))
+    return _exact_search(G.rows, back, [fits] * L, budget)

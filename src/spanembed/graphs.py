@@ -3,7 +3,10 @@
 Vertices are integers 0..n-1.  Adjacency is stored as one Python int per
 vertex (bit v of row u set iff uv is an edge), which makes degree, common
 neighbourhood and induced-count kernels single AND/popcount operations.
-Everything here is immutable after construction and safe to share.
+``distinct_representatives`` is the one matcher on such masks: the target
+embedder's joint boundary floor and the absorber's insertion slots both
+call it.  Everything here is immutable after construction and safe to
+share.
 """
 
 from __future__ import annotations
@@ -82,6 +85,41 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def distinct_representatives(masks: Sequence[int]) -> list[int]:
+    """Distinct representatives, one vertex of each mask, of the longest
+    prefix of ``masks`` that has them: they cover every mask iff Hall's
+    condition holds (Hall, J. London Math. Soc. 1935).  Mask i is matched by
+    an augmenting path, searched depth-first on an explicit stack: a mask on
+    the path tries the vertices this search has not reached, lowest first,
+    and a free vertex flips the path."""
+    owner: dict[int, int] = {}  # vertex -> the index of the mask it represents
+    for i in range(len(masks)):
+        path, seen = [i], 0
+        taken: list[int] = []  # taken[d]: the vertex by which path[d] reached path[d + 1]
+        while path:
+            fresh = masks[path[-1]] & ~seen
+            if not fresh:  # a dead end: the mask before it tries its next vertex
+                path.pop()
+                if taken:
+                    taken.pop()
+                continue
+            low = fresh & -fresh
+            seen |= low
+            taken.append(v := low.bit_length() - 1)
+            if v in owner:
+                path.append(owner[v])
+                continue
+            for j, v in zip(path, taken):  # each mask on the path takes the vertex it tried
+                owner[v] = j
+            break
+        else:
+            break
+    reps = [0] * len(owner)
+    for v, j in owner.items():
+        reps[j] = v
+    return reps
 
 
 def first_misplaced(n: int, groups: Iterable[Iterable[int]]) -> str | None:

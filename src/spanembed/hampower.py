@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from .connect import HypothesisViolation, bridging_cliques, connect_cliques
 from .density import find_clique
 from .graphs import (
-    DenseGraph, InvalidParameters, StageFailure, WitnessSequence, bits, mask_of, validate_witness
+    DenseGraph, InvalidParameters, StageFailure, WitnessSequence, bits, distinct_representatives,
+    mask_of, validate_witness,
 )
 
 # Desk-scale constants.  The paper picks them from right to left
@@ -150,44 +151,6 @@ def build_absorbing_path(G: DenseGraph, absorber: AbsorberSystem, seed: int | st
     return AbsorbingPath(r, path, blocks, tuple(starts))
 
 
-def _match_to_blocks(candidates: dict[int, list[int]]) -> dict[int, int]:
-    """Maximum bipartite matching z -> block via augmenting paths.
-
-    Each path is a depth-first search kept on an explicit stack, so a path
-    through every block needs no call depth.  Raises matching-infeasible
-    naming the first unmatchable vertex.
-    """
-    match_block: dict[int, int] = {}
-    order = sorted(candidates, key=lambda z: (len(candidates[z]), z))
-    for z in order:
-        seen: set[int] = set()
-        # stack[i]: the vertex at depth i with its untried blocks; tried[i]:
-        # the block it took, whose holder is the vertex at depth i + 1
-        stack = [(z, iter(candidates[z]))]
-        tried: list[int] = []
-        while stack:
-            b = next((b for b in stack[-1][1] if b not in seen), None)
-            if b is None:
-                stack.pop()
-                if tried:
-                    tried.pop()
-                continue
-            seen.add(b)
-            tried.append(b)
-            if b in match_block:
-                stack.append((match_block[b], iter(candidates[match_block[b]])))
-                continue
-            # b is free: every vertex on the path moves to the block it took
-            for (u, _), taken in zip(stack, tried):
-                match_block[taken] = u
-            break
-        else:
-            raise StageFailure(
-                "matching-infeasible", f"no free interior block for vertex {z}"
-            )
-    return {z: b for b, z in match_block.items()}
-
-
 def absorb(
     G: DenseGraph,
     pabs: AbsorbingPath,
@@ -196,9 +159,10 @@ def absorb(
     """Insert each z of Z into a distinct interior block, keeping the path's
     first and last 2r vertices intact; returns the power-r path.
 
-    Each z needs an interior block fully inside its neighbourhood; the
-    assignment is a maximum bipartite matching and a Hall violation is
-    reported as matching-infeasible naming the unmatched vertex.
+    Each z needs an interior block fully inside its neighbourhood.  The
+    blocks come from ``distinct_representatives``, with the vertices taken
+    by fewest candidate blocks, then label; a Hall violation is reported as
+    matching-infeasible naming the first vertex left unmatched.
     """
     r = pabs.r
     pset = set(pabs.path.vertices)
@@ -206,19 +170,22 @@ def absorb(
         raise StageFailure("absorb", "Z intersects the absorbing path")
     # interior blocks only, each with its mask: the end blocks anchor the closure
     interior = [(j, mask_of(b)) for j, b in enumerate(pabs.blocks[1:-1], 1)]
-    candidates: dict[int, list[int]] = {}
+    candidates: dict[int, int] = {}  # z -> the mask of its interior blocks
     for z in Z:
-        opts = [j for j, bmask in interior if (G.rows[z] & bmask) == bmask]
+        opts = mask_of(j for j, bmask in interior if (G.rows[z] & bmask) == bmask)
         if not opts:
             raise StageFailure(
                 "matching-infeasible",
                 f"vertex {z} is adjacent to no interior block",
             )
         candidates[z] = opts
-    result = _match_to_blocks(candidates) if candidates else {}
-    inserts: dict[int, int] = {}
-    for z, j in result.items():
-        inserts[pabs.insertion_position(j)] = z
+    order = sorted(candidates, key=lambda z: (candidates[z].bit_count(), z))
+    blocks = distinct_representatives([candidates[z] for z in order])
+    if len(blocks) < len(order):
+        raise StageFailure(
+            "matching-infeasible", f"no free interior block for vertex {order[len(blocks)]}"
+        )
+    inserts = {pabs.insertion_position(j): z for z, j in zip(order, blocks)}
     # rebuild with explicit slot positions (slot p means "after p vertices")
     out: list[int] = []
     for pos, v in enumerate(pabs.path.vertices):

@@ -1,13 +1,15 @@
 import ast
 import inspect
 import random
-from itertools import combinations
+import re
+from itertools import combinations, count
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from spanembed import embed
+from spanembed import embed, graphs, hampower
 from spanembed.embed import (
     OracleResult,
     PartialEmbedding,
@@ -510,21 +512,33 @@ def test_targets_planted_superregular_segments():
 # -- blow-up embedding -------------------------------------------------------
 
 
-def _recursive_blowup_embed(G, H, phi, clusters, special=None, node_budget=10_000_000, restarts=4, seed=0):
+def _luby_reference(i):
+    """Luby's sequence by its recursive definition: 2^(k-1) at i = 2^k - 1,
+    and the term of i - 2^(k-1) + 1 for 2^(k-1) <= i < 2^k - 1."""
+    k = 1
+    while (1 << k) - 1 < i:
+        k += 1
+    if i == (1 << k) - 1:
+        return 1 << (k - 1)
+    return _luby_reference(i - (1 << (k - 1)) + 1)
+
+
+def _recursive_blowup_embed(G, H, phi, clusters, special=None, node_budget=10_000_000, seed=0):
     """The blow-up embedder as it searched with one recursive call per
     placed vertex, a fail-first scan of every unplaced vertex and a copy of
     every candidate mask per node: the same choices, draws, node count and
     failures.  Each try is drawn uniformly from the node's untried
     candidates, the k-th of their ascending list for one ``randrange`` k.
-    Returns the mapping with the nodes entered over all restarts, or the
-    StageFailure it raised."""
+    Restart i may enter ``embed.RESTART_UNIT * luby(i + 1)`` nodes, as many
+    as are left of the budget.  Returns the mapping with the nodes entered
+    over all restarts, or the StageFailure it raised."""
     special = special or {}
     cluster_mask = {a: mask_of(vs) for a, vs in clusters.items()}
     vertices = sorted(phi)
     h_adj = H.rows
-    last_trace = ""
-    total = 0
-    for attempt in range(restarts):
+    total = largest = 0
+    for attempt in count():
+        limit = min(embed.RESTART_UNIT * _luby_reference(attempt + 1), node_budget - total)
         rng = random.Random(f"blowup:{seed}:{attempt}")
         mapping = {}
         cands = {}
@@ -540,7 +554,7 @@ def _recursive_blowup_embed(G, H, phi, clusters, special=None, node_budget=10_00
             if len(mapping) == len(vertices):
                 return True
             nodes += 1
-            if nodes > node_budget // restarts:
+            if nodes > limit:
                 return False
             x = min(
                 (v for v in vertices if v not in mapping),
@@ -572,7 +586,7 @@ def _recursive_blowup_embed(G, H, phi, clusters, special=None, node_budget=10_00
                     mapping[x] = gv
                     if search():
                         return True
-                    if nodes > node_budget // restarts:
+                    if nodes > limit:
                         return False  # the budget is spent: no sibling is tried
                     del mapping[x]
                     for u, mk in pre.items():
@@ -585,10 +599,14 @@ def _recursive_blowup_embed(G, H, phi, clusters, special=None, node_budget=10_00
         total += nodes
         if found:
             return mapping, total
-        if nodes <= node_budget // restarts:
+        if nodes <= limit:
             return StageFailure("no-list-embedding", f"attempt {attempt}: tree exhausted in {nodes} nodes")
-        last_trace = f"attempt {attempt}: {nodes} nodes"
-    return StageFailure("backtrack-budget-exhausted", last_trace)
+        largest = max(largest, limit)
+        if total >= node_budget:
+            return StageFailure(
+                "backtrack-budget-exhausted",
+                f"restarts {attempt + 1}, largest slice {largest}, nodes {total}",
+            )
 
 
 
@@ -691,9 +709,11 @@ def test_blowup_never_enters_a_placement_that_takes_an_only_candidate():
     assert exc.value.detail == "attempt 0: tree exhausted in 1 nodes"
 
 
-def test_blowup_budget_failure_is_labelled():
-    # the embedding needs 16 nodes, and each of the four restarts may
-    # enter only 4
+def test_blowup_budget_failure_is_labelled(monkeypatch):
+    # the embedding needs 16 nodes; at a unit of 4 the restarts may enter
+    # 4, 4 and then the 6 left of 8, and each stops at the node past its
+    # slice: 5 + 5 + 7 = 17 nodes
+    monkeypatch.setattr(embed, "RESTART_UNIT", 4)
     G = DenseGraph.complete(16)
     clusters = {0: tuple(range(8)), 1: tuple(range(8, 16))}
     H = DenseGraph.from_edges(16, [(i, i + 8) for i in range(8)])
@@ -701,7 +721,7 @@ def test_blowup_budget_failure_is_labelled():
     with pytest.raises(StageFailure) as exc:
         blowup_embed(G, H, phi, clusters, node_budget=16)
     assert exc.value.stage == "backtrack-budget-exhausted"
-    assert exc.value.detail.startswith("attempt 3: ")
+    assert exc.value.detail == "restarts 3, largest slice 6, nodes 17"
 
 
 def test_targets_labels_budget_and_exhausted_tree_apart():
@@ -775,13 +795,19 @@ def test_targets_refuse_a_cell_with_more_boundary_vertices_than_vertices():
 
 def test_distinct_candidates_is_halls_condition():
     # the matching against the brute-force subset check, on masks over 6
-    # vertices with up to 7 masks
+    # vertices with up to 7 masks: the representatives are distinct members
+    # of their masks, and they stop at the longest prefix that has them
     rng = random.Random(5)
     verdicts = set()
     for _ in range(2000):
         masks = [rng.getrandbits(6) & rng.getrandbits(6) for _ in range(rng.randint(1, 7))]
+        reps = graphs.distinct_representatives(masks)
         want = _hall(masks)
-        assert embed._distinct_candidates(masks) == want, masks
+        assert (len(reps) == len(masks)) == want, masks
+        assert len(set(reps)) == len(reps), masks
+        assert all(mk >> v & 1 for v, mk in zip(reps, masks)), masks
+        assert _hall(masks[: len(reps)]), masks
+        assert want or not _hall(masks[: len(reps) + 1]), masks
         verdicts.add(want)
     assert verdicts == {True, False}
 
@@ -840,6 +866,48 @@ def test_list_search_is_the_only_function_that_draws_a_candidate():
     assert drawing == {"_list_search"}
 
 
+def _functions(module, nested=True):
+    """The functions of ``module``'s source: every one, or the module-level ones."""
+    tree = ast.parse(inspect.getsource(module))
+    nodes = ast.walk(tree) if nested else tree.body
+    return [fn for fn in nodes if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _calls(fn, name):
+    return any(
+        isinstance(call, ast.Call)
+        and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+        for call in ast.walk(fn)
+    )
+
+
+def test_one_exact_search_loop_and_one_matcher():
+    # the two oracles only build the search's inputs: each calls
+    # _exact_search and runs no while loop of its own
+    names = ("brute_force_embed", "power_cycle_oracle")
+    oracles = [fn for fn in _functions(embed) if fn.name in names]
+    assert len(oracles) == 2
+    for fn in oracles:
+        assert _calls(fn, "_exact_search"), fn.name
+        assert not any(isinstance(node, ast.While) for node in ast.walk(fn)), fn.name
+    # the joint boundary floor and the absorber's slots both match through
+    # graphs.distinct_representatives, and no function here is a matcher
+    # of its own
+    top = _functions(embed, nested=False) + _functions(hampower, nested=False)
+    assert {fn.name for fn in top if _calls(fn, "distinct_representatives")} == {
+        "_list_search", "absorb"
+    }
+    fns = _functions(embed) + _functions(hampower)
+    matcher = re.compile("match|distinct|augment|hall", re.I)
+    assert [fn.name for fn in fns if matcher.search(fn.name)] == []
+
+
+def test_restart_slices_follow_lubys_sequence():
+    want = [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
+    assert [embed._luby(i) for i in range(1, 16)] == want
+    assert all(embed._luby(i) == _luby_reference(i) for i in range(1, 1025))
+
+
 @st.composite
 def list_instances(draw):
     """A host on at most 30 vertices with 1-4 disjoint cells, a template
@@ -880,21 +948,19 @@ def _failure(got):
 @given(
     list_instances(),
     st.sampled_from([1, 4, 10, 40, 200, 10_000]),
-    st.integers(1, 4),
+    st.sampled_from([1, 3, 2_000]),
     st.integers(0, 99),
 )
 @settings(max_examples=200, deadline=None)
-def test_blowup_matches_the_recursive_search(instance, budget, restarts, seed):
+def test_blowup_matches_the_recursive_search(instance, budget, unit, seed):
     G, H, clusters, phi, special, _ = instance
-    got = _outcome(
-        lambda: blowup_embed(
-            G, H, phi, clusters, special,
-            node_budget=budget, restarts=restarts, seed=seed,
+    with mock.patch.object(embed, "RESTART_UNIT", unit):
+        got = _outcome(
+            lambda: blowup_embed(G, H, phi, clusters, special, node_budget=budget, seed=seed)
         )
-    )
-    want = _recursive_blowup_embed(
-        G, H, phi, clusters, special, node_budget=budget, restarts=restarts, seed=seed
-    )
+        want = _recursive_blowup_embed(
+            G, H, phi, clusters, special, node_budget=budget, seed=seed
+        )
     # the failure details carry each failed attempt's node count, and an
     # embedding comes with the nodes of all its restarts
     assert _failure(got) == _failure(want)
@@ -928,21 +994,22 @@ def test_targets_match_the_recursive_search(instance, c, budget, seed):
         assert (got.candidate_sets, got.nodes) == (want.candidate_sets, want.nodes)
 
 
-def test_blowup_counts_the_nodes_of_every_restart():
-    # restart 0 runs out of its 50 nodes and restart 1 embeds: the count
-    # returned is of both restarts, as the recursive search counts them.  A
-    # restart stops at the first node past its budget, so it counts one more
+def test_blowup_counts_the_nodes_of_every_restart(monkeypatch):
+    # at a unit of 50, restart 0 runs out of its 50 nodes and restart 1
+    # embeds: the count returned is of both restarts, as the recursive
+    # search counts them.  A restart stops at the first node past its
+    # slice, so it counts one more
+    monkeypatch.setattr(embed, "RESTART_UNIT", 50)
     G, H = gnp(16, 0.6, 24), gnp(16, 0.3, 124)
     clusters = {0: tuple(range(8)), 1: tuple(range(8, 16))}
     phi = {x: x % 2 for x in range(16)}
-    for budget in (50, 100):
-        with pytest.raises(StageFailure) as exc:
-            blowup_embed(G, H, phi, clusters, node_budget=budget, restarts=1, seed=18)
-        assert exc.value.detail == f"attempt 0: {budget + 1} nodes"
-    mapping, nodes = blowup_embed(G, H, phi, clusters, node_budget=100, restarts=2, seed=18)
+    with pytest.raises(StageFailure) as exc:
+        blowup_embed(G, H, phi, clusters, node_budget=50, seed=18)
+    assert exc.value.detail == "restarts 1, largest slice 50, nodes 51"
+    mapping, nodes = blowup_embed(G, H, phi, clusters, node_budget=100, seed=18)
     assert verify_embedding(H, G, mapping) == "" and nodes == 51 + 26
     assert (mapping, nodes) == _recursive_blowup_embed(
-        G, H, phi, clusters, node_budget=100, restarts=2, seed=18
+        G, H, phi, clusters, node_budget=100, seed=18
     )
 
 

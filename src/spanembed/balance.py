@@ -122,8 +122,7 @@ def lemma_g(
     m = max(map(len, clusters.values()), default=0)
     if any(len(c) != m for c in clusters.values()):
         raise StageFailure("lemma-g", "cells must have equal size m")
-    misplaced = first_misplaced(G.n, clusters.values())
-    if misplaced:
+    if misplaced := first_misplaced(G.n, clusters.values()):
         raise StageFailure("lemma-g", misplaced)
     held = sum(len(c) for c in clusters.values())
     if held != G.n:

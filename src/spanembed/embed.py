@@ -34,22 +34,17 @@ from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .graphs import (
-    DenseGraph, InvalidParameters, StageFailure, bits, distinct_representatives, kth_bit, mask_of
+    DenseGraph, InvalidParameters, StageFailure, bits, distinct_representatives, first_misplaced,
+    kth_bit, mask_of,
 )
 
 
-def _cell_masks(clusters: dict[int, tuple[int, ...]]) -> dict[int, int]:
-    """The vertex mask of every cell; cells that share a vertex raise
-    ``InvalidParameters``."""
-    masks: dict[int, int] = {}
-    covered = 0
-    for a, vs in clusters.items():
-        mk = mask_of(vs)
-        if covered & mk:
-            raise InvalidParameters(f"cell {a} shares a vertex with another cell")
-        covered |= mk
-        masks[a] = mk
-    return masks
+def _cell_masks(n: int, clusters: dict[int, tuple[int, ...]]) -> dict[int, int]:
+    """The vertex mask of every cell; cells that are not disjoint sets of
+    vertices of the n-vertex host (``first_misplaced``) raise ``InvalidParameters``."""
+    if misplaced := first_misplaced(n, clusters.values()):
+        raise InvalidParameters(misplaced)
+    return {a: mask_of(vs) for a, vs in clusters.items()}
 
 
 def verify_embedding(H: DenseGraph, G: DenseGraph, mapping: dict[int, int]) -> str:
@@ -239,7 +234,7 @@ def embed_with_targets(
     no placement keeps every floor.
     """
     floor = math.ceil(c * max((len(vs) for vs in clusters.values()), default=0))
-    cluster_mask = _cell_masks(clusters)
+    cluster_mask = _cell_masks(G.n, clusters)
     vertices = [*order, *Y]
     for x in vertices:
         try:
@@ -326,7 +321,7 @@ def blowup_embed(
     largest slice and the nodes in all.
     """
     special = special or {}
-    cluster_mask = _cell_masks(clusters)
+    cluster_mask = _cell_masks(G.n, clusters)
     for a, need in Counter(phi.values()).items():
         if need > len(clusters.get(a, ())):
             raise StageFailure("load", f"cluster {a} demanded {need} > {len(clusters.get(a, ()))}")

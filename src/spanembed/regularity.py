@@ -20,6 +20,8 @@ a plain ``DenseGraph`` on the cluster indices.  The partitioner's degrees of
 every vertex into every cluster (``cluster_degrees``) are returned with it,
 and the superregular refinement reads them instead of the host's edges:
 every pair it checks is one that R joins, and only a swap reads G again.
+The refinement drops only failing vertices, at most m − ⌈(1−√ε)m⌉ per
+cluster, so sizes may differ (the pipeline then refuses at ``exceptional``).
 """
 
 from __future__ import annotations
@@ -188,7 +190,8 @@ def is_superregular(
 
 @dataclass(frozen=True)
 class ClusterPartition:
-    """Exceptional set V0 plus equal-sized disjoint clusters covering V(G)."""
+    """Exceptional set V0 plus equal-sized clusters, the N vertices they hold
+    being 0..N-1, each once (``first_misplaced``)."""
 
     exceptional: tuple[int, ...]
     clusters: tuple[tuple[int, ...], ...]
@@ -197,12 +200,9 @@ class ClusterPartition:
         sizes = {len(c) for c in self.clusters}
         if len(sizes) > 1:
             raise InvalidParameters(f"clusters must be equal-sized, got sizes {sorted(sizes)}")
-        seen: set[int] = set()
-        for part in (self.exceptional, *self.clusters):
-            for v in part:
-                if v in seen:
-                    raise InvalidParameters(f"vertex {v} appears twice in the partition")
-                seen.add(v)
+        parts = (self.exceptional, *self.clusters)
+        if misplaced := first_misplaced(sum(map(len, parts)), parts):
+            raise InvalidParameters(misplaced)
 
     @property
     def L(self) -> int:
@@ -228,22 +228,22 @@ def refine_to_superregular(
     eps: float,
     delta: float,
 ) -> list[list[int]]:
-    """Shrink each cluster to ceil((1-sqrt(eps))*m) so R-neighbour pairs become
-    superregular at (4*sqrt(eps), delta/2).
+    """Delete the vertices of low degree, as Böttcher–Schacht–Taraz do, so
+    R-neighbour pairs become superregular at (4*sqrt(eps), delta/2).
 
     A vertex fails when its degree in G into some R-neighbour cluster falls
-    below (delta-eps)*m, and failing vertices are discarded.  Degrees are
+    below (delta-eps)*m.  Each cluster loses its failing vertices and no
+    other, so the refined clusters may differ in size.  Degrees are
     read from ``degrees``, the ``cluster_degrees`` table of G whose rows
     follow ``clusters``; only a swap unpacks G's rows, so that moving a
     vertex to another cluster of its block counts its edges into the
     cluster it leaves.  More than sqrt(eps)*m failures toward one cluster,
-    or more than m minus the target size in one cluster, means the
-    regularity hypothesis was violated.  When no pair has
+    or more than m - ceil((1-sqrt(eps))*m) failing vertices in one cluster,
+    means the regularity hypothesis was violated.  When no pair has
     more than ceil(sqrt(eps)*m) failures, the clusters are first repaired by
     swaps (``_swap_failing``) and the violation is reported only if that
-    fails.  Survivors are trimmed deterministically (highest ids first) to the
-    exact target size.  ``is_superregular`` is the independent check of the
-    refined pairs.
+    fails.  ``is_superregular`` is the independent check of the refined
+    pairs.
 
     A violated hypothesis is a ``StageFailure`` at stage ``refine``; R must
     have one vertex per cluster, there must be a cluster, the clusters must
@@ -257,8 +257,7 @@ def refine_to_superregular(
     m = len(clusters[0])
     if any(len(c) != m for c in clusters):
         raise InvalidParameters("clusters must be equal-sized")
-    misplaced = first_misplaced(G.n, clusters)
-    if misplaced:
+    if misplaced := first_misplaced(G.n, clusters):
         raise InvalidParameters(misplaced)
     L = len(clusters)
     if np.shape(degrees) != (L, G.n):
@@ -266,7 +265,7 @@ def refine_to_superregular(
             f"degree table of shape {np.shape(degrees)} for {L} clusters of a "
             f"host on {G.n} vertices"
         )
-    target = math.ceil((1 - math.sqrt(eps)) * m)
+    drop = m - math.ceil((1 - math.sqrt(eps)) * m)
     allowed = math.sqrt(eps) * m
     thresh = (delta - eps) * m
     nbrs = R.bit_matrix(range(L))[:, :L].astype(bool)
@@ -277,7 +276,7 @@ def refine_to_superregular(
     where = np.repeat(np.arange(L), m)
     fails = (deg < thresh) & nbrs[where]
     counts = fails.reshape(L, m, L).sum(axis=1)
-    refusal = _first_refusal(fails, counts, allowed, m - target)
+    refusal = _first_refusal(fails, counts, allowed, drop)
     if refusal is not None:
         if counts.max() > math.ceil(allowed) or not _swap_failing(
             G.bit_matrix(flat)[:, flat], deg, where, nbrs, thresh, fails, flat
@@ -288,7 +287,7 @@ def refine_to_superregular(
     for v, i, bad in zip(flat, where.tolist(), fails.any(axis=1).tolist()):
         if not bad:
             survivors[i].append(v)
-    return [sorted(vs)[:target] for vs in survivors]
+    return [sorted(vs) for vs in survivors]
 
 
 def _first_refusal(

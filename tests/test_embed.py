@@ -829,9 +829,21 @@ def test_embedders_refuse_cells_that_share_a_vertex():
     # cells are disjoint: a vertex's cell-mates are those of its own cell
     G, H = DenseGraph.complete(6), DenseGraph.empty(2)
     phi, clusters = {0: 0, 1: 1}, {0: (0, 1, 2), 1: (2, 3, 4)}
-    with pytest.raises(InvalidParameters, match="cell 1 shares a vertex"):
+    with pytest.raises(InvalidParameters, match="vertex 2 lies in two clusters"):
         embed_with_targets(G, H, [0, 1], phi, clusters, Y=[], c=0.0)
-    with pytest.raises(InvalidParameters, match="cell 1 shares a vertex"):
+    with pytest.raises(InvalidParameters, match="vertex 2 lies in two clusters"):
+        blowup_embed(G, H, phi, clusters)
+
+
+@pytest.mark.parametrize("v", [99, -1])
+def test_embedders_refuse_a_cell_vertex_outside_the_host(v):
+    # 99 raised a bare IndexError in the blow-up and came back as a target
+    # set of the list embedder; -1 raised "negative shift count"
+    G, H = DenseGraph.complete(4), DenseGraph.empty(2)
+    phi, clusters = {0: 0, 1: 0}, {0: (0, v)}
+    with pytest.raises(InvalidParameters, match=f"vertex {v} lies outside 0..3"):
+        embed_with_targets(G, H, [0], phi, clusters, [1], c=0)
+    with pytest.raises(InvalidParameters, match=f"vertex {v} lies outside 0..3"):
         blowup_embed(G, H, phi, clusters)
 
 

@@ -3,8 +3,9 @@ no module imports a name it never uses, no function imports anything, every
 import is of the standard library, the package itself or a dependency that
 ``pyproject.toml`` declares, every module-level constant is read somewhere
 in the package, no function calls itself but the bounded-depth searches
-listed here, no module holds an ``assert`` (``python -O`` strips them), and
-every name that ``spanembed.__all__`` exports resolves."""
+listed here, ``graphs.first_misplaced`` is the one check that cells are
+disjoint sets of host vertices, no module holds an ``assert`` (``python -O``
+strips them), and every name that ``spanembed.__all__`` exports resolves."""
 
 import ast
 import re
@@ -211,33 +212,42 @@ def test_unread_constant_check_sees_a_leftover():
     assert unread_constants(sources) == ["hampower.RHO", "hampower.D"]
 
 
-def self_calls(source: str) -> dict[str, int]:
-    """``{qualified name: line}`` of the first call that each function makes
-    to itself, by its bare name or, in a method, as ``self.name``/``cls.name``.
-    A function nested in another is named ``outer.inner``."""
-    found: dict[str, int] = {}
+def qualified_functions(source: str) -> dict[str, ast.AST]:
+    """Every function of ``source`` by qualified name: ``Class.method``, and
+    ``outer.inner`` for a function nested in another."""
+    found: dict[str, ast.AST] = {}
 
     def visit(node: ast.AST, prefix: str) -> None:
         for child in ast.iter_child_nodes(node):
             if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, prefix)
                 continue
-            name = prefix + child.name
             if not isinstance(child, ast.ClassDef):
-                for inner in ast.walk(child):
-                    if not isinstance(inner, ast.Call):
-                        continue
-                    func = inner.func
-                    if (isinstance(func, ast.Name) and func.id == child.name) or (
-                        isinstance(func, ast.Attribute)
-                        and func.attr == child.name
-                        and isinstance(func.value, ast.Name)
-                        and func.value.id in ("self", "cls")
-                    ):
-                        found.setdefault(name, inner.lineno)
-            visit(child, name + ".")
+                found[prefix + child.name] = child
+            visit(child, prefix + child.name + ".")
 
     visit(ast.parse(source), "")
+    return found
+
+
+def self_calls(source: str) -> dict[str, int]:
+    """``{qualified name: line}`` of the first call that each function makes
+    to itself, by its bare name or, in a method, as ``self.name``/``cls.name``.
+    A function nested in another is named ``outer.inner``."""
+    found: dict[str, int] = {}
+    for name, fn in qualified_functions(source).items():
+        for inner in ast.walk(fn):
+            if not isinstance(inner, ast.Call):
+                continue
+            func = inner.func
+            if (isinstance(func, ast.Name) and func.id == fn.name) or (
+                isinstance(func, ast.Attribute)
+                and func.attr == fn.name
+                and isinstance(func.value, ast.Name)
+                and func.value.id in ("self", "cls")
+            ):
+                found[name] = inner.lineno
+                break
     return found
 
 
@@ -265,6 +275,88 @@ def test_self_call_check_sees_a_leftover():
         "def fine(xs):\n    return sorted(xs)\n"
     )
     assert self_calls(source) == {"walk": 2, "T.visit": 5, "match.augment": 9}
+
+
+MISPLACED = re.compile("lies in two|lies outside|shares a vertex|appears twice")
+
+
+def says_misplaced(fn: ast.AST) -> bool:
+    """Whether a string of ``fn`` describes a vertex outside the host or in
+    two cells."""
+    return any(
+        isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and MISPLACED.search(node.value)
+        for node in ast.walk(fn)
+    )
+
+
+def overlap_tests(fn: ast.AST) -> list[int]:
+    """The lines where a loop or comprehension of ``fn`` tests membership
+    (``in``) or intersects masks (``&``): the body of a disjointness check."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    return sorted({
+        node.lineno
+        for loop in ast.walk(fn)
+        if isinstance(loop, loops)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+        or isinstance(node, (ast.BinOp, ast.AugAssign))
+        and isinstance(node.op, ast.BitAnd)
+    })
+
+
+# The layouts of disjoint cells, each checked by graphs.first_misplaced.
+CELL_LAYOUT_CHECKS = {
+    ("embed", "_cell_masks"),
+    ("regularity", "ClusterPartition.__post_init__"),
+    ("regularity", "refine_to_superregular"),
+    ("balance", "lemma_g"),
+}
+
+
+def test_first_misplaced_is_the_one_disjoint_cells_check():
+    fns = {
+        (path.stem, name): fn
+        for path in MODULES
+        for name, fn in qualified_functions(path.read_text()).items()
+    }
+    texts = {key for key, fn in fns.items() if says_misplaced(fn)}
+    assert texts == {("graphs", "first_misplaced")}
+    for key in sorted(CELL_LAYOUT_CHECKS):
+        calls = [
+            node for node in ast.walk(fns[key])
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "first_misplaced"
+        ]
+        assert calls and overlap_tests(fns[key]) == [], key
+
+
+def test_disjoint_cells_check_sees_a_restored_loop():
+    source = (
+        "def _cell_masks(n, clusters):\n"
+        "    if misplaced := first_misplaced(n, clusters.values()):\n"
+        "        raise InvalidParameters(misplaced)\n"
+        "    masks, covered = {}, 0\n"
+        "    for a, vs in clusters.items():\n"
+        "        mk = mask_of(vs)\n"
+        "        if covered & mk:\n"
+        "            raise InvalidParameters(f'cell {a} shares a vertex with another cell')\n"
+        "        covered |= mk\n"
+        "        masks[a] = mk\n"
+        "    return masks\n"
+        "class P:\n"
+        "    def __post_init__(self):\n"
+        "        seen = set()\n"
+        "        for v in self.vertices:\n"
+        "            if v in seen:\n"
+        "                raise ValueError(v)\n"
+        "            seen.add(v)\n"
+    )
+    fns = qualified_functions(source)
+    assert overlap_tests(fns["_cell_masks"]) == [7]
+    assert says_misplaced(fns["_cell_masks"])
+    assert overlap_tests(fns["P.__post_init__"]) == [16]
+    assert not says_misplaced(fns["P.__post_init__"])
 
 
 def assert_lines(source: str) -> list[int]:

@@ -456,3 +456,53 @@ def test_host_below_three_vertices_refuses_at_hamilton_power(n):
     assert not res
     assert (res.failure_stage, res.violated_display) == ("hamilton-power", "hamilton-power")
     assert res.failure_detail == f"no power cycle on {n} < 3 vertices"
+
+
+# A slice of the outcome matrix (ROADMAP item 1), pipeline seed 1: per host,
+# the outcome for C¹, P¹, random_window_H(n, 4, 3, 3, 1), C² and K3-tiling,
+# as a mapping digest or a refusal's (stage, violated_display).  The 75 runs
+# are 34 embeddings, 24 `exceptional`, 15 `refine` and 2 `blow-up` refusals.
+EXC, REF = ("exceptional", "exceptional"), ("refine", "refine")
+NLE = ("blow-up", "no-list-embedding")
+MATRIX_SLICE = {
+    (240, None): ("1cfbf7b822f4323b", "8c411c5a0640e935", EXC, EXC, EXC),
+    (240, .97): ("1c188aa4bed0ee2c", "32946e34eb71586d", EXC, EXC, EXC),
+    (240, .9): ("03d128786a6ff045", "bf703e4384227503", EXC, EXC, EXC),
+    (240, .75): ("a6732b646a72c642", "2e3c1d48dd1a35b2", EXC, EXC, EXC),
+    (240, .6): (REF, REF, REF, REF, REF),
+    (480, None): ("1fc588bc3ed0dc86", "ffee5651144847da", EXC, EXC, EXC),
+    (480, .97): ("a24424b3925b0f24", "d84af03aa91135b8", EXC, EXC, EXC),
+    (480, .9): ("bcaf5a3cbc269200", "ed31938e4008faf4", EXC, EXC, EXC),
+    (480, .75): ("ffe3ebdb7684eedc", "2b0eff6193f860f4", EXC, EXC, EXC),
+    (480, .6): (REF, REF, REF, REF, REF),
+    (720, None): (
+        "fa7219da1ce463e0", "b462e1fce25e47e1", "2e6eb183ff7b7185", "23097abca1e5447b",
+        "da7ec7b3a27b2a38",
+    ),
+    (720, .97): (
+        "34f9c72f3d267e81", "41871ac4afa530b4", "335050c5786bc426", "bcd7875b9c48572e",
+        "3559e9213b593207",
+    ),
+    (720, .9): (
+        "cd1018c5541e7eec", "09efaa19b3ca4f6d", "7f031e2a345232ed", "4d7c9b411999d3ef",
+        "633f9d06e88fd97a",
+    ),
+    (720, .75): (NLE, "3889f83c0a37dba1", "e8cc9871a06ecfe1", NLE, "2b4f1c0237354d3c"),
+    (720, .6): (REF, REF, REF, REF, REF),
+}
+
+
+@pytest.mark.parametrize(
+    "n, p", MATRIX_SLICE, ids=[f"{n}-{'K' if p is None else f'gnp{p}'}" for n, p in MATRIX_SLICE]
+)
+def test_outcome_matrix_slice_is_pinned(n, p):
+    G = DenseGraph.complete(n) if p is None else gnp(n, p, 1)
+    guests = (
+        cycle_power_H(1, n), path_power_H(1, n), random_window_H(n, 4, 3, 3, 1),
+        cycle_power_H(2, n), tiling_H(3, n // 3),
+    )
+    got = []
+    for Hb in guests:
+        res = pipeline.run_main_pipeline(G, Hb, seed=1)
+        got.append(_mapping_digest(res) if res else (res.failure_stage, res.violated_display))
+    assert tuple(got) == MATRIX_SLICE[(n, p)]

@@ -137,6 +137,20 @@ def test_refine_refuses_clusters_that_are_not_disjoint_vertex_sets(clusters, nam
         )
 
 
+@pytest.mark.parametrize(
+    "parts, named",
+    [
+        (((), ((0, 1), (2, 9))), "vertex 9 lies outside 0..3"),
+        (((0,), ((0, 1), (2, 3))), "vertex 0 lies in two clusters"),
+    ],
+)
+def test_cluster_partition_refuses_parts_that_are_not_its_vertices(parts, named):
+    # the parts of a partition of N vertices hold 0..N-1, each once; the
+    # first was accepted
+    with pytest.raises(InvalidParameters, match=named):
+        ClusterPartition(*parts)
+
+
 def test_pair_density_rejects_empty_or_overlap():
     G = DenseGraph.empty(4)
     with pytest.raises(InvalidParameters):
@@ -227,9 +241,12 @@ def planted_cluster_system(L, m, p, seed):
     return planted_multipartite(L, m, p, seed)
 
 
-def test_refine_complete_multipartite_trims_only():
-    # complete multipartite: every pair complete, no vertex can fail
-    L, m = 4, 10
+@pytest.mark.parametrize("m, eps", [(10, 0.09), (12, 0.01)])
+def test_refine_complete_multipartite_keeps_every_vertex(m, eps):
+    # complete multipartite: every pair complete, no vertex can fail, so
+    # every cluster stays whole (a trim to ceil((1-sqrt(eps))*m) kept 7 of
+    # 10 and 11 of 12)
+    L = 4
     edges = []
     for i in range(L):
         for j in range(i + 1, L):
@@ -239,11 +256,8 @@ def test_refine_complete_multipartite_trims_only():
     G = DenseGraph.from_edges(L * m, edges)
     clusters = [list(range(i * m, (i + 1) * m)) for i in range(L)]
     R = DenseGraph.complete(L)
-    eps = 0.09
     refined = refine_to_superregular(G, clusters, cluster_degrees(G, clusters), R, eps, 0.5)
-    target = math.ceil((1 - math.sqrt(eps)) * m)
-    assert all(len(c) == target for c in refined)
-    assert all(set(c) <= set(orig) for c, orig in zip(refined, clusters))
+    assert refined == clusters
 
 
 def test_refine_discards_planted_isolated_vertex():
@@ -324,18 +338,15 @@ def test_refine_output_sizes_and_degrees():
     R = DenseGraph.complete(L)
     eps, delta = 0.05, 0.3
     refined = refine_to_superregular(G, clusters, cluster_degrees(G, clusters), R, eps, delta)
-    target = math.ceil((1 - math.sqrt(eps)) * m)
     for i, j in itertools.combinations(range(L), 2):
         assert is_superregular(G, refined[i], refined[j], 4 * math.sqrt(eps), delta / 2)
     for i, c in enumerate(refined):
-        assert len(c) == target
+        assert len(c) == m  # no vertex fails here, and none is trimmed
         for j in range(L):
             if j == i:
                 continue
             for v in c:
-                assert G.degree_into(v, mask_of(refined[j])) >= (
-                    (delta - eps) * m - (m - target)
-                )
+                assert G.degree_into(v, mask_of(refined[j])) >= (delta - eps) * m
 
 
 @pytest.mark.parametrize("n", [8, 63, 64, 65, 480])
@@ -587,7 +598,7 @@ def test_refine_verified_output_pinned():
     G, clusters = planted_cluster_system(3, 20, 0.7, seed=5)
     R = DenseGraph.complete(3)
     refined = refine_to_superregular(G, clusters, cluster_degrees(G, clusters), R, 0.05, 0.3)
-    assert _digest(refined) == "fa8d9586e729b270"
+    assert _digest(refined) == "341e28c3063f9e6f"
     for i, j in itertools.combinations(range(3), 2):
         assert is_superregular(G, refined[i], refined[j], 4 * math.sqrt(0.05), 0.3 / 2)
 

@@ -47,6 +47,13 @@ def _cell_masks(n: int, clusters: dict[int, tuple[int, ...]]) -> dict[int, int]:
     return {a: mask_of(vs) for a, vs in clusters.items()}
 
 
+def _refusal(label: str, detail: str, nodes: int) -> StageFailure:
+    """A search's refusal, carrying the nodes it entered for its caller's audit."""
+    refusal = StageFailure(label, detail)
+    refusal.nodes = nodes
+    return refusal
+
+
 def verify_embedding(H: DenseGraph, G: DenseGraph, mapping: dict[int, int]) -> str:
     """Independent edge-by-edge check of the H-edges with both ends mapped;
     returns '' when the map embeds that part of H.
@@ -231,7 +238,8 @@ def embed_with_targets(
     places ``order`` in turn with that floor on Y.  It raises
     "backtrack-budget-exhausted" past ``node_budget`` nodes, and
     "no-list-embedding" when it runs out of tree first, which certifies that
-    no placement keeps every floor.
+    no placement keeps every floor; either refusal states its node count and
+    carries it as ``nodes``.
     """
     floor = math.ceil(c * max((len(vs) for vs in clusters.values()), default=0))
     cluster_mask = _cell_masks(G.n, clusters)
@@ -260,11 +268,12 @@ def embed_with_targets(
     )
     if nodes > node_budget:  # the trace: the first six live boundary masks
         trace = [(y, mk.bit_count()) for y, mk in zip(Y, cands[k:])][:6]
-        detail = f"budget {node_budget} hit at vertex {order[len(mapping)]}; trace: {trace}"
-        raise StageFailure("backtrack-budget-exhausted", detail)
+        at = order[len(mapping)]
+        detail = f"budget {node_budget} hit at vertex {at}, nodes {nodes}; trace: {trace}"
+        raise _refusal("backtrack-budget-exhausted", detail, nodes)
     if len(mapping) < k:
-        raise StageFailure(
-            "no-list-embedding", f"no embedding within the search tree (nodes={nodes})"
+        raise _refusal(
+            "no-list-embedding", f"no embedding within the search tree (nodes={nodes})", nodes
         )
     placed, sets = mask_of(mapping.values()), {}
     for y in Y:  # C_y again, from the mapping alone
@@ -317,8 +326,9 @@ def blowup_embed(
     left of ``node_budget``.  One that runs out of tree raises
     "no-list-embedding" at once, since the other restarts would only search
     the same tree in another order; once the restarts have spent the budget
-    the refusal is "backtrack-budget-exhausted", naming the restarts, the
-    largest slice and the nodes in all.
+    the refusal is "backtrack-budget-exhausted", naming the restarts and the
+    largest slice.  Either refusal names the nodes of all restarts and
+    carries them as ``nodes``.
     """
     special = special or {}
     cluster_mask = _cell_masks(G.n, clusters)
@@ -339,12 +349,12 @@ def blowup_embed(
             return mapping, total
         if nodes <= limit:
             # the search tree is exhausted: no restart can find an embedding
-            raise StageFailure("no-list-embedding",
-                               f"attempt {attempt}: tree exhausted in {nodes} nodes")
+            raise _refusal("no-list-embedding", f"attempt {attempt}: tree exhausted in {nodes} "
+                           f"nodes, {total} over all restarts", total)
         attempt, largest = attempt + 1, max(largest, limit)
         if total >= node_budget:
-            raise StageFailure("backtrack-budget-exhausted",
-                               f"restarts {attempt}, largest slice {largest}, nodes {total}")
+            raise _refusal("backtrack-budget-exhausted",
+                           f"restarts {attempt}, largest slice {largest}, nodes {total}", total)
 
 
 # -- exact oracle -----------------------------------------------------------

@@ -5,14 +5,15 @@ vertex (bit v of row u set iff uv is an edge), which makes degree, common
 neighbourhood and induced-count kernels single AND/popcount operations.
 ``distinct_representatives`` is the one matcher on such masks: the target
 embedder's joint boundary floor and the absorber's insertion slots both
-call it.  Everything here is immutable after construction and safe to
-share.
+call it.  ``validate_witness`` checks a claimed power of a path or cycle
+with one AND per required pair and names the first violation in that same
+pass.  Everything here is immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import and_
+from operator import and_, eq
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -34,6 +35,7 @@ class StageFailure(RuntimeError):
         self.stage = stage
         self.detail = detail
         self.violated = violated
+        self.nodes = 0  # the nodes a refused search entered; the embedders set it
         super().__init__(f"{stage}: {detail}" if detail else stage)
 
 
@@ -441,13 +443,13 @@ def validate_witness(G: DenseGraph, w: WitnessSequence) -> str:
     "" when it holds.
 
     Path/cycle entries must be pairwise distinct; trails may repeat vertices
-    but every required pair must still be a (non-loop) edge.  Where no pair
-    can join a vertex to itself, one pass over the pairs (p, p + j), offset
-    by offset, tests each position's row against the bit of the vertex j
-    places on (cyclically for a cycle) and returns "" when every pair holds.
-    Otherwise a window scan names the first violation: it ORs each
-    position's next r vertices into a window mask, finds the first position
-    whose row misses a bit of it, and scans only that position's offsets.
+    but every required pair must still be a (non-loop) edge.  One pass over
+    the pairs (p, p + j), offset by offset, tests each position's row against
+    the bit of the vertex j places on (cyclically for a cycle), and also
+    compares the two bits where a pair can join a vertex to itself.  Only an
+    offset that fails is rescanned to its first failing position, and the
+    least (position, offset) pair over the failing offsets is named, as a
+    pair-by-pair scan in position-then-offset order would name it.
     """
     vs, r = w.vertices, w.r
     k = len(vs)
@@ -462,39 +464,29 @@ def validate_witness(G: DenseGraph, w: WitnessSequence) -> str:
             if v in seen:
                 return f"duplicate vertex {v}"
             seen.add(v)
-    # a window holds its own vertex only in a trail or in a cycle of at most
-    # r vertices, and a row built unchecked may hold that loop
+    # a pair joins a vertex to itself only in a trail or in a cycle of at
+    # most r vertices, and a row built unchecked may hold that loop
     loops = w.kind == "trail" or (cyclic and k <= r)
-    rows = G.rows
-    if not loops:
-        row = [rows[v] for v in vs]
-        bit = [1 << v for v in vs]
-        if cyclic:
-            bit += bit[:r]
-        if all(all(map(and_, row, bit[j:])) for j in range(1, r + 1)):
-            return ""
+    row = [G.rows[v] for v in vs]
+    bit = [1 << v for v in vs]
     if cyclic:
-        ext = [1 << vs[p % k] for p in range(k + r)]
-    else:
-        ext = [1 << v for v in vs] + [0] * r
-    windows = [0] * k
+        bit += [bit[p % k] for p in range(r)]
+    bad = (k, 0)  # the least failing (position, offset) so far
     for j in range(1, r + 1):
-        windows = [m | b for m, b in zip(windows, ext[j : j + k])]
-    for bad, (u, m) in enumerate(zip(vs, windows)):
-        if rows[u] & m != m or (loops and m >> u & 1):
-            break
-    else:
+        ahead = bit[j:]
+        if all(map(and_, row, ahead)) and not (loops and any(map(eq, bit, ahead))):
+            continue
+        p = next(p for p, (m, b) in enumerate(zip(row, ahead)) if not m & b or b == bit[p])
+        bad = min(bad, (p, j))
+    p, j = bad
+    if p == k:
         return ""
-    for j in range(1, r + 1):
-        p = (bad + j) % k  # below k for a path: its window ends at k - 1
-        v = vs[p]
-        if u == v:
-            if cyclic:
-                return f"cyclic pair ({bad},{bad + j}) collapses"
-            return f"pair ({bad},{p}) collapses to vertex {u}"
-        if not G.has_edge(u, v):
-            return f"missing edge ({u},{v}) at offsets ({bad},{p})"
-    raise AssertionError("the failing window names no failing pair")
+    u, v = vs[p], vs[(p + j) % k]
+    if u == v and cyclic:
+        return f"cyclic pair ({p},{p + j}) collapses"
+    if u == v:
+        return f"pair ({p},{p + j}) collapses to vertex {u}"
+    return f"missing edge ({u},{v}) at offsets ({p},{(p + j) % k})"
 
 
 # -- edge-list text format --------------------------------------------------

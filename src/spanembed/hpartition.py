@@ -116,9 +116,10 @@ def check_balanced_colouring(
     first vertex with a neighbour of its own colour has no such neighbour
     below it, so its lowest one above it ends the first clash in
     ``H.edges()`` order.  The half-range and prefix-balance tests are one
-    numpy pass over the colours in bandwidth order, reading the cumulative
-    class counts at the interval ends; only a failing prefix is scanned
-    pair by pair to name its first pair.
+    numpy pass over the colours in bandwidth order: the cumulative class
+    counts at the interval ends give every pairwise class gap of each prefix
+    and half in one array, and its first gap above the bound, in (prefix,
+    half, class, class) order, is the one named.
     """
     H, order, chi = Hb.H, Hb.order.order, Hb.colouring
     n = H.n
@@ -144,21 +145,16 @@ def check_balanced_colouring(
         return f"interval {p // W + 1} colour {colouring[order[p]]} outside its half"
     counts = (col[:, None] == np.arange(1, 2 * r + 1)).cumsum(axis=0)
     ends = np.minimum(np.arange(W, n + W, W), n) - 1
-    prefix = counts[ends]  # row t-1: the class counts after interval t
-    bound = 2 * W
-    # entry 2(t-1) + h: the spread of half h (0: 1..r, 1: r+1..2r) after t
-    unbalanced = (np.ptp(prefix.reshape(len(ends), 2, r), axis=2) > bound).ravel()
-    if not unbalanced.any():
+    # entry (t-1, h, a, b): after interval t, the gap between classes
+    # hr + a + 1 and hr + b + 1 of half h (0: 1..r, 1: r+1..2r)
+    halves = counts[ends].reshape(len(ends), 2, r)
+    gaps = np.abs(halves[..., :, None] - halves[..., None, :])
+    over = gaps > 2 * W
+    if not over.any():
         return ""
-    t, h = divmod(int(unbalanced.argmax()), 2)
-    at = [0, *prefix[t].tolist()]
-    span = range(h * r + 1, h * r + r + 1)
-    for j in span:
-        for j2 in span:
-            gap = abs(at[j] - at[j2])
-            if gap > bound:
-                return f"prefix {t + 1}: classes {j},{j2} differ by {gap} > {bound}"
-    raise AssertionError("the unbalanced prefix names no pair")
+    t, h, a, b = np.unravel_index(int(over.argmax()), over.shape)
+    j, j2 = h * r + a + 1, h * r + b + 1
+    return f"prefix {t + 1}: classes {j},{j2} differ by {gaps[t, h, a, b]} > {2 * W}"
 
 
 def basic_assignment(Hb: BandwidthedH, targets: dict[Cell, int]) -> Assignment:

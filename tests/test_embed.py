@@ -384,7 +384,7 @@ def _recursive_embed_with_targets(G, H, order, phi, clusters, Y, c, node_budget=
         if nodes > node_budget:
             raise StageFailure(
                 "backtrack-budget-exhausted",
-                f"budget {node_budget} hit at vertex {order[idx]}; trace: "
+                f"budget {node_budget} hit at vertex {order[idx]}, nodes {nodes}; trace: "
                 f"{[(y, mk.bit_count()) for y, mk in masks.items()][:6]}",
             )
         x = order[idx]
@@ -600,7 +600,10 @@ def _recursive_blowup_embed(G, H, phi, clusters, special=None, node_budget=10_00
         if found:
             return mapping, total
         if nodes <= limit:
-            return StageFailure("no-list-embedding", f"attempt {attempt}: tree exhausted in {nodes} nodes")
+            return StageFailure(
+                "no-list-embedding",
+                f"attempt {attempt}: tree exhausted in {nodes} nodes, {total} over all restarts",
+            )
         largest = max(largest, limit)
         if total >= node_budget:
             return StageFailure(
@@ -697,6 +700,21 @@ def test_blowup_exhausted_tree_is_labelled_and_not_restarted():
     assert exc.value.detail.startswith("attempt 0: tree exhausted in ")
 
 
+def test_blowup_exhausted_tree_names_the_nodes_of_every_restart(monkeypatch):
+    # at a unit of 1, restarts 0-13 stop at the node past their slices 1, 1,
+    # 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4 (38 nodes), and restart 14 runs out
+    # of its tree in 6 of its 8: the refusal names all 44 and carries them
+    monkeypatch.setattr(embed, "RESTART_UNIT", 1)
+    G, H = gnp(12, 0.45, 0), gnp(12, 0.3, 101)
+    clusters = {0: tuple(range(6)), 1: tuple(range(6, 12))}
+    phi = {x: x % 2 for x in range(12)}
+    with pytest.raises(StageFailure) as exc:
+        blowup_embed(G, H, phi, clusters, node_budget=10_000)
+    assert exc.value.stage == "no-list-embedding"
+    assert exc.value.detail == "attempt 14: tree exhausted in 6 nodes, 44 over all restarts"
+    assert exc.value.nodes == 44
+
+
 def test_blowup_never_enters_a_placement_that_takes_an_only_candidate():
     # both template vertices may only go to host vertex 0: placing the
     # first there would leave the second with nothing, so the root node has
@@ -706,7 +724,7 @@ def test_blowup_never_enters_a_placement_that_takes_an_only_candidate():
     with pytest.raises(StageFailure) as exc:
         blowup_embed(G, H, {0: 0, 1: 0}, {0: (0, 1)}, special={0: {0}, 1: {0}})
     assert exc.value.stage == "no-list-embedding"
-    assert exc.value.detail == "attempt 0: tree exhausted in 1 nodes"
+    assert exc.value.detail == "attempt 0: tree exhausted in 1 nodes, 1 over all restarts"
 
 
 def test_blowup_budget_failure_is_labelled(monkeypatch):
@@ -722,6 +740,7 @@ def test_blowup_budget_failure_is_labelled(monkeypatch):
         blowup_embed(G, H, phi, clusters, node_budget=16)
     assert exc.value.stage == "backtrack-budget-exhausted"
     assert exc.value.detail == "restarts 3, largest slice 6, nodes 17"
+    assert exc.value.nodes == 17
 
 
 def test_targets_labels_budget_and_exhausted_tree_apart():
@@ -734,10 +753,12 @@ def test_targets_labels_budget_and_exhausted_tree_apart():
         embed_with_targets(G, H, [0, 1], phi, clusters, Y=[], c=0.0)
     assert exc.value.stage == "no-list-embedding"
     assert exc.value.detail == "no embedding within the search tree (nodes=5)"
+    assert exc.value.nodes == 5
     with pytest.raises(StageFailure) as exc:
         embed_with_targets(G, H, [0, 1], phi, clusters, Y=[], c=0.0, node_budget=3)
     assert exc.value.stage == "backtrack-budget-exhausted"
-    assert exc.value.detail.startswith("budget 3 hit at vertex 1")
+    assert exc.value.detail.startswith("budget 3 hit at vertex 1, nodes 4; trace: ")
+    assert exc.value.nodes == 4
 
 
 def test_targets_keep_the_floor_of_a_boundary_cell_mate():

@@ -229,6 +229,52 @@ def test_colouring_check_matches_the_loop_reference():
     assert set(verdicts) == {"ok", "not", "interval", "prefix"}, verdicts
 
 
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_colouring_check_matches_the_loop_reference_on_long_guests(r):
+    # 1,200-vertex guests with 100 or 200 intervals, so that the array of
+    # class gaps has 800 to 10,000 entries: their balanced colourings, a
+    # planted imbalance in either half of a prefix (an edgeless guest keeps
+    # it proper), a clash and a colour outside its half
+    rng = random.Random(r)
+    n = 1200
+    chi = tuple(x % r + 1 for x in range(n))
+    verdicts, halves = set(), set()
+    for beta in (0.01, 0.005):
+        W = interval_width(beta, n)
+        for Hb in (
+            tiling_H(r, n // r, beta=beta),
+            BandwidthedH(DenseGraph.empty(n), identity_labelling(n), chi, beta),
+        ):
+            colouring = balanced_2r_colouring(Hb, r)
+            cases = [colouring]
+            for h in (0, 1):
+                # every interval of half h from the t0-th on paints one class
+                col = list(colouring)
+                t0 = 2 * rng.randrange(20) + h
+                paint = h * r + rng.randint(1, r)
+                for t in range(t0, n // W, 2):
+                    for x in Hb.order.order[t * W : (t + 1) * W]:
+                        col[x] = paint
+                cases.append(tuple(col))
+            if Hb.H.edge_count():
+                u, v = rng.choice(list(Hb.H.edges()))
+                col = list(colouring)
+                col[u] = col[v]
+                cases.append(tuple(col))
+            col = list(colouring)
+            x = rng.randrange(n)
+            col[x] += r if col[x] <= r else -r
+            cases.append(tuple(col))
+            for col in cases:
+                want = _reference_check_balanced_colouring(Hb, col, r)
+                assert check_balanced_colouring(Hb, col, r) == want, (Hb, want)
+                verdicts.add(want.split()[0] if want else "ok")
+                if want.startswith("prefix"):
+                    halves.add(int(want.split()[3].split(",")[0]) > r)
+    assert verdicts == {"ok", "not", "interval", "prefix"}
+    assert halves == {False, True}
+
+
 # -- basic assignment ---------------------------------------------------
 
 

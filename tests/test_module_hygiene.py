@@ -5,7 +5,8 @@ import is of the standard library, the package itself or a dependency that
 in the package, no function calls itself but the bounded-depth searches
 listed here, ``graphs.first_misplaced`` is the one check that cells are
 disjoint sets of host vertices, no module holds an ``assert`` (``python -O``
-strips them), and every name that ``spanembed.__all__`` exports resolves."""
+strips them) or raises ``AssertionError``, and every name that
+``spanembed.__all__`` exports resolves."""
 
 import ast
 import re
@@ -375,6 +376,34 @@ def test_module_has_no_assert(path):
 def test_assert_check_sees_a_one_line_guard():
     source = "x = 1\nif x: assert x > 0\ndef f(y):\n    assert y, 'msg'\n"
     assert assert_lines(source) == [2, 4]
+
+
+def assertion_error_raises(source: str) -> list[int]:
+    """The lines of every ``raise AssertionError`` in ``source``, with or
+    without a message: a certificate that names its violation in the pass
+    that finds it has no second scan that could disagree with the first."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_raises_no_assertion_error(path):
+    assert assertion_error_raises(path.read_text()) == []
+
+
+def test_assertion_error_check_sees_a_restored_second_scan():
+    source = (
+        "def check(xs):\n    for x in xs:\n        if x:\n            return str(x)\n"
+        "    raise AssertionError('the failing pass names no violation')\n"
+        "def other():\n    raise AssertionError\n"
+        "def fine():\n    raise ValueError('not this one')\n"
+    )
+    assert assertion_error_raises(source) == [5, 7]
 
 
 def test_every_export_resolves():

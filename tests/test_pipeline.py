@@ -6,6 +6,7 @@ pipeline stage that called it as ``failure_stage``.
 
 import hashlib
 import random
+import re
 import time
 
 import pytest
@@ -248,6 +249,48 @@ def test_pipeline_notes_the_nodes_of_both_list_embedders(monkeypatch):
     assert res.audit.notes["blowup-nodes"] == sum(blocks) > 0
 
 
+def _stated_nodes(detail):
+    """The node count a search refusal's detail states."""
+    return int(re.search(r"nodes[ =](\d+)", detail).group(1))
+
+
+def test_a_refused_search_keeps_its_nodes_in_the_audit(monkeypatch):
+    # a budget of 10 nodes refuses the target embedding; with the real
+    # budget there, 10 nodes refuse blow-up block 1.  Each note counts the
+    # nodes the refusal states, where it used to be missing or 0
+    G, Hb = gnp(480, 0.97, 1), cycle_power_H(1, 480)
+    monkeypatch.setattr(pipeline, "BLOWUP_BUDGET", 10)
+    res = pipeline.run_main_pipeline(G, Hb, seed=1)
+    assert (res.failure_stage, res.violated_display) == (
+        "target-embedding", "backtrack-budget-exhausted"
+    )
+    assert res.audit.notes["target-nodes"] == _stated_nodes(res.failure_detail) == 11
+    monkeypatch.undo()
+    real = pipeline.blowup_embed
+
+    def cut_short(*args, **kwargs):
+        return real(*args, **{**kwargs, "node_budget": 10})
+
+    monkeypatch.setattr(pipeline, "blowup_embed", cut_short)
+    res = pipeline.run_main_pipeline(G, Hb, seed=1)
+    assert res.failure_stage == "blow-up"
+    assert res.failure_detail == (
+        "block 1: backtrack-budget-exhausted: restarts 1, largest slice 10, nodes 11"
+    )
+    assert res.audit.notes["blowup-nodes"] == _stated_nodes(res.failure_detail) == 11
+
+
+def test_the_audit_records_both_degree_thresholds():
+    # delta(G) = 254 = 0.529n: above the n/2 a locally dense host needs, below
+    # the (1 - 1/r)n = 2n/3 of Böttcher-Schacht-Taraz.  Refine refuses the
+    # run, after R has passed delta(R) >= L/2
+    res = pipeline.run_main_pipeline(gnp(480, 0.6, 1), tiling_H(3, 160), seed=1)
+    assert res.failure_stage == "refine"
+    assert res.audit.checks["min-degree"] == (True, "254 vs 240.0")
+    assert res.audit.checks["chromatic-degree"] == (False, "254 vs 320.0")
+    assert res.audit.checks["inheritance-degree"] == (True, "71 vs 36.0")
+
+
 def test_a_run_unpacks_the_host_once(monkeypatch):
     # the partitioner's degree table is the one unpack of G's rows: refine
     # reads the table, and only a swap would unpack G again
@@ -378,8 +421,8 @@ def test_exceptional_vertices_refuse_and_the_rest_embeds(host, n, guest):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_small_reduced_graph_records_only_the_degree_inheritance(seed):
-    # L = 16 clusters: every run records the same (1/2 + eta/2)L degree
-    # check of R, whatever the size of R
+    # L = 16 clusters: every run records the same L/2 degree check of R,
+    # whatever the size of R
     G, Hb = gnp(96, 0.97, seed), cycle_power_H(1, 96)
     res = pipeline.run_main_pipeline(G, Hb, seed=seed)
     assert res, (res.failure_stage, res.failure_detail)
